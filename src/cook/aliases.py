@@ -230,7 +230,7 @@ class AliasAnalysis:
     def written_reps(
         self,
         method_id: str,
-        stmt: ast.Stmt | None,
+        stmt: ast.Stmt | ast.Block,
         api_set: frozenset[str] | None = None,
     ) -> frozenset[Representative]:
         """Representatives of every syntactic write inside `stmt`.
@@ -256,7 +256,7 @@ class AliasAnalysis:
     def observable_writes(
         self,
         method_id: str,
-        stmt: ast.Stmt | None,
+        stmt: ast.Stmt | ast.Block,
         api_set: frozenset[str] | None = None,
     ) -> frozenset[Representative]:
         """Like `written_reps`, restricted to locations this frame can

@@ -51,10 +51,6 @@ def fact_pairs(facts) -> frozenset[tuple[Representative, Representative]]:
     return frozenset((d, s) for d, s, _ in facts)
 
 
-def bottom_facts(facts) -> frozenset[Fact]:
-    return frozenset(f for f in facts if isinstance(f[1], Bottom))
-
-
 # ---------------------------------------------------------------------------
 # gen / kill
 # ---------------------------------------------------------------------------

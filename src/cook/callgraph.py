@@ -35,10 +35,6 @@ def runtime_types(symbols: Symbols, declared: str) -> set[str]:
     return symbols.runtime_types(declared)
 
 
-def resolve_targets(symbols: Symbols, caller: ast.Method, call: ast.Call) -> list[ast.Method]:
-    return symbols.resolve_call(caller, call)
-
-
 def build_call_graph(program: ast.Program, symbols: Symbols) -> CallGraph:
     """Edges (caller, callee) over internal methods; extern callees are sinks
     handled by the divergence rewrite and contribute no edges."""

@@ -54,10 +54,6 @@ class Cfg:
         self.preds.append([])
         return nid
 
-    def branch_targets(self, b: int) -> tuple[int, int]:
-        t, f = self.succs[b]
-        return t, f
-
 
 def build_cfg(m: ast.Method) -> Cfg:
     """Structured translation; requires a body that returns on every path."""
@@ -75,8 +71,8 @@ def build_cfg(m: ast.Method) -> Cfg:
             g.succs[u][slot] = v
             g.preds[v].append(u)
 
-    def build(stmt: ast.Stmt | None, frontier: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        for s in ast.flatten(stmt):
+    def build(block: ast.Block, frontier: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        for s in block:
             if not frontier:
                 raise CheckDiagnostic("unreachable statement", s.loc.line, s.loc.col)
             if isinstance(s, ast.IfElse):
@@ -84,15 +80,15 @@ def build_cfg(m: ast.Method) -> Cfg:
                 patch(frontier, b)
                 true_edge = new_edge(b)
                 false_edge = new_edge(b)
-                then_out = build(s.then_body, [true_edge]) if s.then_body else [true_edge]
-                else_out = build(s.else_body, [false_edge]) if s.else_body else [false_edge]
+                then_out = build(s.then_body, [true_edge])
+                else_out = build(s.else_body, [false_edge])
                 frontier = then_out + else_out
             elif isinstance(s, ast.While):
                 b = g.add(BRANCH, s, s.cond)
                 patch(frontier, b)
                 true_edge = new_edge(b)
                 false_edge = new_edge(b)
-                body_out = build(s.body, [true_edge]) if s.body else [true_edge]
+                body_out = build(s.body, [true_edge])
                 patch(body_out, b)  # back edges (self loop when the body is empty)
                 frontier = [false_edge]
             elif isinstance(s, ast.Return):

@@ -131,9 +131,8 @@ class _Gen:
         b = _Body(self, mid, owner, formals, index)
         stmts = b.gen_block(rng.randint(*self.p.stmts), self.p.max_depth)
         stmts.append(ast.Return(b.int_var()))
-        body = ast.normalize_seqs(ast.sequence(stmts))
         return ast.Method(
-            f"m{index}", owner, tuple(formals), tuple(b.locals), ast.INT, body
+            f"m{index}", owner, tuple(formals), tuple(b.locals), ast.INT, tuple(stmts)
         )
 
 
@@ -184,10 +183,15 @@ class _Body:
         out = list(self.prelude)
         self.prelude = []
         for _ in range(n):
-            out.append(self.gen_stmt(depth))
-        return [s for s in out if s is not None]
+            out.extend(self.gen_stmt(depth))
+        return out
 
-    def gen_stmt(self, depth: int) -> ast.Stmt:
+    def gen_group(self, n: int, depth: int) -> ast.Block:
+        return tuple(s for _ in range(n) for s in self.gen_stmt(depth))
+
+    def gen_stmt(self, depth: int) -> ast.Block:
+        """One statement group: a statement, or a loop or an array access
+        together with the assignments that set it up."""
         p = self.g.p
         in_loop = self.loop_depth > 0
         rng = self.rng
@@ -199,26 +203,24 @@ class _Body:
             if structural < p.loop + p.opaque_loop:
                 return self.gen_opaque_loop(depth - 1)
             if structural < p.loop + p.opaque_loop + p.branch:
-                return self.gen_branch(depth - 1)
+                return (self.gen_branch(depth - 1),)
 
         if not in_loop:
             roll = rng.random()
             if roll < p.recursion:
-                s = self.gen_recursive_call()
-                if s is not None:
-                    return s
+                return (self.gen_recursive_call(),)
             elif roll < p.recursion + p.extern:
-                return self.gen_extern_call()
+                return (self.gen_extern_call(),)
             elif roll < p.recursion + p.extern + p.call:
                 s = self.gen_call()
                 if s is not None:
-                    return s
+                    return (s,)
 
         if rng.random() < p.heap:
-            s = self.gen_heap_stmt()
-            if s is not None:
-                return s
-        return self.gen_scalar_stmt()
+            group = self.gen_heap_stmt()
+            if group is not None:
+                return group
+        return (self.gen_scalar_stmt(),)
 
     def gen_scalar_stmt(self) -> ast.Stmt:
         rng = self.rng
@@ -243,7 +245,7 @@ class _Body:
         vs = [v for v in self.vars_of(ast.INT) if v != self.one]
         return self.rng.choice(vs) if vs else self.local(ast.INT)
 
-    def gen_heap_stmt(self) -> ast.Stmt | None:
+    def gen_heap_stmt(self) -> ast.Block | None:
         rng = self.rng
         objs = [
             (n, t)
@@ -266,8 +268,8 @@ class _Body:
                 return None
             fname, _ = rng.choice(fields)
             if kind == "fread":
-                return ast.FieldRead(self.fresh_or_existing_int(), obj, fname)
-            return ast.FieldWrite(obj, fname, self.int_var())
+                return (ast.FieldRead(self.fresh_or_existing_int(), obj, fname),)
+            return (ast.FieldWrite(obj, fname, self.int_var()),)
         arr = rng.choice(arrays)
         idx = self.local(ast.INT)
         access = (
@@ -275,21 +277,17 @@ class _Body:
             if kind == "aread"
             else ast.ArrayWrite(arr, idx, self.int_var())
         )
-        return ast.sequence([ast.ConstAssign(idx, self.rng.randint(0, 4)), access])
+        return ast.ConstAssign(idx, self.rng.randint(0, 4)), access
 
     def gen_branch(self, depth: int) -> ast.Stmt:
         cond = ast.Cond(self.int_var(), self.rng.choice(ast.REL_OPS), self.int_var())
-        then_body = ast.sequence(
-            [self.gen_stmt(depth) for _ in range(self.rng.randint(1, 2))]
-        )
-        else_body = None
+        then_body = self.gen_group(self.rng.randint(1, 2), depth)
+        else_body = ()
         if self.rng.random() < 0.6:
-            else_body = ast.sequence(
-                [self.gen_stmt(depth) for _ in range(self.rng.randint(1, 2))]
-            )
+            else_body = self.gen_group(self.rng.randint(1, 2), depth)
         return ast.IfElse(cond, then_body, else_body)
 
-    def gen_counted_loop(self, depth: int) -> ast.Stmt:
+    def gen_counted_loop(self, depth: int) -> ast.Block:
         """A loop the oracle proves terminating: fresh counter, unit stride,
         a bound the body never writes."""
         rng = self.rng
@@ -303,12 +301,11 @@ class _Body:
         self.loop_depth += 1
         inner = [self.gen_stmt(depth) for _ in range(rng.randint(1, 2))]
         self.loop_depth -= 1
-        inner = [s for s in inner if not _writes_any(s, forbidden)]
-        body = inner + [ast.BinaryAssign(i, i, "+", self.one)]
-        loop = ast.While(ast.Cond(i, "<", bound), ast.sequence(body))
-        return ast.sequence(init + [loop])
+        body = [s for group in inner if not _writes_any(group, forbidden) for s in group]
+        body.append(ast.BinaryAssign(i, i, "+", self.one))
+        return (*init, ast.While(ast.Cond(i, "<", bound), tuple(body)))
 
-    def gen_opaque_loop(self, depth: int) -> ast.Stmt:
+    def gen_opaque_loop(self, depth: int) -> ast.Block:
         """A loop the oracle cannot discharge; often genuinely divergent."""
         rng = self.rng
         x = self.local(ast.INT)
@@ -326,7 +323,7 @@ class _Body:
         else:
             # guard variables never advance
             cond = ast.Cond(x, "!=", y)
-        return ast.sequence(init + [ast.While(cond, ast.sequence(body))])
+        return (*init, ast.While(cond, tuple(body)))
 
     def gen_call(self) -> ast.Stmt | None:
         callable_ = [m for m in self.g.callable if self.satisfiable(m)]
@@ -342,7 +339,7 @@ class _Body:
         actuals = tuple(self.rng.choice(self.vars_of(p.type)) for p in m.formals)
         return ast.Call(self.fresh_or_existing_int(), m.name, actuals)
 
-    def gen_recursive_call(self) -> ast.Stmt | None:
+    def gen_recursive_call(self) -> ast.Stmt:
         # a self call passing the formals through, in order, is well-formed
         return ast.Call(
             self.fresh_or_existing_int(), f"m{self.index}", tuple(self.formal_order)
@@ -354,8 +351,8 @@ class _Body:
         return ast.Call(self.fresh_or_existing_int(), f"ext{k}", actuals)
 
 
-def _writes_any(s: ast.Stmt, names: set[str]) -> bool:
-    for sub in ast.walk(s):
+def _writes_any(group: ast.Block, names: set[str]) -> bool:
+    for sub in ast.walk(group):
         target = getattr(sub, "target", None)
         if target in names:
             return True

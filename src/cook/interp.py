@@ -40,6 +40,15 @@ def wrap64(v: int) -> int:
     return v - (1 << 64) if v & _SIGN else v
 
 
+def div64(op: str, a: int, b: int) -> int:
+    """`a / b` or `a % b` for a nonzero `b`: the quotient truncates toward
+    zero, the remainder takes the sign of `a`, and both wrap to 64 bits."""
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        q = -q
+    return wrap64(q if op == "/" else a - q * b)
+
+
 class InterpFault(Exception):
     def __init__(self, kind: str, loc: ast.Loc):
         self.kind = kind
@@ -118,14 +127,10 @@ def _binop(op: str, a: int, b: int, loc: ast.Loc) -> int:
         return wrap64(a - b)
     if op == "*":
         return wrap64(a * b)
-    if op == "/":
+    if op in ("/", "%"):
         if b == 0:
             raise InterpFault("division by zero", loc)
-        return wrap64(int(a / b))  # truncate toward zero
-    if op == "%":
-        if b == 0:
-            raise InterpFault("division by zero", loc)
-        return wrap64(a - int(a / b) * b)
+        return div64(op, a, b)
     raise ValueError(op)
 
 
@@ -173,7 +178,7 @@ class _Machine:
         self.writes: list[Representative] = []
         self.calls: list[tuple[str, str]] = []
 
-    def tick(self, loc: ast.Loc) -> None:
+    def tick(self) -> None:
         self.steps += 1
         self.fuel -= 1
 
@@ -183,9 +188,7 @@ class _Machine:
             env[p.name] = v
         for p in m.locals:
             env[p.name] = _zero(p.type)
-        work: list = []
-        _push_body(work, m.body)
-        return _Frame(m, env, work, None)
+        return _Frame(m, env, list(reversed(m.body)), None)
 
     def run(self, entry: ast.Method, args: list[Value]) -> RunOutcome:
         stack = [self.frame_for(entry, list(args))]
@@ -231,17 +234,17 @@ class _Machine:
         env = frame.env
         mid = frame.method.id
         if isinstance(s, ast.While):
-            self.tick(s.loc)
+            self.tick()
             if self._cond(env, s.cond, s.loc):
                 frame.work.append(s)
-                _push_body(frame.work, s.body)
+                frame.work.extend(reversed(s.body))
             return None
         if isinstance(s, ast.IfElse):
-            self.tick(s.loc)
+            self.tick()
             branch = s.then_body if self._cond(env, s.cond, s.loc) else s.else_body
-            _push_body(frame.work, branch)
+            frame.work.extend(reversed(branch))
             return None
-        self.tick(s.loc)
+        self.tick()
         if isinstance(s, ast.ConstAssign):
             env[s.target] = s.value
         elif isinstance(s, ast.CopyAssign):
@@ -323,11 +326,6 @@ class _Machine:
         return v, i
 
 
-def _push_body(work: list, body: ast.Stmt | None) -> None:
-    if body is not None:
-        work.extend(reversed(ast.flatten(body)))
-
-
 def _dispatch(symbols: Symbols, caller: ast.Method, s: ast.Call, env: dict) -> ast.Method:
     """Runtime target: virtual lookup from the receiver's runtime class,
     falling back to static resolution when the receiver is opaque."""
@@ -405,16 +403,16 @@ class _Reified:
             env[p.name] = v
         for p in m.locals:
             env[p.name] = _zero(p.type)
-        returned = self.exec_stmt(m, env, m.body)
+        returned = self.exec_block(m, env, m.body)
         if not returned and RET not in env:
             # only reachable when a tainted branch swallowed every return,
             # in which case `ret` belongs to its write set
             raise RuntimeError(f"method {m.id!r} finished without a return value")
         return env[RET]
 
-    def exec_stmt(self, m: ast.Method, env: dict, stmt: ast.Stmt | None) -> bool:
-        """Run a statement; True means a return was executed."""
-        for s in ast.flatten(stmt):
+    def exec_block(self, m: ast.Method, env: dict, block: ast.Block) -> bool:
+        """Run a block; True means a return was executed."""
+        for s in block:
             if isinstance(s, ast.While):
                 if self.exec_while(m, env, s):
                     return True
@@ -436,7 +434,7 @@ class _Reified:
             self.taint_reps(m.id, env, self.loop_write_targets(m.id, s))
             return False
         branch = s.then_body if _relop(s.cond.op, lv, rv) else s.else_body
-        return self.exec_stmt(m, env, branch)
+        return self.exec_block(m, env, branch)
 
     def exec_while(self, m: ast.Method, env: dict, s: ast.While) -> bool:
         iterations = 0
@@ -447,7 +445,7 @@ class _Reified:
                 return False
             if not _relop(s.cond.op, lv, rv):
                 return False
-            if self.exec_stmt(m, env, s.body):
+            if self.exec_block(m, env, s.body):
                 return True
             iterations += 1
             if iterations > _REIFIED_ITER_CAP:
@@ -566,7 +564,7 @@ def run_reified(
         env[p.name] = store.values.get(p.name, _zero(p.type))
     for p in m.locals:
         env[p.name] = _zero(p.type)
-    returned = machine.exec_stmt(m, env, m.body)
+    returned = machine.exec_block(m, env, m.body)
     if not returned and RET not in env:
         raise RuntimeError(f"method {entry!r} finished without a return value")
     return Store(values=env, tainted=machine.tainted)

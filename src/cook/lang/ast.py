@@ -11,8 +11,15 @@ never produced by the parser for user source; the divergence rewriter
 introduces it, and the parser only accepts it in ``allow_bottom`` mode so
 rewritten programs can round-trip.
 
+A statement block is a plain tuple of statements (``Block``): a method body,
+either branch of a conditional, and a loop body. An empty block is ``()``;
+only an extern method has no body (``None``). Because blocks are flat,
+equality, hashing and every traversal cost stack depth in proportion to
+nesting, never to the length of a block.
+
 Source locations never participate in structural equality, so
-``parse(pretty(p)) == p`` compares shape, not layout.
+``parse(pretty(p)) == p`` compares shape, not layout, and holds for methods
+of any length.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from ..representatives import Representative
 # ---------------------------------------------------------------------------
 
 INT = "int"
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
 
 UNARY_OPS = ("-", "!")
 BINARY_OPS = ("+", "-", "*", "/", "%")
@@ -81,11 +90,7 @@ class Stmt:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Seq(Stmt):
-    first: Stmt
-    second: Stmt
-    loc: Loc = field(default=UNKNOWN_LOC, compare=False)
+Block = tuple[Stmt, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,15 +159,15 @@ class ArrayWrite(Stmt):
 @dataclass(frozen=True, slots=True)
 class IfElse(Stmt):
     cond: Cond
-    then_body: Stmt | None
-    else_body: Stmt | None
+    then_body: Block
+    else_body: Block
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
 class While(Stmt):
     cond: Cond
-    body: Stmt | None
+    body: Block
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
@@ -242,7 +247,7 @@ class Method:
     formals: tuple[Param, ...]
     locals: tuple[Param, ...]
     return_type: str
-    body: Stmt | None  # None only for extern declarations
+    body: Block | None  # None only for extern declarations
     extern: bool = False
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
@@ -263,61 +268,16 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
-def flatten(stmt: Stmt | None) -> list[Stmt]:
-    """Unfold a right-nested Seq chain into a flat statement list."""
-    out: list[Stmt] = []
-    stack = [stmt]
+def walk(body: Stmt | Block | None):
+    """Yield every statement of a statement or block, nested ones included,
+    in source order."""
+    stack = [body]
     while stack:
         s = stack.pop()
         if s is None:
             continue
-        if isinstance(s, Seq):
-            stack.append(s.second)
-            stack.append(s.first)
-        else:
-            out.append(s)
-    return out
-
-
-def sequence(stmts: list[Stmt], loc: Loc = UNKNOWN_LOC) -> Stmt | None:
-    """Right-fold a statement list back into a Seq chain."""
-    if not stmts:
-        return None
-    acc = stmts[-1]
-    for s in reversed(stmts[:-1]):
-        acc = Seq(s, acc, loc=s.loc if isinstance(s.loc, Loc) else loc)
-    return acc
-
-
-def normalize_seqs(stmt: Stmt | None) -> Stmt | None:
-    """Canonical right-nested Seq chains at every block level, matching what
-    the parser builds; needed for structural round-trip equality."""
-    if stmt is None:
-        return None
-    flat = [
-        _normalize_one(s) for s in flatten(stmt)
-    ]
-    return sequence(flat)
-
-
-def _normalize_one(s: Stmt) -> Stmt:
-    if isinstance(s, IfElse):
-        return IfElse(s.cond, normalize_seqs(s.then_body), normalize_seqs(s.else_body), loc=s.loc)
-    if isinstance(s, While):
-        return While(s.cond, normalize_seqs(s.body), loc=s.loc)
-    return s
-
-
-def walk(stmt: Stmt | None):
-    """Yield every statement in a body, including nested ones."""
-    stack = [stmt]
-    while stack:
-        s = stack.pop()
-        if s is None:
-            continue
-        if isinstance(s, Seq):
-            stack.append(s.second)
-            stack.append(s.first)
+        if isinstance(s, tuple):
+            stack.extend(reversed(s))
             continue
         yield s
         if isinstance(s, IfElse):
@@ -358,15 +318,6 @@ def free_vars(e: Cond | Stmt) -> set[str]:
     raise TypeError(f"no RHS for {type(e).__name__}")
 
 
-def deref_base_vars(s: Stmt) -> set[str]:
-    """Identifiers a statement dereferences to reach its written location."""
-    if isinstance(s, FieldWrite):
-        return {s.obj}
-    if isinstance(s, ArrayWrite):
-        return {s.array, s.index}
-    return set()
-
-
-def instruction_count(stmt: Stmt | None) -> int:
+def instruction_count(body: Block | None) -> int:
     """Statement count used as the size unit in reports (branches count once)."""
-    return sum(1 for _ in walk(stmt))
+    return sum(1 for _ in walk(body))

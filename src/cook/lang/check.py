@@ -330,10 +330,7 @@ class _Checker:
         if not self._always_returns(m.body, check_dead=True):
             raise _err(f"method {m.id!r} must return on every path", m.loc)
 
-    def _always_returns(self, stmt: ast.Stmt | None, check_dead: bool = False) -> bool:
-        if stmt is None:
-            return False
-        stmts = ast.flatten(stmt)
+    def _always_returns(self, stmts: ast.Block, check_dead: bool = False) -> bool:
         for i, s in enumerate(stmts):
             done = False
             if isinstance(s, ast.Return):
@@ -341,7 +338,7 @@ class _Checker:
             elif isinstance(s, ast.IfElse):
                 then_ret = self._always_returns(s.then_body, check_dead)
                 else_ret = self._always_returns(s.else_body, check_dead)
-                done = s.then_body is not None and s.else_body is not None and then_ret and else_ret
+                done = then_ret and else_ret
             elif isinstance(s, ast.While) and check_dead:
                 self._always_returns(s.body, check_dead)
             if done:
@@ -369,6 +366,8 @@ class _Checker:
                     raise _err("null cannot be assigned to an int", s.loc)
             elif t != ast.INT:
                 raise _err(f"integer constant assigned to {t!r}", s.loc)
+            elif not ast.INT64_MIN <= s.value <= ast.INT64_MAX:
+                raise _err(f"integer constant {s.value} is outside the 64-bit range", s.loc)
         elif isinstance(s, ast.CopyAssign):
             src = self._var(env, s.source, s.loc)
             dst = self._var(env, s.target, s.loc)
@@ -418,8 +417,6 @@ class _Checker:
             if not self.allow_bottom:
                 raise _err("bottom assignment in source program", s.loc)
             self._check_bottom(m, s)
-        elif isinstance(s, ast.Seq):
-            pass
         else:
             raise _err(f"unknown statement {type(s).__name__}", getattr(s, "loc", ast.UNKNOWN_LOC))
 

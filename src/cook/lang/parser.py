@@ -3,6 +3,11 @@
 A unit is a sequence of class, interface, and method declarations. Statement
 blocks are brace-delimited; simple statements end with `;`. Local variables
 are declared with `var name: type;` at the top of a method body.
+
+The blocks of `if` and `while` nest at most `MAX_BLOCK_DEPTH` deep inside a
+method body; deeper nesting is a `SyntaxDiagnostic`. Nesting is the only
+axis along which any pass recurses, so the limit keeps every later stage
+within the host stack.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from .lexer import RESERVED, Token, tokenize
 
 _CAUSES = {c.value: c for c in ast.DivergenceCause}
 
+MAX_BLOCK_DEPTH = 128
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], allow_bottom: bool):
@@ -21,6 +28,7 @@ class _Parser:
         self.pos = 0
         self.allow_bottom = allow_bottom
         self.method_name = ""  # qualifies scalar representatives in bottom targets
+        self.depth = 0  # if/while blocks open around the current statement
 
     # -- token plumbing ---------------------------------------------------
 
@@ -184,16 +192,23 @@ class _Parser:
 
     # -- statements -----------------------------------------------------------
 
-    def block(self) -> ast.Stmt | None:
-        self.expect("op", "{")
-        return self.block_tail()
+    def block(self) -> ast.Block:
+        tok = self.expect("op", "{")
+        if self.depth == MAX_BLOCK_DEPTH:
+            raise SyntaxDiagnostic(
+                f"blocks nested more than {MAX_BLOCK_DEPTH} deep", tok.line, tok.col
+            )
+        self.depth += 1
+        body = self.block_tail()
+        self.depth -= 1
+        return body
 
-    def block_tail(self) -> ast.Stmt | None:
+    def block_tail(self) -> ast.Block:
         stmts: list[ast.Stmt] = []
         while not self.at("op", "}"):
             stmts.append(self.statement())
         self.expect("op", "}")
-        return ast.sequence(stmts)
+        return tuple(stmts)
 
     def statement(self) -> ast.Stmt:
         loc = self.loc()
@@ -244,7 +259,7 @@ class _Parser:
         cond = self.cond()
         self.expect("keyword", "then")
         then_body = self.block()
-        else_body = None
+        else_body = ()
         if self.at("keyword", "else"):
             self.next()
             else_body = self.block()

@@ -67,8 +67,8 @@ class _Printer:
         self.depth -= 1
         self.emit("}")
 
-    def body(self, stmt: ast.Stmt | None) -> None:
-        for s in ast.flatten(stmt):
+    def body(self, block: ast.Block) -> None:
+        for s in block:
             self.statement(s)
 
     def statement(self, s: ast.Stmt) -> None:
@@ -98,7 +98,7 @@ class _Printer:
             self.depth += 1
             self.body(s.then_body)
             self.depth -= 1
-            if s.else_body is not None:
+            if s.else_body:
                 self.emit("} else {")
                 self.depth += 1
                 self.body(s.else_body)

@@ -105,12 +105,9 @@ class Report:
 def accessor_filter(m: ast.Method) -> bool:
     """True for getter/setter shapes: a returned field read, or a single
     field write followed by a return."""
-    if m.extern or m.body is None:
+    if m.extern or len(m.body) != 2 or not isinstance(m.body[1], ast.Return):
         return False
-    stmts = ast.flatten(m.body)
-    if len(stmts) != 2 or not isinstance(stmts[1], ast.Return):
-        return False
-    first, ret = stmts
+    first, ret = m.body
     if isinstance(first, ast.FieldRead):
         return ret.value == first.target
     return isinstance(first, ast.FieldWrite)

@@ -46,27 +46,31 @@ class _Rewriter:
     def method(self, m: ast.Method) -> ast.Method:
         if m.extern:
             return m
-        body = self.stmt(m, m.body)
-        assert body is not None
+        body = self.block(m, m.body)
         if body is m.body:
             return m
-        body = ast.normalize_seqs(body)
         return ast.Method(
             m.name, m.owner, m.formals, m.locals, m.return_type, body, m.extern, loc=m.loc
         )
 
-    def stmt(self, m: ast.Method, s: ast.Stmt | None) -> ast.Stmt | None:
-        if s is None:
-            return None
-        if isinstance(s, ast.Seq):
-            first = self.stmt(m, s.first)
-            second = self.stmt(m, s.second)
-            if first is s.first and second is s.second:
-                return s
-            return ast.Seq(first, second, loc=s.loc)
+    def block(self, m: ast.Method, block: ast.Block) -> ast.Block:
+        """The rewritten block, or `block` itself when nothing in it changed;
+        a statement rewritten into several is spliced in place."""
+        out: list[ast.Stmt] = []
+        changed = False
+        for s in block:
+            new = self.stmt(m, s)
+            changed |= new is not s
+            if isinstance(new, tuple):
+                out.extend(new)
+            else:
+                out.append(new)
+        return tuple(out) if changed else block
+
+    def stmt(self, m: ast.Method, s: ast.Stmt) -> ast.Stmt | ast.Block:
         if isinstance(s, ast.IfElse):
-            then_body = self.stmt(m, s.then_body)
-            else_body = self.stmt(m, s.else_body)
+            then_body = self.block(m, s.then_body)
+            else_body = self.block(m, s.else_body)
             if then_body is s.then_body and else_body is s.else_body:
                 return s
             return ast.IfElse(s.cond, then_body, else_body, loc=s.loc)
@@ -77,7 +81,7 @@ class _Rewriter:
         return s
 
     def loop(self, m: ast.Method, s: ast.While) -> ast.Stmt:
-        body = self.stmt(m, s.body)
+        body = self.block(m, s.body)
         if self.model.verdict_for(s).terminates:
             if body is s.body:
                 return s
@@ -88,7 +92,7 @@ class _Rewriter:
             _sorted_targets(targets, m.id), ast.DivergenceCause.LOOP, loc=s.loc
         )
 
-    def call(self, m: ast.Method, s: ast.Call) -> ast.Stmt:
+    def call(self, m: ast.Method, s: ast.Call) -> ast.Stmt | ast.Block:
         targets = self.sym.resolve_call(m, s)
         extern = next((t for t in targets if t.extern), None)
         if extern is not None:
@@ -105,7 +109,7 @@ class _Rewriter:
             smear = ast.BottomAssign(
                 _sorted_targets(reach, m.id), ast.DivergenceCause.API, loc=s.loc
             )
-            return ast.Seq(smear, result, loc=s.loc)
+            return smear, result
         if any(t.id in self.model.recursion for t in targets):
             # under call by value the callee can reach only the heap and the
             # result slot: frame-local names (even a written formal, which is

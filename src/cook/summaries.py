@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NoInductionVariable, NotDependencyFree
-from .interp import wrap64
+from .interp import div64, wrap64
 from .lang import ast
 from .representatives import Scalar
 from .termination import Cycle, CycleSet, OpaqueUpdate
@@ -85,14 +85,8 @@ def eval_expr(e: tuple, env: dict[str, int]) -> int:
             return wrap64(a - b)
         if op == "*":
             return wrap64(a * b)
-        if op == "/":
-            if b == 0:
-                raise ZeroDivisionError
-            return wrap64(int(a / b))
-        if op == "%":
-            if b == 0:
-                raise ZeroDivisionError
-            return wrap64(a - int(a / b) * b)
+        if op in ("/", "%"):
+            return div64(op, a, b)  # raises ZeroDivisionError for b == 0
     if e[0] == "neg":
         return wrap64(-eval_expr(e[1], env))
     if e[0] == "not":
@@ -185,12 +179,6 @@ class Transition:
 
     def update_map(self) -> dict[str, tuple]:
         return dict(self.updates)
-
-    def atoms(self) -> tuple:
-        """Atomic predicates of the formula: guards plus primed equalities."""
-        primed = tuple((f"{v}'", e) for v, e in self.updates)
-        primed += tuple((f"{a}'[{render_expr(i)}]", e) for a, i, e in self.arrays)
-        return self.guard + primed
 
     def render(self) -> str:
         parts = [g.render() for g in self.guard]

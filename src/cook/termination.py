@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .cfg import BRANCH, Cfg, LoopInfo, dominators, dominates
 from .errors import NestedLoopError, PathExplosionError
-from .interp import wrap64
+from .interp import div64, wrap64
 from .lang import ast
 from .representatives import Scalar
 
@@ -95,9 +95,6 @@ class TerminationVerdict:
             strides = ",".join(str(d) for d in self.strides)
             return f"terminates(counter={self.counter}, stride={strides}, bound={self.bound})"
         return f"unknown({self.reason})" if self.reason else "unknown"
-
-
-UNKNOWN = TerminationVerdict(False)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +268,7 @@ def _fold_bin(op: str, a: tuple, b: tuple) -> tuple:
             return ("const", wrap64(a[1] * b[1]))
     elif op in ("/", "%"):
         if const_a and const_b and b[1] != 0:
-            q = int(a[1] / b[1])
-            return ("const", wrap64(q) if op == "/" else wrap64(a[1] - q * b[1]))
+            return ("const", div64(op, a[1], b[1]))
     return OPAQUE
 
 

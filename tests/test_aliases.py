@@ -85,9 +85,7 @@ def test_written_reps_simple_sequence():
         "method m(): int { var x: int; var y: int; x := 1; y := x; return y; }"
     )
     m = p.methods[0]
-    body = ast.flatten(m.body)
-    seq = ast.sequence(body[:2])
-    assert al.written_reps("m", seq) == frozenset({Scalar("m", "x"), Scalar("m", "y")})
+    assert al.written_reps("m", m.body[:2]) == frozenset({Scalar("m", "x"), Scalar("m", "y")})
 
 
 def test_written_reps_of_opaque_loop_body(opaque_loop_caller):

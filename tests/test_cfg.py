@@ -26,7 +26,7 @@ def cfg_of(src: str, method: str = None):
 
 
 def count_expected_nodes(stmt) -> int:
-    # one node per non-Seq statement, branches count themselves only
+    # one node per statement, branches count themselves only
     return sum(1 for _ in ast.walk(stmt))
 
 

@@ -13,12 +13,15 @@ from cook.interp import (
     random_store,
     run_concrete,
     run_reified,
+    div64,
     store_divergence_free,
     wrap64,
 )
 from cook.lang import load
 from cook.pipeline import ProgramModel
 from cook.representatives import Scalar
+from cook.summaries import eval_expr
+from cook.termination import _fold_bin
 
 
 def test_call_chain_returns_constant(clean_chain):
@@ -113,6 +116,38 @@ method wrap(x: int, y: int): int {
     big = 2**63 - 1
     out = run_concrete(p, sym, al, "wrap", [big, 1])
     assert out.value == wrap64(big + 1) == -(2**63)
+
+
+INT64_MIN = -(2**63)
+BIG = 4611686018427387905  # 2**62 + 1 has no exact double
+
+
+def test_division_truncates_toward_zero():
+    assert div64("/", BIG, 1) == BIG
+    assert div64("/", -7, 2) == -3
+    assert div64("%", -7, 2) == -1
+    assert div64("/", 7, -2) == -3
+    assert div64("%", 7, -2) == 1
+    assert div64("/", INT64_MIN, -1) == INT64_MIN
+    assert div64("%", INT64_MIN, -1) == 0
+
+
+def test_every_evaluator_divides_exactly():
+    src = """
+method d(x: int, y: int): int {
+  var q: int;
+  q := x / y;
+  return q;
+}
+"""
+    p, sym = load(src)
+    al = AliasAnalysis(p, sym)
+    assert run_concrete(p, sym, al, "d", [BIG, 1]).value == BIG
+    assert run_concrete(p, sym, al, "d", [INT64_MIN, -1]).value == INT64_MIN
+    assert eval_expr(("bin", "/", ("num", BIG), ("num", 1)), {}) == BIG
+    assert eval_expr(("bin", "%", ("num", -7), ("num", 2)), {}) == -1
+    assert _fold_bin("/", ("const", BIG), ("const", 1)) == ("const", BIG)
+    assert _fold_bin("%", ("const", -7), ("const", 2)) == ("const", -1)
 
 
 def test_reified_taints_opaque_loop_writes(opaque_loop_caller):

@@ -6,6 +6,7 @@ from cook.errors import CheckDiagnostic, SyntaxDiagnostic
 from cook.generator import GenParams, generate_program
 from cook.lang import ast, load, parse, pretty
 from cook.lang.ast import free_vars
+from cook.lang.parser import MAX_BLOCK_DEPTH
 
 
 def test_call_chain_parses_to_two_methods(clean_chain):
@@ -114,6 +115,44 @@ def test_bottom_rejected_in_source():
 def test_ret_is_reserved():
     with pytest.raises(SyntaxDiagnostic):
         parse("method m(): int { var ret: int; ret := 0; return ret; }")
+
+
+def test_int64_literal_bounds():
+    for value in (-(2**63), 2**63 - 1):
+        p = parse(f"method m(): int {{ var x: int; x := {value}; return x; }}")
+        assert p.methods[0].body[0].value == value
+    for value in (-(2**63) - 1, 2**63):
+        with pytest.raises(CheckDiagnostic, match="64-bit range"):
+            parse(f"method m(): int {{ var x: int; x := {value}; return x; }}")
+
+
+def nested_blocks(depth):
+    heads = ["if a < x then {", "while a < x do {"]
+    lines = ["method m(a: int): int {", "var x: int;"]
+    lines += [heads[d % 2] for d in range(depth)]
+    lines += ["x := a;"] + ["}"] * depth + ["return x;", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_nesting_up_to_the_limit_round_trips():
+    p = parse(nested_blocks(MAX_BLOCK_DEPTH))
+    assert parse(pretty(p)) == p
+    assert hash(p) == hash(parse(pretty(p)))
+
+
+def test_nesting_past_the_limit_is_a_syntax_error():
+    with pytest.raises(SyntaxDiagnostic, match="nested") as info:
+        parse(nested_blocks(MAX_BLOCK_DEPTH + 1))
+    # the innermost block's brace, on the line of the offending header
+    assert info.value.line == MAX_BLOCK_DEPTH + 3
+
+
+def test_empty_else_is_an_empty_block():
+    p = parse("method m(a: int): int { if a < a then { a := a; } else { } return a; }")
+    branch = p.methods[0].body[0]
+    assert branch.else_body == ()
+    assert "else" not in pretty(p)
+    assert parse(pretty(p)) == p
 
 
 def test_locations_are_total():

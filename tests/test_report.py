@@ -2,7 +2,9 @@
 
 import json
 
-from cook.lang import ast, load
+import pytest
+
+from cook.lang import ast, load, parse, pretty
 from cook.report import (
     ReportConfig,
     accessor_filter,
@@ -217,3 +219,20 @@ def test_text_report_mentions_verdicts(api_call_unused):
     text = rep.to_text()
     assert "swamp" in text and "island" in text or "sub-Turing" in text
     assert "api" in text
+
+
+@pytest.mark.parametrize("loop_first", [False, True])
+def test_long_straight_line_method(loop_first):
+    prelude = "one := 1; i := 0; n := 5;\nwhile i < n do { i := i + one; }\n" if loop_first else ""
+    src = (
+        "method m(a: int): int {\nvar x: int; var i: int; var n: int; var one: int;\n"
+        + prelude
+        + "x := x + a;\n" * 5000
+        + "return x;\n}\n"
+    )
+    p, sym = load(src)
+    again = parse(pretty(p))
+    assert again == p and hash(again) == hash(p)
+    (m,) = analyze_sources(p, sym, ReportConfig()).methods
+    assert m.verdict == "sub_turing"
+    assert m.instructions == 5001 + (5 if loop_first else 0)

@@ -18,7 +18,7 @@ def rewrite(src, safe=frozenset()):
 
 def body_stmts(p, mid):
     m = next(m for m in p.methods if m.id == mid)
-    return ast.flatten(m.body)
+    return m.body
 
 
 def test_opaque_loop_becomes_bottom_assignment(opaque_loop_caller):
@@ -114,8 +114,7 @@ method m(n: int): int {
     stmts = body_stmts(p2, "m")
     loops = [s for s in stmts if isinstance(s, ast.While)]
     assert len(loops) == 1
-    inner = ast.flatten(loops[0].body)
-    assert any(isinstance(s, ast.BottomAssign) for s in inner)
+    assert any(isinstance(s, ast.BottomAssign) for s in loops[0].body)
 
 
 def test_rewrite_is_idempotent_on_generated_programs():

@@ -349,7 +349,7 @@ def test_generated_df_loops_match_interpreter_exactly():
         out = interp_post_state(src, mid, {"a": arr})
         env = {name: 0 for name in sym.var_types[mid]}
         # replay the straight-line prelude to get loop-entry values
-        for st_ in ast.flatten(m.body):
+        for st_ in m.body:
             if isinstance(st_, ast.ConstAssign):
                 env[st_.target] = st_.value
             elif isinstance(st_, ast.While):
@@ -391,9 +391,8 @@ def _final_scalar(p, sym, al, mid, arr, var):
 
 
 def _swap_return(body, var):
-    stmts = ast.flatten(body)
-    assert isinstance(stmts[-1], ast.Return)
-    return ast.sequence(stmts[:-1] + [ast.Return(var)])
+    assert isinstance(body[-1], ast.Return)
+    return body[:-1] + (ast.Return(var),)
 
 
 def test_overlapping_guards_abort_array_evaluation():

@@ -455,7 +455,6 @@ def analyze_program(
     swamp_test: str = "pre",
     order: str = "fifo",
     seed: int | None = None,
-    jobs: int = 1,
 ) -> AnalysisResult:
     """Interprocedural fixpoint: run the method analysis per worklist entry,
     maintain stripped summaries, and re-queue callers whose callee summaries
@@ -466,16 +465,8 @@ def analyze_program(
     facts: dict[str, frozenset[Fact]] = {mid: frozenset() for mid in methods}
     runs = 0
 
-    if jobs > 1 and len(methods) > 256:
-        runs += _parallel_warm_start(analyzer, methods, summaries, facts, jobs)
-        # warm facts are exact except around call-graph cycles, whose members
-        # may have seen stale mates; re-queue those and let changes ripple
-        start = [mid for mid in methods if mid in model.recursion]
-    else:
-        start = list(methods)
-
-    pending = deque(start)
-    queued = set(start)
+    pending = deque(methods)
+    queued = set(methods)
     rng = random.Random(seed)
 
     def pop() -> str:
@@ -528,61 +519,3 @@ def analyze_program(
         landfall_runs=runs,
     )
 
-
-# ---------------------------------------------------------------------------
-# optional warm start across processes
-# ---------------------------------------------------------------------------
-
-_WORKER_ANALYZER: Analyzer | None = None
-_WORKER_SUMMARIES: dict | None = None
-
-
-def _worker_init(analyzer, summaries):  # pragma: no cover - exercised via fork
-    global _WORKER_ANALYZER, _WORKER_SUMMARIES
-    _WORKER_ANALYZER = analyzer
-    _WORKER_SUMMARIES = summaries
-
-
-def _worker_run(mid: str):  # pragma: no cover - exercised via fork
-    return mid, _WORKER_ANALYZER.method_facts(mid, _WORKER_SUMMARIES)
-
-
-def _parallel_warm_start(analyzer, methods, summaries, facts, jobs) -> int:
-    """Analyze methods in parallel waves, callees strictly before callers.
-
-    Outside call-graph cycles every method is analyzed against final callee
-    summaries, so one pass suffices; the sequential worklist afterwards only
-    revisits cycle members. Ascends from empty summaries, so the least
-    fixpoint is preserved. Returns the number of analyses performed.
-    """
-    import multiprocessing as mp
-
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms fall back
-        return 0
-    graph = analyzer.model.callgraph
-    depth: dict[str, int] = {}
-    for mid in methods:  # methods arrive callees-first
-        d = 0
-        for callee in graph.succs.get(mid, ()):
-            if callee in depth:
-                d = max(d, depth[callee] + 1)
-        depth[mid] = d
-    waves: dict[int, list[str]] = {}
-    for mid in methods:
-        waves.setdefault(depth[mid], []).append(mid)
-    runs = 0
-    for d in sorted(waves):
-        wave = waves[d]
-        runs += len(wave)
-        if len(wave) < 64:
-            for mid in wave:
-                facts[mid] = analyzer.method_facts(mid, summaries)
-                summaries[mid] = analyzer.strip_locals(mid, facts[mid])
-            continue
-        with ctx.Pool(jobs, initializer=_worker_init, initargs=(analyzer, summaries)) as pool:
-            for mid, out in pool.map(_worker_run, wave, chunksize=64):
-                facts[mid] = out
-                summaries[mid] = analyzer.strip_locals(mid, out)
-    return runs

@@ -12,9 +12,10 @@ from .aliases import AliasAnalysis
 from .callgraph import to_dot as callgraph_dot
 from .errors import CaribError
 from .generator import GenParams, generate_program
-from .interp import DEFAULT_FUEL, Outcome, run_concrete
+from .interp import DEFAULT_FUEL, ArrVal, Outcome, run_concrete
 from .lang import ast, parse_unit, pretty
 from .lang.check import check as check_program
+from .lang.printer import _Printer
 from .pipeline import BASIC, SUMMARY, ProgramModel
 from .report import ReportConfig, analyze_sources, load_safe_list
 from .rewrite import rewrite_program
@@ -35,6 +36,8 @@ def _load_program(paths: tuple[str, ...]) -> ast.Program:
                 unit = parse_unit(fh.read())
         except OSError as e:
             raise click.ClickException(str(e))
+        except UnicodeDecodeError as e:
+            raise click.ClickException(f"{path}: not UTF-8: {e}")
         except CaribError as e:
             raise click.ClickException(f"{path}:{e.format()}")
         classes.extend(unit.classes)
@@ -50,11 +53,8 @@ def _describe_node(node: cfgmod.CfgNode) -> str:
         return "exit"
     if node.kind == cfgmod.BRANCH:
         return node.cond.render()
-    s = node.stmt
-    from .lang.printer import _Printer
-
     p = _Printer()
-    p.statement(s)
+    p.statement(node.stmt)
     return p.lines[0].strip()
 
 
@@ -66,7 +66,6 @@ def _describe_node(node: cfgmod.CfgNode) -> str:
 @click.option("--swamp-test", type=click.Choice(["pre", "post"]), default="pre", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 @click.option("--nested-loops", type=click.Choice([BASIC, SUMMARY]), default=BASIC, show_default=True)
-@click.option("--jobs", default=1, show_default=True, help="parallel workers for the method analyses")
 @click.option("--dump-cfg", is_flag=True)
 @click.option("--dump-callgraph", is_flag=True)
 @click.option("--dump-phi", is_flag=True)
@@ -79,7 +78,6 @@ def analyze(
     swamp_test,
     fmt,
     nested_loops,
-    jobs,
     dump_cfg,
     dump_callgraph,
     dump_phi,
@@ -98,7 +96,6 @@ def analyze(
         swamp_test=swamp_test,
         format=fmt,
         nested_policy=nested_loops,
-        jobs=jobs,
     )
 
     if dump_cfg or dump_callgraph or dump_phi or dump_summaries:
@@ -127,6 +124,26 @@ def analyze(
     click.echo(report.to_json() if fmt == "json" else report.to_text())
 
 
+def _is_int64(v) -> bool:
+    return type(v) is int and ast.INT64_MIN <= v <= ast.INT64_MAX
+
+
+def _argument(v, formal: ast.Param, part: int):
+    """The interpreter value of JSON argument `v` for `formal`: a 64-bit int
+    for an int, a list of them or null for an int array, null for any other
+    reference; anything else is an error."""
+    if formal.type == ast.INT:
+        if _is_int64(v):
+            return v
+    elif v is None:
+        return None
+    elif formal.type == ast.INT + "[]" and isinstance(v, list) and all(map(_is_int64, v)):
+        return ArrVal(ast.INT, list(v), part)
+    raise click.ClickException(
+        f"bad --args: {formal.name}: {formal.type} cannot be {json.dumps(v)}"
+    )
+
+
 @main.command()
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--entry", required=True, help="method to run (owner.name or name)")
@@ -149,19 +166,14 @@ def run(file, entry, args_json, fuel):
         raise click.ClickException(f"bad --args: {e}")
     if not isinstance(raw, list):
         raise click.ClickException("--args must be a JSON list")
-    values = []
-    from .interp import ArrVal
-
-    for v, p in zip(raw, method.formals):
-        if isinstance(v, list):
-            part = aliases.partition_of(entry, p.name) if ast.is_array_type(p.type) else 0
-            values.append(ArrVal(ast.INT, list(v), part))
-        else:
-            values.append(v)
     if len(raw) != len(method.formals):
         raise click.ClickException(
             f"{entry!r} expects {len(method.formals)} arguments, got {len(raw)}"
         )
+    values = [
+        _argument(v, p, aliases.partition_of(entry, p.name) if ast.is_array_type(p.type) else 0)
+        for v, p in zip(raw, method.formals)
+    ]
     out = run_concrete(program, symbols, aliases, entry, values, fuel=fuel)
     if out.kind == Outcome.FINISHED:
         value = out.value

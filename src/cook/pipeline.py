@@ -24,11 +24,20 @@ from .errors import NestedLoopError, NoInductionVariable, PathExplosionError
 from .interp import OracleDecisions
 from .lang import ast
 from .lang.check import Symbols, check as check_program
-from .summaries import DfVerdict, LoopSummary, TermTypes, classify_terms, df_check, summarize
+from .summaries import (
+    DfVerdict,
+    LoopSummary,
+    TermTypes,
+    classify_terms,
+    cycle_formula,
+    df_check,
+    summarize,
+)
 from .termination import (
     CycleSet,
     OpaqueUpdate,
     TerminationVerdict,
+    _written_names,
     check_termination,
     dominating_consts,
     extract_cycles,
@@ -119,7 +128,7 @@ class ProgramModel:
         blocked = None
         for ch in children:
             child = models[ch.id]
-            names = child.cycles.written_names if child.cycles else _body_names(g, ch)
+            names = child.cycles.written_names if child.cycles else _written_names(ch, g, None)
             if not child.verdict.terminates:
                 # the rewrite will replace it with an opaque parallel assignment
                 stand_ins[ch.header] = OpaqueUpdate(names)
@@ -143,10 +152,12 @@ class ProgramModel:
             return LoopModel(info, stmt, TerminationVerdict(False, reason=str(e)))
 
         pre = dominating_consts(g, info)
-        verdict = check_termination(cycles, pre, g.method_id)
+        # each closing cycle is folded once; both verdicts read these formulas
+        formulas = tuple(cycle_formula(c, pre, g.method_id) for c in cycles.cycles)
+        verdict = check_termination(cycles, formulas)
         lm = LoopModel(info, stmt, verdict, cycles)
         try:
-            tt = classify_terms(cycles, pre, g.method_id)
+            tt = classify_terms(cycles, formulas)
         except NoInductionVariable as e:
             lm.df = DfVerdict(False, 1, str(e))
             return lm
@@ -178,8 +189,3 @@ class ProgramModel:
     def governing(self, method_id: str):
         return governing_branches(self.methods[method_id].cfg)
 
-
-def _body_names(g: Cfg, info: LoopInfo) -> frozenset[str]:
-    from .termination import _written_names
-
-    return _written_names(info, g, None)

@@ -33,7 +33,6 @@ class ReportConfig:
     swamp_test: str = "pre"  # or "post"
     format: str = "text"  # or "json"
     nested_policy: str = BASIC
-    jobs: int = 1
     worklist: str = "fifo"
     seed: int | None = None
 
@@ -163,9 +162,7 @@ def analyze_sources(
     )
     tmodel = transformed_model(model)
     t0 = time.perf_counter()
-    result = analyze_program(
-        tmodel, swamp_test=cfg.swamp_test, order=cfg.worklist, seed=cfg.seed, jobs=cfg.jobs
-    )
+    result = analyze_program(tmodel, swamp_test=cfg.swamp_test, order=cfg.worklist, seed=cfg.seed)
     timing_ms = (time.perf_counter() - t0) * 1000.0
     return build_report(model, result, cfg, timing_ms)
 

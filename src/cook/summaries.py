@@ -5,7 +5,7 @@ variables conjoined with functional updates binding primed variables.
 Composing transitions substitutes earlier updates into later guards and
 updates, so a whole cycle collapses to one path formula over entry values.
 
-Classification sorts the loop's变 effects into term types: counters (advance
+Classification sorts the loop's effects into term types: counters (advance
 by a per-cycle constant), the induction variable (advances by exactly one in
 every cycle), i-indexed write arrays, and induction guards (predicates over
 the induction variable and loop invariants only). A loop whose cycles update
@@ -27,11 +27,14 @@ from .errors import NoInductionVariable, NotDependencyFree
 from .interp import div64, wrap64
 from .lang import ast
 from .representatives import Scalar
-from .termination import Cycle, CycleSet, OpaqueUpdate
+from .termination import Cycle, CycleSet, OpaqueUpdate, linear_of
 
 # Expressions are nested tuples:
 #   ("num", c) | ("var", x) | ("bin", op, a, b) | ("neg", a) | ("not", a) | OPAQUE
 OPAQUE_EXPR = ("opaque",)
+# a composed update that `linear_of` cannot fold and that has more nodes than
+# this becomes opaque, so formulas stay small however long the loop body is
+MAX_UPDATE_NODES = 64
 
 
 def num_expr(c: int) -> tuple:
@@ -39,6 +42,14 @@ def num_expr(c: int) -> tuple:
 
 def var_expr(x: str) -> tuple:
     return ("var", x)
+
+
+def _expr_nodes(e: tuple) -> int:
+    if e[0] == "bin":
+        return 1 + _expr_nodes(e[2]) + _expr_nodes(e[3])
+    if e[0] in ("neg", "not"):
+        return 1 + _expr_nodes(e[1])
+    return 1
 
 
 def expr_vars(e: tuple) -> set[str]:
@@ -92,39 +103,6 @@ def eval_expr(e: tuple, env: dict[str, int]) -> int:
     if e[0] == "not":
         return 0 if eval_expr(e[1], env) != 0 else 1
     raise ValueError(f"cannot evaluate {e!r}")
-
-
-def linear_of(e: tuple) -> tuple | None:
-    """Normalize to ('const', c) or ('linear', var, offset); None when neither."""
-    if e[0] == "num":
-        return ("const", e[1])
-    if e[0] == "var":
-        return ("linear", e[1], 0)
-    if e[0] == "neg":
-        inner = linear_of(e[1])
-        if inner is not None and inner[0] == "const":
-            return ("const", wrap64(-inner[1]))
-        return None
-    if e[0] == "bin":
-        a, b = linear_of(e[2]), linear_of(e[3])
-        if a is None or b is None:
-            return None
-        op = e[1]
-        if op == "+":
-            if a[0] == "const" and b[0] == "const":
-                return ("const", wrap64(a[1] + b[1]))
-            if a[0] == "linear" and b[0] == "const":
-                return ("linear", a[1], wrap64(a[2] + b[1]))
-            if a[0] == "const" and b[0] == "linear":
-                return ("linear", b[1], wrap64(b[2] + a[1]))
-        elif op == "-":
-            if a[0] == "const" and b[0] == "const":
-                return ("const", wrap64(a[1] - b[1]))
-            if a[0] == "linear" and b[0] == "const":
-                return ("linear", a[1], wrap64(a[2] - b[1]))
-        elif op == "*" and a[0] == "const" and b[0] == "const":
-            return ("const", wrap64(a[1] * b[1]))
-    return None
 
 
 def render_expr(e: tuple, rename: dict[str, str] | None = None) -> str:
@@ -192,16 +170,35 @@ class Transition:
 IDENTITY = Transition((), ())
 
 
+def _canonical_update(e: tuple) -> tuple:
+    """`e` as a constant, a variable, or a variable plus or minus a constant
+    when `linear_of` folds it; otherwise `e`, or opaque past
+    MAX_UPDATE_NODES nodes. Opaque only loses precision, so this is sound."""
+    lin = linear_of(e)
+    if lin is None:
+        return OPAQUE_EXPR if _expr_nodes(e) > MAX_UPDATE_NODES else e
+    if lin[0] == "const":
+        return num_expr(lin[1])
+    _, x, d = lin
+    if d == 0:
+        return var_expr(x)
+    if ast.INT64_MIN < d < 0:
+        return ("bin", "-", var_expr(x), num_expr(-d))
+    return ("bin", "+", var_expr(x), num_expr(d))
+
+
 def compose(t1: Transition, t2: Transition) -> Transition:
     """Sequential composition: intermediates are eliminated by substituting
-    t1's functional updates into t2's guard and updates."""
+    t1's functional updates into t2's guard and updates. Updates are stored
+    in canonical form, so a long path does not build an expression that
+    grows with its length."""
     if t1.post_pc is not None and t2.pre_pc is not None and t1.post_pc != t2.pre_pc:
         raise ValueError(f"pc mismatch: {t1.post_pc} vs {t2.pre_pc}")
     u1 = t1.update_map()
     guard = t1.guard + tuple(g.substituted(u1) for g in t2.guard)
     merged = dict(t1.updates)
     for v, e in t2.updates:
-        merged[v] = subst_expr(e, u1)
+        merged[v] = _canonical_update(subst_expr(e, u1))
     arrays = list(t1.arrays)
     for a, i, e in t2.arrays:
         arrays.append((a, subst_expr(i, u1), subst_expr(e, u1)))
@@ -292,7 +289,6 @@ class TermTypes:
     write_arrays: frozenset[str]
     induction_guards: tuple[GuardAtom, ...]
     formulas: tuple[Transition, ...]  # one per closing cycle
-    exit_formulas: tuple[Transition, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,18 +306,11 @@ class DfVerdict:
 DF_OK = DfVerdict(True)
 
 
-def classify_terms(
-    cs: CycleSet,
-    pre_consts: dict[str, int] | None = None,
-    method_id: str = "",
-) -> TermTypes:
+def classify_terms(cs: CycleSet, formulas: tuple[Transition, ...]) -> TermTypes:
     """Sort the loop's effects into counters, induction variable, write
-    arrays, and induction guards. Raises NoInductionVariable when no counter
+    arrays, and induction guards; `formulas` holds the `cycle_formula` of
+    each closing cycle of `cs`. Raises NoInductionVariable when no counter
     advances by a uniform constant stride in every cycle."""
-    pre = pre_consts or {}
-    formulas = tuple(cycle_formula(c, pre, method_id) for c in cs.cycles)
-    exit_formulas = tuple(cycle_formula(c, pre, method_id) for c in cs.exits)
-
     written: set[str] = set()
     for f in formulas:
         written.update(v for v, _ in f.updates)
@@ -423,7 +412,6 @@ def classify_terms(
         write_arrays=frozenset(write_arrays),
         induction_guards=tuple(ig),
         formulas=formulas,
-        exit_formulas=exit_formulas,
     )
 
 

@@ -9,10 +9,12 @@ variable by an identifier the loop never writes. Those two facts witness a
 monotone ranking argument, so the verdict is a sound under-approximation:
 `Unknown` never means diverges, only unproven.
 
-The grammar has no constant operands, so strides fold through identifiers:
-constants assigned earlier in the same cycle, or method locals with a single
-constant definition that dominates the loop header and are never written
-inside the loop.
+The oracle reads the composed cycle transitions that `summaries.cycle_formula`
+builds, the same ones the loop summaries rest on: each name's net effect and
+each guard side go through `linear_of`. The grammar has no constant
+operands, so strides fold through identifiers: constants assigned earlier in
+the same cycle, or method locals with a single constant definition that
+dominates the loop header and are never written inside the loop.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ DEFAULT_CYCLE_CAP = 64
 
 _NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
-
-OPAQUE = ("opaque",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,86 +190,47 @@ def _written_names(
 
 
 # ---------------------------------------------------------------------------
-# symbolic cycle folding
+# linear values of composed expressions
 # ---------------------------------------------------------------------------
 
 
-def fold_cycle(
-    cycle: Cycle, pre_consts: dict[str, int], method_id: str
-) -> tuple[dict[str, tuple], list[tuple[tuple, str, tuple]]]:
-    """Symbolically run one cycle.
-
-    Returns the net scalar effect (name -> ('const', c) | ('linear', var, off)
-    | OPAQUE; unwritten names absent) and each guard test evaluated at its
-    position in the path, so a guard after an update constrains the updated
-    value, not the entry value.
-    """
-    env: dict[str, tuple] = {}
-    guard_evals: list[tuple[tuple, str, tuple]] = []
-
-    def val(name: str) -> tuple:
-        if name in env:
-            return env[name]
-        if name in pre_consts:
-            return ("const", pre_consts[name])
-        return ("linear", name, 0)
-
-    for s in cycle.steps:
-        if isinstance(s, tuple) and s[0] == "guard":
-            atom = s[1]
-            guard_evals.append((val(atom.left), atom.op, val(atom.right)))
-            continue
-        if isinstance(s, OpaqueUpdate):
-            for name in s.names:
-                env[name] = OPAQUE
-        elif isinstance(s, ast.ConstAssign):
-            env[s.target] = ("const", s.value) if s.value is not None else OPAQUE
-        elif isinstance(s, ast.CopyAssign):
-            env[s.target] = val(s.source)
-        elif isinstance(s, ast.UnaryAssign):
-            v = val(s.operand)
-            if s.op == "-" and v[0] == "const":
-                env[s.target] = ("const", wrap64(-v[1]))
-            elif s.op == "!" and v[0] == "const":
-                env[s.target] = ("const", 0 if v[1] != 0 else 1)
-            else:
-                env[s.target] = OPAQUE
-        elif isinstance(s, ast.BinaryAssign):
-            env[s.target] = _fold_bin(s.op, val(s.left), val(s.right))
-        elif isinstance(s, (ast.FieldRead, ast.ArrayRead, ast.Call)):
-            env[s.target] = OPAQUE
-        elif isinstance(s, ast.Return):
-            env["ret"] = val(s.value)
-        elif isinstance(s, ast.BottomAssign):
-            for rep in s.targets:
-                if isinstance(rep, Scalar) and rep.method == method_id:
-                    env[rep.name] = OPAQUE
-        # Field/array writes do not change scalar state.
-    return env, guard_evals
-
-
-def _fold_bin(op: str, a: tuple, b: tuple) -> tuple:
-    const_a = a[0] == "const"
-    const_b = b[0] == "const"
-    if op == "+":
-        if const_a and const_b:
-            return ("const", wrap64(a[1] + b[1]))
-        if a[0] == "linear" and const_b:
-            return ("linear", a[1], wrap64(a[2] + b[1]))
-        if const_a and b[0] == "linear":
-            return ("linear", b[1], wrap64(b[2] + a[1]))
-    elif op == "-":
-        if const_a and const_b:
-            return ("const", wrap64(a[1] - b[1]))
-        if a[0] == "linear" and const_b:
-            return ("linear", a[1], wrap64(a[2] - b[1]))
-    elif op == "*":
-        if const_a and const_b:
-            return ("const", wrap64(a[1] * b[1]))
-    elif op in ("/", "%"):
-        if const_a and const_b and b[1] != 0:
-            return ("const", div64(op, a[1], b[1]))
-    return OPAQUE
+def linear_of(e: tuple) -> tuple | None:
+    """Normalize a `summaries` expression to ('const', c) or
+    ('linear', var, offset); None when it is neither."""
+    if e[0] == "num":
+        return ("const", e[1])
+    if e[0] == "var":
+        return ("linear", e[1], 0)
+    if e[0] in ("neg", "not"):
+        inner = linear_of(e[1])
+        if inner is None or inner[0] != "const":
+            return None
+        if e[0] == "neg":
+            return ("const", wrap64(-inner[1]))
+        return ("const", 0 if inner[1] != 0 else 1)
+    if e[0] == "bin":
+        a, b = linear_of(e[2]), linear_of(e[3])
+        if a is None or b is None:
+            return None
+        op = e[1]
+        if op == "+":
+            if a[0] == "const" and b[0] == "const":
+                return ("const", wrap64(a[1] + b[1]))
+            if a[0] == "linear" and b[0] == "const":
+                return ("linear", a[1], wrap64(a[2] + b[1]))
+            if a[0] == "const" and b[0] == "linear":
+                return ("linear", b[1], wrap64(b[2] + a[1]))
+        elif op == "-":
+            if a[0] == "const" and b[0] == "const":
+                return ("const", wrap64(a[1] - b[1]))
+            if a[0] == "linear" and b[0] == "const":
+                return ("linear", a[1], wrap64(a[2] - b[1]))
+        elif a[0] == "const" and b[0] == "const":
+            if op == "*":
+                return ("const", wrap64(a[1] * b[1]))
+            if op in ("/", "%") and b[1] != 0:
+                return ("const", div64(op, a[1], b[1]))
+    return None
 
 
 def dominating_consts(g: Cfg, loop: LoopInfo) -> dict[str, int]:
@@ -311,36 +272,36 @@ def dominating_consts(g: Cfg, loop: LoopInfo) -> dict[str, int]:
 
 
 def check_termination(
-    cs: CycleSet,
-    pre_consts: dict[str, int] | None = None,
-    method_id: str = "",
-    bidirectional: bool = True,
+    cs: CycleSet, formulas: tuple, bidirectional: bool = True
 ) -> TerminationVerdict:
     """Terminating iff some counter advances by a constant nonzero stride in
     one direction in every closing cycle, and every closing cycle's guard
     bounds it (above for increasing, below for decreasing) by an identifier
-    the loop never writes."""
-    pre = pre_consts or {}
-    if not cs.cycles:
+    the loop never writes.
+
+    `formulas` holds the composed `summaries.Transition` of each closing
+    cycle of `cs`. Composition has substituted earlier updates into later
+    guards, so each guard is tested at its place in the path.
+    """
+    if not formulas:
         return TerminationVerdict(False, reason="no closing cycles")
 
-    folded = [fold_cycle(c, pre, method_id) for c in cs.cycles]
+    folded = [
+        (
+            {v: linear_of(e) for v, e in f.updates},
+            [(linear_of(a.left), a.op, linear_of(a.right)) for a in f.guard],
+        )
+        for f in formulas
+    ]
     candidates: set[str] = set()
-    for env, _ in folded:
-        candidates.update(env.keys())
+    for net, _ in folded:
+        candidates.update(net.keys())
 
     for j in sorted(candidates):
-        strides: list[int] = []
-        ok = True
-        for env, _ in folded:
-            net = env.get(j, ("linear", j, 0))
-            if net[0] == "linear" and net[1] == j:
-                strides.append(net[2])
-            else:
-                ok = False
-                break
-        if not ok or not strides:
+        nets = [net.get(j, ("linear", j, 0)) for net, _ in folded]
+        if any(lin is None or lin[0] != "linear" or lin[1] != j for lin in nets):
             continue
+        strides = tuple(lin[2] for lin in nets)
         if all(d > 0 for d in strides):
             increasing = True
         elif bidirectional and all(d < 0 for d in strides):
@@ -349,7 +310,7 @@ def check_termination(
             continue
         bound = _common_bound(cs, folded, j, increasing)
         if bound is not None:
-            return TerminationVerdict(True, j, tuple(strides), bound)
+            return TerminationVerdict(True, j, strides, bound)
     return TerminationVerdict(False, reason="no bounded constant-stride counter")
 
 
@@ -361,18 +322,18 @@ def _common_bound(cs: CycleSet, folded, j: str, increasing: bool) -> str | None:
     or an identifier the loop never writes.
     """
     bounds: list[str] = []
-    for _, guard_evals in folded:
+    for _, guard_tests in folded:
         found = None
-        for left, op, right in guard_evals:
+        for left, op, right in guard_tests:
             for tested, rel, other in ((left, op, right), (right, _FLIP[op], left)):
-                if tested[0] != "linear" or tested[1] != j:
+                if tested is None or tested[0] != "linear" or tested[1] != j or other is None:
                     continue
                 wanted = ("<", "<=") if increasing else (">", ">=")
                 if rel not in wanted:
                     continue
                 if other[0] == "const":
                     found = str(other[1])
-                elif other[0] == "linear" and other[2] == 0 and other[1] not in cs.written_names:
+                elif other[2] == 0 and other[1] not in cs.written_names:
                     found = other[1]
                 if found is not None:
                     break

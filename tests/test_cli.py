@@ -97,3 +97,62 @@ def test_nesting_at_the_limit_is_analyzed(tmp_path):
     result = invoke(tmp_path, ["analyze"], nested_ifs(MAX_BLOCK_DEPTH))
     assert result.exit_code == 0, result.output
     assert "island  m" in result.output
+
+
+def test_non_utf8_input_is_a_diagnostic(tmp_path):
+    path = tmp_path / "unit.carib"
+    path.write_bytes(b"\xff\xfemethod m(): int { var x: int; x := 1; return x; }\n")
+    result = CliRunner().invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {path}: not UTF-8" in result.output
+
+
+ARGS_PROBE = """
+class A { f: int; }
+method m(a: int): int { return a; }
+method h(a: int[], o: A): int { var n: int; n := 0; return n; }
+"""
+
+
+@pytest.mark.parametrize(
+    "entry, args, shown",
+    [
+        ("m", "[9223372036854775807]", "9223372036854775807"),
+        ("m", "[-9223372036854775808]", "-9223372036854775808"),
+        ("h", "[[9223372036854775807, -9223372036854775808], null]", "0"),
+        ("h", "[null, null]", "0"),
+    ],
+)
+def test_run_accepts_arguments_of_the_formal_types(tmp_path, entry, args, shown):
+    result = invoke(tmp_path, ["run", "--entry", entry, "--args", args], ARGS_PROBE)
+    assert result.exit_code == 0, result.output
+    assert result.output.strip().endswith(f": {shown}")
+
+
+@pytest.mark.parametrize(
+    "entry, args",
+    [
+        ("m", '["a"]'),
+        ("m", "[1.5]"),
+        ("m", "[99999999999999999999]"),
+        ("m", "[9223372036854775808]"),
+        ("m", "[-9223372036854775809]"),
+        ("m", "[true]"),
+        ("m", "[null]"),
+        ("m", "[[1]]"),
+        ("m", "[]"),
+        ("m", "[1, 2]"),
+        ("h", "[[1.5], null]"),
+        ("h", "[[true], null]"),
+        ("h", "[[9223372036854775808], null]"),
+        ("h", "[1, null]"),
+        ("h", "[null, 1]"),
+        ("h", "[null, [1]]"),
+    ],
+)
+def test_run_rejects_arguments_outside_the_formal_types(tmp_path, entry, args):
+    result = invoke(tmp_path, ["run", "--entry", entry, "--args", args], ARGS_PROBE)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output and "finished" not in result.output

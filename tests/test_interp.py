@@ -21,7 +21,7 @@ from cook.lang import load
 from cook.pipeline import ProgramModel
 from cook.representatives import Scalar
 from cook.summaries import eval_expr
-from cook.termination import _fold_bin
+from cook.termination import linear_of
 
 
 def test_call_chain_returns_constant(clean_chain):
@@ -146,8 +146,9 @@ method d(x: int, y: int): int {
     assert run_concrete(p, sym, al, "d", [INT64_MIN, -1]).value == INT64_MIN
     assert eval_expr(("bin", "/", ("num", BIG), ("num", 1)), {}) == BIG
     assert eval_expr(("bin", "%", ("num", -7), ("num", 2)), {}) == -1
-    assert _fold_bin("/", ("const", BIG), ("const", 1)) == ("const", BIG)
-    assert _fold_bin("%", ("const", -7), ("const", 2)) == ("const", -1)
+    assert linear_of(("bin", "/", ("num", BIG), ("num", 1))) == ("const", BIG)
+    assert linear_of(("bin", "%", ("num", -7), ("num", 2))) == ("const", -1)
+    assert linear_of(("bin", "/", ("num", INT64_MIN), ("num", -1))) == ("const", INT64_MIN)
 
 
 def test_reified_taints_opaque_loop_writes(opaque_loop_caller):

@@ -236,3 +236,25 @@ def test_long_straight_line_method(loop_first):
     (m,) = analyze_sources(p, sym, ReportConfig()).methods
     assert m.verdict == "sub_turing"
     assert m.instructions == 5001 + (5 if loop_first else 0)
+
+
+@pytest.mark.parametrize(
+    "body, stride",
+    [
+        ("i := i + one;\n" * 5000, 5000),
+        ("x := x * y;\n" * 3000 + "i := i + one;\n", 1),
+        ("x := x + x;\n" * 40 + "i := i + one;\n", 1),
+    ],
+    ids=["counter", "product", "doubling"],
+)
+def test_long_loop_body(body, stride):
+    src = (
+        "method m(n: int, y: int): int {\nvar i: int; var x: int; var one: int;\n"
+        "one := 1; i := 0; x := 1;\nwhile i < n do {\n"
+        + body
+        + "}\nreturn x;\n}\n"
+    )
+    (m,) = report_for(src).methods
+    assert [lp["verdict"] for lp in m.loops] == [
+        f"terminates(counter=i, stride={stride}, bound=n)"
+    ]

@@ -18,6 +18,7 @@ from cook.summaries import (
     Transition,
     classify_terms,
     compose,
+    cycle_formula,
     df_check,
     eval_array,
     eval_counter,
@@ -39,7 +40,7 @@ def loop_context(src: str):
     assert len(loops) == 1
     cs = extract_cycles(loops[0], g, loops)
     pre = dominating_consts(g, loops[0])
-    return p, sym, m, cs, pre
+    return p, sym, m, cs, tuple(cycle_formula(c, pre, m.id) for c in cs.cycles)
 
 
 # -- composition ---------------------------------------------------------------
@@ -74,8 +75,8 @@ def test_compose_pc_mismatch_rejected():
 def test_counted_loop_cycle_composes_to_single_formula(counted_loop):
     """Transitions through the loop body compose into one formula: guard i<n
     with updates i'=i+1 and j'=j+3."""
-    p, sym, m, cs, pre = loop_context(counted_loop)
-    tt = classify_terms(cs, pre, m.id)
+    p, sym, m, cs, formulas = loop_context(counted_loop)
+    tt = classify_terms(cs, formulas)
     (formula,) = tt.formulas
     assert [a.render() for a in formula.guard] == ["i < n"]
     u = formula.update_map()
@@ -105,8 +106,8 @@ def test_guard_after_update_constrains_updated_value():
 
 
 def test_classification_of_counted_loop(counted_loop):
-    p, sym, m, cs, pre = loop_context(counted_loop)
-    tt = classify_terms(cs, pre, m.id)
+    p, sym, m, cs, formulas = loop_context(counted_loop)
+    tt = classify_terms(cs, formulas)
     assert tt.counters == {"i": (1,), "j": (3,)}
     assert tt.induction == "i" and not tt.synthetic_induction
     assert tt.write_arrays == frozenset()
@@ -126,8 +127,8 @@ method m(a: int[], n: int): int {
   return i;
 }
 """
-    p, sym, m, cs, pre = loop_context(src)
-    tt = classify_terms(cs, pre, m.id)
+    p, sym, m, cs, formulas = loop_context(src)
+    tt = classify_terms(cs, formulas)
     assert tt.write_arrays == frozenset({"a"})
     assert df_check(cs, tt).dependency_free
 
@@ -141,8 +142,8 @@ method m(n: int): int {
   return x;
 }
 """
-    p, sym, m, cs, pre = loop_context(src)
-    tt = classify_terms(cs, pre, m.id)
+    p, sym, m, cs, formulas = loop_context(src)
+    tt = classify_terms(cs, formulas)
     assert "x" not in tt.counters
     verdict = df_check(cs, tt)
     assert not verdict.dependency_free and verdict.violation == 1
@@ -160,8 +161,8 @@ method m(n: int, t: int): int {
   return j;
 }
 """
-    p, sym, m, cs, pre = loop_context(src)
-    tt = classify_terms(cs, pre, m.id)
+    p, sym, m, cs, formulas = loop_context(src)
+    tt = classify_terms(cs, formulas)
     verdict = df_check(cs, tt)
     assert not verdict.dependency_free and verdict.violation == 3
 
@@ -178,8 +179,8 @@ method m(a: int[], n: int, t: int): int {
   return s;
 }
 """
-    p, sym, m, cs, pre = loop_context(src)
-    tt = classify_terms(cs, pre, m.id)
+    p, sym, m, cs, formulas = loop_context(src)
+    tt = classify_terms(cs, formulas)
     verdict = df_check(cs, tt)
     assert not verdict.dependency_free and verdict.violation == 1
 
@@ -196,8 +197,8 @@ method m(a: int[], n: int): int {
   return i;
 }
 """
-    p, sym, m, cs, pre = loop_context(src)
-    tt = classify_terms(cs, pre, m.id)
+    p, sym, m, cs, formulas = loop_context(src)
+    tt = classify_terms(cs, formulas)
     verdict = df_check(cs, tt)
     assert not verdict.dependency_free and verdict.violation == 2
 
@@ -211,8 +212,8 @@ method m(n: int): int {
   return i;
 }
 """
-    p, sym, m, cs, pre = loop_context(src)
-    tt = classify_terms(cs, pre, m.id)  # normalizes to a synthetic unit counter
+    p, sym, m, cs, formulas = loop_context(src)
+    tt = classify_terms(cs, formulas)  # normalizes to a synthetic unit counter
     assert tt.synthetic_induction
     src2 = """
 method m(o: A): int {
@@ -223,9 +224,9 @@ method m(o: A): int {
 }
 class A { f: int; }
 """
-    p2, sym2, m2, cs2, pre2 = loop_context(src2)
+    p2, sym2, m2, cs2, formulas2 = loop_context(src2)
     with pytest.raises(NoInductionVariable):
-        classify_terms(cs2, pre2, m2.id)
+        classify_terms(cs2, formulas2)
 
 
 def test_summarize_requires_df():
@@ -237,8 +238,8 @@ method m(n: int): int {
   return x;
 }
 """
-    p, sym, m, cs, pre = loop_context(src)
-    tt = classify_terms(cs, pre, m.id)
+    p, sym, m, cs, formulas = loop_context(src)
+    tt = classify_terms(cs, formulas)
     with pytest.raises(NotDependencyFree):
         summarize(cs, tt)
 
@@ -259,8 +260,8 @@ def test_num_counts_satisfying_integers(k, l, n):
 
 
 def test_counter_closed_form_matches_hand_computation(counted_loop):
-    p, sym, m, cs, pre = loop_context(counted_loop)
-    tt = classify_terms(cs, pre, m.id)
+    p, sym, m, cs, formulas = loop_context(counted_loop)
+    tt = classify_terms(cs, formulas)
     s = summarize(cs, tt)
     for n in (0, 1, 5, 17):
         env = {"i": 0, "j": 0, "n": n}
@@ -281,8 +282,8 @@ method m(n: int): int {
   return mtr;
 }
 """
-    p, sym, m, cs, pre = loop_context(src)
-    tt = classify_terms(cs, pre, m.id)
+    p, sym, m, cs, formulas = loop_context(src)
+    tt = classify_terms(cs, formulas)
     s = summarize(cs, tt)
     for n in (0, 3, 11):
         env = {"i": 0, "mtr": 2, "n": n}
@@ -312,8 +313,8 @@ method fill(a: int[], n: int, mid: int): int {
   return i;
 }
 """
-    p, sym, m, cs, pre = loop_context(src)
-    tt = classify_terms(cs, pre, m.id)
+    p, sym, m, cs, formulas = loop_context(src)
+    tt = classify_terms(cs, formulas)
     s = summarize(cs, tt)
     rng = random.Random(0)
     for _ in range(25):
@@ -340,7 +341,7 @@ def test_generated_df_loops_match_interpreter_exactly():
         loops = find_loops(g)
         cs = extract_cycles(loops[0], g, loops)
         pre = dominating_consts(g, loops[0])
-        tt = classify_terms(cs, pre, mid)
+        tt = classify_terms(cs, tuple(cycle_formula(c, pre, mid) for c in cs.cycles))
         verdict = df_check(cs, tt)
         assert verdict.dependency_free, (seed, verdict.render())
         s = summarize(cs, tt)

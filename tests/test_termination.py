@@ -16,6 +16,7 @@ from cook.generator import GenParams, generate_program
 from cook.interp import Outcome, random_store, run_concrete
 from cook.lang import ast, load, parse
 from cook.pipeline import ProgramModel
+from cook.summaries import cycle_formula
 from cook.termination import (
     Cycle,
     check_termination,
@@ -31,6 +32,11 @@ def loop_of(src: str, method=None):
     loops = find_loops(g)
     assert len(loops) == 1
     return p, m, g, loops
+
+
+def closing_formulas(cs, g, loop, m):
+    pre = dominating_consts(g, loop)
+    return tuple(cycle_formula(c, pre, m.id) for c in cs.cycles)
 
 
 def test_single_cycle_counted_loop(counted_loop):
@@ -141,16 +147,14 @@ method m(n: int, t: int): int {
     p, m, g, loops = loop_of(src)
     cs = extract_cycles(loops[0], g, loops)
     assert len(cs.cycles) == 1 and len(cs.exits) == 1
-    pre = dominating_consts(g, loops[0])
-    v = check_termination(cs, pre, m.id)
+    v = check_termination(cs, closing_formulas(cs, g, loops[0], m))
     assert v.terminates and v.counter == "i"
 
 
 def verdict_for(src: str):
     p, m, g, loops = loop_of(src)
     cs = extract_cycles(loops[0], g, loops)
-    pre = dominating_consts(g, loops[0])
-    return check_termination(cs, pre, m.id)
+    return check_termination(cs, closing_formulas(cs, g, loops[0], m))
 
 
 def test_counted_loop_terminates(counted_loop):
@@ -211,8 +215,8 @@ method m(n: int): int {
 """
     p, m, g, loops = loop_of(src)
     cs = extract_cycles(loops[0], g, loops)
-    pre = dominating_consts(g, loops[0])
-    assert not check_termination(cs, pre, m.id, bidirectional=False).terminates
+    formulas = closing_formulas(cs, g, loops[0], m)
+    assert not check_termination(cs, formulas, bidirectional=False).terminates
 
 
 def test_stride_zero_is_not_progress():
@@ -227,6 +231,30 @@ method m(n: int): int {
 """
     )
     assert not v.terminates
+
+
+@pytest.mark.parametrize(
+    "decls, body, stride",
+    [
+        ("var z: int; var s: int; z := 0;", "s := !z; i := i + s;", (1,)),
+        (
+            "var six: int; var three: int; var q: int; six := 6; three := 3;",
+            "q := six / three; i := i + q;",
+            (2,),
+        ),
+    ],
+)
+def test_stride_folds_through_not_and_division(decls, body, stride):
+    v = verdict_for(
+        f"""
+method m(n: int): int {{
+  var i: int; {decls} i := 0;
+  while i < n do {{ {body} }}
+  return i;
+}}
+"""
+    )
+    assert v.terminates and (v.counter, v.strides, v.bound) == ("i", stride, "n")
 
 
 def test_bound_written_in_loop_rejected():

@@ -227,18 +227,10 @@ class AliasAnalysis:
     def method_writes(self, method_id: str) -> frozenset[Representative]:
         return self._writes_memo[method_id]
 
-    def written_reps(
-        self,
-        method_id: str,
-        stmt: ast.Stmt | ast.Block,
-        api_set: frozenset[str] | None = None,
-    ) -> frozenset[Representative]:
+    def written_reps(self, method_id: str, stmt: ast.Stmt | ast.Block) -> frozenset[Representative]:
         """Representatives of every syntactic write inside `stmt`.
 
         Internal calls contribute their callee's whole write set transitively.
-        When `api_set` is given, calls to those externs also contribute the
-        reachable l-values of their actuals plus the call target, mirroring
-        their eventual rewrite.
         """
         m = self.sym.methods[method_id]
         out: set[Representative] = set()
@@ -248,9 +240,6 @@ class AliasAnalysis:
                 for t in self.sym.resolve_call(m, s):
                     if not t.extern:
                         out |= self._writes_memo[t.id]
-                    elif api_set is not None and t.name in api_set:
-                        for actual in s.actuals:
-                            out |= self.reachable_lvalues(method_id, actual)
         return frozenset(out)
 
     def observable_writes(

@@ -5,22 +5,26 @@ tagged with a divergence cause when the source is bottom: (x, y) means x's
 current value may depend on y's value at method entry, and (x, bottom) means
 x cannot be ruled out as divergence-affected.
 
-The per-statement transfer composes each generated pair through the incoming
-facts (so dependencies always bottom out at entry values), removes facts the
-statement invalidates, and adds bottom-sourced pairs directly. Scalar targets
-kill their old facts; field and array targets never kill, because their
-representatives over-approximate aliases. Call statements import the callee
-summary with actuals substituted for formals and the call target for the
-return slot.
+Every CFG node gets one entry in a node table (`node_spec`), fixed before
+the fixpoint runs: the pairs it generates, the dependents it kills, the
+bottom-sourced pairs it adds, the callee summaries it imports and the
+representatives it may write. A write depends on everything it reads: its
+operands, the field or array representative, and the base pointer and index
+it dereferences, matching the reified semantics where a bottom base or index
+smears the access. Scalar targets kill their old facts; field and array
+targets never kill, because their representatives over-approximate aliases.
+Call statements import the callee summary with actuals substituted for
+formals and the call target for the return slot; that import is the only
+rule that reads state changing during the fixpoint.
 
-Two further fact sources join the transfer in the method fixpoint:
-
-* control dependence: a statement governed by a branch inherits, for every
-  variable free in the branch condition, that variable's facts at the branch,
-  attached to everything the statement may write;
-* dereference dependence: reading or writing through a base pointer or index
-  makes the result depend on them, matching the reified semantics where a
-  bottom base or index smears the access.
+One transfer (`transfer`) maps a node's table entry, its IN facts and its
+imported summary facts to OUT: it drops the facts of killed dependents,
+composes each generated pair and imported fact through IN (so dependencies
+always bottom out at entry values) and adds bottom-sourced pairs directly.
+Control dependence joins it in the method fixpoint: a statement governed by
+a branch inherits, for every variable free in the branch condition, that
+variable's facts at the branch, attached to everything the statement may
+write.
 
 The method fixpoint seeds the entry with identity facts over the method's
 footprint and iterates to a fixpoint; the program fixpoint maintains
@@ -36,174 +40,132 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from .aliases import RET, AliasAnalysis
-from .cfg import BRANCH, ENTRY, EXIT, Cfg
+from .cfg import BRANCH, Cfg
 from .lang import ast
+from .lang.check import Symbols
 from .pipeline import ProgramModel
 from .representatives import BOTTOM, Bottom, Representative, Scalar
 
 Fact = tuple  # (dependent, source, cause | None)
 
 
-def fact_pairs(facts) -> frozenset[tuple[Representative, Representative]]:
-    """Project away cause tags, for comparisons against the core transfer rules."""
-    return frozenset((d, s) for d, s, _ in facts)
-
-
 # ---------------------------------------------------------------------------
-# gen / kill
+# the node table and the transfer
 # ---------------------------------------------------------------------------
 
 
-def gen_facts(
-    s: ast.Stmt,
-    method_id: str,
-    aliases: AliasAnalysis,
-    summaries: dict[str, frozenset[Fact]] | None = None,
-    symbols=None,
-) -> frozenset[Fact]:
-    """Dependence pairs a statement induces locally (unsubstituted by context).
+@dataclass(slots=True)
+class _NodeSpec:
+    """The transfer of one CFG node, fixed before the fixpoint runs."""
 
-    Pure pairs carry a None cause; bottom assignments carry their cause.
-    """
-    sc = aliases.scalar
-    if isinstance(s, ast.ConstAssign):
-        return frozenset()
-    if isinstance(s, ast.CopyAssign):
-        return frozenset({(sc(method_id, s.target), sc(method_id, s.source), None)})
-    if isinstance(s, ast.UnaryAssign):
-        return frozenset({(sc(method_id, s.target), sc(method_id, s.operand), None)})
-    if isinstance(s, ast.BinaryAssign):
-        t = sc(method_id, s.target)
-        return frozenset({(t, sc(method_id, s.left), None), (t, sc(method_id, s.right), None)})
-    if isinstance(s, ast.FieldRead):
-        rep = aliases.field_rep(method_id, s.obj, s.field_name)
-        return frozenset({(sc(method_id, s.target), rep, None)})
-    if isinstance(s, ast.FieldWrite):
-        rep = aliases.field_rep(method_id, s.obj, s.field_name)
-        return frozenset({(rep, sc(method_id, s.source), None)})
-    if isinstance(s, ast.ArrayRead):
-        rep = aliases.array_rep(method_id, s.array)
-        return frozenset({(sc(method_id, s.target), rep, None)})
-    if isinstance(s, ast.ArrayWrite):
-        rep = aliases.array_rep(method_id, s.array)
-        return frozenset({(rep, sc(method_id, s.source), None)})
+    gen: tuple = ()  # (dep, src): dep takes src's IN facts
+    kills: frozenset = frozenset()  # dependents whose IN facts die (strong updates)
+    bottoms: tuple = ()  # (dep, cause) added directly
+    calls: tuple = ()  # (callee id, {callee formal or ret: caller representative})
+    writes: frozenset = frozenset()  # for control-dependence facts
+
+
+_PASS = _NodeSpec()  # entry, exit and branches: OUT is IN
+
+
+def node_spec(
+    s: ast.Stmt | None, method_id: str, aliases: AliasAnalysis, symbols: Symbols
+) -> _NodeSpec:
+    """The node-table entry of a statement in method `method_id`; entry,
+    exit and branch nodes (`None`, `IfElse`, `While`) pass IN through."""
+    if s is None or isinstance(s, (ast.IfElse, ast.While)):
+        return _PASS
+    writes = aliases.written_reps(method_id, s)
+    if isinstance(s, ast.BottomAssign):
+        return _NodeSpec(
+            kills=frozenset(t for t in s.targets if isinstance(t, Scalar)),
+            bottoms=tuple((t, s.cause) for t in s.targets),
+            writes=writes,
+        )
+    sc = partial(aliases.scalar, method_id)
+    calls: list = []
     if isinstance(s, ast.Return):
-        return frozenset({(sc(method_id, RET), sc(method_id, s.value), None)})
-    if isinstance(s, ast.BottomAssign):
-        return frozenset({(t, BOTTOM, s.cause) for t in s.targets})
-    if isinstance(s, ast.Call):
-        assert symbols is not None, "call sites need resolution context"
-        out: set[Fact] = set()
-        caller = symbols.methods[method_id]
-        r = sc(method_id, s.target)
-        for target in symbols.resolve_call(caller, s):
-            if target.extern:
-                # safe-listed API: pure function of its arguments
-                for a in s.actuals:
-                    out.add((r, sc(method_id, a), None))
-                continue
-            summary = (summaries or {}).get(target.id, frozenset())
-            subst: dict[Representative, Representative] = {
-                Scalar(target.id, f.name): sc(method_id, a)
-                for f, a in zip(target.formals, s.actuals)
-            }
-            subst[Scalar(target.id, RET)] = r
-            for dep, src, cause in summary:
-                out.add((subst.get(dep, dep), subst.get(src, src), cause))
-        return frozenset(out)
-    return frozenset()  # branches, entry/exit
-
-
-def kill_deps(s: ast.Stmt, method_id: str, aliases: AliasAnalysis) -> frozenset[Representative]:
-    """Dependents whose facts the statement invalidates (strong updates only)."""
-    if isinstance(
-        s,
-        (
-            ast.ConstAssign,
-            ast.CopyAssign,
-            ast.UnaryAssign,
-            ast.BinaryAssign,
-            ast.FieldRead,
-            ast.ArrayRead,
-            ast.Call,
-        ),
-    ):
-        return frozenset({aliases.scalar(method_id, s.target)})
-    if isinstance(s, ast.BottomAssign):
-        return frozenset(t for t in s.targets if isinstance(t, Scalar))
-    # field/array writes and returns kill nothing (weak updates / merge)
-    return frozenset()
-
-
-def kill_facts(s: ast.Stmt, d, method_id: str, aliases: AliasAnalysis) -> frozenset[Fact]:
-    deps = kill_deps(s, method_id, aliases)
-    return frozenset(f for f in d if f[0] in deps)
-
-
-def gen_kill(
-    s: ast.Stmt,
-    d,
-    method_id: str,
-    aliases: AliasAnalysis,
-    summaries=None,
-    symbols=None,
-) -> tuple[frozenset[Fact], frozenset[Fact]]:
-    return (
-        gen_facts(s, method_id, aliases, summaries, symbols),
-        kill_facts(s, d, method_id, aliases),
+        dep, reads = sc(RET), [sc(s.value)]
+    elif isinstance(s, ast.FieldWrite):
+        dep = aliases.field_rep(method_id, s.obj, s.field_name)
+        reads = [sc(s.source), sc(s.obj)]
+    elif isinstance(s, ast.ArrayWrite):
+        dep = aliases.array_rep(method_id, s.array)
+        reads = [sc(s.source), sc(s.array), sc(s.index)]
+    else:
+        dep = sc(s.target)
+        if isinstance(s, ast.ConstAssign):
+            reads = []
+        elif isinstance(s, ast.CopyAssign):
+            reads = [sc(s.source)]
+        elif isinstance(s, ast.UnaryAssign):
+            reads = [sc(s.operand)]
+        elif isinstance(s, ast.BinaryAssign):
+            reads = [sc(s.left), sc(s.right)]
+        elif isinstance(s, ast.FieldRead):
+            reads = [aliases.field_rep(method_id, s.obj, s.field_name), sc(s.obj)]
+        elif isinstance(s, ast.ArrayRead):
+            reads = [aliases.array_rep(method_id, s.array), sc(s.array), sc(s.index)]
+        elif isinstance(s, ast.Call):
+            reads = []
+            for target in symbols.resolve_call(symbols.methods[method_id], s):
+                if target.extern:  # safe-listed API: pure function of its arguments
+                    reads += [sc(a) for a in s.actuals]
+                    continue
+                subst = {
+                    Scalar(target.id, f.name): sc(a) for f, a in zip(target.formals, s.actuals)
+                }
+                subst[Scalar(target.id, RET)] = dep
+                calls.append((target.id, subst))
+        else:
+            raise TypeError(f"no transfer for {type(s).__name__}")
+    weak = isinstance(s, (ast.Return, ast.FieldWrite, ast.ArrayWrite))
+    return _NodeSpec(
+        gen=tuple((dep, src) for src in dict.fromkeys(reads)),
+        kills=frozenset() if weak else frozenset({dep}),
+        calls=tuple(calls),
+        writes=writes,
     )
 
 
-def deref_pairs(
-    s: ast.Stmt, method_id: str, aliases: AliasAnalysis
-) -> frozenset[tuple[Representative, Representative]]:
-    """Extra (written, base-or-index) pairs for dereferencing statements.
-
-    These complete the transfer against the reified semantics, where a
-    bottom-valued base or index taints the whole access; the core rules name
-    only the representative, not the pointer it was reached through.
-    """
-    sc = aliases.scalar
-    if isinstance(s, ast.FieldRead):
-        t = sc(method_id, s.target)
-        return frozenset({(t, sc(method_id, s.obj))})
-    if isinstance(s, ast.ArrayRead):
-        t = sc(method_id, s.target)
-        return frozenset({(t, sc(method_id, s.array)), (t, sc(method_id, s.index))})
-    if isinstance(s, ast.FieldWrite):
-        rep = aliases.field_rep(method_id, s.obj, s.field_name)
-        return frozenset({(rep, sc(method_id, s.obj))})
-    if isinstance(s, ast.ArrayWrite):
-        rep = aliases.array_rep(method_id, s.array)
-        return frozenset({(rep, sc(method_id, s.array)), (rep, sc(method_id, s.index))})
-    return frozenset()
+def import_summaries(node: _NodeSpec, summaries: dict[str, frozenset[Fact]]) -> list[Fact]:
+    """The callee summaries of a call node, with actuals substituted for
+    formals and the call target for the return slot."""
+    out: list[Fact] = []
+    for callee, subst in node.calls:
+        for dep, src, cause in summaries.get(callee, ()):
+            out.append((subst.get(dep, dep), subst.get(src, src), cause))
+    return out
 
 
-def data_dep(
-    d,
-    s: ast.Stmt,
-    method_id: str,
-    aliases: AliasAnalysis,
-    summaries=None,
-    symbols=None,
-) -> frozenset[Fact]:
-    """Transfer of one statement over a fact set: generated pairs composed
-    through `d`, bottom-sourced pairs kept directly, surviving facts carried."""
-    gen = gen_facts(s, method_id, aliases, summaries, symbols)
-    deps = kill_deps(s, method_id, aliases)
-    out: set[Fact] = {f for f in d if f[0] not in deps}
-    if gen:
-        index: dict[Representative, list[tuple[Representative, object]]] = {}
+def transfer(node: _NodeSpec, d: frozenset[Fact], imported=()) -> frozenset[Fact]:
+    """OUT of a node from its IN `d` and the facts `imported` from callee
+    summaries: the facts of killed dependents are dropped, each generated
+    pair and each imported fact is composed through `d` (so dependencies
+    always bottom out at entry values), and bottom-sourced facts are added
+    as they are."""
+    kills, gen = node.kills, node.gen
+    if not (kills or gen or node.bottoms or imported):
+        return d
+    out: set[Fact] = {f for f in d if f[0] not in kills} if kills else set(d)
+    if gen or imported:
+        index: dict[Representative, list] = {}
         for dep, src, cause in d:
             index.setdefault(dep, []).append((src, cause))
-        for dep, src, cause in gen:
+        for dep, src in gen:
+            for y, c in index.get(src, ()):
+                out.add((dep, y, c))
+        for dep, src, cause in imported:
             if isinstance(src, Bottom):
                 out.add((dep, BOTTOM, cause))
             else:
                 for y, c in index.get(src, ()):
                     out.add((dep, y, c))
+    for dep, cause in node.bottoms:
+        out.add((dep, BOTTOM, cause))
     return frozenset(out)
 
 
@@ -213,21 +175,10 @@ def data_dep(
 
 
 @dataclass(slots=True)
-class _NodeSpec:
-    kind: str  # identity | simple | call | bottom
-    gen: tuple = ()  # (dep, src) pairs composed through IN (simple nodes)
-    deref: tuple = ()
-    kills: frozenset = frozenset()
-    bottoms: tuple = ()  # (dep, cause) added directly
-    call: ast.Call | None = None
-    writes: frozenset = frozenset()  # for control-dependence facts
-    governing: frozenset = frozenset()
-
-
-@dataclass(slots=True)
 class _MethodSpec:
     cfg: Cfg
     nodes: list[_NodeSpec]
+    governing: list[frozenset[int]]
     branch_fv: dict[int, tuple[Representative, ...]]
     static_seeds: frozenset[Representative]
     call_nodes: tuple[int, ...]
@@ -250,7 +201,6 @@ class Analyzer:
             return cached
         mm = self.model.methods[method_id]
         g = mm.cfg
-        governing = self.model.governing(method_id)
         nodes: list[_NodeSpec] = []
         branch_fv: dict[int, tuple[Representative, ...]] = {}
         seeds: set[Representative] = set()
@@ -259,66 +209,33 @@ class Analyzer:
         for p in list(m.formals) + list(m.locals):
             seeds.add(self.aliases.scalar(method_id, p.name))
         for n in g.nodes:
-            gov = governing[n.id]
-            if n.kind in (ENTRY, EXIT):
-                nodes.append(_NodeSpec("identity", governing=gov))
-                continue
             if n.kind == BRANCH:
-                fv = (
+                branch_fv[n.id] = (
                     self.aliases.scalar(method_id, n.cond.left),
                     self.aliases.scalar(method_id, n.cond.right),
                 )
-                branch_fv[n.id] = fv
-                nodes.append(_NodeSpec("identity", governing=gov))
-                continue
-            s = n.stmt
-            writes = self.aliases.written_reps(method_id, s)
-            kills = kill_deps(s, method_id, self.aliases)
-            if isinstance(s, ast.Call):
+            ns = node_spec(n.stmt, method_id, self.aliases, self.sym)
+            nodes.append(ns)
+            if ns.calls:
                 call_nodes.append(n.id)
-                nodes.append(
-                    _NodeSpec("call", kills=kills, call=s, writes=writes, governing=gov)
-                )
-            elif isinstance(s, ast.BottomAssign):
-                nodes.append(
-                    _NodeSpec(
-                        "bottom",
-                        kills=kills,
-                        bottoms=tuple((t, s.cause) for t in s.targets),
-                        writes=writes,
-                        governing=gov,
-                    )
-                )
-            else:
-                gen = tuple((d, src) for d, src, _ in gen_facts(s, method_id, self.aliases))
-                deref = tuple(deref_pairs(s, method_id, self.aliases))
-                nodes.append(
-                    _NodeSpec(
-                        "simple", gen=gen, deref=deref, kills=kills, writes=writes, governing=gov
-                    )
-                )
-            last = nodes[-1]
-            for dep, src in last.gen + last.deref:
+            for dep, src in ns.gen:
                 seeds.add(dep)
                 seeds.add(src)
-            for dep, _ in last.bottoms:
+            for dep, _ in ns.bottoms:
                 seeds.add(dep)
-            seeds.update(last.writes)
+            seeds.update(ns.writes)
         seeds = {r for r in seeds if not isinstance(r, Scalar) or r.method == method_id}
         seeds.discard(self.aliases.scalar(method_id, RET))
-        spec = _MethodSpec(g, nodes, branch_fv, frozenset(seeds), tuple(call_nodes))
+        governing = self.model.governing(method_id)
+        spec = _MethodSpec(g, nodes, governing, branch_fv, frozenset(seeds), tuple(call_nodes))
         self._specs[method_id] = spec
         return spec
 
-    def _seed_facts(self, method_id: str, spec: _MethodSpec, summaries) -> frozenset[Fact]:
+    def _seed_facts(self, spec: _MethodSpec, summaries) -> frozenset[Fact]:
         seeds = set(spec.static_seeds)
-        m = self.sym.methods[method_id]
         for nid in spec.call_nodes:
-            call = spec.nodes[nid].call
-            for target in self.sym.resolve_call(m, call):
-                if target.extern:
-                    continue
-                for dep, src, _ in summaries.get(target.id, ()):
+            for callee, _ in spec.nodes[nid].calls:
+                for dep, src, _ in summaries.get(callee, ()):
                     for rep in (dep, src):
                         if not isinstance(rep, (Scalar, Bottom)):
                             seeds.add(rep)
@@ -335,7 +252,7 @@ class Analyzer:
         n_nodes = len(g.nodes)
         IN: list[frozenset[Fact]] = [frozenset()] * n_nodes
         OUT: list[frozenset[Fact]] = [frozenset()] * n_nodes
-        entry_facts = self._seed_facts(method_id, spec, summaries)
+        entry_facts = self._seed_facts(spec, summaries)
         work = deque([g.entry])
         queued = [False] * n_nodes
         queued[g.entry] = True
@@ -356,8 +273,9 @@ class Analyzer:
                     merged |= OUT[p]
                 incoming = frozenset(merged)
             IN[n] = incoming
-            out = self._transfer(method_id, spec, n, incoming, summaries)
-            if spec.nodes[n].governing:
+            ns = spec.nodes[n]
+            out = transfer(ns, incoming, import_summaries(ns, summaries) if ns.calls else ())
+            if spec.governing[n]:
                 extra = self._control_facts(spec, n, IN)
                 if extra:
                     out = out | extra
@@ -369,43 +287,12 @@ class Analyzer:
                         work.append(s)
         return OUT[g.exit]
 
-    def _transfer(
-        self, method_id: str, spec: _MethodSpec, n: int, d: frozenset[Fact], summaries
-    ) -> frozenset[Fact]:
-        ns = spec.nodes[n]
-        if ns.kind == "identity":
-            return d
-        out: set[Fact] = {f for f in d if f[0] not in ns.kills} if ns.kills else set(d)
-        gen_pairs = ns.gen + ns.deref
-        bottoms = ns.bottoms
-        if ns.kind == "call":
-            call_gen = gen_facts(ns.call, method_id, self.aliases, summaries, self.sym)
-            extra_pairs = []
-            extra_bottoms = []
-            for dep, src, cause in call_gen:
-                if isinstance(src, Bottom):
-                    extra_bottoms.append((dep, cause))
-                else:
-                    extra_pairs.append((dep, src))
-            gen_pairs = gen_pairs + tuple(extra_pairs)
-            bottoms = bottoms + tuple(extra_bottoms)
-        if gen_pairs:
-            index: dict[Representative, list] = {}
-            for dep, src, cause in d:
-                index.setdefault(dep, []).append((src, cause))
-            for dep, src in gen_pairs:
-                for y, c in index.get(src, ()):
-                    out.add((dep, y, c))
-        for dep, cause in bottoms:
-            out.add((dep, BOTTOM, cause))
-        return frozenset(out)
-
     def _control_facts(self, spec: _MethodSpec, n: int, IN) -> set[Fact]:
         writes = spec.nodes[n].writes
         if not writes:
             return set()
         out: set[Fact] = set()
-        for b in spec.nodes[n].governing:
+        for b in spec.governing[n]:
             fv = spec.branch_fv.get(b, ())
             if not fv:
                 continue

@@ -15,12 +15,15 @@ concretely, so a run always finishes. Extern methods on the safe list are
 modeled as pure stubs in both modes: they return a zero value and touch no
 heap state.
 
-Arithmetic is 64-bit two's complement with wraparound.
+Arithmetic is 64-bit two's complement with wraparound. `binop64`, `unop64`
+and `RELOPS` are the one int64 arithmetic core; `summaries` and `termination`
+evaluate and fold expressions with them too.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 from .aliases import RET, AliasAnalysis
@@ -47,6 +50,36 @@ def div64(op: str, a: int, b: int) -> int:
     if (a < 0) != (b < 0):
         q = -q
     return wrap64(q if op == "/" else a - q * b)
+
+
+_RING = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+RELOPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+
+
+def binop64(op: str, a: int, b: int) -> int:
+    """`a op b` for `+ - * / %` in 64-bit two's complement; `/` and `%`
+    raise ZeroDivisionError for a zero `b`."""
+    if op in _RING:
+        return wrap64(_RING[op](a, b))
+    if op in ("/", "%"):
+        return div64(op, a, b)
+    raise ValueError(op)
+
+
+def unop64(op: str, a: int) -> int:
+    """Negation `-` (wrapping) or logical not `!` of an int64."""
+    if op == "-":
+        return wrap64(-a)
+    if op == "!":
+        return 0 if a != 0 else 1
+    raise ValueError(op)
 
 
 class InterpFault(Exception):
@@ -121,39 +154,9 @@ def _zero(t: str) -> Value:
 
 
 def _binop(op: str, a: int, b: int, loc: ast.Loc) -> int:
-    if op == "+":
-        return wrap64(a + b)
-    if op == "-":
-        return wrap64(a - b)
-    if op == "*":
-        return wrap64(a * b)
-    if op in ("/", "%"):
-        if b == 0:
-            raise InterpFault("division by zero", loc)
-        return div64(op, a, b)
-    raise ValueError(op)
-
-
-def _unop(op: str, a: int) -> int:
-    if op == "-":
-        return wrap64(-a)
-    if op == "!":
-        return 0 if a != 0 else 1
-    raise ValueError(op)
-
-
-def _relop(op: str, a: int, b: int) -> bool:
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "==":
-        return a == b
-    return a != b
+    if b == 0 and op in ("/", "%"):
+        raise InterpFault("division by zero", loc)
+    return binop64(op, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +253,7 @@ class _Machine:
         elif isinstance(s, ast.CopyAssign):
             env[s.target] = env[s.source]
         elif isinstance(s, ast.UnaryAssign):
-            env[s.target] = _unop(s.op, self._int(env, s.operand, s.loc))
+            env[s.target] = unop64(s.op, self._int(env, s.operand, s.loc))
         elif isinstance(s, ast.BinaryAssign):
             env[s.target] = _binop(
                 s.op, self._int(env, s.left, s.loc), self._int(env, s.right, s.loc), s.loc
@@ -285,7 +288,7 @@ class _Machine:
         return None
 
     def _call(self, frame: _Frame, s: ast.Call) -> _Frame | None:
-        callee = _dispatch(self.sym, frame.method, s, frame.env)
+        callee = _dispatch(self.sym, frame.method, s, frame.env, null_faults=True)
         if callee.extern:
             # pure stub: zero result, no heap effects
             frame.env[s.target] = _zero(callee.return_type)
@@ -298,7 +301,7 @@ class _Machine:
         return new
 
     def _cond(self, env: dict, c: ast.Cond, loc: ast.Loc) -> bool:
-        return _relop(c.op, self._int(env, c.left, loc), self._int(env, c.right, loc))
+        return RELOPS[c.op](self._int(env, c.left, loc), self._int(env, c.right, loc))
 
     def _int(self, env: dict, name: str, loc: ast.Loc) -> int:
         v = env[name]
@@ -326,9 +329,14 @@ class _Machine:
         return v, i
 
 
-def _dispatch(symbols: Symbols, caller: ast.Method, s: ast.Call, env: dict) -> ast.Method:
+def _dispatch(
+    symbols: Symbols, caller: ast.Method, s: ast.Call, env: dict, null_faults: bool
+) -> ast.Method:
     """Runtime target: virtual lookup from the receiver's runtime class,
-    falling back to static resolution when the receiver is opaque."""
+    falling back to the receiver's static type and then to static resolution
+    when the receiver is opaque. With `null_faults` (concrete runs), a null
+    receiver of a call with several targets is a fault; reified runs fall
+    back on it like on bottom."""
     targets = symbols.resolve_call(caller, s)
     if len(targets) == 1:
         return targets[0]
@@ -337,7 +345,7 @@ def _dispatch(symbols: Symbols, caller: ast.Method, s: ast.Call, env: dict) -> a
         found = symbols.lookup_method(recv.cls, s.callee)
         if found is not None:
             return found
-    if recv is None:
+    if recv is None and null_faults:
         raise InterpFault("null receiver", s.loc)
     static_type = symbols.var_types[caller.id][s.actuals[0]]
     if static_type in symbols.classes:
@@ -433,7 +441,7 @@ class _Reified:
         if lv is BOTTOM or rv is BOTTOM:
             self.taint_reps(m.id, env, self.loop_write_targets(m.id, s))
             return False
-        branch = s.then_body if _relop(s.cond.op, lv, rv) else s.else_body
+        branch = s.then_body if RELOPS[s.cond.op](lv, rv) else s.else_body
         return self.exec_block(m, env, branch)
 
     def exec_while(self, m: ast.Method, env: dict, s: ast.While) -> bool:
@@ -443,7 +451,7 @@ class _Reified:
             if not self.dec.terminates(s) or lv is BOTTOM or rv is BOTTOM:
                 self.taint_reps(m.id, env, self.loop_write_targets(m.id, s))
                 return False
-            if not _relop(s.cond.op, lv, rv):
+            if not RELOPS[s.cond.op](lv, rv):
                 return False
             if self.exec_block(m, env, s.body):
                 return True
@@ -454,7 +462,7 @@ class _Reified:
                 )
 
     def exec_call(self, m: ast.Method, env: dict, s: ast.Call) -> None:
-        callee = self._reified_target(m, env, s)
+        callee = _dispatch(self.sym, m, s, env, null_faults=False)
         if callee.extern:
             if callee.name in self.dec.api:
                 for actual in s.actuals:
@@ -476,22 +484,6 @@ class _Reified:
         result = self.exec_method(callee, [env[a] for a in s.actuals])
         env[s.target] = result
 
-    def _reified_target(self, m: ast.Method, env: dict, s: ast.Call) -> ast.Method:
-        targets = self.sym.resolve_call(m, s)
-        if len(targets) == 1:
-            return targets[0]
-        recv = env[s.actuals[0]]
-        if isinstance(recv, ObjVal):
-            found = self.sym.lookup_method(recv.cls, s.callee)
-            if found is not None:
-                return found
-        static_type = self.sym.var_types[m.id][s.actuals[0]]
-        if static_type in self.sym.classes:
-            found = self.sym.lookup_method(static_type, s.callee)
-            if found is not None:
-                return found
-        return targets[0]
-
     def exec_assign(self, m: ast.Method, env: dict, s: ast.Stmt) -> None:
         mid = m.id
         if isinstance(s, ast.ConstAssign):
@@ -500,7 +492,7 @@ class _Reified:
             env[s.target] = env[s.source]
         elif isinstance(s, ast.UnaryAssign):
             v = env[s.operand]
-            env[s.target] = BOTTOM if v is BOTTOM else _unop(s.op, v)
+            env[s.target] = BOTTOM if v is BOTTOM else unop64(s.op, v)
         elif isinstance(s, ast.BinaryAssign):
             a, b = env[s.left], env[s.right]
             env[s.target] = BOTTOM if a is BOTTOM or b is BOTTOM else _binop(s.op, a, b, s.loc)

@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NoInductionVariable, NotDependencyFree
-from .interp import div64, wrap64
+from .interp import RELOPS, binop64, unop64, wrap64
 from .lang import ast
 from .representatives import Scalar
-from .termination import Cycle, CycleSet, OpaqueUpdate, linear_of
+from .termination import UNARY_OPS, Cycle, CycleSet, OpaqueUpdate, linear_of
 
 # Expressions are nested tuples:
 #   ("num", c) | ("var", x) | ("bin", op, a, b) | ("neg", a) | ("not", a) | OPAQUE
@@ -83,25 +83,15 @@ def subst_expr(e: tuple, updates: dict[str, tuple]) -> tuple:
 
 
 def eval_expr(e: tuple, env: dict[str, int]) -> int:
+    """Value of `e` under `env`; ZeroDivisionError for a zero divisor."""
     if e[0] == "num":
         return e[1]
     if e[0] == "var":
         return env[e[1]]
     if e[0] == "bin":
-        a, b = eval_expr(e[2], env), eval_expr(e[3], env)
-        op = e[1]
-        if op == "+":
-            return wrap64(a + b)
-        if op == "-":
-            return wrap64(a - b)
-        if op == "*":
-            return wrap64(a * b)
-        if op in ("/", "%"):
-            return div64(op, a, b)  # raises ZeroDivisionError for b == 0
-    if e[0] == "neg":
-        return wrap64(-eval_expr(e[1], env))
-    if e[0] == "not":
-        return 0 if eval_expr(e[1], env) != 0 else 1
+        return binop64(e[1], eval_expr(e[2], env), eval_expr(e[3], env))
+    if e[0] in UNARY_OPS:
+        return unop64(UNARY_OPS[e[0]], eval_expr(e[1], env))
     raise ValueError(f"cannot evaluate {e!r}")
 
 
@@ -135,10 +125,7 @@ class GuardAtom:
         return is_opaque(self.left) or is_opaque(self.right)
 
     def eval(self, env: dict[str, int]) -> bool:
-        a, b = eval_expr(self.left, env), eval_expr(self.right, env)
-        return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b, "==": a == b, "!=": a != b}[
-            self.op
-        ]
+        return RELOPS[self.op](eval_expr(self.left, env), eval_expr(self.right, env))
 
     def render(self, rename: dict[str, str] | None = None) -> str:
         return f"{render_expr(self.left, rename)} {self.op} {render_expr(self.right, rename)}"

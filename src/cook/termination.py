@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .cfg import BRANCH, Cfg, LoopInfo, dominators, dominates
 from .errors import NestedLoopError, PathExplosionError
-from .interp import div64, wrap64
+from .interp import binop64, unop64
 from .lang import ast
 from .representatives import Scalar
 
@@ -194,6 +194,10 @@ def _written_names(
 # ---------------------------------------------------------------------------
 
 
+# the operator of each unary `summaries` expression tag
+UNARY_OPS = {"neg": "-", "not": "!"}
+
+
 def linear_of(e: tuple) -> tuple | None:
     """Normalize a `summaries` expression to ('const', c) or
     ('linear', var, offset); None when it is neither."""
@@ -201,35 +205,25 @@ def linear_of(e: tuple) -> tuple | None:
         return ("const", e[1])
     if e[0] == "var":
         return ("linear", e[1], 0)
-    if e[0] in ("neg", "not"):
+    if e[0] in UNARY_OPS:
         inner = linear_of(e[1])
         if inner is None or inner[0] != "const":
             return None
-        if e[0] == "neg":
-            return ("const", wrap64(-inner[1]))
-        return ("const", 0 if inner[1] != 0 else 1)
+        return ("const", unop64(UNARY_OPS[e[0]], inner[1]))
     if e[0] == "bin":
         a, b = linear_of(e[2]), linear_of(e[3])
         if a is None or b is None:
             return None
         op = e[1]
-        if op == "+":
-            if a[0] == "const" and b[0] == "const":
-                return ("const", wrap64(a[1] + b[1]))
-            if a[0] == "linear" and b[0] == "const":
-                return ("linear", a[1], wrap64(a[2] + b[1]))
-            if a[0] == "const" and b[0] == "linear":
-                return ("linear", b[1], wrap64(b[2] + a[1]))
-        elif op == "-":
-            if a[0] == "const" and b[0] == "const":
-                return ("const", wrap64(a[1] - b[1]))
-            if a[0] == "linear" and b[0] == "const":
-                return ("linear", a[1], wrap64(a[2] - b[1]))
-        elif a[0] == "const" and b[0] == "const":
-            if op == "*":
-                return ("const", wrap64(a[1] * b[1]))
-            if op in ("/", "%") and b[1] != 0:
-                return ("const", div64(op, a[1], b[1]))
+        if a[0] == "const" and b[0] == "const":
+            if op in ("/", "%") and b[1] == 0:
+                return None
+            return ("const", binop64(op, a[1], b[1]))
+        if op == "+" and a[0] != b[0]:
+            (_, x, offset), (_, c) = (a, b) if a[0] == "linear" else (b, a)
+            return ("linear", x, binop64("+", offset, c))
+        if op == "-" and a[0] == "linear" and b[0] == "const":
+            return ("linear", a[1], binop64("-", a[2], b[1]))
     return None
 
 

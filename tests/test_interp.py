@@ -1,12 +1,18 @@
 """Concrete and reified interpreter behavior."""
 
 import random
+from fractions import Fraction
+
+import pytest
 
 from cook.aliases import AliasAnalysis
 from cook.generator import GenParams, generate_program
 from cook.interp import (
     BOTTOM,
+    RELOPS,
     ArrVal,
+    InterpFault,
+    ObjVal,
     Outcome,
     Store,
     collect_taints,
@@ -16,11 +22,12 @@ from cook.interp import (
     div64,
     store_divergence_free,
     wrap64,
+    _binop,
 )
-from cook.lang import load
+from cook.lang import ast, load
 from cook.pipeline import ProgramModel
 from cook.representatives import Scalar
-from cook.summaries import eval_expr
+from cook.summaries import GuardAtom, eval_expr
 from cook.termination import linear_of
 
 
@@ -149,6 +156,110 @@ method d(x: int, y: int): int {
     assert linear_of(("bin", "/", ("num", BIG), ("num", 1))) == ("const", BIG)
     assert linear_of(("bin", "%", ("num", -7), ("num", 2))) == ("const", -1)
     assert linear_of(("bin", "/", ("num", INT64_MIN), ("num", -1))) == ("const", INT64_MIN)
+
+
+INT64_MAX = 2**63 - 1
+EDGES = (INT64_MIN, -1, 0, 1, INT64_MAX)
+
+
+def _exact(op: str, a: int, b: int) -> int:
+    """Unbounded `a op b` with `/` truncating toward zero, before wrapping."""
+    if op in ("/", "%"):
+        q = int(Fraction(a, b))
+        return q if op == "/" else a - q * b
+    return {"+": a + b, "-": a - b, "*": a * b}[op]
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "%"])
+def test_binary_evaluators_agree_on_int64_edges(op):
+    src = f"method f(x: int, y: int): int {{ var r: int; r := x {op} y; return r; }}"
+    p, sym = load(src)
+    al = AliasAnalysis(p, sym)
+    for a in EDGES:
+        for b in EDGES:
+            e = ("bin", op, ("num", a), ("num", b))
+            run = run_concrete(p, sym, al, "f", [a, b])
+            if b == 0 and op in ("/", "%"):
+                with pytest.raises(ZeroDivisionError):
+                    eval_expr(e, {})
+                with pytest.raises(InterpFault, match="division by zero"):
+                    _binop(op, a, b, ast.UNKNOWN_LOC)
+                assert linear_of(e) is None
+                assert run.fault_kind == "division by zero"
+                continue
+            want = wrap64(_exact(op, a, b))
+            assert eval_expr(e, {}) == want, (a, b)
+            assert _binop(op, a, b, ast.UNKNOWN_LOC) == want, (a, b)
+            assert linear_of(e) == ("const", want), (a, b)
+            assert run.value == want, (a, b)
+
+
+@pytest.mark.parametrize("tag, op", [("neg", "-"), ("not", "!")])
+def test_unary_evaluators_agree_on_int64_edges(tag, op):
+    p, sym = load(f"method f(x: int): int {{ var r: int; r := {op} x; return r; }}")
+    al = AliasAnalysis(p, sym)
+    for a in EDGES:
+        want = wrap64(-a) if op == "-" else int(a == 0)
+        assert eval_expr((tag, ("num", a)), {}) == want, a
+        assert linear_of((tag, ("num", a))) == ("const", want), a
+        assert run_concrete(p, sym, al, "f", [a]).value == want, a
+
+
+@pytest.mark.parametrize("op", sorted(RELOPS))
+def test_relations_agree_on_int64_edges(op):
+    src = f"""
+method f(x: int, y: int): int {{
+  var r: int;
+  r := 0;
+  if x {op} y then {{ r := 1; }}
+  return r;
+}}
+"""
+    p, sym = load(src)
+    al = AliasAnalysis(p, sym)
+    want = {
+        "<": lambda a, b: a < b,
+        "<=": lambda a, b: a <= b,
+        ">": lambda a, b: a > b,
+        ">=": lambda a, b: a >= b,
+        "==": lambda a, b: a == b,
+        "!=": lambda a, b: a != b,
+    }[op]
+    for a in EDGES:
+        for b in EDGES:
+            assert GuardAtom(("num", a), op, ("num", b)).eval({}) == want(a, b), (a, b)
+            assert run_concrete(p, sym, al, "f", [a, b]).value == int(want(a, b)), (a, b)
+
+
+DISPATCH_SRC = """
+class A { f: int; }
+class B extends A {}
+method A.get(self: A): int { var t: int; t := 1; return t; }
+method B.get(self: B): int { var t: int; t := 2; return t; }
+method use(o: A): int {
+  var x: int;
+  x := get(o);
+  return x;
+}
+"""
+
+
+def test_concrete_dispatch_faults_on_null_receiver():
+    p, sym = load(DISPATCH_SRC)
+    al = AliasAnalysis(p, sym)
+    out = run_concrete(p, sym, al, "use", [None])
+    assert out.kind == Outcome.FAULT and out.fault_kind == "null receiver"
+    assert run_concrete(p, sym, al, "use", [ObjVal("B", {"f": 0})]).value == 2
+    assert run_concrete(p, sym, al, "use", [ObjVal("A", {"f": 0})]).value == 1
+
+
+def test_reified_dispatch_falls_back_to_static_type():
+    p, sym = load(DISPATCH_SRC)
+    model = ProgramModel(p, sym)
+    dec = model.decisions()
+    for recv, want in ((None, 1), (BOTTOM, 1), (ObjVal("B", {"f": 0}), 2)):
+        st = run_reified(p, sym, model.aliases, "use", Store({"o": recv}), dec)
+        assert st.values["x"] == want, recv
 
 
 def test_reified_taints_opaque_loop_writes(opaque_loop_caller):

@@ -7,8 +7,10 @@ partition in a flow-insensitive union-find over array-typed slots joined by
 copies, call bindings, returns, and field traffic. All indices of a partition
 are conservatively assumed to alias.
 
-`written_reps` harvests syntactic assignment targets without feasibility
-checks and expands internal calls transitively. `reachable_lvalues` is the
+`observable_writes` harvests syntactic assignment targets without
+feasibility checks, restricted to what the enclosing frame can observe: its
+own scalars and the heap, where an internal call contributes its callees'
+heap writes transitively (`heap_writes`). `reachable_lvalues` is the
 write footprint visible through an actual parameter: every representative
 reachable through its field structure (and array cells), excluding the
 parameter itself.
@@ -158,20 +160,6 @@ class AliasAnalysis:
     def array_rep(self, method_id: str, name: str) -> ArrayPart:
         return ArrayPart(self.partition_of(method_id, name))
 
-    def representative(self, method_id: str, lvalue: str | tuple) -> Representative:
-        """Map an l-value to its canonical name.
-
-        Accepts `name`, `(obj, '.', field)`, or `(array, '[]', index)`.
-        """
-        if isinstance(lvalue, str):
-            return self.scalar(method_id, lvalue)
-        base, kind, _ = lvalue
-        if kind == ".":
-            return self.field_rep(method_id, base, lvalue[2])
-        if kind == "[]":
-            return self.array_rep(method_id, base)
-        raise ValueError(f"not an l-value: {lvalue!r}")
-
     # -- write sets --------------------------------------------------------------
 
     def _own_writes(self, m: ast.Method) -> set[Representative]:
@@ -223,14 +211,26 @@ class AliasAnalysis:
                         writes[mid] |= writes[c]
                         changed = True
         self._writes_memo = {mid: frozenset(reps) for mid, reps in writes.items()}
+        self._heap_memo = {
+            mid: frozenset(r for r in reps if not isinstance(r, Scalar))
+            for mid, reps in writes.items()
+        }
 
-    def method_writes(self, method_id: str) -> frozenset[Representative]:
-        return self._writes_memo[method_id]
+    def heap_writes(self, method_id: str) -> frozenset[Representative]:
+        """Field and array representatives a call of the method may write,
+        through its callees too: all a caller can observe of its writes
+        under call by value."""
+        return self._heap_memo[method_id]
 
     def written_reps(self, method_id: str, stmt: ast.Stmt | ast.Block) -> frozenset[Representative]:
         """Representatives of every syntactic write inside `stmt`.
 
-        Internal calls contribute their callee's whole write set transitively.
+        Internal calls contribute their callee's whole write set transitively,
+        callee-frame scalars included. Only `analysis.node_spec` reads this,
+        for a node's control-dependence writes, and that is a known defect:
+        the callee scalars survive `strip_locals` as junk summary facts
+        (`test_dead_guarded_call_leaves_no_callee_frame_facts` is a strict
+        xfail until `observable_writes` replaces it there).
         """
         m = self.sym.methods[method_id]
         out: set[Representative] = set()
@@ -248,11 +248,11 @@ class AliasAnalysis:
         stmt: ast.Stmt | ast.Block,
         api_set: frozenset[str] | None = None,
     ) -> frozenset[Representative]:
-        """Like `written_reps`, restricted to locations this frame can
-        observe: its own scalars and the heap. Callee frames contribute only
-        their heap effects (and reachable l-values for divergent API calls);
-        their scalar names are fresh locations, colliding with ours only in
-        name on self calls."""
+        """Representatives of every syntactic write inside `stmt` that this
+        frame can observe: its own scalars and the heap. Callee frames
+        contribute only their heap effects (and reachable l-values for
+        divergent API calls); their scalar names are fresh locations,
+        colliding with ours only in name on self calls."""
         m = self.sym.methods[method_id]
         out: set[Representative] = set()
         for s in ast.walk(stmt):
@@ -262,11 +262,7 @@ class AliasAnalysis:
             if isinstance(s, ast.Call):
                 for t in self.sym.resolve_call(m, s):
                     if not t.extern:
-                        out.update(
-                            rep
-                            for rep in self._writes_memo[t.id]
-                            if not isinstance(rep, Scalar)
-                        )
+                        out |= self._heap_memo[t.id]
                     elif api_set is not None and t.name in api_set:
                         for actual in s.actuals:
                             out |= self.reachable_lvalues(method_id, actual)

@@ -37,9 +37,8 @@ of the swamp.
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .aliases import RET, AliasAnalysis
@@ -334,15 +333,9 @@ class AnalysisResult:
     causes: dict[str, frozenset[ast.DivergenceCause]]
     facts: dict[str, frozenset[Fact]]
     summaries: dict[str, frozenset[Fact]]
-    landfall_runs: int = field(default=0, compare=False)
 
 
-def analyze_program(
-    model: ProgramModel,
-    swamp_test: str = "pre",
-    order: str = "fifo",
-    seed: int | None = None,
-) -> AnalysisResult:
+def analyze_program(model: ProgramModel, swamp_test: str = "pre") -> AnalysisResult:
     """Interprocedural fixpoint: run the method analysis per worklist entry,
     maintain stripped summaries, and re-queue callers whose callee summaries
     changed. The result is the least fixpoint, independent of pop order."""
@@ -350,31 +343,13 @@ def analyze_program(
     methods = model.analysis_order()
     summaries: dict[str, frozenset[Fact]] = {mid: frozenset() for mid in methods}
     facts: dict[str, frozenset[Fact]] = {mid: frozenset() for mid in methods}
-    runs = 0
 
     pending = deque(methods)
     queued = set(methods)
-    rng = random.Random(seed)
-
-    def pop() -> str:
-        if order == "fifo":
-            mid = pending.popleft()
-        elif order == "lifo":
-            mid = pending.pop()
-        elif order == "random":
-            i = rng.randrange(len(pending))
-            pending.rotate(-i)
-            mid = pending.popleft()
-            pending.rotate(i)
-        else:
-            raise ValueError(f"unknown worklist order {order!r}")
-        queued.discard(mid)
-        return mid
-
     while pending:
-        mid = pop()
+        mid = pending.popleft()
+        queued.discard(mid)
         out = analyzer.method_facts(mid, summaries)
-        runs += 1
         facts[mid] = out
         stripped = analyzer.strip_locals(mid, out)
         if stripped != summaries[mid]:
@@ -403,6 +378,4 @@ def analyze_program(
         causes=causes,
         facts=facts,
         summaries=summaries,
-        landfall_runs=runs,
     )
-

@@ -5,15 +5,12 @@ class C may hold C or any subclass, an interface reference may hold any class
 implementing it (or a subinterface) and their subclasses. Virtual lookup walks
 from each candidate class to the nearest declaration, so inherited methods
 resolve too. Recursive methods are the members of nontrivial strongly
-connected components (plus self loops), computed with Tarjan's algorithm; a
-termination-oracle hook may discharge members, and the default discharges
-nothing because the loop oracle has no recursion story.
+connected components (plus self loops), computed with Tarjan's algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .lang import ast
 from .lang.check import Symbols
@@ -28,11 +25,6 @@ class CallGraph:
 
     def callers_of(self, method_id: str) -> tuple[str, ...]:
         return self.preds.get(method_id, ())
-
-
-def runtime_types(symbols: Symbols, declared: str) -> set[str]:
-    """All classes a reference of the declared type can hold at runtime."""
-    return symbols.runtime_types(declared)
 
 
 def build_call_graph(program: ast.Program, symbols: Symbols) -> CallGraph:
@@ -116,15 +108,9 @@ def strongly_connected_components(
     return sccs
 
 
-def recursion_set(
-    graph: CallGraph,
-    discharge: Callable[[str], bool] | None = None,
-) -> frozenset[str]:
-    """Methods on call-graph cycles, minus any the discharge hook can clear.
-
-    The default hook clears nothing: the loop-shaped termination oracle says
-    nothing about recursion, so every cycle member is treated as divergent.
-    """
+def recursion_set(graph: CallGraph) -> frozenset[str]:
+    """Methods on call-graph cycles. The loop-shaped termination oracle says
+    nothing about recursion, so every cycle member is treated as divergent."""
     out: set[str] = set()
     for scc in strongly_connected_components(graph.nodes, graph.succs):
         if len(scc) > 1:
@@ -132,8 +118,6 @@ def recursion_set(
     for mid in graph.nodes:
         if (mid, mid) in graph.edges:
             out.add(mid)
-    if discharge is not None:
-        out = {mid for mid in out if not discharge(mid)}
     return frozenset(out)
 
 

@@ -42,10 +42,6 @@ class Cfg:
     entry: int = 0
     exit: int = 0
 
-    @property
-    def edges(self) -> set[tuple[int, int]]:
-        return {(u, v) for u, row in enumerate(self.succs) for v in row}
-
     def add(self, kind: str, stmt: ast.Stmt | None = None, cond: ast.Cond | None = None) -> int:
         nid = len(self.nodes)
         loc = stmt.loc if stmt is not None else ast.UNKNOWN_LOC
@@ -300,12 +296,10 @@ def control_dependents(g: Cfg) -> dict[int, set[int]]:
     return deps
 
 
-def governing_branches(g: Cfg, direct: dict[int, set[int]] | None = None) -> list[frozenset[int]]:
+def governing_branches(g: Cfg) -> list[frozenset[int]]:
     """For each node, the branches it transitively control-depends on."""
-    if direct is None:
-        direct = control_dependents(g)
     on: list[set[int]] = [set() for _ in g.nodes]
-    for b, nodes in direct.items():
+    for b, nodes in control_dependents(g).items():
         for n in nodes:
             on[n].add(b)
     # close transitively; branch-on-branch edges may form cycles (loop headers)

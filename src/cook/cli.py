@@ -89,8 +89,14 @@ def analyze(
         symbols = check_program(program)
     except CaribError as e:
         raise click.ClickException(e.format())
+    try:
+        safe = load_safe_list(safe_list) if safe_list else frozenset()
+    except OSError as e:
+        raise click.ClickException(f"{safe_list}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise click.ClickException(f"{safe_list}: not UTF-8: {e}")
     config = ReportConfig(
-        safe_list=load_safe_list(safe_list) if safe_list else frozenset(),
+        safe_list=safe,
         min_instructions=min_instructions,
         exclude_accessors=not no_accessor_filter,
         swamp_test=swamp_test,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .aliases import RET, AliasAnalysis
 from .lang import ast
 from .lang.check import Symbols
-from .representatives import ArrayPart, Bottom, BOTTOM, Representative, Scalar, TypeField
+from .representatives import ArrayPart, Bottom, BOTTOM, Representative, Scalar
 
 DEFAULT_FUEL = 10**6
 _REIFIED_ITER_CAP = 10**7
@@ -120,7 +120,6 @@ class RunOutcome:
     call_trace: tuple[tuple[str, str], ...] = ()
     fault_kind: str | None = None
     fault_loc: ast.Loc | None = None
-    env: dict[str, Value] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -474,11 +473,7 @@ class _Reified:
         if callee.id in self.dec.recursion:
             # mirror the rewrite: heap effects and the call target only;
             # callee frames (even written formals) are unobservable here
-            reps = {
-                rep for rep in self.aliases.method_writes(callee.id)
-                if not isinstance(rep, Scalar)
-            }
-            self.taint_reps(m.id, env, reps)
+            self.taint_reps(m.id, env, self.aliases.heap_writes(callee.id))
             env[s.target] = BOTTOM
             return
         result = self.exec_method(callee, [env[a] for a in s.actuals])
@@ -567,12 +562,11 @@ def run_reified(
 # ---------------------------------------------------------------------------
 
 
-def store_divergence_free(store: Store, entry_env: dict[str, Value] | None = None) -> bool:
+def store_divergence_free(store: Store) -> bool:
     if store.tainted:
         return False
-    env = store.values if entry_env is None else entry_env
     seen: set[int] = set()
-    work = list(env.values())
+    work = list(store.values.values())
     while work:
         v = work.pop()
         if v is BOTTOM:
@@ -631,17 +625,16 @@ def random_store(
     aliases: AliasAnalysis,
     method_id: str,
     rng,
-    int_range: tuple[int, int] = (-8, 8),
     array_len: int = 8,
-    depth: int = 2,
 ) -> Store:
-    """Divergence-free store for a method's formals, heap synthesized to a
-    bounded depth with runtime classes drawn from the declared hierarchy."""
+    """Divergence-free store for a method's formals: ints drawn from
+    [-8, 8], heap synthesized to depth 2 with runtime classes drawn from the
+    declared hierarchy."""
     m = symbols.methods[method_id]
 
     def make(t: str, at_depth: int, part: int | None) -> Value:
         if t == ast.INT:
-            return rng.randint(*int_range)
+            return rng.randint(-8, 8)
         if ast.is_array_type(t):
             elem = ast.elem_type(t)
             cells = [make(elem, at_depth - 1, None) for _ in range(array_len)]
@@ -665,5 +658,5 @@ def random_store(
         part = None
         if ast.is_array_type(p.type):
             part = aliases.partition_of(method_id, p.name)
-        values[p.name] = make(p.type, depth, part)
+        values[p.name] = make(p.type, 2, part)
     return Store(values=values)

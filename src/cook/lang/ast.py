@@ -50,10 +50,6 @@ def elem_type(t: str) -> str:
     return t[:-2]
 
 
-def is_ref_type(t: str) -> bool:
-    return t != INT and not is_array_type(t)
-
-
 @dataclass(frozen=True, slots=True)
 class Loc:
     line: int = 0
@@ -285,37 +281,6 @@ def walk(body: Stmt | Block | None):
             stack.append(s.then_body)
         elif isinstance(s, While):
             stack.append(s.body)
-
-
-def free_vars(e: Cond | Stmt) -> set[str]:
-    """Identifiers syntactically occurring in a condition or a statement's RHS.
-
-    Follows syntactic occurrence: the RHS ``a[i]`` reads both ``a`` and ``i``,
-    the RHS ``o.f`` reads ``o``, and constants read nothing.
-    """
-    if isinstance(e, Cond):
-        return {e.left, e.right}
-    if isinstance(e, ConstAssign):
-        return set()
-    if isinstance(e, CopyAssign):
-        return {e.source}
-    if isinstance(e, UnaryAssign):
-        return {e.operand}
-    if isinstance(e, BinaryAssign):
-        return {e.left, e.right}
-    if isinstance(e, FieldRead):
-        return {e.obj}
-    if isinstance(e, ArrayRead):
-        return {e.array, e.index}
-    if isinstance(e, (FieldWrite, ArrayWrite)):
-        return {e.source}
-    if isinstance(e, Call):
-        return set(e.actuals)
-    if isinstance(e, Return):
-        return {e.value}
-    if isinstance(e, BottomAssign):
-        return set()
-    raise TypeError(f"no RHS for {type(e).__name__}")
 
 
 def instruction_count(body: Block | None) -> int:

@@ -3,7 +3,7 @@
 `ProgramModel` computes everything the divergence rewrite, the reified
 interpreter, and the report agree on: per-method CFGs and loop structure,
 a termination verdict per loop, the recursion set, and the divergent API
-set (externs plus configured names, minus the safe list).
+set (externs minus the safe list).
 
 Loop verdicts are computed innermost-first. An inner loop that will be
 rewritten away contributes an opaque write stand-in to its parent's cycle
@@ -27,7 +27,6 @@ from .lang.check import Symbols, check as check_program
 from .summaries import (
     DfVerdict,
     LoopSummary,
-    TermTypes,
     classify_terms,
     cycle_formula,
     df_check,
@@ -53,7 +52,6 @@ class LoopModel:
     stmt: ast.While | None
     verdict: TerminationVerdict
     cycles: CycleSet | None = None
-    term_types: TermTypes | None = None
     df: DfVerdict | None = None
     summary: LoopSummary | None = None
 
@@ -71,19 +69,17 @@ class ProgramModel:
         program: ast.Program,
         symbols: Symbols | None = None,
         safe_list: frozenset[str] = frozenset(),
-        api_extra: frozenset[str] = frozenset(),
         nested_policy: str = BASIC,
         aliases: AliasAnalysis | None = None,
-        allow_bottom: bool = False,
         with_loops: bool = True,
     ):
         self.program = program
-        self.symbols = symbols or check_program(program, allow_bottom=allow_bottom)
+        self.symbols = symbols or check_program(program)
         self.aliases = aliases or AliasAnalysis(program, self.symbols)
         self.safe_list = frozenset(safe_list)
         self.nested_policy = nested_policy
         externs = {m.name for m in program.methods if m.extern}
-        self.api_set = frozenset((externs | set(api_extra)) - self.safe_list)
+        self.api_set = frozenset(externs - self.safe_list)
         self.callgraph: CallGraph = build_call_graph(program, self.symbols)
         self.recursion = recursion_set(self.callgraph)
         self.methods: dict[str, MethodModel] = {}
@@ -128,7 +124,7 @@ class ProgramModel:
         blocked = None
         for ch in children:
             child = models[ch.id]
-            names = child.cycles.written_names if child.cycles else _written_names(ch, g, None)
+            names = child.cycles.written_names if child.cycles else _written_names(ch, g, {})
             if not child.verdict.terminates:
                 # the rewrite will replace it with an opaque parallel assignment
                 stand_ins[ch.header] = OpaqueUpdate(names)
@@ -141,13 +137,7 @@ class ProgramModel:
             return LoopModel(info, stmt, TerminationVerdict(False, reason=blocked))
 
         try:
-            cycles = extract_cycles(
-                info,
-                g,
-                list(by_id.values()),
-                policy=SUMMARY if stand_ins else BASIC,
-                opaque_inner=stand_ins or None,
-            )
+            cycles = extract_cycles(info, g, list(by_id.values()), stand_ins)
         except (NestedLoopError, PathExplosionError) as e:
             return LoopModel(info, stmt, TerminationVerdict(False, reason=str(e)))
 
@@ -161,7 +151,6 @@ class ProgramModel:
         except NoInductionVariable as e:
             lm.df = DfVerdict(False, 1, str(e))
             return lm
-        lm.term_types = tt
         mid = g.method_id
         lm.df = df_check(
             cycles, tt, distinct_array_parts=lambda a: self.aliases.partition_of(mid, a)

@@ -33,8 +33,6 @@ class ReportConfig:
     swamp_test: str = "pre"  # or "post"
     format: str = "text"  # or "json"
     nested_policy: str = BASIC
-    worklist: str = "fifo"
-    seed: int | None = None
 
 
 @dataclass
@@ -142,14 +140,7 @@ def transformed_model(model: ProgramModel) -> ProgramModel:
     p2 = rewrite_program(model)
     sym2 = check_program(p2, allow_bottom=True)
     al2 = AliasAnalysis(p2, sym2, partitions_from=model.aliases)
-    return ProgramModel(
-        p2,
-        sym2,
-        safe_list=model.safe_list,
-        aliases=al2,
-        allow_bottom=True,
-        with_loops=False,
-    )
+    return ProgramModel(p2, sym2, safe_list=model.safe_list, aliases=al2, with_loops=False)
 
 
 def analyze_sources(
@@ -162,7 +153,7 @@ def analyze_sources(
     )
     tmodel = transformed_model(model)
     t0 = time.perf_counter()
-    result = analyze_program(tmodel, swamp_test=cfg.swamp_test, order=cfg.worklist, seed=cfg.seed)
+    result = analyze_program(tmodel, swamp_test=cfg.swamp_test)
     timing_ms = (time.perf_counter() - t0) * 1000.0
     return build_report(model, result, cfg, timing_ms)
 

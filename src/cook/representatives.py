@@ -51,7 +51,3 @@ class Bottom:
 BOTTOM = Bottom()
 
 Representative = Scalar | TypeField | ArrayPart | Bottom
-
-
-def render(rep: Representative) -> str:
-    return rep.render()

@@ -26,15 +26,9 @@ from .pipeline import ProgramModel
 from .representatives import Representative, Scalar
 
 
-def _sorted_targets(reps, method_id: str) -> tuple[Representative, ...]:
-    """Deterministically ordered targets, restricted to what the enclosing
-    method can observe: its own frame and the heap. Callee-frame names die
-    with their frames under call-by-value and would even collide with the
-    caller's own locals on self calls."""
-    visible = (
-        r for r in reps if not isinstance(r, Scalar) or r.method == method_id
-    )
-    return tuple(sorted(visible, key=lambda r: (r.__class__.__name__, r.render())))
+def _sorted_targets(reps) -> tuple[Representative, ...]:
+    """Bottom-assignment targets in a deterministic order."""
+    return tuple(sorted(reps, key=lambda r: (r.__class__.__name__, r.render())))
 
 
 class _Rewriter:
@@ -86,11 +80,10 @@ class _Rewriter:
             if body is s.body:
                 return s
             return ast.While(s.cond, body, loc=s.loc)
-        rewritten = ast.While(s.cond, body, loc=s.loc)
-        targets = self.aliases.written_reps(m.id, rewritten)
-        return ast.BottomAssign(
-            _sorted_targets(targets, m.id), ast.DivergenceCause.LOOP, loc=s.loc
-        )
+        # no `api_set`: the inner rewrite has already turned every divergent
+        # API call in the body into bottom assignments
+        targets = self.aliases.observable_writes(m.id, ast.While(s.cond, body, loc=s.loc))
+        return ast.BottomAssign(_sorted_targets(targets), ast.DivergenceCause.LOOP, loc=s.loc)
 
     def call(self, m: ast.Method, s: ast.Call) -> ast.Stmt | ast.Block:
         targets = self.sym.resolve_call(m, s)
@@ -106,9 +99,7 @@ class _Rewriter:
             )
             if not reach:
                 return result
-            smear = ast.BottomAssign(
-                _sorted_targets(reach, m.id), ast.DivergenceCause.API, loc=s.loc
-            )
+            smear = ast.BottomAssign(_sorted_targets(reach), ast.DivergenceCause.API, loc=s.loc)
             return smear, result
         if any(t.id in self.model.recursion for t in targets):
             # under call by value the callee can reach only the heap and the
@@ -116,11 +107,9 @@ class _Rewriter:
             # the callee's own copy) are unobservable from this frame
             reps: set[Representative] = {Scalar(m.id, s.target)}
             for t in targets:
-                for rep in self.aliases.method_writes(t.id):
-                    if not isinstance(rep, Scalar):
-                        reps.add(rep)
+                reps |= self.aliases.heap_writes(t.id)
             return ast.BottomAssign(
-                _sorted_targets(reps, m.id), ast.DivergenceCause.RECURSION, loc=s.loc
+                _sorted_targets(reps), ast.DivergenceCause.RECURSION, loc=s.loc
             )
         return s
 

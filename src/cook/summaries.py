@@ -21,7 +21,7 @@ symbolic here and is evaluated by iteration when entry states are concrete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NoInductionVariable, NotDependencyFree
 from .interp import RELOPS, binop64, unop64, wrap64
@@ -133,14 +133,12 @@ class GuardAtom:
 
 @dataclass(frozen=True, slots=True)
 class Transition:
-    """pc = l and guard and updates and pc' = l'; pcs may be omitted."""
+    """A guard over pre-state variables and the updates it enables."""
 
     guard: tuple[GuardAtom, ...]
     updates: tuple[tuple[str, tuple], ...]  # (var, expr), each var at most once
     arrays: tuple[tuple[str, tuple, tuple], ...] = ()  # (array, index, value)
     field_writes: tuple[str, ...] = ()
-    pre_pc: int | None = None
-    post_pc: int | None = None
 
     def update_map(self) -> dict[str, tuple]:
         return dict(self.updates)
@@ -179,8 +177,6 @@ def compose(t1: Transition, t2: Transition) -> Transition:
     t1's functional updates into t2's guard and updates. Updates are stored
     in canonical form, so a long path does not build an expression that
     grows with its length."""
-    if t1.post_pc is not None and t2.pre_pc is not None and t1.post_pc != t2.pre_pc:
-        raise ValueError(f"pc mismatch: {t1.post_pc} vs {t2.pre_pc}")
     u1 = t1.update_map()
     guard = t1.guard + tuple(g.substituted(u1) for g in t2.guard)
     merged = dict(t1.updates)
@@ -194,8 +190,6 @@ def compose(t1: Transition, t2: Transition) -> Transition:
         tuple(sorted(merged.items())),
         tuple(arrays),
         t1.field_writes + t2.field_writes,
-        t1.pre_pc if t1.pre_pc is not None else t2.pre_pc,
-        t2.post_pc if t2.post_pc is not None else t1.post_pc,
     )
 
 

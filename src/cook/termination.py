@@ -27,7 +27,8 @@ from .interp import binop64, unop64
 from .lang import ast
 from .representatives import Scalar
 
-DEFAULT_CYCLE_CAP = 64
+# a loop with more single-iteration paths than this is left unjudged
+MAX_CYCLES = 64
 
 _NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
@@ -63,7 +64,6 @@ class Cycle:
     """
 
     steps: tuple
-    closes: bool  # False when the path leaves the loop through a return
 
     @property
     def guard(self) -> tuple[Atom, ...]:
@@ -78,7 +78,7 @@ class Cycle:
 class CycleSet:
     header: int
     cycles: tuple[Cycle, ...]  # closing cycles only
-    exits: tuple[Cycle, ...]
+    exits: tuple[Cycle, ...]  # paths that leave the loop through a return
     written_names: frozenset[str]  # every scalar the loop body may write
 
 
@@ -106,23 +106,21 @@ def extract_cycles(
     loop: LoopInfo,
     g: Cfg,
     loops: list[LoopInfo],
-    policy: str = "basic",
     opaque_inner: dict[int, OpaqueUpdate] | None = None,
-    cap: int = DEFAULT_CYCLE_CAP,
 ) -> CycleSet:
     """Enumerate the loop's single-iteration cycles.
 
-    `policy="basic"` refuses loops containing loops. `policy="summary"` skips
-    over an inner loop when `opaque_inner` maps its header to a write-effect
-    stand-in, continuing from the inner loop's exit edge.
+    An inner loop is stepped over when `opaque_inner` maps its header to a
+    write-effect stand-in, continuing from the inner loop's exit edge; a
+    loop with an inner loop that has no stand-in is refused.
     """
+    opaque_inner = opaque_inner or {}
     children = {l.header for l in loops if l.parent == loop.id}
-    if children and policy == "basic":
-        raise NestedLoopError(f"loop at node {loop.header} contains nested loops")
-    if children and policy == "summary":
-        missing = children - set(opaque_inner or {})
-        if missing:
-            raise NestedLoopError(f"no summary stand-in for inner headers {sorted(missing)}")
+    missing = children - set(opaque_inner)
+    if missing:
+        raise NestedLoopError(
+            f"loop at node {loop.header}: no stand-in for inner headers {sorted(missing)}"
+        )
 
     header = loop.header
     head_cond = g.nodes[header].cond
@@ -139,18 +137,19 @@ def extract_cycles(
     work: list[tuple[int, tuple]] = [(true_succ, (("guard", head_atom),))]
     while work:
         node, steps = work.pop()
-        if len(cycles) + len(exits) > cap:
-            raise PathExplosionError(f"more than {cap} cycles in loop at node {loop.header}")
+        if len(cycles) + len(exits) > MAX_CYCLES:
+            raise PathExplosionError(
+                f"more than {MAX_CYCLES} cycles in loop at node {loop.header}"
+            )
         if node == header:
-            cycles.append(Cycle(steps, closes=True))
+            cycles.append(Cycle(steps))
             continue
         if node not in loop.body:
-            exits.append(Cycle(steps, closes=False))
+            exits.append(Cycle(steps))
             continue
         if node in children:
-            stand_in = (opaque_inner or {})[node]
             # continue past the inner loop through its false edge
-            work.append((g.succs[node][1], steps + (stand_in,)))
+            work.append((g.succs[node][1], steps + (opaque_inner[node],)))
             continue
         n = g.nodes[node]
         if n.kind == BRANCH:
@@ -168,7 +167,7 @@ def extract_cycles(
 
 
 def _written_names(
-    loop: LoopInfo, g: Cfg, opaque_inner: dict[int, OpaqueUpdate] | None
+    loop: LoopInfo, g: Cfg, opaque_inner: dict[int, OpaqueUpdate]
 ) -> frozenset[str]:
     out: set[str] = set()
     for nid in loop.body:
@@ -184,7 +183,7 @@ def _written_names(
             for rep in s.targets:
                 if isinstance(rep, Scalar) and rep.method == g.method_id:
                     out.add(rep.name)
-    for stand_in in (opaque_inner or {}).values():
+    for stand_in in opaque_inner.values():
         out |= stand_in.names
     return frozenset(out)
 
@@ -265,9 +264,7 @@ def dominating_consts(g: Cfg, loop: LoopInfo) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def check_termination(
-    cs: CycleSet, formulas: tuple, bidirectional: bool = True
-) -> TerminationVerdict:
+def check_termination(cs: CycleSet, formulas: tuple) -> TerminationVerdict:
     """Terminating iff some counter advances by a constant nonzero stride in
     one direction in every closing cycle, and every closing cycle's guard
     bounds it (above for increasing, below for decreasing) by an identifier
@@ -298,7 +295,7 @@ def check_termination(
         strides = tuple(lin[2] for lin in nets)
         if all(d > 0 for d in strides):
             increasing = True
-        elif bidirectional and all(d < 0 for d in strides):
+        elif all(d < 0 for d in strides):
             increasing = False
         else:
             continue

@@ -49,13 +49,12 @@ method count(n: int): int {
 """
 
 
-def run_pipeline(src: str, safe=frozenset(), swamp_test="pre", order="fifo", seed=None,
-                 nested_policy="basic"):
+def run_pipeline(src: str, safe=frozenset(), swamp_test="pre", nested_policy="basic"):
     program, symbols = load(src)
     model = ProgramModel(program, symbols, safe_list=frozenset(safe),
                          nested_policy=nested_policy)
     tmodel = transformed_model(model)
-    result = analyze_program(tmodel, swamp_test=swamp_test, order=order, seed=seed)
+    result = analyze_program(tmodel, swamp_test=swamp_test)
     return model, result
 
 

@@ -16,7 +16,7 @@ def build(src):
 
 def test_scalar_representative_is_method_qualified():
     p, sym, al = build("method m(x: int): int { return x; }")
-    assert al.representative("m", "x") == Scalar("m", "x")
+    assert al.scalar("m", "x") == Scalar("m", "x")
 
 
 def test_field_representative_uses_highest_declaring_class():

@@ -396,10 +396,19 @@ def test_fixpoint_identical_across_worklist_orders():
     )
     model = ProgramModel(p)
     tmodel = transformed_model(model)
-    base = analyze_program(tmodel, order="fifo")
-    assert analyze_program(tmodel, order="lifo") == base
+    base = analyze_program(tmodel)
+    callees_first = tmodel.analysis_order()
+    orders = [callees_first[::-1]]
     for seed in range(3):
-        assert analyze_program(tmodel, order="random", seed=seed) == base
+        shuffled = list(callees_first)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    for order in orders:
+        assert order != callees_first
+        # the worklist starts from the analysis order, so this changes the
+        # order in which methods are first visited and requeued
+        tmodel.analysis_order = lambda order=order: list(order)
+        assert analyze_program(tmodel) == base, order
 
 
 def test_rerunning_on_fixpoint_summaries_is_stable():

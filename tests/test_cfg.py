@@ -232,7 +232,7 @@ def test_ipdom_really_postdominates():
 def test_transitive_closure_contains_direct_relation():
     for g in small_cfgs(want=10):
         direct = control_dependents(g)
-        trans = governing_branches(g, direct)
+        trans = governing_branches(g)
         for b, nodes in direct.items():
             for n in nodes:
                 assert b in trans[n]

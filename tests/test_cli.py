@@ -108,6 +108,23 @@ def test_non_utf8_input_is_a_diagnostic(tmp_path):
     assert f"Error: {path}: not UTF-8" in result.output
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda p: p.write_bytes(b"\xff\xfeapi\n"), "not UTF-8"),
+        (lambda p: p.mkdir(), "Is a directory"),
+    ],
+    ids=["not-utf8", "directory"],
+)
+def test_unreadable_safe_list_is_a_diagnostic(tmp_path, counted_loop, make, message):
+    safe = tmp_path / "safe.txt"
+    make(safe)
+    result = invoke(tmp_path, ["analyze", "--safe-list", str(safe)], counted_loop)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {safe}: {message}" in result.output
+
+
 ARGS_PROBE = """
 class A { f: int; }
 method m(a: int): int { return a; }

@@ -5,7 +5,6 @@ import pytest
 from cook.errors import CheckDiagnostic, SyntaxDiagnostic
 from cook.generator import GenParams, generate_program
 from cook.lang import ast, load, parse, pretty
-from cook.lang.ast import free_vars
 from cook.lang.parser import MAX_BLOCK_DEPTH
 
 
@@ -170,23 +169,6 @@ method m(a: int): int {
     for m in p.methods:
         for s in ast.walk(m.body):
             assert s.loc.line > 0, f"missing location on {type(s).__name__}"
-
-
-def test_free_vars_binary():
-    s = ast.BinaryAssign("x", "y", "+", "z")
-    assert free_vars(s) == {"y", "z"}
-
-
-def test_free_vars_constant():
-    assert free_vars(ast.ConstAssign("x", 5)) == set()
-
-
-def test_free_vars_array_read_includes_index():
-    assert free_vars(ast.ArrayRead("x", "a", "i")) == {"a", "i"}
-
-
-def test_free_vars_cond():
-    assert free_vars(ast.Cond("y", "<", "z")) == {"y", "z"}
 
 
 def test_grammar_assign_forms_cover_eight_shapes():

@@ -129,9 +129,7 @@ def test_rewrite_is_idempotent_on_generated_programs():
         p2 = rewrite_program(model)
         sym2 = check(p2, allow_bottom=True)
         al2 = AliasAnalysis(p2, sym2, partitions_from=model.aliases)
-        model2 = ProgramModel(
-            p2, sym2, safe_list=model.safe_list, aliases=al2, allow_bottom=True
-        )
+        model2 = ProgramModel(p2, sym2, safe_list=model.safe_list, aliases=al2)
         p3 = rewrite_program(model2)
         assert p3 == p2, seed
 

@@ -65,13 +65,6 @@ def test_compose_identity_left_and_right():
     assert compose(t, IDENTITY) == t
 
 
-def test_compose_pc_mismatch_rejected():
-    t1 = Transition((), (), pre_pc=3, post_pc=4)
-    t2 = Transition((), (), pre_pc=5, post_pc=3)
-    with pytest.raises(ValueError):
-        compose(t1, t2)
-
-
 def test_counted_loop_cycle_composes_to_single_formula(counted_loop):
     """Transitions through the loop body compose into one formula: guard i<n
     with updates i'=i+1 and j'=j+3."""
@@ -85,11 +78,10 @@ def test_counted_loop_cycle_composes_to_single_formula(counted_loop):
 
 
 def test_pc_labelled_transitions_compose_in_sequence():
-    guard = Transition((GuardAtom(var_expr("i"), "<", var_expr("n")),), (), pre_pc=3, post_pc=4)
-    inc_i = Transition((), (("i", ("bin", "+", var_expr("i"), num_expr(1))),), pre_pc=4, post_pc=5)
-    inc_j = Transition((), (("j", ("bin", "+", var_expr("j"), num_expr(3))),), pre_pc=5, post_pc=3)
+    guard = Transition((GuardAtom(var_expr("i"), "<", var_expr("n")),), ())
+    inc_i = Transition((), (("i", ("bin", "+", var_expr("i"), num_expr(1))),))
+    inc_j = Transition((), (("j", ("bin", "+", var_expr("j"), num_expr(3))),))
     formula = path_formula([guard, inc_i, inc_j])
-    assert formula.pre_pc == 3 and formula.post_pc == 3
     assert [a.render() for a in formula.guard] == ["i < n"]
     assert formula.update_map()["j"] == ("bin", "+", var_expr("j"), num_expr(3))
 

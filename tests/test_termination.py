@@ -19,6 +19,7 @@ from cook.pipeline import ProgramModel
 from cook.summaries import cycle_formula
 from cook.termination import (
     Cycle,
+    OpaqueUpdate,
     check_termination,
     dominating_consts,
     extract_cycles,
@@ -107,7 +108,7 @@ method m(n: int): int {{
 """
     p, m, g, loops = loop_of(src)
     with pytest.raises(PathExplosionError):
-        extract_cycles(loops[0], g, loops, cap=64)
+        extract_cycles(loops[0], g, loops)
 
 
 def test_nested_loop_raises_under_basic_policy():
@@ -129,7 +130,42 @@ method m(n: int): int {
     loops = find_loops(g)
     outer = next(l for l in loops if l.depth == 1)
     with pytest.raises(NestedLoopError):
-        extract_cycles(outer, g, loops, policy="basic")
+        extract_cycles(outer, g, loops)
+
+
+def test_every_inner_loop_needs_a_stand_in():
+    src = """
+method m(n: int): int {
+  var i: int; var j: int; var k: int; var one: int;
+  one := 1; i := 0;
+  while i < n do {
+    j := 0;
+    while j < n do { j := j + one; }
+    k := 0;
+    while k < n do { k := k + one; }
+    i := i + one;
+  }
+  return i;
+}
+"""
+    p = parse(src)
+    g = build_cfg(p.methods[0])
+    loops = find_loops(g)
+    outer = next(l for l in loops if l.depth == 1)
+    first, second = sorted(l.header for l in loops if l.parent == outer.id)
+    with pytest.raises(NestedLoopError, match=rf"inner headers \[{second}\]"):
+        extract_cycles(outer, g, loops, {first: OpaqueUpdate(frozenset({"j"}))})
+    cs = extract_cycles(
+        outer,
+        g,
+        loops,
+        {first: OpaqueUpdate(frozenset({"j"})), second: OpaqueUpdate(frozenset({"k"}))},
+    )
+    (cycle,) = cs.cycles
+    assert [s.names for s in cycle.steps if isinstance(s, OpaqueUpdate)] == [{"j"}, {"k"}]
+    assert {"i", "j", "k"} <= cs.written_names
+    v = check_termination(cs, closing_formulas(cs, g, outer, p.methods[0]))
+    assert v.terminates and v.counter == "i"
 
 
 def test_return_inside_loop_is_an_exit_path():
@@ -202,21 +238,6 @@ method m(n: int): int {
 """
     )
     assert v.terminates and v.counter == "i"
-
-
-def test_bidirectional_flag_off_rejects_decreasing():
-    src = """
-method m(n: int): int {
-  var i: int; var ten: int; var one: int;
-  one := 1; ten := 10; i := ten;
-  while i > n do { i := i - one; }
-  return i;
-}
-"""
-    p, m, g, loops = loop_of(src)
-    cs = extract_cycles(loops[0], g, loops)
-    formulas = closing_formulas(cs, g, loops[0], m)
-    assert not check_termination(cs, formulas, bidirectional=False).terminates
 
 
 def test_stride_zero_is_not_progress():

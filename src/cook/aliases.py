@@ -10,7 +10,11 @@ are conservatively assumed to alias.
 `observable_writes` harvests syntactic assignment targets without
 feasibility checks, restricted to what the enclosing frame can observe: its
 own scalars and the heap, where an internal call contributes its callees'
-heap writes transitively (`heap_writes`). `reachable_lvalues` is the
+heap writes transitively (`heap_writes`). The scalars a statement writes are
+`ast.scalar_writes`; field and array writes map to their representatives.
+A method's whole write set is closed over its callees in one pass over the
+call graph's strongly connected components, callees first, and the members
+of a component share one set. `reachable_lvalues` is the
 write footprint visible through an actual parameter: every representative
 reachable through its field structure (and array cells), excluding the
 parameter itself.
@@ -18,6 +22,7 @@ parameter itself.
 
 from __future__ import annotations
 
+from .callgraph import build_call_graph, strongly_connected_components
 from .lang import ast
 from .lang.check import Symbols
 from .representatives import ArrayPart, Representative, Scalar, TypeField
@@ -43,7 +48,6 @@ class AliasAnalysis:
         self._slot_order: list[tuple] = []
         self._part_ids: dict[tuple, int] = {}
         self._rlv_memo: dict[str, frozenset[Representative]] = {}
-        self._writes_memo: dict[str, frozenset[Representative]] = {}
         if partitions_from is not None:
             # A rewritten program references partition ids baked into its
             # bottom assignments, so it must keep the donor's numbering; the
@@ -162,55 +166,31 @@ class AliasAnalysis:
 
     # -- write sets --------------------------------------------------------------
 
-    def _own_writes(self, m: ast.Method) -> set[Representative]:
-        out: set[Representative] = set()
-        for s in ast.walk(m.body):
-            out |= self._stmt_targets(m.id, s)
-        return out
-
     def _stmt_targets(self, method_id: str, s: ast.Stmt) -> set[Representative]:
-        if isinstance(s, (ast.ConstAssign, ast.CopyAssign, ast.UnaryAssign, ast.BinaryAssign)):
-            return {self.scalar(method_id, s.target)}
-        if isinstance(s, (ast.FieldRead, ast.ArrayRead)):
-            return {self.scalar(method_id, s.target)}
         if isinstance(s, ast.FieldWrite):
             return {self.field_rep(method_id, s.obj, s.field_name)}
         if isinstance(s, ast.ArrayWrite):
             return {self.array_rep(method_id, s.array)}
-        if isinstance(s, ast.Call):
-            return {self.scalar(method_id, s.target)}
-        if isinstance(s, ast.Return):
-            return {self.scalar(method_id, RET)}
         if isinstance(s, ast.BottomAssign):
             return set(s.targets)
-        return set()
+        return {Scalar(method_id, name) for name in ast.scalar_writes(s, method_id)}
 
     def _build_method_writes(self) -> None:
-        """Whole-body write sets, closed over internal calls (recursion safe)."""
-        own: dict[str, set[Representative]] = {}
-        callees: dict[str, set[str]] = {}
-        for m in self.program.methods:
-            if m.extern:
-                continue
-            own[m.id] = self._own_writes(m)
-            outs: set[str] = set()
-            for s in ast.walk(m.body):
-                if isinstance(s, ast.Call):
-                    for t in self.sym.resolve_call(m, s):
-                        if not t.extern:
-                            outs.add(t.id)
-            callees[m.id] = outs
-
-        writes = {mid: set(reps) for mid, reps in own.items()}
-        changed = True
-        while changed:
-            changed = False
-            for mid, outs in callees.items():
-                for c in outs:
-                    if not writes[c] <= writes[mid]:
-                        writes[mid] |= writes[c]
-                        changed = True
-        self._writes_memo = {mid: frozenset(reps) for mid, reps in writes.items()}
+        """Whole-body write sets, closed over internal calls: one pass over
+        the call graph's SCCs, callees first; an SCC's members share a set."""
+        graph = build_call_graph(self.program, self.sym)
+        writes: dict[str, frozenset[Representative]] = {}
+        for scc in strongly_connected_components(graph.nodes, graph.succs):
+            reps: set[Representative] = set()
+            for mid in scc:
+                for s in ast.walk(self.sym.methods[mid].body):
+                    reps |= self._stmt_targets(mid, s)
+                for callee in graph.succs[mid]:
+                    reps |= writes.get(callee, frozenset())  # absent: same SCC
+            shared = frozenset(reps)
+            for mid in scc:
+                writes[mid] = shared
+        self._writes_memo = writes
         self._heap_memo = {
             mid: frozenset(r for r in reps if not isinstance(r, Scalar))
             for mid, reps in writes.items()

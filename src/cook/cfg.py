@@ -70,7 +70,7 @@ def build_cfg(m: ast.Method) -> Cfg:
     def build(block: ast.Block, frontier: list[tuple[int, int]]) -> list[tuple[int, int]]:
         for s in block:
             if not frontier:
-                raise CheckDiagnostic("unreachable statement", s.loc.line, s.loc.col)
+                raise CheckDiagnostic("unreachable statement", s.loc.line, s.loc.col, s.loc.file)
             if isinstance(s, ast.IfElse):
                 b = g.add(BRANCH, s, s.cond)
                 patch(frontier, b)
@@ -100,7 +100,9 @@ def build_cfg(m: ast.Method) -> Cfg:
 
     tail = build(m.body, [new_edge(g.entry)])
     if tail:
-        raise CheckDiagnostic(f"method {m.id!r} can fall off its end", m.loc.line, m.loc.col)
+        raise CheckDiagnostic(
+            f"method {m.id!r} can fall off its end", m.loc.line, m.loc.col, m.loc.file
+        )
     return g
 
 

@@ -33,7 +33,7 @@ def _load_program(paths: tuple[str, ...]) -> ast.Program:
     for path in paths:
         try:
             with open(path, encoding="utf-8") as fh:
-                unit = parse_unit(fh.read())
+                unit = parse_unit(fh.read(), file=path)
         except OSError as e:
             raise click.ClickException(str(e))
         except UnicodeDecodeError as e:

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 
 class CaribError(Exception):
-    """Base for all user-facing diagnostics; carries a source position."""
+    """Base for all user-facing diagnostics; carries a source position and,
+    when the position came from a parse given a file name, that file."""
 
-    def __init__(self, message: str, line: int = 0, col: int = 0):
+    def __init__(self, message: str, line: int = 0, col: int = 0, file: str = ""):
         self.message = message
         self.line = line
         self.col = col
+        self.file = file
         super().__init__(self.format())
 
     def format(self) -> str:
         if self.line:
-            return f"{self.line}:{self.col}: {self.message}"
+            where = f"{self.file}:" if self.file else ""
+            return f"{where}{self.line}:{self.col}: {self.message}"
         return self.message
 
 

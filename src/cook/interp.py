@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .aliases import RET, AliasAnalysis
 from .lang import ast
 from .lang.check import Symbols
-from .representatives import ArrayPart, Bottom, BOTTOM, Representative, Scalar
+from .representatives import ArrayPart, BOTTOM, Representative, Scalar
 
 DEFAULT_FUEL = 10**6
 _REIFIED_ITER_CAP = 10**7

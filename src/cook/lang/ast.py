@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..representatives import Representative
+from ..representatives import Representative, Scalar
 
 # ---------------------------------------------------------------------------
 # types and locations
@@ -54,6 +54,7 @@ def elem_type(t: str) -> str:
 class Loc:
     line: int = 0
     col: int = 0
+    file: str = ""  # the source file, when the parser was given one
 
 
 UNKNOWN_LOC = Loc()
@@ -281,6 +282,25 @@ def walk(body: Stmt | Block | None):
             stack.append(s.then_body)
         elif isinstance(s, While):
             stack.append(s.body)
+
+
+_TARGETED = (ConstAssign, CopyAssign, UnaryAssign, BinaryAssign, FieldRead, ArrayRead, Call)
+
+
+def scalar_writes(s: Stmt | None, method_id: str) -> tuple[str, ...]:
+    """Names of the scalars of method `method_id`'s frame that `s` writes:
+    the target of an assignment, read or call, ``ret`` for a return, and
+    the own-method scalar targets of a bottom assignment. A branch writes
+    none; the statements nested in it are asked one by one."""
+    if isinstance(s, _TARGETED):
+        return (s.target,)
+    if isinstance(s, Return):
+        return ("ret",)
+    if isinstance(s, BottomAssign):
+        return tuple(
+            r.name for r in s.targets if isinstance(r, Scalar) and r.method == method_id
+        )
+    return ()
 
 
 def instruction_count(body: Block | None) -> int:

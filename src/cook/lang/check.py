@@ -102,29 +102,17 @@ class Symbols:
         nearest declaration on the receiver's static type, else the free method."""
         if call.callee in self.class_method_names:
             if not call.actuals:
-                raise CheckDiagnostic(
-                    f"virtual call to {call.callee!r} needs a receiver argument",
-                    call.loc.line,
-                    call.loc.col,
-                )
+                raise _err(f"virtual call to {call.callee!r} needs a receiver argument", call.loc)
             rtype = self.var_types[caller.id].get(call.actuals[0])
             if rtype is None or rtype not in self.classes:
-                raise CheckDiagnostic(
-                    f"receiver of {call.callee!r} must be a class instance",
-                    call.loc.line,
-                    call.loc.col,
-                )
+                raise _err(f"receiver of {call.callee!r} must be a class instance", call.loc)
             decl = self.lookup_method(rtype, call.callee)
             if decl is None:
-                raise CheckDiagnostic(
-                    f"no method {call.callee!r} on type {rtype!r}", call.loc.line, call.loc.col
-                )
+                raise _err(f"no method {call.callee!r} on type {rtype!r}", call.loc)
             return decl
         m = self.free_methods.get(call.callee)
         if m is None:
-            raise CheckDiagnostic(
-                f"call to undeclared method {call.callee!r}", call.loc.line, call.loc.col
-            )
+            raise _err(f"call to undeclared method {call.callee!r}", call.loc)
         return m
 
     def resolve_call(self, caller: ast.Method, call: ast.Call) -> list[ast.Method]:
@@ -172,7 +160,7 @@ class Symbols:
 
 
 def _err(msg: str, loc: ast.Loc) -> CheckDiagnostic:
-    return CheckDiagnostic(msg, loc.line, loc.col)
+    return CheckDiagnostic(msg, loc.line, loc.col, loc.file)
 
 
 class _Checker:

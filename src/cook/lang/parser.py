@@ -23,8 +23,9 @@ MAX_BLOCK_DEPTH = 128
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], allow_bottom: bool):
+    def __init__(self, tokens: list[Token], allow_bottom: bool, file: str):
         self.tokens = tokens
+        self.file = file  # recorded in every Loc, so check errors can name it
         self.pos = 0
         self.allow_bottom = allow_bottom
         self.method_name = ""  # qualifies scalar representatives in bottom targets
@@ -60,7 +61,7 @@ class _Parser:
 
     def loc(self) -> ast.Loc:
         tok = self.peek()
-        return ast.Loc(tok.line, tok.col)
+        return ast.Loc(tok.line, tok.col, self.file)
 
     # -- names and types ---------------------------------------------------
 
@@ -393,7 +394,8 @@ class _Parser:
         return ast.CopyAssign(target, first, loc=loc)
 
 
-def parse_unit(source: str, allow_bottom: bool = False) -> ast.Program:
-    """Syntax-only parse; use `lang.parse` for the checked front door."""
-    parser = _Parser(tokenize(source), allow_bottom)
+def parse_unit(source: str, allow_bottom: bool = False, file: str = "") -> ast.Program:
+    """Syntax-only parse; use `lang.parse` for the checked front door.
+    `file` names the source in the locations, and so in check errors."""
+    parser = _Parser(tokenize(source), allow_bottom, file)
     return parser.unit()

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .aliases import AliasAnalysis
 from .callgraph import CallGraph, build_call_graph, condensation_order, recursion_set
-from .cfg import Cfg, LoopInfo, build_cfg, find_loops, governing_branches
+from .cfg import Cfg, LoopInfo, build_cfg, dominators, find_loops, governing_branches
 from .errors import NestedLoopError, NoInductionVariable, PathExplosionError
 from .interp import OracleDecisions
 from .lang import ast
@@ -36,10 +36,10 @@ from .termination import (
     CycleSet,
     OpaqueUpdate,
     TerminationVerdict,
-    _written_names,
     check_termination,
     dominating_consts,
     extract_cycles,
+    written_names,
 )
 
 BASIC = "basic"
@@ -97,14 +97,13 @@ class ProgramModel:
     def _analyze_loops(self, mm: MethodModel) -> None:
         g = mm.cfg
         loops = find_loops(g)
-        by_id = {l.id: l for l in loops}
-        verdicts: dict[int, TerminationVerdict] = {}
+        if not loops:
+            return
+        idom = dominators(g)
         models: dict[int, LoopModel] = {}
         # innermost first so parents can reuse child results
         for info in sorted(loops, key=lambda l: -l.depth):
-            lm = self._judge_loop(mm, g, info, by_id, models)
-            models[info.id] = lm
-            verdicts[info.id] = lm.verdict
+            models[info.id] = self._judge_loop(g, info, loops, models, idom)
         mm.loops = [models[l.id] for l in loops]
         for lm in mm.loops:
             if lm.stmt is not None:
@@ -112,19 +111,19 @@ class ProgramModel:
 
     def _judge_loop(
         self,
-        mm: MethodModel,
         g: Cfg,
         info: LoopInfo,
-        by_id: dict[int, LoopInfo],
+        loops: list[LoopInfo],
         models: dict[int, "LoopModel"],
+        idom: dict[int, int],
     ) -> LoopModel:
         stmt = info.stmt if isinstance(info.stmt, ast.While) else None
-        children = [l for l in by_id.values() if l.parent == info.id]
+        children = [l for l in loops if l.parent == info.id]
         stand_ins: dict[int, OpaqueUpdate] = {}
         blocked = None
         for ch in children:
             child = models[ch.id]
-            names = child.cycles.written_names if child.cycles else _written_names(ch, g, {})
+            names = child.cycles.written_names if child.cycles else written_names(g, ch)
             if not child.verdict.terminates:
                 # the rewrite will replace it with an opaque parallel assignment
                 stand_ins[ch.header] = OpaqueUpdate(names)
@@ -137,11 +136,11 @@ class ProgramModel:
             return LoopModel(info, stmt, TerminationVerdict(False, reason=blocked))
 
         try:
-            cycles = extract_cycles(info, g, list(by_id.values()), stand_ins)
+            cycles = extract_cycles(info, g, loops, stand_ins)
         except (NestedLoopError, PathExplosionError) as e:
             return LoopModel(info, stmt, TerminationVerdict(False, reason=str(e)))
 
-        pre = dominating_consts(g, info)
+        pre = dominating_consts(g, info, idom)
         # each closing cycle is folded once; both verdicts read these formulas
         formulas = tuple(cycle_formula(c, pre, g.method_id) for c in cycles.cycles)
         verdict = check_termination(cycles, formulas)

@@ -243,11 +243,7 @@ def step_transition(step, pre_consts: dict[str, int], method_id: str) -> Transit
     if isinstance(s, ast.FieldWrite):
         return Transition((), (), (), (f"{s.obj}.{s.field_name}",))
     if isinstance(s, ast.BottomAssign):
-        ups = tuple(
-            (rep.name, OPAQUE_EXPR)
-            for rep in s.targets
-            if isinstance(rep, Scalar) and rep.method == method_id
-        )
+        ups = tuple((name, OPAQUE_EXPR) for name in ast.scalar_writes(s, method_id))
         heap = tuple(rep.render() for rep in s.targets if not isinstance(rep, Scalar))
         return Transition((), ups, (), heap)
     raise TypeError(f"no transition for {type(step).__name__}")

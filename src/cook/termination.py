@@ -14,18 +14,19 @@ builds, the same ones the loop summaries rest on: each name's net effect and
 each guard side go through `linear_of`. The grammar has no constant
 operands, so strides fold through identifiers: constants assigned earlier in
 the same cycle, or method locals with a single constant definition that
-dominates the loop header and are never written inside the loop.
+dominates the loop header (`dominating_consts`). Which names a statement
+writes is `ast.scalar_writes`, for the loop's written names and for the
+definitions alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfg import BRANCH, Cfg, LoopInfo, dominators, dominates
+from .cfg import BRANCH, Cfg, LoopInfo, dominates
 from .errors import NestedLoopError, PathExplosionError
 from .interp import binop64, unop64
 from .lang import ast
-from .representatives import Scalar
 
 # a loop with more single-iteration paths than this is left unjudged
 MAX_CYCLES = 64
@@ -162,30 +163,15 @@ def extract_cycles(
             (succ,) = g.succs[node]
             work.append((succ, new_steps))
 
-    written = _written_names(loop, g, opaque_inner)
-    return CycleSet(header, tuple(cycles), tuple(exits), written)
+    return CycleSet(header, tuple(cycles), tuple(exits), written_names(g, loop))
 
 
-def _written_names(
-    loop: LoopInfo, g: Cfg, opaque_inner: dict[int, OpaqueUpdate]
-) -> frozenset[str]:
-    out: set[str] = set()
-    for nid in loop.body:
-        s = g.nodes[nid].stmt
-        if s is None or g.nodes[nid].kind == BRANCH:
-            continue
-        target = getattr(s, "target", None)
-        if target is not None:
-            out.add(target)
-        if isinstance(s, ast.Return):
-            out.add("ret")
-        if isinstance(s, ast.BottomAssign):
-            for rep in s.targets:
-                if isinstance(rep, Scalar) and rep.method == g.method_id:
-                    out.add(rep.name)
-    for stand_in in opaque_inner.values():
-        out |= stand_in.names
-    return frozenset(out)
+def written_names(g: Cfg, loop: LoopInfo) -> frozenset[str]:
+    """Every scalar of the method's frame that the loop body may write. An
+    inner loop's body lies inside its parent's, so its writes are counted."""
+    return frozenset(
+        name for nid in loop.body for name in ast.scalar_writes(g.nodes[nid].stmt, g.method_id)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,37 +212,25 @@ def linear_of(e: tuple) -> tuple | None:
     return None
 
 
-def dominating_consts(g: Cfg, loop: LoopInfo) -> dict[str, int]:
+def dominating_consts(g: Cfg, loop: LoopInfo, idom: dict[int, int]) -> dict[str, int]:
     """Locals holding a known constant at loop entry: defined exactly once in
-    the method, by a constant assignment dominating the header, and never
-    written inside the loop."""
-    writes: dict[str, list[int]] = {}
+    the method, by a constant assignment dominating the header. In the
+    structured CFGs of `build_cfg` the header dominates its body, so no body
+    node dominates the header and the loop never writes them. `idom` is the
+    method's `cfg.dominators`, computed once for all of its loops."""
+    sites: dict[str, int] = {}
     const_at: dict[str, tuple[int, int]] = {}
     for nid, node in enumerate(g.nodes):
         s = node.stmt
-        if s is None or node.kind == BRANCH:
-            continue
-        target = getattr(s, "target", None)
-        if target is not None:
-            writes.setdefault(target, []).append(nid)
-            if isinstance(s, ast.ConstAssign) and s.value is not None:
-                const_at[target] = (nid, s.value)
-        if isinstance(s, ast.BottomAssign):
-            for rep in s.targets:
-                if isinstance(rep, Scalar) and rep.method == g.method_id:
-                    writes.setdefault(rep.name, []).append(nid)
-
-    idom = dominators(g)
-    out: dict[str, int] = {}
-    for name, sites in writes.items():
-        if len(sites) != 1 or name not in const_at:
-            continue
-        nid, value = const_at[name]
-        if nid in loop.body:
-            continue
-        if dominates(idom, g.entry, nid, loop.header):
-            out[name] = value
-    return out
+        for name in ast.scalar_writes(s, g.method_id):
+            sites[name] = sites.get(name, 0) + 1
+        if isinstance(s, ast.ConstAssign) and s.value is not None:
+            const_at[s.target] = (nid, s.value)
+    return {
+        name: value
+        for name, (nid, value) in const_at.items()
+        if sites[name] == 1 and dominates(idom, g.entry, nid, loop.header)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from cook.analysis import (
     transfer,
 )
 from cook.generator import GenParams, generate_program
-from cook.interp import InterpFault, Store, collect_taints, random_store, run_reified
+from cook.interp import InterpFault, collect_taints, random_store, run_reified
 from cook.lang import ast, load
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
-from cook.representatives import BOTTOM, ArrayPart, Bottom, Scalar, TypeField
+from cook.representatives import BOTTOM, Bottom, Scalar, TypeField
 
 RULES_SRC = """
 class A { f: int; }

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from cook.aliases import AliasAnalysis
 from cook.callgraph import (
-    CallGraph,
     build_call_graph,
     recursion_set,
     strongly_connected_components,

@@ -109,6 +109,24 @@ def test_non_utf8_input_is_a_diagnostic(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "second, message",
+    [
+        ("method r(): int { var x: int; x := 1; return x; }", "1:1: duplicate method 'r'"),
+        ("method s(): int { var x: int;\n x := q(); return x; }", "2:2: call to undeclared method 'q'"),
+    ],
+    ids=["duplicate-method", "undeclared-callee"],
+)
+def test_check_error_names_its_file(tmp_path, second, message):
+    first, other = tmp_path / "a.carib", tmp_path / "b.carib"
+    first.write_text("method r(): int { var x: int; x := 1; return x; }\n")
+    other.write_text(second + "\n")
+    result = CliRunner().invoke(main, ["analyze", str(first), str(other)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {other}:{message}" in result.output
+
+
+@pytest.mark.parametrize(
     "make, message",
     [
         (lambda p: p.write_bytes(b"\xff\xfeapi\n"), "not UTF-8"),

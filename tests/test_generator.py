@@ -1,7 +1,7 @@
 """Generator determinism, validity, and density contracts."""
 
 from cook.generator import GenParams, generate_df_loop, generate_program
-from cook.lang import ast, load, parse, pretty
+from cook.lang import ast, load, pretty
 from cook.pipeline import ProgramModel
 
 

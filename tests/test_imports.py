@@ -1,0 +1,81 @@
+"""Every top-level import in `src/` and `tests/` is used in its module.
+
+No linter is installed, so this walks each module's syntax tree with the
+standard library's `ast`. A name counts as used when it appears as an
+identifier anywhere in the module, quoted annotations included. `__future__`
+imports are skipped, and so are the imports of an `__init__.py`, which
+re-export the package's names.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def imported_names(tree: ast.Module):
+    """(line, bound name) of every top-level import."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node.lineno, alias.asname or alias.name
+
+
+def annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in annotations(tree):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                quoted = ast.parse(n.value, mode="eval")
+                used |= {q.id for q in ast.walk(quoted) if isinstance(q, ast.Name)}
+    return used
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = used_names(tree)
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for line, name in imported_names(tree)
+        if name not in used
+    ]
+
+
+def test_no_unused_top_level_imports():
+    modules = [
+        p
+        for top in ("src", "tests")
+        for p in sorted((ROOT / top).rglob("*.py"))
+        if p.name != "__init__.py"
+    ]
+    assert len(modules) > 20
+    assert [u for p in modules for u in unused_imports(p)] == []
+
+
+def test_an_unused_import_is_reported():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from typing import Any, Optional\n"
+        "def f(x: 'Optional[int]') -> None:\n"
+        "    return os.path.join(x)\n"
+    )
+    used = used_names(tree)
+    assert [name for _, name in imported_names(tree) if name not in used] == ["j", "Any"]

@@ -4,8 +4,9 @@ import pytest
 
 from cook.errors import CheckDiagnostic, SyntaxDiagnostic
 from cook.generator import GenParams, generate_program
-from cook.lang import ast, load, parse, pretty
+from cook.lang import ast, parse, pretty
 from cook.lang.parser import MAX_BLOCK_DEPTH
+from cook.representatives import Scalar, TypeField
 
 
 def test_call_chain_parses_to_two_methods(clean_chain):
@@ -209,3 +210,26 @@ method m(): int { var x: int; x := get(); return x; }
 """
     with pytest.raises(CheckDiagnostic):
         parse(src)
+
+
+def test_scalar_writes_of_each_statement_form():
+    src = """
+class A { f: int; g: int[]; }
+method m(a: A, n: int): int {
+  var x: int; var arr: int[];
+  x := 1; x := n; x := -n; x := x + n; x := a.f; a.f := x;
+  arr := a.g; x := arr[n]; arr[n] := x; x := m(a, n);
+  if x < n then { x := n; } else { x := 1; }
+  while x < n do { x := x + n; }
+  return x;
+}
+"""
+    body = parse(src).methods[0].body
+    writes = [ast.scalar_writes(s, "m") for s in body]
+    assert writes == [("x",)] * 5 + [()] + [("arr",), ("x",), (), ("x",), (), (), ("ret",)]
+    bottom = ast.BottomAssign(
+        (Scalar("m", "x"), Scalar("other", "y"), TypeField("A", "f"), Scalar("m", "ret")),
+        ast.DivergenceCause.LOOP,
+    )
+    assert ast.scalar_writes(bottom, "m") == ("x", "ret")
+    assert ast.scalar_writes(None, "m") == ()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cook.lang import ast, load, parse, pretty
+from cook.lang import load, parse, pretty
 from cook.report import (
     ReportConfig,
     accessor_filter,

@@ -6,7 +6,7 @@ from cook.lang import ast, load, parse, pretty
 from cook.lang.check import check
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
-from cook.representatives import ArrayPart, Scalar, TypeField
+from cook.representatives import Scalar, TypeField
 from cook.rewrite import rewrite_program
 
 

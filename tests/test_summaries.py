@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cook.aliases import AliasAnalysis
-from cook.cfg import build_cfg, find_loops
+from cook.cfg import build_cfg, dominators, find_loops
 from cook.errors import NoInductionVariable, NotDependencyFree
 from cook.generator import generate_df_loop
 from cook.interp import ArrVal, Outcome, run_concrete
-from cook.lang import ast, load, parse
+from cook.lang import ast, load
 from cook.summaries import (
     GuardAtom,
     IDENTITY,
@@ -29,7 +29,7 @@ from cook.summaries import (
     summarize,
     var_expr,
 )
-from cook.termination import check_termination, dominating_consts, extract_cycles
+from cook.termination import dominating_consts, extract_cycles
 
 
 def loop_context(src: str):
@@ -39,7 +39,7 @@ def loop_context(src: str):
     loops = find_loops(g)
     assert len(loops) == 1
     cs = extract_cycles(loops[0], g, loops)
-    pre = dominating_consts(g, loops[0])
+    pre = dominating_consts(g, loops[0], dominators(g))
     return p, sym, m, cs, tuple(cycle_formula(c, pre, m.id) for c in cs.cycles)
 
 
@@ -332,7 +332,7 @@ def test_generated_df_loops_match_interpreter_exactly():
         g = build_cfg(m)
         loops = find_loops(g)
         cs = extract_cycles(loops[0], g, loops)
-        pre = dominating_consts(g, loops[0])
+        pre = dominating_consts(g, loops[0], dominators(g))
         tt = classify_terms(cs, tuple(cycle_formula(c, pre, mid) for c in cs.cycles))
         verdict = df_check(cs, tt)
         assert verdict.dependency_free, (seed, verdict.render())

@@ -9,16 +9,15 @@ import random
 
 import pytest
 
-from cook.aliases import AliasAnalysis
-from cook.cfg import build_cfg, find_loops
+from cook.cfg import build_cfg, dominators, find_loops
 from cook.errors import NestedLoopError, PathExplosionError
 from cook.generator import GenParams, generate_program
 from cook.interp import Outcome, random_store, run_concrete
-from cook.lang import ast, load, parse
+from cook.lang import ast, parse
 from cook.pipeline import ProgramModel
+from cook.representatives import Scalar
 from cook.summaries import cycle_formula
 from cook.termination import (
-    Cycle,
     OpaqueUpdate,
     check_termination,
     dominating_consts,
@@ -36,7 +35,7 @@ def loop_of(src: str, method=None):
 
 
 def closing_formulas(cs, g, loop, m):
-    pre = dominating_consts(g, loop)
+    pre = dominating_consts(g, loop, dominators(g))
     return tuple(cycle_formula(c, pre, m.id) for c in cs.cycles)
 
 
@@ -386,3 +385,66 @@ def test_terminating_verdicts_are_sound_on_generated_loops():
                 assert out.kind != Outcome.FUEL_EXHAUSTED, (seed, mid)
             loops_checked += len(own_loops)
     assert loops_checked >= 60
+
+
+def defined_names(s, method_id: str) -> set[str]:
+    """The frame scalars a CFG node's statement assigns, read off each
+    statement form; a branch node's statement assigns nothing itself."""
+    if s is None or isinstance(s, (ast.IfElse, ast.While, ast.FieldWrite, ast.ArrayWrite)):
+        return set()
+    if isinstance(s, ast.Return):
+        return {"ret"}
+    if isinstance(s, ast.BottomAssign):
+        return {r.name for r in s.targets if isinstance(r, Scalar) and r.method == method_id}
+    return {s.target}
+
+
+def header_reachable_without(g, loop, removed: int) -> bool:
+    seen, work = {g.entry}, [g.entry]
+    while work:
+        n = work.pop()
+        if n == loop.header:
+            return True
+        for nxt in g.succs[n]:
+            if nxt != removed and nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return False
+
+
+def brute_dominating_consts(g, loop) -> dict[str, int]:
+    """Names with one definition in the method, a non-null constant
+    assignment outside the loop whose deletion cuts the header off entry."""
+    defs: dict[str, list[int]] = {}
+    for nid, node in enumerate(g.nodes):
+        for name in defined_names(node.stmt, g.method_id):
+            defs.setdefault(name, []).append(nid)
+    out = {}
+    for name, sites in defs.items():
+        if len(sites) != 1:
+            continue
+        (nid,) = sites
+        s = g.nodes[nid].stmt
+        if not isinstance(s, ast.ConstAssign) or s.value is None or nid in loop.body:
+            continue
+        if not header_reachable_without(g, loop, nid):
+            out[name] = s.value
+    return out
+
+
+def test_dominating_consts_match_brute_force_on_loop_dense_programs():
+    params = GenParams(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1)
+    loops_seen = names_seen = 0
+    for seed in range(30):
+        for m in generate_program(seed, params).methods:
+            if m.extern:
+                continue
+            g = build_cfg(m)
+            loops = find_loops(g)
+            idom = dominators(g)
+            for loop in loops:
+                want = brute_dominating_consts(g, loop)
+                assert dominating_consts(g, loop, idom) == want, (seed, m.id, loop.header)
+                loops_seen += 1
+                names_seen += len(want)
+    assert loops_seen >= 300 and names_seen >= 1000

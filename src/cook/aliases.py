@@ -92,13 +92,11 @@ class AliasAnalysis:
         for m in self.program.methods:
             if m.extern:
                 continue
-            env = sym.var_types[m.id]
             for p in list(m.formals) + list(m.locals):
                 if ast.is_array_type(p.type):
                     self._var_slot(m.id, p.name)
             if ast.is_array_type(m.return_type):
                 self._slot((_RETSLOT, m.id))
-            del env
         for cls in self.program.classes:
             for f in cls.fields:
                 if ast.is_array_type(f.type):
@@ -157,9 +155,6 @@ class AliasAnalysis:
     def field_rep(self, method_id: str, obj: str, field_name: str) -> TypeField:
         otype = self.sym.var_types[method_id][obj]
         return self.field_rep_for(otype, field_name)
-
-    def scalar(self, method_id: str, name: str) -> Scalar:
-        return Scalar(method_id, name)
 
     def array_rep(self, method_id: str, name: str) -> ArrayPart:
         return ArrayPart(self.partition_of(method_id, name))

@@ -84,7 +84,7 @@ def node_spec(
             bottoms=tuple((t, s.cause) for t in s.targets),
             writes=writes,
         )
-    sc = partial(aliases.scalar, method_id)
+    sc = partial(Scalar, method_id)
     calls: list = []
     if isinstance(s, ast.Return):
         dep, reads = sc(RET), [sc(s.value)]
@@ -206,12 +206,12 @@ class Analyzer:
         call_nodes: list[int] = []
         m = mm.method
         for p in list(m.formals) + list(m.locals):
-            seeds.add(self.aliases.scalar(method_id, p.name))
+            seeds.add(Scalar(method_id, p.name))
         for n in g.nodes:
             if n.kind == BRANCH:
                 branch_fv[n.id] = (
-                    self.aliases.scalar(method_id, n.cond.left),
-                    self.aliases.scalar(method_id, n.cond.right),
+                    Scalar(method_id, n.cond.left),
+                    Scalar(method_id, n.cond.right),
                 )
             ns = node_spec(n.stmt, method_id, self.aliases, self.sym)
             nodes.append(ns)
@@ -224,7 +224,7 @@ class Analyzer:
                 seeds.add(dep)
             seeds.update(ns.writes)
         seeds = {r for r in seeds if not isinstance(r, Scalar) or r.method == method_id}
-        seeds.discard(self.aliases.scalar(method_id, RET))
+        seeds.discard(Scalar(method_id, RET))
         governing = self.model.governing(method_id)
         spec = _MethodSpec(g, nodes, governing, branch_fv, frozenset(seeds), tuple(call_nodes))
         self._specs[method_id] = spec

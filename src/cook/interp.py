@@ -1,19 +1,26 @@
-"""Fuel-bounded reference interpreter in two modes.
+"""Fuel-bounded reference interpreter: one machine, two modes.
 
-Concrete mode is a plain small-step machine over explicit frames (so deep
-recursion in the subject program cannot overflow the host stack). It counts
-every executed statement and condition against a fuel budget, records a write
-trace of representatives and a call trace of (caller, callee) edges, and
-reports runtime faults (null dereference, bounds, division by zero) as a
-distinct outcome from fuel exhaustion.
+`_Machine` is a small-step machine over explicit frames, so deep call chains
+and recursion in the subject program cannot overflow the host stack. Every
+frame comes from `frame_for`; a frame ends when its work list is empty, and
+its value is its `ret`. Each executed statement and condition costs one unit
+of fuel.
 
-Reified mode executes the divergence semantics directly on the untransformed
-program: loops the oracle cannot prove terminating and calls to divergent
-recursive or API methods assign bottom to everything they may write; all
-other constructs propagate bottom. Loops proven terminating are iterated
-concretely, so a run always finishes. Extern methods on the safe list are
-modeled as pure stubs in both modes: they return a zero value and touch no
-heap state.
+Without oracle decisions the machine runs concretely (`run_concrete`). It
+records a write trace of representatives and a call trace of (caller,
+callee) edges, and reports runtime faults (null dereference, bounds,
+division by zero) as a distinct outcome from fuel exhaustion.
+
+With `OracleDecisions` it runs the reified divergence semantics on the
+untransformed program (`run_reified`). Bottom operands give bottom, and a
+bottom base or index taints the whole field or array representative, which
+then reads as bottom. A branch on bottom, a loop the oracle does not prove
+terminating, a divergent recursive call and a divergent API call assign
+bottom to everything they may write and are skipped. Proven loops run
+concretely, so a run ends well within its fuel; a fault raises `InterpFault`.
+
+Extern methods on the safe list are pure stubs in both modes: they return a
+zero value and touch no heap state.
 
 Arithmetic is 64-bit two's complement with wraparound. `binop64`, `unop64`
 and `RELOPS` are the one int64 arithmetic core; `summaries` and `termination`
@@ -24,15 +31,16 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 
 from .aliases import RET, AliasAnalysis
 from .lang import ast
 from .lang.check import Symbols
-from .representatives import ArrayPart, BOTTOM, Representative, Scalar
+from .representatives import ArrayPart, BOTTOM, Bottom, Representative, Scalar
 
 DEFAULT_FUEL = 10**6
-_REIFIED_ITER_CAP = 10**7
+_REIFIED_FUEL = 10**7
 
 _MASK = (1 << 64) - 1
 _SIGN = 1 << 63
@@ -158,166 +166,205 @@ def _binop(op: str, a: int, b: int, loc: ast.Loc) -> int:
     return binop64(op, a, b)
 
 
-# ---------------------------------------------------------------------------
-# concrete machine
-# ---------------------------------------------------------------------------
-
-
 @dataclass(slots=True)
 class _Frame:
     method: ast.Method
     env: dict[str, Value]
     work: list  # statement stack; While nodes reappear for re-evaluation
-    target: str | None  # caller variable receiving the return value
+    target: str | None = None  # caller variable receiving the return value
+
+
+def frame_for(m: ast.Method, values: dict[str, Value]) -> _Frame:
+    """A fresh frame of `m`: each formal bound to its entry in `values` (zero
+    when absent), each local to zero, and the whole body still to run."""
+    env = {p.name: values.get(p.name, _zero(p.type)) for p in m.formals}
+    for p in m.locals:
+        env[p.name] = _zero(p.type)
+    return _Frame(m, env, list(reversed(m.body)))
 
 
 class _Machine:
-    def __init__(self, symbols: Symbols, aliases: AliasAnalysis, fuel: int):
+    """Small-step machine over explicit frames. Without `decisions` it runs
+    concretely; with them it runs the reified divergence semantics."""
+
+    def __init__(
+        self,
+        symbols: Symbols,
+        aliases: AliasAnalysis,
+        fuel: int,
+        decisions: OracleDecisions | None = None,
+    ):
         self.sym = symbols
         self.aliases = aliases
         self.fuel = fuel
+        self.dec = decisions
         self.steps = 0
-        self.writes: list[Representative] = []
-        self.calls: list[tuple[str, str]] = []
+        # a reified run reports no traces, so it keeps none
+        keep = None if decisions is None else 0
+        self.writes: deque[Representative] = deque(maxlen=keep)
+        self.calls: deque[tuple[str, str]] = deque(maxlen=keep)
+        self.tainted: set[Representative] = set()
 
-    def tick(self) -> None:
-        self.steps += 1
-        self.fuel -= 1
-
-    def frame_for(self, m: ast.Method, args: list[Value]) -> _Frame:
-        env: dict[str, Value] = {}
-        for p, v in zip(m.formals, args):
-            env[p.name] = v
-        for p in m.locals:
-            env[p.name] = _zero(p.type)
-        return _Frame(m, env, list(reversed(m.body)), None)
-
-    def run(self, entry: ast.Method, args: list[Value]) -> RunOutcome:
-        stack = [self.frame_for(entry, list(args))]
-        ret_value: Value = None
-        try:
-            while stack:
-                frame = stack[-1]
-                if not frame.work:
-                    raise RuntimeError(
-                        f"method {frame.method.id!r} fell off its end"
-                    )  # validation guarantees a return on every path
-                if self.fuel <= 0:
-                    return RunOutcome(Outcome.FUEL_EXHAUSTED, steps=self.steps)
-                s = frame.work.pop()
-                new_frame = self.step(frame, s)
-                if new_frame is not None:
-                    stack.append(new_frame)
-                elif isinstance(s, ast.Return):
-                    ret_value = frame.env[RET]
-                    stack.pop()
-                    if stack:
-                        caller = stack[-1]
-                        caller.env[frame.target] = ret_value
-                        self.writes.append(self.aliases.scalar(caller.method.id, frame.target))
-        except InterpFault as f:
-            return RunOutcome(
-                Outcome.FAULT,
-                steps=self.steps,
-                fault_kind=f.kind,
-                fault_loc=f.loc,
-                write_trace=tuple(self.writes),
-                call_trace=tuple(self.calls),
-            )
-        return RunOutcome(
-            Outcome.FINISHED,
-            value=ret_value,
-            steps=self.steps,
-            write_trace=tuple(self.writes),
-            call_trace=tuple(self.calls),
-        )
+    def run(self, entry: _Frame) -> bool:
+        """Run `entry` to its end; False when the fuel ran out first. A frame
+        ends when its work list is empty, and its value is `env["ret"]`."""
+        stack = [entry]
+        while stack:
+            frame = stack[-1]
+            if not frame.work:
+                if RET not in frame.env:
+                    # validation puts a return on every path, so only a
+                    # skipped branch can swallow them all, and then `ret`
+                    # is in its write set
+                    raise RuntimeError(f"method {frame.method.id!r} ended without a return value")
+                stack.pop()
+                if stack:
+                    caller = stack[-1]
+                    caller.env[frame.target] = frame.env[RET]
+                    self.writes.append(Scalar(caller.method.id, frame.target))
+                continue
+            if self.fuel <= 0:
+                return False
+            callee = self.step(frame, frame.work.pop())
+            if callee is not None:
+                stack.append(callee)
+        return True
 
     def step(self, frame: _Frame, s: ast.Stmt) -> _Frame | None:
+        """Execute `s`; a call into a method with a body returns its frame."""
+        self.steps += 1
+        self.fuel -= 1
         env = frame.env
         mid = frame.method.id
         if isinstance(s, ast.While):
-            self.tick()
-            if self._cond(env, s.cond, s.loc):
+            if self._cond(frame, s):
                 frame.work.append(s)
                 frame.work.extend(reversed(s.body))
             return None
         if isinstance(s, ast.IfElse):
-            self.tick()
-            branch = s.then_body if self._cond(env, s.cond, s.loc) else s.else_body
-            frame.work.extend(reversed(branch))
+            taken = self._cond(frame, s)
+            if taken is not None:
+                frame.work.extend(reversed(s.then_body if taken else s.else_body))
             return None
-        self.tick()
         if isinstance(s, ast.ConstAssign):
             env[s.target] = s.value
         elif isinstance(s, ast.CopyAssign):
             env[s.target] = env[s.source]
         elif isinstance(s, ast.UnaryAssign):
-            env[s.target] = unop64(s.op, self._int(env, s.operand, s.loc))
+            v = self._int(env, s.operand, s.loc)
+            env[s.target] = v if v is BOTTOM else unop64(s.op, v)
         elif isinstance(s, ast.BinaryAssign):
-            env[s.target] = _binop(
-                s.op, self._int(env, s.left, s.loc), self._int(env, s.right, s.loc), s.loc
-            )
+            a, b = self._int(env, s.left, s.loc), self._int(env, s.right, s.loc)
+            env[s.target] = BOTTOM if a is BOTTOM or b is BOTTOM else _binop(s.op, a, b, s.loc)
         elif isinstance(s, ast.FieldRead):
-            env[s.target] = self._obj(env, s.obj, s.loc).fields[s.field_name]
+            obj = self._obj(env, s.obj, s.loc)
+            tainted = obj is BOTTOM or (
+                self.tainted and self.aliases.field_rep_for(obj.cls, s.field_name) in self.tainted
+            )
+            env[s.target] = BOTTOM if tainted else obj.fields[s.field_name]
         elif isinstance(s, ast.FieldWrite):
             obj = self._obj(env, s.obj, s.loc)
-            obj.fields[s.field_name] = env[s.source]
-            self.writes.append(self.aliases.field_rep_for(obj.cls, s.field_name))
+            if obj is BOTTOM:
+                self.tainted.add(self.aliases.field_rep(mid, s.obj, s.field_name))
+            else:
+                obj.fields[s.field_name] = env[s.source]
+                self.writes.append(self.aliases.field_rep_for(obj.cls, s.field_name))
             return None
         elif isinstance(s, ast.ArrayRead):
             arr, i = self._cell(env, s.array, s.index, s.loc)
-            env[s.target] = arr.cells[i]
+            tainted = arr is BOTTOM or (self.tainted and ArrayPart(arr.part) in self.tainted)
+            env[s.target] = BOTTOM if tainted else arr.cells[i]
         elif isinstance(s, ast.ArrayWrite):
             arr, i = self._cell(env, s.array, s.index, s.loc)
-            arr.cells[i] = env[s.source]
-            self.writes.append(ArrayPart(arr.part))
+            if arr is BOTTOM:
+                self.tainted.add(self.aliases.array_rep(mid, s.array))
+            else:
+                arr.cells[i] = env[s.source]
+                self.writes.append(ArrayPart(arr.part))
             return None
         elif isinstance(s, ast.Return):
             env[RET] = env[s.value]
-            self.writes.append(self.aliases.scalar(mid, RET))
+            self.writes.append(Scalar(mid, RET))
             frame.work.clear()
             return None
         elif isinstance(s, ast.Call):
             return self._call(frame, s)
-        elif isinstance(s, ast.BottomAssign):
-            raise TypeError("concrete mode cannot execute rewritten programs")
         else:
+            # BottomAssign included: only untransformed programs run
             raise TypeError(f"cannot execute {type(s).__name__}")
-        self.writes.append(self.aliases.scalar(mid, s.target))
+        self.writes.append(Scalar(mid, s.target))
         return None
 
-    def _call(self, frame: _Frame, s: ast.Call) -> _Frame | None:
-        callee = _dispatch(self.sym, frame.method, s, frame.env, null_faults=True)
-        if callee.extern:
-            # pure stub: zero result, no heap effects
-            frame.env[s.target] = _zero(callee.return_type)
-            self.writes.append(self.aliases.scalar(frame.method.id, s.target))
-            self.calls.append((frame.method.id, callee.id))
+    def _cond(self, frame: _Frame, s: ast.While | ast.IfElse) -> bool | None:
+        """The branch `s` takes, or None when the reified semantics skips it:
+        its condition is bottom, or it is a loop that `decisions` does not
+        prove. A skipped statement taints everything it may write."""
+        env, c, dec = frame.env, s.cond, self.dec
+        lv, rv = self._int(env, c.left, s.loc), self._int(env, c.right, s.loc)
+        if dec is not None and (
+            lv is BOTTOM or rv is BOTTOM or (isinstance(s, ast.While) and not dec.terminates(s))
+        ):
+            mid = frame.method.id
+            self._taint(mid, env, self.aliases.observable_writes(mid, s, api_set=dec.api))
             return None
-        self.calls.append((frame.method.id, callee.id))
-        new = self.frame_for(callee, [frame.env[a] for a in s.actuals])
+        return RELOPS[c.op](lv, rv)
+
+    def _call(self, frame: _Frame, s: ast.Call) -> _Frame | None:
+        env, mid, dec = frame.env, frame.method.id, self.dec
+        callee = _dispatch(self.sym, frame.method, s, env, null_faults=dec is None)
+        self.calls.append((mid, callee.id))
+        if callee.extern:
+            if dec is not None and callee.name in dec.api:
+                for actual in s.actuals:
+                    self._taint(mid, env, self.aliases.reachable_lvalues(mid, actual))
+                env[s.target] = BOTTOM
+            else:
+                # pure stub: zero result, no heap effects
+                env[s.target] = _zero(callee.return_type)
+            self.writes.append(Scalar(mid, s.target))
+            return None
+        if dec is not None and callee.id in dec.recursion:
+            # mirror the rewrite: heap effects and the call target only;
+            # callee frames (even written formals) are unobservable here
+            self._taint(mid, env, self.aliases.heap_writes(callee.id))
+            env[s.target] = BOTTOM
+            return None
+        new = frame_for(callee, {p.name: env[a] for p, a in zip(callee.formals, s.actuals)})
         new.target = s.target
         return new
 
-    def _cond(self, env: dict, c: ast.Cond, loc: ast.Loc) -> bool:
-        return RELOPS[c.op](self._int(env, c.left, loc), self._int(env, c.right, loc))
+    def _taint(self, method_id: str, env: dict, reps) -> None:
+        for rep in reps:
+            if isinstance(rep, Scalar):
+                # `ret` may not be bound yet; other frames' scalars are
+                # unobservable from this one and die with their frame
+                if rep.method == method_id:
+                    env[rep.name] = BOTTOM
+            else:
+                self.tainted.add(rep)
 
-    def _int(self, env: dict, name: str, loc: ast.Loc) -> int:
+    def _int(self, env: dict, name: str, loc: ast.Loc) -> int | Bottom:
         v = env[name]
-        if not isinstance(v, int):
+        if not isinstance(v, int) and v is not BOTTOM:
             raise InterpFault(f"{name!r} is not an integer value", loc)
         return v
 
-    def _obj(self, env: dict, name: str, loc: ast.Loc) -> ObjVal:
+    def _obj(self, env: dict, name: str, loc: ast.Loc) -> ObjVal | Bottom:
         v = env[name]
         if v is None:
             raise InterpFault("null dereference", loc)
-        if not isinstance(v, ObjVal):
+        if not isinstance(v, ObjVal) and v is not BOTTOM:
             raise InterpFault(f"{name!r} is not an object", loc)
         return v
 
-    def _cell(self, env: dict, arr: str, idx: str, loc: ast.Loc) -> tuple[ArrVal, int]:
+    def _cell(
+        self, env: dict, arr: str, idx: str, loc: ast.Loc
+    ) -> tuple[ArrVal, int] | tuple[Bottom, Bottom]:
+        """The array and index of `arr[idx]`, or bottom for both when either
+        is bottom."""
         v = env[arr]
+        if v is BOTTOM or env[idx] is BOTTOM:
+            return BOTTOM, BOTTOM
         if v is None:
             raise InterpFault("null dereference", loc)
         if not isinstance(v, ArrVal):
@@ -367,172 +414,27 @@ def run_concrete(
         raise ValueError(f"cannot run extern method {entry!r}")
     if len(args) != len(m.formals):
         raise ValueError(f"{entry!r} expects {len(m.formals)} arguments")
-    return _Machine(symbols, aliases, fuel).run(m, args)
-
-
-# ---------------------------------------------------------------------------
-# reified divergence semantics
-# ---------------------------------------------------------------------------
-
-
-class _Reified:
-    def __init__(
-        self,
-        symbols: Symbols,
-        aliases: AliasAnalysis,
-        decisions: OracleDecisions,
-    ):
-        self.sym = symbols
-        self.aliases = aliases
-        self.dec = decisions
-        self.tainted: set[Representative] = set()
-
-    # -- taint helpers ---------------------------------------------------------
-
-    def taint_reps(self, method_id: str, env: dict, reps) -> None:
-        for rep in reps:
-            if isinstance(rep, Scalar):
-                # `ret` may not be bound yet; other frames' scalars are
-                # unobservable from this one and die with their frame
-                if rep.method == method_id:
-                    env[rep.name] = BOTTOM
-            else:
-                self.tainted.add(rep)
-
-    def loop_write_targets(self, method_id: str, s: ast.Stmt) -> frozenset[Representative]:
-        return self.aliases.observable_writes(method_id, s, api_set=self.dec.api)
-
-    # -- execution ------------------------------------------------------------
-
-    def exec_method(self, m: ast.Method, args: list[Value]) -> Value:
-        env: dict[str, Value] = {}
-        for p, v in zip(m.formals, args):
-            env[p.name] = v
-        for p in m.locals:
-            env[p.name] = _zero(p.type)
-        returned = self.exec_block(m, env, m.body)
-        if not returned and RET not in env:
-            # only reachable when a tainted branch swallowed every return,
-            # in which case `ret` belongs to its write set
-            raise RuntimeError(f"method {m.id!r} finished without a return value")
-        return env[RET]
-
-    def exec_block(self, m: ast.Method, env: dict, block: ast.Block) -> bool:
-        """Run a block; True means a return was executed."""
-        for s in block:
-            if isinstance(s, ast.While):
-                if self.exec_while(m, env, s):
-                    return True
-            elif isinstance(s, ast.IfElse):
-                if self.exec_if(m, env, s):
-                    return True
-            elif isinstance(s, ast.Return):
-                env[RET] = env[s.value]
-                return True
-            elif isinstance(s, ast.Call):
-                self.exec_call(m, env, s)
-            else:
-                self.exec_assign(m, env, s)
-        return False
-
-    def exec_if(self, m: ast.Method, env: dict, s: ast.IfElse) -> bool:
-        lv, rv = env[s.cond.left], env[s.cond.right]
-        if lv is BOTTOM or rv is BOTTOM:
-            self.taint_reps(m.id, env, self.loop_write_targets(m.id, s))
-            return False
-        branch = s.then_body if RELOPS[s.cond.op](lv, rv) else s.else_body
-        return self.exec_block(m, env, branch)
-
-    def exec_while(self, m: ast.Method, env: dict, s: ast.While) -> bool:
-        iterations = 0
-        while True:
-            lv, rv = env[s.cond.left], env[s.cond.right]
-            if not self.dec.terminates(s) or lv is BOTTOM or rv is BOTTOM:
-                self.taint_reps(m.id, env, self.loop_write_targets(m.id, s))
-                return False
-            if not RELOPS[s.cond.op](lv, rv):
-                return False
-            if self.exec_block(m, env, s.body):
-                return True
-            iterations += 1
-            if iterations > _REIFIED_ITER_CAP:
-                raise RuntimeError(
-                    f"loop at {s.loc.line}:{s.loc.col} judged terminating did not exit"
-                )
-
-    def exec_call(self, m: ast.Method, env: dict, s: ast.Call) -> None:
-        callee = _dispatch(self.sym, m, s, env, null_faults=False)
-        if callee.extern:
-            if callee.name in self.dec.api:
-                for actual in s.actuals:
-                    self.taint_reps(m.id, env, self.aliases.reachable_lvalues(m.id, actual))
-                env[s.target] = BOTTOM
-            else:
-                env[s.target] = _zero(callee.return_type)
-            return
-        if callee.id in self.dec.recursion:
-            # mirror the rewrite: heap effects and the call target only;
-            # callee frames (even written formals) are unobservable here
-            self.taint_reps(m.id, env, self.aliases.heap_writes(callee.id))
-            env[s.target] = BOTTOM
-            return
-        result = self.exec_method(callee, [env[a] for a in s.actuals])
-        env[s.target] = result
-
-    def exec_assign(self, m: ast.Method, env: dict, s: ast.Stmt) -> None:
-        mid = m.id
-        if isinstance(s, ast.ConstAssign):
-            env[s.target] = s.value
-        elif isinstance(s, ast.CopyAssign):
-            env[s.target] = env[s.source]
-        elif isinstance(s, ast.UnaryAssign):
-            v = env[s.operand]
-            env[s.target] = BOTTOM if v is BOTTOM else unop64(s.op, v)
-        elif isinstance(s, ast.BinaryAssign):
-            a, b = env[s.left], env[s.right]
-            env[s.target] = BOTTOM if a is BOTTOM or b is BOTTOM else _binop(s.op, a, b, s.loc)
-        elif isinstance(s, ast.FieldRead):
-            obj = env[s.obj]
-            if obj is BOTTOM:
-                env[s.target] = BOTTOM
-                return
-            if obj is None:
-                raise InterpFault("null dereference", s.loc)
-            rep = self.aliases.field_rep_for(obj.cls, s.field_name)
-            cell = obj.fields[s.field_name]
-            env[s.target] = BOTTOM if rep in self.tainted else cell
-        elif isinstance(s, ast.FieldWrite):
-            obj = env[s.obj]
-            if obj is BOTTOM:
-                self.tainted.add(self.aliases.field_rep(mid, s.obj, s.field_name))
-                return
-            if obj is None:
-                raise InterpFault("null dereference", s.loc)
-            obj.fields[s.field_name] = env[s.source]
-        elif isinstance(s, ast.ArrayRead):
-            arr, i = env[s.array], env[s.index]
-            if arr is BOTTOM or i is BOTTOM:
-                env[s.target] = BOTTOM
-                return
-            if arr is None:
-                raise InterpFault("null dereference", s.loc)
-            if not 0 <= i < len(arr.cells):
-                raise InterpFault("array index out of bounds", s.loc)
-            env[s.target] = BOTTOM if ArrayPart(arr.part) in self.tainted else arr.cells[i]
-        elif isinstance(s, ast.ArrayWrite):
-            arr, i = env[s.array], env[s.index]
-            if arr is BOTTOM or i is BOTTOM:
-                self.tainted.add(self.aliases.array_rep(mid, s.array))
-                return
-            if arr is None:
-                raise InterpFault("null dereference", s.loc)
-            if not 0 <= i < len(arr.cells):
-                raise InterpFault("array index out of bounds", s.loc)
-            arr.cells[i] = env[s.source]
-        elif isinstance(s, ast.BottomAssign):
-            raise TypeError("reified mode runs untransformed programs")
-        else:
-            raise TypeError(f"cannot execute {type(s).__name__}")
+    machine = _Machine(symbols, aliases, fuel)
+    frame = frame_for(m, {p.name: v for p, v in zip(m.formals, args)})
+    try:
+        if not machine.run(frame):
+            return RunOutcome(Outcome.FUEL_EXHAUSTED, steps=machine.steps)
+    except InterpFault as f:
+        return RunOutcome(
+            Outcome.FAULT,
+            steps=machine.steps,
+            fault_kind=f.kind,
+            fault_loc=f.loc,
+            write_trace=tuple(machine.writes),
+            call_trace=tuple(machine.calls),
+        )
+    return RunOutcome(
+        Outcome.FINISHED,
+        value=frame.env[RET],
+        steps=machine.steps,
+        write_trace=tuple(machine.writes),
+        call_trace=tuple(machine.calls),
+    )
 
 
 def run_reified(
@@ -543,18 +445,13 @@ def run_reified(
     store: Store,
     decisions: OracleDecisions,
 ) -> Store:
-    m = symbols.methods[entry]
-    machine = _Reified(symbols, aliases, decisions)
+    machine = _Machine(symbols, aliases, _REIFIED_FUEL, decisions)
     machine.tainted = set(store.tainted)
-    env: dict[str, Value] = {}
-    for p in m.formals:
-        env[p.name] = store.values.get(p.name, _zero(p.type))
-    for p in m.locals:
-        env[p.name] = _zero(p.type)
-    returned = machine.exec_block(m, env, m.body)
-    if not returned and RET not in env:
-        raise RuntimeError(f"method {entry!r} finished without a return value")
-    return Store(values=env, tainted=machine.tainted)
+    frame = frame_for(symbols.methods[entry], store.values)
+    if not machine.run(frame):
+        # every loop that runs was proven to terminate
+        raise RuntimeError(f"reified run of {entry!r} did not end within {_REIFIED_FUEL} steps")
+    return Store(values=frame.env, tainted=machine.tainted)
 
 
 # ---------------------------------------------------------------------------
@@ -562,43 +459,21 @@ def run_reified(
 # ---------------------------------------------------------------------------
 
 
-def store_divergence_free(store: Store) -> bool:
-    if store.tainted:
-        return False
-    seen: set[int] = set()
-    work = list(store.values.values())
-    while work:
-        v = work.pop()
-        if v is BOTTOM:
-            return False
-        if isinstance(v, ObjVal):
-            if id(v) in seen:
-                continue
-            seen.add(id(v))
-            work.extend(v.fields.values())
-        elif isinstance(v, ArrVal):
-            if id(v) in seen:
-                continue
-            seen.add(id(v))
-            work.extend(v.cells)
-    return True
-
-
 def collect_taints(
     store: Store, aliases: AliasAnalysis, method_id: str
 ) -> frozenset[Representative]:
-    """Representatives of every bottom-valued location reachable from a store."""
+    """Representatives of every bottom-valued location reachable from a store;
+    empty exactly when the store is divergence-free."""
     out: set[Representative] = set(store.tainted)
     seen: set[int] = set()
-    work: list[tuple[Value, Representative | None]] = []
+    work: list[Value] = []
     for name, v in store.values.items():
-        rep: Representative = Scalar(method_id, name)
         if v is BOTTOM:
-            out.add(rep)
+            out.add(Scalar(method_id, name))
         else:
-            work.append((v, None))
+            work.append(v)
     while work:
-        v, _ = work.pop()
+        v = work.pop()
         if isinstance(v, ObjVal):
             if id(v) in seen:
                 continue
@@ -607,7 +482,7 @@ def collect_taints(
                 if cell is BOTTOM:
                     out.add(aliases.field_rep_for(v.cls, fname))
                 else:
-                    work.append((cell, None))
+                    work.append(cell)
         elif isinstance(v, ArrVal):
             if id(v) in seen:
                 continue
@@ -616,7 +491,7 @@ def collect_taints(
                 if cell is BOTTOM:
                     out.add(ArrayPart(v.part))
                 else:
-                    work.append((cell, None))
+                    work.append(cell)
     return frozenset(out)
 
 

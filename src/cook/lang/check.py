@@ -315,22 +315,22 @@ class _Checker:
             raise _err(f"method {m.id!r} has no body", m.loc)
         for s in ast.walk(m.body):
             self.check_stmt(m, s, env)
-        if not self._always_returns(m.body, check_dead=True):
+        if not self._always_returns(m.body):
             raise _err(f"method {m.id!r} must return on every path", m.loc)
 
-    def _always_returns(self, stmts: ast.Block, check_dead: bool = False) -> bool:
+    def _always_returns(self, stmts: ast.Block) -> bool:
         for i, s in enumerate(stmts):
             done = False
             if isinstance(s, ast.Return):
                 done = True
             elif isinstance(s, ast.IfElse):
-                then_ret = self._always_returns(s.then_body, check_dead)
-                else_ret = self._always_returns(s.else_body, check_dead)
+                then_ret = self._always_returns(s.then_body)
+                else_ret = self._always_returns(s.else_body)
                 done = then_ret and else_ret
-            elif isinstance(s, ast.While) and check_dead:
-                self._always_returns(s.body, check_dead)
+            elif isinstance(s, ast.While):
+                self._always_returns(s.body)  # for its unreachable statements only
             if done:
-                if check_dead and i + 1 < len(stmts):
+                if i + 1 < len(stmts):
                     raise _err("unreachable statement", stmts[i + 1].loc)
                 return True
         return False

@@ -49,13 +49,20 @@ method count(n: int): int {
 """
 
 
-def run_pipeline(src: str, safe=frozenset(), swamp_test="pre", nested_policy="basic"):
+def _run_pipeline(src: str, safe=frozenset(), swamp_test="pre", nested_policy="basic"):
     program, symbols = load(src)
     model = ProgramModel(program, symbols, safe_list=frozenset(safe),
                          nested_policy=nested_policy)
     tmodel = transformed_model(model)
     result = analyze_program(tmodel, swamp_test=swamp_test)
     return model, result
+
+
+@pytest.fixture
+def run_pipeline():
+    """The helper that parses, models, rewrites and analyzes a source text,
+    returning `(model, result)`."""
+    return _run_pipeline
 
 
 @pytest.fixture

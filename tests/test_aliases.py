@@ -6,17 +6,13 @@ from cook.aliases import AliasAnalysis
 from cook.generator import GenParams, generate_program
 from cook.interp import Outcome, random_store, run_concrete
 from cook.lang import ast, load
+from cook.lang.check import check
 from cook.representatives import ArrayPart, Scalar, TypeField
 
 
 def build(src):
     p, sym = load(src)
     return p, sym, AliasAnalysis(p, sym)
-
-
-def test_scalar_representative_is_method_qualified():
-    p, sym, al = build("method m(x: int): int { return x; }")
-    assert al.scalar("m", "x") == Scalar("m", "x")
 
 
 def test_field_representative_uses_highest_declaring_class():
@@ -124,8 +120,6 @@ def test_written_reps_cover_interpreter_write_trace():
         p = generate_program(
             seed, GenParams(methods=5, loop=0.25, branch=0.4, heap=0.4, call=0.15)
         )
-        from cook.lang.check import check
-
         sym = check(p)
         al = AliasAnalysis(p, sym)
         for m in p.methods:

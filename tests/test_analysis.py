@@ -302,9 +302,7 @@ method m(y0: int, z: int): int {
 # -- program fixpoint -----------------------------------------------------------
 
 
-def test_golden_verdicts(clean_chain, opaque_loop_caller, api_call_unused):
-    from tests.conftest import run_pipeline
-
+def test_golden_verdicts(clean_chain, opaque_loop_caller, api_call_unused, run_pipeline):
     _, ra = run_pipeline(clean_chain)
     assert ra.st == frozenset({"foo", "bar"})
 
@@ -323,7 +321,7 @@ def test_golden_verdicts(clean_chain, opaque_loop_caller, api_call_unused):
     assert rc_post.st == frozenset({"foo"}) and rc_post.swamp == frozenset({"bar"})
 
 
-def test_summary_strips_frame_locals_keeps_ret_and_formal_sources():
+def test_summary_strips_frame_locals_keeps_ret_and_formal_sources(run_pipeline):
     src = """
 method inc(x0: int): int {
   var t: int;
@@ -336,7 +334,6 @@ method use(a: int): int {
   return r;
 }
 """
-    from tests.conftest import run_pipeline
 
     _, res = run_pipeline(src)
     assert (Scalar("inc", "ret"), Scalar("inc", "x0"), None) in res.summaries["inc"]
@@ -362,9 +359,7 @@ method top(y: int): int { var z: int; z := mid(y); return z; }
 """
 
 
-def test_dead_guarded_copy_keeps_the_caller_an_island():
-    from tests.conftest import run_pipeline
-
+def test_dead_guarded_copy_keeps_the_caller_an_island(run_pipeline):
     for swamp_test in ("pre", "post"):
         _, res = run_pipeline(GUARDED_DEAD_WRITE.replace("WRITE", "x"), swamp_test=swamp_test)
         assert "top" in res.st, swamp_test
@@ -375,9 +370,7 @@ def test_dead_guarded_copy_keeps_the_caller_an_island():
     reason="a call node's control-dependence writes come from `written_reps`, which "
     "includes callee-frame scalars; they survive `strip_locals` as summary facts",
 )
-def test_dead_guarded_call_leaves_no_callee_frame_facts():
-    from tests.conftest import run_pipeline
-
+def test_dead_guarded_call_leaves_no_callee_frame_facts(run_pipeline):
     for swamp_test in ("pre", "post"):
         _, res = run_pipeline(
             GUARDED_DEAD_WRITE.replace("WRITE", "helper(x)"), swamp_test=swamp_test
@@ -439,7 +432,7 @@ def test_facts_grow_monotonically_with_summaries():
         assert first <= res.facts[mid]
 
 
-def test_safe_list_growth_never_shrinks_islands():
+def test_safe_list_growth_never_shrinks_islands(run_pipeline):
     src_parts = ["extern method e{k}(): int;".format(k=k) for k in range(3)]
     body = """
 method m{k}(): int {{
@@ -449,7 +442,6 @@ method m{k}(): int {{
 }}
 """
     src = "\n".join(src_parts) + "".join(body.format(k=k) for k in range(3))
-    from tests.conftest import run_pipeline
 
     chain = [frozenset(), frozenset({"e0"}), frozenset({"e0", "e1"}), frozenset({"e0", "e1", "e2"})]
     last = None

@@ -13,6 +13,7 @@ from cook.callgraph import (
 from cook.generator import GenParams, generate_program
 from cook.interp import Outcome, random_store, run_concrete
 from cook.lang import load
+from cook.lang.check import check
 
 HIERARCHY = """
 interface I {}
@@ -210,8 +211,6 @@ def test_dynamic_call_edges_are_subset_of_static_graph():
             seed,
             GenParams(methods=6, call=0.4, virtual=0.3, recursion=0.05, loop=0.15),
         )
-        from cook.lang.check import check
-
         sym = check(p)
         al = AliasAnalysis(p, sym)
         g = build_call_graph(p, sym)

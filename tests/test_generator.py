@@ -32,9 +32,7 @@ def test_generated_programs_validate():
         load(pretty(p))  # parses and checks
 
 
-def test_zero_divergence_densities_give_all_islands():
-    from tests.conftest import run_pipeline
-
+def test_zero_divergence_densities_give_all_islands(run_pipeline):
     for seed in range(8):
         # no loops, recursion, or API calls: nothing can introduce divergence
         p = generate_program(
@@ -46,9 +44,7 @@ def test_zero_divergence_densities_give_all_islands():
         assert not result.swamp, (seed, sorted(result.swamp))
 
 
-def test_flat_counted_loops_keep_everything_on_islands():
-    from tests.conftest import run_pipeline
-
+def test_flat_counted_loops_keep_everything_on_islands(run_pipeline):
     for seed in range(6):
         # depth 1 rules out nesting, so every counted loop is provable
         p = generate_program(
@@ -60,9 +56,7 @@ def test_flat_counted_loops_keep_everything_on_islands():
         assert not result.swamp, (seed, sorted(result.swamp))
 
 
-def test_divergence_knobs_produce_swamp():
-    from tests.conftest import run_pipeline
-
+def test_divergence_knobs_produce_swamp(run_pipeline):
     p = generate_program(
         3, GenParams(methods=10, opaque_loop=0.25, recursion=0.1, extern=0.2)
     )

@@ -1,10 +1,11 @@
-"""Every top-level import in `src/` and `tests/` is used in its module.
+"""Every import in `src/` and `tests/` is at the top of its module, and used.
 
 No linter is installed, so this walks each module's syntax tree with the
-standard library's `ast`. A name counts as used when it appears as an
-identifier anywhere in the module, quoted annotations included. `__future__`
-imports are skipped, and so are the imports of an `__init__.py`, which
-re-export the package's names.
+standard library's `ast`. An import inside a function body is reported in
+every module. A name counts as used when it appears as an identifier
+anywhere in the module, quoted annotations included. `__future__` imports
+are skipped, and so are the imports of an `__init__.py`, which re-export the
+package's names.
 """
 
 from __future__ import annotations
@@ -57,15 +58,37 @@ def unused_imports(path: Path) -> list[str]:
     ]
 
 
+def function_imports(tree: ast.Module) -> list[int]:
+    """Lines of the imports inside function bodies, nested ones once."""
+    return sorted(
+        {
+            node.lineno
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def modules() -> list[Path]:
+    found = [p for top in ("src", "tests") for p in sorted((ROOT / top).rglob("*.py"))]
+    assert len(found) > 20
+    return found
+
+
 def test_no_unused_top_level_imports():
-    modules = [
-        p
-        for top in ("src", "tests")
-        for p in sorted((ROOT / top).rglob("*.py"))
-        if p.name != "__init__.py"
-    ]
-    assert len(modules) > 20
-    assert [u for p in modules for u in unused_imports(p)] == []
+    assert [
+        u for p in modules() if p.name != "__init__.py" for u in unused_imports(p)
+    ] == []
+
+
+def test_no_imports_inside_functions():
+    assert [
+        f"{p.relative_to(ROOT)}:{line}"
+        for p in modules()
+        for line in function_imports(ast.parse(p.read_text(encoding="utf-8")))
+    ] == []
 
 
 def test_an_unused_import_is_reported():
@@ -79,3 +102,18 @@ def test_an_unused_import_is_reported():
     )
     used = used_names(tree)
     assert [name for _, name in imported_names(tree) if name not in used] == ["j", "Any"]
+
+
+def test_an_import_inside_a_function_is_reported():
+    tree = ast.parse(
+        "import os\n"
+        "def f():\n"
+        "    import json\n"
+        "    def g():\n"
+        "        from typing import Any\n"
+        "    return json\n"
+        "class C:\n"
+        "    async def m(self):\n"
+        "        import re\n"
+    )
+    assert function_imports(tree) == [3, 5, 9]

@@ -20,7 +20,6 @@ from cook.interp import (
     run_concrete,
     run_reified,
     div64,
-    store_divergence_free,
     wrap64,
     _binop,
 )
@@ -268,7 +267,7 @@ def test_reified_taints_opaque_loop_writes(opaque_loop_caller):
     st = run_reified(p, sym, model.aliases, "bar", Store(), model.decisions())
     assert st.values["y"] is BOTTOM
     assert st.values["ret"] is BOTTOM
-    assert not store_divergence_free(st)
+    assert collect_taints(st, model.aliases, "bar")
 
 
 def _transitively_called(model, mid):
@@ -310,7 +309,7 @@ def test_reified_equals_concrete_without_divergence_sources():
             if c.kind != Outcome.FINISHED:
                 continue
             r = run_reified(p, model.symbols, model.aliases, mid, s2, dec)
-            assert store_divergence_free(r), (seed, mid)
+            assert not collect_taints(r, model.aliases, mid), (seed, mid)
             assert r.values["ret"] == c.value, (seed, mid)
             compared += 1
     assert compared >= 15
@@ -413,4 +412,70 @@ def test_terminating_loops_run_concretely_in_reified_mode(counted_loop):
     model = ProgramModel(p, sym)
     st = run_reified(p, sym, model.aliases, "count", Store({"n": 5}), model.decisions())
     assert st.values["j"] == 15 and st.values["ret"] == 15
-    assert store_divergence_free(st)
+    assert not collect_taints(st, model.aliases, "count")
+
+
+def test_thousand_method_call_chain_runs_in_both_modes():
+    depth = 1000
+    step = """
+method m{k}(): int {{
+  var x: int; var one: int;
+  one := 1;
+  x := m{next}();
+  x := x + one;
+  return x;
+}}
+"""
+    src = "method m{0}(): int {{ var x: int; x := 0; return x; }}".format(depth - 1)
+    src += "".join(step.format(k=k, next=k + 1) for k in range(depth - 1))
+    p, sym = load(src)
+    model = ProgramModel(p, sym)
+    out = run_concrete(p, sym, model.aliases, "m0", [])
+    assert out.kind == Outcome.FINISHED and out.value == depth - 1
+    st = run_reified(p, sym, model.aliases, "m0", Store(), model.decisions())
+    assert st.values["ret"] == depth - 1
+
+
+def test_reified_branch_on_api_result_swallowing_both_returns():
+    src = """
+extern method api(): int;
+method m(): int {
+  var c: int; var y: int; var zero: int;
+  zero := 0; y := 1;
+  c := api();
+  if c < zero then { return zero; } else { y := c; return y; }
+}
+method top(): int {
+  var r: int;
+  r := m();
+  return r;
+}
+"""
+    p, sym = load(src)
+    model = ProgramModel(p, sym)
+    al = model.aliases
+    callee = run_reified(p, sym, al, "m", Store(), model.decisions())
+    assert callee.values["ret"] is BOTTOM and callee.values["c"] is BOTTOM
+    assert collect_taints(callee, al, "m") == {Scalar("m", n) for n in ("c", "ret", "y")}
+    caller = run_reified(p, sym, al, "top", Store(), model.decisions())
+    assert caller.values["ret"] is BOTTOM and caller.values["r"] is BOTTOM
+    assert collect_taints(caller, al, "top") == {Scalar("top", n) for n in ("r", "ret")}
+
+
+def test_reified_run_out_of_fuel_is_an_error(monkeypatch):
+    src = """
+method spin(): int {
+  var z: int; var one: int; var x: int;
+  z := 0; one := 1; x := 0;
+  while z < one do { x := x + one; }
+  return x;
+}
+"""
+    p, sym = load(src)
+    model = ProgramModel(p, sym)
+    dec = model.decisions()
+    (loop,) = [s for s in ast.walk(p.methods[0].body) if isinstance(s, ast.While)]
+    dec.loop_terminates[id(loop)] = True  # a wrong verdict: the loop never exits
+    monkeypatch.setattr("cook.interp._REIFIED_FUEL", 1000)
+    with pytest.raises(RuntimeError, match="did not end within 1000 steps"):
+        run_reified(p, sym, model.aliases, "spin", Store(), dec)

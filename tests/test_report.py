@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cook.lang import load, parse, pretty
+from cook.pipeline import ProgramModel
 from cook.report import (
     ReportConfig,
     accessor_filter,
@@ -12,6 +13,7 @@ from cook.report import (
     vc_census,
     vc_sites,
 )
+from cook.rewrite import rewrite_program
 
 
 def report_for(src, **kw):
@@ -103,9 +105,6 @@ method m(o: A): int {
 }
 """
     p, sym = load(src)
-    from cook.pipeline import ProgramModel
-    from cook.rewrite import rewrite_program
-
     model = ProgramModel(p, sym)
     before = vc_census(p, frozenset())
     rewrite_program(model)

@@ -11,10 +11,11 @@ from cook.cfg import build_cfg, dominators, find_loops
 from cook.errors import NoInductionVariable, NotDependencyFree
 from cook.generator import generate_df_loop
 from cook.interp import ArrVal, Outcome, run_concrete
-from cook.lang import ast, load
+from cook.lang import ast, load, pretty
 from cook.summaries import (
     GuardAtom,
     IDENTITY,
+    LoopSummary,
     Transition,
     classify_terms,
     compose,
@@ -370,8 +371,6 @@ def _final_scalar(p, sym, al, mid, arr, var):
     frame via a concrete run that returns the variable."""
     m = sym.methods[mid]
     # rebuild source with `return var;`
-    from cook.lang import pretty
-
     new_body = _swap_return(m.body, var)
     new_m = ast.Method(m.name, m.owner, m.formals, m.locals, m.return_type, new_body)
     p2 = ast.Program(p.classes, p.interfaces, (new_m,))
@@ -393,8 +392,6 @@ def test_overlapping_guards_abort_array_evaluation():
         ((GuardAtom(var_expr("i"), "<", var_expr("n")),), num_expr(1)),
         ((GuardAtom(var_expr("i"), "<=", var_expr("n")),), num_expr(2)),
     )
-    from cook.summaries import LoopSummary
-
     s = LoopSummary(
         induction="i",
         synthetic_induction=False,

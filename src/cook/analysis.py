@@ -5,26 +5,38 @@ tagged with a divergence cause when the source is bottom: (x, y) means x's
 current value may depend on y's value at method entry, and (x, bottom) means
 x cannot be ruled out as divergence-affected.
 
+Inside the fixpoints facts are bit vectors (the bit-vector case of IFDS,
+Reps, Horwitz and Sagiv, POPL 1995). The `Analyzer` gives every
+representative a dense id, once per program. A fact set maps a dependent's
+id to the mask of its sources: the three low bits are the bottom causes
+(API, LOOP, RECURSION) and the representative with id `i` is bit `i + 3`. A
+mask of 0 is never stored. A source that is not bottom never has a cause and
+a bottom source always has one, so a mask loses nothing of a fact set. The
+facts are decoded back to `frozenset`s of `(dependent, source, cause)` tuples
+where `method_facts` returns; summaries, `AnalysisResult` and the report only
+ever see tuples.
+
 Every CFG node gets one entry in a node table (`node_spec`), fixed before
 the fixpoint runs: the pairs it generates, the dependents it kills, the
-bottom-sourced pairs it adds, the callee summaries it imports and the
-representatives it may write. A write depends on everything it reads: its
+cause bits it adds, the callee summaries it imports and the representatives
+it may write, all as ids. A write depends on everything it reads: its
 operands, the field or array representative, and the base pointer and index
 it dereferences, matching the reified semantics where a bottom base or index
 smears the access. Scalar targets kill their old facts; field and array
 targets never kill, because their representatives over-approximate aliases.
 Call statements import the callee summary with actuals substituted for
 formals and the call target for the return slot; that import is the only
-rule that reads state changing during the fixpoint.
+rule that reads state changing during the fixpoint, so each method pass
+binds it once (`Analyzer.with_imports`): a composed pair per summary fact
+with a source, and the cause bits of each bottom-sourced one.
 
-One transfer (`transfer`) maps a node's table entry, its IN facts and its
-imported summary facts to OUT: it drops the facts of killed dependents,
-composes each generated pair and imported fact through IN (so dependencies
-always bottom out at entry values) and adds bottom-sourced pairs directly.
-Control dependence joins it in the method fixpoint: a statement governed by
-a branch inherits, for every variable free in the branch condition, that
-variable's facts at the branch, attached to everything the statement may
-write.
+One transfer (`transfer`) maps a node's entry and its IN facts to OUT: it
+pops killed dependents, ORs the IN mask of each generated pair's source into
+its dependent (so dependencies always bottom out at entry values), ORs in the
+cause bits, and ORs the control mask into everything the node may write. The
+control mask carries control dependence: a statement governed by a branch
+inherits, for every variable free in the branch condition, that variable's
+sources at the branch.
 
 The method fixpoint seeds the entry with identity facts over the method's
 footprint and iterates to a fixpoint; the program fixpoint maintains
@@ -39,7 +51,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 from .aliases import RET, AliasAnalysis
 from .cfg import BRANCH, Cfg
@@ -49,6 +60,21 @@ from .pipeline import ProgramModel
 from .representatives import BOTTOM, Bottom, Representative, Scalar
 
 Fact = tuple  # (dependent, source, cause | None)
+Facts = dict  # dependent id -> mask of sources, never 0
+
+CAUSES = (ast.DivergenceCause.API, ast.DivergenceCause.LOOP, ast.DivergenceCause.RECURSION)
+CAUSE_BIT = {cause: 1 << k for k, cause in enumerate(CAUSES)}
+CAUSE_BITS = (1 << len(CAUSES)) - 1
+SHIFT = len(CAUSES)  # representative `i` is source bit `i + SHIFT`
+
+
+def _set_bits(mask: int):
+    """Positions of the set bits of `mask`, lowest first."""
+    bits = bin(mask)[:1:-1]
+    k = bits.find("1")
+    while k >= 0:
+        yield k
+        k = bits.find("1", k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -57,42 +83,47 @@ Fact = tuple  # (dependent, source, cause | None)
 
 
 @dataclass(slots=True)
-class _NodeSpec:
-    """The transfer of one CFG node, fixed before the fixpoint runs."""
+class NodeSpec:
+    """The transfer of one CFG node, fixed before the fixpoint runs; every
+    representative is an id."""
 
-    gen: tuple = ()  # (dep, src): dep takes src's IN facts
-    kills: frozenset = frozenset()  # dependents whose IN facts die (strong updates)
-    bottoms: tuple = ()  # (dep, cause) added directly
-    calls: tuple = ()  # (callee id, {callee formal or ret: caller representative})
-    writes: frozenset = frozenset()  # for control-dependence facts
+    gen: tuple = ()  # (dep, src): dep takes src's IN mask
+    kills: tuple = ()  # dependents whose IN facts die (strong updates)
+    bottoms: tuple = ()  # (dep, cause bits) added directly
+    calls: tuple = ()  # (callee method id, {callee formal or ret: caller representative})
+    writes: tuple = ()  # take the control mask
 
 
-_PASS = _NodeSpec()  # entry, exit and branches: OUT is IN
+_PASS = NodeSpec()  # entry, exit and branches: OUT is IN
 
 
 def node_spec(
-    s: ast.Stmt | None, method_id: str, aliases: AliasAnalysis, symbols: Symbols
-) -> _NodeSpec:
-    """The node-table entry of a statement in method `method_id`; entry,
-    exit and branch nodes (`None`, `IfElse`, `While`) pass IN through."""
+    s: ast.Stmt | None, method_id: str, aliases: AliasAnalysis, symbols: Symbols, rep_id
+) -> NodeSpec:
+    """The node-table entry of a statement in method `method_id`, with
+    representatives interned by `rep_id`; entry, exit and branch nodes
+    (`None`, `IfElse`, `While`) pass IN through."""
     if s is None or isinstance(s, (ast.IfElse, ast.While)):
         return _PASS
-    writes = aliases.written_reps(method_id, s)
+    writes = tuple(map(rep_id, aliases.written_reps(method_id, s)))
     if isinstance(s, ast.BottomAssign):
-        return _NodeSpec(
-            kills=frozenset(t for t in s.targets if isinstance(t, Scalar)),
-            bottoms=tuple((t, s.cause) for t in s.targets),
+        return NodeSpec(
+            kills=tuple(rep_id(t) for t in s.targets if isinstance(t, Scalar)),
+            bottoms=tuple((rep_id(t), CAUSE_BIT[s.cause]) for t in s.targets),
             writes=writes,
         )
-    sc = partial(Scalar, method_id)
+
+    def sc(name: str) -> int:
+        return rep_id(Scalar(method_id, name))
+
     calls: list = []
     if isinstance(s, ast.Return):
         dep, reads = sc(RET), [sc(s.value)]
     elif isinstance(s, ast.FieldWrite):
-        dep = aliases.field_rep(method_id, s.obj, s.field_name)
+        dep = rep_id(aliases.field_rep(method_id, s.obj, s.field_name))
         reads = [sc(s.source), sc(s.obj)]
     elif isinstance(s, ast.ArrayWrite):
-        dep = aliases.array_rep(method_id, s.array)
+        dep = rep_id(aliases.array_rep(method_id, s.array))
         reads = [sc(s.source), sc(s.array), sc(s.index)]
     else:
         dep = sc(s.target)
@@ -105,9 +136,9 @@ def node_spec(
         elif isinstance(s, ast.BinaryAssign):
             reads = [sc(s.left), sc(s.right)]
         elif isinstance(s, ast.FieldRead):
-            reads = [aliases.field_rep(method_id, s.obj, s.field_name), sc(s.obj)]
+            reads = [rep_id(aliases.field_rep(method_id, s.obj, s.field_name)), sc(s.obj)]
         elif isinstance(s, ast.ArrayRead):
-            reads = [aliases.array_rep(method_id, s.array), sc(s.array), sc(s.index)]
+            reads = [rep_id(aliases.array_rep(method_id, s.array)), sc(s.array), sc(s.index)]
         elif isinstance(s, ast.Call):
             reads = []
             for target in symbols.resolve_call(symbols.methods[method_id], s):
@@ -115,57 +146,44 @@ def node_spec(
                     reads += [sc(a) for a in s.actuals]
                     continue
                 subst = {
-                    Scalar(target.id, f.name): sc(a) for f, a in zip(target.formals, s.actuals)
+                    rep_id(Scalar(target.id, f.name)): sc(a)
+                    for f, a in zip(target.formals, s.actuals)
                 }
-                subst[Scalar(target.id, RET)] = dep
+                subst[rep_id(Scalar(target.id, RET))] = dep
                 calls.append((target.id, subst))
         else:
             raise TypeError(f"no transfer for {type(s).__name__}")
     weak = isinstance(s, (ast.Return, ast.FieldWrite, ast.ArrayWrite))
-    return _NodeSpec(
+    return NodeSpec(
         gen=tuple((dep, src) for src in dict.fromkeys(reads)),
-        kills=frozenset() if weak else frozenset({dep}),
+        kills=() if weak else (dep,),
         calls=tuple(calls),
         writes=writes,
     )
 
 
-def import_summaries(node: _NodeSpec, summaries: dict[str, frozenset[Fact]]) -> list[Fact]:
-    """The callee summaries of a call node, with actuals substituted for
-    formals and the call target for the return slot."""
-    out: list[Fact] = []
-    for callee, subst in node.calls:
-        for dep, src, cause in summaries.get(callee, ()):
-            out.append((subst.get(dep, dep), subst.get(src, src), cause))
-    return out
-
-
-def transfer(node: _NodeSpec, d: frozenset[Fact], imported=()) -> frozenset[Fact]:
-    """OUT of a node from its IN `d` and the facts `imported` from callee
-    summaries: the facts of killed dependents are dropped, each generated
-    pair and each imported fact is composed through `d` (so dependencies
-    always bottom out at entry values), and bottom-sourced facts are added
-    as they are."""
-    kills, gen = node.kills, node.gen
-    if not (kills or gen or node.bottoms or imported):
+def transfer(node: NodeSpec, d: Facts, ctrl: int = 0) -> Facts:
+    """OUT of a node from its IN `d` and its control mask `ctrl`: killed
+    dependents are popped, each generated pair ORs its source's IN mask into
+    its dependent (so dependencies always bottom out at entry values), cause
+    bits are ORed in as they are, and `ctrl` is ORed into every write. A
+    node that changes nothing returns `d` itself."""
+    kills, gen, bottoms = node.kills, node.gen, node.bottoms
+    if not (kills or gen or bottoms or (ctrl and node.writes)):
         return d
-    out: set[Fact] = {f for f in d if f[0] not in kills} if kills else set(d)
-    if gen or imported:
-        index: dict[Representative, list] = {}
-        for dep, src, cause in d:
-            index.setdefault(dep, []).append((src, cause))
-        for dep, src in gen:
-            for y, c in index.get(src, ()):
-                out.add((dep, y, c))
-        for dep, src, cause in imported:
-            if isinstance(src, Bottom):
-                out.add((dep, BOTTOM, cause))
-            else:
-                for y, c in index.get(src, ()):
-                    out.add((dep, y, c))
-    for dep, cause in node.bottoms:
-        out.add((dep, BOTTOM, cause))
-    return frozenset(out)
+    out = dict(d)
+    for dep in kills:
+        out.pop(dep, None)
+    for dep, src in gen:
+        mask = d.get(src)
+        if mask:
+            out[dep] = out.get(dep, 0) | mask
+    for dep, bits in bottoms:
+        out[dep] = out.get(dep, 0) | bits
+    if ctrl:
+        for w in node.writes:
+            out[w] = out.get(w, 0) | ctrl
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +194,24 @@ def transfer(node: _NodeSpec, d: frozenset[Fact], imported=()) -> frozenset[Fact
 @dataclass(slots=True)
 class _MethodSpec:
     cfg: Cfg
-    nodes: list[_NodeSpec]
-    governing: list[frozenset[int]]
-    branch_fv: dict[int, tuple[Representative, ...]]
-    static_seeds: frozenset[Representative]
+    nodes: list[NodeSpec]
+    # per node that writes: (governing branch, variable free in its condition)
+    control: list[tuple[tuple[int, int], ...]]
+    seeds: tuple[int, ...]
     call_nodes: tuple[int, ...]
+
+
+@dataclass(slots=True)
+class _Import:
+    """A callee summary in ids, as every call site imports it."""
+
+    facts: frozenset[Fact]  # the summary it encodes
+    pairs: tuple[tuple[int, int], ...]  # (dep, src), composed through IN
+    bottoms: tuple[tuple[int, int], ...]  # (dep, cause bits)
+    heap: tuple[int, ...]  # non-scalar representatives, seeded at entry
+
+
+_NO_FACTS: frozenset[Fact] = frozenset()
 
 
 class Analyzer:
@@ -191,6 +222,50 @@ class Analyzer:
         self.aliases = model.aliases
         self.sym = model.symbols
         self._specs: dict[str, _MethodSpec] = {}
+        self._ids: dict[Representative, int] = {}
+        self._reps: list[Representative] = []
+        self._imports: dict[str, _Import] = {}
+
+    # -- the encoding ---------------------------------------------------------
+
+    def rep_id(self, rep: Representative) -> int:
+        """The dense id of a representative; bottom has none, its causes are bits."""
+        i = self._ids.get(rep)
+        if i is None:
+            assert not isinstance(rep, Bottom)
+            i = self._ids[rep] = len(self._reps)
+            self._reps.append(rep)
+        return i
+
+    def encode(self, facts) -> Facts:
+        """A set of (dependent, source, cause) tuples as masks by dependent id."""
+        out: Facts = {}
+        for dep, src, cause in facts:
+            if isinstance(src, Bottom):
+                assert cause is not None, (dep, src)
+                bit = CAUSE_BIT[cause]
+            else:
+                assert cause is None, (dep, src, cause)
+                bit = 1 << (self.rep_id(src) + SHIFT)
+            k = self.rep_id(dep)
+            out[k] = out.get(k, 0) | bit
+        return out
+
+    def decode(self, d: Facts) -> frozenset[Fact]:
+        """The (dependent, source, cause) tuples of a fact set."""
+        reps = self._reps
+        out: list[Fact] = []
+        sources: dict[int, list] = {}  # dependents share few distinct masks
+        for k, mask in d.items():
+            srcs = sources.get(mask)
+            if srcs is None:
+                srcs = sources[mask] = [
+                    (BOTTOM, CAUSES[b]) if b < SHIFT else (reps[b - SHIFT], None)
+                    for b in _set_bits(mask)
+                ]
+            dep = reps[k]
+            out += [(dep, src, cause) for src, cause in srcs]
+        return frozenset(out)
 
     # -- preparation ------------------------------------------------------
 
@@ -200,20 +275,21 @@ class Analyzer:
             return cached
         mm = self.model.methods[method_id]
         g = mm.cfg
-        nodes: list[_NodeSpec] = []
-        branch_fv: dict[int, tuple[Representative, ...]] = {}
-        seeds: set[Representative] = set()
+        rep_id = self.rep_id
+        nodes: list[NodeSpec] = []
+        branch_fv: dict[int, tuple[int, ...]] = {}
+        seeds: set[int] = set()
         call_nodes: list[int] = []
         m = mm.method
         for p in list(m.formals) + list(m.locals):
-            seeds.add(Scalar(method_id, p.name))
+            seeds.add(rep_id(Scalar(method_id, p.name)))
         for n in g.nodes:
             if n.kind == BRANCH:
                 branch_fv[n.id] = (
-                    Scalar(method_id, n.cond.left),
-                    Scalar(method_id, n.cond.right),
+                    rep_id(Scalar(method_id, n.cond.left)),
+                    rep_id(Scalar(method_id, n.cond.right)),
                 )
-            ns = node_spec(n.stmt, method_id, self.aliases, self.sym)
+            ns = node_spec(n.stmt, method_id, self.aliases, self.sym, rep_id)
             nodes.append(ns)
             if ns.calls:
                 call_nodes.append(n.id)
@@ -223,22 +299,51 @@ class Analyzer:
             for dep, _ in ns.bottoms:
                 seeds.add(dep)
             seeds.update(ns.writes)
-        seeds = {r for r in seeds if not isinstance(r, Scalar) or r.method == method_id}
-        seeds.discard(Scalar(method_id, RET))
+        reps = self._reps
+        seeds = {
+            i for i in seeds if not isinstance(reps[i], Scalar) or reps[i].method == method_id
+        }
+        seeds.discard(rep_id(Scalar(method_id, RET)))
         governing = self.model.governing(method_id)
-        spec = _MethodSpec(g, nodes, governing, branch_fv, frozenset(seeds), tuple(call_nodes))
+        control = [
+            tuple((b, v) for b in governing[n] for v in branch_fv.get(b, ()))
+            if nodes[n].writes
+            else ()
+            for n in range(len(nodes))
+        ]
+        spec = _MethodSpec(g, nodes, control, tuple(seeds), tuple(call_nodes))
         self._specs[method_id] = spec
         return spec
 
-    def _seed_facts(self, spec: _MethodSpec, summaries) -> frozenset[Fact]:
-        seeds = set(spec.static_seeds)
-        for nid in spec.call_nodes:
-            for callee, _ in spec.nodes[nid].calls:
-                for dep, src, _ in summaries.get(callee, ()):
-                    for rep in (dep, src):
-                        if not isinstance(rep, (Scalar, Bottom)):
-                            seeds.add(rep)
-        return frozenset((r, r, None) for r in seeds)
+    def _import(self, callee: str, summaries: dict[str, frozenset[Fact]]) -> _Import:
+        """The callee's current summary in ids; re-encoded only when it changed."""
+        facts = summaries.get(callee, _NO_FACTS)
+        cached = self._imports.get(callee)
+        if cached is not None and cached.facts is facts:
+            return cached
+        pairs: list[tuple[int, int]] = []
+        bottoms: list[tuple[int, int]] = []
+        used: set[int] = set()
+        for dep, mask in self.encode(facts).items():
+            used.add(dep)
+            if mask & CAUSE_BITS:
+                bottoms.append((dep, mask & CAUSE_BITS))
+            for src in _set_bits(mask >> SHIFT):
+                used.add(src)
+                pairs.append((dep, src))
+        heap = tuple(i for i in used if not isinstance(self._reps[i], Scalar))
+        imp = self._imports[callee] = _Import(facts, tuple(pairs), tuple(bottoms), heap)
+        return imp
+
+    def with_imports(self, node: NodeSpec, summaries: dict[str, frozenset[Fact]]) -> NodeSpec:
+        """A call node's entry with its callees' summaries bound: actuals
+        substituted for formals and the call target for the return slot."""
+        gen, bottoms = list(node.gen), list(node.bottoms)
+        for callee, subst in node.calls:
+            imp = self._import(callee, summaries)
+            gen += [(subst.get(dep, dep), subst.get(src, src)) for dep, src in imp.pairs]
+            bottoms += [(subst.get(dep, dep), bits) for dep, bits in imp.bottoms]
+        return NodeSpec(tuple(gen), node.kills, tuple(bottoms), (), node.writes)
 
     # -- landfall ---------------------------------------------------------------
 
@@ -249,9 +354,19 @@ class Analyzer:
         spec = self.spec(method_id)
         g = spec.cfg
         n_nodes = len(g.nodes)
-        IN: list[frozenset[Fact]] = [frozenset()] * n_nodes
-        OUT: list[frozenset[Fact]] = [frozenset()] * n_nodes
-        entry_facts = self._seed_facts(spec, summaries)
+        nodes = spec.nodes
+        seeds = set(spec.seeds)
+        if spec.call_nodes:
+            nodes = list(nodes)
+            for nid in spec.call_nodes:
+                nodes[nid] = self.with_imports(nodes[nid], summaries)
+                for callee, _ in spec.nodes[nid].calls:
+                    seeds.update(self._import(callee, summaries).heap)
+        entry_facts: Facts = {i: 1 << (i + SHIFT) for i in seeds}
+        control = spec.control
+        empty: Facts = {}
+        IN: list[Facts] = [empty] * n_nodes
+        OUT: list[Facts] = [empty] * n_nodes
         work = deque([g.entry])
         queued = [False] * n_nodes
         queued[g.entry] = True
@@ -267,39 +382,22 @@ class Analyzer:
             elif len(preds) == 1:
                 incoming = OUT[preds[0]]
             else:
-                merged: set[Fact] = set()
-                for p in preds:
-                    merged |= OUT[p]
-                incoming = frozenset(merged)
+                incoming = dict(OUT[preds[0]])
+                for p in preds[1:]:
+                    for k, mask in OUT[p].items():
+                        incoming[k] = incoming.get(k, 0) | mask
             IN[n] = incoming
-            ns = spec.nodes[n]
-            out = transfer(ns, incoming, import_summaries(ns, summaries) if ns.calls else ())
-            if spec.governing[n]:
-                extra = self._control_facts(spec, n, IN)
-                if extra:
-                    out = out | extra
+            ctrl = 0
+            for b, v in control[n]:
+                ctrl |= IN[b].get(v, 0)
+            out = transfer(nodes[n], incoming, ctrl)
             if out != OUT[n] or first:
                 OUT[n] = out
                 for s in g.succs[n]:
                     if not queued[s]:
                         queued[s] = True
                         work.append(s)
-        return OUT[g.exit]
-
-    def _control_facts(self, spec: _MethodSpec, n: int, IN) -> set[Fact]:
-        writes = spec.nodes[n].writes
-        if not writes:
-            return set()
-        out: set[Fact] = set()
-        for b in spec.governing[n]:
-            fv = spec.branch_fv.get(b, ())
-            if not fv:
-                continue
-            for dep, src, cause in IN[b]:
-                if dep in fv:
-                    for w in writes:
-                        out.add((w, src, cause))
-        return out
+        return self.decode(OUT[g.exit])
 
     # -- summaries -----------------------------------------------------------
 

@@ -1,14 +1,17 @@
-"""Dependence transfer rules and the two fixpoints."""
+"""Dependence transfer rules, their bit-mask encoding and the two fixpoints."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cook.aliases import AliasAnalysis
+from cook.aliases import RET, AliasAnalysis
 from cook.analysis import (
+    CAUSE_BIT,
     Analyzer,
+    NodeSpec,
     analyze_program,
-    import_summaries,
     node_spec,
     transfer,
 )
@@ -17,7 +20,7 @@ from cook.interp import InterpFault, collect_taints, random_store, run_reified
 from cook.lang import ast, load
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
-from cook.representatives import BOTTOM, Bottom, Scalar, TypeField
+from cook.representatives import BOTTOM, ArrayPart, Bottom, Scalar, TypeField
 
 RULES_SRC = """
 class A { f: int; }
@@ -50,12 +53,17 @@ def ident(*reps):
     return d_of(*((r, r) for r in reps))
 
 
+def rule_analyzer():
+    p, sym = load(RULES_SRC)
+    return Analyzer(ProgramModel(p, sym))
+
+
 def out_of(s, d, summaries=None):
     """OUT of statement `s` in method `m` through the transfer the method
-    fixpoint runs."""
-    p, sym, al, sc = rule_ctx()
-    node = node_spec(s, "m", al, sym)
-    return transfer(node, d, import_summaries(node, summaries or {}))
+    fixpoint runs: `d` encoded, the node's callee summaries bound, OUT decoded."""
+    an = rule_analyzer()
+    node = node_spec(s, "m", an.aliases, an.sym, an.rep_id)
+    return an.decode(transfer(an.with_imports(node, summaries or {}), an.encode(d)))
 
 
 def fact_pairs(facts):
@@ -198,10 +206,129 @@ def test_imported_bottom_is_kept_and_frame_facts_are_composed():
 
 def test_pass_nodes_return_in_unchanged():
     p, sym, al, sc = rule_ctx()
-    d = ident(sc("x"))
+    an = rule_analyzer()
+    d = an.encode(ident(sc("x")))
     cond = ast.Cond("x", ">", "y")
     for s in (None, ast.IfElse(cond, (), ()), ast.While(cond, ())):
-        assert transfer(node_spec(s, "m", al, sym), d) is d
+        assert transfer(node_spec(s, "m", an.aliases, an.sym, an.rep_id), d) is d
+
+
+# -- the encoding at its edges ---------------------------------------------------
+
+API, LOOP, RECURSION = (
+    ast.DivergenceCause.API, ast.DivergenceCause.LOOP, ast.DivergenceCause.RECURSION
+)
+
+
+def test_one_dependent_with_all_three_causes():
+    an = rule_analyzer()
+    x = Scalar("m", "x")
+    three = frozenset({(x, BOTTOM, API), (x, BOTTOM, LOOP), (x, BOTTOM, RECURSION)})
+    assert an.encode(three) == {an.rep_id(x): 0b111}
+    assert an.decode({an.rep_id(x): 0b111}) == three
+
+
+def test_a_cause_on_a_representative_source_is_rejected():
+    an = rule_analyzer()
+    with pytest.raises(AssertionError):
+        an.encode({(Scalar("m", "x"), Scalar("m", "y"), LOOP)})
+    with pytest.raises(AssertionError):
+        an.encode({(Scalar("m", "x"), BOTTOM, None)})
+
+
+THREE_CAUSES_SRC = """
+extern method api(): int;
+method rec(n: int): int { var r: int; r := rec(n); return r; }
+method m(a: int, b: int): int {
+  var x: int; var zero: int; var lo: int; var hi: int; var one: int;
+  zero := 0; x := 0;
+  if a > zero then { x := api(); } else {
+    if b > zero then { x := rec(a); } else {
+      lo := 0; hi := 1; one := 1;
+      while lo < hi do { x := x + one; }
+    }
+  }
+  return x;
+}
+"""
+
+
+def test_three_causes_reach_one_dependent_through_a_method():
+    _, facts = method_facts_of(THREE_CAUSES_SRC, "m")
+    a, b, x, ret = (Scalar("m", v) for v in ("a", "b", "x", "ret"))
+    lo, hi, one = (Scalar("m", v) for v in ("lo", "hi", "one"))
+    # x is bottom for each cause on its own path and control-dependent on a
+    # and b; lo, hi and one keep their entry value on the paths that skip them
+    expected = ident(a, b, lo, hi, one) | d_of(
+        (x, a), (x, b), (ret, a), (ret, b), (lo, a), (lo, b), (hi, a), (hi, b), (one, a), (one, b)
+    )
+    for dep in (x, ret):
+        expected |= {(dep, BOTTOM, API), (dep, BOTTOM, LOOP), (dep, BOTTOM, RECURSION)}
+    assert facts == expected
+
+
+def test_masks_span_several_machine_words():
+    n = 70
+    formals = ", ".join(f"a{i}: int" for i in range(n))
+    sums = "".join(f"  s := s + a{i};\n" for i in range(2, n))
+    src = f"method m({formals}): int {{\n  var s: int;\n  s := a0 + a1;\n{sums}  return s;\n}}\n"
+    an, facts = method_facts_of(src, "m")
+    a = [Scalar("m", f"a{i}") for i in range(n)]
+    s, ret = Scalar("m", "s"), Scalar("m", "ret")
+    assert facts == ident(*a) | d_of(*((s, x) for x in a)) | d_of(*((ret, x) for x in a))
+    assert max(an.rep_id(x) for x in a) >= 64
+
+
+# more representatives than a machine word has bits, interned in this order
+WIDE = tuple(Scalar("w", f"v{i}") for i in range(70)) + (TypeField("A", "f"), ArrayPart(0))
+reps = st.sampled_from(WIDE)
+causes = st.sampled_from(tuple(ast.DivergenceCause))
+fact_sets = st.frozensets(
+    st.one_of(st.tuples(reps, reps, st.none()), st.tuples(reps, st.just(BOTTOM), causes)),
+    max_size=40,
+)
+
+
+def reference_transfer(gen, kills, bottoms, writes, branch, fv, d):
+    """The transfer over sets of (dependent, source, cause) tuples: kill,
+    compose each generated pair through IN, add the bottom facts, and give
+    every write the sources `fv` has at its governing branch."""
+    out = {f for f in d if f[0] not in kills}
+    for dep, src in gen:
+        out |= {(dep, y, c) for x, y, c in d if x == src}
+    out |= {(dep, BOTTOM, cause) for dep, cause in bottoms}
+    out |= {(w, y, c) for w in writes for x, y, c in branch if x == fv}
+    return frozenset(out)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    gen=st.lists(st.tuples(reps, reps), max_size=6),
+    kills=st.frozensets(reps, max_size=4),
+    bottoms=st.lists(st.tuples(reps, causes), max_size=3),
+    writes=st.frozensets(reps, max_size=4),
+    branch=fact_sets,
+    fv=reps,
+    d=fact_sets,
+)
+def test_encoded_transfer_matches_the_set_reference(gen, kills, bottoms, writes, branch, fv, d):
+    an = rule_analyzer()
+    rid = an.rep_id
+    for rep in WIDE:
+        rid(rep)
+    node = NodeSpec(
+        gen=tuple((rid(dep), rid(src)) for dep, src in gen),
+        kills=tuple(map(rid, kills)),
+        bottoms=tuple((rid(dep), CAUSE_BIT[cause]) for dep, cause in bottoms),
+        writes=tuple(map(rid, writes)),
+    )
+    ctrl = an.encode(branch).get(rid(fv), 0)  # what the method fixpoint ORs in
+    encoded = an.encode(d)
+    out = transfer(node, encoded, ctrl)
+    assert an.decode(out) == reference_transfer(gen, kills, bottoms, writes, branch, fv, d)
+    assert 0 not in out.values()
+    if not (gen or kills or bottoms or (ctrl and writes)):
+        assert out is encoded
 
 
 # -- method fixpoint -----------------------------------------------------------
@@ -432,6 +559,47 @@ def test_facts_grow_monotonically_with_summaries():
         assert first <= res.facts[mid]
 
 
+CENSUS_LIKE = dict(
+    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
+)
+HEAP_DISPATCH = dict(methods=30, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1)
+LOOP_DENSE = dict(methods=8, stmts=(2, 6), loop=0.7, opaque_loop=0.05, call=0.2)
+PROFILES = {"census": CENSUS_LIKE, "heap": HEAP_DISPATCH, "loops": LOOP_DENSE}
+# (profile, generator seed, nested policy, digest of the AnalysisResult); the
+# digests were computed by the tuple-set fixpoint the bit-mask one replaced
+PINNED = (
+    ("census", 0, "basic", "3151ccbdff5833bd"),
+    ("census", 7, "basic", "8cab3abf57713e81"),
+    ("heap", 0, "basic", "023dc814377e292d"),
+    ("heap", 4, "basic", "d3185765ce15be09"),
+    ("loops", 5, "basic", "67c5e8153d614e3b"),
+    ("loops", 5, "summary", "6f35baea39b56093"),
+    ("loops", 6, "basic", "593524ad7b450099"),
+    ("loops", 6, "summary", "d8dd9ee48f58baeb"),
+)
+
+
+def result_digest(res) -> str:
+    """Digest of the sorted rendering of a result's facts, summaries and causes."""
+    rows = [
+        f"{kind} {mid} {dep.render()} {src.render()} {cause and cause.value}"
+        for kind, table in (("fact", res.facts), ("summary", res.summaries))
+        for mid, facts in table.items()
+        for dep, src, cause in facts
+    ]
+    rows += [f"causes {mid} {sorted(c.value for c in cs)}" for mid, cs in res.causes.items()]
+    return hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "profile, seed, policy, digest", PINNED, ids=["-".join(map(str, p[:3])) for p in PINNED]
+)
+def test_fixpoint_results_are_pinned(profile, seed, policy, digest):
+    params = GenParams(**PROFILES[profile])
+    model = ProgramModel(generate_program(seed, params), nested_policy=policy)
+    assert result_digest(analyze_program(transformed_model(model))) == digest
+
+
 def test_safe_list_growth_never_shrinks_islands(run_pipeline):
     src_parts = ["extern method e{k}(): int;".format(k=k) for k in range(3)]
     body = """
@@ -451,6 +619,33 @@ method m{k}(): int {{
             assert last <= res.st
         last = res.st
     assert last == frozenset({"m0", "m1", "m2"})
+
+
+def check_reified_taints(p, model, rng, stores, where=()) -> int:
+    """Runs `stores` seeded reified runs of every method of `p` and checks
+    their taints: each has a bottom fact in the method's facts, and a method
+    the `post` placement calls an island taints nothing its caller sees (its
+    `ret` and the heap). Returns the number of runs that did not fault."""
+    tmodel = transformed_model(model)
+    res = analyze_program(tmodel)
+    post_islands = analyze_program(tmodel, swamp_test="post").st
+    dec = model.decisions()
+    checked = 0
+    for mid in model.methods:
+        landfall_bottoms = {f[0] for f in res.facts[mid] if isinstance(f[1], Bottom)}
+        for k in range(stores):
+            store = random_store(model.symbols, model.aliases, mid, rng)
+            try:
+                out = run_reified(p, model.symbols, model.aliases, mid, store, dec)
+            except InterpFault:
+                continue
+            taints = collect_taints(out, model.aliases, mid)
+            assert taints <= landfall_bottoms, (*where, mid, taints - landfall_bottoms)
+            if mid in post_islands:
+                seen = {r for r in taints if not isinstance(r, Scalar) or r.name == RET}
+                assert not seen, (*where, mid, seen)
+            checked += 1
+    return checked
 
 
 # (loop, opaque_loop, nested policy, generator seeds, reified runs at least);
@@ -475,22 +670,20 @@ def test_reified_taints_within_analysis_facts():
                           extern=0.2, call=0.3, heap=0.35),
             )
             model = ProgramModel(p, nested_policy=policy)
-            tmodel = transformed_model(model)
-            res = analyze_program(tmodel)
-            dec = model.decisions()
-            for mid in model.methods:
-                landfall_bottoms = {
-                    f[0] for f in res.facts[mid] if isinstance(f[1], Bottom)
-                }
-                for k in range(3):
-                    store = random_store(model.symbols, model.aliases, mid, rng)
-                    try:
-                        out = run_reified(p, model.symbols, model.aliases, mid, store, dec)
-                    except InterpFault:
-                        continue
-                    taints = collect_taints(out, model.aliases, mid)
-                    assert taints <= landfall_bottoms, (
-                        loop, policy, seed, mid, taints - landfall_bottoms
-                    )
-                    checked += 1
+            checked += check_reified_taints(p, model, rng, 3, (loop, policy, seed))
         assert checked >= at_least, (loop, policy, checked)
+
+
+# the ROADMAP's 200-method baseline program and a heap and dispatch program of
+# the same size, with the `islands` workload's profile
+PROGRAM_SCALE = (
+    dict(CENSUS_LIKE, methods=200, classes=4),
+    dict(methods=200, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1),
+)
+
+
+@pytest.mark.parametrize("params", PROGRAM_SCALE, ids=("baseline", "islands"))
+def test_reified_taints_within_analysis_facts_at_program_scale(params):
+    p = generate_program(0, GenParams(**params))
+    checked = check_reified_taints(p, ProgramModel(p), random.Random(3), 2)
+    assert checked >= 360, checked

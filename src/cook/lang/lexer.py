@@ -1,9 +1,24 @@
-"""Tokenizer for the Carib surface syntax."""
+"""Tokenizer for the Carib surface syntax.
+
+A token is a plain `(kind, text, line, col)` tuple, where kind is one of
+`ident`, `int`, `partref`, `keyword`, `op` and `eof`, and `line` and `col`
+count from 1. The list ends with exactly one `eof` token, whose text is ``""``
+and whose position is just past the last character of the source.
+
+`tokenize` is one `finditer` pass over one regex. Every alternative is
+preceded by `[ \\t\\r]*`, so spaces, tabs and carriage returns are skipped
+inside a match instead of being matches of their own; `\\r` counts as one
+column like any other character. A newline is its own match and starts the
+next line. A `//` comment runs to the end of its line and yields no token.
+A character that starts no token matches the catch-all group, which is the
+only error path: it raises `SyntaxDiagnostic("unexpected character …")` at
+that character's line and column. The end-of-input alternative `\\Z` gives the
+`eof` token and ends the loop.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..errors import SyntaxDiagnostic
 
@@ -30,49 +45,48 @@ KEYWORDS = frozenset(
 # `ret` names the return slot in summaries; keep it out of user programs.
 RESERVED = KEYWORDS | {"ret"}
 
+Token = tuple[str, str, int, int]  # (kind, text, line, col)
+
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<nl>\n)
-  | (?P<partref>part\#\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<op>:=|::|<=|>=|==|!=|\[\]|[{}()\[\],;:.<>+\-*/%!#])
+    [ \t\r]*
+    (?:
+      (?P<nl>\n)
+    | (?P<comment>//[^\n]*)
+    | (?P<partref>part\#\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<int>\d+)
+    | (?P<op>:=|::|<=|>=|==|!=|\[\]|[{}()\[\],;:.<>+\-*/%!\#])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
 """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # ident | int | partref | keyword | op | eof
-    text: str
-    line: int
-    col: int
-
-
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
     line, line_start = 1, 0
-    pos = 0
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise SyntaxDiagnostic(
-                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
         if kind == "nl":
             line += 1
             line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            col = m.start() - line_start + 1
-            if kind == "ident" and text in KEYWORDS:
+            continue
+        if kind == "comment":
+            continue
+        text = m.group(kind)
+        col = m.start(kind) - line_start + 1
+        if kind == "ident":
+            if text in KEYWORDS:
                 kind = "keyword"
-            tokens.append(Token(kind, text, line, col))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, n - line_start + 1))
+        elif kind == "bad":
+            raise SyntaxDiagnostic(f"unexpected character {text!r}", line, col)
+        append((kind, text, line, col))
+        if kind == "eof":
+            # if this match consumed trailing blanks, `\Z` would match again,
+            # empty, at the end
+            break
     return tokens

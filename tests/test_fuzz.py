@@ -31,7 +31,7 @@ FLAGS = ([], ["--nested-loops", "summary"], ["--swamp-test", "post", "--format",
 @lru_cache(maxsize=None)
 def seed_tokens(seed: int) -> tuple[tuple[str, str], ...]:
     source = pretty(generate_program(seed, PARAMS, normalize=False))
-    return tuple((t.kind, t.text) for t in tokenize(source)[:-1])  # drop eof
+    return tuple((kind, text) for kind, text, _, _ in tokenize(source)[:-1])  # drop eof
 
 
 @st.composite

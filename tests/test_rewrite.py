@@ -147,6 +147,24 @@ def test_rewritten_output_reparses():
         assert parse(pretty(p2), allow_bottom=True) == p2, seed
 
 
+def test_bottom_statement_with_300_targets_reparses():
+    # one opaque loop writing 300 locals becomes one 300-target BottomAssign
+    names = [f"v{k}" for k in range(300)]
+    src = (
+        "method m(): int {\n  var lo: int; var hi: int; var one: int;\n"
+        + "".join(f"  var {v}: int;\n" for v in names)
+        + "  lo := 0; hi := 1; one := 1;\n"
+        + "".join(f"  {v} := 0;\n" for v in names)
+        + "  while lo < hi do {\n"
+        + "".join(f"    {v} := {v} + one;\n" for v in names)
+        + "  }\n  return v0;\n}\n"
+    )
+    _, p2 = rewrite(src)
+    (b,) = [s for s in body_stmts(p2, "m") if isinstance(s, ast.BottomAssign)]
+    assert len(b.targets) == 300
+    assert parse(pretty(p2), allow_bottom=True) == p2
+
+
 def test_no_divergent_constructs_survive():
     for seed in range(15):
         p = generate_program(

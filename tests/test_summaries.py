@@ -294,6 +294,15 @@ def interp_post_state(src, mid, store_vals, sym_al=None):
     return out
 
 
+# 64-bit edge values, drawn next to small ones for array cells and for
+# values that only guard, never bound, a loop
+EDGES = (ast.INT64_MIN, ast.INT64_MAX, -1, 0)
+
+
+def small_or_edge(rng: random.Random, lo: int, hi: int) -> int:
+    return rng.choice(EDGES) if rng.random() < 0.3 else rng.randint(lo, hi)
+
+
 def test_two_cycle_array_fill_matches_interpreter():
     src = """
 method fill(a: int[], n: int, mid: int): int {
@@ -312,8 +321,8 @@ method fill(a: int[], n: int, mid: int): int {
     rng = random.Random(0)
     for _ in range(25):
         n = rng.randint(0, 8)
-        midv = rng.randint(-2, 10)
-        cells = [rng.randint(-5, 5) for _ in range(8)]
+        midv = small_or_edge(rng, -2, 10)
+        cells = [small_or_edge(rng, -5, 5) for _ in range(8)]
         arr = ArrVal("int", list(cells), 0)
         out = interp_post_state(src, "fill", {"a": arr, "n": n, "mid": midv})
         env = {"i": 0, "n": n, "mid": midv, "c1": 7, "c2": 9}
@@ -338,7 +347,7 @@ def test_generated_df_loops_match_interpreter_exactly():
         verdict = df_check(cs, tt)
         assert verdict.dependency_free, (seed, verdict.render())
         s = summarize(cs, tt)
-        cells = [rng.randint(-9, 9) for _ in range(64)]
+        cells = [small_or_edge(rng, -9, 9) for _ in range(64)]
         arr = ArrVal("int", list(cells), al.partition_of(mid, "a"))
         out = interp_post_state(src, mid, {"a": arr})
         env = {name: 0 for name in sym.var_types[mid]}

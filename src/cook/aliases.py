@@ -14,7 +14,17 @@ heap writes transitively (`heap_writes`). The scalars a statement writes are
 `ast.scalar_writes`; field and array writes map to their representatives.
 A method's whole write set is closed over its callees in one pass over the
 call graph's strongly connected components, callees first, and the members
-of a component share one set. `reachable_lvalues` is the
+of a component share one set. The call rows found on the way are the call
+graph's (`calls`), so calls are resolved once per program.
+
+The analysis of a rewritten program is derived from the analysis of the
+program the rewrite started from (`base`). It keeps the base's partition
+numbering, which the rewrite's bottom assignments name, and every method
+the rewrite returned unchanged keeps the write targets and call row found
+there. The closure over callees is recomputed: an unchanged caller of a
+rewritten callee writes what the rewritten callee now writes.
+
+`reachable_lvalues` is the
 write footprint visible through an actual parameter: every representative
 reachable through its field structure (and array cells), excluding the
 parameter itself.
@@ -22,7 +32,7 @@ parameter itself.
 
 from __future__ import annotations
 
-from .callgraph import build_call_graph, strongly_connected_components
+from .callgraph import call_row, strongly_connected_components
 from .lang import ast
 from .lang.check import Symbols
 from .representatives import ArrayPart, Representative, Scalar, TypeField
@@ -40,24 +50,25 @@ class AliasAnalysis:
         self,
         program: ast.Program,
         symbols: Symbols,
-        partitions_from: "AliasAnalysis | None" = None,
+        base: "AliasAnalysis | None" = None,
     ):
+        """`base` is the analysis of the program this one was rewritten from."""
         self.program = program
         self.sym = symbols
         self._uf: dict[tuple, tuple] = {}
         self._slot_order: list[tuple] = []
         self._part_ids: dict[tuple, int] = {}
         self._rlv_memo: dict[str, frozenset[Representative]] = {}
-        if partitions_from is not None:
+        if base is not None:
             # A rewritten program references partition ids baked into its
-            # bottom assignments, so it must keep the donor's numbering; the
-            # donor's joins are a sound superset of the rewritten program's.
-            self._uf = dict(partitions_from._uf)
-            self._slot_order = list(partitions_from._slot_order)
-            self._part_ids = dict(partitions_from._part_ids)
+            # bottom assignments, so it must keep the base's numbering; the
+            # base's joins are a sound superset of the rewritten program's.
+            self._uf = dict(base._uf)
+            self._slot_order = list(base._slot_order)
+            self._part_ids = dict(base._part_ids)
         else:
             self._build_partitions()
-        self._build_method_writes()
+        self._build_method_writes(base)
 
     # -- partitions -----------------------------------------------------------
 
@@ -170,21 +181,40 @@ class AliasAnalysis:
             return set(s.targets)
         return {Scalar(method_id, name) for name in ast.scalar_writes(s, method_id)}
 
-    def _build_method_writes(self) -> None:
+    def _build_method_writes(self, base: "AliasAnalysis | None") -> None:
         """Whole-body write sets, closed over internal calls: one pass over
-        the call graph's SCCs, callees first; an SCC's members share a set."""
-        graph = build_call_graph(self.program, self.sym)
-        writes: dict[str, frozenset[Representative]] = {}
-        for scc in strongly_connected_components(graph.nodes, graph.succs):
+        the call graph's SCCs, callees first; an SCC's members share a set.
+
+        A method that is the same object in `base`'s program keeps the
+        targets and call row found there, since neither depends on anything
+        a rewrite changes. The closure is recomputed all the same: an
+        unchanged caller of a rewritten callee closes over the callee's new
+        write set."""
+        targets: dict[str, frozenset[Representative]] = {}
+        calls: dict[str, tuple[str, ...]] = {}
+        for m in self.program.methods:
+            if m.extern:
+                continue
+            if base is not None and base.sym.methods.get(m.id) is m:
+                targets[m.id], calls[m.id] = base._targets[m.id], base.calls[m.id]
+                continue
             reps: set[Representative] = set()
+            for s in ast.walk(m.body):
+                reps |= self._stmt_targets(m.id, s)
+            targets[m.id], calls[m.id] = frozenset(reps), call_row(m, self.sym)
+        writes: dict[str, frozenset[Representative]] = {}
+        for scc in strongly_connected_components(tuple(calls), calls):
+            reps = set()
             for mid in scc:
-                for s in ast.walk(self.sym.methods[mid].body):
-                    reps |= self._stmt_targets(mid, s)
-                for callee in graph.succs[mid]:
+                reps |= targets[mid]
+                for callee in calls[mid]:
                     reps |= writes.get(callee, frozenset())  # absent: same SCC
             shared = frozenset(reps)
             for mid in scc:
                 writes[mid] = shared
+        self._targets = targets
+        # internal callees per method (`callgraph.call_row`), for the call graph
+        self.calls = calls
         self._writes_memo = writes
         self._heap_memo = {
             mid: frozenset(r for r in reps if not isinstance(r, Scalar))
@@ -197,13 +227,20 @@ class AliasAnalysis:
         under call by value."""
         return self._heap_memo[method_id]
 
+    def call_writes(self, method_id: str) -> frozenset[Representative]:
+        """Every representative a call of the method may write, through its
+        callees too, the scalars of their frames included."""
+        return self._writes_memo[method_id]
+
     def written_reps(self, method_id: str, stmt: ast.Stmt | ast.Block) -> frozenset[Representative]:
         """Representatives of every syntactic write inside `stmt`.
 
-        Internal calls contribute their callee's whole write set transitively,
-        callee-frame scalars included. Only `analysis.node_spec` reads this,
-        for a node's control-dependence writes, and that is a known defect:
-        the callee scalars survive `strip_locals` as junk summary facts
+        Internal calls contribute their callee's whole write set transitively
+        (`call_writes`), callee-frame scalars included. This is the reference
+        the tests hold `analysis.node_spec`'s control-dependence writes to;
+        `node_spec` builds the same sets from ids it already holds. That
+        those sets hold callee scalars is a known defect: they survive
+        `strip_locals` as junk summary facts
         (`test_dead_guarded_call_leaves_no_callee_frame_facts` is a strict
         xfail until `observable_writes` replaces it there).
         """
@@ -214,7 +251,7 @@ class AliasAnalysis:
             if isinstance(s, ast.Call):
                 for t in self.sym.resolve_call(m, s):
                     if not t.extern:
-                        out |= self._writes_memo[t.id]
+                        out |= self.call_writes(t.id)
         return frozenset(out)
 
     def observable_writes(

@@ -98,19 +98,29 @@ _PASS = NodeSpec()  # entry, exit and branches: OUT is IN
 
 
 def node_spec(
-    s: ast.Stmt | None, method_id: str, aliases: AliasAnalysis, symbols: Symbols, rep_id
+    s: ast.Stmt | None,
+    method_id: str,
+    aliases: AliasAnalysis,
+    symbols: Symbols,
+    rep_id,
+    call_writes,
 ) -> NodeSpec:
     """The node-table entry of a statement in method `method_id`, with
-    representatives interned by `rep_id`; entry, exit and branch nodes
-    (`None`, `IfElse`, `While`) pass IN through."""
+    representatives interned by `rep_id` and the write set of a call of an
+    internal method interned by `call_writes`; entry, exit and branch nodes
+    (`None`, `IfElse`, `While`) pass IN through.
+
+    A node's writes are `aliases.written_reps` of its statement: a bottom
+    assignment's targets, the one dependent of any other statement, and for
+    a call the whole write set of every internal target."""
     if s is None or isinstance(s, (ast.IfElse, ast.While)):
         return _PASS
-    writes = tuple(map(rep_id, aliases.written_reps(method_id, s)))
     if isinstance(s, ast.BottomAssign):
+        bottoms = tuple((rep_id(t), CAUSE_BIT[s.cause]) for t in s.targets)
         return NodeSpec(
             kills=tuple(rep_id(t) for t in s.targets if isinstance(t, Scalar)),
-            bottoms=tuple((rep_id(t), CAUSE_BIT[s.cause]) for t in s.targets),
-            writes=writes,
+            bottoms=bottoms,
+            writes=tuple(dep for dep, _ in bottoms),
         )
 
     def sc(name: str) -> int:
@@ -153,12 +163,15 @@ def node_spec(
                 calls.append((target.id, subst))
         else:
             raise TypeError(f"no transfer for {type(s).__name__}")
+    writes = {dep}
+    for callee, _ in calls:
+        writes.update(call_writes(callee))
     weak = isinstance(s, (ast.Return, ast.FieldWrite, ast.ArrayWrite))
     return NodeSpec(
         gen=tuple((dep, src) for src in dict.fromkeys(reads)),
         kills=() if weak else (dep,),
         calls=tuple(calls),
-        writes=writes,
+        writes=tuple(writes),
     )
 
 
@@ -225,6 +238,7 @@ class Analyzer:
         self._ids: dict[Representative, int] = {}
         self._reps: list[Representative] = []
         self._imports: dict[str, _Import] = {}
+        self._call_writes: dict[str, tuple[int, ...]] = {}
 
     # -- the encoding ---------------------------------------------------------
 
@@ -236,6 +250,15 @@ class Analyzer:
             i = self._ids[rep] = len(self._reps)
             self._reps.append(rep)
         return i
+
+    def call_writes(self, method_id: str) -> tuple[int, ...]:
+        """The ids of `AliasAnalysis.call_writes`, interned once per method."""
+        ids = self._call_writes.get(method_id)
+        if ids is None:
+            ids = self._call_writes[method_id] = tuple(
+                map(self.rep_id, self.aliases.call_writes(method_id))
+            )
+        return ids
 
     def encode(self, facts) -> Facts:
         """A set of (dependent, source, cause) tuples as masks by dependent id."""
@@ -289,7 +312,7 @@ class Analyzer:
                     rep_id(Scalar(method_id, n.cond.left)),
                     rep_id(Scalar(method_id, n.cond.right)),
                 )
-            ns = node_spec(n.stmt, method_id, self.aliases, self.sym, rep_id)
+            ns = node_spec(n.stmt, method_id, self.aliases, self.sym, rep_id, self.call_writes)
             nodes.append(ns)
             if ns.calls:
                 call_nodes.append(n.id)

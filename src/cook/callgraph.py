@@ -10,6 +10,7 @@ connected components (plus self loops), computed with Tarjan's algorithm.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .lang import ast
@@ -27,33 +28,36 @@ class CallGraph:
         return self.preds.get(method_id, ())
 
 
-def build_call_graph(program: ast.Program, symbols: Symbols) -> CallGraph:
-    """Edges (caller, callee) over internal methods; extern callees are sinks
-    handled by the divergence rewrite and contribute no edges."""
-    nodes = tuple(m.id for m in program.methods if not m.extern)
-    edges: set[tuple[str, str]] = set()
-    succs: dict[str, list[str]] = {mid: [] for mid in nodes}
-    preds: dict[str, list[str]] = {mid: [] for mid in nodes}
-    for m in program.methods:
-        if m.extern:
-            continue
-        for s in ast.walk(m.body):
-            if not isinstance(s, ast.Call):
-                continue
+def call_row(m: ast.Method, symbols: Symbols) -> tuple[str, ...]:
+    """Internal methods a call in `m`'s body may reach, each once, in the
+    order the calls first name them; extern callees are sinks handled by the
+    divergence rewrite and contribute nothing."""
+    row: dict[str, None] = {}
+    for s in ast.walk(m.body):
+        if isinstance(s, ast.Call):
             for target in symbols.resolve_call(m, s):
-                if target.extern:
-                    continue
-                e = (m.id, target.id)
-                if e not in edges:
-                    edges.add(e)
-                    succs[m.id].append(target.id)
-                    preds[target.id].append(m.id)
-    return CallGraph(
-        nodes,
-        frozenset(edges),
-        {k: tuple(v) for k, v in succs.items()},
-        {k: tuple(v) for k, v in preds.items()},
-    )
+                if not target.extern:
+                    row[target.id] = None
+    return tuple(row)
+
+
+def build_call_graph(
+    program: ast.Program,
+    symbols: Symbols,
+    rows: Mapping[str, tuple[str, ...]] | None = None,
+) -> CallGraph:
+    """Edges (caller, callee) over internal methods. `rows` holds each
+    method's `call_row` when the caller has resolved the calls already."""
+    nodes = tuple(m.id for m in program.methods if not m.extern)
+    if rows is None:
+        rows = {m.id: call_row(m, symbols) for m in program.methods if not m.extern}
+    succs = {mid: rows[mid] for mid in nodes}
+    preds: dict[str, list[str]] = {mid: [] for mid in nodes}
+    for mid in nodes:
+        for callee in succs[mid]:
+            preds[callee].append(mid)
+    edges = frozenset((mid, callee) for mid in nodes for callee in succs[mid])
+    return CallGraph(nodes, edges, succs, {k: tuple(v) for k, v in preds.items()})
 
 
 def strongly_connected_components(

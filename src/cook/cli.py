@@ -166,6 +166,8 @@ def run(file, entry, args_json, fuel):
     method = symbols.methods.get(entry)
     if method is None:
         raise click.ClickException(f"no method {entry!r}")
+    if method.extern:
+        raise click.ClickException(f"cannot run extern method {entry!r}: it has no body")
     try:
         raw = json.loads(args_json)
     except json.JSONDecodeError as e:

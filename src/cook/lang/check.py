@@ -164,17 +164,23 @@ def _err(msg: str, loc: ast.Loc) -> CheckDiagnostic:
 
 
 class _Checker:
-    def __init__(self, program: ast.Program, allow_bottom: bool):
+    def __init__(self, program: ast.Program, allow_bottom: bool, base: Symbols | None):
         self.p = program
         self.allow_bottom = allow_bottom
+        self.base = base
         self.sym = Symbols(program)
 
     def run(self) -> Symbols:
         self.declare()
         self.check_hierarchy()
         self.build_closures()
+        base = self.base
         for m in self.p.methods:
-            if not m.extern:
+            if m.extern:
+                continue
+            if base is not None and base.methods.get(m.id) is m:
+                self.sym.var_types[m.id] = base.var_types[m.id]
+            else:
                 self.check_method(m)
         return self.sym
 
@@ -467,5 +473,13 @@ class _Checker:
                     raise _err("negative array partition", s.loc)
 
 
-def check(program: ast.Program, allow_bottom: bool = False) -> Symbols:
-    return _Checker(program, allow_bottom).run()
+def check(
+    program: ast.Program, allow_bottom: bool = False, base: Symbols | None = None
+) -> Symbols:
+    """The symbol table of a well-formed program; raises `CheckDiagnostic`.
+
+    `base` holds the symbols of the program this one was rewritten from,
+    with the same classes, interfaces and method signatures. A method that
+    is the same object there was checked there, so it keeps its `var_types`
+    entry and is not checked again; every other method is."""
+    return _Checker(program, allow_bottom, base).run()

@@ -11,6 +11,12 @@ extraction, which is exactly what the parent's body looks like after the
 rewrite; under the default `basic` policy, a parent containing a loop that
 stays live is unknown, while the `summary` policy also steps over live
 dependency-free inner loops.
+
+The model of the rewritten program is derived from the first one (`base`),
+whose loops it does not judge again: the rewrite kept only loops proven to
+terminate. A method the rewrite returned unchanged keeps its CFG, the same
+object; the others get a new one. The call graph is rebuilt from the call
+rows of the alias analysis, which resolved each call once.
 """
 
 from __future__ import annotations
@@ -71,8 +77,10 @@ class ProgramModel:
         safe_list: frozenset[str] = frozenset(),
         nested_policy: str = BASIC,
         aliases: AliasAnalysis | None = None,
-        with_loops: bool = True,
+        base: "ProgramModel | None" = None,
     ):
+        """`base` is the model of the program this one was rewritten from;
+        `symbols` and `aliases` must then be derived from its own."""
         self.program = program
         self.symbols = symbols or check_program(program)
         self.aliases = aliases or AliasAnalysis(program, self.symbols)
@@ -80,16 +88,19 @@ class ProgramModel:
         self.nested_policy = nested_policy
         externs = {m.name for m in program.methods if m.extern}
         self.api_set = frozenset(externs - self.safe_list)
-        self.callgraph: CallGraph = build_call_graph(program, self.symbols)
+        self.callgraph: CallGraph = build_call_graph(program, self.symbols, self.aliases.calls)
         self.recursion = recursion_set(self.callgraph)
         self.methods: dict[str, MethodModel] = {}
         self._verdict_by_stmt: dict[int, TerminationVerdict] = {}
         for m in program.methods:
             if m.extern:
                 continue
-            mm = MethodModel(m, build_cfg(m))
-            if with_loops:
+            if base is None:
+                mm = MethodModel(m, build_cfg(m))
                 self._analyze_loops(mm)
+            else:
+                old = base.methods[m.id]
+                mm = MethodModel(m, old.cfg if old.method is m else build_cfg(m))
             self.methods[m.id] = mm
 
     # -- loops ---------------------------------------------------------------

@@ -62,7 +62,7 @@ def out_of(s, d, summaries=None):
     """OUT of statement `s` in method `m` through the transfer the method
     fixpoint runs: `d` encoded, the node's callee summaries bound, OUT decoded."""
     an = rule_analyzer()
-    node = node_spec(s, "m", an.aliases, an.sym, an.rep_id)
+    node = node_spec(s, "m", an.aliases, an.sym, an.rep_id, an.call_writes)
     return an.decode(transfer(an.with_imports(node, summaries or {}), an.encode(d)))
 
 
@@ -210,7 +210,7 @@ def test_pass_nodes_return_in_unchanged():
     d = an.encode(ident(sc("x")))
     cond = ast.Cond("x", ">", "y")
     for s in (None, ast.IfElse(cond, (), ()), ast.While(cond, ())):
-        assert transfer(node_spec(s, "m", an.aliases, an.sym, an.rep_id), d) is d
+        assert transfer(node_spec(s, "m", an.aliases, an.sym, an.rep_id, an.call_writes), d) is d
 
 
 # -- the encoding at its edges ---------------------------------------------------
@@ -598,6 +598,27 @@ def test_fixpoint_results_are_pinned(profile, seed, policy, digest):
     params = GenParams(**PROFILES[profile])
     model = ProgramModel(generate_program(seed, params), nested_policy=policy)
     assert result_digest(analyze_program(transformed_model(model))) == digest
+
+
+@pytest.mark.parametrize(
+    "profile, seed, policy",
+    [p[:3] for p in PINNED],
+    ids=["-".join(map(str, p[:3])) for p in PINNED],
+)
+def test_node_writes_are_the_written_reps_of_their_statement(profile, seed, policy):
+    params = GenParams(**PROFILES[profile])
+    model = ProgramModel(generate_program(seed, params), nested_policy=policy)
+    tmodel = transformed_model(model)
+    an = Analyzer(tmodel)
+    for mid, mm in tmodel.methods.items():
+        spec = an.spec(mid)
+        for node in mm.cfg.nodes:
+            writes = spec.nodes[node.id].writes
+            if node.stmt is None or isinstance(node.stmt, (ast.IfElse, ast.While)):
+                assert writes == (), (mid, node.id)  # entry, exit and branches
+                continue
+            reference = tmodel.aliases.written_reps(mid, node.stmt)
+            assert set(writes) == set(map(an.rep_id, reference)), (mid, node.id)
 
 
 def test_safe_list_growth_never_shrinks_islands(run_pipeline):

@@ -1,6 +1,10 @@
 """Command-line behaviour: analyze, run and gen, and diagnostics on bad input."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -57,6 +61,27 @@ method m(): int {
     result = invoke(tmp_path, ["run", "--entry", "m"], src)
     assert result.exit_code == 0, result.output
     assert result.output.strip().endswith(": 4611686018427387905")
+
+
+def test_run_rejects_an_extern_entry(tmp_path, api_call_unused):
+    result = invoke(tmp_path, ["run", "--entry", "api"], api_call_unused)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: cannot run extern method 'api'" in result.output
+
+
+def test_python_m_cook_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "cook", "--help"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "analyze" in done.stdout and "run" in done.stdout
 
 
 def test_gen_is_deterministic_and_analyzable(tmp_path):

@@ -128,7 +128,7 @@ def test_rewrite_is_idempotent_on_generated_programs():
         model = ProgramModel(p)
         p2 = rewrite_program(model)
         sym2 = check(p2, allow_bottom=True)
-        al2 = AliasAnalysis(p2, sym2, partitions_from=model.aliases)
+        al2 = AliasAnalysis(p2, sym2, base=model.aliases)
         model2 = ProgramModel(p2, sym2, safe_list=model.safe_list, aliases=al2)
         p3 = rewrite_program(model2)
         assert p3 == p2, seed

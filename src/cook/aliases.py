@@ -203,6 +203,7 @@ class AliasAnalysis:
                 reps |= self._stmt_targets(m.id, s)
             targets[m.id], calls[m.id] = frozenset(reps), call_row(m, self.sym)
         writes: dict[str, frozenset[Representative]] = {}
+        heap: dict[str, frozenset[Representative]] = {}
         for scc in strongly_connected_components(tuple(calls), calls):
             reps = set()
             for mid in scc:
@@ -210,16 +211,15 @@ class AliasAnalysis:
                 for callee in calls[mid]:
                     reps |= writes.get(callee, frozenset())  # absent: same SCC
             shared = frozenset(reps)
+            shared_heap = frozenset(r for r in shared if not isinstance(r, Scalar))
             for mid in scc:
                 writes[mid] = shared
+                heap[mid] = shared_heap
         self._targets = targets
         # internal callees per method (`callgraph.call_row`), for the call graph
         self.calls = calls
         self._writes_memo = writes
-        self._heap_memo = {
-            mid: frozenset(r for r in reps if not isinstance(r, Scalar))
-            for mid, reps in writes.items()
-        }
+        self._heap_memo = heap
 
     def heap_writes(self, method_id: str) -> frozenset[Representative]:
         """Field and array representatives a call of the method may write,

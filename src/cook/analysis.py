@@ -11,10 +11,18 @@ representative a dense id, once per program. A fact set maps a dependent's
 id to the mask of its sources: the three low bits are the bottom causes
 (API, LOOP, RECURSION) and the representative with id `i` is bit `i + 3`. A
 mask of 0 is never stored. A source that is not bottom never has a cause and
-a bottom source always has one, so a mask loses nothing of a fact set. The
-facts are decoded back to `frozenset`s of `(dependent, source, cause)` tuples
-where `method_facts` returns; summaries, `AnalysisResult` and the report only
-ever see tuples.
+a bottom source always has one, so a mask loses nothing of a fact set.
+
+Each method's formals, locals and `ret` are interned once, into a name -> id
+table (`Analyzer.frame`), so the node table looks names up instead of
+hashing a `Scalar` per operand; field and array representatives and bottom
+targets go through `Analyzer.rep_id`. Facts stay masks from the node table
+to the result: `method_facts` returns a mask dict, a summary is a mask dict
+(`strip_locals` drops the frame's dependents and clears its locals' source
+bits), and a call node reads its callee's summary mask directly. Facts and
+summaries are decoded to `frozenset`s of `(dependent, source, cause)` tuples
+once each, when `analyze_program` builds the `AnalysisResult`; the result
+and the report only ever see tuples. `encode` and `decode` are the boundary.
 
 Every CFG node gets one entry in a node table (`node_spec`), fixed before
 the fixpoint runs: the pairs it generates, the dependents it kills, the
@@ -39,23 +47,30 @@ inherits, for every variable free in the branch condition, that variable's
 sources at the branch.
 
 The method fixpoint seeds the entry with identity facts over the method's
-footprint and iterates to a fixpoint; the program fixpoint maintains
-per-method summaries (facts minus frame-local names) over the call graph
-worklist until nothing changes. A method lands in the swamp when its facts
-contain a bottom-sourced pair; the `post` placement tests the stripped
-summary instead, so divergence confined to dead locals keeps the caller out
-of the swamp.
+footprint and iterates to a fixpoint. Its worklist pops nodes by their rank
+in reverse postorder (`cfg.reverse_postorder`, Kam and Ullman 1976), so
+without loops every node is visited once, after all of its predecessors. A
+node is queued again when the OUT of a predecessor changes, or when the OUT
+of a branch that governs it changes: a branch passes its IN through, and the
+node's control mask reads that IN. Every transfer is monotone and every node
+whose inputs change is visited again, so the result is the least fixpoint of
+the node equations in any order; the order only sets the number of visits.
+The program fixpoint maintains per-method summaries (facts minus
+frame-local names) over the call graph worklist until nothing changes. A
+method lands in the swamp when its facts contain a bottom-sourced pair; the
+`post` placement tests the stripped summary instead, so divergence confined
+to dead locals keeps the caller out of the swamp.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from .aliases import RET, AliasAnalysis
-from .cfg import BRANCH, Cfg
+from .aliases import RET
+from .cfg import BRANCH, Cfg, reverse_postorder, set_bits
 from .lang import ast
-from .lang.check import Symbols
 from .pipeline import ProgramModel
 from .representatives import BOTTOM, Bottom, Representative, Scalar
 
@@ -66,15 +81,6 @@ CAUSES = (ast.DivergenceCause.API, ast.DivergenceCause.LOOP, ast.DivergenceCause
 CAUSE_BIT = {cause: 1 << k for k, cause in enumerate(CAUSES)}
 CAUSE_BITS = (1 << len(CAUSES)) - 1
 SHIFT = len(CAUSES)  # representative `i` is source bit `i + SHIFT`
-
-
-def _set_bits(mask: int):
-    """Positions of the set bits of `mask`, lowest first."""
-    bits = bin(mask)[:1:-1]
-    k = bits.find("1")
-    while k >= 0:
-        yield k
-        k = bits.find("1", k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -97,24 +103,18 @@ class NodeSpec:
 _PASS = NodeSpec()  # entry, exit and branches: OUT is IN
 
 
-def node_spec(
-    s: ast.Stmt | None,
-    method_id: str,
-    aliases: AliasAnalysis,
-    symbols: Symbols,
-    rep_id,
-    call_writes,
-) -> NodeSpec:
-    """The node-table entry of a statement in method `method_id`, with
-    representatives interned by `rep_id` and the write set of a call of an
-    internal method interned by `call_writes`; entry, exit and branch nodes
-    (`None`, `IfElse`, `While`) pass IN through.
+def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer") -> NodeSpec:
+    """The node-table entry of a statement in method `method_id`: scalars
+    come from the frame tables of `an` (`Analyzer.frame`), field and array
+    representatives and bottom targets from `an.rep_id`; entry, exit and
+    branch nodes (`None`, `IfElse`, `While`) pass IN through.
 
     A node's writes are `aliases.written_reps` of its statement: a bottom
     assignment's targets, the one dependent of any other statement, and for
     a call the whole write set of every internal target."""
     if s is None or isinstance(s, (ast.IfElse, ast.While)):
         return _PASS
+    rep_id = an.rep_id
     if isinstance(s, ast.BottomAssign):
         bottoms = tuple((rep_id(t), CAUSE_BIT[s.cause]) for t in s.targets)
         return NodeSpec(
@@ -123,49 +123,47 @@ def node_spec(
             writes=tuple(dep for dep, _ in bottoms),
         )
 
-    def sc(name: str) -> int:
-        return rep_id(Scalar(method_id, name))
-
+    fr = an.frame(method_id)
+    aliases = an.aliases
     calls: list = []
     if isinstance(s, ast.Return):
-        dep, reads = sc(RET), [sc(s.value)]
+        dep, reads = fr[RET], [fr[s.value]]
     elif isinstance(s, ast.FieldWrite):
         dep = rep_id(aliases.field_rep(method_id, s.obj, s.field_name))
-        reads = [sc(s.source), sc(s.obj)]
+        reads = [fr[s.source], fr[s.obj]]
     elif isinstance(s, ast.ArrayWrite):
         dep = rep_id(aliases.array_rep(method_id, s.array))
-        reads = [sc(s.source), sc(s.array), sc(s.index)]
+        reads = [fr[s.source], fr[s.array], fr[s.index]]
     else:
-        dep = sc(s.target)
+        dep = fr[s.target]
         if isinstance(s, ast.ConstAssign):
             reads = []
         elif isinstance(s, ast.CopyAssign):
-            reads = [sc(s.source)]
+            reads = [fr[s.source]]
         elif isinstance(s, ast.UnaryAssign):
-            reads = [sc(s.operand)]
+            reads = [fr[s.operand]]
         elif isinstance(s, ast.BinaryAssign):
-            reads = [sc(s.left), sc(s.right)]
+            reads = [fr[s.left], fr[s.right]]
         elif isinstance(s, ast.FieldRead):
-            reads = [rep_id(aliases.field_rep(method_id, s.obj, s.field_name)), sc(s.obj)]
+            reads = [rep_id(aliases.field_rep(method_id, s.obj, s.field_name)), fr[s.obj]]
         elif isinstance(s, ast.ArrayRead):
-            reads = [rep_id(aliases.array_rep(method_id, s.array)), sc(s.array), sc(s.index)]
+            reads = [rep_id(aliases.array_rep(method_id, s.array)), fr[s.array], fr[s.index]]
         elif isinstance(s, ast.Call):
             reads = []
-            for target in symbols.resolve_call(symbols.methods[method_id], s):
+            sym = an.sym
+            for target in sym.resolve_call(sym.methods[method_id], s):
                 if target.extern:  # safe-listed API: pure function of its arguments
-                    reads += [sc(a) for a in s.actuals]
+                    reads += [fr[a] for a in s.actuals]
                     continue
-                subst = {
-                    rep_id(Scalar(target.id, f.name)): sc(a)
-                    for f, a in zip(target.formals, s.actuals)
-                }
-                subst[rep_id(Scalar(target.id, RET))] = dep
+                callee = an.frame(target.id)
+                subst = {callee[f.name]: fr[a] for f, a in zip(target.formals, s.actuals)}
+                subst[callee[RET]] = dep
                 calls.append((target.id, subst))
         else:
             raise TypeError(f"no transfer for {type(s).__name__}")
     writes = {dep}
     for callee, _ in calls:
-        writes.update(call_writes(callee))
+        writes.update(an.call_writes(callee))
     weak = isinstance(s, (ast.Return, ast.FieldWrite, ast.ArrayWrite))
     return NodeSpec(
         gen=tuple((dep, src) for src in dict.fromkeys(reads)),
@@ -210,21 +208,26 @@ class _MethodSpec:
     nodes: list[NodeSpec]
     # per node that writes: (governing branch, variable free in its condition)
     control: list[tuple[tuple[int, int], ...]]
+    # per node, what to queue when its OUT changes: its successors and, for a
+    # branch, the nodes whose control mask reads its IN (a branch's OUT is its IN)
+    wake: list[tuple[int, ...]]
     seeds: tuple[int, ...]
     call_nodes: tuple[int, ...]
+    order: list[int]  # reverse postorder of the CFG
+    rank: list[int]  # each node's position in `order`
 
 
 @dataclass(slots=True)
 class _Import:
     """A callee summary in ids, as every call site imports it."""
 
-    facts: frozenset[Fact]  # the summary it encodes
+    facts: Facts  # the summary it reads
     pairs: tuple[tuple[int, int], ...]  # (dep, src), composed through IN
     bottoms: tuple[tuple[int, int], ...]  # (dep, cause bits)
     heap: tuple[int, ...]  # non-scalar representatives, seeded at entry
 
 
-_NO_FACTS: frozenset[Fact] = frozenset()
+_NO_FACTS: Facts = {}
 
 
 class Analyzer:
@@ -237,6 +240,9 @@ class Analyzer:
         self._specs: dict[str, _MethodSpec] = {}
         self._ids: dict[Representative, int] = {}
         self._reps: list[Representative] = []
+        self._heap: set[int] = set()  # ids of field and array representatives
+        self._frames: dict[str, dict[str, int]] = {}
+        self._strip: dict[str, tuple[frozenset[int], int]] = {}
         self._imports: dict[str, _Import] = {}
         self._call_writes: dict[str, tuple[int, ...]] = {}
 
@@ -249,7 +255,19 @@ class Analyzer:
             assert not isinstance(rep, Bottom)
             i = self._ids[rep] = len(self._reps)
             self._reps.append(rep)
+            if not isinstance(rep, Scalar):
+                self._heap.add(i)
         return i
+
+    def frame(self, method_id: str) -> dict[str, int]:
+        """The ids of the method's formals, locals and `ret` by name, interned
+        once per method."""
+        fr = self._frames.get(method_id)
+        if fr is None:
+            m = self.sym.methods[method_id]
+            names = [p.name for p in m.formals] + [p.name for p in m.locals] + [RET]
+            fr = self._frames[method_id] = {n: self.rep_id(Scalar(method_id, n)) for n in names}
+        return fr
 
     def call_writes(self, method_id: str) -> tuple[int, ...]:
         """The ids of `AliasAnalysis.call_writes`, interned once per method."""
@@ -284,7 +302,7 @@ class Analyzer:
             if srcs is None:
                 srcs = sources[mask] = [
                     (BOTTOM, CAUSES[b]) if b < SHIFT else (reps[b - SHIFT], None)
-                    for b in _set_bits(mask)
+                    for b in set_bits(mask)
                 ]
             dep = reps[k]
             out += [(dep, src, cause) for src, cause in srcs]
@@ -296,50 +314,54 @@ class Analyzer:
         cached = self._specs.get(method_id)
         if cached is not None:
             return cached
-        mm = self.model.methods[method_id]
-        g = mm.cfg
-        rep_id = self.rep_id
+        g = self.model.methods[method_id].cfg
+        fr = self.frame(method_id)
         nodes: list[NodeSpec] = []
-        branch_fv: dict[int, tuple[int, ...]] = {}
-        seeds: set[int] = set()
+        branch_fv: dict[int, tuple[int, int]] = {}
+        touched: set[int] = set()  # dependents, sources and writes of any node
         call_nodes: list[int] = []
-        m = mm.method
-        for p in list(m.formals) + list(m.locals):
-            seeds.add(rep_id(Scalar(method_id, p.name)))
         for n in g.nodes:
             if n.kind == BRANCH:
-                branch_fv[n.id] = (
-                    rep_id(Scalar(method_id, n.cond.left)),
-                    rep_id(Scalar(method_id, n.cond.right)),
-                )
-            ns = node_spec(n.stmt, method_id, self.aliases, self.sym, rep_id, self.call_writes)
+                branch_fv[n.id] = (fr[n.cond.left], fr[n.cond.right])
+            ns = node_spec(n.stmt, method_id, self)
             nodes.append(ns)
             if ns.calls:
                 call_nodes.append(n.id)
-            for dep, src in ns.gen:
-                seeds.add(dep)
-                seeds.add(src)
-            for dep, _ in ns.bottoms:
-                seeds.add(dep)
-            seeds.update(ns.writes)
-        reps = self._reps
-        seeds = {
-            i for i in seeds if not isinstance(reps[i], Scalar) or reps[i].method == method_id
-        }
-        seeds.discard(rep_id(Scalar(method_id, RET)))
+            if ns.writes:  # every generated or bottom dependent is a write
+                touched.update(ns.writes)
+                touched.update(src for _, src in ns.gen)
+        # the footprint: the method's formals and locals and the heap it touches
+        seeds = (set(fr.values()) - {fr[RET]}) | (touched & self._heap)
         governing = self.model.governing(method_id)
-        control = [
-            tuple((b, v) for b in governing[n] for v in branch_fv.get(b, ()))
-            if nodes[n].writes
-            else ()
-            for n in range(len(nodes))
-        ]
-        spec = _MethodSpec(g, nodes, control, tuple(seeds), tuple(call_nodes))
+        control: list[tuple[tuple[int, int], ...]] = []
+        by_branches: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
+        governs: dict[int, list[int]] = {}  # branch -> the writes it governs
+        for n, ns in enumerate(nodes):
+            branches = governing[n]
+            if not (ns.writes and branches):
+                control.append(())
+                continue
+            pairs = by_branches.get(branches)
+            if pairs is None:
+                pairs = by_branches[branches] = tuple(
+                    (b, v) for b in branches for v in branch_fv[b]
+                )
+            control.append(pairs)
+            for b in branches:
+                governs.setdefault(b, []).append(n)
+        wake = [tuple(g.succs[n]) + tuple(governs.get(n, ())) for n in range(len(nodes))]
+        order = reverse_postorder(g.entry, g.succs)
+        rank = [0] * len(g.nodes)
+        for i, n in enumerate(order):
+            rank[n] = i
+        spec = _MethodSpec(
+            g, nodes, control, wake, tuple(seeds), tuple(call_nodes), order, rank
+        )
         self._specs[method_id] = spec
         return spec
 
-    def _import(self, callee: str, summaries: dict[str, frozenset[Fact]]) -> _Import:
-        """The callee's current summary in ids; re-encoded only when it changed."""
+    def _import(self, callee: str, summaries: dict[str, Facts]) -> _Import:
+        """The callee's current summary as pairs; rebuilt only when it changed."""
         facts = summaries.get(callee, _NO_FACTS)
         cached = self._imports.get(callee)
         if cached is not None and cached.facts is facts:
@@ -347,18 +369,18 @@ class Analyzer:
         pairs: list[tuple[int, int]] = []
         bottoms: list[tuple[int, int]] = []
         used: set[int] = set()
-        for dep, mask in self.encode(facts).items():
+        for dep, mask in facts.items():
             used.add(dep)
             if mask & CAUSE_BITS:
                 bottoms.append((dep, mask & CAUSE_BITS))
-            for src in _set_bits(mask >> SHIFT):
+            for src in set_bits(mask >> SHIFT):
                 used.add(src)
                 pairs.append((dep, src))
-        heap = tuple(i for i in used if not isinstance(self._reps[i], Scalar))
+        heap = tuple(used & self._heap)
         imp = self._imports[callee] = _Import(facts, tuple(pairs), tuple(bottoms), heap)
         return imp
 
-    def with_imports(self, node: NodeSpec, summaries: dict[str, frozenset[Fact]]) -> NodeSpec:
+    def with_imports(self, node: NodeSpec, summaries: dict[str, Facts]) -> NodeSpec:
         """A call node's entry with its callees' summaries bound: actuals
         substituted for formals and the call target for the return slot."""
         gen, bottoms = list(node.gen), list(node.bottoms)
@@ -370,10 +392,10 @@ class Analyzer:
 
     # -- landfall ---------------------------------------------------------------
 
-    def method_facts(
-        self, method_id: str, summaries: dict[str, frozenset[Fact]]
-    ) -> frozenset[Fact]:
-        """Worklist fixpoint over the method's CFG; returns the exit facts."""
+    def method_facts(self, method_id: str, summaries: dict[str, Facts]) -> Facts:
+        """Worklist fixpoint over the method's CFG, given the callees' summary
+        masks; returns the exit facts. Nodes are popped by reverse-postorder
+        rank."""
         spec = self.spec(method_id)
         g = spec.cfg
         n_nodes = len(g.nodes)
@@ -386,20 +408,22 @@ class Analyzer:
                 for callee, _ in spec.nodes[nid].calls:
                     seeds.update(self._import(callee, summaries).heap)
         entry_facts: Facts = {i: 1 << (i + SHIFT) for i in seeds}
-        control = spec.control
+        control, wake = spec.control, spec.wake
+        order, rank = spec.order, spec.rank
+        preds_of = g.preds
         empty: Facts = {}
         IN: list[Facts] = [empty] * n_nodes
         OUT: list[Facts] = [empty] * n_nodes
-        work = deque([g.entry])
+        work = [rank[g.entry]]
         queued = [False] * n_nodes
         queued[g.entry] = True
         visited = [False] * n_nodes
         while work:
-            n = work.popleft()
+            n = order[heappop(work)]
             queued[n] = False
             first = not visited[n]
             visited[n] = True
-            preds = g.preds[n]
+            preds = preds_of[n]
             if n == g.entry:
                 incoming = entry_facts
             elif len(preds) == 1:
@@ -416,35 +440,34 @@ class Analyzer:
             out = transfer(nodes[n], incoming, ctrl)
             if out != OUT[n] or first:
                 OUT[n] = out
-                for s in g.succs[n]:
+                for s in wake[n]:
                     if not queued[s]:
                         queued[s] = True
-                        work.append(s)
-        return self.decode(OUT[g.exit])
+                        heappush(work, rank[s])
+        return OUT[g.exit]
 
     # -- summaries -----------------------------------------------------------
 
-    def strip_locals(self, method_id: str, facts: frozenset[Fact]) -> frozenset[Fact]:
-        """Callers cannot observe frame-local names: drop facts whose dependent
-        is a local or formal (`ret` stays, it is the caller-visible channel)
-        and facts sourced at a non-formal local (formal sources survive so
-        call sites can substitute actuals)."""
-        m = self.sym.methods[method_id]
-        formals = {p.name for p in m.formals}
-        frame = formals | {p.name for p in m.locals}
-        out: set[Fact] = set()
-        for dep, src, cause in facts:
-            if isinstance(dep, Scalar) and dep.method == method_id and dep.name in frame:
-                continue
-            if (
-                isinstance(src, Scalar)
-                and src.method == method_id
-                and src.name in frame
-                and src.name not in formals
-            ):
-                continue
-            out.add((dep, src, cause))
-        return frozenset(out)
+    def strip_locals(self, method_id: str, facts: Facts) -> Facts:
+        """Callers cannot observe frame-local names: drop the dependents that
+        are a local or formal (`ret` stays, it is the caller-visible channel)
+        and clear the source bits of locals (formal sources survive so call
+        sites can substitute actuals). Both masks are built once per method."""
+        parts = self._strip.get(method_id)
+        if parts is None:
+            fr = self.frame(method_id)
+            local_bits = 0
+            for p in self.sym.methods[method_id].locals:
+                local_bits |= 1 << (fr[p.name] + SHIFT)
+            parts = self._strip[method_id] = (frozenset(fr.values()) - {fr[RET]}, ~local_bits)
+        frame, keep = parts
+        out: Facts = {}
+        for k, mask in facts.items():
+            if k not in frame:
+                mask &= keep
+                if mask:
+                    out[k] = mask
+        return out
 
 
 @dataclass
@@ -459,11 +482,12 @@ class AnalysisResult:
 def analyze_program(model: ProgramModel, swamp_test: str = "pre") -> AnalysisResult:
     """Interprocedural fixpoint: run the method analysis per worklist entry,
     maintain stripped summaries, and re-queue callers whose callee summaries
-    changed. The result is the least fixpoint, independent of pop order."""
+    changed. The result is the least fixpoint, independent of pop order.
+    Facts and summaries stay masks until the result is built."""
     analyzer = Analyzer(model)
     methods = model.analysis_order()
-    summaries: dict[str, frozenset[Fact]] = {mid: frozenset() for mid in methods}
-    facts: dict[str, frozenset[Fact]] = {mid: frozenset() for mid in methods}
+    summaries: dict[str, Facts] = {mid: {} for mid in methods}
+    facts: dict[str, Facts] = {mid: {} for mid in methods}
 
     pending = deque(methods)
     queued = set(methods)
@@ -483,20 +507,20 @@ def analyze_program(model: ProgramModel, swamp_test: str = "pre") -> AnalysisRes
     # facts grow monotonically, so membership in the swamp is decided by the
     # fixpoint facts regardless of when a method was last popped
     swamp: set[str] = set()
+    causes: dict[str, frozenset[ast.DivergenceCause]] = {}
     for mid in methods:
+        bits = 0
+        for mask in facts[mid].values():
+            bits |= mask & CAUSE_BITS
+        causes[mid] = frozenset(c for k, c in enumerate(CAUSES) if bits >> k & 1)
         tested = facts[mid] if swamp_test == "pre" else summaries[mid]
-        if any(isinstance(f[1], Bottom) for f in tested):
+        if any(mask & CAUSE_BITS for mask in tested.values()):
             swamp.add(mid)
-
-    causes = {
-        mid: frozenset(f[2] for f in fs if isinstance(f[1], Bottom) and f[2] is not None)
-        for mid, fs in facts.items()
-    }
     all_methods = frozenset(methods)
     return AnalysisResult(
         st=all_methods - swamp,
         swamp=frozenset(swamp),
         causes=causes,
-        facts=facts,
-        summaries=summaries,
+        facts={mid: analyzer.decode(d) for mid, d in facts.items()},
+        summaries={mid: analyzer.decode(d) for mid, d in summaries.items()},
     )

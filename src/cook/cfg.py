@@ -9,6 +9,14 @@ does not assume reducibility even though structured source always produces
 natural loops. Control dependence uses the classic post-dominator tree walk:
 node n depends on branch b when n post-dominates some successor of b but does
 not strictly post-dominate b itself.
+
+Dominators and post-dominators come from the iterative algorithm of Cooper,
+Harvey and Kennedy ("A Simple, Fast Dominance Algorithm", 2001): intersect
+dominator-tree paths in reverse postorder until nothing changes, with the
+order index and the immediate dominators in flat lists indexed by node id.
+`reverse_postorder` is also the order in which the dependence analysis visits
+nodes. `governing_branches` closes control dependence over int bitsets of
+branch ids.
 """
 
 from __future__ import annotations
@@ -111,19 +119,21 @@ def build_cfg(m: ast.Method) -> Cfg:
 # ---------------------------------------------------------------------------
 
 
-def _reverse_postorder(start: int, succs) -> list[int]:
+def reverse_postorder(start: int, succs: list[list[int]]) -> list[int]:
+    """The nodes reachable from `start` in reverse postorder of a depth-first
+    search that takes each row of `succs` in order. Every edge that is not a
+    back edge goes from an earlier node to a later one."""
+    seen = [False] * len(succs)
+    seen[start] = True
     order: list[int] = []
-    seen = {start}
-    stack: list[tuple[int, int]] = [(start, 0)]
+    stack = [(start, iter(succs[start]))]
     while stack:
-        node, i = stack[-1]
-        row = succs(node)
-        if i < len(row):
-            stack[-1] = (node, i + 1)
-            nxt = row[i]
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, 0))
+        node, row = stack[-1]
+        for nxt in row:
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append((nxt, iter(succs[nxt])))
+                break
         else:
             stack.pop()
             order.append(node)
@@ -131,33 +141,33 @@ def _reverse_postorder(start: int, succs) -> list[int]:
     return order
 
 
-def _idoms(start: int, succs, preds) -> dict[int, int]:
-    """Iterative immediate-dominator computation (intersection on RPO)."""
-    order = _reverse_postorder(start, succs)
-    index = {n: i for i, n in enumerate(order)}
-    idom: dict[int, int] = {start: start}
-
-    def intersect(a: int, b: int) -> int:
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]
-            while index[b] > index[a]:
-                b = idom[b]
-        return a
-
+def _idoms(start: int, succs: list[list[int]], preds: list[list[int]]) -> list[int]:
+    """Immediate dominators from `start` by the iterative algorithm of Cooper,
+    Harvey and Kennedy over reverse postorder; -1 for unreachable nodes."""
+    order = reverse_postorder(start, succs)
+    index = [-1] * len(succs)
+    for i, n in enumerate(order):
+        index[n] = i
+    idom = [-1] * len(succs)
+    idom[start] = start
     changed = True
     while changed:
         changed = False
-        for n in order:
-            if n == start:
-                continue
-            candidates = [p for p in preds(n) if p in idom]
-            if not candidates:
-                continue
-            new = candidates[0]
-            for p in candidates[1:]:
-                new = intersect(new, p)
-            if idom.get(n) != new:
+        for n in order[1:]:
+            new = -1
+            for p in preds[n]:
+                if idom[p] < 0:
+                    continue  # not processed yet, or unreachable
+                if new < 0:
+                    new = p
+                    continue
+                a = p  # intersect the two dominator-tree paths
+                while a != new:
+                    while index[a] > index[new]:
+                        a = idom[a]
+                    while index[new] > index[a]:
+                        new = idom[new]
+            if idom[n] != new:
                 idom[n] = new
                 changed = True
     return idom
@@ -165,15 +175,20 @@ def _idoms(start: int, succs, preds) -> dict[int, int]:
 
 def dominators(g: Cfg) -> dict[int, int]:
     """Immediate dominators from entry; unreachable nodes are absent."""
-    return _idoms(g.entry, lambda n: g.succs[n], lambda n: g.preds[n])
+    idom = _idoms(g.entry, g.succs, g.preds)
+    return {n: d for n, d in enumerate(idom) if d >= 0}
+
+
+def _post_idoms(g: Cfg) -> list[int]:
+    idom = _idoms(g.exit, g.preds, g.succs)
+    if -1 in idom:
+        raise CheckDiagnostic(f"exit unreachable from some node in {g.method_id!r}")
+    return idom
 
 
 def post_dominators(g: Cfg) -> dict[int, int]:
     """Immediate post-dominators from exit over the reversed graph."""
-    idoms = _idoms(g.exit, lambda n: g.preds[n], lambda n: g.succs[n])
-    if len(idoms) != len(g.nodes):
-        raise CheckDiagnostic(f"exit unreachable from some node in {g.method_id!r}")
-    return idoms
+    return dict(enumerate(_post_idoms(g)))
 
 
 def dominates(idom: dict[int, int], root: int, a: int, b: int) -> bool:
@@ -279,43 +294,69 @@ def find_loops(g: Cfg) -> list[LoopInfo]:
 # ---------------------------------------------------------------------------
 
 
-def control_dependents(g: Cfg) -> dict[int, set[int]]:
-    """Direct control dependence: branch node -> set of dependent nodes."""
-    ipdom = post_dominators(g)
-    deps: dict[int, set[int]] = {}
+def _direct_masks(g: Cfg) -> list[int]:
+    """Per node, the bitset of the branches it directly control-depends on."""
+    ipdom = _post_idoms(g)
+    on = [0] * len(g.nodes)
     for b, node in enumerate(g.nodes):
         if node.kind != BRANCH:
             continue
-        out: set[int] = set()
-        stop = ipdom[b]
+        bit, stop = 1 << b, ipdom[b]
         for s in g.succs[b]:
             runner = s
             while runner != stop:
-                out.add(runner)
+                on[runner] |= bit
                 runner = ipdom[runner]
-        if out:
-            deps[b] = out
+    return on
+
+
+def set_bits(mask: int):
+    """Positions of the set bits of `mask`, lowest first."""
+    bits = bin(mask)[:1:-1]
+    k = bits.find("1")
+    while k >= 0:
+        yield k
+        k = bits.find("1", k + 1)
+
+
+def control_dependents(g: Cfg) -> dict[int, set[int]]:
+    """Direct control dependence: branch node -> set of dependent nodes."""
+    deps: dict[int, set[int]] = {}
+    for n, mask in enumerate(_direct_masks(g)):
+        for b in set_bits(mask):
+            deps.setdefault(b, set()).add(n)
     return deps
 
 
 def governing_branches(g: Cfg) -> list[frozenset[int]]:
-    """For each node, the branches it transitively control-depends on."""
-    on: list[set[int]] = [set() for _ in g.nodes]
-    for b, nodes in control_dependents(g).items():
-        for n in nodes:
-            on[n].add(b)
-    # close transitively; branch-on-branch edges may form cycles (loop headers)
+    """For each node, the branches it transitively control-depends on; nodes
+    with the same set share one `frozenset`."""
+    on = _direct_masks(g)
+    # close over the branches first; branch-on-branch edges may form cycles
+    # (loop headers)
+    branches = [b for b, node in enumerate(g.nodes) if node.kind == BRANCH and on[b]]
     changed = True
     while changed:
         changed = False
-        for n in range(len(g.nodes)):
-            extra: set[int] = set()
-            for b in on[n]:
-                extra |= on[b]
-            if not extra <= on[n]:
-                on[n] |= extra
+        for b in branches:
+            mask = on[b]
+            closed = mask
+            for c in set_bits(mask):
+                closed |= on[c]
+            if closed != mask:
+                on[b] = closed
                 changed = True
-    return [frozenset(s) for s in on]
+    sets: dict[int, frozenset[int]] = {}
+    out: list[frozenset[int]] = []
+    for n, mask in enumerate(on):
+        got = sets.get(mask)
+        if got is None:
+            closed = mask
+            for b in set_bits(mask):
+                closed |= on[b]
+            got = sets[mask] = frozenset(set_bits(closed))
+        out.append(got)
+    return out
 
 
 def to_dot(g: Cfg, describe) -> str:

@@ -15,7 +15,7 @@ from .generator import GenParams, generate_program
 from .interp import DEFAULT_FUEL, ArrVal, Outcome, run_concrete
 from .lang import ast, parse_unit, pretty
 from .lang.check import check as check_program
-from .lang.printer import _Printer
+from .lang.printer import pretty_statement
 from .pipeline import BASIC, SUMMARY, ProgramModel
 from .report import ReportConfig, analyze_sources, load_safe_list
 from .rewrite import rewrite_program
@@ -53,9 +53,7 @@ def _describe_node(node: cfgmod.CfgNode) -> str:
         return "exit"
     if node.kind == cfgmod.BRANCH:
         return node.cond.render()
-    p = _Printer()
-    p.statement(node.stmt)
-    return p.lines[0].strip()
+    return pretty_statement(node.stmt)
 
 
 @main.command()

@@ -122,3 +122,11 @@ class _Printer:
 
 def pretty(p: ast.Program) -> str:
     return _Printer().program(p)
+
+
+def pretty_statement(s: ast.Stmt) -> str:
+    """One statement as `pretty` prints it at the left margin; outside a
+    method, every scalar bottom target names its method."""
+    printer = _Printer()
+    printer.statement(s)
+    return "\n".join(printer.lines)

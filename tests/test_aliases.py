@@ -2,11 +2,15 @@
 
 import random
 
+import pytest
+
 from cook.aliases import AliasAnalysis
 from cook.generator import GenParams, generate_program
 from cook.interp import Outcome, random_store, run_concrete
 from cook.lang import ast, load
 from cook.lang.check import check
+from cook.pipeline import ProgramModel
+from cook.report import transformed_model
 from cook.representatives import ArrayPart, Scalar, TypeField
 
 
@@ -225,3 +229,36 @@ method m(a: int[]): int {
     assert out.kind == Outcome.FINISHED
     part_writes = [r for r in out.write_trace if isinstance(r, ArrayPart)]
     assert part_writes and all(r == al.array_rep("m", "a") for r in part_writes)
+
+
+# the generator profiles of the benchmark's `census` and `islands` workloads
+CENSUS = dict(
+    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
+)
+ISLANDS = dict(methods=50, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1)
+
+
+@pytest.mark.parametrize("params", (CENSUS, ISLANDS), ids=("census", "islands"))
+def test_heap_writes_are_the_heap_part_of_call_writes(params):
+    nonempty = 0
+    for seed in range(6):
+        model = ProgramModel(generate_program(seed, GenParams(**params)))
+        for al in (model.aliases, transformed_model(model).aliases):
+            for mid in al.calls:
+                heap = frozenset(r for r in al.call_writes(mid) if not isinstance(r, Scalar))
+                assert al.heap_writes(mid) == heap, (seed, mid)
+                nonempty += bool(heap)
+    assert nonempty >= 30, nonempty
+
+
+def test_members_of_a_call_cycle_share_one_heap_write_set():
+    src = """
+class A { f: int; g: int; }
+method even(o: A, n: int): int { var r: int; o.f := n; r := odd(o, n); return r; }
+method odd(o: A, n: int): int { var r: int; o.g := n; r := even(o, n); return r; }
+method top(o: A): int { var r: int; r := even(o, r); return r; }
+"""
+    p, sym, al = build(src)
+    assert al.heap_writes("even") is al.heap_writes("odd")
+    assert al.heap_writes("even") == {TypeField("A", "f"), TypeField("A", "g")}
+    assert al.heap_writes("top") == al.heap_writes("even")

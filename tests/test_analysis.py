@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from cook.aliases import RET, AliasAnalysis
 from cook.analysis import (
     CAUSE_BIT,
+    SHIFT,
     Analyzer,
     NodeSpec,
     analyze_program,
     node_spec,
     transfer,
 )
+from cook.cfg import find_loops
 from cook.generator import GenParams, generate_program
 from cook.interp import InterpFault, collect_taints, random_store, run_reified
 from cook.lang import ast, load
@@ -62,8 +64,9 @@ def out_of(s, d, summaries=None):
     """OUT of statement `s` in method `m` through the transfer the method
     fixpoint runs: `d` encoded, the node's callee summaries bound, OUT decoded."""
     an = rule_analyzer()
-    node = node_spec(s, "m", an.aliases, an.sym, an.rep_id, an.call_writes)
-    return an.decode(transfer(an.with_imports(node, summaries or {}), an.encode(d)))
+    node = node_spec(s, "m", an)
+    encoded = {mid: an.encode(facts) for mid, facts in (summaries or {}).items()}
+    return an.decode(transfer(an.with_imports(node, encoded), an.encode(d)))
 
 
 def fact_pairs(facts):
@@ -210,7 +213,7 @@ def test_pass_nodes_return_in_unchanged():
     d = an.encode(ident(sc("x")))
     cond = ast.Cond("x", ">", "y")
     for s in (None, ast.IfElse(cond, (), ()), ast.While(cond, ())):
-        assert transfer(node_spec(s, "m", an.aliases, an.sym, an.rep_id, an.call_writes), d) is d
+        assert transfer(node_spec(s, "m", an), d) is d
 
 
 # -- the encoding at its edges ---------------------------------------------------
@@ -339,7 +342,7 @@ def method_facts_of(src, mid, safe=frozenset()):
     model = ProgramModel(p, sym, safe_list=safe)
     tmodel = transformed_model(model)
     an = Analyzer(tmodel)
-    return an, an.method_facts(mid, {m: frozenset() for m in tmodel.methods})
+    return an, an.decode(an.method_facts(mid, {m: {} for m in tmodel.methods}))
 
 
 def test_branch_induces_control_dependence_fact():
@@ -539,10 +542,11 @@ def test_rerunning_on_fixpoint_summaries_is_stable():
     tmodel = transformed_model(model)
     res = analyze_program(tmodel)
     an = Analyzer(tmodel)
+    summaries = {mid: an.encode(facts) for mid, facts in res.summaries.items()}
     for mid in tmodel.methods:
-        again = an.method_facts(mid, res.summaries)
-        assert again == res.facts[mid]
-        assert an.strip_locals(mid, again) == res.summaries[mid]
+        again = an.method_facts(mid, summaries)
+        assert an.decode(again) == res.facts[mid]
+        assert an.strip_locals(mid, again) == summaries[mid]
 
 
 def test_facts_grow_monotonically_with_summaries():
@@ -553,10 +557,50 @@ def test_facts_grow_monotonically_with_summaries():
     tmodel = transformed_model(model)
     res = analyze_program(tmodel)
     an = Analyzer(tmodel)
-    empty = {m: frozenset() for m in tmodel.methods}
+    empty = {m: {} for m in tmodel.methods}
     for mid in tmodel.methods:
-        first = an.method_facts(mid, empty)
+        first = an.decode(an.method_facts(mid, empty))
         assert first <= res.facts[mid]
+
+
+def reference_strip(sym, mid, facts):
+    """`strip_locals` over (dependent, source, cause) tuples."""
+    m = sym.methods[mid]
+    formals = {p.name for p in m.formals}
+    frame = formals | {p.name for p in m.locals}
+
+    def own(rep, names):
+        return isinstance(rep, Scalar) and rep.method == mid and rep.name in names
+
+    return frozenset(
+        f for f in facts if not own(f[0], frame) and not own(f[1], frame - formals)
+    )
+
+
+def test_strip_locals_clears_local_sources_and_frame_dependents():
+    src = """
+method m(a: int, b: int): int {
+  var t: int; var u: int; var r: int;
+  r := t + a; u := r + b; r := r + u;
+  return r;
+}
+"""
+    an, facts = method_facts_of(src, "m")
+    ret, a, b, t = (Scalar("m", v) for v in ("ret", "a", "b", "t"))
+    assert {(ret, t, None), (ret, a, None), (ret, b, None)} <= facts
+    stripped = an.decode(an.strip_locals("m", an.encode(facts)))
+    assert stripped == d_of((ret, a), (ret, b)) == reference_strip(an.sym, "m", facts)
+
+
+def test_strip_locals_matches_the_tuple_rule_on_generated_programs():
+    for seed in range(4):
+        p = generate_program(seed, GenParams(methods=10, loop=0.2, extern=0.1, heap=0.4, call=0.4))
+        tmodel = transformed_model(ProgramModel(p))
+        res = analyze_program(tmodel)
+        an = Analyzer(tmodel)
+        for mid, facts in res.facts.items():
+            stripped = an.decode(an.strip_locals(mid, an.encode(facts)))
+            assert stripped == reference_strip(an.sym, mid, facts) == res.summaries[mid]
 
 
 CENSUS_LIKE = dict(
@@ -619,6 +663,104 @@ def test_node_writes_are_the_written_reps_of_their_statement(profile, seed, poli
                 continue
             reference = tmodel.aliases.written_reps(mid, node.stmt)
             assert set(writes) == set(map(an.rep_id, reference)), (mid, node.id)
+
+
+def reference_exit_facts(an, mid, summaries):
+    """The method's exit facts by round robin over the node equations the
+    worklist solves: sweep every node in id order, join IN over the
+    predecessors' OUT, OR in the control mask read from IN at each governing
+    branch and apply `transfer`, until a sweep changes nothing."""
+    spec = an.spec(mid)
+    g = spec.cfg
+    nodes = [an.with_imports(ns, summaries) if ns.calls else ns for ns in spec.nodes]
+    heap = {
+        an.rep_id(rep)
+        for ns in spec.nodes
+        for callee, _ in ns.calls
+        for fact in an.decode(summaries[callee])
+        for rep in fact[:2]
+        if not isinstance(rep, (Scalar, Bottom))
+    }
+    entry = {i: 1 << (i + SHIFT) for i in set(spec.seeds) | heap}
+    IN = [{} for _ in nodes]
+    OUT = [{} for _ in nodes]
+    changed = True
+    while changed:
+        changed = False
+        for n, node in enumerate(nodes):
+            incoming = entry if n == g.entry else {}
+            for p in g.preds[n]:
+                for k, mask in OUT[p].items():
+                    incoming[k] = incoming.get(k, 0) | mask
+            ctrl = 0
+            for b, v in spec.control[n]:
+                ctrl |= IN[b].get(v, 0)
+            out = transfer(node, incoming, ctrl)
+            changed |= incoming != IN[n] or out != OUT[n]
+            IN[n], OUT[n] = incoming, out
+    return OUT[g.exit]
+
+
+@pytest.mark.parametrize("policy", ("basic", "summary"))
+@pytest.mark.parametrize("profile", ("census", "heap", "loops"))
+def test_method_fixpoint_equals_a_round_robin_reference(profile, policy, monkeypatch):
+    visits = []
+    original = transfer
+
+    def counting(node, d, ctrl=0):
+        visits.append(node)
+        return original(node, d, ctrl)
+
+    monkeypatch.setattr("cook.analysis.transfer", counting)
+    loop_free = 0
+    for seed in range(3):
+        params = GenParams(**PROFILES[profile])
+        model = ProgramModel(generate_program(seed, params), nested_policy=policy)
+        tmodel = transformed_model(model)
+        an = Analyzer(tmodel)
+        final = {m: an.encode(f) for m, f in analyze_program(tmodel).summaries.items()}
+        empty = {m: {} for m in tmodel.methods}
+        for mid, mm in tmodel.methods.items():
+            for summaries in (empty, final):
+                visits.clear()
+                facts = an.method_facts(mid, summaries)
+                assert facts == reference_exit_facts(an, mid, summaries), (seed, mid)
+                if not find_loops(mm.cfg):
+                    # in reverse postorder every predecessor comes first
+                    assert len(visits) == len(mm.cfg.nodes), (seed, mid)
+                    loop_free += 1
+    assert loop_free >= 6, loop_free
+
+
+# the body's first statement kills `i`, the counter the loop condition reads,
+# and writes it back with the sources it already had, so the second pass over
+# the header changes nothing that reaches `x := x + one`, only its control mask
+BRANCH_GAINS_SOURCES = """
+extern method api(): int;
+method m(i: int, n: int, z: int): int {
+  var x: int; var one: int; var two: int; var a: int;
+  one := 1; two := 2;
+  a := api();
+  x := i + n;
+  while i < n do {
+    if a < z then { i := i + one; } else { i := i + two; }
+    x := x + one;
+  }
+  return x;
+}
+"""
+
+
+def test_a_branch_that_gains_sources_revisits_the_nodes_it_governs(run_pipeline):
+    an, facts = method_facts_of(BRANCH_GAINS_SOURCES, "m")
+    summaries = {"m": {}}
+    assert an.encode(facts) == reference_exit_facts(an, "m", summaries)
+    ret = Scalar("m", "ret")
+    # the trip count depends on `a`, the API's result, through the inner branch
+    assert (ret, BOTTOM, ast.DivergenceCause.API) in facts
+    assert (ret, Scalar("m", "z"), None) in facts
+    _, res = run_pipeline(BRANCH_GAINS_SOURCES, swamp_test="post")
+    assert res.swamp == frozenset({"m"})
 
 
 def test_safe_list_growth_never_shrinks_islands(run_pipeline):

@@ -5,10 +5,13 @@ graphs: post-dominance is decided by enumerating all simple paths to the
 exit, and the dependence definition is applied directly to that relation.
 """
 
+import random
+
 from cook.cfg import (
     BRANCH,
     build_cfg,
     control_dependents,
+    dominators,
     find_loops,
     governing_branches,
     post_dominators,
@@ -16,6 +19,7 @@ from cook.cfg import (
 )
 from cook.generator import GenParams, generate_program
 from cook.lang import ast, parse
+from cook.lang.parser import MAX_BLOCK_DEPTH
 
 
 def cfg_of(src: str, method: str = None):
@@ -229,15 +233,6 @@ def test_ipdom_really_postdominates():
             assert dominates(ipdom, g.exit, ipdom[n], n)
 
 
-def test_transitive_closure_contains_direct_relation():
-    for g in small_cfgs(want=10):
-        direct = control_dependents(g)
-        trans = governing_branches(g)
-        for b, nodes in direct.items():
-            for n in nodes:
-                assert b in trans[n]
-
-
 def test_every_node_reachable_and_reaches_exit():
     for seed in range(10):
         p = generate_program(seed, GenParams(methods=4, loop=0.3))
@@ -256,3 +251,140 @@ def test_every_node_reachable_and_reaches_exit():
                         seen.add(s)
                         work.append(s)
             assert seen == set(range(len(g.nodes)))
+
+
+# -- exact oracles on larger graphs ---------------------------------------------
+
+
+def random_method(rng, max_depth):
+    """Source of a method with nested ifs and loops, where a then-block or a
+    loop body may end in a return."""
+    names = ("a", "b", "x", "y")
+
+    def block(depth):
+        out = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random() if depth < max_depth else 0.0
+            cond = f"{rng.choice(names)} < {rng.choice(names)}"
+            if kind < 0.4:
+                out.append(f"{rng.choice(names[2:])} := {rng.choice(names)};")
+            elif kind < 0.7:
+                then = block(depth + 1) + (["return x;"] if rng.random() < 0.3 else [])
+                els = block(depth + 1) if rng.random() < 0.5 else []
+                out += [f"if {cond} then {{", *then, "} else {", *els, "}"]
+            else:
+                body = block(depth + 1) + (["return y;"] if rng.random() < 0.2 else [])
+                out += [f"while {cond} do {{", *body, "}"]
+        return out
+
+    lines = ["method m(a: int, b: int): int {", "var x: int; var y: int;"]
+    return "\n".join(lines + block(0) + ["return x;", "}"]) + "\n"
+
+
+def nested_blocks(depth):
+    heads = ["if a < x then {", "while a < x do {"]
+    lines = ["method m(a: int): int {", "var x: int;"]
+    lines += [heads[d % 2] for d in range(depth)]
+    lines += ["x := a;", "return x;"] + ["}"] * depth + ["return x;", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_cfgs():
+    rng = random.Random(5)
+    graphs = [cfg_of(random_method(rng, 4)) for _ in range(60)]
+    graphs.append(cfg_of(nested_blocks(MAX_BLOCK_DEPTH)))
+    return graphs
+
+
+def reachable(succs, start, removed):
+    seen = {start} if start != removed else set()
+    work = list(seen)
+    while work:
+        for s in succs[work.pop()]:
+            if s != removed and s not in seen:
+                seen.add(s)
+                work.append(s)
+    return seen
+
+
+def brute_dominator_sets(start, succs):
+    """d dominates n iff n is reachable from `start` but not once d is removed."""
+    every = reachable(succs, start, None)
+    doms = {n: set() for n in every}
+    for d in every:
+        for n in every - reachable(succs, start, d):
+            doms[n].add(d)
+    return doms
+
+
+def tree_sets(idom, root):
+    """Each node's dominators, read up the immediate-dominator tree."""
+    out = {}
+    for n in idom:
+        chain, cur = {n}, n
+        while cur != root:
+            cur = idom[cur]
+            chain.add(cur)
+        out[n] = chain
+    return out
+
+
+def test_oracle_graphs_have_nested_loops_and_returns_inside_loops():
+    graphs = oracle_cfgs()
+    assert sum(any(l.depth >= 2 for l in find_loops(g)) for g in graphs) >= 10
+    inside = sum(
+        any(isinstance(s, ast.Return) for l in find_loops(g) for s in ast.walk(l.stmt.body))
+        for g in graphs
+    )
+    assert inside >= 10, inside
+    assert max(len(g.nodes) for g in graphs) > MAX_BLOCK_DEPTH
+
+
+def test_dominators_match_the_node_removal_oracle():
+    for g in oracle_cfgs():
+        assert tree_sets(dominators(g), g.entry) == brute_dominator_sets(g.entry, g.succs)
+        assert tree_sets(post_dominators(g), g.exit) == brute_dominator_sets(g.exit, g.preds)
+
+
+def test_control_dependence_matches_the_node_removal_oracle():
+    for g in oracle_cfgs():
+        pdom = brute_dominator_sets(g.exit, g.preds)
+        expected = {}
+        for b, node in enumerate(g.nodes):
+            if node.kind != BRANCH:
+                continue
+            deps = {
+                n
+                for n in range(len(g.nodes))
+                if not (n in pdom[b] and n != b) and any(n in pdom[s] for s in g.succs[b])
+            }
+            if deps:
+                expected[b] = deps
+        assert control_dependents(g) == expected
+
+
+def closure_of(direct, size):
+    """Per node, the branches it reaches over direct control dependence."""
+    on = [set() for _ in range(size)]
+    for b, nodes in direct.items():
+        for n in nodes:
+            on[n].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for n in range(size):
+            extra = set().union(*(on[b] for b in on[n]))
+            if not extra <= on[n]:
+                on[n] |= extra
+                changed = True
+    return [frozenset(s) for s in on]
+
+
+def test_transitive_closure_contains_direct_relation():
+    for g in oracle_cfgs() + small_cfgs():
+        direct = control_dependents(g)
+        trans = governing_branches(g)
+        for b, nodes in direct.items():
+            for n in nodes:
+                assert b in trans[n]
+        assert trans == closure_of(direct, len(g.nodes))

@@ -44,6 +44,15 @@ def test_analyze_json(tmp_path, counted_loop, opaque_loop_caller):
     assert report["aggregates"]["loops_total"] == 2
 
 
+def test_dump_cfg_labels_nodes_with_their_statements(tmp_path, counted_loop):
+    result = invoke(tmp_path, ["analyze", "--dump-cfg"], counted_loop)
+    assert result.exit_code == 0, result.output
+    labels = [line for line in result.output.splitlines() if "[label=" in line and "->" not in line]
+    assert labels[:2] == ['  n0 [label="entry", shape=box];', '  n1 [label="exit", shape=box];']
+    assert any(line.endswith('[label="i := i + one;", shape=box];') for line in labels), labels
+    assert any("shape=diamond" in line for line in labels)
+
+
 def test_run_prints_the_returned_value(tmp_path, clean_chain):
     result = invoke(tmp_path, ["run", "--entry", "foo"], clean_chain)
     assert result.exit_code == 0, result.output

@@ -1,11 +1,13 @@
-"""Every import in `src/` and `tests/` is at the top of its module, and used.
+"""Every import in `src/` and `tests/` is at the top of its module, and used;
+no module under `src/` imports another module's private names.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard library's `ast`. An import inside a function body is reported in
 every module. A name counts as used when it appears as an identifier
 anywhere in the module, quoted annotations included. `__future__` imports
 are skipped, and so are the imports of an `__init__.py`, which re-export the
-package's names.
+package's names. A private name starts with one underscore and is not a
+dunder; tests may import them, `src/` may not.
 """
 
 from __future__ import annotations
@@ -71,6 +73,17 @@ def function_imports(tree: ast.Module) -> list[int]:
     )
 
 
+def private_imports(tree: ast.Module) -> list[str]:
+    """`line: module.name` of every import of an underscore-prefixed name."""
+    return [
+        f"{node.lineno}: {'.' * node.level}{node.module or ''}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
 def modules() -> list[Path]:
     found = [p for top in ("src", "tests") for p in sorted((ROOT / top).rglob("*.py"))]
     assert len(found) > 20
@@ -88,6 +101,14 @@ def test_no_imports_inside_functions():
         f"{p.relative_to(ROOT)}:{line}"
         for p in modules()
         for line in function_imports(ast.parse(p.read_text(encoding="utf-8")))
+    ] == []
+
+
+def test_no_private_names_imported_across_modules_in_src():
+    assert [
+        f"{p.relative_to(ROOT)}:{found}"
+        for p in sorted((ROOT / "src").rglob("*.py"))
+        for found in private_imports(ast.parse(p.read_text(encoding="utf-8")))
     ] == []
 
 
@@ -117,3 +138,19 @@ def test_an_import_inside_a_function_is_reported():
         "        import re\n"
     )
     assert function_imports(tree) == [3, 5, 9]
+
+
+def test_a_private_import_is_reported():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from .lang.printer import _Printer, pretty\n"
+        "from . import __version__\n"
+        "from .cfg import reverse_postorder as rpo, _idoms\n"
+        "def f():\n"
+        "    from .analysis import _set_bits\n"
+    )
+    assert private_imports(tree) == [
+        "2: .lang.printer._Printer",
+        "4: .cfg._idoms",
+        "6: .analysis._set_bits",
+    ]

@@ -5,6 +5,7 @@ import pytest
 from cook.errors import CheckDiagnostic, SyntaxDiagnostic
 from cook.generator import GenParams, generate_program
 from cook.lang import ast, parse, pretty
+from cook.lang.printer import pretty_statement
 from cook.lang.parser import MAX_BLOCK_DEPTH
 from cook.representatives import Scalar, TypeField
 
@@ -233,3 +234,26 @@ method m(a: A, n: int): int {
     )
     assert ast.scalar_writes(bottom, "m") == ("x", "ret")
     assert ast.scalar_writes(None, "m") == ()
+
+
+def test_a_statement_prints_as_its_line_of_the_program():
+    p = generate_program(4, GenParams(methods=6, heap=0.5, call=0.4, branch=0.4))
+    lines = {line.strip() for line in pretty(p).splitlines()}
+    simple = [
+        s
+        for m in p.methods
+        for s in ast.walk(m.body)
+        if not isinstance(s, (ast.IfElse, ast.While))
+    ]
+    assert len(simple) > 20
+    for s in simple:
+        assert pretty_statement(s) in lines, s
+    loop = next(s for m in p.methods for s in ast.walk(m.body) if isinstance(s, ast.While))
+    assert pretty_statement(loop).splitlines()[0] == f"while {loop.cond.render()} do {{"
+
+
+def test_a_bottom_statement_names_every_frame():
+    bottom = ast.BottomAssign(
+        (Scalar("m", "x"), Scalar("other", "y"), TypeField("A", "f")), ast.DivergenceCause.LOOP
+    )
+    assert pretty_statement(bottom) == "m::x, other::y, A.f := bottom(loop);"

@@ -5,7 +5,6 @@ from cook.generator import GenParams, generate_program
 from cook.lang import ast, load, parse, pretty
 from cook.lang.check import check
 from cook.pipeline import ProgramModel
-from cook.report import transformed_model
 from cook.representatives import Scalar, TypeField
 from cook.rewrite import rewrite_program
 
@@ -166,6 +165,7 @@ def test_bottom_statement_with_300_targets_reparses():
 
 
 def test_no_divergent_constructs_survive():
+    loops_checked = 0
     for seed in range(15):
         p = generate_program(
             seed,
@@ -176,10 +176,17 @@ def test_no_divergent_constructs_survive():
         model = ProgramModel(p)
         p2 = rewrite_program(model)
         sym2 = check(p2, allow_bottom=True)
-        tmodel = transformed_model(model)
-        for mm in tmodel.methods.values():
-            for lm in mm.loops:
-                assert lm.verdict.terminates, (seed, mm.method.id)
+        # a loop left in place is the original loop, or a copy of it with a
+        # rewritten inner loop; either way it sits at the original's `loc`
+        originals = {
+            (m.id, s.loc): s for m in p.methods for s in ast.walk(m.body) if isinstance(s, ast.While)
+        }
+        for m in p2.methods:
+            for s in ast.walk(m.body):
+                if isinstance(s, ast.While):
+                    original = originals[(m.id, s.loc)]
+                    assert model.verdict_for(original).terminates, (seed, m.id, s.loc)
+                    loops_checked += 1
         for m in p2.methods:
             if m.extern:
                 continue
@@ -188,6 +195,7 @@ def test_no_divergent_constructs_survive():
                     for t in sym2.resolve_call(m, s):
                         assert t.id not in model.recursion, (seed, m.id)
                         assert not (t.extern and t.name in model.api_set), (seed, m.id)
+    assert loops_checked >= 1, loops_checked
 
 
 def test_cause_tags_partition_bottoms():

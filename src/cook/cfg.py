@@ -215,7 +215,7 @@ class LoopInfo:
     back_edges: tuple[tuple[int, int], ...]
     parent: int | None = None
     depth: int = 1
-    stmt: ast.Stmt | None = None  # the While statement when structurally known
+    stmt: ast.While | None = None  # the While statement when structurally known
 
 
 def find_loops(g: Cfg) -> list[LoopInfo]:

@@ -116,7 +116,7 @@ def analyze(
         if dump_summaries:
             for mid, mm in model.methods.items():
                 for lm in mm.loops:
-                    line = lm.stmt.loc.line if lm.stmt else "?"
+                    line = lm.info.stmt.loc.line if lm.info.stmt else "?"
                     click.echo(f"{mid} loop@{line}: {lm.verdict.render()}")
                     if lm.summary is not None:
                         for row in lm.summary.render().splitlines():
@@ -198,13 +198,13 @@ def run(file, entry, args_json, fuel):
 
 @main.command()
 @click.option("--seed", default=0, show_default=True)
-@click.option("--methods", default=10, show_default=True)
-@click.option("--classes", default=2, show_default=True)
-@click.option("--loop", default=0.2, show_default=True)
-@click.option("--opaque-loop", default=0.05, show_default=True)
-@click.option("--recursion", default=0.03, show_default=True)
-@click.option("--extern", default=0.08, show_default=True)
-@click.option("--call", default=0.3, show_default=True)
+@click.option("--methods", default=10, show_default=True, type=click.IntRange(min=0))
+@click.option("--classes", default=2, show_default=True, type=click.IntRange(min=0))
+@click.option("--loop", default=0.2, show_default=True, type=click.FloatRange(0, 1))
+@click.option("--opaque-loop", default=0.05, show_default=True, type=click.FloatRange(0, 1))
+@click.option("--recursion", default=0.03, show_default=True, type=click.FloatRange(0, 1))
+@click.option("--extern", default=0.08, show_default=True, type=click.FloatRange(0, 1))
+@click.option("--call", default=0.3, show_default=True, type=click.FloatRange(0, 1))
 @click.option("--out", type=click.Path(), help="write to a file instead of stdout")
 def gen(seed, methods, classes, loop, opaque_loop, recursion, extern, call, out):
     """Generate a random well-formed program."""

@@ -54,8 +54,7 @@ SUMMARY = "summary"
 
 @dataclass(slots=True)
 class LoopModel:
-    info: LoopInfo
-    stmt: ast.While | None
+    info: LoopInfo  # `info.stmt` is the While statement, when known
     verdict: TerminationVerdict
     cycles: CycleSet | None = None
     df: DfVerdict | None = None
@@ -117,8 +116,8 @@ class ProgramModel:
             models[info.id] = self._judge_loop(g, info, loops, models, idom)
         mm.loops = [models[l.id] for l in loops]
         for lm in mm.loops:
-            if lm.stmt is not None:
-                self._verdict_by_stmt[id(lm.stmt)] = lm.verdict
+            if lm.info.stmt is not None:
+                self._verdict_by_stmt[id(lm.info.stmt)] = lm.verdict
 
     def _judge_loop(
         self,
@@ -128,7 +127,6 @@ class ProgramModel:
         models: dict[int, "LoopModel"],
         idom: dict[int, int],
     ) -> LoopModel:
-        stmt = info.stmt if isinstance(info.stmt, ast.While) else None
         children = [l for l in loops if l.parent == info.id]
         stand_ins: dict[int, OpaqueUpdate] = {}
         blocked = None
@@ -144,18 +142,18 @@ class ProgramModel:
                 blocked = "contains a live nested loop"
                 break
         if blocked:
-            return LoopModel(info, stmt, TerminationVerdict(False, reason=blocked))
+            return LoopModel(info, TerminationVerdict(False, reason=blocked))
 
         try:
             cycles = extract_cycles(info, g, loops, stand_ins)
         except (NestedLoopError, PathExplosionError) as e:
-            return LoopModel(info, stmt, TerminationVerdict(False, reason=str(e)))
+            return LoopModel(info, TerminationVerdict(False, reason=str(e)))
 
         pre = dominating_consts(g, info, idom)
         # each closing cycle is folded once; both verdicts read these formulas
         formulas = tuple(cycle_formula(c, pre, g.method_id) for c in cycles.cycles)
         verdict = check_termination(cycles, formulas)
-        lm = LoopModel(info, stmt, verdict, cycles)
+        lm = LoopModel(info, verdict, cycles)
         try:
             tt = classify_terms(cycles, formulas)
         except NoInductionVariable as e:

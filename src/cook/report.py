@@ -179,7 +179,7 @@ def build_report(
         for lm in mm.loops:
             loops.append(
                 {
-                    "line": lm.stmt.loc.line if lm.stmt is not None else None,
+                    "line": lm.info.stmt.loc.line if lm.info.stmt is not None else None,
                     "verdict": lm.verdict.render(),
                     "terminates": lm.verdict.terminates,
                     "dependency_free": bool(lm.df and lm.df.dependency_free),

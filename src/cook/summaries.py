@@ -27,7 +27,7 @@ from .errors import NoInductionVariable, NotDependencyFree
 from .interp import RELOPS, binop64, unop64, wrap64
 from .lang import ast
 from .representatives import Scalar
-from .termination import UNARY_OPS, Cycle, CycleSet, OpaqueUpdate, linear_of
+from .termination import UNARY_OPS, CycleSet, OpaqueUpdate, counter_strides, linear_of
 
 # Expressions are nested tuples:
 #   ("num", c) | ("var", x) | ("bin", op, a, b) | ("neg", a) | ("not", a) | OPAQUE
@@ -212,10 +212,9 @@ def _operand(name: str, pre_consts: dict[str, int]) -> tuple:
 
 
 def step_transition(step, pre_consts: dict[str, int], method_id: str) -> Transition:
-    if isinstance(step, tuple) and step[0] == "guard":
-        atom = step[1]
+    if isinstance(step, ast.Cond):
         return Transition(
-            (GuardAtom(_operand(atom.left, pre_consts), atom.op, _operand(atom.right, pre_consts)),),
+            (GuardAtom(_operand(step.left, pre_consts), step.op, _operand(step.right, pre_consts)),),
             (),
         )
     if isinstance(step, OpaqueUpdate):
@@ -249,8 +248,9 @@ def step_transition(step, pre_consts: dict[str, int], method_id: str) -> Transit
     raise TypeError(f"no transition for {type(step).__name__}")
 
 
-def cycle_formula(cycle: Cycle, pre_consts: dict[str, int], method_id: str) -> Transition:
-    return path_formula([step_transition(st, pre_consts, method_id) for st in cycle.steps])
+def cycle_formula(cycle: tuple, pre_consts: dict[str, int], method_id: str) -> Transition:
+    """The composed transition of a cycle's steps (see `CycleSet`)."""
+    return path_formula([step_transition(st, pre_consts, method_id) for st in cycle])
 
 
 # ---------------------------------------------------------------------------
@@ -288,30 +288,7 @@ def classify_terms(cs: CycleSet, formulas: tuple[Transition, ...]) -> TermTypes:
     arrays, and induction guards; `formulas` holds the `cycle_formula` of
     each closing cycle of `cs`. Raises NoInductionVariable when no counter
     advances by a uniform constant stride in every cycle."""
-    written: set[str] = set()
-    for f in formulas:
-        written.update(v for v, _ in f.updates)
-
-    counters: dict[str, tuple[int, ...]] = {}
-    for j in sorted(written):
-        strides: list[int] = []
-        ok = True
-        for f in formulas:
-            e = f.update_map().get(j)
-            if e is None:
-                strides.append(0)
-                continue
-            lin = linear_of(e)
-            if lin is not None and lin[0] == "linear" and lin[1] == j:
-                strides.append(lin[2])
-            elif lin is not None and lin[0] == "const":
-                ok = False
-                break
-            else:
-                ok = False
-                break
-        if ok and any(d != 0 for d in strides):
-            counters[j] = tuple(strides)
+    counters = counter_strides(formulas)
 
     # induction variable: stride exactly one in every cycle; prefer one used
     # as an array index, then the lexicographically smallest
@@ -324,19 +301,15 @@ def classify_terms(cs: CycleSet, formulas: tuple[Transition, ...]) -> TermTypes:
                 index_vars.add(lin[1])
     induction = None
     synthetic = False
-    for j in sorted(unit):
+    for j in unit:
         if j in index_vars:
             induction = j
             break
     if induction is None and unit:
-        induction = sorted(unit)[0]
+        induction = unit[0]
     if induction is None:
         # normalize a uniform-stride counter to a fresh unit-stride variable
-        uniform = [
-            j
-            for j, ds in counters.items()
-            if len(set(ds)) == 1 and ds[0] != 0
-        ]
+        uniform = [j for j, ds in counters.items() if len(set(ds)) == 1]
         if uniform:
             induction = "%iter"
             synthetic = True
@@ -345,7 +318,7 @@ def classify_terms(cs: CycleSet, formulas: tuple[Transition, ...]) -> TermTypes:
                 f"loop at node {cs.header}: no uniformly incremented constant-stride counter"
             )
 
-    ct_other = (set(counters) | written) - {induction}
+    ct_other = {v for f in formulas for v, _ in f.updates} - {induction}
     write_arrays: set[str] = set()
     array_names: set[str] = set()
     for f in formulas:
@@ -370,7 +343,6 @@ def classify_terms(cs: CycleSet, formulas: tuple[Transition, ...]) -> TermTypes:
         if ok:
             write_arrays.add(a)
 
-    guards: list[GuardAtom] = []
     seen_guards: set = set()
     ig: list[GuardAtom] = []
     for f in formulas:
@@ -378,7 +350,6 @@ def classify_terms(cs: CycleSet, formulas: tuple[Transition, ...]) -> TermTypes:
             if atom in seen_guards:
                 continue
             seen_guards.add(atom)
-            guards.append(atom)
             if not atom.opaque() and not (atom.vars() & ((ct_other | write_arrays) - {induction})):
                 ig.append(atom)
 

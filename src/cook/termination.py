@@ -1,22 +1,35 @@
 """Loop termination oracle: cycle extraction and the counter/bound test.
 
 A loop with no nested loops is viewed as a set of single-iteration cycles,
-one per acyclic header-to-header path; paths that leave the loop through a
-return are kept separately as exits. The oracle judges the loop terminating
-only when some variable advances by a nonzero constant stride in the same
-direction in every closing cycle and every closing cycle's guard bounds that
-variable by an identifier the loop never writes. Those two facts witness a
-monotone ranking argument, so the verdict is a sound under-approximation:
-`Unknown` never means diverges, only unproven.
+one per acyclic header-to-header path. A cycle is the tuple of its steps in
+path order: an `ast.Cond` for each branch outcome taken (the false edge's
+condition negated), each statement, and an `OpaqueUpdate` for each inner
+loop stepped over. Paths that leave the loop through a return are only
+counted, as the loop's exits.
+
+The oracle judges the loop terminating only when some variable advances by
+a nonzero constant stride in the same direction in every closing cycle, and
+every closing cycle's guard tests that variable itself against a bound the
+loop never writes, tightly enough that no stride carries it past the 64-bit
+wrap point:
+
+* an identifier bound needs a strict `<` (or `>` going down) and strides of
+  exactly one;
+* a constant bound `c` needs at least max |stride| values between `c` and
+  the wrap point: `INT64_MAX - c` going up and `c - INT64_MIN` going down,
+  one more for a strict bound.
+
+Those facts witness a monotone ranking argument, so the verdict is a sound
+under-approximation: `Unknown` never means diverges, only unproven.
 
 The oracle reads the composed cycle transitions that `summaries.cycle_formula`
-builds, the same ones the loop summaries rest on: each name's net effect and
-each guard side go through `linear_of`. The grammar has no constant
-operands, so strides fold through identifiers: constants assigned earlier in
-the same cycle, or method locals with a single constant definition that
-dominates the loop header (`dominating_consts`). Which names a statement
-writes is `ast.scalar_writes`, for the loop's written names and for the
-definitions alike.
+builds, the same ones the loop summaries rest on: each guard side goes
+through `linear_of`, and `counter_strides` reads every name's stride. The
+grammar has no constant operands, so strides fold through identifiers:
+constants assigned earlier in the same cycle, or method locals with a single
+constant definition that dominates the loop header (`dominating_consts`).
+Which names a statement writes is `ast.scalar_writes`, for the loop's
+written names and for the definitions alike.
 """
 
 from __future__ import annotations
@@ -36,19 +49,6 @@ _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
 
 @dataclass(frozen=True, slots=True)
-class Atom:
-    left: str
-    op: str
-    right: str
-
-    def negate(self) -> "Atom":
-        return Atom(self.left, _NEGATE[self.op], self.right)
-
-    def render(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
-
-
-@dataclass(frozen=True, slots=True)
 class OpaqueUpdate:
     """Stand-in for an inner loop folded to its write effect."""
 
@@ -56,30 +56,17 @@ class OpaqueUpdate:
 
 
 @dataclass(frozen=True, slots=True)
-class Cycle:
-    """One acyclic path through the loop body, as an interleaved step list.
+class CycleSet:
+    """A loop's closing cycles, each the tuple of its steps in path order.
 
-    A step is either ("guard", Atom) for a branch outcome taken at that point
-    in the path, an AST statement, or an OpaqueUpdate. The interleaving
-    matters: a guard tested after an update constrains the updated value.
+    A step is an `ast.Cond` for a branch outcome taken at that point in the
+    path, an AST statement, or an `OpaqueUpdate`. The order matters: a guard
+    tested after an update constrains the updated value.
     """
 
-    steps: tuple
-
-    @property
-    def guard(self) -> tuple[Atom, ...]:
-        return tuple(s[1] for s in self.steps if isinstance(s, tuple) and s[0] == "guard")
-
-    @property
-    def updates(self) -> tuple:
-        return tuple(s for s in self.steps if not (isinstance(s, tuple) and s[0] == "guard"))
-
-
-@dataclass(frozen=True, slots=True)
-class CycleSet:
     header: int
-    cycles: tuple[Cycle, ...]  # closing cycles only
-    exits: tuple[Cycle, ...]  # paths that leave the loop through a return
+    cycles: tuple[tuple, ...]
+    exits: int  # how many paths leave the loop through a return
     written_names: frozenset[str]  # every scalar the loop body may write
 
 
@@ -124,29 +111,26 @@ def extract_cycles(
         )
 
     header = loop.header
-    head_cond = g.nodes[header].cond
-    assert head_cond is not None, "loop header must be a branch"
-    head_atom = Atom(head_cond.left, head_cond.op, head_cond.right)
+    head = g.nodes[header].cond
+    assert head is not None, "loop header must be a branch"
 
-    cycles: list[Cycle] = []
-    exits: list[Cycle] = []
-    true_succ = g.succs[header][0]
-
+    cycles: list[tuple] = []
+    exits = 0
     # DFS over (node, steps); loop bodies are acyclic once the header is
     # removed, except for inner headers which we either refused above or
     # step over, so the walk terminates.
-    work: list[tuple[int, tuple]] = [(true_succ, (("guard", head_atom),))]
+    work: list[tuple[int, tuple]] = [(g.succs[header][0], (head,))]
     while work:
         node, steps = work.pop()
-        if len(cycles) + len(exits) > MAX_CYCLES:
+        if len(cycles) + exits > MAX_CYCLES:
             raise PathExplosionError(
                 f"more than {MAX_CYCLES} cycles in loop at node {loop.header}"
             )
         if node == header:
-            cycles.append(Cycle(steps))
+            cycles.append(steps)
             continue
         if node not in loop.body:
-            exits.append(Cycle(steps))
+            exits += 1
             continue
         if node in children:
             # continue past the inner loop through its false edge
@@ -154,16 +138,16 @@ def extract_cycles(
             continue
         n = g.nodes[node]
         if n.kind == BRANCH:
-            atom = Atom(n.cond.left, n.cond.op, n.cond.right)
+            c = n.cond
             t, f = g.succs[node]
-            work.append((f, steps + (("guard", atom.negate()),)))
-            work.append((t, steps + (("guard", atom),)))
+            work.append((f, steps + (ast.Cond(c.left, _NEGATE[c.op], c.right),)))
+            work.append((t, steps + (c,)))
         else:
             new_steps = steps + (n.stmt,) if n.stmt is not None else steps
             (succ,) = g.succs[node]
             work.append((succ, new_steps))
 
-    return CycleSet(header, tuple(cycles), tuple(exits), written_names(g, loop))
+    return CycleSet(header, tuple(cycles), exits, written_names(g, loop))
 
 
 def written_names(g: Cfg, loop: LoopInfo) -> frozenset[str]:
@@ -212,6 +196,25 @@ def linear_of(e: tuple) -> tuple | None:
     return None
 
 
+def counter_strides(formulas: tuple) -> dict[str, tuple[int, ...]]:
+    """Each name's stride in each composed cycle of `formulas` (0 where the
+    cycle leaves it alone), in name order: the names that every cycle leaves
+    alone or moves by a constant, and that some cycle moves."""
+    updates = [f.update_map() for f in formulas]
+    table: dict[str, tuple[int, ...]] = {}
+    for j in sorted({v for u in updates for v in u}):
+        strides = []
+        for u in updates:
+            lin = linear_of(u[j]) if j in u else ("linear", j, 0)
+            if lin is None or lin[0] != "linear" or lin[1] != j:
+                break
+            strides.append(lin[2])
+        else:
+            if any(strides):
+                table[j] = tuple(strides)
+    return table
+
+
 def dominating_consts(g: Cfg, loop: LoopInfo, idom: dict[int, int]) -> dict[str, int]:
     """Locals holding a known constant at loop entry: defined exactly once in
     the method, by a constant assignment dominating the header. In the
@@ -241,8 +244,8 @@ def dominating_consts(g: Cfg, loop: LoopInfo, idom: dict[int, int]) -> dict[str,
 def check_termination(cs: CycleSet, formulas: tuple) -> TerminationVerdict:
     """Terminating iff some counter advances by a constant nonzero stride in
     one direction in every closing cycle, and every closing cycle's guard
-    bounds it (above for increasing, below for decreasing) by an identifier
-    the loop never writes.
+    bounds it (above for increasing, below for decreasing) within the
+    64-bit range by a constant or an identifier the loop never writes.
 
     `formulas` holds the composed `summaries.Transition` of each closing
     cycle of `cs`. Composition has substituted earlier updates into later
@@ -250,62 +253,33 @@ def check_termination(cs: CycleSet, formulas: tuple) -> TerminationVerdict:
     """
     if not formulas:
         return TerminationVerdict(False, reason="no closing cycles")
-
-    folded = [
-        (
-            {v: linear_of(e) for v, e in f.updates},
-            [(linear_of(a.left), a.op, linear_of(a.right)) for a in f.guard],
-        )
-        for f in formulas
-    ]
-    candidates: set[str] = set()
-    for net, _ in folded:
-        candidates.update(net.keys())
-
-    for j in sorted(candidates):
-        nets = [net.get(j, ("linear", j, 0)) for net, _ in folded]
-        if any(lin is None or lin[0] != "linear" or lin[1] != j for lin in nets):
+    guards = [[(linear_of(a.left), a.op, linear_of(a.right)) for a in f.guard] for f in formulas]
+    for j, strides in counter_strides(formulas).items():
+        if not (all(d > 0 for d in strides) or all(d < 0 for d in strides)):
             continue
-        strides = tuple(lin[2] for lin in nets)
-        if all(d > 0 for d in strides):
-            increasing = True
-        elif all(d < 0 for d in strides):
-            increasing = False
-        else:
-            continue
-        bound = _common_bound(cs, folded, j, increasing)
-        if bound is not None:
-            return TerminationVerdict(True, j, strides, bound)
+        increasing, step = strides[0] > 0, max(abs(d) for d in strides)
+        bounds = {_guard_bound(tests, j, increasing, step, cs.written_names) for tests in guards}
+        if None not in bounds:
+            return TerminationVerdict(True, j, strides, ",".join(sorted(bounds)))
     return TerminationVerdict(False, reason="no bounded constant-stride counter")
 
 
-def _common_bound(cs: CycleSet, folded, j: str, increasing: bool) -> str | None:
-    """A loop-invariant bound on `j` in every closing cycle's guard.
-
-    Each guard is taken at its evaluation point so the tested value must be
-    the entry value of `j` plus a constant; the bound side must be a constant
-    or an identifier the loop never writes.
-    """
-    bounds: list[str] = []
-    for _, guard_tests in folded:
-        found = None
-        for left, op, right in guard_tests:
-            for tested, rel, other in ((left, op, right), (right, _FLIP[op], left)):
-                if tested is None or tested[0] != "linear" or tested[1] != j or other is None:
-                    continue
-                wanted = ("<", "<=") if increasing else (">", ">=")
-                if rel not in wanted:
-                    continue
-                if other[0] == "const":
-                    found = str(other[1])
-                elif other[2] == 0 and other[1] not in cs.written_names:
-                    found = other[1]
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None
-        bounds.append(found)
-    distinct = sorted(set(bounds))
-    return distinct[0] if len(distinct) == 1 else ",".join(distinct)
+def _guard_bound(tests: list, j: str, increasing: bool, step: int, written) -> str | None:
+    """The first loop-invariant bound on `j` among one closing cycle's guard
+    tests, under the 64-bit rule of the module docstring. The tested value
+    must be the entry value of `j` itself: a tested offset lets cycles that
+    test different values step over each other's exits."""
+    strict_rel, weak_rel = ("<", "<=") if increasing else (">", ">=")
+    for left, op, right in tests:
+        for tested, rel, other in ((left, op, right), (right, _FLIP[op], left)):
+            if tested != ("linear", j, 0) or other is None or rel not in (strict_rel, weak_rel):
+                continue
+            strict = rel == strict_rel
+            if other[0] == "const":
+                c = other[1]
+                room = (ast.INT64_MAX - c if increasing else c - ast.INT64_MIN) + strict
+                if room >= step:
+                    return str(c)
+            elif strict and step == 1 and other[2] == 0 and other[1] not in written:
+                return other[1]
+    return None

@@ -734,15 +734,16 @@ def test_method_fixpoint_equals_a_round_robin_reference(profile, policy, monkeyp
 
 # the body's first statement kills `i`, the counter the loop condition reads,
 # and writes it back with the sources it already had, so the second pass over
-# the header changes nothing that reaches `x := x + one`, only its control mask
+# the header changes nothing that reaches `x := x + one`, only its control
+# mask; the bound is a constant, so the oracle proves the loop for both strides
 BRANCH_GAINS_SOURCES = """
 extern method api(): int;
 method m(i: int, n: int, z: int): int {
-  var x: int; var one: int; var two: int; var a: int;
-  one := 1; two := 2;
+  var x: int; var one: int; var two: int; var a: int; var lim: int;
+  one := 1; two := 2; lim := 1000;
   a := api();
   x := i + n;
-  while i < n do {
+  while i < lim do {
     if a < z then { i := i + one; } else { i := i + two; }
     x := x + one;
   }

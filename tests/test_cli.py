@@ -103,6 +103,26 @@ def test_gen_is_deterministic_and_analyzable(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--methods", "-1"),
+        ("--classes", "-2"),
+        ("--loop", "5"),
+        ("--opaque-loop", "-0.1"),
+        ("--recursion", "1.5"),
+        ("--extern", "2"),
+        ("--call", "-1"),
+    ],
+)
+def test_gen_rejects_counts_and_densities_out_of_range(tmp_path, option, value):
+    out = tmp_path / "gen.carib"
+    result = invoke(tmp_path, ["gen", option, value, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "source, message",
     [
         ("method m(): int { var x: int; x := 1; return x;", "1:48: expected statement"),

@@ -1,5 +1,6 @@
 """Every import in `src/` and `tests/` is at the top of its module, and used;
-no module under `src/` imports another module's private names.
+no module under `src/` imports another module's private names; every
+function, class and method defined under `src/cook` is named somewhere else.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard library's `ast`. An import inside a function body is reported in
@@ -7,12 +8,17 @@ every module. A name counts as used when it appears as an identifier
 anywhere in the module, quoted annotations included. `__future__` imports
 are skipped, and so are the imports of an `__init__.py`, which re-export the
 package's names. A private name starts with one underscore and is not a
-dunder; tests may import them, `src/` may not.
+dunder; tests may import them, `src/` may not. A definition is named
+somewhere else when its name appears as a whole word in `src/`, `tests/` or
+`perfbench/` outside its own `def` or `class` line; dunder methods are
+exempt.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +90,31 @@ def private_imports(tree: ast.Module) -> list[str]:
     ]
 
 
+WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def definitions(tree: ast.Module):
+    """(line, name) of every function, class and method, dunders excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.lineno, node.name
+
+
+def unreferenced(defined: dict[str, str], corpus: list[str]) -> list[str]:
+    """`file:line: name` of every definition in the `defined` texts (file
+    name -> text) whose name appears in the `corpus` texts only on its own
+    `def` or `class` line."""
+    words = Counter(w for text in corpus for w in WORD.findall(text))
+    found = []
+    for path, text in defined.items():
+        lines = text.splitlines()
+        for line, name in sorted(definitions(ast.parse(text))):
+            if words[name] == WORD.findall(lines[line - 1]).count(name):
+                found.append(f"{path}:{line}: {name}")
+    return found
+
+
 def modules() -> list[Path]:
     found = [p for top in ("src", "tests") for p in sorted((ROOT / top).rglob("*.py"))]
     assert len(found) > 20
@@ -110,6 +141,20 @@ def test_no_private_names_imported_across_modules_in_src():
         for p in sorted((ROOT / "src").rglob("*.py"))
         for found in private_imports(ast.parse(p.read_text(encoding="utf-8")))
     ] == []
+
+
+def test_every_definition_in_src_is_named_somewhere_else():
+    defined = {
+        str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+        for p in sorted((ROOT / "src" / "cook").rglob("*.py"))
+    }
+    corpus = [
+        p.read_text(encoding="utf-8")
+        for top in ("src", "tests", "perfbench")
+        for p in sorted((ROOT / top).rglob("*.py"))
+    ]
+    assert len(defined) > 15 and len(corpus) > len(defined)
+    assert unreferenced(defined, corpus) == []
 
 
 def test_an_unused_import_is_reported():
@@ -154,3 +199,16 @@ def test_a_private_import_is_reported():
         "4: .cfg._idoms",
         "6: .analysis._set_bits",
     ]
+
+
+def test_an_unreferenced_definition_is_reported():
+    text = (
+        "class Used:\n"
+        "    def __init__(self): pass\n"
+        "    def orphan(self): pass\n"
+        "def helper():\n"
+        "    return Used()\n"
+        "def spare(): return helper()\n"
+    )
+    assert unreferenced({"m.py": text}, [text]) == ["m.py:3: orphan", "m.py:6: spare"]
+    assert unreferenced({"m.py": text}, [text, "spare(orphan)"]) == []

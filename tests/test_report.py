@@ -237,23 +237,26 @@ def test_long_straight_line_method(loop_first):
     assert m.instructions == 5001 + (5 if loop_first else 0)
 
 
+# a stride of 5000 needs a constant bound: against `n` it could step over
+# INT64_MAX and wrap
 @pytest.mark.parametrize(
-    "body, stride",
+    "body, stride, limit, bound",
     [
-        ("i := i + one;\n" * 5000, 5000),
-        ("x := x * y;\n" * 3000 + "i := i + one;\n", 1),
-        ("x := x + x;\n" * 40 + "i := i + one;\n", 1),
+        ("i := i + one;\n" * 5000, 5000, "lim", "100000"),
+        ("x := x * y;\n" * 3000 + "i := i + one;\n", 1, "n", "n"),
+        ("x := x + x;\n" * 40 + "i := i + one;\n", 1, "n", "n"),
     ],
     ids=["counter", "product", "doubling"],
 )
-def test_long_loop_body(body, stride):
+def test_long_loop_body(body, stride, limit, bound):
     src = (
-        "method m(n: int, y: int): int {\nvar i: int; var x: int; var one: int;\n"
-        "one := 1; i := 0; x := 1;\nwhile i < n do {\n"
+        "method m(n: int, y: int): int {\n"
+        "var i: int; var x: int; var one: int; var lim: int;\n"
+        f"one := 1; i := 0; x := 1; lim := 100000;\nwhile i < {limit} do {{\n"
         + body
         + "}\nreturn x;\n}\n"
     )
     (m,) = report_for(src).methods
     assert [lp["verdict"] for lp in m.loops] == [
-        f"terminates(counter=i, stride={stride}, bound=n)"
+        f"terminates(counter=i, stride={stride}, bound={bound})"
     ]

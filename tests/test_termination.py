@@ -5,15 +5,17 @@ terminating must exit within the fuel budget on random divergence-free
 stores — a fuel exhaustion is a hard failure, never a skip.
 """
 
+import hashlib
 import random
 
 import pytest
 
+from cook.aliases import AliasAnalysis
 from cook.cfg import build_cfg, dominators, find_loops
 from cook.errors import NestedLoopError, PathExplosionError
-from cook.generator import GenParams, generate_program
+from cook.generator import GenParams, generate_df_loop, generate_program
 from cook.interp import Outcome, random_store, run_concrete
-from cook.lang import ast, parse
+from cook.lang import ast, load, parse
 from cook.pipeline import ProgramModel
 from cook.representatives import Scalar
 from cook.summaries import cycle_formula
@@ -44,8 +46,8 @@ def test_single_cycle_counted_loop(counted_loop):
     cs = extract_cycles(loops[0], g, loops)
     assert len(cs.cycles) == 1 and not cs.exits
     (c,) = cs.cycles
-    assert [a.render() for a in c.guard] == ["i < n"]
-    assert [type(u).__name__ for u in c.updates] == ["BinaryAssign", "BinaryAssign"]
+    assert [type(s).__name__ for s in c] == ["Cond", "BinaryAssign", "BinaryAssign"]
+    assert c[0].render() == "i < n"
 
 
 def test_branch_body_yields_complementary_cycles():
@@ -63,7 +65,7 @@ method m(n: int, t: int): int {
     p, m, g, loops = loop_of(src)
     cs = extract_cycles(loops[0], g, loops)
     assert len(cs.cycles) == 2
-    atoms = {tuple(a.render() for a in c.guard) for c in cs.cycles}
+    atoms = {tuple(s.render() for s in c if isinstance(s, ast.Cond)) for c in cs.cycles}
     assert atoms == {("i < n", "a < t"), ("i < n", "a >= t")}
 
 
@@ -161,7 +163,7 @@ method m(n: int): int {
         {first: OpaqueUpdate(frozenset({"j"})), second: OpaqueUpdate(frozenset({"k"}))},
     )
     (cycle,) = cs.cycles
-    assert [s.names for s in cycle.steps if isinstance(s, OpaqueUpdate)] == [{"j"}, {"k"}]
+    assert [s.names for s in cycle if isinstance(s, OpaqueUpdate)] == [{"j"}, {"k"}]
     assert {"i", "j", "k"} <= cs.written_names
     v = check_termination(cs, closing_formulas(cs, g, outer, p.methods[0]))
     assert v.terminates and v.counter == "i"
@@ -181,7 +183,7 @@ method m(n: int, t: int): int {
 """
     p, m, g, loops = loop_of(src)
     cs = extract_cycles(loops[0], g, loops)
-    assert len(cs.cycles) == 1 and len(cs.exits) == 1
+    assert len(cs.cycles) == 1 and cs.exits == 1
     v = check_termination(cs, closing_formulas(cs, g, loops[0], m))
     assert v.terminates and v.counter == "i"
 
@@ -253,28 +255,124 @@ method m(n: int): int {
     assert not v.terminates
 
 
+# a stride of two needs a constant bound: against `n` it could step over
+# INT64_MAX and wrap
 @pytest.mark.parametrize(
-    "decls, body, stride",
+    "decls, body, stride, limit, bound",
     [
-        ("var z: int; var s: int; z := 0;", "s := !z; i := i + s;", (1,)),
+        ("var z: int; var s: int; z := 0;", "s := !z; i := i + s;", (1,), "n", "n"),
         (
-            "var six: int; var three: int; var q: int; six := 6; three := 3;",
+            "var six: int; var three: int; var q: int; var lim: int;"
+            " six := 6; three := 3; lim := 1000;",
             "q := six / three; i := i + q;",
             (2,),
+            "lim",
+            "1000",
         ),
     ],
 )
-def test_stride_folds_through_not_and_division(decls, body, stride):
+def test_stride_folds_through_not_and_division(decls, body, stride, limit, bound):
     v = verdict_for(
         f"""
 method m(n: int): int {{
   var i: int; {decls} i := 0;
-  while i < n do {{ {body} }}
+  while i < {limit} do {{ {body} }}
   return i;
 }}
 """
     )
-    assert v.terminates and (v.counter, v.strides, v.bound) == ("i", stride, "n")
+    assert v.terminates and (v.counter, v.strides, v.bound) == ("i", stride, bound)
+
+
+# Loops that run forever from `args` because the counter wraps past
+# INT64_MAX: a weak bound at INT64_MAX, a stride of two that steps over an
+# odd bound, and cycles that alternately test `i` and `i + 1` against a
+# constant, so the exit window of each lies where the other cycle tests.
+WRAP_PROBES = {
+    "weak-bound": (
+        """
+method m(i: int, n: int): int {
+  var one: int;
+  one := 1;
+  while i <= n do { i := i + one; }
+  return i;
+}
+""",
+        [ast.INT64_MAX - 1, ast.INT64_MAX],
+    ),
+    "stride-two": (
+        """
+method m(i: int, n: int): int {
+  var two: int;
+  two := 2;
+  while i < n do { i := i + two; }
+  return i;
+}
+""",
+        [ast.INT64_MAX - 1, ast.INT64_MAX],
+    ),
+    "tested-offset": (
+        """
+method m(i: int, t: int): int {
+  var zero: int; var one: int; var c: int;
+  zero := 0; one := 1; c := 9223372036854775806;
+  while zero < one do {
+    if t < one then {
+      if i >= c then { return i; }
+      i := i + one; i := i + one; t := one;
+    } else {
+      i := i + one;
+      if i >= c then { return i; }
+      i := i + one; t := zero;
+    }
+  }
+  return i;
+}
+""",
+        [ast.INT64_MAX - 2, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", WRAP_PROBES)
+def test_a_counter_that_can_wrap_is_unproven(probe):
+    src, args = WRAP_PROBES[probe]
+    assert not verdict_for(src).terminates
+    p, sym = load(src)
+    out = run_concrete(p, sym, AliasAnalysis(p, sym), "m", args, fuel=10_000)
+    assert out.kind == Outcome.FUEL_EXHAUSTED
+
+
+# (relation, constant bound, stride, proven): a constant bound leaves room
+# for the largest stride before the wrap point, or the loop is unproven
+@pytest.mark.parametrize(
+    "rel, bound, stride, proven",
+    [
+        ("<", ast.INT64_MAX, 1, True),
+        ("<", ast.INT64_MAX, 2, False),
+        ("<", ast.INT64_MAX - 1, 2, True),
+        ("<=", ast.INT64_MAX - 1, 1, True),
+        ("<=", ast.INT64_MAX, 1, False),
+        (">", ast.INT64_MIN, -1, True),
+        (">", ast.INT64_MIN, -2, False),
+        (">=", ast.INT64_MIN + 2, -2, True),
+        (">=", ast.INT64_MIN + 1, -2, False),
+    ],
+)
+def test_a_constant_bound_needs_room_for_the_stride(rel, bound, stride, proven):
+    v = verdict_for(
+        f"""
+method m(i: int): int {{
+  var c: int; var d: int;
+  c := {bound}; d := {stride};
+  while i {rel} c do {{ i := i + d; }}
+  return i;
+}}
+"""
+    )
+    assert v.terminates == proven
+    if proven:
+        assert (v.counter, v.strides, v.bound) == ("i", (stride,), str(bound))
 
 
 def test_bound_written_in_loop_rejected():
@@ -351,7 +449,7 @@ method m(n: int, t: int): int {
         holding = [
             c
             for c in cs.cycles
-            if all(_eval_atom(atom, env) for atom in c.guard)
+            if all(_eval_atom(s, env) for s in c if isinstance(s, ast.Cond))
         ]
         assert len(holding) == 1
 
@@ -448,3 +546,65 @@ def test_dominating_consts_match_brute_force_on_loop_dense_programs():
                 loops_seen += 1
                 names_seen += len(want)
     assert loops_seen >= 300 and names_seen >= 1000
+
+
+# The loop layer's whole output, pinned per loop: the termination verdict,
+# the dependency-free verdict, the summary, the counts of closing cycles and
+# of exits, and the written names. Report digests see only the first two.
+CENSUS_PROFILE = dict(
+    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
+)
+LOOP_DENSE_PROFILE = dict(
+    methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1
+)
+LOOP_LAYER_SOURCES = {
+    "census": lambda: [generate_program(s, GenParams(**CENSUS_PROFILE)) for s in range(6)],
+    "dense": lambda: [generate_program(s, GenParams(**LOOP_DENSE_PROFILE)) for s in range(6)],
+    "df": lambda: [parse(generate_df_loop(s)[0]) for s in range(50)],
+}
+# (sources, nested policy, loops, digest of the per-loop rows)
+LOOP_LAYER_PINNED = (
+    ("census", "basic", 326, "0246cd875890a67b"),
+    ("census", "summary", 326, "51c077d66bd63cf5"),
+    ("dense", "basic", 64, "395262b30401d640"),
+    ("dense", "summary", 64, "088efb5b267331d2"),
+    ("df", "basic", 50, "e73eeb207d499028"),
+    ("df", "summary", 50, "e73eeb207d499028"),
+)
+
+
+def loop_layer_rows(program, policy: str) -> list[str]:
+    rows = []
+    for mid, mm in ProgramModel(program, nested_policy=policy).methods.items():
+        for lm in mm.loops:
+            cs = lm.cycles
+            rows.append(
+                " | ".join(
+                    (
+                        f"{mid}@{lm.info.header}",
+                        lm.verdict.render(),
+                        lm.df.render() if lm.df else "-",
+                        f"{lm.summary.render()} closable={lm.summary.closable}"
+                        if lm.summary
+                        else "-",
+                        f"cycles={len(cs.cycles)} exits={cs.exits}" if cs else "-",
+                        ",".join(sorted(cs.written_names)) if cs else "-",
+                    )
+                )
+            )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "sources, policy, loops, digest",
+    LOOP_LAYER_PINNED,
+    ids=[f"{s}-{p}" for s, p, _, _ in LOOP_LAYER_PINNED],
+)
+def test_loop_layer_output_is_pinned(sources, policy, loops, digest):
+    rows = [
+        f"{k} {row}"
+        for k, program in enumerate(LOOP_LAYER_SOURCES[sources]())
+        for row in loop_layer_rows(program, policy)
+    ]
+    assert len(rows) == loops
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16] == digest

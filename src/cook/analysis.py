@@ -19,10 +19,13 @@ hashing a `Scalar` per operand; field and array representatives and bottom
 targets go through `Analyzer.rep_id`. Facts stay masks from the node table
 to the result: `method_facts` returns a mask dict, a summary is a mask dict
 (`strip_locals` drops the frame's dependents and clears its locals' source
-bits), and a call node reads its callee's summary mask directly. Facts and
-summaries are decoded to `frozenset`s of `(dependent, source, cause)` tuples
-once each, when `analyze_program` builds the `AnalysisResult`; the result
-and the report only ever see tuples. `encode` and `decode` are the boundary.
+bits), and a call node reads its callee's summary mask directly. The
+`AnalysisResult` keeps them as masks too: its `facts` and `summaries` are
+`FactTable`s, which decode a method to a `frozenset` of `(dependent, source,
+cause)` tuples the first time it is read and keep that set. The verdicts and
+causes are read from the cause bits, so the report decodes nothing; a reader
+of `result.facts` only ever sees tuples. `encode` and `decode` are the
+boundary.
 
 Every CFG node gets one entry in a node table (`node_spec`), fixed before
 the fixpoint runs: the pairs it generates, the dependents it kills, the
@@ -65,6 +68,7 @@ to dead locals keeps the caller out of the swamp.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -111,11 +115,14 @@ def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer") -> NodeSpec:
 
     A node's writes are `aliases.written_reps` of its statement: a bottom
     assignment's targets, the one dependent of any other statement, and for
-    a call the whole write set of every internal target."""
-    if s is None or isinstance(s, (ast.IfElse, ast.While)):
+    a call the whole write set of every internal target. The kinds are the
+    concrete `ast.Stmt` classes, which have no subclasses, so one `type(s)`
+    picks the branch."""
+    kind = type(s)
+    if s is None or kind is ast.IfElse or kind is ast.While:
         return _PASS
     rep_id = an.rep_id
-    if isinstance(s, ast.BottomAssign):
+    if kind is ast.BottomAssign:
         bottoms = tuple((rep_id(t), CAUSE_BIT[s.cause]) for t in s.targets)
         return NodeSpec(
             kills=tuple(rep_id(t) for t in s.targets if isinstance(t, Scalar)),
@@ -126,29 +133,31 @@ def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer") -> NodeSpec:
     fr = an.frame(method_id)
     aliases = an.aliases
     calls: list = []
-    if isinstance(s, ast.Return):
+    weak = True  # a return or a heap write kills nothing
+    if kind is ast.Return:
         dep, reads = fr[RET], [fr[s.value]]
-    elif isinstance(s, ast.FieldWrite):
+    elif kind is ast.FieldWrite:
         dep = rep_id(aliases.field_rep(method_id, s.obj, s.field_name))
         reads = [fr[s.source], fr[s.obj]]
-    elif isinstance(s, ast.ArrayWrite):
+    elif kind is ast.ArrayWrite:
         dep = rep_id(aliases.array_rep(method_id, s.array))
         reads = [fr[s.source], fr[s.array], fr[s.index]]
     else:
+        weak = False
         dep = fr[s.target]
-        if isinstance(s, ast.ConstAssign):
+        if kind is ast.ConstAssign:
             reads = []
-        elif isinstance(s, ast.CopyAssign):
+        elif kind is ast.CopyAssign:
             reads = [fr[s.source]]
-        elif isinstance(s, ast.UnaryAssign):
+        elif kind is ast.UnaryAssign:
             reads = [fr[s.operand]]
-        elif isinstance(s, ast.BinaryAssign):
+        elif kind is ast.BinaryAssign:
             reads = [fr[s.left], fr[s.right]]
-        elif isinstance(s, ast.FieldRead):
+        elif kind is ast.FieldRead:
             reads = [rep_id(aliases.field_rep(method_id, s.obj, s.field_name)), fr[s.obj]]
-        elif isinstance(s, ast.ArrayRead):
+        elif kind is ast.ArrayRead:
             reads = [rep_id(aliases.array_rep(method_id, s.array)), fr[s.array], fr[s.index]]
-        elif isinstance(s, ast.Call):
+        elif kind is ast.Call:
             reads = []
             sym = an.sym
             for target in sym.resolve_call(sym.methods[method_id], s):
@@ -160,11 +169,10 @@ def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer") -> NodeSpec:
                 subst[callee[RET]] = dep
                 calls.append((target.id, subst))
         else:
-            raise TypeError(f"no transfer for {type(s).__name__}")
+            raise TypeError(f"no transfer for {kind.__name__}")
     writes = {dep}
     for callee, _ in calls:
         writes.update(an.call_writes(callee))
-    weak = isinstance(s, (ast.Return, ast.FieldWrite, ast.ArrayWrite))
     return NodeSpec(
         gen=tuple((dep, src) for src in dict.fromkeys(reads)),
         kills=() if weak else (dep,),
@@ -294,19 +302,7 @@ class Analyzer:
 
     def decode(self, d: Facts) -> frozenset[Fact]:
         """The (dependent, source, cause) tuples of a fact set."""
-        reps = self._reps
-        out: list[Fact] = []
-        sources: dict[int, list] = {}  # dependents share few distinct masks
-        for k, mask in d.items():
-            srcs = sources.get(mask)
-            if srcs is None:
-                srcs = sources[mask] = [
-                    (BOTTOM, CAUSES[b]) if b < SHIFT else (reps[b - SHIFT], None)
-                    for b in set_bits(mask)
-                ]
-            dep = reps[k]
-            out += [(dep, src, cause) for src, cause in srcs]
-        return frozenset(out)
+        return decode(self._reps, d)
 
     # -- preparation ------------------------------------------------------
 
@@ -470,20 +466,71 @@ class Analyzer:
         return out
 
 
+# ---------------------------------------------------------------------------
+# the result
+# ---------------------------------------------------------------------------
+
+
+def decode(reps: list[Representative], d: Facts) -> frozenset[Fact]:
+    """The (dependent, source, cause) tuples of a fact set whose ids index
+    `reps`."""
+    out: list[Fact] = []
+    sources: dict[int, list] = {}  # dependents share few distinct masks
+    for k, mask in d.items():
+        srcs = sources.get(mask)
+        if srcs is None:
+            srcs = sources[mask] = [
+                (BOTTOM, CAUSES[b]) if b < SHIFT else (reps[b - SHIFT], None)
+                for b in set_bits(mask)
+            ]
+        dep = reps[k]
+        out += [(dep, src, cause) for src, cause in srcs]
+    return frozenset(out)
+
+
+class FactTable(Mapping):
+    """Each method's fact set as `(dependent, source, cause)` tuples, kept as
+    masks and decoded per method on first read. It holds only the masks and
+    the id -> representative list, not the `Analyzer`. Length, iteration and
+    membership read the method ids and decode nothing."""
+
+    __slots__ = ("_masks", "_reps", "_decoded")
+
+    def __init__(self, masks: dict[str, Facts], reps: list[Representative]):
+        self._masks = masks
+        self._reps = reps
+        self._decoded: dict[str, frozenset[Fact]] = {}
+
+    def __getitem__(self, method_id: str) -> frozenset[Fact]:
+        facts = self._decoded.get(method_id)
+        if facts is None:
+            facts = self._decoded[method_id] = decode(self._reps, self._masks[method_id])
+        return facts
+
+    def __contains__(self, method_id) -> bool:
+        return method_id in self._masks
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._masks)
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+
 @dataclass
 class AnalysisResult:
     st: frozenset[str]
     swamp: frozenset[str]
     causes: dict[str, frozenset[ast.DivergenceCause]]
-    facts: dict[str, frozenset[Fact]]
-    summaries: dict[str, frozenset[Fact]]
+    facts: FactTable
+    summaries: FactTable
 
 
 def analyze_program(model: ProgramModel, swamp_test: str = "pre") -> AnalysisResult:
     """Interprocedural fixpoint: run the method analysis per worklist entry,
     maintain stripped summaries, and re-queue callers whose callee summaries
     changed. The result is the least fixpoint, independent of pop order.
-    Facts and summaries stay masks until the result is built."""
+    Facts and summaries stay masks, in the result too."""
     analyzer = Analyzer(model)
     methods = model.analysis_order()
     summaries: dict[str, Facts] = {mid: {} for mid in methods}
@@ -521,6 +568,6 @@ def analyze_program(model: ProgramModel, swamp_test: str = "pre") -> AnalysisRes
         st=all_methods - swamp,
         swamp=frozenset(swamp),
         causes=causes,
-        facts={mid: analyzer.decode(d) for mid, d in facts.items()},
-        summaries={mid: analyzer.decode(d) for mid, d in summaries.items()},
+        facts=FactTable(facts, analyzer._reps),
+        summaries=FactTable(summaries, analyzer._reps),
     )

@@ -301,8 +301,3 @@ def scalar_writes(s: Stmt | None, method_id: str) -> tuple[str, ...]:
             r.name for r in s.targets if isinstance(r, Scalar) and r.method == method_id
         )
     return ()
-
-
-def instruction_count(body: Block | None) -> int:
-    """Statement count used as the size unit in reports (branches count once)."""
-    return sum(1 for _ in walk(body))

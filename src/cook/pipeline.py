@@ -43,6 +43,7 @@ from .termination import (
     OpaqueUpdate,
     TerminationVerdict,
     check_termination,
+    counter_strides,
     dominating_consts,
     extract_cycles,
     written_names,
@@ -152,10 +153,11 @@ class ProgramModel:
         pre = dominating_consts(g, info, idom)
         # each closing cycle is folded once; both verdicts read these formulas
         formulas = tuple(cycle_formula(c, pre, g.method_id) for c in cycles.cycles)
-        verdict = check_termination(cycles, formulas)
+        counters = counter_strides(formulas)
+        verdict = check_termination(cycles, formulas, counters)
         lm = LoopModel(info, verdict, cycles)
         try:
-            tt = classify_terms(cycles, formulas)
+            tt = classify_terms(cycles, formulas, counters)
         except NoInductionVariable as e:
             lm.df = DfVerdict(False, 1, str(e))
             return lm

@@ -110,28 +110,19 @@ def accessor_filter(m: ast.Method) -> bool:
     return isinstance(first, ast.FieldWrite)
 
 
-def vc_sites(m: ast.Method) -> tuple[int, int]:
-    """(array accesses, field dereferences) in a method body."""
-    arrays = fields = 0
+def body_counts(m: ast.Method) -> tuple[int, int, int]:
+    """(instructions, array accesses, field dereferences) of a method body,
+    in one walk; the instruction count is the statement count, branches
+    counted once."""
+    n = arrays = fields = 0
     for s in ast.walk(m.body):
-        if isinstance(s, (ast.ArrayRead, ast.ArrayWrite)):
+        n += 1
+        kind = type(s)
+        if kind is ast.ArrayRead or kind is ast.ArrayWrite:
             arrays += 1
-        elif isinstance(s, (ast.FieldRead, ast.FieldWrite)):
+        elif kind is ast.FieldRead or kind is ast.FieldWrite:
             fields += 1
-    return arrays, fields
-
-
-def vc_census(program: ast.Program, st: frozenset[str]) -> tuple[int, int]:
-    """Total dereference sites and how many sit inside sub-Turing methods."""
-    total = on_islands = 0
-    for m in program.methods:
-        if m.extern:
-            continue
-        a, f = vc_sites(m)
-        total += a + f
-        if m.id in st:
-            on_islands += a + f
-    return total, on_islands
+    return n, arrays, fields
 
 
 def transformed_model(model: ProgramModel) -> ProgramModel:
@@ -187,14 +178,14 @@ def build_report(
             )
             loops_total += 1
             loops_term += int(lm.verdict.terminates)
-        a, f = vc_sites(m)
+        n, a, f = body_counts(m)
         causes = sorted(c.value for c in result.causes.get(m.id, ()))
         methods.append(
             MethodReport(
                 name=m.id,
                 verdict="sub_turing" if m.id in result.st else "swamp",
                 causes=causes,
-                instructions=ast.instruction_count(m.body),
+                instructions=n,
                 accessor=accessor_filter(m),
                 vc_array=a,
                 vc_field=f,
@@ -222,7 +213,6 @@ def build_report(
         {c: 100.0 * k / total_occ for c, k in occurrences.items()} if total_occ else {}
     )
 
-    vc_total, vc_islands = vc_census(model.program, result.st)
     aggregates = {
         "method_count": len(methods),
         "st_count": sum(1 for m in methods if m.verdict == "sub_turing"),
@@ -232,8 +222,10 @@ def build_report(
         "cause_breakdown": breakdown,
         "loops_total": loops_total,
         "loops_terminating": loops_term,
-        "vc_total": vc_total,
-        "vc_on_islands": vc_islands,
+        "vc_total": sum(m.vc_array + m.vc_field for m in methods),
+        "vc_on_islands": sum(
+            m.vc_array + m.vc_field for m in methods if m.verdict == "sub_turing"
+        ),
     }
     config = {
         "safe_list": sorted(cfg.safe_list),

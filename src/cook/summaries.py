@@ -27,7 +27,7 @@ from .errors import NoInductionVariable, NotDependencyFree
 from .interp import RELOPS, binop64, unop64, wrap64
 from .lang import ast
 from .representatives import Scalar
-from .termination import UNARY_OPS, CycleSet, OpaqueUpdate, counter_strides, linear_of
+from .termination import UNARY_OPS, CycleSet, OpaqueUpdate, linear_of
 
 # Expressions are nested tuples:
 #   ("num", c) | ("var", x) | ("bin", op, a, b) | ("neg", a) | ("not", a) | OPAQUE
@@ -283,12 +283,14 @@ class DfVerdict:
 DF_OK = DfVerdict(True)
 
 
-def classify_terms(cs: CycleSet, formulas: tuple[Transition, ...]) -> TermTypes:
+def classify_terms(
+    cs: CycleSet, formulas: tuple[Transition, ...], counters: dict[str, tuple[int, ...]]
+) -> TermTypes:
     """Sort the loop's effects into counters, induction variable, write
     arrays, and induction guards; `formulas` holds the `cycle_formula` of
-    each closing cycle of `cs`. Raises NoInductionVariable when no counter
+    each closing cycle of `cs` and `counters` their
+    `termination.counter_strides`. Raises NoInductionVariable when no counter
     advances by a uniform constant stride in every cycle."""
-    counters = counter_strides(formulas)
 
     # induction variable: stride exactly one in every cycle; prefer one used
     # as an array index, then the lexicographically smallest
@@ -512,7 +514,8 @@ def exit_value(summary: LoopSummary, env: dict[str, int], i0: int) -> int | None
     """Close i': the loop exits the first time every common atom cannot hold.
 
     Invariant common atoms gate entry entirely; bound atoms (i < b or i <= b)
-    cap the induction variable. Returns None when exit cannot be closed.
+    cap the induction variable. Returns None when exit cannot be closed, and
+    when every bound is `i <= INT64_MAX`, which no 64-bit `i` fails.
     """
     if not summary.closable:
         return None
@@ -522,8 +525,12 @@ def exit_value(summary: LoopSummary, env: dict[str, int], i0: int) -> int | None
     limit = None
     for op, bexpr in summary.bounds:
         b = eval_expr(bexpr, env)
+        if op == "<=" and b == ast.INT64_MAX:
+            continue  # i <= INT64_MAX always holds: this bound never fails
         cap = b if op == "<" else b + 1
         limit = cap if limit is None else min(limit, cap)
+    if limit is None:
+        return None
     return max(i0, limit)
 
 

@@ -241,20 +241,21 @@ def dominating_consts(g: Cfg, loop: LoopInfo, idom: dict[int, int]) -> dict[str,
 # ---------------------------------------------------------------------------
 
 
-def check_termination(cs: CycleSet, formulas: tuple) -> TerminationVerdict:
+def check_termination(cs: CycleSet, formulas: tuple, counters: dict) -> TerminationVerdict:
     """Terminating iff some counter advances by a constant nonzero stride in
     one direction in every closing cycle, and every closing cycle's guard
     bounds it (above for increasing, below for decreasing) within the
     64-bit range by a constant or an identifier the loop never writes.
 
     `formulas` holds the composed `summaries.Transition` of each closing
-    cycle of `cs`. Composition has substituted earlier updates into later
-    guards, so each guard is tested at its place in the path.
+    cycle of `cs`, and `counters` is their `counter_strides`. Composition has
+    substituted earlier updates into later guards, so each guard is tested at
+    its place in the path.
     """
     if not formulas:
         return TerminationVerdict(False, reason="no closing cycles")
     guards = [[(linear_of(a.left), a.op, linear_of(a.right)) for a in f.guard] for f in formulas]
-    for j, strides in counter_strides(formulas).items():
+    for j, strides in counters.items():
         if not (all(d > 0 for d in strides) or all(d < 0 for d in strides)):
             continue
         increasing, step = strides[0] > 0, max(abs(d) for d in strides)

@@ -1,11 +1,14 @@
 """Dependence transfer rules, their bit-mask encoding and the two fixpoints."""
 
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cook import analysis
 from cook.aliases import RET, AliasAnalysis
 from cook.analysis import (
     CAUSE_BIT,
@@ -13,15 +16,16 @@ from cook.analysis import (
     Analyzer,
     NodeSpec,
     analyze_program,
+    decode,
     node_spec,
     transfer,
 )
 from cook.cfg import find_loops
 from cook.generator import GenParams, generate_program
 from cook.interp import InterpFault, collect_taints, random_store, run_reified
-from cook.lang import ast, load
+from cook.lang import ast, check, load
 from cook.pipeline import ProgramModel
-from cook.report import transformed_model
+from cook.report import ReportConfig, analyze_sources, transformed_model
 from cook.representatives import BOTTOM, ArrayPart, Bottom, Scalar, TypeField
 
 RULES_SRC = """
@@ -642,6 +646,87 @@ def test_fixpoint_results_are_pinned(profile, seed, policy, digest):
     params = GenParams(**PROFILES[profile])
     model = ProgramModel(generate_program(seed, params), nested_policy=policy)
     assert result_digest(analyze_program(transformed_model(model))) == digest
+
+
+# -- the result's fact tables -------------------------------------------------
+
+
+def pinned_result(profile, seed, policy):
+    params = GenParams(**PROFILES[profile])
+    model = ProgramModel(generate_program(seed, params), nested_policy=policy)
+    return analyze_program(transformed_model(model))
+
+
+def refuse_to_decode(monkeypatch):
+    def fail(reps, d):
+        raise AssertionError("decoded a fact set")
+
+    monkeypatch.setattr(analysis, "decode", fail)
+
+
+# the `islands` benchmark workload's profile: heap and dispatch heavy, with no
+# opaque loops, APIs or recursion
+ISLANDS_LIKE = dict(HEAP_DISPATCH, methods=50, opaque_loop=0, recursion=0, extern=0)
+
+
+@pytest.mark.parametrize("swamp_test", ("pre", "post"))
+@pytest.mark.parametrize("params", (CENSUS_LIKE, ISLANDS_LIKE), ids=("census", "islands"))
+def test_a_report_decodes_no_facts(params, swamp_test, monkeypatch):
+    refuse_to_decode(monkeypatch)
+    program = generate_program(3, GenParams(**params))
+    report = analyze_sources(program, check(program), ReportConfig(swamp_test=swamp_test))
+    assert '"verdict"' in report.to_json() and report.to_text()
+    assert {m.name for m in report.methods} == set(report.result.facts)
+
+
+@pytest.mark.parametrize(
+    "profile, seed, policy", [p[:3] for p in PINNED], ids=["-".join(map(str, p[:3])) for p in PINNED]
+)
+def test_fact_tables_equal_an_eager_decode_of_their_masks(profile, seed, policy):
+    res = pinned_result(profile, seed, policy)
+    for table in (res.facts, res.summaries):
+        eager = {mid: decode(table._reps, masks) for mid, masks in table._masks.items()}
+        assert dict(table) == eager
+        assert table == eager and eager == table
+
+
+def test_length_iteration_and_membership_decode_nothing(monkeypatch):
+    res = pinned_result("census", 0, "basic")
+    methods = sorted(res.st | res.swamp)
+    refuse_to_decode(monkeypatch)
+    for table in (res.facts, res.summaries):
+        assert len(table) == len(methods)
+        assert sorted(table) == sorted(table.keys()) == methods
+        assert methods[0] in table and "no such method" not in table
+    with pytest.raises(AssertionError, match="decoded"):
+        res.facts[methods[0]]
+
+
+def test_a_read_decodes_once_and_keeps_the_set(monkeypatch):
+    res = pinned_result("heap", 0, "basic")
+    mid = next(iter(res.facts))
+    calls = []
+    monkeypatch.setattr(analysis, "decode", lambda reps, d: calls.append(mid) or decode(reps, d))
+    first = res.facts[mid]
+    assert res.facts[mid] is first and res.facts.get(mid) is first
+    assert calls == [mid]
+    with pytest.raises(KeyError):
+        res.facts["no such method"]
+
+
+def test_the_result_does_not_keep_the_analyzer_alive(monkeypatch):
+    made = []
+    init = Analyzer.__init__
+
+    def recording_init(self, model):
+        init(self, model)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(Analyzer, "__init__", recording_init)
+    res = pinned_result("census", 7, "basic")
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
+    assert res.facts and all(res.facts[mid] is not None for mid in res.facts)
 
 
 @pytest.mark.parametrize(

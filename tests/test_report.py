@@ -10,8 +10,7 @@ from cook.report import (
     ReportConfig,
     accessor_filter,
     analyze_sources,
-    vc_census,
-    vc_sites,
+    body_counts,
 )
 from cook.rewrite import rewrite_program
 
@@ -60,9 +59,15 @@ def test_clean_chain_methods_are_not_accessors(clean_chain):
     assert not any(accessor_filter(m) for m in p.methods)
 
 
+def vc_counts(report) -> tuple[int, int]:
+    agg = report.aggregates
+    return agg["vc_total"], agg["vc_on_islands"]
+
+
 def test_vc_census_zero_without_derefs(clean_chain):
-    p, sym = load(clean_chain)
-    assert vc_census(p, frozenset({"foo", "bar"})) == (0, 0)
+    report = report_for(clean_chain)
+    assert {m.name for m in report.methods if m.verdict == "sub_turing"} == {"foo", "bar"}
+    assert vc_counts(report) == (0, 0)
 
 
 def test_vc_census_counts_sites_by_island():
@@ -87,10 +92,14 @@ method swampy(o: A): int {
 """
     p, sym = load(src)
     by_id = {m.id: m for m in p.methods if not m.extern}
-    assert vc_sites(by_id["island"]) == (1, 2)
-    assert vc_sites(by_id["swampy"]) == (0, 2)
-    total, on_islands = vc_census(p, frozenset({"island"}))
-    assert (total, on_islands) == (5, 3)
+    assert body_counts(by_id["island"]) == (4, 1, 2)
+    assert body_counts(by_id["swampy"]) == (4, 0, 2)
+    report = analyze_sources(p, sym, ReportConfig())
+    assert {m.name: m.verdict for m in report.methods} == {
+        "island": "sub_turing",
+        "swampy": "swamp",
+    }
+    assert vc_counts(report) == (5, 3)
 
 
 def test_vc_census_invariant_under_rewrite():
@@ -106,10 +115,13 @@ method m(o: A): int {
 """
     p, sym = load(src)
     model = ProgramModel(p, sym)
-    before = vc_census(p, frozenset())
+
+    def sites():
+        return sum(a + f for _, a, f in map(body_counts, p.methods))
+
+    before = sites()
     rewrite_program(model)
-    after = vc_census(p, frozenset())
-    assert before == after
+    assert sites() == before == 1
 
 
 def test_pct_on_half_island_fixture():

@@ -30,7 +30,7 @@ from cook.summaries import (
     summarize,
     var_expr,
 )
-from cook.termination import dominating_consts, extract_cycles
+from cook.termination import counter_strides, dominating_consts, extract_cycles
 
 
 def loop_context(src: str):
@@ -70,7 +70,7 @@ def test_counted_loop_cycle_composes_to_single_formula(counted_loop):
     """Transitions through the loop body compose into one formula: guard i<n
     with updates i'=i+1 and j'=j+3."""
     p, sym, m, cs, formulas = loop_context(counted_loop)
-    tt = classify_terms(cs, formulas)
+    tt = classify_terms(cs, formulas, counter_strides(formulas))
     (formula,) = tt.formulas
     assert [a.render() for a in formula.guard] == ["i < n"]
     u = formula.update_map()
@@ -100,7 +100,7 @@ def test_guard_after_update_constrains_updated_value():
 
 def test_classification_of_counted_loop(counted_loop):
     p, sym, m, cs, formulas = loop_context(counted_loop)
-    tt = classify_terms(cs, formulas)
+    tt = classify_terms(cs, formulas, counter_strides(formulas))
     assert tt.counters == {"i": (1,), "j": (3,)}
     assert tt.induction == "i" and not tt.synthetic_induction
     assert tt.write_arrays == frozenset()
@@ -121,7 +121,7 @@ method m(a: int[], n: int): int {
 }
 """
     p, sym, m, cs, formulas = loop_context(src)
-    tt = classify_terms(cs, formulas)
+    tt = classify_terms(cs, formulas, counter_strides(formulas))
     assert tt.write_arrays == frozenset({"a"})
     assert df_check(cs, tt).dependency_free
 
@@ -136,7 +136,7 @@ method m(n: int): int {
 }
 """
     p, sym, m, cs, formulas = loop_context(src)
-    tt = classify_terms(cs, formulas)
+    tt = classify_terms(cs, formulas, counter_strides(formulas))
     assert "x" not in tt.counters
     verdict = df_check(cs, tt)
     assert not verdict.dependency_free and verdict.violation == 1
@@ -155,7 +155,7 @@ method m(n: int, t: int): int {
 }
 """
     p, sym, m, cs, formulas = loop_context(src)
-    tt = classify_terms(cs, formulas)
+    tt = classify_terms(cs, formulas, counter_strides(formulas))
     verdict = df_check(cs, tt)
     assert not verdict.dependency_free and verdict.violation == 3
 
@@ -173,7 +173,7 @@ method m(a: int[], n: int, t: int): int {
 }
 """
     p, sym, m, cs, formulas = loop_context(src)
-    tt = classify_terms(cs, formulas)
+    tt = classify_terms(cs, formulas, counter_strides(formulas))
     verdict = df_check(cs, tt)
     assert not verdict.dependency_free and verdict.violation == 1
 
@@ -191,7 +191,7 @@ method m(a: int[], n: int): int {
 }
 """
     p, sym, m, cs, formulas = loop_context(src)
-    tt = classify_terms(cs, formulas)
+    tt = classify_terms(cs, formulas, counter_strides(formulas))
     verdict = df_check(cs, tt)
     assert not verdict.dependency_free and verdict.violation == 2
 
@@ -206,7 +206,7 @@ method m(n: int): int {
 }
 """
     p, sym, m, cs, formulas = loop_context(src)
-    tt = classify_terms(cs, formulas)  # normalizes to a synthetic unit counter
+    tt = classify_terms(cs, formulas, counter_strides(formulas))  # normalizes to a synthetic unit counter
     assert tt.synthetic_induction
     src2 = """
 method m(o: A): int {
@@ -219,7 +219,7 @@ class A { f: int; }
 """
     p2, sym2, m2, cs2, formulas2 = loop_context(src2)
     with pytest.raises(NoInductionVariable):
-        classify_terms(cs2, formulas2)
+        classify_terms(cs2, formulas2, counter_strides(formulas2))
 
 
 def test_summarize_requires_df():
@@ -232,7 +232,7 @@ method m(n: int): int {
 }
 """
     p, sym, m, cs, formulas = loop_context(src)
-    tt = classify_terms(cs, formulas)
+    tt = classify_terms(cs, formulas, counter_strides(formulas))
     with pytest.raises(NotDependencyFree):
         summarize(cs, tt)
 
@@ -254,7 +254,7 @@ def test_num_counts_satisfying_integers(k, l, n):
 
 def test_counter_closed_form_matches_hand_computation(counted_loop):
     p, sym, m, cs, formulas = loop_context(counted_loop)
-    tt = classify_terms(cs, formulas)
+    tt = classify_terms(cs, formulas, counter_strides(formulas))
     s = summarize(cs, tt)
     for n in (0, 1, 5, 17):
         env = {"i": 0, "j": 0, "n": n}
@@ -276,12 +276,31 @@ method m(n: int): int {
 }
 """
     p, sym, m, cs, formulas = loop_context(src)
-    tt = classify_terms(cs, formulas)
+    tt = classify_terms(cs, formulas, counter_strides(formulas))
     s = summarize(cs, tt)
     for n in (0, 3, 11):
         env = {"i": 0, "mtr": 2, "n": n}
         ie = exit_value(s, env, 0)
         assert eval_counter(s, "mtr", env, 0, ie) == 2 + 5 * max(0, n)
+
+
+def test_le_bound_at_int64_max_never_exits():
+    src = """
+method m(n: int): int {
+  var i: int; var one: int;
+  one := 1; i := 0;
+  while i <= n do { i := i + one; }
+  return i;
+}
+"""
+    p, sym, m, cs, formulas = loop_context(src)
+    s = summarize(cs, classify_terms(cs, formulas, counter_strides(formulas)))
+    assert s.closable and s.bounds == (("<=", var_expr("n")),)
+    assert exit_value(s, {"i": 0, "n": 5}, 0) == 6
+    # i <= INT64_MAX holds for every 64-bit i, so there is no exit value,
+    # least of all INT64_MAX + 1
+    assert exit_value(s, {"i": 0, "n": ast.INT64_MAX}, ast.INT64_MAX - 1) is None
+    assert exit_value(s, {"i": 0, "n": ast.INT64_MAX - 1}, 0) == ast.INT64_MAX
 
 
 def interp_post_state(src, mid, store_vals, sym_al=None):
@@ -316,7 +335,7 @@ method fill(a: int[], n: int, mid: int): int {
 }
 """
     p, sym, m, cs, formulas = loop_context(src)
-    tt = classify_terms(cs, formulas)
+    tt = classify_terms(cs, formulas, counter_strides(formulas))
     s = summarize(cs, tt)
     rng = random.Random(0)
     for _ in range(25):
@@ -343,7 +362,8 @@ def test_generated_df_loops_match_interpreter_exactly():
         loops = find_loops(g)
         cs = extract_cycles(loops[0], g, loops)
         pre = dominating_consts(g, loops[0], dominators(g))
-        tt = classify_terms(cs, tuple(cycle_formula(c, pre, mid) for c in cs.cycles))
+        formulas = tuple(cycle_formula(c, pre, mid) for c in cs.cycles)
+        tt = classify_terms(cs, formulas, counter_strides(formulas))
         verdict = df_check(cs, tt)
         assert verdict.dependency_free, (seed, verdict.render())
         s = summarize(cs, tt)

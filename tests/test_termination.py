@@ -22,6 +22,7 @@ from cook.summaries import cycle_formula
 from cook.termination import (
     OpaqueUpdate,
     check_termination,
+    counter_strides,
     dominating_consts,
     extract_cycles,
 )
@@ -165,7 +166,8 @@ method m(n: int): int {
     (cycle,) = cs.cycles
     assert [s.names for s in cycle if isinstance(s, OpaqueUpdate)] == [{"j"}, {"k"}]
     assert {"i", "j", "k"} <= cs.written_names
-    v = check_termination(cs, closing_formulas(cs, g, outer, p.methods[0]))
+    formulas = closing_formulas(cs, g, outer, p.methods[0])
+    v = check_termination(cs, formulas, counter_strides(formulas))
     assert v.terminates and v.counter == "i"
 
 
@@ -184,14 +186,16 @@ method m(n: int, t: int): int {
     p, m, g, loops = loop_of(src)
     cs = extract_cycles(loops[0], g, loops)
     assert len(cs.cycles) == 1 and cs.exits == 1
-    v = check_termination(cs, closing_formulas(cs, g, loops[0], m))
+    formulas = closing_formulas(cs, g, loops[0], m)
+    v = check_termination(cs, formulas, counter_strides(formulas))
     assert v.terminates and v.counter == "i"
 
 
 def verdict_for(src: str):
     p, m, g, loops = loop_of(src)
     cs = extract_cycles(loops[0], g, loops)
-    return check_termination(cs, closing_formulas(cs, g, loops[0], m))
+    formulas = closing_formulas(cs, g, loops[0], m)
+    return check_termination(cs, formulas, counter_strides(formulas))
 
 
 def test_counted_loop_terminates(counted_loop):

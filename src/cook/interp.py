@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 
 from .aliases import RET, AliasAnalysis
@@ -199,10 +198,10 @@ class _Machine:
         self.fuel = fuel
         self.dec = decisions
         self.steps = 0
-        # a reified run reports no traces, so it keeps none
-        keep = None if decisions is None else 0
-        self.writes: deque[Representative] = deque(maxlen=keep)
-        self.calls: deque[tuple[str, str]] = deque(maxlen=keep)
+        # a reified run reports no traces, so it builds none
+        self.tracing = decisions is None
+        self.writes: list[Representative] = []
+        self.calls: list[tuple[str, str]] = []
         self.tainted: set[Representative] = set()
 
     def run(self, entry: _Frame) -> bool:
@@ -221,7 +220,8 @@ class _Machine:
                 if stack:
                     caller = stack[-1]
                     caller.env[frame.target] = frame.env[RET]
-                    self.writes.append(Scalar(caller.method.id, frame.target))
+                    if self.tracing:
+                        self.writes.append(Scalar(caller.method.id, frame.target))
                 continue
             if self.fuel <= 0:
                 return False
@@ -231,68 +231,74 @@ class _Machine:
         return True
 
     def step(self, frame: _Frame, s: ast.Stmt) -> _Frame | None:
-        """Execute `s`; a call into a method with a body returns its frame."""
+        """Execute `s`; a call into a method with a body returns its frame.
+        Statements are the concrete `ast.Stmt` classes, which have no
+        subclasses, so one `type(s)` picks the branch."""
         self.steps += 1
         self.fuel -= 1
         env = frame.env
-        mid = frame.method.id
-        if isinstance(s, ast.While):
+        kind = type(s)
+        if kind is ast.While:
             if self._cond(frame, s):
                 frame.work.append(s)
                 frame.work.extend(reversed(s.body))
             return None
-        if isinstance(s, ast.IfElse):
+        if kind is ast.IfElse:
             taken = self._cond(frame, s)
             if taken is not None:
                 frame.work.extend(reversed(s.then_body if taken else s.else_body))
             return None
-        if isinstance(s, ast.ConstAssign):
+        if kind is ast.ConstAssign:
             env[s.target] = s.value
-        elif isinstance(s, ast.CopyAssign):
+        elif kind is ast.CopyAssign:
             env[s.target] = env[s.source]
-        elif isinstance(s, ast.UnaryAssign):
+        elif kind is ast.UnaryAssign:
             v = self._int(env, s.operand, s.loc)
             env[s.target] = v if v is BOTTOM else unop64(s.op, v)
-        elif isinstance(s, ast.BinaryAssign):
+        elif kind is ast.BinaryAssign:
             a, b = self._int(env, s.left, s.loc), self._int(env, s.right, s.loc)
             env[s.target] = BOTTOM if a is BOTTOM or b is BOTTOM else _binop(s.op, a, b, s.loc)
-        elif isinstance(s, ast.FieldRead):
+        elif kind is ast.FieldRead:
             obj = self._obj(env, s.obj, s.loc)
             tainted = obj is BOTTOM or (
                 self.tainted and self.aliases.field_rep_for(obj.cls, s.field_name) in self.tainted
             )
             env[s.target] = BOTTOM if tainted else obj.fields[s.field_name]
-        elif isinstance(s, ast.FieldWrite):
+        elif kind is ast.FieldWrite:
             obj = self._obj(env, s.obj, s.loc)
             if obj is BOTTOM:
-                self.tainted.add(self.aliases.field_rep(mid, s.obj, s.field_name))
+                self.tainted.add(self.aliases.field_rep(frame.method.id, s.obj, s.field_name))
             else:
                 obj.fields[s.field_name] = env[s.source]
-                self.writes.append(self.aliases.field_rep_for(obj.cls, s.field_name))
+                if self.tracing:
+                    self.writes.append(self.aliases.field_rep_for(obj.cls, s.field_name))
             return None
-        elif isinstance(s, ast.ArrayRead):
+        elif kind is ast.ArrayRead:
             arr, i = self._cell(env, s.array, s.index, s.loc)
             tainted = arr is BOTTOM or (self.tainted and ArrayPart(arr.part) in self.tainted)
             env[s.target] = BOTTOM if tainted else arr.cells[i]
-        elif isinstance(s, ast.ArrayWrite):
+        elif kind is ast.ArrayWrite:
             arr, i = self._cell(env, s.array, s.index, s.loc)
             if arr is BOTTOM:
-                self.tainted.add(self.aliases.array_rep(mid, s.array))
+                self.tainted.add(self.aliases.array_rep(frame.method.id, s.array))
             else:
                 arr.cells[i] = env[s.source]
-                self.writes.append(ArrayPart(arr.part))
+                if self.tracing:
+                    self.writes.append(ArrayPart(arr.part))
             return None
-        elif isinstance(s, ast.Return):
+        elif kind is ast.Return:
             env[RET] = env[s.value]
-            self.writes.append(Scalar(mid, RET))
+            if self.tracing:
+                self.writes.append(Scalar(frame.method.id, RET))
             frame.work.clear()
             return None
-        elif isinstance(s, ast.Call):
+        elif kind is ast.Call:
             return self._call(frame, s)
         else:
             # BottomAssign included: only untransformed programs run
-            raise TypeError(f"cannot execute {type(s).__name__}")
-        self.writes.append(Scalar(mid, s.target))
+            raise TypeError(f"cannot execute {kind.__name__}")
+        if self.tracing:
+            self.writes.append(Scalar(frame.method.id, s.target))
         return None
 
     def _cond(self, frame: _Frame, s: ast.While | ast.IfElse) -> bool | None:
@@ -312,7 +318,8 @@ class _Machine:
     def _call(self, frame: _Frame, s: ast.Call) -> _Frame | None:
         env, mid, dec = frame.env, frame.method.id, self.dec
         callee = _dispatch(self.sym, frame.method, s, env, null_faults=dec is None)
-        self.calls.append((mid, callee.id))
+        if self.tracing:
+            self.calls.append((mid, callee.id))
         if callee.extern:
             if dec is not None and callee.name in dec.api:
                 for actual in s.actuals:
@@ -321,7 +328,8 @@ class _Machine:
             else:
                 # pure stub: zero result, no heap effects
                 env[s.target] = _zero(callee.return_type)
-            self.writes.append(Scalar(mid, s.target))
+            if self.tracing:
+                self.writes.append(Scalar(mid, s.target))
             return None
         if dec is not None and callee.id in dec.recursion:
             # mirror the rewrite: heap effects and the call target only;

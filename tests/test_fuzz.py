@@ -35,7 +35,8 @@ def seed_tokens(seed: int) -> tuple[tuple[str, str], ...]:
 
 
 @st.composite
-def mutants(draw) -> str:
+def mutant_tokens(draw) -> list[str]:
+    """The token texts of a generated program after a few mutations."""
     tokens = list(seed_tokens(draw(st.integers(0, 3))))
     idents = sorted({text for kind, text in tokens if kind == "ident"})
     for _ in range(draw(st.integers(0, 3))):
@@ -55,7 +56,11 @@ def mutants(draw) -> str:
         else:
             j = draw(st.integers(0, len(tokens) - 1))
             tokens[i], tokens[j] = tokens[j], tokens[i]
-    return " ".join(text for _, text in tokens)
+    return [text for _, text in tokens]
+
+
+def mutants() -> st.SearchStrategy[str]:
+    return mutant_tokens().map(" ".join)
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)

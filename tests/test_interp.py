@@ -20,12 +20,14 @@ from cook.interp import (
     run_concrete,
     run_reified,
     div64,
+    frame_for,
     wrap64,
     _binop,
+    _Machine,
 )
 from cook.lang import ast, load
 from cook.pipeline import ProgramModel
-from cook.representatives import Scalar
+from cook.representatives import ArrayPart, Scalar, TypeField
 from cook.summaries import GuardAtom, eval_expr
 from cook.termination import linear_of
 
@@ -413,6 +415,58 @@ def test_terminating_loops_run_concretely_in_reified_mode(counted_loop):
     st = run_reified(p, sym, model.aliases, "count", Store({"n": 5}), model.decisions())
     assert st.values["j"] == 15 and st.values["ret"] == 15
     assert not collect_taints(st, model.aliases, "count")
+
+
+HEAP_AND_CALLS = """
+class C { f: int; a: int[]; }
+extern method ext(x: int): int;
+method put(o: C, v: int): int {
+  var a: int[]; var i: int;
+  o.f := v;
+  a := o.a;
+  i := 0;
+  a[i] := v;
+  v := ext(v);
+  return v;
+}
+method main(o: C): int {
+  var x: int; var y: int;
+  x := 7;
+  y := put(o, x);
+  return y;
+}
+"""
+
+
+def test_concrete_run_traces_every_write_and_call_in_order():
+    p, sym = load(HEAP_AND_CALLS)
+    model = ProgramModel(p, sym)
+    o = ObjVal("C", {"f": 0, "a": ArrVal("int", [0, 0], 0)})
+    out = run_concrete(p, sym, model.aliases, "main", [o])
+    assert out.kind == Outcome.FINISHED and out.value == 0
+    assert out.write_trace == (
+        Scalar("main", "x"),
+        TypeField("C", "f"),
+        Scalar("put", "a"),
+        Scalar("put", "i"),
+        ArrayPart(0),
+        Scalar("put", "v"),
+        Scalar("put", "ret"),
+        Scalar("main", "y"),
+        Scalar("main", "ret"),
+    )
+    assert out.call_trace == (("main", "put"), ("put", "ext"))
+
+
+def test_reified_run_builds_no_trace():
+    p, sym = load(HEAP_AND_CALLS)
+    model = ProgramModel(p, sym)
+    machine = _Machine(sym, model.aliases, 10_000, model.decisions())
+    o = ObjVal("C", {"f": 0, "a": ArrVal("int", [0, 0], 0)})
+    frame = frame_for(sym.methods["main"], {"o": o})
+    assert machine.run(frame) and frame.env["ret"] is BOTTOM  # `ext` is a divergent API
+    assert o.fields["f"] == 7 and machine.steps == 9
+    assert machine.writes == [] and machine.calls == []
 
 
 def test_thousand_method_call_chain_runs_in_both_modes():

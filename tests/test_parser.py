@@ -28,18 +28,9 @@ def located(program: ast.Program) -> list[tuple[str, ast.Loc]]:
     for c in program.classes:
         out.append(("class", c.loc))
         out += [("field", f.loc) for f in c.fields]
-    work: list[ast.Stmt] = []
     for m in program.methods:
         out.append(("method", m.loc))
-        work.extend(reversed(m.body or ()))
-        while work:
-            s = work.pop()
-            out.append((type(s).__name__, s.loc))
-            if isinstance(s, ast.IfElse):
-                work.extend(reversed(s.else_body))
-                work.extend(reversed(s.then_body))
-            elif isinstance(s, ast.While):
-                work.extend(reversed(s.body))
+        out += [(type(s).__name__, s.loc) for s in ast.walk(m.body)]
     return out
 
 

@@ -27,24 +27,27 @@ causes are read from the cause bits, so the report decodes nothing; a reader
 of `result.facts` only ever sees tuples. `encode` and `decode` are the
 boundary.
 
-Every CFG node gets one entry in a node table (`node_spec`), fixed before
-the fixpoint runs: the pairs it generates, the dependents it kills, the
-cause bits it adds, the callee summaries it imports and the representatives
-it may write, all as ids. A write depends on everything it reads: its
-operands, the field or array representative, and the base pointer and index
-it dereferences, matching the reified semantics where a bottom base or index
-smears the access. Scalar targets kill their old facts; field and array
-targets never kill, because their representatives over-approximate aliases.
-Call statements import the callee summary with actuals substituted for
-formals and the call target for the return slot; that import is the only
-rule that reads state changing during the fixpoint, so each method pass
-binds it once (`Analyzer.with_imports`): a composed pair per summary fact
-with a source, and the cause bits of each bottom-sourced one.
+Every CFG node gets one entry in a node table (`node_spec`), built once per
+method and read as it is by every pass: the pairs it generates, the
+dependents it kills, the cause bits it adds, the callees whose summaries it
+imports and the representatives it may write, all as ids. A write depends
+on everything it reads: its operands, the field or array representative,
+and the base pointer and index it dereferences, matching the reified
+semantics where a bottom base or index smears the access. Scalar targets
+kill their old facts; field and array targets never kill, because their
+representatives over-approximate aliases. A call statement's entry names
+each internal callee with a substitution: the caller's actuals for the
+callee's formals and the call target for its return slot. A callee's
+summary is the only input that changes during the fixpoint, so the entry
+does not hold it: `transfer` reads the current summary mask dict and
+composes it through the substitution on every visit, and the method's entry
+seeds the field and array ids the summary names.
 
-One transfer (`transfer`) maps a node's entry and its IN facts to OUT: it
-pops killed dependents, ORs the IN mask of each generated pair's source into
-its dependent (so dependencies always bottom out at entry values), ORs in the
-cause bits, and ORs the control mask into everything the node may write. The
+One transfer (`transfer`) maps a node's entry, its IN facts and the current
+summaries to OUT: it pops killed dependents, ORs the IN mask of each
+generated pair's source into its dependent (so dependencies always bottom
+out at entry values), ORs in the cause bits, imports each callee summary,
+and ORs the control mask into everything the node may write. The
 control mask carries control dependence: a statement governed by a branch
 inherits, for every variable free in the branch condition, that variable's
 sources at the branch.
@@ -100,11 +103,15 @@ class NodeSpec:
     gen: tuple = ()  # (dep, src): dep takes src's IN mask
     kills: tuple = ()  # dependents whose IN facts die (strong updates)
     bottoms: tuple = ()  # (dep, cause bits) added directly
-    calls: tuple = ()  # (callee method id, {callee formal or ret: caller representative})
+    # (callee method id, {callee formal or ret id: caller id}): the callee's
+    # current summary is composed through the substitution by `transfer`
+    calls: tuple = ()
     writes: tuple = ()  # take the control mask
 
 
 _PASS = NodeSpec()  # entry, exit and branches: OUT is IN
+_NO_FACTS: Facts = {}
+_NO_SUMMARIES: dict[str, Facts] = {}
 
 
 def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer") -> NodeSpec:
@@ -181,14 +188,20 @@ def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer") -> NodeSpec:
     )
 
 
-def transfer(node: NodeSpec, d: Facts, ctrl: int = 0) -> Facts:
-    """OUT of a node from its IN `d` and its control mask `ctrl`: killed
-    dependents are popped, each generated pair ORs its source's IN mask into
-    its dependent (so dependencies always bottom out at entry values), cause
-    bits are ORed in as they are, and `ctrl` is ORed into every write. A
-    node that changes nothing returns `d` itself."""
-    kills, gen, bottoms = node.kills, node.gen, node.bottoms
-    if not (kills or gen or bottoms or (ctrl and node.writes)):
+def transfer(
+    node: NodeSpec, d: Facts, ctrl: int = 0, summaries: Mapping[str, Facts] = _NO_SUMMARIES
+) -> Facts:
+    """OUT of a node from its IN `d`, its control mask `ctrl` and the callee
+    summary masks: killed dependents are popped, each generated pair ORs its
+    source's IN mask into its dependent (so dependencies always bottom out at
+    entry values), cause bits are ORed in as they are, and `ctrl` is ORed
+    into every write. A call imports each callee's summary: every summary
+    fact `(dep, mask)` ORs its cause bits, and the IN mask of each of its
+    source bits mapped through the call's substitution (heap ids map to
+    themselves), into the substituted `dep`. A node that changes nothing
+    returns `d` itself."""
+    kills, gen, bottoms, calls = node.kills, node.gen, node.bottoms, node.calls
+    if not (kills or gen or bottoms or calls or (ctrl and node.writes)):
         return d
     out = dict(d)
     for dep in kills:
@@ -199,6 +212,18 @@ def transfer(node: NodeSpec, d: Facts, ctrl: int = 0) -> Facts:
             out[dep] = out.get(dep, 0) | mask
     for dep, bits in bottoms:
         out[dep] = out.get(dep, 0) | bits
+    for callee, subst in calls:
+        for dep, mask in summaries.get(callee, _NO_FACTS).items():
+            bits = mask & CAUSE_BITS
+            sources = mask >> SHIFT
+            while sources:  # lowest bit first: these masks are wide and sparse
+                low = sources & -sources
+                src = low.bit_length() - 1
+                bits |= d.get(subst.get(src, src), 0)
+                sources ^= low
+            if bits:
+                dep = subst.get(dep, dep)
+                out[dep] = out.get(dep, 0) | bits
     if ctrl:
         for w in node.writes:
             out[w] = out.get(w, 0) | ctrl
@@ -225,19 +250,6 @@ class _MethodSpec:
     rank: list[int]  # each node's position in `order`
 
 
-@dataclass(slots=True)
-class _Import:
-    """A callee summary in ids, as every call site imports it."""
-
-    facts: Facts  # the summary it reads
-    pairs: tuple[tuple[int, int], ...]  # (dep, src), composed through IN
-    bottoms: tuple[tuple[int, int], ...]  # (dep, cause bits)
-    heap: tuple[int, ...]  # non-scalar representatives, seeded at entry
-
-
-_NO_FACTS: Facts = {}
-
-
 class Analyzer:
     """Runs the dependence analysis over a rewritten program model."""
 
@@ -251,7 +263,7 @@ class Analyzer:
         self._heap: set[int] = set()  # ids of field and array representatives
         self._frames: dict[str, dict[str, int]] = {}
         self._strip: dict[str, tuple[frozenset[int], int]] = {}
-        self._imports: dict[str, _Import] = {}
+        self._heaps: dict[str, tuple[Facts, tuple[int, ...]]] = {}
         self._call_writes: dict[str, tuple[int, ...]] = {}
 
     # -- the encoding ---------------------------------------------------------
@@ -356,35 +368,19 @@ class Analyzer:
         self._specs[method_id] = spec
         return spec
 
-    def _import(self, callee: str, summaries: dict[str, Facts]) -> _Import:
-        """The callee's current summary as pairs; rebuilt only when it changed."""
+    def _summary_heap(self, callee: str, summaries: Mapping[str, Facts]) -> tuple[int, ...]:
+        """The field and array ids that the callee's current summary names,
+        which a caller seeds at entry; found again only when it changed."""
         facts = summaries.get(callee, _NO_FACTS)
-        cached = self._imports.get(callee)
-        if cached is not None and cached.facts is facts:
-            return cached
-        pairs: list[tuple[int, int]] = []
-        bottoms: list[tuple[int, int]] = []
-        used: set[int] = set()
-        for dep, mask in facts.items():
-            used.add(dep)
-            if mask & CAUSE_BITS:
-                bottoms.append((dep, mask & CAUSE_BITS))
-            for src in set_bits(mask >> SHIFT):
-                used.add(src)
-                pairs.append((dep, src))
-        heap = tuple(used & self._heap)
-        imp = self._imports[callee] = _Import(facts, tuple(pairs), tuple(bottoms), heap)
-        return imp
-
-    def with_imports(self, node: NodeSpec, summaries: dict[str, Facts]) -> NodeSpec:
-        """A call node's entry with its callees' summaries bound: actuals
-        substituted for formals and the call target for the return slot."""
-        gen, bottoms = list(node.gen), list(node.bottoms)
-        for callee, subst in node.calls:
-            imp = self._import(callee, summaries)
-            gen += [(subst.get(dep, dep), subst.get(src, src)) for dep, src in imp.pairs]
-            bottoms += [(subst.get(dep, dep), bits) for dep, bits in imp.bottoms]
-        return NodeSpec(tuple(gen), node.kills, tuple(bottoms), (), node.writes)
+        cached = self._heaps.get(callee)
+        if cached is not None and cached[0] is facts:
+            return cached[1]
+        sources = 0
+        for mask in facts.values():
+            sources |= mask
+        heap = tuple((set(facts) | set(set_bits(sources >> SHIFT))) & self._heap)
+        self._heaps[callee] = (facts, heap)
+        return heap
 
     # -- landfall ---------------------------------------------------------------
 
@@ -397,12 +393,9 @@ class Analyzer:
         n_nodes = len(g.nodes)
         nodes = spec.nodes
         seeds = set(spec.seeds)
-        if spec.call_nodes:
-            nodes = list(nodes)
-            for nid in spec.call_nodes:
-                nodes[nid] = self.with_imports(nodes[nid], summaries)
-                for callee, _ in spec.nodes[nid].calls:
-                    seeds.update(self._import(callee, summaries).heap)
+        for nid in spec.call_nodes:
+            for callee, _ in nodes[nid].calls:
+                seeds.update(self._summary_heap(callee, summaries))
         entry_facts: Facts = {i: 1 << (i + SHIFT) for i in seeds}
         control, wake = spec.control, spec.wake
         order, rank = spec.order, spec.rank
@@ -433,7 +426,7 @@ class Analyzer:
             ctrl = 0
             for b, v in control[n]:
                 ctrl |= IN[b].get(v, 0)
-            out = transfer(nodes[n], incoming, ctrl)
+            out = transfer(nodes[n], incoming, ctrl, summaries)
             if out != OUT[n] or first:
                 OUT[n] = out
                 for s in wake[n]:

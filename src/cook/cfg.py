@@ -4,11 +4,13 @@ The graph is built structurally: assignments, calls, and returns become nodes
 with one successor, each condition becomes a branch node whose successor list
 is ordered [true, false], and every return feeds one synthetic exit node.
 
-Loops are discovered from DFS back edges and their natural bodies; the finder
-does not assume reducibility even though structured source always produces
-natural loops. Control dependence uses the classic post-dominator tree walk:
-node n depends on branch b when n post-dominates some successor of b but does
-not strictly post-dominate b itself.
+Loops are discovered from DFS back edges and their natural bodies. The back
+edges are read off `reverse_postorder`: they are the edges that do not run
+forward in it. The finder does not assume reducibility even though
+structured source always produces natural loops. Control dependence uses
+the classic post-dominator tree walk: node n depends on branch b when n
+post-dominates some successor of b but does not strictly post-dominate b
+itself.
 
 Dominators and post-dominators come from the iterative algorithm of Cooper,
 Harvey and Kennedy ("A Simple, Fast Dominance Algorithm", 2001): intersect
@@ -222,30 +224,19 @@ def find_loops(g: Cfg) -> list[LoopInfo]:
     """Every back-edge-induced natural loop, with nesting by body containment.
 
     Complete (a LoopInfo covers both endpoints of every DFS back edge) but
-    oblivious to feasibility: statically dead cycles are still reported.
+    oblivious to feasibility: statically dead cycles are still reported. The
+    back edges are those of the search behind `reverse_postorder`: the edges
+    that do not go from an earlier node to a later one, self loops included.
     """
-    back_edges: list[tuple[int, int]] = []
-    state = [0] * len(g.nodes)  # 0 unvisited, 1 on stack, 2 done
-    stack: list[tuple[int, int]] = [(g.entry, 0)]
-    state[g.entry] = 1
-    while stack:
-        node, i = stack[-1]
-        row = g.succs[node]
-        if i < len(row):
-            stack[-1] = (node, i + 1)
-            nxt = row[i]
-            if state[nxt] == 0:
-                state[nxt] = 1
-                stack.append((nxt, 0))
-            elif state[nxt] == 1:
-                back_edges.append((node, nxt))
-        else:
-            state[node] = 2
-            stack.pop()
-
+    order = reverse_postorder(g.entry, g.succs)
+    rank = [0] * len(g.nodes)
+    for i, n in enumerate(order):
+        rank[n] = i
     by_header: dict[int, list[tuple[int, int]]] = {}
-    for u, h in back_edges:
-        by_header.setdefault(h, []).append((u, h))
+    for u in order:
+        for h in g.succs[u]:  # a duplicated edge is listed twice
+            if rank[h] <= rank[u]:
+                by_header.setdefault(h, []).append((u, h))
 
     loops: list[LoopInfo] = []
     for header in sorted(by_header):

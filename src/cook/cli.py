@@ -170,6 +170,8 @@ def run(file, entry, args_json, fuel):
         raw = json.loads(args_json)
     except json.JSONDecodeError as e:
         raise click.ClickException(f"bad --args: {e}")
+    except RecursionError:
+        raise click.ClickException("bad --args: nested too deep")
     if not isinstance(raw, list):
         raise click.ClickException("--args must be a JSON list")
     if len(raw) != len(method.formals):
@@ -220,8 +222,11 @@ def gen(seed, methods, classes, loop, opaque_loop, recursion, extern, call, out)
     program = generate_program(seed, params, normalize=False)
     text = pretty(program)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise click.ClickException(f"{out}: {e.strerror or e}")
         click.echo(f"wrote {methods} methods to {out}")
     else:
         click.echo(text, nl=False)

@@ -66,11 +66,11 @@ def rule_analyzer():
 
 def out_of(s, d, summaries=None):
     """OUT of statement `s` in method `m` through the transfer the method
-    fixpoint runs: `d` encoded, the node's callee summaries bound, OUT decoded."""
+    fixpoint runs: `d` and the callee summaries encoded, OUT decoded."""
     an = rule_analyzer()
     node = node_spec(s, "m", an)
     encoded = {mid: an.encode(facts) for mid, facts in (summaries or {}).items()}
-    return an.decode(transfer(an.with_imports(node, encoded), an.encode(d)))
+    return an.decode(transfer(node, an.encode(d), 0, encoded))
 
 
 def fact_pairs(facts):
@@ -750,14 +750,30 @@ def test_node_writes_are_the_written_reps_of_their_statement(profile, seed, poli
             assert set(writes) == set(map(an.rep_id, reference)), (mid, node.id)
 
 
+def call_free_node(an, node, summaries):
+    """A call node's entry with its callees' summaries composed in as plain
+    rows: each decoded summary fact becomes a generated pair or cause bits,
+    its dependent and source mapped through the call's substitution."""
+    gen, bottoms = list(node.gen), list(node.bottoms)
+    for callee, subst in node.calls:
+        for dep, src, cause in an.decode(summaries[callee]):
+            dep = subst.get(an.rep_id(dep), an.rep_id(dep))
+            if cause is None:
+                gen.append((dep, subst.get(an.rep_id(src), an.rep_id(src))))
+            else:
+                bottoms.append((dep, CAUSE_BIT[cause]))
+    return NodeSpec(tuple(gen), node.kills, tuple(bottoms), (), node.writes)
+
+
 def reference_exit_facts(an, mid, summaries):
     """The method's exit facts by round robin over the node equations the
     worklist solves: sweep every node in id order, join IN over the
     predecessors' OUT, OR in the control mask read from IN at each governing
-    branch and apply `transfer`, until a sweep changes nothing."""
+    branch and apply `transfer` to a call-free entry, each call node's
+    imports composed by `call_free_node`, until a sweep changes nothing."""
     spec = an.spec(mid)
     g = spec.cfg
-    nodes = [an.with_imports(ns, summaries) if ns.calls else ns for ns in spec.nodes]
+    nodes = [call_free_node(an, ns, summaries) if ns.calls else ns for ns in spec.nodes]
     heap = {
         an.rep_id(rep)
         for ns in spec.nodes
@@ -792,9 +808,9 @@ def test_method_fixpoint_equals_a_round_robin_reference(profile, policy, monkeyp
     visits = []
     original = transfer
 
-    def counting(node, d, ctrl=0):
+    def counting(node, d, ctrl, summaries):
         visits.append(node)
-        return original(node, d, ctrl)
+        return original(node, d, ctrl, summaries)
 
     monkeypatch.setattr("cook.analysis.transfer", counting)
     loop_free = 0
@@ -809,6 +825,8 @@ def test_method_fixpoint_equals_a_round_robin_reference(profile, policy, monkeyp
             for summaries in (empty, final):
                 visits.clear()
                 facts = an.method_facts(mid, summaries)
+                table = {id(ns) for ns in an.spec(mid).nodes}
+                assert all(id(node) in table for node in visits), (seed, mid)
                 assert facts == reference_exit_facts(an, mid, summaries), (seed, mid)
                 if not find_loops(mm.cfg):
                     # in reverse postorder every predecessor comes first

@@ -108,6 +108,34 @@ method m(n: int): int {
     assert outer.header in outer.body and inner.header in inner.body
 
 
+def test_self_loops_and_duplicated_back_edges_are_kept():
+    # an empty while body is a self loop; an if with two empty arms at the end
+    # of a body sends both of its edges back to the header
+    src = """
+method m(a: int): int {
+  var i: int;
+  i := 0;
+  while a < i do { }
+  while a < i do { if i < a then { } else { } }
+  return a;
+}
+"""
+    g = cfg_of(src)
+    first, second, inner_if = (n.id for n in g.nodes if n.kind == BRANCH)
+    loops = find_loops(g)
+    assert [(l.id, l.header, l.body, l.back_edges, l.parent, l.depth) for l in loops] == [
+        (0, first, frozenset({first}), ((first, first),), None, 1),
+        (
+            1,
+            second,
+            frozenset({second, inner_if}),
+            ((inner_if, second), (inner_if, second)),
+            None,
+            1,
+        ),
+    ]
+
+
 def test_counted_loop_header_is_condition_node(counted_loop):
     g = cfg_of(counted_loop)
     (loop,) = find_loops(g)

@@ -245,3 +245,27 @@ def test_run_rejects_arguments_outside_the_formal_types(tmp_path, entry, args):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Error:" in result.output and "finished" not in result.output
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda p: p / "missing" / "x.carib", "No such file or directory"),
+        (lambda p: p, "Is a directory"),
+    ],
+    ids=["missing-directory", "directory"],
+)
+def test_unwritable_gen_output_is_a_diagnostic(tmp_path, make, message):
+    out = make(tmp_path)
+    result = invoke(tmp_path, ["gen", "--methods", "2", "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {out}: {message}" in result.output
+
+
+def test_run_args_nested_too_deep_is_a_diagnostic(tmp_path):
+    args = "[" * 20_000 + "]" * 20_000
+    result = invoke(tmp_path, ["run", "--entry", "m", "--args", args], ARGS_PROBE)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: bad --args: nested too deep" in result.output

@@ -1,6 +1,7 @@
 """Every import in `src/` and `tests/` is at the top of its module, and used;
 no module under `src/` imports another module's private names; every
-function, class and method defined under `src/cook` is named somewhere else.
+function, class and method defined under `src/cook` is referred to somewhere
+else.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard library's `ast`. An import inside a function body is reported in
@@ -8,16 +9,16 @@ every module. A name counts as used when it appears as an identifier
 anywhere in the module, quoted annotations included. `__future__` imports
 are skipped, and so are the imports of an `__init__.py`, which re-export the
 package's names. A private name starts with one underscore and is not a
-dunder; tests may import them, `src/` may not. A definition is named
-somewhere else when its name appears as a whole word in `src/`, `tests/` or
-`perfbench/` outside its own `def` or `class` line; dunder methods are
-exempt.
+dunder; tests may import them, `src/` may not. Every function, class and
+method defined in `src/cook`, dunders exempt, must be referred to: its name
+occurs in the syntax of `src/`, `tests/` or `perfbench/` outside its own
+`def` or `class` as a `Name`, an `Attribute` or an imported name. A mention
+in a string, a comment or its own body does not count.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -90,29 +91,39 @@ def private_imports(tree: ast.Module) -> list[str]:
     ]
 
 
-WORD = re.compile(r"[A-Za-z_]\w*")
-
-
 def definitions(tree: ast.Module):
-    """(line, name) of every function, class and method, dunders excepted."""
+    """Every function, class and method, nested ones included."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield node.lineno, node.name
+            yield node
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each name occurs as a `Name`, an `Attribute` or an imported
+    name (each part of a dotted one)."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+    return found
 
 
 def unreferenced(defined: dict[str, str], corpus: list[str]) -> list[str]:
     """`file:line: name` of every definition in the `defined` texts (file
-    name -> text) whose name appears in the `corpus` texts only on its own
-    `def` or `class` line."""
-    words = Counter(w for text in corpus for w in WORD.findall(text))
+    name -> text) whose name the `corpus` texts refer to only inside the
+    definition itself."""
+    total = sum((references(ast.parse(text)) for text in corpus), Counter())
     found = []
     for path, text in defined.items():
-        lines = text.splitlines()
-        for line, name in sorted(definitions(ast.parse(text))):
-            if words[name] == WORD.findall(lines[line - 1]).count(name):
-                found.append(f"{path}:{line}: {name}")
-    return found
+        for node in definitions(ast.parse(text)):
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and total[node.name] == references(node)[node.name]:
+                found.append((node.lineno, f"{path}:{node.lineno}: {node.name}"))
+    return [entry for _, entry in sorted(found)]
 
 
 def modules() -> list[Path]:
@@ -209,6 +220,14 @@ def test_an_unreferenced_definition_is_reported():
         "def helper():\n"
         "    return Used()\n"
         "def spare(): return helper()\n"
+        "def recursive(n):\n"
+        "    'Calls itself, unlike spare.'\n"
+        "    return recursive(n - 1)  # not orphan\n"
     )
-    assert unreferenced({"m.py": text}, [text]) == ["m.py:3: orphan", "m.py:6: spare"]
-    assert unreferenced({"m.py": text}, [text, "spare(orphan)"]) == []
+    assert unreferenced({"m.py": text}, [text]) == [
+        "m.py:3: orphan",
+        "m.py:6: spare",
+        "m.py:7: recursive",
+    ]
+    others = "spare(x.orphan)\nfrom m import recursive\n"
+    assert unreferenced({"m.py": text}, [text, others]) == []

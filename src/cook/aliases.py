@@ -12,10 +12,15 @@ feasibility checks, restricted to what the enclosing frame can observe: its
 own scalars and the heap, where an internal call contributes its callees'
 heap writes transitively (`heap_writes`). The scalars a statement writes are
 `ast.scalar_writes`; field and array writes map to their representatives.
-A method's whole write set is closed over its callees in one pass over the
-call graph's strongly connected components, callees first, and the members
-of a component share one set. The call rows found on the way are the call
-graph's (`calls`), so calls are resolved once per program.
+
+Each method body is walked once: the walk applies the body's partition
+joins, collects its write targets and resolves each call once, for the joins
+and the call row alike; an array-cell target waits, by array name, for the
+last join before its partition is numbered. A method's whole write set is
+closed over its callees in one pass over the call graph's strongly connected
+components, callees first, and the members of a component share one set.
+The call rows are the call graph's (`calls`), so calls are resolved once
+per program.
 
 The analysis of a rewritten program is derived from the analysis of the
 program the rewrite started from (`base`). It keeps the base's partition
@@ -32,7 +37,7 @@ parameter itself.
 
 from __future__ import annotations
 
-from .callgraph import call_row, strongly_connected_components
+from .callgraph import strongly_connected_components
 from .lang import ast
 from .lang.check import Symbols
 from .representatives import ArrayPart, Representative, Scalar, TypeField
@@ -67,7 +72,7 @@ class AliasAnalysis:
             self._slot_order = list(base._slot_order)
             self._part_ids = dict(base._part_ids)
         else:
-            self._build_partitions()
+            self._declare_slots()
         self._build_method_writes(base)
 
     # -- partitions -----------------------------------------------------------
@@ -97,9 +102,9 @@ class AliasAnalysis:
     def _field_slot(self, tf: TypeField) -> tuple:
         return self._slot((_FIELD, tf.type_name, tf.field_name))
 
-    def _build_partitions(self) -> None:
-        sym = self.sym
-        # declare slots in program order so partition ids are deterministic
+    def _declare_slots(self) -> None:
+        """Every array-typed slot, in program order, before any join, so
+        partition ids are deterministic."""
         for m in self.program.methods:
             if m.extern:
                 continue
@@ -112,42 +117,6 @@ class AliasAnalysis:
             for f in cls.fields:
                 if ast.is_array_type(f.type):
                     self._field_slot(self.field_rep_for(cls.name, f.name))
-
-        for m in self.program.methods:
-            if m.extern:
-                continue
-            env = sym.var_types[m.id]
-
-            def arr(name: str) -> bool:
-                t = env.get(name)
-                return t is not None and ast.is_array_type(t)
-
-            for s in ast.walk(m.body):
-                if isinstance(s, ast.CopyAssign) and arr(s.target) and arr(s.source):
-                    self._union((_VAR, m.id, s.target), (_VAR, m.id, s.source))
-                elif isinstance(s, ast.FieldRead) and arr(s.target):
-                    tf = self.field_rep(m.id, s.obj, s.field_name)
-                    self._union((_VAR, m.id, s.target), (_FIELD, tf.type_name, tf.field_name))
-                elif isinstance(s, ast.FieldWrite) and arr(s.source):
-                    tf = self.field_rep(m.id, s.obj, s.field_name)
-                    self._union((_FIELD, tf.type_name, tf.field_name), (_VAR, m.id, s.source))
-                elif isinstance(s, ast.Return) and arr(s.value):
-                    self._union((_RETSLOT, m.id), (_VAR, m.id, s.value))
-                elif isinstance(s, ast.Call):
-                    for callee in self.sym.resolve_call(m, s):
-                        if callee.extern:
-                            continue  # externs are modeled as pure stubs
-                        for actual, formal in zip(s.actuals, callee.formals):
-                            if arr(actual) and ast.is_array_type(formal.type):
-                                self._union((_VAR, callee.id, formal.name), (_VAR, m.id, actual))
-                        if arr(s.target) and ast.is_array_type(callee.return_type):
-                            self._union((_VAR, m.id, s.target), (_RETSLOT, callee.id))
-
-        # stable dense ids in slot-declaration order
-        for key in self._slot_order:
-            root = self._find(key)
-            if root not in self._part_ids:
-                self._part_ids[root] = len(self._part_ids)
 
     def partition_of(self, method_id: str, name: str) -> int:
         return self._part_ids[self._find(self._var_slot(method_id, name))]
@@ -182,26 +151,66 @@ class AliasAnalysis:
         return {Scalar(method_id, name) for name in ast.scalar_writes(s, method_id)}
 
     def _build_method_writes(self, base: "AliasAnalysis | None") -> None:
-        """Whole-body write sets, closed over internal calls: one pass over
-        the call graph's SCCs, callees first; an SCC's members share a set.
-
-        A method that is the same object in `base`'s program keeps the
-        targets and call row found there, since neither depends on anything
-        a rewrite changes. The closure is recomputed all the same: an
-        unchanged caller of a rewritten callee closes over the callee's new
-        write set."""
+        """Joins, targets and call rows from one walk per body, then the
+        write sets closed over internal calls, as the module docstring says;
+        a method that is the same object in `base`'s program is not walked."""
+        join = base is None
         targets: dict[str, frozenset[Representative]] = {}
         calls: dict[str, tuple[str, ...]] = {}
+        walked: dict[str, tuple[set[Representative], set[str]]] = {}
         for m in self.program.methods:
             if m.extern:
                 continue
             if base is not None and base.sym.methods.get(m.id) is m:
                 targets[m.id], calls[m.id] = base._targets[m.id], base.calls[m.id]
                 continue
+            env = self.sym.var_types[m.id]
+
+            def arr(name: str) -> bool:
+                t = env.get(name)
+                return t is not None and ast.is_array_type(t)
+
             reps: set[Representative] = set()
+            arrays: set[str] = set()  # numbered once every join is made
+            row: dict[str, None] = {}  # internal callees, each once, in first-call order
             for s in ast.walk(m.body):
-                reps |= self._stmt_targets(m.id, s)
-            targets[m.id], calls[m.id] = frozenset(reps), call_row(m, self.sym)
+                if isinstance(s, ast.ArrayWrite):
+                    arrays.add(s.array)
+                else:
+                    reps |= self._stmt_targets(m.id, s)
+                if isinstance(s, ast.Call):
+                    for callee in self.sym.resolve_call(m, s):
+                        if callee.extern:
+                            continue  # externs are pure stubs and sinks of the rewrite
+                        row[callee.id] = None
+                        if not join:
+                            continue
+                        for actual, formal in zip(s.actuals, callee.formals):
+                            if arr(actual) and ast.is_array_type(formal.type):
+                                self._union((_VAR, callee.id, formal.name), (_VAR, m.id, actual))
+                        if arr(s.target) and ast.is_array_type(callee.return_type):
+                            self._union((_VAR, m.id, s.target), (_RETSLOT, callee.id))
+                elif not join:
+                    continue
+                elif isinstance(s, ast.CopyAssign) and arr(s.target) and arr(s.source):
+                    self._union((_VAR, m.id, s.target), (_VAR, m.id, s.source))
+                elif isinstance(s, ast.FieldRead) and arr(s.target):
+                    tf = self.field_rep(m.id, s.obj, s.field_name)
+                    self._union((_VAR, m.id, s.target), (_FIELD, tf.type_name, tf.field_name))
+                elif isinstance(s, ast.FieldWrite) and arr(s.source):
+                    tf = self.field_rep(m.id, s.obj, s.field_name)
+                    self._union((_FIELD, tf.type_name, tf.field_name), (_VAR, m.id, s.source))
+                elif isinstance(s, ast.Return) and arr(s.value):
+                    self._union((_RETSLOT, m.id), (_VAR, m.id, s.value))
+            walked[m.id], calls[m.id] = (reps, arrays), tuple(row)
+        if join:
+            # stable dense ids in slot-declaration order
+            for key in self._slot_order:
+                root = self._find(key)
+                if root not in self._part_ids:
+                    self._part_ids[root] = len(self._part_ids)
+        for mid, (reps, arrays) in walked.items():
+            targets[mid] = frozenset(reps | {self.array_rep(mid, a) for a in arrays})
         writes: dict[str, frozenset[Representative]] = {}
         heap: dict[str, frozenset[Representative]] = {}
         for scc in strongly_connected_components(tuple(calls), calls):
@@ -216,7 +225,7 @@ class AliasAnalysis:
                 writes[mid] = shared
                 heap[mid] = shared_heap
         self._targets = targets
-        # internal callees per method (`callgraph.call_row`), for the call graph
+        # internal callees per method, for the call graph
         self.calls = calls
         self._writes_memo = writes
         self._heap_memo = heap

@@ -54,18 +54,19 @@ sources at the branch.
 
 The method fixpoint seeds the entry with identity facts over the method's
 footprint and iterates to a fixpoint. Its worklist pops nodes by their rank
-in reverse postorder (`cfg.reverse_postorder`, Kam and Ullman 1976), so
-without loops every node is visited once, after all of its predecessors. A
-node is queued again when the OUT of a predecessor changes, or when the OUT
-of a branch that governs it changes: a branch passes its IN through, and the
-node's control mask reads that IN. Every transfer is monotone and every node
-whose inputs change is visited again, so the result is the least fixpoint of
-the node equations in any order; the order only sets the number of visits.
-The program fixpoint maintains per-method summaries (facts minus
-frame-local names) over the call graph worklist until nothing changes. A
-method lands in the swamp when its facts contain a bottom-sourced pair; the
-`post` placement tests the stripped summary instead, so divergence confined
-to dead locals keeps the caller out of the swamp.
+in the reverse postorder that `cfg.build_cfg` computed once and keeps on the
+`Cfg` (`Cfg.rank`, Kam and Ullman 1976), so without loops every node is
+visited once, after all of its predecessors. A node is queued again when the
+OUT of a predecessor changes, or when the OUT of a branch that governs it
+changes: a branch passes its IN through, and the node's control mask reads
+that IN. Every transfer is monotone and every node whose inputs change is
+visited again, so the result is the least fixpoint of the node equations in
+any order; the order only sets the number of visits. The program fixpoint
+maintains per-method summaries (facts minus frame-local names) over the call
+graph worklist until nothing changes. A method lands in the swamp when its
+facts contain a bottom-sourced pair; the `post` placement tests the stripped
+summary instead, so divergence confined to dead locals keeps the caller out
+of the swamp.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .aliases import RET
-from .cfg import BRANCH, Cfg, reverse_postorder, set_bits
+from .cfg import BRANCH, Cfg, set_bits
 from .lang import ast
 from .pipeline import ProgramModel
 from .representatives import BOTTOM, Bottom, Representative, Scalar
@@ -246,8 +247,6 @@ class _MethodSpec:
     wake: list[tuple[int, ...]]
     seeds: tuple[int, ...]
     call_nodes: tuple[int, ...]
-    order: list[int]  # reverse postorder of the CFG
-    rank: list[int]  # each node's position in `order`
 
 
 class Analyzer:
@@ -358,13 +357,7 @@ class Analyzer:
             for b in branches:
                 governs.setdefault(b, []).append(n)
         wake = [tuple(g.succs[n]) + tuple(governs.get(n, ())) for n in range(len(nodes))]
-        order = reverse_postorder(g.entry, g.succs)
-        rank = [0] * len(g.nodes)
-        for i, n in enumerate(order):
-            rank[n] = i
-        spec = _MethodSpec(
-            g, nodes, control, wake, tuple(seeds), tuple(call_nodes), order, rank
-        )
+        spec = _MethodSpec(g, nodes, control, wake, tuple(seeds), tuple(call_nodes))
         self._specs[method_id] = spec
         return spec
 
@@ -398,7 +391,7 @@ class Analyzer:
                 seeds.update(self._summary_heap(callee, summaries))
         entry_facts: Facts = {i: 1 << (i + SHIFT) for i in seeds}
         control, wake = spec.control, spec.wake
-        order, rank = spec.order, spec.rank
+        order, rank = g.order, g.rank
         preds_of = g.preds
         empty: Facts = {}
         IN: list[Facts] = [empty] * n_nodes

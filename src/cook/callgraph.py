@@ -4,8 +4,10 @@ Call targets are resolved from the receiver's declared type: a reference of
 class C may hold C or any subclass, an interface reference may hold any class
 implementing it (or a subinterface) and their subclasses. Virtual lookup walks
 from each candidate class to the nearest declaration, so inherited methods
-resolve too. Recursive methods are the members of nontrivial strongly
-connected components (plus self loops), computed with Tarjan's algorithm.
+resolve too. The graph's rows are those the alias analysis resolved
+(`AliasAnalysis.calls`). Recursive methods are the members of nontrivial
+strongly connected components (plus self loops), computed with Tarjan's
+algorithm.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .lang import ast
-from .lang.check import Symbols
 
 
 @dataclass(slots=True)
@@ -28,29 +29,10 @@ class CallGraph:
         return self.preds.get(method_id, ())
 
 
-def call_row(m: ast.Method, symbols: Symbols) -> tuple[str, ...]:
-    """Internal methods a call in `m`'s body may reach, each once, in the
-    order the calls first name them; extern callees are sinks handled by the
-    divergence rewrite and contribute nothing."""
-    row: dict[str, None] = {}
-    for s in ast.walk(m.body):
-        if isinstance(s, ast.Call):
-            for target in symbols.resolve_call(m, s):
-                if not target.extern:
-                    row[target.id] = None
-    return tuple(row)
-
-
-def build_call_graph(
-    program: ast.Program,
-    symbols: Symbols,
-    rows: Mapping[str, tuple[str, ...]] | None = None,
-) -> CallGraph:
+def build_call_graph(program: ast.Program, rows: Mapping[str, tuple[str, ...]]) -> CallGraph:
     """Edges (caller, callee) over internal methods. `rows` holds each
-    method's `call_row` when the caller has resolved the calls already."""
+    method's internal callees, as `AliasAnalysis.calls` resolved them."""
     nodes = tuple(m.id for m in program.methods if not m.extern)
-    if rows is None:
-        rows = {m.id: call_row(m, symbols) for m in program.methods if not m.extern}
     succs = {mid: rows[mid] for mid in nodes}
     preds: dict[str, list[str]] = {mid: [] for mid in nodes}
     for mid in nodes:

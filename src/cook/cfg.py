@@ -4,9 +4,11 @@ The graph is built structurally: assignments, calls, and returns become nodes
 with one successor, each condition becomes a branch node whose successor list
 is ordered [true, false], and every return feeds one synthetic exit node.
 
-Loops are discovered from DFS back edges and their natural bodies. The back
-edges are read off `reverse_postorder`: they are the edges that do not run
-forward in it. The finder does not assume reducibility even though
+`build_cfg` keeps the reverse postorder from entry on the `Cfg` (`order`,
+and each node's position in it, `rank`); the loop finder, the dominator tree
+and the dependence analysis read that one order. Loops are discovered from
+DFS back edges, the edges that do not run forward in `order`, and their
+natural bodies; the finder does not assume reducibility even though
 structured source always produces natural loops. Control dependence uses
 the classic post-dominator tree walk: node n depends on branch b when n
 post-dominates some successor of b but does not strictly post-dominate b
@@ -16,9 +18,9 @@ Dominators and post-dominators come from the iterative algorithm of Cooper,
 Harvey and Kennedy ("A Simple, Fast Dominance Algorithm", 2001): intersect
 dominator-tree paths in reverse postorder until nothing changes, with the
 order index and the immediate dominators in flat lists indexed by node id.
-`reverse_postorder` is also the order in which the dependence analysis visits
-nodes. `governing_branches` closes control dependence over int bitsets of
-branch ids.
+Only the post-dominators search an order of their own, from exit over the
+reversed graph. `governing_branches` closes control dependence over int
+bitsets of branch ids.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class Cfg:
     preds: list[list[int]] = field(default_factory=list)
     entry: int = 0
     exit: int = 0
+    order: list[int] = field(default_factory=list)  # reverse postorder from entry
+    rank: list[int] = field(default_factory=list)  # each node's position in `order`
 
     def add(self, kind: str, stmt: ast.Stmt | None = None, cond: ast.Cond | None = None) -> int:
         nid = len(self.nodes)
@@ -113,6 +117,7 @@ def build_cfg(m: ast.Method) -> Cfg:
         raise CheckDiagnostic(
             f"method {m.id!r} can fall off its end", m.loc.line, m.loc.col, m.loc.file
         )
+    g.order, g.rank = reverse_postorder(g.entry, g.succs)
     return g
 
 
@@ -121,10 +126,11 @@ def build_cfg(m: ast.Method) -> Cfg:
 # ---------------------------------------------------------------------------
 
 
-def reverse_postorder(start: int, succs: list[list[int]]) -> list[int]:
+def reverse_postorder(start: int, succs: list[list[int]]) -> tuple[list[int], list[int]]:
     """The nodes reachable from `start` in reverse postorder of a depth-first
-    search that takes each row of `succs` in order. Every edge that is not a
-    back edge goes from an earlier node to a later one."""
+    search that takes each row of `succs` in order, and each node's position
+    in that order (0 for an unreachable node). Every edge that is not a back
+    edge goes from an earlier node to a later one."""
     seen = [False] * len(succs)
     seen[start] = True
     order: list[int] = []
@@ -140,18 +146,18 @@ def reverse_postorder(start: int, succs: list[list[int]]) -> list[int]:
             stack.pop()
             order.append(node)
     order.reverse()
-    return order
-
-
-def _idoms(start: int, succs: list[list[int]], preds: list[list[int]]) -> list[int]:
-    """Immediate dominators from `start` by the iterative algorithm of Cooper,
-    Harvey and Kennedy over reverse postorder; -1 for unreachable nodes."""
-    order = reverse_postorder(start, succs)
-    index = [-1] * len(succs)
+    rank = [0] * len(succs)
     for i, n in enumerate(order):
-        index[n] = i
-    idom = [-1] * len(succs)
-    idom[start] = start
+        rank[n] = i
+    return order, rank
+
+
+def _idoms(order: list[int], rank: list[int], preds: list[list[int]]) -> list[int]:
+    """Immediate dominators from `order[0]` by the iterative algorithm of
+    Cooper, Harvey and Kennedy over the reverse postorder `order` and its
+    `rank`, as `reverse_postorder` returns them; -1 for unreachable nodes."""
+    idom = [-1] * len(preds)
+    idom[order[0]] = order[0]
     changed = True
     while changed:
         changed = False
@@ -165,9 +171,9 @@ def _idoms(start: int, succs: list[list[int]], preds: list[list[int]]) -> list[i
                     continue
                 a = p  # intersect the two dominator-tree paths
                 while a != new:
-                    while index[a] > index[new]:
+                    while rank[a] > rank[new]:
                         a = idom[a]
-                    while index[new] > index[a]:
+                    while rank[new] > rank[a]:
                         new = idom[new]
             if idom[n] != new:
                 idom[n] = new
@@ -177,12 +183,12 @@ def _idoms(start: int, succs: list[list[int]], preds: list[list[int]]) -> list[i
 
 def dominators(g: Cfg) -> dict[int, int]:
     """Immediate dominators from entry; unreachable nodes are absent."""
-    idom = _idoms(g.entry, g.succs, g.preds)
+    idom = _idoms(g.order, g.rank, g.preds)
     return {n: d for n, d in enumerate(idom) if d >= 0}
 
 
 def _post_idoms(g: Cfg) -> list[int]:
-    idom = _idoms(g.exit, g.preds, g.succs)
+    idom = _idoms(*reverse_postorder(g.exit, g.preds), g.succs)
     if -1 in idom:
         raise CheckDiagnostic(f"exit unreachable from some node in {g.method_id!r}")
     return idom
@@ -225,17 +231,13 @@ def find_loops(g: Cfg) -> list[LoopInfo]:
 
     Complete (a LoopInfo covers both endpoints of every DFS back edge) but
     oblivious to feasibility: statically dead cycles are still reported. The
-    back edges are those of the search behind `reverse_postorder`: the edges
-    that do not go from an earlier node to a later one, self loops included.
+    back edges are those of the search behind `g.order`: the edges that do
+    not go from an earlier node to a later one, self loops included.
     """
-    order = reverse_postorder(g.entry, g.succs)
-    rank = [0] * len(g.nodes)
-    for i, n in enumerate(order):
-        rank[n] = i
     by_header: dict[int, list[tuple[int, int]]] = {}
-    for u in order:
+    for u in g.order:
         for h in g.succs[u]:  # a duplicated edge is listed twice
-            if rank[h] <= rank[u]:
+            if g.rank[h] <= g.rank[u]:
                 by_header.setdefault(h, []).append((u, h))
 
     loops: list[LoopInfo] = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import islice
 
 import click
 
@@ -132,6 +133,9 @@ def _is_int64(v) -> bool:
     return type(v) is int and ast.INT64_MIN <= v <= ast.INT64_MAX
 
 
+ECHO_CHARS = 60  # the most of a rejected --args value an error line repeats
+
+
 def _argument(v, formal: ast.Param, part: int):
     """The interpreter value of JSON argument `v` for `formal`: a 64-bit int
     for an int, a list of them or null for an int array, null for any other
@@ -143,9 +147,11 @@ def _argument(v, formal: ast.Param, part: int):
         return None
     elif formal.type == ast.INT + "[]" and isinstance(v, list) and all(map(_is_int64, v)):
         return ArrVal(ast.INT, list(v), part)
-    raise click.ClickException(
-        f"bad --args: {formal.name}: {formal.type} cannot be {json.dumps(v)}"
-    )
+    # the encoder's generator renders only the prefix shown, however deep `v` is
+    shown = "".join(islice(json.JSONEncoder().iterencode(v), ECHO_CHARS + 1))
+    if len(shown) > ECHO_CHARS:
+        shown = shown[:ECHO_CHARS] + "…"
+    raise click.ClickException(f"bad --args: {formal.name}: {formal.type} cannot be {shown}")
 
 
 @main.command()

@@ -15,8 +15,9 @@ dependency-free inner loops.
 The model of the rewritten program is derived from the first one (`base`),
 whose loops it does not judge again: the rewrite kept only loops proven to
 terminate. A method the rewrite returned unchanged keeps its CFG, the same
-object; the others get a new one. The call graph is rebuilt from the call
-rows of the alias analysis, which resolved each call once.
+object; the others get a new one. The call graph is built from the call
+rows of the alias analysis (`AliasAnalysis.calls`), which resolved each call
+once, in its one walk over each body.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class ProgramModel:
         self.nested_policy = nested_policy
         externs = {m.name for m in program.methods if m.extern}
         self.api_set = frozenset(externs - self.safe_list)
-        self.callgraph: CallGraph = build_call_graph(program, self.symbols, self.aliases.calls)
+        self.callgraph: CallGraph = build_call_graph(program, self.aliases.calls)
         self.recursion = recursion_set(self.callgraph)
         self.methods: dict[str, MethodModel] = {}
         self._verdict_by_stmt: dict[int, TerminationVerdict] = {}

@@ -93,13 +93,13 @@ def test_runtime_types_match_bruteforce_closure():
 
 def test_call_chain_edges(clean_chain):
     p, sym = load(clean_chain)
-    g = build_call_graph(p, sym)
+    g = build_call_graph(p, AliasAnalysis(p, sym).calls)
     assert g.edges == {("foo", "bar")}
 
 
 def test_no_calls_no_edges():
     p, sym = load("method solo(): int { var x: int; x := 1; return x; }")
-    g = build_call_graph(p, sym)
+    g = build_call_graph(p, AliasAnalysis(p, sym).calls)
     assert g.edges == frozenset()
 
 
@@ -116,7 +116,7 @@ method use(o: A): int {
 }
 """
     p, sym = load(src)
-    g = build_call_graph(p, sym)
+    g = build_call_graph(p, AliasAnalysis(p, sym).calls)
     assert ("use", "A.get") in g.edges and ("use", "B.get") in g.edges
 
 
@@ -132,7 +132,7 @@ method use(o: B): int {
 }
 """
     p, sym = load(src)
-    g = build_call_graph(p, sym)
+    g = build_call_graph(p, AliasAnalysis(p, sym).calls)
     assert g.edges == {("use", "A.get")}
 
 
@@ -142,7 +142,7 @@ extern method api(): int;
 method m(): int { var x: int; x := api(); return x; }
 """
     p, sym = load(src)
-    g = build_call_graph(p, sym)
+    g = build_call_graph(p, AliasAnalysis(p, sym).calls)
     assert g.edges == frozenset()
 
 
@@ -151,7 +151,7 @@ def test_self_recursion_detected():
 method f(n: int): int { var x: int; x := f(n); return x; }
 """
     p, sym = load(src)
-    g = build_call_graph(p, sym)
+    g = build_call_graph(p, AliasAnalysis(p, sym).calls)
     assert recursion_set(g) == frozenset({"f"})
 
 
@@ -161,14 +161,14 @@ method f(n: int): int { var x: int; x := g(n); return x; }
 method g(n: int): int { var x: int; x := f(n); return x; }
 """
     p, sym = load(src)
-    g = build_call_graph(p, sym)
+    g = build_call_graph(p, AliasAnalysis(p, sym).calls)
     assert recursion_set(g) == frozenset({"f", "g"})
 
 
 def test_plain_call_chain_is_not_recursive(clean_chain, opaque_loop_caller):
     for src in (clean_chain, opaque_loop_caller):
         p, sym = load(src)
-        assert recursion_set(build_call_graph(p, sym)) == frozenset()
+        assert recursion_set(build_call_graph(p, AliasAnalysis(p, sym).calls)) == frozenset()
 
 
 def brute_cycle_members(nodes, succs):
@@ -213,7 +213,7 @@ def test_dynamic_call_edges_are_subset_of_static_graph():
         )
         sym = check(p)
         al = AliasAnalysis(p, sym)
-        g = build_call_graph(p, sym)
+        g = build_call_graph(p, al.calls)
         for m in p.methods:
             if m.extern:
                 continue

@@ -269,3 +269,28 @@ def test_run_args_nested_too_deep_is_a_diagnostic(tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Error: bad --args: nested too deep" in result.output
+
+
+
+@pytest.mark.parametrize(
+    "args",
+    ["[" * 980 + "]" * 980, str(list(range(5000)))],
+    ids=["nested-980-deep", "5000-long"],
+)
+def test_a_rejected_argument_is_echoed_short(tmp_path, args):
+    # a real process: under the test runner's deeper stack, json.loads
+    # already refuses the nested value
+    (tmp_path / "unit.carib").write_text(ARGS_PROBE)
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "cook", "run", "unit.carib", "--entry", "m", "--args", f"[{args}]"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("Error: bad --args: a: int cannot be ")
+    assert line.endswith("…") and len(line) < 120

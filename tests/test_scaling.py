@@ -1,9 +1,16 @@
-"""Work counters that must grow linearly with the program, on call chains.
+"""Work counters that must grow linearly with the program.
 
-A chain of `n` methods has `m{k}` call `m{k+1}` and the last one return its
-formal: no loops, no APIs, every method an island. Doubling the chain may
-at most double each counter, with a little slack; a counter that grows
-faster is a quadratic cost on long call chains. Nothing is timed.
+Two shapes of program are grown:
+
+* call chains: `m{k}` calls `m{k+1}` and the last one returns its formal; no
+  loops, no APIs, every method an island;
+* census-profile programs (the benchmark's `census` profile, generator seed
+  0) of 125, 250 and 500 methods, with loops, APIs and recursion; some of
+  their methods are in the swamp.
+
+Doubling the program may at most double each counter, with a little slack;
+a counter that grows faster is a quadratic cost on large programs. Nothing
+is timed.
 """
 
 from __future__ import annotations
@@ -11,26 +18,36 @@ from __future__ import annotations
 import pytest
 
 from cook import analysis
-from cook.analysis import Analyzer, analyze_program
-from cook.lang import load
+from cook.analysis import AnalysisResult, Analyzer, analyze_program
+from cook.generator import GenParams, generate_program
+from cook.lang import ast, load
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
 
-SIZES = (250, 500, 1000)
-GROWTH = 2.2  # the most a counter may grow when the chain doubles
+CHAIN_SIZES = (250, 500, 1000)
+CENSUS_SIZES = (125, 250, 500)
+GROWTH = 2.2  # the most a counter may grow when the program doubles
+# the generator profile of the benchmark's `census` workload
+CENSUS = dict(
+    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
+)
 
 
-def chain(n: int) -> str:
+def chain(n: int) -> ast.Program:
     calls = [
         f"method m{k}(a: int): int {{ var x: int; x := m{k + 1}(a); return x; }}\n"
         for k in range(n - 1)
     ]
-    return "".join(calls) + f"method m{n - 1}(a: int): int {{ return a; }}\n"
+    return load("".join(calls) + f"method m{n - 1}(a: int): int {{ return a; }}\n")[0]
 
 
-def counters(n: int) -> dict[str, int]:
-    """The analysis's work on a chain of `n` methods."""
-    model = transformed_model(ProgramModel(*load(chain(n))))
+def census(n: int) -> ast.Program:
+    return generate_program(0, GenParams(**dict(CENSUS, methods=n)))
+
+
+def counters(program: ast.Program) -> tuple[dict[str, int], ProgramModel, AnalysisResult]:
+    """The analysis's work on a program, the model it ran on, and its result."""
+    model = transformed_model(ProgramModel(program))
     counts = dict(transfer_visits=0, widest_mask_bits=0, method_pops=0)
     analyzers: list[Analyzer] = []
     transfer, method_facts = analysis.transfer, Analyzer.method_facts
@@ -52,36 +69,57 @@ def counters(n: int) -> dict[str, int]:
         mp.setattr(analysis, "transfer", counting_transfer)
         mp.setattr(Analyzer, "method_facts", counting_method_facts)
         result = analyze_program(model)
-    assert result.st == frozenset(model.methods) and len(analyzers) == 1
+    assert len(analyzers) == 1
     (an,) = analyzers
     counts["call_node_writes"] = sum(
         len(spec.nodes[nid].writes)
         for spec in map(an.spec, model.methods)
         for nid in spec.call_nodes
     )
-    return counts
+    return counts, model, result
 
 
 @pytest.fixture(scope="module")
-def measured() -> dict[int, dict[str, int]]:
-    return {n: counters(n) for n in SIZES}
+def chains() -> list[dict[str, int]]:
+    runs = []
+    for n in CHAIN_SIZES:
+        counts, model, result = counters(chain(n))
+        assert result.st == frozenset(model.methods)
+        runs.append(counts)
+    return runs
 
 
-def assert_linear(measured, counter):
-    values = [measured[n][counter] for n in SIZES]
+@pytest.fixture(scope="module")
+def censuses() -> list[dict[str, int]]:
+    return [counters(census(n))[0] for n in CENSUS_SIZES]
+
+
+def assert_linear(runs, counter):
+    values = [run[counter] for run in runs]
     assert values[0] > 0, values
     for small, large in zip(values, values[1:]):
         assert large <= GROWTH * small, (counter, values)
 
 
-@pytest.mark.parametrize("counter", ("transfer_visits", "widest_mask_bits", "method_pops"))
-def test_chain_counter_grows_linearly(measured, counter):
-    assert_linear(measured, counter)
+COUNTERS = ("transfer_visits", "widest_mask_bits", "method_pops")
+ITEM_1 = "ROADMAP item 1: callee-frame scalars end up in call-node write sets"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: callee-frame scalars end up in call-node write sets",
-)
-def test_chain_call_node_writes_grow_linearly(measured):
-    assert_linear(measured, "call_node_writes")
+@pytest.mark.parametrize("counter", COUNTERS)
+def test_chain_counter_grows_linearly(chains, counter):
+    assert_linear(chains, counter)
+
+
+@pytest.mark.parametrize("counter", COUNTERS)
+def test_census_counter_grows_linearly(censuses, counter):
+    assert_linear(censuses, counter)
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_1)
+def test_chain_call_node_writes_grow_linearly(chains):
+    assert_linear(chains, "call_node_writes")
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_1)
+def test_census_call_node_writes_grow_linearly(censuses):
+    assert_linear(censuses, "call_node_writes")

@@ -13,35 +13,43 @@ id to the mask of its sources: the three low bits are the bottom causes
 mask of 0 is never stored. A source that is not bottom never has a cause and
 a bottom source always has one, so a mask loses nothing of a fact set.
 
-Each method's formals, locals and `ret` are interned once, into a name -> id
-table (`Analyzer.frame`), so the node table looks names up instead of
-hashing a `Scalar` per operand; field and array representatives and bottom
-targets go through `Analyzer.rep_id`. Facts stay masks from the node table
-to the result: `method_facts` returns a mask dict, a summary is a mask dict
-(`strip_locals` drops the frame's dependents and clears its locals' source
-bits), and a call node reads its callee's summary mask directly. The
-`AnalysisResult` keeps them as masks too: its `facts` and `summaries` are
-`FactTable`s, which decode a method to a `frozenset` of `(dependent, source,
-cause)` tuples the first time it is read and keep that set. The verdicts and
-causes are read from the cause bits, so the report decodes nothing; a reader
-of `result.facts` only ever sees tuples. `encode` and `decode` are the
-boundary.
+Each method's formals, locals and `ret` are numbered as one block of
+consecutive ids, in that order, the first time any of them is needed
+(`Analyzer.frame`, a name -> id table). `Analyzer.rep_id` answers a `Scalar`
+from its method's table, numbering that frame first if it is not yet, so
+every scalar has exactly one id and none is hashed or compared; its own id
+table holds only field and array representatives (and scalars that no method
+declares, which only hand-written facts name). The node table looks names up
+in the frame table, fields by static type and name (`Analyzer.field_id`).
+Facts stay masks from the node table to the result: `method_facts` returns a
+mask dict, a summary is a mask dict (`strip_locals` drops the frame's
+dependents and clears its locals' source bits), and a call node reads its
+callee's summary mask directly. The `AnalysisResult` keeps them as masks
+too: its `facts` and `summaries` are `FactTable`s, which decode a method to
+a `frozenset` of `(dependent, source, cause)` tuples the first time it is
+read and keep that set. The verdicts and causes are read from the cause
+bits, so the report decodes nothing; a reader of `result.facts` only ever
+sees tuples. `encode` and `decode` are the boundary.
 
 Every CFG node gets one entry in a node table (`node_spec`), built once per
 method and read as it is by every pass: the pairs it generates, the
 dependents it kills, the cause bits it adds, the callees whose summaries it
-imports and the representatives it may write, all as ids. A write depends
-on everything it reads: its operands, the field or array representative,
-and the base pointer and index it dereferences, matching the reified
-semantics where a bottom base or index smears the access. Scalar targets
-kill their old facts; field and array targets never kill, because their
-representatives over-approximate aliases. A call statement's entry names
-each internal callee with a substitution: the caller's actuals for the
-callee's formals and the call target for its return slot. A callee's
-summary is the only input that changes during the fixpoint, so the entry
-does not hold it: `transfer` reads the current summary mask dict and
-composes it through the substitution on every visit, and the method's entry
-seeds the field and array ids the summary names.
+imports and the representatives it may write, all as ids. `node_spec` picks
+the statement kind with one `type(s)` and each kind builds its tuples
+directly; the four scalar assignments, about half of all nodes, come first.
+`Analyzer.spec` builds a method's entries, its heap footprint (read only
+from the kinds that can name the heap), its control pairs and its wake lists
+in one pass over the CFG. A write depends on everything it reads: its
+operands, the field or array representative, and the base pointer and index
+it dereferences, matching the reified semantics where a bottom base or index
+smears the access. Scalar targets kill their old facts; field and array
+targets never kill, because their representatives over-approximate aliases.
+A call statement's entry names each internal callee with a substitution: the
+caller's actuals for the callee's formals and the call target for its return
+slot. A callee's summary is the only input that changes during the fixpoint,
+so the entry does not hold it: `transfer` reads the current summary mask
+dict and composes it through the substitution on every visit, and the
+method's entry seeds the field and array ids the summary names.
 
 One transfer (`transfer`) maps a node's entry, its IN facts and the current
 summaries to OUT: it pops killed dependents, ORs the IN mask of each
@@ -77,7 +85,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .aliases import RET
-from .cfg import BRANCH, Cfg, set_bits
+from .cfg import Cfg, set_bits
 from .lang import ast
 from .pipeline import ProgramModel
 from .representatives import BOTTOM, Bottom, Representative, Scalar
@@ -111,24 +119,66 @@ class NodeSpec:
 
 
 _PASS = NodeSpec()  # entry, exit and branches: OUT is IN
+# the statements whose entry may name a field or array representative
+_HEAP_KINDS = frozenset(
+    {ast.FieldRead, ast.FieldWrite, ast.ArrayRead, ast.ArrayWrite, ast.Call, ast.BottomAssign}
+)
 _NO_FACTS: Facts = {}
 _NO_SUMMARIES: dict[str, Facts] = {}
 
 
-def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer") -> NodeSpec:
-    """The node-table entry of a statement in method `method_id`: scalars
-    come from the frame tables of `an` (`Analyzer.frame`), field and array
-    representatives and bottom targets from `an.rep_id`; entry, exit and
-    branch nodes (`None`, `IfElse`, `While`) pass IN through.
+def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer", fr: dict[str, int]) -> NodeSpec:
+    """The node-table entry of a statement in method `method_id`, whose frame
+    table (`Analyzer.frame`) is `fr`: scalars are looked up there by name,
+    fields through `an.field_id`, array partitions and bottom targets through
+    `an.rep_id`; entry, exit and branch nodes (`None`, `IfElse`, `While`)
+    pass IN through.
 
     A node's writes are `aliases.written_reps` of its statement: a bottom
     assignment's targets, the one dependent of any other statement, and for
     a call the whole write set of every internal target. The kinds are the
     concrete `ast.Stmt` classes, which have no subclasses, so one `type(s)`
-    picks the branch."""
+    picks the branch, and each branch builds its tuples directly. The four
+    scalar assignments, about half of all nodes, come first; like a call or
+    a read from the heap, each is a strong update of one scalar, whose kills
+    and writes are the same `(dep,)`."""
     kind = type(s)
+    if kind is ast.ConstAssign:
+        one = (fr[s.target],)
+        return NodeSpec((), one, (), (), one)
+    if kind is ast.BinaryAssign:
+        dep, left, right = fr[s.target], fr[s.left], fr[s.right]
+        gen = ((dep, left),) if left == right else ((dep, left), (dep, right))
+        one = (dep,)
+        return NodeSpec(gen, one, (), (), one)
+    if kind is ast.CopyAssign or kind is ast.UnaryAssign:
+        dep = fr[s.target]
+        one = (dep,)
+        src = fr[s.source] if kind is ast.CopyAssign else fr[s.operand]
+        return NodeSpec(((dep, src),), one, (), (), one)
     if s is None or kind is ast.IfElse or kind is ast.While:
         return _PASS
+    if kind is ast.Return:  # `ret` takes the value; nothing is killed
+        dep = fr[RET]
+        return NodeSpec(((dep, fr[s.value]),), (), (), (), (dep,))
+    if kind is ast.Call:
+        dep = fr[s.target]
+        sym = an.sym
+        reads: list[int] = []
+        calls: list = []
+        writes: frozenset[int] = frozenset()
+        for target in sym.resolve_call(sym.methods[method_id], s):
+            if target.extern:  # safe-listed API: pure function of its arguments
+                reads += map(fr.__getitem__, s.actuals)
+                continue
+            callee = an.frame(target.id)  # which lists the formals first, in order
+            subst = dict(zip(callee.values(), map(fr.__getitem__, s.actuals)))
+            subst[callee[RET]] = dep
+            calls.append((target.id, subst))
+            writes |= an.call_writes(target.id)
+        gen = tuple((dep, src) for src in dict.fromkeys(reads))
+        writes = tuple(writes) if dep in writes else (dep, *writes)
+        return NodeSpec(gen, (dep,), (), tuple(calls), writes)
     rep_id = an.rep_id
     if kind is ast.BottomAssign:
         bottoms = tuple((rep_id(t), CAUSE_BIT[s.cause]) for t in s.targets)
@@ -137,56 +187,28 @@ def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer") -> NodeSpec:
             bottoms=bottoms,
             writes=tuple(dep for dep, _ in bottoms),
         )
-
-    fr = an.frame(method_id)
-    aliases = an.aliases
-    calls: list = []
-    weak = True  # a return or a heap write kills nothing
-    if kind is ast.Return:
-        dep, reads = fr[RET], [fr[s.value]]
-    elif kind is ast.FieldWrite:
-        dep = rep_id(aliases.field_rep(method_id, s.obj, s.field_name))
-        reads = [fr[s.source], fr[s.obj]]
-    elif kind is ast.ArrayWrite:
-        dep = rep_id(aliases.array_rep(method_id, s.array))
-        reads = [fr[s.source], fr[s.array], fr[s.index]]
-    else:
-        weak = False
+    # the heap: a read is a strong update of its scalar target, from the
+    # representative and every name it dereferences; a write kills nothing,
+    # since the representative over-approximates its aliases
+    if kind is ast.FieldRead:
         dep = fr[s.target]
-        if kind is ast.ConstAssign:
-            reads = []
-        elif kind is ast.CopyAssign:
-            reads = [fr[s.source]]
-        elif kind is ast.UnaryAssign:
-            reads = [fr[s.operand]]
-        elif kind is ast.BinaryAssign:
-            reads = [fr[s.left], fr[s.right]]
-        elif kind is ast.FieldRead:
-            reads = [rep_id(aliases.field_rep(method_id, s.obj, s.field_name)), fr[s.obj]]
-        elif kind is ast.ArrayRead:
-            reads = [rep_id(aliases.array_rep(method_id, s.array)), fr[s.array], fr[s.index]]
-        elif kind is ast.Call:
-            reads = []
-            sym = an.sym
-            for target in sym.resolve_call(sym.methods[method_id], s):
-                if target.extern:  # safe-listed API: pure function of its arguments
-                    reads += [fr[a] for a in s.actuals]
-                    continue
-                callee = an.frame(target.id)
-                subst = {callee[f.name]: fr[a] for f, a in zip(target.formals, s.actuals)}
-                subst[callee[RET]] = dep
-                calls.append((target.id, subst))
-        else:
-            raise TypeError(f"no transfer for {kind.__name__}")
-    writes = {dep}
-    for callee, _ in calls:
-        writes.update(an.call_writes(callee))
-    return NodeSpec(
-        gen=tuple((dep, src) for src in dict.fromkeys(reads)),
-        kills=() if weak else (dep,),
-        calls=tuple(calls),
-        writes=tuple(writes),
-    )
+        one = (dep,)
+        field = an.field_id(method_id, s.obj, s.field_name)
+        return NodeSpec(((dep, field), (dep, fr[s.obj])), one, (), (), one)
+    if kind is ast.ArrayRead:
+        dep = fr[s.target]
+        one = (dep,)
+        part = rep_id(an.aliases.array_rep(method_id, s.array))
+        return NodeSpec(((dep, part), (dep, fr[s.array]), (dep, fr[s.index])), one, (), (), one)
+    if kind is ast.FieldWrite:
+        dep = an.field_id(method_id, s.obj, s.field_name)
+        sources = (fr[s.source], fr[s.obj])
+    elif kind is ast.ArrayWrite:
+        dep = rep_id(an.aliases.array_rep(method_id, s.array))
+        sources = (fr[s.source], fr[s.array], fr[s.index])
+    else:
+        raise TypeError(f"no transfer for {kind.__name__}")
+    return NodeSpec(tuple((dep, src) for src in dict.fromkeys(sources)), (), (), (), (dep,))
 
 
 def transfer(
@@ -244,7 +266,7 @@ class _MethodSpec:
     control: list[tuple[tuple[int, int], ...]]
     # per node, what to queue when its OUT changes: its successors and, for a
     # branch, the nodes whose control mask reads its IN (a branch's OUT is its IN)
-    wake: list[tuple[int, ...]]
+    wake: list[list[int]]
     seeds: tuple[int, ...]
     call_nodes: tuple[int, ...]
 
@@ -257,18 +279,29 @@ class Analyzer:
         self.aliases = model.aliases
         self.sym = model.symbols
         self._specs: dict[str, _MethodSpec] = {}
-        self._ids: dict[Representative, int] = {}
-        self._reps: list[Representative] = []
+        self._ids: dict[Representative, int] = {}  # all but the frames' ids
+        self._reps: list[Representative] = []  # by id
         self._heap: set[int] = set()  # ids of field and array representatives
         self._frames: dict[str, dict[str, int]] = {}
+        self._fields: dict[tuple[str, str], int] = {}
         self._strip: dict[str, tuple[frozenset[int], int]] = {}
         self._heaps: dict[str, tuple[Facts, tuple[int, ...]]] = {}
-        self._call_writes: dict[str, tuple[int, ...]] = {}
+        self._call_writes: dict[str, frozenset[int]] = {}
 
     # -- the encoding ---------------------------------------------------------
 
     def rep_id(self, rep: Representative) -> int:
-        """The dense id of a representative; bottom has none, its causes are bits."""
+        """The dense id of a representative; bottom has none, its causes are
+        bits. A declared scalar's id is its slot in its method's frame
+        (`frame`), so no `Scalar` of the program is hashed; `_ids` holds the
+        field and array ones, and the scalars no method declares, which only
+        hand-written facts name."""
+        if type(rep) is Scalar:
+            fr = self._frames.get(rep.method)
+            if fr is None and rep.method in self.sym.methods:
+                fr = self.frame(rep.method)
+            if fr is not None and rep.name in fr:
+                return fr[rep.name]
         i = self._ids.get(rep)
         if i is None:
             assert not isinstance(rep, Bottom)
@@ -279,20 +312,32 @@ class Analyzer:
         return i
 
     def frame(self, method_id: str) -> dict[str, int]:
-        """The ids of the method's formals, locals and `ret` by name, interned
-        once per method."""
+        """The ids of the method's formals, locals and `ret` by name: one
+        block of consecutive ids in that order, numbered the first time any
+        of them is asked for."""
         fr = self._frames.get(method_id)
         if fr is None:
             m = self.sym.methods[method_id]
             names = [p.name for p in m.formals] + [p.name for p in m.locals] + [RET]
-            fr = self._frames[method_id] = {n: self.rep_id(Scalar(method_id, n)) for n in names}
+            first = len(self._reps)
+            fr = self._frames[method_id] = dict(zip(names, range(first, first + len(names))))
+            self._reps += [Scalar(method_id, n) for n in names]
         return fr
 
-    def call_writes(self, method_id: str) -> tuple[int, ...]:
+    def field_id(self, method_id: str, obj: str, field_name: str) -> int:
+        """The id of `AliasAnalysis.field_rep`, kept by the static type of
+        `obj` and the field name."""
+        key = (self.sym.var_types[method_id][obj], field_name)
+        i = self._fields.get(key)
+        if i is None:
+            i = self._fields[key] = self.rep_id(self.aliases.field_rep_for(*key))
+        return i
+
+    def call_writes(self, method_id: str) -> frozenset[int]:
         """The ids of `AliasAnalysis.call_writes`, interned once per method."""
         ids = self._call_writes.get(method_id)
         if ids is None:
-            ids = self._call_writes[method_id] = tuple(
+            ids = self._call_writes[method_id] = frozenset(
                 map(self.rep_id, self.aliases.call_writes(method_id))
             )
         return ids
@@ -318,46 +363,52 @@ class Analyzer:
     # -- preparation ------------------------------------------------------
 
     def spec(self, method_id: str) -> _MethodSpec:
+        """The method's node table with its control pairs, wake lists and
+        footprint, built in one pass over its CFG and kept."""
         cached = self._specs.get(method_id)
         if cached is not None:
             return cached
         g = self.model.methods[method_id].cfg
+        graph = g.nodes
         fr = self.frame(method_id)
-        nodes: list[NodeSpec] = []
-        branch_fv: dict[int, tuple[int, int]] = {}
-        touched: set[int] = set()  # dependents, sources and writes of any node
-        call_nodes: list[int] = []
-        for n in g.nodes:
-            if n.kind == BRANCH:
-                branch_fv[n.id] = (fr[n.cond.left], fr[n.cond.right])
-            ns = node_spec(n.stmt, method_id, self)
-            nodes.append(ns)
-            if ns.calls:
-                call_nodes.append(n.id)
-            if ns.writes:  # every generated or bottom dependent is a write
-                touched.update(ns.writes)
-                touched.update(src for _, src in ns.gen)
-        # the footprint: the method's formals and locals and the heap it touches
-        seeds = (set(fr.values()) - {fr[RET]}) | (touched & self._heap)
         governing = self.model.governing(method_id)
+        nodes: list[NodeSpec] = []
         control: list[tuple[tuple[int, int], ...]] = []
-        by_branches: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
-        governs: dict[int, list[int]] = {}  # branch -> the writes it governs
-        for n, ns in enumerate(nodes):
+        # governing branches -> (their control pairs, the writes they govern)
+        groups: dict[frozenset[int], tuple[tuple[tuple[int, int], ...], list[int]]] = {}
+        touched: set[int] = set()  # writes and sources of the nodes that may name the heap
+        call_nodes: list[int] = []
+        for n, node in enumerate(graph):
+            s = node.stmt
+            ns = node_spec(s, method_id, self, fr)
+            nodes.append(ns)
+            writes = ns.writes
+            if type(s) in _HEAP_KINDS:
+                if ns.calls:
+                    call_nodes.append(n)
+                touched.update(writes)
+                touched.update(src for _, src in ns.gen)
             branches = governing[n]
-            if not (ns.writes and branches):
+            if not (writes and branches):
                 control.append(())
                 continue
-            pairs = by_branches.get(branches)
-            if pairs is None:
-                pairs = by_branches[branches] = tuple(
-                    (b, v) for b in branches for v in branch_fv[b]
+            group = groups.get(branches)
+            if group is None:  # each branch with the variables of its condition
+                pairs = tuple(
+                    (b, fr[v]) for b in branches for v in (graph[b].cond.left, graph[b].cond.right)
                 )
-            control.append(pairs)
+                group = groups[branches] = (pairs, [])
+            control.append(group[0])
+            group[1].append(n)
+        # a node wakes its successors and, for a branch, the writes it governs
+        wake = g.succs.copy()  # the CFG's own lists: a branch's is replaced, never extended
+        for branches, (_, governed) in groups.items():
             for b in branches:
-                governs.setdefault(b, []).append(n)
-        wake = [tuple(g.succs[n]) + tuple(governs.get(n, ())) for n in range(len(nodes))]
-        spec = _MethodSpec(g, nodes, control, wake, tuple(seeds), tuple(call_nodes))
+                wake[b] = wake[b] + governed
+        # the footprint: the method's formals and locals and the heap it touches
+        ret = fr[RET]
+        seeds = (*range(ret - len(fr) + 1, ret), *(touched & self._heap))
+        spec = _MethodSpec(g, nodes, control, wake, seeds, tuple(call_nodes))
         self._specs[method_id] = spec
         return spec
 

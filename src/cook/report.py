@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .aliases import AliasAnalysis
 from .analysis import AnalysisResult, analyze_program
+from .cfg import Cfg
 from .lang import ast
 from .lang.check import Symbols, check as check_program
 from .pipeline import BASIC, ProgramModel
@@ -110,19 +111,19 @@ def accessor_filter(m: ast.Method) -> bool:
     return isinstance(first, ast.FieldWrite)
 
 
-def body_counts(m: ast.Method) -> tuple[int, int, int]:
+def body_counts(g: Cfg) -> tuple[int, int, int]:
     """(instructions, array accesses, field dereferences) of a method body,
-    in one walk; the instruction count is the statement count, branches
-    counted once."""
-    n = arrays = fields = 0
-    for s in ast.walk(m.body):
-        n += 1
-        kind = type(s)
+    read off its CFG: the instruction count is the statement count, and
+    every statement is one node besides entry and exit, a branch standing
+    for its `IfElse` or `While`."""
+    arrays = fields = 0
+    for node in g.nodes:
+        kind = type(node.stmt)
         if kind is ast.ArrayRead or kind is ast.ArrayWrite:
             arrays += 1
         elif kind is ast.FieldRead or kind is ast.FieldWrite:
             fields += 1
-    return n, arrays, fields
+    return len(g.nodes) - 2, arrays, fields
 
 
 def transformed_model(model: ProgramModel) -> ProgramModel:
@@ -178,7 +179,7 @@ def build_report(
             )
             loops_total += 1
             loops_term += int(lm.verdict.terminates)
-        n, a, f = body_counts(m)
+        n, a, f = body_counts(mm.cfg)
         causes = sorted(c.value for c in result.causes.get(m.id, ()))
         methods.append(
             MethodReport(

@@ -1,0 +1,164 @@
+"""The dependence node-table builder as it was before `cook.analysis`
+numbered each method's frame as one block of ids, kept as the reference for
+`tests/test_analysis.py`.
+
+`ReferenceTable` interns every representative through one dict, so each
+`Scalar` operand is hashed and compared, and builds a method's table in two
+passes: `node_spec` per CFG node, then the control pairs and wake lists. Its
+ids are its own; a test compares the two builders by decoding both tables to
+representatives.
+"""
+
+from __future__ import annotations
+
+from cook.aliases import RET
+from cook.analysis import CAUSE_BIT, NodeSpec, _MethodSpec
+from cook.cfg import BRANCH
+from cook.lang import ast
+from cook.pipeline import ProgramModel
+from cook.representatives import Bottom, Representative, Scalar
+
+_PASS = NodeSpec()
+
+
+def node_spec(s: ast.Stmt | None, method_id: str, table: "ReferenceTable") -> NodeSpec:
+    kind = type(s)
+    if s is None or kind is ast.IfElse or kind is ast.While:
+        return _PASS
+    rep_id = table.rep_id
+    if kind is ast.BottomAssign:
+        bottoms = tuple((rep_id(t), CAUSE_BIT[s.cause]) for t in s.targets)
+        return NodeSpec(
+            kills=tuple(rep_id(t) for t in s.targets if isinstance(t, Scalar)),
+            bottoms=bottoms,
+            writes=tuple(dep for dep, _ in bottoms),
+        )
+
+    fr = table.frame(method_id)
+    aliases = table.aliases
+    calls: list = []
+    weak = True  # a return or a heap write kills nothing
+    if kind is ast.Return:
+        dep, reads = fr[RET], [fr[s.value]]
+    elif kind is ast.FieldWrite:
+        dep = rep_id(aliases.field_rep(method_id, s.obj, s.field_name))
+        reads = [fr[s.source], fr[s.obj]]
+    elif kind is ast.ArrayWrite:
+        dep = rep_id(aliases.array_rep(method_id, s.array))
+        reads = [fr[s.source], fr[s.array], fr[s.index]]
+    else:
+        weak = False
+        dep = fr[s.target]
+        if kind is ast.ConstAssign:
+            reads = []
+        elif kind is ast.CopyAssign:
+            reads = [fr[s.source]]
+        elif kind is ast.UnaryAssign:
+            reads = [fr[s.operand]]
+        elif kind is ast.BinaryAssign:
+            reads = [fr[s.left], fr[s.right]]
+        elif kind is ast.FieldRead:
+            reads = [rep_id(aliases.field_rep(method_id, s.obj, s.field_name)), fr[s.obj]]
+        elif kind is ast.ArrayRead:
+            reads = [rep_id(aliases.array_rep(method_id, s.array)), fr[s.array], fr[s.index]]
+        elif kind is ast.Call:
+            reads = []
+            sym = table.sym
+            for target in sym.resolve_call(sym.methods[method_id], s):
+                if target.extern:  # safe-listed API: pure function of its arguments
+                    reads += [fr[a] for a in s.actuals]
+                    continue
+                callee = table.frame(target.id)
+                subst = {callee[f.name]: fr[a] for f, a in zip(target.formals, s.actuals)}
+                subst[callee[RET]] = dep
+                calls.append((target.id, subst))
+        else:
+            raise TypeError(f"no transfer for {kind.__name__}")
+    writes = {dep}
+    for callee, _ in calls:
+        writes.update(table.call_writes(callee))
+    return NodeSpec(
+        gen=tuple((dep, src) for src in dict.fromkeys(reads)),
+        kills=() if weak else (dep,),
+        calls=tuple(calls),
+        writes=tuple(writes),
+    )
+
+
+class ReferenceTable:
+    """Interns representatives and builds node tables the old way."""
+
+    def __init__(self, model: ProgramModel):
+        self.model = model
+        self.aliases = model.aliases
+        self.sym = model.symbols
+        self._ids: dict[Representative, int] = {}
+        self.reps: list[Representative] = []
+        self._heap: set[int] = set()
+        self._frames: dict[str, dict[str, int]] = {}
+        self._call_writes: dict[str, tuple[int, ...]] = {}
+
+    def rep_id(self, rep: Representative) -> int:
+        i = self._ids.get(rep)
+        if i is None:
+            assert not isinstance(rep, Bottom)
+            i = self._ids[rep] = len(self.reps)
+            self.reps.append(rep)
+            if not isinstance(rep, Scalar):
+                self._heap.add(i)
+        return i
+
+    def frame(self, method_id: str) -> dict[str, int]:
+        fr = self._frames.get(method_id)
+        if fr is None:
+            m = self.sym.methods[method_id]
+            names = [p.name for p in m.formals] + [p.name for p in m.locals] + [RET]
+            fr = self._frames[method_id] = {n: self.rep_id(Scalar(method_id, n)) for n in names}
+        return fr
+
+    def call_writes(self, method_id: str) -> tuple[int, ...]:
+        ids = self._call_writes.get(method_id)
+        if ids is None:
+            ids = self._call_writes[method_id] = tuple(
+                map(self.rep_id, self.aliases.call_writes(method_id))
+            )
+        return ids
+
+    def spec(self, method_id: str) -> _MethodSpec:
+        g = self.model.methods[method_id].cfg
+        fr = self.frame(method_id)
+        nodes: list[NodeSpec] = []
+        branch_fv: dict[int, tuple[int, int]] = {}
+        touched: set[int] = set()  # dependents, sources and writes of any node
+        call_nodes: list[int] = []
+        for n in g.nodes:
+            if n.kind == BRANCH:
+                branch_fv[n.id] = (fr[n.cond.left], fr[n.cond.right])
+            ns = node_spec(n.stmt, method_id, self)
+            nodes.append(ns)
+            if ns.calls:
+                call_nodes.append(n.id)
+            if ns.writes:  # every generated or bottom dependent is a write
+                touched.update(ns.writes)
+                touched.update(src for _, src in ns.gen)
+        # the footprint: the method's formals and locals and the heap it touches
+        seeds = (set(fr.values()) - {fr[RET]}) | (touched & self._heap)
+        governing = self.model.governing(method_id)
+        control: list[tuple[tuple[int, int], ...]] = []
+        by_branches: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
+        governs: dict[int, list[int]] = {}  # branch -> the writes it governs
+        for n, ns in enumerate(nodes):
+            branches = governing[n]
+            if not (ns.writes and branches):
+                control.append(())
+                continue
+            pairs = by_branches.get(branches)
+            if pairs is None:
+                pairs = by_branches[branches] = tuple(
+                    (b, v) for b in branches for v in branch_fv[b]
+                )
+            control.append(pairs)
+            for b in branches:
+                governs.setdefault(b, []).append(n)
+        wake = [tuple(g.succs[n]) + tuple(governs.get(n, ())) for n in range(len(nodes))]
+        return _MethodSpec(g, nodes, control, wake, tuple(seeds), tuple(call_nodes))

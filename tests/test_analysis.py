@@ -27,6 +27,7 @@ from cook.lang import ast, check, load
 from cook.pipeline import ProgramModel
 from cook.report import ReportConfig, analyze_sources, transformed_model
 from cook.representatives import BOTTOM, ArrayPart, Bottom, Scalar, TypeField
+from reference_node_table import ReferenceTable
 
 RULES_SRC = """
 class A { f: int; }
@@ -68,7 +69,7 @@ def out_of(s, d, summaries=None):
     """OUT of statement `s` in method `m` through the transfer the method
     fixpoint runs: `d` and the callee summaries encoded, OUT decoded."""
     an = rule_analyzer()
-    node = node_spec(s, "m", an)
+    node = node_spec(s, "m", an, an.frame("m"))
     encoded = {mid: an.encode(facts) for mid, facts in (summaries or {}).items()}
     return an.decode(transfer(node, an.encode(d), 0, encoded))
 
@@ -217,7 +218,7 @@ def test_pass_nodes_return_in_unchanged():
     d = an.encode(ident(sc("x")))
     cond = ast.Cond("x", ">", "y")
     for s in (None, ast.IfElse(cond, (), ()), ast.While(cond, ())):
-        assert transfer(node_spec(s, "m", an), d) is d
+        assert transfer(node_spec(s, "m", an, an.frame("m")), d) is d
 
 
 # -- the encoding at its edges ---------------------------------------------------
@@ -748,6 +749,44 @@ def test_node_writes_are_the_written_reps_of_their_statement(profile, seed, poli
                 continue
             reference = tmodel.aliases.written_reps(mid, node.stmt)
             assert set(writes) == set(map(an.rep_id, reference)), (mid, node.id)
+
+
+def decoded_table(spec, reps):
+    """A method's node table with every id decoded to its representative:
+    per node its gen, kills, bottoms, call substitutions and writes, per
+    node its control pairs and wake list, and the method's seeds, as sets."""
+    rep = reps.__getitem__
+    nodes = [
+        (
+            {(rep(dep), rep(src)) for dep, src in ns.gen},
+            set(map(rep, ns.kills)),
+            {(rep(dep), bits) for dep, bits in ns.bottoms},
+            {
+                (callee, frozenset((rep(k), rep(v)) for k, v in subst.items()))
+                for callee, subst in ns.calls
+            },
+            set(map(rep, ns.writes)),
+        )
+        for ns in spec.nodes
+    ]
+    control = [{(b, rep(v)) for b, v in pairs} for pairs in spec.control]
+    return nodes, control, [set(w) for w in spec.wake], set(map(rep, spec.seeds))
+
+
+@pytest.mark.parametrize("policy", ("basic", "summary"))
+@pytest.mark.parametrize(
+    "params", (CENSUS_LIKE, ISLANDS_LIKE, LOOP_DENSE), ids=("census", "islands", "loops")
+)
+def test_node_tables_decode_to_the_reference_builders(params, policy):
+    """`Analyzer.spec` against the builder that hashed every representative
+    (`tests/reference_node_table.py`); each numbers its own ids."""
+    for seed in range(3):
+        model = ProgramModel(generate_program(seed, GenParams(**params)), nested_policy=policy)
+        tmodel = transformed_model(model)
+        an, ref = Analyzer(tmodel), ReferenceTable(tmodel)
+        for mid in tmodel.methods:
+            ours = decoded_table(an.spec(mid), an._reps)
+            assert ours == decoded_table(ref.spec(mid), ref.reps), (seed, mid)
 
 
 def call_free_node(an, node, summaries):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cook.cfg import build_cfg
 from cook.lang import load, parse, pretty
 from cook.pipeline import ProgramModel
 from cook.report import (
@@ -91,7 +92,7 @@ method swampy(o: A): int {
 }
 """
     p, sym = load(src)
-    by_id = {m.id: m for m in p.methods if not m.extern}
+    by_id = {m.id: build_cfg(m) for m in p.methods if not m.extern}
     assert body_counts(by_id["island"]) == (4, 1, 2)
     assert body_counts(by_id["swampy"]) == (4, 0, 2)
     report = analyze_sources(p, sym, ReportConfig())
@@ -117,7 +118,8 @@ method m(o: A): int {
     model = ProgramModel(p, sym)
 
     def sites():
-        return sum(a + f for _, a, f in map(body_counts, p.methods))
+        counts = [body_counts(build_cfg(m)) for m in p.methods if not m.extern]
+        return sum(a + f for _, a, f in counts)
 
     before = sites()
     rewrite_program(model)

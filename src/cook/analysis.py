@@ -18,8 +18,9 @@ consecutive ids, in that order, the first time any of them is needed
 (`Analyzer.frame`, a name -> id table). `Analyzer.rep_id` answers a `Scalar`
 from its method's table, numbering that frame first if it is not yet, so
 every scalar has exactly one id and none is hashed or compared; its own id
-table holds only field and array representatives (and scalars that no method
-declares, which only hand-written facts name). The node table looks names up
+table holds only field and array representatives. A frame block records its
+method and names, and its `Scalar` objects are made only when a decode first
+reads one of its ids (`Reps`). The node table looks names up
 in the frame table, fields by static type and name (`Analyzer.field_id`).
 Facts stay masks from the node table to the result: `method_facts` returns a
 mask dict, a summary is a mask dict (`strip_locals` drops the frame's
@@ -79,6 +80,7 @@ of the swamp.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -280,7 +282,7 @@ class Analyzer:
         self.sym = model.symbols
         self._specs: dict[str, _MethodSpec] = {}
         self._ids: dict[Representative, int] = {}  # all but the frames' ids
-        self._reps: list[Representative] = []  # by id
+        self._reps = Reps()
         self._heap: set[int] = set()  # ids of field and array representatives
         self._frames: dict[str, dict[str, int]] = {}
         self._fields: dict[tuple[str, str], int] = {}
@@ -292,23 +294,15 @@ class Analyzer:
 
     def rep_id(self, rep: Representative) -> int:
         """The dense id of a representative; bottom has none, its causes are
-        bits. A declared scalar's id is its slot in its method's frame
-        (`frame`), so no `Scalar` of the program is hashed; `_ids` holds the
-        field and array ones, and the scalars no method declares, which only
-        hand-written facts name."""
+        bits. A scalar's id is its slot in its method's frame (`frame`), so
+        no `Scalar` is hashed; `_ids` holds the field and array ones."""
         if type(rep) is Scalar:
-            fr = self._frames.get(rep.method)
-            if fr is None and rep.method in self.sym.methods:
-                fr = self.frame(rep.method)
-            if fr is not None and rep.name in fr:
-                return fr[rep.name]
+            return self.frame(rep.method)[rep.name]
         i = self._ids.get(rep)
         if i is None:
             assert not isinstance(rep, Bottom)
-            i = self._ids[rep] = len(self._reps)
-            self._reps.append(rep)
-            if not isinstance(rep, Scalar):
-                self._heap.add(i)
+            i = self._ids[rep] = self._reps.add(rep)
+            self._heap.add(i)
         return i
 
     def frame(self, method_id: str) -> dict[str, int]:
@@ -319,9 +313,8 @@ class Analyzer:
         if fr is None:
             m = self.sym.methods[method_id]
             names = [p.name for p in m.formals] + [p.name for p in m.locals] + [RET]
-            first = len(self._reps)
+            first = self._reps.add_frame(method_id, names)
             fr = self._frames[method_id] = dict(zip(names, range(first, first + len(names))))
-            self._reps += [Scalar(method_id, n) for n in names]
         return fr
 
     def field_id(self, method_id: str, obj: str, field_name: str) -> int:
@@ -508,7 +501,42 @@ class Analyzer:
 # ---------------------------------------------------------------------------
 
 
-def decode(reps: list[Representative], d: Facts) -> frozenset[Fact]:
+class Reps:
+    """The representative of each id. A field or array representative is
+    kept when it is numbered; a frame block keeps only its method and names,
+    and the block's `Scalar`s are made the first time a decode reads one of
+    its ids, so a pass that decodes nothing makes none."""
+
+    __slots__ = ("_reps", "_firsts", "_frames")
+
+    def __init__(self):
+        self._reps: list[Representative | None] = []  # None: a frame slot not yet made
+        self._firsts: list[int] = []  # the first id of each frame block, ascending
+        self._frames: list[tuple[str, list[str]]] = []  # each block's method and names
+
+    def add(self, rep: Representative) -> int:
+        self._reps.append(rep)
+        return len(self._reps) - 1
+
+    def add_frame(self, method_id: str, names: list[str]) -> int:
+        """Number a block of one id per name; returns the first."""
+        first = len(self._reps)
+        self._firsts.append(first)
+        self._frames.append((method_id, names))
+        self._reps += [None] * len(names)
+        return first
+
+    def __getitem__(self, i: int) -> Representative:
+        rep = self._reps[i]
+        if rep is None:
+            k = bisect_right(self._firsts, i) - 1
+            first, (method_id, names) = self._firsts[k], self._frames[k]
+            self._reps[first : first + len(names)] = [Scalar(method_id, n) for n in names]
+            rep = self._reps[i]
+        return rep
+
+
+def decode(reps: Reps, d: Facts) -> frozenset[Fact]:
     """The (dependent, source, cause) tuples of a fact set whose ids index
     `reps`."""
     out: list[Fact] = []
@@ -533,7 +561,7 @@ class FactTable(Mapping):
 
     __slots__ = ("_masks", "_reps", "_decoded")
 
-    def __init__(self, masks: dict[str, Facts], reps: list[Representative]):
+    def __init__(self, masks: dict[str, Facts], reps: Reps):
         self._masks = masks
         self._reps = reps
         self._decoded: dict[str, frozenset[Fact]] = {}

@@ -19,8 +19,16 @@ Harvey and Kennedy ("A Simple, Fast Dominance Algorithm", 2001): intersect
 dominator-tree paths in reverse postorder until nothing changes, with the
 order index and the immediate dominators in flat lists indexed by node id.
 Only the post-dominators search an order of their own, from exit over the
-reversed graph. `governing_branches` closes control dependence over int
-bitsets of branch ids.
+reversed graph. `dominator_tree` numbers the dominator tree in preorder,
+in two sweeps of the reverse postorder, so whether one node dominates
+another is two comparisons of those numbers instead of a walk up the tree.
+`governing_branches` closes control dependence over int bitsets of branch
+ids.
+
+`find_loops` nests each loop in the smallest loop whose body strictly
+contains its own; only the loops whose body holds its header can, so nesting
+costs the sum of the loops' bodies, not the square of their number. Each loop
+lists its children once (`LoopInfo.children`), for the termination oracle.
 """
 
 from __future__ import annotations
@@ -199,15 +207,41 @@ def post_dominators(g: Cfg) -> dict[int, int]:
     return dict(enumerate(_post_idoms(g)))
 
 
-def dominates(idom: dict[int, int], root: int, a: int, b: int) -> bool:
-    """True when `a` (post-)dominates `b` under the given immediate-dom map."""
-    cur = b
-    while True:
-        if cur == a:
-            return True
-        if cur == root:
-            return False
-        cur = idom[cur]
+@dataclass(frozen=True, slots=True)
+class DomTree:
+    """The dominator tree from entry, numbered in preorder: `pre` is each
+    node's position and `end` one past the last position of its subtree
+    (both -1 for an unreachable node), so a node dominates exactly the nodes
+    whose position lies in its own interval."""
+
+    pre: list[int]
+    end: list[int]
+
+    def dominates(self, a: int, b: int) -> bool:
+        """True when `a` dominates `b`; every node dominates itself."""
+        return self.pre[a] <= self.pre[b] < self.end[a]
+
+
+def dominator_tree(g: Cfg) -> DomTree:
+    """Number the tree of `dominators(g)` in time linear in the graph. A
+    node's immediate dominator comes before it in `g.order`, so one backward
+    sweep sums the subtree sizes and one forward sweep gives each child the
+    next free interval inside its parent's."""
+    idom = dominators(g)
+    below = g.order[1:]
+    size = [1] * len(g.nodes)
+    for n in reversed(below):
+        size[idom[n]] += size[n]
+    pre = [-1] * len(g.nodes)
+    free = pre.copy()  # the first position in each interval not yet given out
+    root = g.order[0]
+    pre[root], free[root] = 0, 1
+    for n in below:
+        d = idom[n]
+        pre[n] = first = free[d]
+        free[d] = first + size[n]
+        free[n] = first + 1
+    return DomTree(pre, [p + k if p >= 0 else -1 for p, k in zip(pre, size)])
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +258,14 @@ class LoopInfo:
     parent: int | None = None
     depth: int = 1
     stmt: ast.While | None = None  # the While statement when structurally known
+    children: tuple[int, ...] = ()  # the loops whose parent this is, by id
 
 
 def find_loops(g: Cfg) -> list[LoopInfo]:
-    """Every back-edge-induced natural loop, with nesting by body containment.
+    """Every back-edge-induced natural loop, with nesting by body containment:
+    a loop's parent is the smallest loop whose body strictly contains its
+    body, the first by id on a tie, and its children are the loops it
+    parents, by id.
 
     Complete (a LoopInfo covers both endpoints of every DFS back edge) but
     oblivious to feasibility: statically dead cycles are still reported. The
@@ -265,15 +303,26 @@ def find_loops(g: Cfg) -> list[LoopInfo]:
             )
         )
 
-    # nesting: parent is the smallest strictly containing body
+    # nesting: the parent is the smallest strictly containing body, which
+    # holds the child's header, so only the loops around each header compete
+    at_header = {loop.header: loop for loop in loops}
+    around: list[list[LoopInfo]] = [[] for _ in loops]
+    for outer in loops:
+        for n in outer.body:
+            inner = at_header.get(n)
+            if inner is not None and inner is not outer:
+                around[inner.id].append(outer)
+    children: list[list[int]] = [[] for _ in loops]
     for loop in loops:
         best = None
-        for other in loops:
-            if other is not loop and loop.body < other.body:
-                if best is None or len(other.body) < len(loops[best].body):
-                    best = other.id
-        loop.parent = best
+        for other in around[loop.id]:
+            if loop.body < other.body and (best is None or len(other.body) < len(best.body)):
+                best = other
+        if best is not None:
+            loop.parent = best.id
+            children[best.id].append(loop.id)
     for loop in loops:
+        loop.children = tuple(children[loop.id])
         depth, cur = 1, loop.parent
         while cur is not None:
             depth += 1

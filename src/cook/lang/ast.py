@@ -284,7 +284,10 @@ def walk(body: Stmt | Block | None):
             stack.append(s.body)
 
 
-_TARGETED = (ConstAssign, CopyAssign, UnaryAssign, BinaryAssign, FieldRead, ArrayRead, Call)
+# the statement classes have no subclasses, so `type(s)` names the form
+_TARGETED = frozenset(
+    {ConstAssign, CopyAssign, UnaryAssign, BinaryAssign, FieldRead, ArrayRead, Call}
+)
 
 
 def scalar_writes(s: Stmt | None, method_id: str) -> tuple[str, ...]:
@@ -292,12 +295,43 @@ def scalar_writes(s: Stmt | None, method_id: str) -> tuple[str, ...]:
     the target of an assignment, read or call, ``ret`` for a return, and
     the own-method scalar targets of a bottom assignment. A branch writes
     none; the statements nested in it are asked one by one."""
-    if isinstance(s, _TARGETED):
+    kind = type(s)
+    if kind in _TARGETED:
         return (s.target,)
-    if isinstance(s, Return):
+    if kind is Return:
         return ("ret",)
-    if isinstance(s, BottomAssign):
+    if kind is BottomAssign:
         return tuple(
             r.name for r in s.targets if isinstance(r, Scalar) and r.method == method_id
         )
+    return ()
+
+
+def scalar_reads(s: Stmt | None) -> tuple[str, ...]:
+    """Names of the scalars that `s` reads, in operand order: the operands
+    of an assignment, the base and index of a field or array access, the
+    stored value of a write, a call's actuals and a return's value. A branch
+    reads the two names of its condition; the statements nested in it are
+    asked one by one."""
+    kind = type(s)
+    if kind is BinaryAssign:
+        return (s.left, s.right)
+    if kind is CopyAssign:
+        return (s.source,)
+    if kind is UnaryAssign:
+        return (s.operand,)
+    if kind is IfElse or kind is While:
+        return (s.cond.left, s.cond.right)
+    if kind is Return:
+        return (s.value,)
+    if kind is FieldRead:
+        return (s.obj,)
+    if kind is FieldWrite:
+        return (s.obj, s.source)
+    if kind is ArrayRead:
+        return (s.array, s.index)
+    if kind is ArrayWrite:
+        return (s.array, s.index, s.source)
+    if kind is Call:
+        return s.actuals
     return ()

@@ -10,7 +10,12 @@ rewritten away contributes an opaque write stand-in to its parent's cycle
 extraction, which is exactly what the parent's body looks like after the
 rewrite; under the default `basic` policy, a parent containing a loop that
 stays live is unknown, while the `summary` policy also steps over live
-dependency-free inner loops.
+dependency-free inner loops. What a method's loops share is built once per
+method with loops: the loops and their children (`find_loops`), and the
+single-definition constants with the numbered dominator tree
+(`termination.method_consts`). Each loop then reads its own children and
+the constants its body reads, so a long method's loops are judged in time
+linear in the method.
 
 The model of the rewritten program is derived from the first one (`base`),
 whose loops it does not judge again: the rewrite kept only loops proven to
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .aliases import AliasAnalysis
 from .callgraph import CallGraph, build_call_graph, condensation_order, recursion_set
-from .cfg import Cfg, LoopInfo, build_cfg, dominators, find_loops, governing_branches
+from .cfg import Cfg, LoopInfo, build_cfg, find_loops, governing_branches
 from .errors import NestedLoopError, NoInductionVariable, PathExplosionError
 from .interp import OracleDecisions
 from .lang import ast
@@ -41,12 +46,14 @@ from .summaries import (
 )
 from .termination import (
     CycleSet,
+    MethodConsts,
     OpaqueUpdate,
     TerminationVerdict,
     check_termination,
     counter_strides,
     dominating_consts,
     extract_cycles,
+    method_consts,
     written_names,
 )
 
@@ -111,11 +118,11 @@ class ProgramModel:
         loops = find_loops(g)
         if not loops:
             return
-        idom = dominators(g)
+        consts = method_consts(g)
         models: dict[int, LoopModel] = {}
         # innermost first so parents can reuse child results
         for info in sorted(loops, key=lambda l: -l.depth):
-            models[info.id] = self._judge_loop(g, info, loops, models, idom)
+            models[info.id] = self._judge_loop(g, info, loops, models, consts)
         mm.loops = [models[l.id] for l in loops]
         for lm in mm.loops:
             if lm.info.stmt is not None:
@@ -127,13 +134,13 @@ class ProgramModel:
         info: LoopInfo,
         loops: list[LoopInfo],
         models: dict[int, "LoopModel"],
-        idom: dict[int, int],
+        consts: MethodConsts,
     ) -> LoopModel:
-        children = [l for l in loops if l.parent == info.id]
         stand_ins: dict[int, OpaqueUpdate] = {}
         blocked = None
-        for ch in children:
-            child = models[ch.id]
+        for c in info.children:
+            child = models[c]
+            ch = child.info
             names = child.cycles.written_names if child.cycles else written_names(g, ch)
             if not child.verdict.terminates:
                 # the rewrite will replace it with an opaque parallel assignment
@@ -151,7 +158,7 @@ class ProgramModel:
         except (NestedLoopError, PathExplosionError) as e:
             return LoopModel(info, TerminationVerdict(False, reason=str(e)))
 
-        pre = dominating_consts(g, info, idom)
+        pre = dominating_consts(g, info, consts)
         # each closing cycle is folded once; both verdicts read these formulas
         formulas = tuple(cycle_formula(c, pre, g.method_id) for c in cycles.cycles)
         counters = counter_strides(formulas)

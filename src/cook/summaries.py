@@ -194,10 +194,23 @@ def compose(t1: Transition, t2: Transition) -> Transition:
 
 
 def path_formula(transitions: list[Transition]) -> Transition:
-    acc = IDENTITY
+    """The transitions composed in order, equal to folding them with
+    `compose` from `IDENTITY`, in one pass over a running update map: each
+    step's guard, updates and array writes are substituted with the updates
+    before that step."""
+    updates: dict[str, tuple] = {}
+    guard: list[GuardAtom] = []
+    arrays: list[tuple[str, tuple, tuple]] = []
+    field_writes: list[str] = []
     for t in transitions:
-        acc = compose(acc, t)
-    return acc
+        guard += [g.substituted(updates) for g in t.guard]
+        arrays += [(a, subst_expr(i, updates), subst_expr(e, updates)) for a, i, e in t.arrays]
+        field_writes += t.field_writes
+        if t.updates:
+            updates.update([(v, _canonical_update(subst_expr(e, updates))) for v, e in t.updates])
+    return Transition(
+        tuple(guard), tuple(sorted(updates.items())), tuple(arrays), tuple(field_writes)
+    )
 
 
 # ---------------------------------------------------------------------------

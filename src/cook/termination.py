@@ -30,13 +30,22 @@ constants assigned earlier in the same cycle, or method locals with a single
 constant definition that dominates the loop header (`dominating_consts`).
 Which names a statement writes is `ast.scalar_writes`, for the loop's
 written names and for the definitions alike.
+
+A method's loops share one table (`method_consts`): a single scan of its
+nodes counts the definition sites and keeps the single-definition constant
+assignments, and the dominator tree is numbered once (`cfg.DomTree`), so a
+dominance test is two comparisons. `dominating_consts` then looks up only the
+names that the loop's header and body read (`ast.scalar_reads`), and cycle
+extraction steps over the inner loops that `cfg.find_loops` listed as the
+loop's children. Each loop's work is proportional to its body, so judging a
+method's loops takes time linear in the method times its loop nesting depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfg import BRANCH, Cfg, LoopInfo, dominates
+from .cfg import BRANCH, Cfg, DomTree, LoopInfo, dominator_tree
 from .errors import NestedLoopError, PathExplosionError
 from .interp import binop64, unop64
 from .lang import ast
@@ -98,12 +107,13 @@ def extract_cycles(
 ) -> CycleSet:
     """Enumerate the loop's single-iteration cycles.
 
-    An inner loop is stepped over when `opaque_inner` maps its header to a
-    write-effect stand-in, continuing from the inner loop's exit edge; a
-    loop with an inner loop that has no stand-in is refused.
+    An inner loop (one of `loop.children`, ids into `loops`) is stepped over
+    when `opaque_inner` maps its header to a write-effect stand-in,
+    continuing from the inner loop's exit edge; a loop with an inner loop
+    that has no stand-in is refused.
     """
     opaque_inner = opaque_inner or {}
-    children = {l.header for l in loops if l.parent == loop.id}
+    children = {loops[c].header for c in loop.children}
     missing = children - set(opaque_inner)
     if missing:
         raise NestedLoopError(
@@ -215,25 +225,45 @@ def counter_strides(formulas: tuple) -> dict[str, tuple[int, ...]]:
     return table
 
 
-def dominating_consts(g: Cfg, loop: LoopInfo, idom: dict[int, int]) -> dict[str, int]:
-    """Locals holding a known constant at loop entry: defined exactly once in
-    the method, by a constant assignment dominating the header. In the
-    structured CFGs of `build_cfg` the header dominates its body, so no body
-    node dominates the header and the loop never writes them. `idom` is the
-    method's `cfg.dominators`, computed once for all of its loops."""
-    sites: dict[str, int] = {}
+@dataclass(frozen=True, slots=True)
+class MethodConsts:
+    """What the loops of one method share for `dominating_consts`: each
+    local defined exactly once in the method, by a non-null constant
+    assignment, with that node and value, and the method's dominator tree."""
+
+    sites: dict[str, tuple[int, int]]  # name -> (defining node, value)
+    dom: DomTree
+
+
+def method_consts(g: Cfg) -> MethodConsts:
+    """One scan of the method's nodes, and its dominator tree."""
+    defs: dict[str, int] = {}
     const_at: dict[str, tuple[int, int]] = {}
     for nid, node in enumerate(g.nodes):
         s = node.stmt
         for name in ast.scalar_writes(s, g.method_id):
-            sites[name] = sites.get(name, 0) + 1
-        if isinstance(s, ast.ConstAssign) and s.value is not None:
+            defs[name] = defs.get(name, 0) + 1
+        if type(s) is ast.ConstAssign and s.value is not None:
             const_at[s.target] = (nid, s.value)
-    return {
-        name: value
-        for name, (nid, value) in const_at.items()
-        if sites[name] == 1 and dominates(idom, g.entry, nid, loop.header)
-    }
+    sites = {name: at for name, at in const_at.items() if defs[name] == 1}
+    return MethodConsts(sites, dominator_tree(g))
+
+
+def dominating_consts(g: Cfg, loop: LoopInfo, consts: MethodConsts) -> dict[str, int]:
+    """The locals that the loop's header and body read and that hold a known
+    constant at loop entry: defined exactly once in the method, by a constant
+    assignment dominating the header (`consts`, built once per method). In
+    the structured CFGs of `build_cfg` the header dominates its body, so no
+    body node dominates the header and the loop never writes them. The work
+    is proportional to the loop's body."""
+    sites, dominates = consts.sites, consts.dom.dominates
+    out: dict[str, int] = {}
+    for nid in loop.body:
+        for name in ast.scalar_reads(g.nodes[nid].stmt):
+            at = sites.get(name)
+            if at is not None and dominates(at[0], loop.header):
+                out[name] = at[1]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -83,3 +83,22 @@ def api_call_unused():
 @pytest.fixture
 def counted_loop():
     return COUNTED_LOOP
+
+
+def _sequential_loops(k: int) -> str:
+    """A method of `k` sequential counted loops, each with fresh names:
+    `i_j := 0; n_j := 10; one_j := 1; while i_j < n_j do { x := x + a;
+    i_j := i_j + one_j; }`. Every loop terminates."""
+    decls = "".join(f"  var i_{j}: int; var n_{j}: int; var one_{j}: int;\n" for j in range(k))
+    loops = "".join(
+        f"  i_{j} := 0; n_{j} := 10; one_{j} := 1;\n"
+        f"  while i_{j} < n_{j} do {{ x := x + a; i_{j} := i_{j} + one_{j}; }}\n"
+        for j in range(k)
+    )
+    return f"method m(a: int): int {{\n  var x: int;\n{decls}  x := 0;\n{loops}  return x;\n}}\n"
+
+
+@pytest.fixture(scope="session")
+def sequential_loops():
+    """The source of one method of k sequential counted loops, by k."""
+    return _sequential_loops

@@ -39,6 +39,8 @@ method callee(a1: int, a2: int): int {
 method m(o: A, arr: int[], y: int, z: int): int {
   var x: int;
   var r: int;
+  var t: int;
+  var p: int;
   x := 0;
   return x;
 }
@@ -287,8 +289,15 @@ def test_masks_span_several_machine_words():
     assert max(an.rep_id(x) for x in a) >= 64
 
 
-# more representatives than a machine word has bits, interned in this order
+# more representatives than a machine word has bits, interned in this order;
+# method `w` of WIDE_SRC declares the scalars
 WIDE = tuple(Scalar("w", f"v{i}") for i in range(70)) + (TypeField("A", "f"), ArrayPart(0))
+WIDE_SRC = (
+    RULES_SRC
+    + "method w(): int {\n"
+    + "".join(f"  var v{i}: int;\n" for i in range(70))
+    + "  return v0;\n}\n"
+)
 reps = st.sampled_from(WIDE)
 causes = st.sampled_from(tuple(ast.DivergenceCause))
 fact_sets = st.frozensets(
@@ -320,7 +329,7 @@ def reference_transfer(gen, kills, bottoms, writes, branch, fv, d):
     d=fact_sets,
 )
 def test_encoded_transfer_matches_the_set_reference(gen, kills, bottoms, writes, branch, fv, d):
-    an = rule_analyzer()
+    an = Analyzer(ProgramModel(*load(WIDE_SRC)))
     rid = an.rep_id
     for rep in WIDE:
         rid(rep)

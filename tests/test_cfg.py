@@ -11,15 +11,27 @@ from cook.cfg import (
     BRANCH,
     build_cfg,
     control_dependents,
+    dominator_tree,
     dominators,
     find_loops,
     governing_branches,
     post_dominators,
-    dominates,
 )
 from cook.generator import GenParams, generate_program
 from cook.lang import ast, parse
 from cook.lang.parser import MAX_BLOCK_DEPTH
+
+
+def dominates(idom: dict[int, int], root: int, a: int, b: int) -> bool:
+    """True when `a` (post-)dominates `b` under the given immediate-dom map,
+    read up the tree from `b`."""
+    cur = b
+    while True:
+        if cur == a:
+            return True
+        if cur == root:
+            return False
+        cur = idom[cur]
 
 
 def cfg_of(src: str, method: str = None):
@@ -372,6 +384,24 @@ def test_dominators_match_the_node_removal_oracle():
     for g in oracle_cfgs():
         assert tree_sets(dominators(g), g.entry) == brute_dominator_sets(g.entry, g.succs)
         assert tree_sets(post_dominators(g), g.exit) == brute_dominator_sets(g.exit, g.preds)
+
+
+def test_dominator_tree_numbers_answer_every_pair_as_the_oracle():
+    for g in oracle_cfgs():
+        doms = brute_dominator_sets(g.entry, g.succs)
+        tree = dominator_tree(g)
+        for b in range(len(g.nodes)):
+            assert {a for a in range(len(g.nodes)) if tree.dominates(a, b)} == doms[b], b
+
+
+def test_loop_nesting_is_the_smallest_strictly_containing_body():
+    for g in oracle_cfgs():
+        loops = find_loops(g)
+        for loop in loops:
+            around = [o for o in loops if loop.body < o.body]
+            smallest = min(around, key=lambda o: len(o.body), default=None)
+            assert loop.parent == (smallest.id if smallest else None)
+            assert loop.children == tuple(c.id for c in loops if c.parent == loop.id)
 
 
 def test_control_dependence_matches_the_node_removal_oracle():

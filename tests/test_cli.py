@@ -294,3 +294,20 @@ def test_a_rejected_argument_is_echoed_short(tmp_path, args):
     (line,) = done.stderr.splitlines()
     assert line.startswith("Error: bad --args: a: int cannot be ")
     assert line.endswith("…") and len(line) < 120
+
+
+def test_analyze_judges_every_loop_of_a_long_method(tmp_path, sequential_loops):
+    (tmp_path / "unit.carib").write_text(sequential_loops(300))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "cook", "analyze", "unit.carib", "--format", "json"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    (method,) = json.loads(done.stdout)["methods"]
+    assert len(method["loops"]) == 300
+    assert all(loop["terminates"] for loop in method["loops"])

@@ -1,12 +1,14 @@
 """Work counters that must grow linearly with the program.
 
-Two shapes of program are grown:
+Three shapes of program are grown:
 
 * call chains: `m{k}` calls `m{k+1}` and the last one returns its formal; no
   loops, no APIs, every method an island;
 * census-profile programs (the benchmark's `census` profile, generator seed
   0) of 125, 250 and 500 methods, with loops, APIs and recursion; some of
-  their methods are in the swamp.
+  their methods are in the swamp;
+* one method of 250, 500 and 1000 sequential counted loops, each with fresh
+  names, whose loops `ProgramModel` judges.
 
 Doubling the program may at most double each counter, with a little slack;
 a counter that grows faster is a quadratic cost on large programs. Nothing
@@ -19,6 +21,7 @@ import pytest
 
 from cook import analysis
 from cook.analysis import AnalysisResult, Analyzer, analyze_program
+from cook.cfg import DomTree, LoopInfo
 from cook.generator import GenParams, generate_program
 from cook.lang import ast, load
 from cook.pipeline import ProgramModel
@@ -26,6 +29,7 @@ from cook.report import transformed_model
 
 CHAIN_SIZES = (250, 500, 1000)
 CENSUS_SIZES = (125, 250, 500)
+LOOP_SIZES = (250, 500, 1000)
 GROWTH = 2.2  # the most a counter may grow when the program doubles
 # the generator profile of the benchmark's `census` workload
 CENSUS = dict(
@@ -123,3 +127,58 @@ def test_chain_call_node_writes_grow_linearly(chains):
 @pytest.mark.xfail(strict=True, reason=ITEM_1)
 def test_census_call_node_writes_grow_linearly(censuses):
     assert_linear(censuses, "call_node_writes")
+
+
+def counted_reads(counts: dict[str, int], key: str, slot):
+    """A property over the slot descriptor `slot` that counts its reads."""
+
+    def read(self):
+        counts[key] += 1
+        return slot.__get__(self)
+
+    return property(read, slot.__set__)
+
+
+def loop_counters(program: ast.Program) -> tuple[dict[str, int], ProgramModel]:
+    """The loop layer's work on a program while `ProgramModel` judges its
+    loops: O(1) dominance queries, `ast.scalar_writes` calls, and reads of
+    `LoopInfo.parent` (a scan for a loop's children reads every loop's) and
+    of `LoopInfo.body` (comparing nests reads both bodies)."""
+    counts = dict(dominance_queries=0, scalar_writes=0, parent_reads=0, body_reads=0)
+    dominates, scalar_writes = DomTree.dominates, ast.scalar_writes
+
+    def counting_dominates(self, a, b):
+        counts["dominance_queries"] += 1
+        return dominates(self, a, b)
+
+    def counting_scalar_writes(*args):
+        counts["scalar_writes"] += 1
+        return scalar_writes(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DomTree, "dominates", counting_dominates)
+        mp.setattr(ast, "scalar_writes", counting_scalar_writes)
+        for key, name in (("parent_reads", "parent"), ("body_reads", "body")):
+            mp.setattr(LoopInfo, name, counted_reads(counts, key, LoopInfo.__dict__[name]))
+        model = ProgramModel(program)
+    return counts, model
+
+
+@pytest.fixture(scope="module")
+def long_methods(sequential_loops) -> list[tuple[dict[str, int], ProgramModel]]:
+    return [loop_counters(load(sequential_loops(k))[0]) for k in LOOP_SIZES]
+
+
+LOOP_COUNTERS = ("dominance_queries", "scalar_writes", "parent_reads", "body_reads")
+
+
+@pytest.mark.parametrize("counter", LOOP_COUNTERS)
+def test_long_method_counter_grows_linearly(long_methods, counter):
+    assert_linear([counts for counts, _ in long_methods], counter)
+
+
+def test_every_loop_of_a_long_method_is_proven(long_methods):
+    for k, (_, model) in zip(LOOP_SIZES, long_methods):
+        loops = model.methods["m"].loops
+        assert len(loops) == k
+        assert all(lm.verdict.terminates for lm in loops)

@@ -2,16 +2,18 @@
 exactness against the interpreter."""
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cook.aliases import AliasAnalysis
-from cook.cfg import build_cfg, dominators, find_loops
+from cook.cfg import build_cfg, find_loops
 from cook.errors import NoInductionVariable, NotDependencyFree
-from cook.generator import generate_df_loop
+from cook.generator import GenParams, generate_df_loop, generate_program
 from cook.interp import ArrVal, Outcome, run_concrete
 from cook.lang import ast, load, pretty
+from cook.pipeline import SUMMARY, ProgramModel
 from cook.summaries import (
     GuardAtom,
     IDENTITY,
@@ -27,10 +29,17 @@ from cook.summaries import (
     num_count,
     num_expr,
     path_formula,
+    step_transition,
     summarize,
     var_expr,
 )
-from cook.termination import counter_strides, dominating_consts, extract_cycles
+from cook.termination import (
+    OpaqueUpdate,
+    counter_strides,
+    dominating_consts,
+    extract_cycles,
+    method_consts,
+)
 
 
 def loop_context(src: str):
@@ -40,7 +49,7 @@ def loop_context(src: str):
     loops = find_loops(g)
     assert len(loops) == 1
     cs = extract_cycles(loops[0], g, loops)
-    pre = dominating_consts(g, loops[0], dominators(g))
+    pre = dominating_consts(g, loops[0], method_consts(g))
     return p, sym, m, cs, tuple(cycle_formula(c, pre, m.id) for c in cs.cycles)
 
 
@@ -93,6 +102,44 @@ def test_guard_after_update_constrains_updated_value():
     c = compose(inc, test)
     (atom,) = c.guard
     assert atom.left == ("bin", "+", var_expr("x"), num_expr(1))
+
+
+# the generator profiles of the benchmark's three workloads
+FOLD_PROFILES = {
+    "census": dict(
+        methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
+    ),
+    "islands": dict(methods=50, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1),
+    "loops": dict(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1),
+}
+
+
+def test_one_pass_path_formula_equals_the_pairwise_compose_fold():
+    """Every closing cycle of every judged loop, under the summary policy so
+    inner loops are stepped over too, gives the same transition from
+    `path_formula` as from folding its steps with `compose`."""
+    seen = {"cycles": 0, "guards": 0, "arrays": 0, "fields": 0, "opaque": 0}
+    for profile, params in FOLD_PROFILES.items():
+        cycles = seen["cycles"]
+        for seed in range(12):
+            model = ProgramModel(generate_program(seed, GenParams(**params)), nested_policy=SUMMARY)
+            for mid, mm in model.methods.items():
+                consts = method_consts(mm.cfg) if mm.loops else None
+                for lm in mm.loops:
+                    if lm.cycles is None:
+                        continue
+                    pre = dominating_consts(mm.cfg, lm.info, consts)
+                    for cycle in lm.cycles.cycles:
+                        steps = [step_transition(st, pre, mid) for st in cycle]
+                        folded = reduce(compose, steps, IDENTITY)
+                        assert path_formula(steps) == folded, (profile, seed, mid, lm.info.header)
+                        seen["cycles"] += 1
+                        seen["guards"] += len(folded.guard) > 1
+                        seen["arrays"] += bool(folded.arrays)
+                        seen["fields"] += bool(folded.field_writes)
+                        seen["opaque"] += any(isinstance(st, OpaqueUpdate) for st in cycle)
+        assert seen["cycles"] - cycles >= 100, (profile, seen)
+    assert min(seen.values()) >= 20, seen
 
 
 # -- classification ---------------------------------------------------------
@@ -361,7 +408,7 @@ def test_generated_df_loops_match_interpreter_exactly():
         g = build_cfg(m)
         loops = find_loops(g)
         cs = extract_cycles(loops[0], g, loops)
-        pre = dominating_consts(g, loops[0], dominators(g))
+        pre = dominating_consts(g, loops[0], method_consts(g))
         formulas = tuple(cycle_formula(c, pre, mid) for c in cs.cycles)
         tt = classify_terms(cs, formulas, counter_strides(formulas))
         verdict = df_check(cs, tt)

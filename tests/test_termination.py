@@ -11,7 +11,7 @@ import random
 import pytest
 
 from cook.aliases import AliasAnalysis
-from cook.cfg import build_cfg, dominators, find_loops
+from cook.cfg import build_cfg, find_loops
 from cook.errors import NestedLoopError, PathExplosionError
 from cook.generator import GenParams, generate_df_loop, generate_program
 from cook.interp import Outcome, random_store, run_concrete
@@ -25,6 +25,7 @@ from cook.termination import (
     counter_strides,
     dominating_consts,
     extract_cycles,
+    method_consts,
 )
 
 
@@ -38,7 +39,7 @@ def loop_of(src: str, method=None):
 
 
 def closing_formulas(cs, g, loop, m):
-    pre = dominating_consts(g, loop, dominators(g))
+    pre = dominating_consts(g, loop, method_consts(g))
     return tuple(cycle_formula(c, pre, m.id) for c in cs.cycles)
 
 
@@ -534,22 +535,48 @@ def brute_dominating_consts(g, loop) -> dict[str, int]:
     return out
 
 
+def read_names(s) -> set[str]:
+    """The names a CFG node's statement reads, read off each statement form;
+    a branch node's statement reads the two names of its condition."""
+    if isinstance(s, (ast.IfElse, ast.While)):
+        return {s.cond.left, s.cond.right}
+    if isinstance(s, ast.Call):
+        return set(s.actuals)
+    if s is None or isinstance(s, (ast.ConstAssign, ast.BottomAssign)):
+        return set()
+    fields = ("source", "operand", "left", "right", "obj", "array", "index", "value")
+    return {getattr(s, f) for f in fields if hasattr(s, f)}
+
+
 def test_dominating_consts_match_brute_force_on_loop_dense_programs():
+    """The method's table holds, for every loop, exactly the brute-force
+    constants at its header; `dominating_consts` gives those the loop reads."""
     params = GenParams(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1)
-    loops_seen = names_seen = 0
+    loops_seen = names_seen = read_seen = 0
     for seed in range(30):
         for m in generate_program(seed, params).methods:
             if m.extern:
                 continue
             g = build_cfg(m)
             loops = find_loops(g)
-            idom = dominators(g)
+            consts = method_consts(g)
             for loop in loops:
                 want = brute_dominating_consts(g, loop)
-                assert dominating_consts(g, loop, idom) == want, (seed, m.id, loop.header)
+                held = {
+                    name: value
+                    for name, (nid, value) in consts.sites.items()
+                    if consts.dom.dominates(nid, loop.header)
+                }
+                assert held == want, (seed, m.id, loop.header)
+                reads = set().union(*(read_names(g.nodes[n].stmt) for n in loop.body))
+                read = {name: value for name, value in want.items() if name in reads}
+                assert dominating_consts(g, loop, consts) == read, (seed, m.id, loop.header)
                 loops_seen += 1
                 names_seen += len(want)
-    assert loops_seen >= 300 and names_seen >= 1000
+                read_seen += len(read)
+    assert loops_seen >= 300 and names_seen >= 1000 and read_seen >= 300, (
+        loops_seen, names_seen, read_seen
+    )
 
 
 # The loop layer's whole output, pinned per loop: the termination verdict,

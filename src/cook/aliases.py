@@ -16,7 +16,15 @@ heap writes transitively (`heap_writes`). The scalars a statement writes are
 Each method body is walked once: the walk applies the body's partition
 joins, collects its write targets and resolves each call once, for the joins
 and the call row alike; an array-cell target waits, by array name, for the
-last join before its partition is numbered. A method's whole write set is
+last join before its partition is numbered. The walk picks each
+statement's kind once, by `type(s)` (the statement classes have no
+subclasses), and keeps the frame's written scalars as names, so it makes
+one `Scalar` per distinct written name of the method rather than one per
+writing statement; a bottom assignment adds its targets as they are. Field
+representatives are memoized by the receiver's static type and the field
+name, the key `analysis.Analyzer.field_id` uses, and `field_rep` reads the
+same memo for the walk and for `_stmt_targets`, which still serves
+`written_reps` and `observable_writes`. A method's whole write set is
 closed over its callees in one pass over the call graph's strongly connected
 components, callees first, and the members of a component share one set.
 The call rows are the call graph's (`calls`), so calls are resolved once
@@ -64,6 +72,8 @@ class AliasAnalysis:
         self._slot_order: list[tuple] = []
         self._part_ids: dict[tuple, int] = {}
         self._rlv_memo: dict[str, frozenset[Representative]] = {}
+        # field representatives by the static type of the receiver and the field name
+        self._field_memo: dict[tuple[str, str], TypeField] = {}
         if base is not None:
             # A rewritten program references partition ids baked into its
             # bottom assignments, so it must keep the base's numbering; the
@@ -133,8 +143,11 @@ class AliasAnalysis:
         return TypeField(decl, field_name)
 
     def field_rep(self, method_id: str, obj: str, field_name: str) -> TypeField:
-        otype = self.sym.var_types[method_id][obj]
-        return self.field_rep_for(otype, field_name)
+        key = (self.sym.var_types[method_id][obj], field_name)
+        tf = self._field_memo.get(key)
+        if tf is None:
+            tf = self._field_memo[key] = self.field_rep_for(*key)
+        return tf
 
     def array_rep(self, method_id: str, name: str) -> ArrayPart:
         return ArrayPart(self.partition_of(method_id, name))
@@ -142,11 +155,12 @@ class AliasAnalysis:
     # -- write sets --------------------------------------------------------------
 
     def _stmt_targets(self, method_id: str, s: ast.Stmt) -> set[Representative]:
-        if isinstance(s, ast.FieldWrite):
+        kind = type(s)
+        if kind is ast.FieldWrite:
             return {self.field_rep(method_id, s.obj, s.field_name)}
-        if isinstance(s, ast.ArrayWrite):
+        if kind is ast.ArrayWrite:
             return {self.array_rep(method_id, s.array)}
-        if isinstance(s, ast.BottomAssign):
+        if kind is ast.BottomAssign:
             return set(s.targets)
         return {Scalar(method_id, name) for name in ast.scalar_writes(s, method_id)}
 
@@ -157,7 +171,7 @@ class AliasAnalysis:
         join = base is None
         targets: dict[str, frozenset[Representative]] = {}
         calls: dict[str, tuple[str, ...]] = {}
-        walked: dict[str, tuple[set[Representative], set[str]]] = {}
+        walked: dict[str, tuple[set[str], set[Representative], set[str]]] = {}
         for m in self.program.methods:
             if m.extern:
                 continue
@@ -170,15 +184,26 @@ class AliasAnalysis:
                 t = env.get(name)
                 return t is not None and ast.is_array_type(t)
 
-            reps: set[Representative] = set()
+            names: set[str] = set()  # the frame's written scalars
+            reps: set[Representative] = set()  # field and bottom targets
             arrays: set[str] = set()  # numbered once every join is made
             row: dict[str, None] = {}  # internal callees, each once, in first-call order
             for s in ast.walk(m.body):
-                if isinstance(s, ast.ArrayWrite):
+                kind = type(s)
+                if kind is ast.ArrayWrite:
                     arrays.add(s.array)
-                else:
-                    reps |= self._stmt_targets(m.id, s)
-                if isinstance(s, ast.Call):
+                    continue
+                if kind is ast.FieldWrite:
+                    tf = self.field_rep(m.id, s.obj, s.field_name)
+                    reps.add(tf)
+                    if join and arr(s.source):
+                        self._union((_FIELD, tf.type_name, tf.field_name), (_VAR, m.id, s.source))
+                    continue
+                if kind is ast.BottomAssign:
+                    reps.update(s.targets)
+                    continue
+                names.update(ast.scalar_writes(s, m.id))
+                if kind is ast.Call:
                     for callee in self.sym.resolve_call(m, s):
                         if callee.extern:
                             continue  # externs are pure stubs and sinks of the rewrite
@@ -192,25 +217,24 @@ class AliasAnalysis:
                             self._union((_VAR, m.id, s.target), (_RETSLOT, callee.id))
                 elif not join:
                     continue
-                elif isinstance(s, ast.CopyAssign) and arr(s.target) and arr(s.source):
+                elif kind is ast.CopyAssign and arr(s.target) and arr(s.source):
                     self._union((_VAR, m.id, s.target), (_VAR, m.id, s.source))
-                elif isinstance(s, ast.FieldRead) and arr(s.target):
+                elif kind is ast.FieldRead and arr(s.target):
                     tf = self.field_rep(m.id, s.obj, s.field_name)
                     self._union((_VAR, m.id, s.target), (_FIELD, tf.type_name, tf.field_name))
-                elif isinstance(s, ast.FieldWrite) and arr(s.source):
-                    tf = self.field_rep(m.id, s.obj, s.field_name)
-                    self._union((_FIELD, tf.type_name, tf.field_name), (_VAR, m.id, s.source))
-                elif isinstance(s, ast.Return) and arr(s.value):
+                elif kind is ast.Return and arr(s.value):
                     self._union((_RETSLOT, m.id), (_VAR, m.id, s.value))
-            walked[m.id], calls[m.id] = (reps, arrays), tuple(row)
+            walked[m.id], calls[m.id] = (names, reps, arrays), tuple(row)
         if join:
             # stable dense ids in slot-declaration order
             for key in self._slot_order:
                 root = self._find(key)
                 if root not in self._part_ids:
                     self._part_ids[root] = len(self._part_ids)
-        for mid, (reps, arrays) in walked.items():
-            targets[mid] = frozenset(reps | {self.array_rep(mid, a) for a in arrays})
+        for mid, (names, reps, arrays) in walked.items():
+            reps.update([Scalar(mid, name) for name in names])
+            reps.update([self.array_rep(mid, a) for a in arrays])
+            targets[mid] = frozenset(reps)
         writes: dict[str, frozenset[Representative]] = {}
         heap: dict[str, frozenset[Representative]] = {}
         for scc in strongly_connected_components(tuple(calls), calls):

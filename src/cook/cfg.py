@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 from .errors import CheckDiagnostic
 from .lang import ast
+from .values import value
 
 ENTRY = "entry"
 EXIT = "exit"
@@ -207,7 +208,7 @@ def post_dominators(g: Cfg) -> dict[int, int]:
     return dict(enumerate(_post_idoms(g)))
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class DomTree:
     """The dominator tree from entry, numbered in preorder: `pre` is each
     node's position and `end` one past the last position of its subtree

@@ -25,9 +25,10 @@ of any length.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from ..representatives import Representative, Scalar
+from ..values import value
 
 # ---------------------------------------------------------------------------
 # types and locations
@@ -50,7 +51,7 @@ def elem_type(t: str) -> str:
     return t[:-2]
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Loc:
     line: int = 0
     col: int = 0
@@ -71,7 +72,7 @@ class DivergenceCause(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Cond:
     left: str
     op: str
@@ -90,21 +91,21 @@ class Stmt:
 Block = tuple[Stmt, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ConstAssign(Stmt):
     target: str
     value: int | None  # None encodes the null literal
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class CopyAssign(Stmt):
     target: str
     source: str
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class UnaryAssign(Stmt):
     target: str
     op: str
@@ -112,7 +113,7 @@ class UnaryAssign(Stmt):
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class BinaryAssign(Stmt):
     target: str
     left: str
@@ -121,7 +122,7 @@ class BinaryAssign(Stmt):
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class FieldRead(Stmt):
     target: str
     obj: str
@@ -129,7 +130,7 @@ class FieldRead(Stmt):
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class FieldWrite(Stmt):
     obj: str
     field_name: str
@@ -137,7 +138,7 @@ class FieldWrite(Stmt):
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ArrayRead(Stmt):
     target: str
     array: str
@@ -145,7 +146,7 @@ class ArrayRead(Stmt):
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ArrayWrite(Stmt):
     array: str
     index: str
@@ -153,7 +154,7 @@ class ArrayWrite(Stmt):
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class IfElse(Stmt):
     cond: Cond
     then_body: Block
@@ -161,14 +162,14 @@ class IfElse(Stmt):
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class While(Stmt):
     cond: Cond
     body: Block
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Call(Stmt):
     target: str
     callee: str
@@ -176,13 +177,13 @@ class Call(Stmt):
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Return(Stmt):
     value: str
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class BottomAssign(Stmt):
     """Parallel assignment of divergence to a set of representatives."""
 
@@ -208,14 +209,14 @@ ASSIGN_FORMS = (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class FieldDecl:
     name: str
     type: str
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ClassDecl:
     name: str
     superclass: str | None
@@ -224,20 +225,20 @@ class ClassDecl:
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class InterfaceDecl:
     name: str
     extends: tuple[str, ...]
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Param:
     name: str
     type: str
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Method:
     name: str
     owner: str | None
@@ -247,13 +248,14 @@ class Method:
     body: Block | None  # None only for extern declarations
     extern: bool = False
     loc: Loc = field(default=UNKNOWN_LOC, compare=False)
+    # `Owner.name` for a method of a class, the bare name otherwise
+    id: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def id(self) -> str:
-        return f"{self.owner}.{self.name}" if self.owner else self.name
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "id", f"{self.owner}.{self.name}" if self.owner else self.name)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Program:
     classes: tuple[ClassDecl, ...]
     interfaces: tuple[InterfaceDecl, ...]

@@ -13,10 +13,10 @@ Representatives render as ``m::x``, ``A.f``, ``part#k`` and ``⊥`` in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .values import value
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Scalar:
     method: str
     name: str
@@ -25,7 +25,7 @@ class Scalar:
         return f"{self.method}::{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class TypeField:
     type_name: str
     field_name: str
@@ -34,7 +34,7 @@ class TypeField:
         return f"{self.type_name}.{self.field_name}"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ArrayPart:
     part: int
 
@@ -42,7 +42,7 @@ class ArrayPart:
         return f"part#{self.part}"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Bottom:
     def render(self) -> str:
         return "⊥"

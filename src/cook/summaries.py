@@ -21,13 +21,12 @@ symbolic here and is evaluated by iteration when entry states are concrete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NoInductionVariable, NotDependencyFree
 from .interp import RELOPS, binop64, unop64, wrap64
 from .lang import ast
 from .representatives import Scalar
 from .termination import UNARY_OPS, CycleSet, OpaqueUpdate, linear_of
+from .values import value
 
 # Expressions are nested tuples:
 #   ("num", c) | ("var", x) | ("bin", op, a, b) | ("neg", a) | ("not", a) | OPAQUE
@@ -109,7 +108,7 @@ def render_expr(e: tuple, rename: dict[str, str] | None = None) -> str:
     return "?"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class GuardAtom:
     left: tuple
     op: str
@@ -131,7 +130,7 @@ class GuardAtom:
         return f"{render_expr(self.left, rename)} {self.op} {render_expr(self.right, rename)}"
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Transition:
     """A guard over pre-state variables and the updates it enables."""
 
@@ -271,7 +270,7 @@ def cycle_formula(cycle: tuple, pre_consts: dict[str, int], method_id: str) -> T
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class TermTypes:
     counters: dict[str, tuple[int, ...]]  # per closing cycle strides (0 = unchanged)
     induction: str
@@ -281,7 +280,7 @@ class TermTypes:
     formulas: tuple[Transition, ...]  # one per closing cycle
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class DfVerdict:
     dependency_free: bool
     violation: int | None = None  # constraint 1, 2, or 3
@@ -412,7 +411,7 @@ def df_check(cs: CycleSet, tt: TermTypes, distinct_array_parts=None) -> DfVerdic
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class LoopSummary:
     induction: str
     synthetic_induction: bool

@@ -43,12 +43,11 @@ method's loops takes time linear in the method times its loop nesting depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cfg import BRANCH, Cfg, DomTree, LoopInfo, dominator_tree
 from .errors import NestedLoopError, PathExplosionError
 from .interp import binop64, unop64
 from .lang import ast
+from .values import value
 
 # a loop with more single-iteration paths than this is left unjudged
 MAX_CYCLES = 64
@@ -57,14 +56,14 @@ _NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class OpaqueUpdate:
     """Stand-in for an inner loop folded to its write effect."""
 
     names: frozenset[str]
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class CycleSet:
     """A loop's closing cycles, each the tuple of its steps in path order.
 
@@ -79,7 +78,7 @@ class CycleSet:
     written_names: frozenset[str]  # every scalar the loop body may write
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class TerminationVerdict:
     terminates: bool
     counter: str | None = None
@@ -225,7 +224,7 @@ def counter_strides(formulas: tuple) -> dict[str, tuple[int, ...]]:
     return table
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class MethodConsts:
     """What the loops of one method share for `dominating_consts`: each
     local defined exactly once in the method, by a non-null constant

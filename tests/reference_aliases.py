@@ -1,0 +1,108 @@
+"""The alias walk as it was before `cook.aliases` picked each statement's
+kind once and kept the frame's written scalars as names, kept as the
+reference for `tests/test_aliases.py`.
+
+`ReferenceAliases` is an `AliasAnalysis` whose body walk asks `isinstance`
+of every statement in turn and builds a fresh target set per statement,
+with one `Scalar` for every statement that writes a scalar. Everything else
+is `AliasAnalysis`'s own, so a test can compare the partitions, targets,
+call rows and write sets the two walks give for the same program.
+"""
+
+from __future__ import annotations
+
+from cook.aliases import _FIELD, _RETSLOT, _VAR, AliasAnalysis
+from cook.callgraph import strongly_connected_components
+from cook.lang import ast
+from cook.representatives import Representative, Scalar
+
+
+class ReferenceAliases(AliasAnalysis):
+    def _stmt_targets(self, method_id: str, s: ast.Stmt) -> set[Representative]:
+        if isinstance(s, ast.FieldWrite):
+            return {self.field_rep(method_id, s.obj, s.field_name)}
+        if isinstance(s, ast.ArrayWrite):
+            return {self.array_rep(method_id, s.array)}
+        if isinstance(s, ast.BottomAssign):
+            return set(s.targets)
+        return {Scalar(method_id, name) for name in ast.scalar_writes(s, method_id)}
+
+    def _build_method_writes(self, base: "AliasAnalysis | None") -> None:
+        """Joins, targets and call rows from one walk per body, then the
+        write sets closed over internal calls, as `cook.aliases` describes;
+        a method that is the same object in `base`'s program is not walked."""
+        join = base is None
+        targets: dict[str, frozenset[Representative]] = {}
+        calls: dict[str, tuple[str, ...]] = {}
+        walked: dict[str, tuple[set[Representative], set[str]]] = {}
+        for m in self.program.methods:
+            if m.extern:
+                continue
+            if base is not None and base.sym.methods.get(m.id) is m:
+                targets[m.id], calls[m.id] = base._targets[m.id], base.calls[m.id]
+                continue
+            env = self.sym.var_types[m.id]
+
+            def arr(name: str) -> bool:
+                t = env.get(name)
+                return t is not None and ast.is_array_type(t)
+
+            reps: set[Representative] = set()
+            arrays: set[str] = set()  # numbered once every join is made
+            row: dict[str, None] = {}  # internal callees, each once, in first-call order
+            for s in ast.walk(m.body):
+                if isinstance(s, ast.ArrayWrite):
+                    arrays.add(s.array)
+                else:
+                    reps |= self._stmt_targets(m.id, s)
+                if isinstance(s, ast.Call):
+                    for callee in self.sym.resolve_call(m, s):
+                        if callee.extern:
+                            continue  # externs are pure stubs and sinks of the rewrite
+                        row[callee.id] = None
+                        if not join:
+                            continue
+                        for actual, formal in zip(s.actuals, callee.formals):
+                            if arr(actual) and ast.is_array_type(formal.type):
+                                self._union((_VAR, callee.id, formal.name), (_VAR, m.id, actual))
+                        if arr(s.target) and ast.is_array_type(callee.return_type):
+                            self._union((_VAR, m.id, s.target), (_RETSLOT, callee.id))
+                elif not join:
+                    continue
+                elif isinstance(s, ast.CopyAssign) and arr(s.target) and arr(s.source):
+                    self._union((_VAR, m.id, s.target), (_VAR, m.id, s.source))
+                elif isinstance(s, ast.FieldRead) and arr(s.target):
+                    tf = self.field_rep(m.id, s.obj, s.field_name)
+                    self._union((_VAR, m.id, s.target), (_FIELD, tf.type_name, tf.field_name))
+                elif isinstance(s, ast.FieldWrite) and arr(s.source):
+                    tf = self.field_rep(m.id, s.obj, s.field_name)
+                    self._union((_FIELD, tf.type_name, tf.field_name), (_VAR, m.id, s.source))
+                elif isinstance(s, ast.Return) and arr(s.value):
+                    self._union((_RETSLOT, m.id), (_VAR, m.id, s.value))
+            walked[m.id], calls[m.id] = (reps, arrays), tuple(row)
+        if join:
+            # stable dense ids in slot-declaration order
+            for key in self._slot_order:
+                root = self._find(key)
+                if root not in self._part_ids:
+                    self._part_ids[root] = len(self._part_ids)
+        for mid, (reps, arrays) in walked.items():
+            targets[mid] = frozenset(reps | {self.array_rep(mid, a) for a in arrays})
+        writes: dict[str, frozenset[Representative]] = {}
+        heap: dict[str, frozenset[Representative]] = {}
+        for scc in strongly_connected_components(tuple(calls), calls):
+            reps = set()
+            for mid in scc:
+                reps |= targets[mid]
+                for callee in calls[mid]:
+                    reps |= writes.get(callee, frozenset())  # absent: same SCC
+            shared = frozenset(reps)
+            shared_heap = frozenset(r for r in shared if not isinstance(r, Scalar))
+            for mid in scc:
+                writes[mid] = shared
+                heap[mid] = shared_heap
+        self._targets = targets
+        # internal callees per method, for the call graph
+        self.calls = calls
+        self._writes_memo = writes
+        self._heap_memo = heap

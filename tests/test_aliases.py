@@ -12,6 +12,7 @@ from cook.lang.check import check
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
 from cook.representatives import ArrayPart, Scalar, TypeField
+from reference_aliases import ReferenceAliases
 
 
 def build(src):
@@ -236,6 +237,13 @@ CENSUS = dict(
     methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
 )
 ISLANDS = dict(methods=50, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1)
+# the `loops` workload's loop-dense profile, analyzed under the summary policy
+LOOP_DENSE = dict(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1)
+PROFILES = (
+    ("census", CENSUS, "basic", range(4)),
+    ("islands", ISLANDS, "basic", range(3)),
+    ("loops", LOOP_DENSE, "summary", range(30)),
+)
 
 
 @pytest.mark.parametrize("params", (CENSUS, ISLANDS), ids=("census", "islands"))
@@ -262,3 +270,118 @@ method top(o: A): int { var r: int; r := even(o, r); return r; }
     assert al.heap_writes("even") is al.heap_writes("odd")
     assert al.heap_writes("even") == {TypeField("A", "f"), TypeField("A", "g")}
     assert al.heap_writes("top") == al.heap_writes("even")
+
+
+def models(params, policy, seeds):
+    """The first and the rewritten model of each seed's generated program."""
+    for seed in seeds:
+        model = ProgramModel(generate_program(seed, GenParams(**params)), nested_policy=policy)
+        yield seed, model, transformed_model(model)
+
+
+def assert_walks_as_the_reference(model, tmodel) -> None:
+    """Partitions, targets, call rows and closed write sets equal those of
+    the walk that tested each statement with `isinstance`, for the first
+    model and for the rewritten one, which takes the `base` path."""
+    ref = ReferenceAliases(model.program, model.symbols)
+    ref2 = ReferenceAliases(tmodel.program, tmodel.symbols, base=ref)
+    for al, ra in ((model.aliases, ref), (tmodel.aliases, ref2)):
+        assert al._part_ids == ra._part_ids
+        assert al.calls == ra.calls
+        assert al._targets == ra._targets
+        for mid in al.calls:
+            assert al.call_writes(mid) == ra.call_writes(mid), mid
+            assert al.heap_writes(mid) == ra.heap_writes(mid), mid
+
+
+@pytest.mark.parametrize(
+    "params, policy, seeds", [p[1:] for p in PROFILES], ids=[p[0] for p in PROFILES]
+)
+def test_walk_matches_the_reference_walk(params, policy, seeds):
+    arrays = rewritten = 0
+    for seed, model, tmodel in models(params, policy, seeds):
+        assert_walks_as_the_reference(model, tmodel)
+        arrays += len(model.aliases._part_ids)
+        rewritten += tmodel.program != model.program
+    assert arrays
+    assert rewritten or params is ISLANDS  # islands have no divergence to rewrite
+
+
+# arrays flow through fields, calls, returns and copies, which the generator
+# never writes, and the rewrite leaves bottom assignments in `mix`
+ARRAY_TRAFFIC = """
+class A { d: int[]; n: int; }
+class B extends A { e: int[]; }
+extern method api(x: int): int;
+method put(o: A, a: int[]): int { var r: int; o.d := a; r := 0; return r; }
+method get(o: B): int[] { var a: int[]; a := o.d; return a; }
+method mix(o: B, a: int[], b: int[], i: int): int {
+  var c: int[]; var x: int; var r: int; var lo: int; var hi: int;
+  c := get(o);
+  x := put(o, b);
+  c[i] := x;
+  a := c;
+  o.e := a;
+  lo := 0; hi := 1;
+  while lo < hi do { x := x + i; }
+  r := api(x);
+  o.n := r;
+  return x;
+}
+"""
+
+
+def test_array_traffic_walks_as_the_reference():
+    model = ProgramModel(*load(ARRAY_TRAFFIC))
+    tmodel = transformed_model(model)
+    assert any(type(s) is ast.BottomAssign for s in ast.walk(tmodel.symbols.methods["mix"].body))
+    assert_walks_as_the_reference(model, tmodel)
+    al = model.aliases
+    assert al.partition_of("mix", "b") == al.partition_of_field(TypeField("B", "e"))
+
+
+def scalar_pairs(method: ast.Method) -> list[tuple[str, str]]:
+    """(method, name) for every scalar a statement of the body writes,
+    bottom assignments left out, once per writing statement."""
+    return [
+        (method.id, name)
+        for s in ast.walk(method.body)
+        if type(s) is not ast.BottomAssign
+        for name in ast.scalar_writes(s, method.id)
+    ]
+
+
+@pytest.mark.parametrize("params, policy", [p[1:3] for p in PROFILES], ids=[p[0] for p in PROFILES])
+def test_the_walk_makes_one_scalar_per_written_name(monkeypatch, params, policy):
+    """The walk makes one `Scalar` per distinct written name of a walked
+    method, where the reference made one per writing statement; the
+    rewritten model walks only the methods the rewrite changed."""
+    made: list[tuple[str, str]] = []
+    init = Scalar.__init__
+
+    def counting(self, method, name):
+        made.append((method, name))
+        init(self, method, name)
+
+    def scalars_made(build) -> list[tuple[str, str]]:
+        made.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Scalar, "__init__", counting)
+            build()
+        return sorted(made)
+
+    for seed, model, tmodel in models(params, policy, range(3)):
+        p, p2 = model.program, tmodel.program
+        first = [pair for m in p.methods if not m.extern for pair in scalar_pairs(m)]
+        again = [
+            pair
+            for m in p2.methods
+            if not m.extern and model.symbols.methods.get(m.id) is not m
+            for pair in scalar_pairs(m)
+        ]
+        assert scalars_made(lambda: AliasAnalysis(p, model.symbols)) == sorted(set(first))
+        assert scalars_made(
+            lambda: AliasAnalysis(p2, tmodel.symbols, base=model.aliases)
+        ) == sorted(set(again))
+        assert scalars_made(lambda: ReferenceAliases(p, model.symbols)) == sorted(first)
+        assert len(first) > len(set(first)), seed

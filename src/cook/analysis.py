@@ -40,17 +40,21 @@ the statement kind with one `type(s)` and each kind builds its tuples
 directly; the four scalar assignments, about half of all nodes, come first.
 `Analyzer.spec` builds a method's entries, its heap footprint (read only
 from the kinds that can name the heap), its control pairs and its wake lists
-in one pass over the CFG. A write depends on everything it reads: its
-operands, the field or array representative, and the base pointer and index
-it dereferences, matching the reified semantics where a bottom base or index
-smears the access. Scalar targets kill their old facts; field and array
-targets never kill, because their representatives over-approximate aliases.
-A call statement's entry names each internal callee with a substitution: the
-caller's actuals for the callee's formals and the call target for its return
-slot. A callee's summary is the only input that changes during the fixpoint,
-so the entry does not hold it: `transfer` reads the current summary mask
-dict and composes it through the substitution on every visit, and the
-method's entry seeds the field and array ids the summary names.
+in one pass over the CFG. A node's governing branches come from
+`cfg.governing_branches` as one int bitset; the writes with the same bitset
+share one tuple of control pairs, each branch with the variables of its
+condition, and are added once to each of those branches' wake lists. A write
+depends on everything it reads: its operands, the field or array
+representative, and the base pointer and index it dereferences, matching the
+reified semantics where a bottom base or index smears the access. Scalar
+targets kill their old facts; field and array targets never kill, because
+their representatives over-approximate aliases. A call statement's entry
+names each internal callee with a substitution: the caller's actuals for the
+callee's formals and the call target for its return slot. A callee's summary
+is the only input that changes during the fixpoint, so the entry does not
+hold it: `transfer` reads the current summary mask dict and composes it
+through the substitution on every visit, and the method's entry seeds the
+field and array ids the summary names.
 
 One transfer (`transfer`) maps a node's entry, its IN facts and the current
 summaries to OUT: it pops killed dependents, ORs the IN mask of each
@@ -367,8 +371,8 @@ class Analyzer:
         governing = self.model.governing(method_id)
         nodes: list[NodeSpec] = []
         control: list[tuple[tuple[int, int], ...]] = []
-        # governing branches -> (their control pairs, the writes they govern)
-        groups: dict[frozenset[int], tuple[tuple[tuple[int, int], ...], list[int]]] = {}
+        # governing branch bitset -> (its control pairs, the writes it governs)
+        groups: dict[int, tuple[tuple[tuple[int, int], ...], list[int]]] = {}
         touched: set[int] = set()  # writes and sources of the nodes that may name the heap
         call_nodes: list[int] = []
         for n, node in enumerate(graph):
@@ -388,7 +392,9 @@ class Analyzer:
             group = groups.get(branches)
             if group is None:  # each branch with the variables of its condition
                 pairs = tuple(
-                    (b, fr[v]) for b in branches for v in (graph[b].cond.left, graph[b].cond.right)
+                    (b, fr[v])
+                    for b in set_bits(branches)
+                    for v in (graph[b].cond.left, graph[b].cond.right)
                 )
                 group = groups[branches] = (pairs, [])
             control.append(group[0])
@@ -396,7 +402,7 @@ class Analyzer:
         # a node wakes its successors and, for a branch, the writes it governs
         wake = g.succs.copy()  # the CFG's own lists: a branch's is replaced, never extended
         for branches, (_, governed) in groups.items():
-            for b in branches:
+            for b in set_bits(branches):
                 wake[b] = wake[b] + governed
         # the footprint: the method's formals and locals and the heap it touches
         ret = fr[RET]

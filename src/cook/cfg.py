@@ -6,24 +6,40 @@ is ordered [true, false], and every return feeds one synthetic exit node.
 
 `build_cfg` keeps the reverse postorder from entry on the `Cfg` (`order`,
 and each node's position in it, `rank`); the loop finder, the dominator tree
-and the dependence analysis read that one order. Loops are discovered from
-DFS back edges, the edges that do not run forward in `order`, and their
-natural bodies; the finder does not assume reducibility even though
-structured source always produces natural loops. Control dependence uses
-the classic post-dominator tree walk: node n depends on branch b when n
-post-dominates some successor of b but does not strictly post-dominate b
-itself.
+and the dependence analysis read that one order, the only search of the
+graph. Loops are discovered from DFS back edges, the edges that do not run
+forward in `order`, and their natural bodies; the finder does not assume
+reducibility even though structured source always produces natural loops.
+Control dependence uses the post-dominator tree walk of Ferrante, Ottenstein
+and Warren (TOPLAS 1987): node n depends on branch b when n post-dominates
+some successor of b but does not strictly post-dominate b itself.
 
-Dominators and post-dominators come from the iterative algorithm of Cooper,
-Harvey and Kennedy ("A Simple, Fast Dominance Algorithm", 2001): intersect
-dominator-tree paths in reverse postorder until nothing changes, with the
-order index and the immediate dominators in flat lists indexed by node id.
-Only the post-dominators search an order of their own, from exit over the
-reversed graph. `dominator_tree` numbers the dominator tree in preorder,
-in two sweeps of the reverse postorder, so whether one node dominates
-another is two comparisons of those numbers instead of a walk up the tree.
+`build_cfg` records each node's immediate dominator (`Cfg.idom`) and
+immediate post-dominator (`Cfg.ipdom`) as it numbers the nodes, from the
+structure of the source; no search of the graph finds them.
+
+Post-dominators. A statement that is not a branch is post-dominated by its
+only successor, a return by exit. An `if` or `while` whose construct holds a
+return anywhere inside is post-dominated by exit alone: one path leaves it
+through that return, and another leaves it without entering the arm or body
+that holds it. Any other construct is post-dominated by its continuation,
+the node its outgoing edges are patched to; the false edge's target for a
+`while`. The construct carries the pseudo-edge (branch, -1) in its frontier
+until then.
+
+Dominators. Translating a block also yields the node that dominates every
+source of the block's outgoing edges: a plain statement itself, a `while`
+its header, an `if` its branch when both arms fall through and otherwise
+what its one falling-through arm yielded. A new node's immediate dominator
+is that node for the edges patched into it. The back edges into a `while`
+come from nodes its header dominates, so they leave the header's dominator
+as it is. Exit's is the nearest common dominator of the returns; every
+other node's dominator was numbered before it, so that walk needs no depth.
+`dominator_tree` numbers the dominator tree in preorder, in two sweeps of
+the reverse postorder, so whether one node dominates another is two
+comparisons of those numbers instead of a walk up the tree.
 `governing_branches` closes control dependence over int bitsets of branch
-ids.
+ids and gives each node its closed bitset.
 
 `find_loops` nests each loop in the smallest loop whose body strictly
 contains its own; only the loops whose body holds its header can, so nesting
@@ -61,71 +77,105 @@ class Cfg:
     succs: list[list[int]] = field(default_factory=list)
     preds: list[list[int]] = field(default_factory=list)
     entry: int = 0
-    exit: int = 0
+    exit: int = 1
     order: list[int] = field(default_factory=list)  # reverse postorder from entry
     rank: list[int] = field(default_factory=list)  # each node's position in `order`
-
-    def add(self, kind: str, stmt: ast.Stmt | None = None, cond: ast.Cond | None = None) -> int:
-        nid = len(self.nodes)
-        loc = stmt.loc if stmt is not None else ast.UNKNOWN_LOC
-        self.nodes.append(CfgNode(nid, kind, stmt, cond, loc))
-        self.succs.append([])
-        self.preds.append([])
-        return nid
+    idom: list[int] = field(default_factory=list)  # immediate dominator; entry's is entry
+    ipdom: list[int] = field(default_factory=list)  # immediate post-dominator; exit's is exit
 
 
 def build_cfg(m: ast.Method) -> Cfg:
-    """Structured translation; requires a body that returns on every path."""
-    g = Cfg(m.id)
-    g.entry = g.add(ENTRY)
-    g.exit = g.add(EXIT)
+    """Structured translation; requires a body that returns on every path.
+    Each node's immediate dominator and post-dominator are recorded as the
+    node is numbered; see the module docstring."""
+    g = Cfg(m.id, [CfgNode(0, ENTRY), CfgNode(1, EXIT)], [[-1], []], [[], []])
+    nodes, succs, preds, exit_ = g.nodes, g.succs, g.preds, g.exit
+    idom = [g.entry, -1]
+    # a branch's stays exit when its construct holds a return; the rows of
+    # the other nodes replace theirs at the end
+    ipdom = [exit_, exit_]
+    returns: list[int] = []
 
-    # A frontier is a list of reserved (node, slot) edges waiting for a target.
-    def new_edge(u: int) -> tuple[int, int]:
-        g.succs[u].append(-1)
-        return u, len(g.succs[u]) - 1
-
+    # A frontier is a list of reserved (node, slot) edges waiting for a
+    # target. A construct without a return carries the pseudo-edge
+    # (branch, -1): the node its frontier is patched to post-dominates it.
     def patch(frontier: list[tuple[int, int]], v: int) -> None:
         for u, slot in frontier:
-            g.succs[u][slot] = v
-            g.preds[v].append(u)
+            if slot < 0:
+                ipdom[u] = v
+            else:
+                succs[u][slot] = v
+                preds[v].append(u)
 
-    def build(block: ast.Block, frontier: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    def add(kind: str, s: ast.Stmt, frontier: list, dom: int, row: list[int]) -> int:
+        """A node for `s` with successor slots `row`, entered by `frontier`."""
+        n = len(nodes)
+        nodes.append(CfgNode(n, kind, s, s.cond if kind == BRANCH else None, s.loc))
+        succs.append(row)
+        preds.append([])
+        idom.append(dom)
+        ipdom.append(exit_)
+        patch(frontier, n)
+        return n
+
+    def build(
+        block: ast.Block, frontier: list[tuple[int, int]], dom: int
+    ) -> tuple[list[tuple[int, int]], int]:
+        """Translate `block`, entered by the `frontier` edges, all of whose
+        sources `dom` dominates. Returns the block's own frontier and the
+        node that dominates every source of its edges."""
         for s in block:
             if not frontier:
                 raise CheckDiagnostic("unreachable statement", s.loc.line, s.loc.col, s.loc.file)
             if isinstance(s, ast.IfElse):
-                b = g.add(BRANCH, s, s.cond)
-                patch(frontier, b)
-                true_edge = new_edge(b)
-                false_edge = new_edge(b)
-                then_out = build(s.then_body, [true_edge])
-                else_out = build(s.else_body, [false_edge])
+                b = add(BRANCH, s, frontier, dom, [-1, -1])
+                held = len(returns)
+                then_out, then_dom = build(s.then_body, [(b, 0)], b)
+                else_out, else_dom = build(s.else_body, [(b, 1)], b)
                 frontier = then_out + else_out
+                if then_out and else_out:
+                    dom = b
+                else:
+                    dom = then_dom if then_out else else_dom
+                if len(returns) == held:
+                    frontier.append((b, -1))
             elif isinstance(s, ast.While):
-                b = g.add(BRANCH, s, s.cond)
-                patch(frontier, b)
-                true_edge = new_edge(b)
-                false_edge = new_edge(b)
-                body_out = build(s.body, [true_edge])
+                b = add(BRANCH, s, frontier, dom, [-1, -1])
+                held = len(returns)
+                body_out, _ = build(s.body, [(b, 0)], b)
                 patch(body_out, b)  # back edges (self loop when the body is empty)
-                frontier = [false_edge]
+                frontier = [(b, 1), (b, -1)] if len(returns) == held else [(b, 1)]
+                dom = b
             elif isinstance(s, ast.Return):
-                n = g.add(STMT, s)
-                patch(frontier, n)
-                patch([new_edge(n)], g.exit)
+                n = add(STMT, s, frontier, dom, [exit_])
+                preds[exit_].append(n)
+                returns.append(n)
                 frontier = []
             else:
-                n = g.add(STMT, s)
-                patch(frontier, n)
-                frontier = [new_edge(n)]
-        return frontier
+                dom = add(STMT, s, frontier, dom, [-1])
+                frontier = [(dom, 0)]
+        return frontier, dom
 
-    tail = build(m.body, [new_edge(g.entry)])
+    tail, _ = build(m.body, [(g.entry, 0)], g.entry)
+    # `build` refers to itself; unbinding it frees the closures and the lists
+    # they hold now, not at the next full run of the cycle collector
+    del build
     if tail:
         raise CheckDiagnostic(
             f"method {m.id!r} can fall off its end", m.loc.line, m.loc.col, m.loc.file
         )
+    # exit's dominator is the returns' nearest common one; every other
+    # node's dominator has a smaller id
+    d = returns[0]
+    for r in returns[1:]:
+        while r != d:
+            if r > d:
+                r = idom[r]
+            else:
+                d = idom[d]
+    idom[exit_] = d
+    g.idom = idom
+    g.ipdom = [row[0] if len(row) == 1 else p for row, p in zip(succs, ipdom)]
     g.order, g.rank = reverse_postorder(g.entry, g.succs)
     return g
 
@@ -161,53 +211,6 @@ def reverse_postorder(start: int, succs: list[list[int]]) -> tuple[list[int], li
     return order, rank
 
 
-def _idoms(order: list[int], rank: list[int], preds: list[list[int]]) -> list[int]:
-    """Immediate dominators from `order[0]` by the iterative algorithm of
-    Cooper, Harvey and Kennedy over the reverse postorder `order` and its
-    `rank`, as `reverse_postorder` returns them; -1 for unreachable nodes."""
-    idom = [-1] * len(preds)
-    idom[order[0]] = order[0]
-    changed = True
-    while changed:
-        changed = False
-        for n in order[1:]:
-            new = -1
-            for p in preds[n]:
-                if idom[p] < 0:
-                    continue  # not processed yet, or unreachable
-                if new < 0:
-                    new = p
-                    continue
-                a = p  # intersect the two dominator-tree paths
-                while a != new:
-                    while rank[a] > rank[new]:
-                        a = idom[a]
-                    while rank[new] > rank[a]:
-                        new = idom[new]
-            if idom[n] != new:
-                idom[n] = new
-                changed = True
-    return idom
-
-
-def dominators(g: Cfg) -> dict[int, int]:
-    """Immediate dominators from entry; unreachable nodes are absent."""
-    idom = _idoms(g.order, g.rank, g.preds)
-    return {n: d for n, d in enumerate(idom) if d >= 0}
-
-
-def _post_idoms(g: Cfg) -> list[int]:
-    idom = _idoms(*reverse_postorder(g.exit, g.preds), g.succs)
-    if -1 in idom:
-        raise CheckDiagnostic(f"exit unreachable from some node in {g.method_id!r}")
-    return idom
-
-
-def post_dominators(g: Cfg) -> dict[int, int]:
-    """Immediate post-dominators from exit over the reversed graph."""
-    return dict(enumerate(_post_idoms(g)))
-
-
 @value
 class DomTree:
     """The dominator tree from entry, numbered in preorder: `pre` is each
@@ -224,11 +227,11 @@ class DomTree:
 
 
 def dominator_tree(g: Cfg) -> DomTree:
-    """Number the tree of `dominators(g)` in time linear in the graph. A
-    node's immediate dominator comes before it in `g.order`, so one backward
-    sweep sums the subtree sizes and one forward sweep gives each child the
-    next free interval inside its parent's."""
-    idom = dominators(g)
+    """Number the tree of `g.idom` in time linear in the graph. A node's
+    immediate dominator comes before it in `g.order`, so one backward sweep
+    sums the subtree sizes and one forward sweep gives each child the next
+    free interval inside its parent's."""
+    idom = g.idom
     below = g.order[1:]
     size = [1] * len(g.nodes)
     for n in reversed(below):
@@ -339,7 +342,7 @@ def find_loops(g: Cfg) -> list[LoopInfo]:
 
 def _direct_masks(g: Cfg) -> list[int]:
     """Per node, the bitset of the branches it directly control-depends on."""
-    ipdom = _post_idoms(g)
+    ipdom = g.ipdom
     on = [0] * len(g.nodes)
     for b, node in enumerate(g.nodes):
         if node.kind != BRANCH:
@@ -362,18 +365,9 @@ def set_bits(mask: int):
         k = bits.find("1", k + 1)
 
 
-def control_dependents(g: Cfg) -> dict[int, set[int]]:
-    """Direct control dependence: branch node -> set of dependent nodes."""
-    deps: dict[int, set[int]] = {}
-    for n, mask in enumerate(_direct_masks(g)):
-        for b in set_bits(mask):
-            deps.setdefault(b, set()).add(n)
-    return deps
-
-
-def governing_branches(g: Cfg) -> list[frozenset[int]]:
-    """For each node, the branches it transitively control-depends on; nodes
-    with the same set share one `frozenset`."""
+def governing_branches(g: Cfg) -> list[int]:
+    """For each node, the bitset of the branches it transitively
+    control-depends on."""
     on = _direct_masks(g)
     # close over the branches first; branch-on-branch edges may form cycles
     # (loop headers)
@@ -389,16 +383,16 @@ def governing_branches(g: Cfg) -> list[frozenset[int]]:
             if closed != mask:
                 on[b] = closed
                 changed = True
-    sets: dict[int, frozenset[int]] = {}
-    out: list[frozenset[int]] = []
-    for n, mask in enumerate(on):
-        got = sets.get(mask)
-        if got is None:
+    closure: dict[int, int] = {}
+    out: list[int] = []
+    for mask in on:
+        closed = closure.get(mask)
+        if closed is None:
             closed = mask
             for b in set_bits(mask):
                 closed |= on[b]
-            got = sets[mask] = frozenset(set_bits(closed))
-        out.append(got)
+            closure[mask] = closed
+        out.append(closed)
     return out
 
 

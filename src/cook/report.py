@@ -13,9 +13,9 @@ sub-Turing methods: those checks can be discharged by a decision procedure.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .aliases import AliasAnalysis
 from .analysis import AnalysisResult, analyze_program
@@ -65,7 +65,11 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """`json.dumps(self.to_dict(), indent=2, sort_keys=True)`, byte for
+        byte; with `indent` set, `json.dumps` runs its pure-Python encoder."""
+        out: list[str] = []
+        _write_json(self.to_dict(), "\n", out.append)
+        return "".join(out)
 
     def to_text(self) -> str:
         lines = []
@@ -98,6 +102,56 @@ class Report:
         )
         lines.append(f"analysis time: {self.timing_ms:.1f} ms")
         return "\n".join(lines)
+
+
+_NON_FINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _write_json(v, newline: str, put) -> None:
+    """Put the JSON text of `v` as `json.dumps` with `indent=2` and
+    `sort_keys=True` writes it, for dicts with string keys, lists, strings,
+    ints, floats, bools and None; `newline` is the line break and indent
+    before `v`'s closing bracket."""
+    if isinstance(v, str):
+        put(encode_basestring_ascii(v))
+    elif v is None:
+        put("null")
+    elif v is True:
+        put("true")
+    elif v is False:
+        put("false")
+    elif isinstance(v, int):
+        put(int.__repr__(v))
+    elif isinstance(v, float):
+        put("NaN" if v != v else _NON_FINITE.get(v) or float.__repr__(v))
+    elif isinstance(v, dict):
+        if not v:
+            put("{}")
+            return
+        inner = sep = newline + "  "
+        put("{")
+        for k in sorted(v):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            put(sep)
+            put(encode_basestring_ascii(k))
+            put(": ")
+            _write_json(v[k], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(v, list):
+        if not v:
+            put("[]")
+            return
+        inner = sep = newline + "  "
+        put("[")
+        for item in v:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def accessor_filter(m: ast.Method) -> bool:

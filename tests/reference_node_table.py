@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from cook.aliases import RET
 from cook.analysis import CAUSE_BIT, NodeSpec, _MethodSpec
-from cook.cfg import BRANCH
+from cook.cfg import BRANCH, set_bits
 from cook.lang import ast
 from cook.pipeline import ProgramModel
 from cook.representatives import Bottom, Representative, Scalar
@@ -145,7 +145,7 @@ class ReferenceTable:
         seeds = (set(fr.values()) - {fr[RET]}) | (touched & self._heap)
         governing = self.model.governing(method_id)
         control: list[tuple[tuple[int, int], ...]] = []
-        by_branches: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
+        by_branches: dict[int, tuple[tuple[int, int], ...]] = {}
         governs: dict[int, list[int]] = {}  # branch -> the writes it governs
         for n, ns in enumerate(nodes):
             branches = governing[n]
@@ -155,10 +155,10 @@ class ReferenceTable:
             pairs = by_branches.get(branches)
             if pairs is None:
                 pairs = by_branches[branches] = tuple(
-                    (b, v) for b in branches for v in branch_fv[b]
+                    (b, v) for b in set_bits(branches) for v in branch_fv[b]
                 )
             control.append(pairs)
-            for b in branches:
+            for b in set_bits(branches):
                 governs.setdefault(b, []).append(n)
         wake = [tuple(g.succs[n]) + tuple(governs.get(n, ())) for n in range(len(nodes))]
         return _MethodSpec(g, nodes, control, wake, tuple(seeds), tuple(call_nodes))

@@ -3,23 +3,30 @@
 Control dependence is checked against a path-enumeration oracle on small
 graphs: post-dominance is decided by enumerating all simple paths to the
 exit, and the dependence definition is applied directly to that relation.
+The dominators and post-dominators `build_cfg` records are checked against
+a node-removal oracle, and against the iterative algorithm kept in
+`reference_dominance` on programs of the benchmark's generator profiles.
 """
 
 import random
 
+import pytest
+
 from cook.cfg import (
     BRANCH,
+    _direct_masks,
     build_cfg,
-    control_dependents,
     dominator_tree,
-    dominators,
     find_loops,
     governing_branches,
-    post_dominators,
+    set_bits,
 )
 from cook.generator import GenParams, generate_program
 from cook.lang import ast, parse
 from cook.lang.parser import MAX_BLOCK_DEPTH
+from cook.pipeline import ProgramModel
+from cook.report import transformed_model
+from reference_dominance import dominators, post_dominators
 
 
 def dominates(idom: dict[int, int], root: int, a: int, b: int) -> bool:
@@ -32,6 +39,15 @@ def dominates(idom: dict[int, int], root: int, a: int, b: int) -> bool:
         if cur == root:
             return False
         cur = idom[cur]
+
+
+def control_dependents(g) -> dict[int, set[int]]:
+    """Direct control dependence: branch node -> set of dependent nodes."""
+    deps: dict[int, set[int]] = {}
+    for n, mask in enumerate(_direct_masks(g)):
+        for b in set_bits(mask):
+            deps.setdefault(b, set()).add(n)
+    return deps
 
 
 def cfg_of(src: str, method: str = None):
@@ -265,7 +281,7 @@ def test_control_dependence_matches_path_enumeration_oracle():
 def test_ipdom_really_postdominates():
     for g in small_cfgs():
         brute = brute_postdominators(g)
-        ipdom = post_dominators(g)
+        ipdom = dict(enumerate(g.ipdom))
         for n in range(len(g.nodes)):
             if n == g.exit:
                 continue
@@ -280,17 +296,9 @@ def test_every_node_reachable_and_reaches_exit():
             if m.extern:
                 continue
             g = build_cfg(m)
-            # post_dominators raises if the exit is unreachable from any node
-            post_dominators(g)
-            seen = {g.entry}
-            work = [g.entry]
-            while work:
-                n = work.pop()
-                for s in g.succs[n]:
-                    if s not in seen:
-                        seen.add(s)
-                        work.append(s)
-            assert seen == set(range(len(g.nodes)))
+            every = set(range(len(g.nodes)))
+            assert reachable(g.succs, g.entry, None) == every
+            assert reachable(g.preds, g.exit, None) == every
 
 
 # -- exact oracles on larger graphs ---------------------------------------------
@@ -381,9 +389,36 @@ def test_oracle_graphs_have_nested_loops_and_returns_inside_loops():
 
 
 def test_dominators_match_the_node_removal_oracle():
-    for g in oracle_cfgs():
-        assert tree_sets(dominators(g), g.entry) == brute_dominator_sets(g.entry, g.succs)
-        assert tree_sets(post_dominators(g), g.exit) == brute_dominator_sets(g.exit, g.preds)
+    for g in oracle_cfgs() + small_cfgs():
+        idom, ipdom = dict(enumerate(g.idom)), dict(enumerate(g.ipdom))
+        assert tree_sets(idom, g.entry) == brute_dominator_sets(g.entry, g.succs)
+        assert tree_sets(ipdom, g.exit) == brute_dominator_sets(g.exit, g.preds)
+
+
+# the generator profiles of the benchmark's workloads
+CENSUS = dict(
+    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
+)
+ISLANDS = dict(methods=50, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1)
+LOOP_DENSE = dict(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1)
+
+
+@pytest.mark.parametrize("policy", ("basic", "summary"))
+@pytest.mark.parametrize(
+    "params, seeds",
+    ((CENSUS, range(3)), (ISLANDS, range(2)), (LOOP_DENSE, range(20))),
+    ids=("census", "islands", "loops"),
+)
+def test_recorded_dominance_is_the_reference_on_profile_programs(params, seeds, policy):
+    graphs = 0
+    for seed in seeds:
+        model = ProgramModel(generate_program(seed, GenParams(**params)), nested_policy=policy)
+        for mm in (*model.methods.values(), *transformed_model(model).methods.values()):
+            g = mm.cfg
+            assert dict(enumerate(g.idom)) == dominators(g), g.method_id
+            assert dict(enumerate(g.ipdom)) == post_dominators(g), g.method_id
+            graphs += 1
+    assert graphs >= 40, graphs
 
 
 def test_dominator_tree_numbers_answer_every_pair_as_the_oracle():
@@ -441,7 +476,7 @@ def closure_of(direct, size):
 def test_transitive_closure_contains_direct_relation():
     for g in oracle_cfgs() + small_cfgs():
         direct = control_dependents(g)
-        trans = governing_branches(g)
+        trans = [frozenset(set_bits(mask)) for mask in governing_branches(g)]
         for b, nodes in direct.items():
             for n in nodes:
                 assert b in trans[n]

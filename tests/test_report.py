@@ -3,11 +3,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cook.cfg import build_cfg
+from cook.generator import GenParams, generate_program
 from cook.lang import load, parse, pretty
+from cook.lang.check import check
 from cook.pipeline import ProgramModel
 from cook.report import (
+    Report,
     ReportConfig,
     accessor_filter,
     analyze_sources,
@@ -274,3 +278,57 @@ def test_long_loop_body(body, stride, limit, bound):
     assert [lp["verdict"] for lp in m.loops] == [
         f"terminates(counter=i, stride={stride}, bound={bound})"
     ]
+
+
+# `Report.to_json` writes its own JSON; nothing else compares its bytes, since
+# the benchmark's digest parses and re-serializes the report.
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+# the generator profiles of the benchmark's workloads
+CENSUS = dict(
+    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
+)
+ISLANDS = dict(methods=50, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1)
+LOOP_DENSE = dict(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1)
+
+
+@pytest.mark.parametrize(
+    "params, policy",
+    ((CENSUS, "basic"), (ISLANDS, "basic"), (LOOP_DENSE, "summary")),
+    ids=("census", "islands", "loops"),
+)
+def test_json_report_is_byte_identical_to_json_dumps(params, policy):
+    for seed in range(4):
+        program = generate_program(seed, GenParams(**params))
+        rep = analyze_sources(program, check(program), ReportConfig(nested_policy=policy))
+        assert rep.to_json() == dumps(rep.to_dict()), seed
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, -1e300, 5e-324, float("nan"), float("inf")])
+    | st.text(st.characters(blacklist_categories=()))
+    | st.sampled_from(["", "\x00\x1f\x7f", "\"\\/\b\f\n\r\t", "é€😀", "\ud800"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(json_values, st.floats())
+def test_json_writer_is_byte_identical_to_json_dumps(value, timing_ms):
+    rep = Report([], {"value": value, "empty": {}, "none": []}, {}, timing_ms)
+    assert rep.to_json() == dumps(rep.to_dict())
+
+
+@pytest.mark.parametrize("value", [(1, 2), {1}, {1: "a"}, b"x", object()])
+def test_json_writer_rejects_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        Report([], {"value": value}, {}, 0.0).to_json()

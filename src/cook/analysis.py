@@ -67,19 +67,19 @@ sources at the branch.
 
 The method fixpoint seeds the entry with identity facts over the method's
 footprint and iterates to a fixpoint. Its worklist pops nodes by their rank
-in the reverse postorder that `cfg.build_cfg` computed once and keeps on the
-`Cfg` (`Cfg.rank`, Kam and Ullman 1976), so without loops every node is
-visited once, after all of its predecessors. A node is queued again when the
-OUT of a predecessor changes, or when the OUT of a branch that governs it
-changes: a branch passes its IN through, and the node's control mask reads
-that IN. Every transfer is monotone and every node whose inputs change is
-visited again, so the result is the least fixpoint of the node equations in
-any order; the order only sets the number of visits. The program fixpoint
-maintains per-method summaries (facts minus frame-local names) over the call
-graph worklist until nothing changes. A method lands in the swamp when its
-facts contain a bottom-sourced pair; the `post` placement tests the stripped
-summary instead, so divergence confined to dead locals keeps the caller out
-of the swamp.
+in `Cfg.order`, the order in which `cfg.build_cfg` numbered them with exit
+last, where every edge but a loop's back edge runs forward, so without
+loops every node is visited once, after all of its predecessors. A node is
+queued again when the OUT of a predecessor changes, or when the OUT of a
+branch that governs it changes: a branch passes its IN through, and the
+node's control mask reads that IN. Every transfer is monotone and every node
+whose inputs change is visited again, so the result is the least fixpoint of
+the node equations in any order; the order only sets the number of visits.
+The program fixpoint maintains per-method summaries (facts minus frame-local
+names) over the call graph worklist until nothing changes. A method lands in
+the swamp when its facts contain a bottom-sourced pair; the `post` placement
+tests the stripped summary instead, so divergence confined to dead locals
+keeps the caller out of the swamp.
 """
 
 from __future__ import annotations
@@ -429,8 +429,8 @@ class Analyzer:
 
     def method_facts(self, method_id: str, summaries: dict[str, Facts]) -> Facts:
         """Worklist fixpoint over the method's CFG, given the callees' summary
-        masks; returns the exit facts. Nodes are popped by reverse-postorder
-        rank."""
+        masks; returns the exit facts. Nodes are popped by their rank in
+        `Cfg.order`."""
         spec = self.spec(method_id)
         g = spec.cfg
         n_nodes = len(g.nodes)

@@ -1,54 +1,58 @@
-"""Per-method control-flow graphs, loop discovery, and control dependence.
+"""Per-method control-flow graphs, loops, and control dependence.
 
 The graph is built structurally: assignments, calls, and returns become nodes
 with one successor, each condition becomes a branch node whose successor list
 is ordered [true, false], and every return feeds one synthetic exit node.
 
-`build_cfg` keeps the reverse postorder from entry on the `Cfg` (`order`,
-and each node's position in it, `rank`); the loop finder, the dominator tree
-and the dependence analysis read that one order, the only search of the
-graph. Loops are discovered from DFS back edges, the edges that do not run
-forward in `order`, and their natural bodies; the finder does not assume
-reducibility even though structured source always produces natural loops.
+Nodes are numbered in source order: entry 0, exit 1, and every statement the
+next id when it is reached, a branch before the arm or body it guards.
+`build_cfg` records what the dominator tree, the loops and the dependence
+analysis need as it numbers the nodes, from the structure of the source, so
+no search of the graph runs. `Cfg.order` is that numbering with exit last:
+every edge that is not a loop's back edge runs forward in it, every node's
+dominators come before it, and a loop's body comes before its continuation.
 Control dependence uses the post-dominator tree walk of Ferrante, Ottenstein
 and Warren (TOPLAS 1987): node n depends on branch b when n post-dominates
 some successor of b but does not strictly post-dominate b itself.
 
-`build_cfg` records each node's immediate dominator (`Cfg.idom`) and
-immediate post-dominator (`Cfg.ipdom`) as it numbers the nodes, from the
-structure of the source; no search of the graph finds them.
+Post-dominators (`Cfg.ipdom`). A statement that is not a branch is
+post-dominated by its only successor, a return by exit. An `if` or `while`
+whose construct holds a return anywhere inside is post-dominated by exit
+alone: one path leaves it through that return, and another leaves it without
+entering the arm or body that holds it. Any other construct is
+post-dominated by its continuation, the node its outgoing edges are patched
+to; the false edge's target for a `while`. The construct carries the
+pseudo-edge (branch, -1) in its frontier until then.
 
-Post-dominators. A statement that is not a branch is post-dominated by its
-only successor, a return by exit. An `if` or `while` whose construct holds a
-return anywhere inside is post-dominated by exit alone: one path leaves it
-through that return, and another leaves it without entering the arm or body
-that holds it. Any other construct is post-dominated by its continuation,
-the node its outgoing edges are patched to; the false edge's target for a
-`while`. The construct carries the pseudo-edge (branch, -1) in its frontier
-until then.
-
-Dominators. Translating a block also yields the node that dominates every
-source of the block's outgoing edges: a plain statement itself, a `while`
-its header, an `if` its branch when both arms fall through and otherwise
-what its one falling-through arm yielded. A new node's immediate dominator
-is that node for the edges patched into it. The back edges into a `while`
-come from nodes its header dominates, so they leave the header's dominator
-as it is. Exit's is the nearest common dominator of the returns; every
-other node's dominator was numbered before it, so that walk needs no depth.
-`dominator_tree` numbers the dominator tree in preorder, in two sweeps of
-the reverse postorder, so whether one node dominates another is two
+Dominators (`Cfg.idom`). Translating a block also yields the node that
+dominates every source of the block's outgoing edges: a plain statement
+itself, a `while` its header, an `if` its branch when both arms fall through
+and otherwise what its one falling-through arm yielded. A new node's
+immediate dominator is that node for the edges patched into it. The back
+edges into a `while` come from nodes its header dominates, so they leave the
+header's dominator as it is. Exit's is the nearest common dominator of the
+returns; every other node's dominator was numbered before it, so that walk
+needs no depth. `dominator_tree` numbers the dominator tree in preorder, in
+two sweeps of `Cfg.order`, so whether one node dominates another is two
 comparisons of those numbers instead of a walk up the tree.
 `governing_branches` closes control dependence over int bitsets of branch
 ids and gives each node its closed bitset.
 
-`find_loops` nests each loop in the smallest loop whose body strictly
-contains its own; only the loops whose body holds its header can, so nesting
-costs the sum of the loops' bodies, not the square of their number. Each loop
-lists its children once (`LoopInfo.children`), for the termination oracle.
+Loops (`Cfg.whiles`, `Cfg.returning`). Every loop of a Carib method is a
+`while`, its header the `while`'s branch node and its nodes one range of
+ids. A node of that range lies off the loop's natural body only when every
+path from it returns, that is when it lies in a block inside the `while`'s
+body that returns on every path; `build_cfg` records the id range of each
+such block. A `while` whose body returns on every path has no back edge and
+is no loop. A loop nests in the loop of its nearest enclosing `while` when
+that body holds its header; otherwise no loop holds it. `find_loops` turns
+the record into `LoopInfo`s, and each loop lists its children once
+(`LoopInfo.children`), for the termination oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import CheckDiagnostic
@@ -78,16 +82,22 @@ class Cfg:
     preds: list[list[int]] = field(default_factory=list)
     entry: int = 0
     exit: int = 1
-    order: list[int] = field(default_factory=list)  # reverse postorder from entry
+    order: list[int] = field(default_factory=list)  # entry, 2, ..., exit: the ids, exit last
     rank: list[int] = field(default_factory=list)  # each node's position in `order`
     idom: list[int] = field(default_factory=list)  # immediate dominator; entry's is entry
     ipdom: list[int] = field(default_factory=list)  # immediate post-dominator; exit's is exit
+    # per `while`, by header: (header, end of its id range, index of the
+    # nearest enclosing `while` or -1, the statement)
+    whiles: list[tuple[int, int, int, ast.While]] = field(default_factory=list)
+    # [first, end) of each block inside a `while`'s body that returns on
+    # every path, by first id
+    returning: list[tuple[int, int]] = field(default_factory=list)
 
 
 def build_cfg(m: ast.Method) -> Cfg:
     """Structured translation; requires a body that returns on every path.
-    Each node's immediate dominator and post-dominator are recorded as the
-    node is numbered; see the module docstring."""
+    Each node's immediate dominator and post-dominator, and each `while`'s
+    loop, are recorded as the nodes are numbered; see the module docstring."""
     g = Cfg(m.id, [CfgNode(0, ENTRY), CfgNode(1, EXIT)], [[-1], []], [[], []])
     nodes, succs, preds, exit_ = g.nodes, g.succs, g.preds, g.exit
     idom = [g.entry, -1]
@@ -95,6 +105,8 @@ def build_cfg(m: ast.Method) -> Cfg:
     # the other nodes replace theirs at the end
     ipdom = [exit_, exit_]
     returns: list[int] = []
+    whiles: list = []
+    returning: list[tuple[int, int]] = []
 
     # A frontier is a list of reserved (node, slot) edges waiting for a
     # target. A construct without a return carries the pseudo-edge
@@ -119,19 +131,21 @@ def build_cfg(m: ast.Method) -> Cfg:
         return n
 
     def build(
-        block: ast.Block, frontier: list[tuple[int, int]], dom: int
+        block: ast.Block, frontier: list[tuple[int, int]], dom: int, inside: int
     ) -> tuple[list[tuple[int, int]], int]:
         """Translate `block`, entered by the `frontier` edges, all of whose
-        sources `dom` dominates. Returns the block's own frontier and the
-        node that dominates every source of its edges."""
+        sources `dom` dominates, inside the `while` numbered `inside` (-1 for
+        none). Returns the block's own frontier and the node that dominates
+        every source of its edges."""
+        first = len(nodes)
         for s in block:
             if not frontier:
                 raise CheckDiagnostic("unreachable statement", s.loc.line, s.loc.col, s.loc.file)
             if isinstance(s, ast.IfElse):
                 b = add(BRANCH, s, frontier, dom, [-1, -1])
                 held = len(returns)
-                then_out, then_dom = build(s.then_body, [(b, 0)], b)
-                else_out, else_dom = build(s.else_body, [(b, 1)], b)
+                then_out, then_dom = build(s.then_body, [(b, 0)], b, inside)
+                else_out, else_dom = build(s.else_body, [(b, 1)], b, inside)
                 frontier = then_out + else_out
                 if then_out and else_out:
                     dom = b
@@ -141,8 +155,11 @@ def build_cfg(m: ast.Method) -> Cfg:
                     frontier.append((b, -1))
             elif isinstance(s, ast.While):
                 b = add(BRANCH, s, frontier, dom, [-1, -1])
+                w = len(whiles)
+                whiles.append(None)  # filled in once the body is numbered
                 held = len(returns)
-                body_out, _ = build(s.body, [(b, 0)], b)
+                body_out, _ = build(s.body, [(b, 0)], b, w)
+                whiles[w] = (b, len(nodes), inside, s)
                 patch(body_out, b)  # back edges (self loop when the body is empty)
                 frontier = [(b, 1), (b, -1)] if len(returns) == held else [(b, 1)]
                 dom = b
@@ -154,9 +171,11 @@ def build_cfg(m: ast.Method) -> Cfg:
             else:
                 dom = add(STMT, s, frontier, dom, [-1])
                 frontier = [(dom, 0)]
+        if not frontier and inside >= 0:
+            returning.append((first, len(nodes)))
         return frontier, dom
 
-    tail, _ = build(m.body, [(g.entry, 0)], g.entry)
+    tail, _ = build(m.body, [(g.entry, 0)], g.entry, -1)
     # `build` refers to itself; unbinding it frees the closures and the lists
     # they hold now, not at the next full run of the cycle collector
     del build
@@ -176,39 +195,19 @@ def build_cfg(m: ast.Method) -> Cfg:
     idom[exit_] = d
     g.idom = idom
     g.ipdom = [row[0] if len(row) == 1 else p for row, p in zip(succs, ipdom)]
-    g.order, g.rank = reverse_postorder(g.entry, g.succs)
+    n = len(nodes)
+    g.order = [g.entry, *range(2, n), exit_]
+    g.rank = [0, n - 1, *range(1, n - 1)]
+    g.whiles = whiles
+    # a block's range is recorded once its nodes are numbered, after the
+    # blocks inside it
+    g.returning = sorted(returning)
     return g
 
 
 # ---------------------------------------------------------------------------
 # dominance
 # ---------------------------------------------------------------------------
-
-
-def reverse_postorder(start: int, succs: list[list[int]]) -> tuple[list[int], list[int]]:
-    """The nodes reachable from `start` in reverse postorder of a depth-first
-    search that takes each row of `succs` in order, and each node's position
-    in that order (0 for an unreachable node). Every edge that is not a back
-    edge goes from an earlier node to a later one."""
-    seen = [False] * len(succs)
-    seen[start] = True
-    order: list[int] = []
-    stack = [(start, iter(succs[start]))]
-    while stack:
-        node, row = stack[-1]
-        for nxt in row:
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append((nxt, iter(succs[nxt])))
-                break
-        else:
-            stack.pop()
-            order.append(node)
-    order.reverse()
-    rank = [0] * len(succs)
-    for i, n in enumerate(order):
-        rank[n] = i
-    return order, rank
 
 
 @value
@@ -258,80 +257,45 @@ class LoopInfo:
     id: int
     header: int
     body: frozenset[int]
-    back_edges: tuple[tuple[int, int], ...]
     parent: int | None = None
     depth: int = 1
-    stmt: ast.While | None = None  # the While statement when structurally known
+    stmt: ast.While | None = None  # the While statement
     children: tuple[int, ...] = ()  # the loops whose parent this is, by id
 
 
 def find_loops(g: Cfg) -> list[LoopInfo]:
-    """Every back-edge-induced natural loop, with nesting by body containment:
-    a loop's parent is the smallest loop whose body strictly contains its
-    body, the first by id on a tie, and its children are the loops it
-    parents, by id.
-
-    Complete (a LoopInfo covers both endpoints of every DFS back edge) but
-    oblivious to feasibility: statically dead cycles are still reported. The
-    back edges are those of the search behind `g.order`: the edges that do
-    not go from an earlier node to a later one, self loops included.
-    """
-    by_header: dict[int, list[tuple[int, int]]] = {}
-    for u in g.order:
-        for h in g.succs[u]:  # a duplicated edge is listed twice
-            if g.rank[h] <= g.rank[u]:
-                by_header.setdefault(h, []).append((u, h))
-
+    """The loops `build_cfg` recorded, by header: each `while` whose body
+    does not return on every path, with its natural body, its parent loop and
+    its children by id; see the module docstring."""
+    returning = g.returning
     loops: list[LoopInfo] = []
-    for header in sorted(by_header):
-        body = {header}
-        work = [u for u, _ in by_header[header] if u != header]
-        body.update(work)
-        while work:
-            n = work.pop()
-            for p in g.preds[n]:
-                if p not in body:
-                    body.add(p)
-                    work.append(p)
-        stmt = None
-        node = g.nodes[header]
-        if node.kind == BRANCH and isinstance(node.stmt, ast.While):
-            stmt = node.stmt
-        loops.append(
-            LoopInfo(
-                id=len(loops),
-                header=header,
-                body=frozenset(body),
-                back_edges=tuple(sorted(by_header[header])),
-                stmt=stmt,
-            )
-        )
-
-    # nesting: the parent is the smallest strictly containing body, which
-    # holds the child's header, so only the loops around each header compete
-    at_header = {loop.header: loop for loop in loops}
-    around: list[list[LoopInfo]] = [[] for _ in loops]
-    for outer in loops:
-        for n in outer.body:
-            inner = at_header.get(n)
-            if inner is not None and inner is not outer:
-                around[inner.id].append(outer)
+    of_while: list[LoopInfo | None] = []
+    for header, end, outer, stmt in g.whiles:
+        i = bisect_left(returning, (header + 1,))
+        if returning[i : i + 1] == [(header + 1, end)]:
+            of_while.append(None)  # no back edge
+            continue
+        body = [header]
+        at = header + 1
+        for first, last in returning[i:]:
+            if first >= end:
+                break
+            if first >= at:  # not inside the block left out before it
+                body += range(at, first)
+                at = last
+        body += range(at, end)
+        loop = LoopInfo(len(loops), header, frozenset(body), stmt=stmt)
+        parent = of_while[outer] if outer >= 0 else None
+        if parent is not None and header in parent.body:
+            loop.parent, loop.depth = parent.id, parent.depth + 1
+        of_while.append(loop)
+        loops.append(loop)
     children: list[list[int]] = [[] for _ in loops]
     for loop in loops:
-        best = None
-        for other in around[loop.id]:
-            if loop.body < other.body and (best is None or len(other.body) < len(best.body)):
-                best = other
-        if best is not None:
-            loop.parent = best.id
-            children[best.id].append(loop.id)
-    for loop in loops:
-        loop.children = tuple(children[loop.id])
-        depth, cur = 1, loop.parent
-        while cur is not None:
-            depth += 1
-            cur = loops[cur].parent
-        loop.depth = depth
+        if loop.parent is not None:
+            children[loop.parent].append(loop.id)
+    for loop, ids in zip(loops, children):
+        loop.children = tuple(ids)
     return loops
 
 

@@ -11,11 +11,11 @@ extraction, which is exactly what the parent's body looks like after the
 rewrite; under the default `basic` policy, a parent containing a loop that
 stays live is unknown, while the `summary` policy also steps over live
 dependency-free inner loops. What a method's loops share is built once per
-method with loops: the loops and their children (`find_loops`), and the
-single-definition constants with the numbered dominator tree
-(`termination.method_consts`). Each loop then reads its own children and
-the constants its body reads, so a long method's loops are judged in time
-linear in the method.
+method with loops: the loops and their children (`find_loops`, from what
+`build_cfg` recorded of each `while`), and the single-definition constants
+with the numbered dominator tree (`termination.method_consts`). Each loop
+then reads its own children and the constants its body reads, so a long
+method's loops are judged in time linear in the method.
 
 The model of the rewritten program is derived from the first one (`base`),
 whose loops it does not judge again: the rewrite kept only loops proven to

@@ -36,8 +36,8 @@ nodes counts the definition sites and keeps the single-definition constant
 assignments, and the dominator tree is numbered once (`cfg.DomTree`), so a
 dominance test is two comparisons. `dominating_consts` then looks up only the
 names that the loop's header and body read (`ast.scalar_reads`), and cycle
-extraction steps over the inner loops that `cfg.find_loops` listed as the
-loop's children. Each loop's work is proportional to its body, so judging a
+extraction steps over the loop's children, the inner loops nested in it as
+`cfg.build_cfg` recorded them. Each loop's work is proportional to its body, so judging a
 method's loops takes time linear in the method times its loop nesting depth.
 """
 

@@ -4,14 +4,41 @@ recorded them, kept verbatim as the reference for `tests/test_cfg.py`.
 `_idoms` is the iterative algorithm of Cooper, Harvey and Kennedy ("A
 Simple, Fast Dominance Algorithm", 2001): intersect dominator-tree paths in
 reverse postorder until nothing changes. `dominators` runs it forward over
-the graph's own order; `post_dominators` searches an order of its own, from
-exit over the reversed graph.
+the reverse postorder from entry, `post_dominators` over the one from exit
+on the reversed graph. `reverse_postorder` is the depth-first search
+`build_cfg` ran before it kept its own numbering as the graph's order.
 """
 
 from __future__ import annotations
 
-from cook.cfg import Cfg, reverse_postorder
+from cook.cfg import Cfg
 from cook.errors import CheckDiagnostic
+
+
+def reverse_postorder(start: int, succs: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The nodes reachable from `start` in reverse postorder of a depth-first
+    search that takes each row of `succs` in order, and each node's position
+    in that order (0 for an unreachable node). Every edge that is not a back
+    edge goes from an earlier node to a later one."""
+    seen = [False] * len(succs)
+    seen[start] = True
+    order: list[int] = []
+    stack = [(start, iter(succs[start]))]
+    while stack:
+        node, row = stack[-1]
+        for nxt in row:
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append((nxt, iter(succs[nxt])))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    order.reverse()
+    rank = [0] * len(succs)
+    for i, n in enumerate(order):
+        rank[n] = i
+    return order, rank
 
 
 def _idoms(order: list[int], rank: list[int], preds: list[list[int]]) -> list[int]:
@@ -45,7 +72,7 @@ def _idoms(order: list[int], rank: list[int], preds: list[list[int]]) -> list[in
 
 def dominators(g: Cfg) -> dict[int, int]:
     """Immediate dominators from entry; unreachable nodes are absent."""
-    idom = _idoms(g.order, g.rank, g.preds)
+    idom = _idoms(*reverse_postorder(g.entry, g.succs), g.preds)
     return {n: d for n, d in enumerate(idom) if d >= 0}
 
 

@@ -12,6 +12,7 @@ from cook.lang.check import check
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
 from cook.representatives import ArrayPart, Scalar, TypeField
+from profiles import CENSUS, ISLANDS, LOOP_DENSE
 from reference_aliases import ReferenceAliases
 
 
@@ -232,13 +233,6 @@ method m(a: int[]): int {
     assert part_writes and all(r == al.array_rep("m", "a") for r in part_writes)
 
 
-# the generator profiles of the benchmark's `census` and `islands` workloads
-CENSUS = dict(
-    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
-)
-ISLANDS = dict(methods=50, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1)
-# the `loops` workload's loop-dense profile, analyzed under the summary policy
-LOOP_DENSE = dict(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1)
 PROFILES = (
     ("census", CENSUS, "basic", range(4)),
     ("islands", ISLANDS, "basic", range(3)),

@@ -5,7 +5,10 @@ graphs: post-dominance is decided by enumerating all simple paths to the
 exit, and the dependence definition is applied directly to that relation.
 The dominators and post-dominators `build_cfg` records are checked against
 a node-removal oracle, and against the iterative algorithm kept in
-`reference_dominance` on programs of the benchmark's generator profiles.
+`reference_dominance` on programs of the benchmark's generator profiles. The
+loops it records are checked against the graph search kept in
+`reference_loops`, on the same programs and on random methods with returns
+inside nested loops.
 """
 
 import random
@@ -26,7 +29,9 @@ from cook.lang import ast, parse
 from cook.lang.parser import MAX_BLOCK_DEPTH
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
+from profiles import CENSUS, ISLANDS, LOOP_DENSE
 from reference_dominance import dominators, post_dominators
+from reference_loops import find_loops as searched_loops, loop_fields
 
 
 def dominates(idom: dict[int, int], root: int, a: int, b: int) -> bool:
@@ -150,17 +155,13 @@ method m(a: int): int {
 """
     g = cfg_of(src)
     first, second, inner_if = (n.id for n in g.nodes if n.kind == BRANCH)
-    loops = find_loops(g)
-    assert [(l.id, l.header, l.body, l.back_edges, l.parent, l.depth) for l in loops] == [
-        (0, first, frozenset({first}), ((first, first),), None, 1),
-        (
-            1,
-            second,
-            frozenset({second, inner_if}),
-            ((inner_if, second), (inner_if, second)),
-            None,
-            1,
-        ),
+    assert [(l.id, l.header, l.body, l.parent, l.depth) for l in find_loops(g)] == [
+        (0, first, frozenset({first}), None, 1),
+        (1, second, frozenset({second, inner_if}), None, 1),
+    ]
+    assert [l.back_edges for l in searched_loops(g)] == [
+        ((first, first),),
+        ((inner_if, second), (inner_if, second)),
     ]
 
 
@@ -178,10 +179,10 @@ def test_back_edge_endpoints_inside_some_loop():
             if m.extern:
                 continue
             g = build_cfg(m)
-            loops = find_loops(g)
-            for loop in loops:
-                for u, h in loop.back_edges:
-                    assert u in loop.body and h in loop.body
+            at_header = {loop.header: loop for loop in find_loops(g)}
+            for searched in searched_loops(g):
+                for u, h in searched.back_edges:
+                    assert u in at_header[h].body and h in at_header[h].body
 
 
 def test_branch_dependent_in_diamond():
@@ -385,6 +386,8 @@ def test_oracle_graphs_have_nested_loops_and_returns_inside_loops():
         for g in graphs
     )
     assert inside >= 10, inside
+    # a `while` whose body returns on every path is no loop
+    assert sum(len(g.whiles) > len(find_loops(g)) for g in graphs) >= 10
     assert max(len(g.nodes) for g in graphs) > MAX_BLOCK_DEPTH
 
 
@@ -393,14 +396,6 @@ def test_dominators_match_the_node_removal_oracle():
         idom, ipdom = dict(enumerate(g.idom)), dict(enumerate(g.ipdom))
         assert tree_sets(idom, g.entry) == brute_dominator_sets(g.entry, g.succs)
         assert tree_sets(ipdom, g.exit) == brute_dominator_sets(g.exit, g.preds)
-
-
-# the generator profiles of the benchmark's workloads
-CENSUS = dict(
-    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
-)
-ISLANDS = dict(methods=50, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1)
-LOOP_DENSE = dict(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1)
 
 
 @pytest.mark.parametrize("policy", ("basic", "summary"))
@@ -417,6 +412,7 @@ def test_recorded_dominance_is_the_reference_on_profile_programs(params, seeds, 
             g = mm.cfg
             assert dict(enumerate(g.idom)) == dominators(g), g.method_id
             assert dict(enumerate(g.ipdom)) == post_dominators(g), g.method_id
+            assert loop_fields(find_loops(g)) == loop_fields(searched_loops(g)), g.method_id
             graphs += 1
     assert graphs >= 40, graphs
 
@@ -432,6 +428,7 @@ def test_dominator_tree_numbers_answer_every_pair_as_the_oracle():
 def test_loop_nesting_is_the_smallest_strictly_containing_body():
     for g in oracle_cfgs():
         loops = find_loops(g)
+        assert loop_fields(loops) == loop_fields(searched_loops(g))
         for loop in loops:
             around = [o for o in loops if loop.body < o.body]
             smallest = min(around, key=lambda o: len(o.body), default=None)

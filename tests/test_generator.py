@@ -1,8 +1,12 @@
 """Generator determinism, validity, and density contracts."""
 
+import runpy
+from pathlib import Path
+
 from cook.generator import GenParams, generate_df_loop, generate_program
 from cook.lang import ast, load, pretty
 from cook.pipeline import ProgramModel
+import profiles
 
 
 def test_deterministic_for_fixed_seed():
@@ -114,3 +118,9 @@ def test_innermost_counted_loops_always_terminate():
                 assert lm.verdict.terminates, mm.method.id
                 checked += 1
     assert checked
+
+
+def test_the_test_profiles_are_the_benchmark_workloads():
+    bench = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    for name in ("CENSUS", "ISLANDS", "LOOP_DENSE"):
+        assert GenParams(**getattr(profiles, name)) == GenParams(**bench[name]), name

@@ -18,6 +18,7 @@ from cook.generator import GenParams, generate_df_loop, generate_program
 from cook.lang import ast, parse_unit, pretty
 from cook.lang.lexer import RESERVED
 from cook.lang.parser import MAX_BLOCK_DEPTH, _Parser
+from profiles import CENSUS, ISLANDS, LOOP_DENSE
 from reference_parser import reference_parse_unit
 from test_fuzz import mutant_tokens
 
@@ -261,15 +262,9 @@ def test_an_unexpected_character_after_a_syntax_error_is_the_error():
 
 
 PROFILES = {
-    "census": GenParams(
-        methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
-    ),
-    "islands": GenParams(
-        methods=50, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1
-    ),
-    "loop-dense": GenParams(
-        methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1
-    ),
+    "census": GenParams(**CENSUS),
+    "islands": GenParams(**ISLANDS),
+    "loop-dense": GenParams(**LOOP_DENSE),
 }
 
 

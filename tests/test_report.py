@@ -18,6 +18,7 @@ from cook.report import (
     body_counts,
 )
 from cook.rewrite import rewrite_program
+from profiles import CENSUS, ISLANDS, LOOP_DENSE
 
 
 def report_for(src, **kw):
@@ -286,14 +287,6 @@ def test_long_loop_body(body, stride, limit, bound):
 
 def dumps(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
-
-
-# the generator profiles of the benchmark's workloads
-CENSUS = dict(
-    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
-)
-ISLANDS = dict(methods=50, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1)
-LOOP_DENSE = dict(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """The divergence rewrite: rule shapes, idempotence, grammar preservation."""
 
+import pytest
+
 from cook.aliases import AliasAnalysis
 from cook.generator import GenParams, generate_program
 from cook.lang import ast, load, parse, pretty
@@ -29,6 +31,24 @@ def test_opaque_loop_becomes_bottom_assignment(opaque_loop_caller):
     assert b.cause == ast.DivergenceCause.LOOP
     assert b.targets == (Scalar("bar", "y"),)
     assert not any(isinstance(s, ast.While) for s in ast.walk(p2.methods[1].body))
+
+
+# the `while` runs at most once: its body returns on every path
+RUNS_AT_MOST_ONCE = """
+method m(a: int, b: int): int { var x: int; x := a; while a < b do { return x; } return x; }
+method caller(a: int): int { var y: int; y := m(a, a); return y; }
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a `while` whose body returns on every path has no back edge, so it is no "
+    "loop and gets no verdict; `verdict_for` calls it an unknown loop and the rewrite "
+    "replaces it with a bottom assignment",
+)
+def test_a_while_that_runs_at_most_once_is_not_divergent(run_pipeline):
+    _, res = run_pipeline(RUNS_AT_MOST_ONCE)
+    assert res.st == {"m", "caller"}
 
 
 def test_api_call_with_no_actuals_taints_only_target(api_call_unused):

@@ -26,15 +26,12 @@ from cook.generator import GenParams, generate_program
 from cook.lang import ast, load
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
+from profiles import CENSUS
 
 CHAIN_SIZES = (250, 500, 1000)
 CENSUS_SIZES = (125, 250, 500)
 LOOP_SIZES = (250, 500, 1000)
 GROWTH = 2.2  # the most a counter may grow when the program doubles
-# the generator profile of the benchmark's `census` workload
-CENSUS = dict(
-    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
-)
 
 
 def chain(n: int) -> ast.Program:

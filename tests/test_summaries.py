@@ -40,6 +40,7 @@ from cook.termination import (
     extract_cycles,
     method_consts,
 )
+from profiles import CENSUS, ISLANDS, LOOP_DENSE
 
 
 def loop_context(src: str):
@@ -105,13 +106,7 @@ def test_guard_after_update_constrains_updated_value():
 
 
 # the generator profiles of the benchmark's three workloads
-FOLD_PROFILES = {
-    "census": dict(
-        methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
-    ),
-    "islands": dict(methods=50, classes=4, loop=0.15, heap=0.6, virtual=0.5, max_depth=1),
-    "loops": dict(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1),
-}
+FOLD_PROFILES = {"census": CENSUS, "islands": ISLANDS, "loops": LOOP_DENSE}
 
 
 def test_one_pass_path_formula_equals_the_pairwise_compose_fold():

@@ -27,6 +27,7 @@ from cook.termination import (
     extract_cycles,
     method_consts,
 )
+from profiles import CENSUS, LOOP_DENSE
 
 
 def loop_of(src: str, method=None):
@@ -551,7 +552,7 @@ def read_names(s) -> set[str]:
 def test_dominating_consts_match_brute_force_on_loop_dense_programs():
     """The method's table holds, for every loop, exactly the brute-force
     constants at its header; `dominating_consts` gives those the loop reads."""
-    params = GenParams(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1)
+    params = GenParams(**LOOP_DENSE)
     loops_seen = names_seen = read_seen = 0
     for seed in range(30):
         for m in generate_program(seed, params).methods:
@@ -582,15 +583,9 @@ def test_dominating_consts_match_brute_force_on_loop_dense_programs():
 # The loop layer's whole output, pinned per loop: the termination verdict,
 # the dependency-free verdict, the summary, the counts of closing cycles and
 # of exits, and the written names. Report digests see only the first two.
-CENSUS_PROFILE = dict(
-    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
-)
-LOOP_DENSE_PROFILE = dict(
-    methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1
-)
 LOOP_LAYER_SOURCES = {
-    "census": lambda: [generate_program(s, GenParams(**CENSUS_PROFILE)) for s in range(6)],
-    "dense": lambda: [generate_program(s, GenParams(**LOOP_DENSE_PROFILE)) for s in range(6)],
+    "census": lambda: [generate_program(s, GenParams(**CENSUS)) for s in range(6)],
+    "dense": lambda: [generate_program(s, GenParams(**LOOP_DENSE)) for s in range(6)],
     "df": lambda: [parse(generate_df_loop(s)[0]) for s in range(50)],
 }
 # (sources, nested policy, loops, digest of the per-loop rows)

@@ -1,15 +1,17 @@
-"""One search per CFG, one alias walk per method body.
+"""No search of a CFG, one alias walk per method body.
 
-`build_cfg` computes each graph's reverse postorder from entry once and keeps
-it on the `Cfg`; the loop finder, the dominator tree and the dependence
-analysis read it from there. It records each node's dominator and
-post-dominator while it builds the graph, so no other search of the graph
-runs. The alias analysis walks each body once for its partition joins, write
-targets and call row, and the analysis of a rewritten program walks only the
-methods the rewrite changed. Both are counted over one run of what
-`cook analyze` does, on programs of the benchmark's generator profiles:
-`census` as benchmarked, `islands` cut to 20 methods, and the loop-dense
-programs of the `loops` workload under its `summary` policy.
+`build_cfg` records each node's dominator and post-dominator, each `while`'s
+loop, and the order of its own numbering while it builds the graph; the
+dominator tree, the loops and the dependence analysis read them from the
+`Cfg`, so no search of the graph runs. Only the functions that read the
+edges of the nodes they visit read a graph's edge lists, and the order is
+the build's numbering. The alias analysis walks each body once for its
+partition joins, write targets and call row, and the analysis of a
+rewritten program walks only the methods the rewrite changed. Both are
+counted over one run of what `cook analyze` does, on programs of the
+benchmark's generator profiles: `census` as benchmarked, `islands` cut to 20
+methods, and the loop-dense programs of the `loops` workload under its
+`summary` policy.
 
 The report reads each method's statement, array and field counts off the
 original model's CFG, where every statement is one node besides entry and
@@ -33,15 +35,9 @@ from cook.lang.check import check
 from cook.pipeline import ProgramModel
 from cook.report import ReportConfig, analyze_sources, transformed_model
 from cook.representatives import Scalar
+from profiles import CENSUS, ISLANDS, LOOP_DENSE
 
-CENSUS = dict(
-    methods=16, classes=2, loop=0.2, opaque_loop=0.05, recursion=0.03, extern=0.08, call=0.3
-)
-ISLANDS = dict(
-    methods=20, classes=4, loop=0.15, opaque_loop=0, recursion=0, extern=0, heap=0.6,
-    virtual=0.5, max_depth=1,
-)
-LOOP_DENSE = dict(methods=3, stmts=(1, 3), loop=0.7, opaque_loop=0.1, max_depth=2, call=0.1)
+ISLANDS = dict(ISLANDS, methods=20)
 CASES = [
     pytest.param(params, seed, policy, id=f"{name}-{seed}")
     for name, params, policy, seeds in (
@@ -60,27 +56,34 @@ def patch_everywhere(mp: pytest.MonkeyPatch, fn, wrapper) -> None:
             mp.setattr(module, fn.__name__, wrapper)
 
 
+def counted_reads(readers: Counter, slot):
+    """A property over the slot descriptor `slot` that counts its reads by
+    the name of the reading function."""
+
+    def read(self):
+        readers[sys._getframe(1).f_code.co_name] += 1
+        return slot.__get__(self)
+
+    return property(read, slot.__set__)
+
+
 def analyze(params: dict, seed: int, policy: str):
-    """`cook analyze` on a generated program. Returns the CFGs it built, its
-    `reverse_postorder` calls by (successor lists, start), per alias
-    analysis the analysis, its `base` and the bodies it walked, and the
-    report."""
+    """`cook analyze` on a generated program. Returns the CFGs it built, the
+    functions that read a CFG's edge lists (`Cfg.succs`, `Cfg.preds`) with
+    their reads, per alias analysis the analysis, its `base` and the bodies
+    it walked, and the report."""
     program = generate_program(seed, GenParams(**params))
     symbols = check(program)
     built: list[cfg.Cfg] = []
-    searches: Counter = Counter()
+    readers: Counter = Counter()
     analyses: list[tuple[aliases.AliasAnalysis, object, Counter]] = []
-    build, rpo, walk = cfg.build_cfg, cfg.reverse_postorder, ast.walk
+    build, walk = cfg.build_cfg, ast.walk
     init = aliases.AliasAnalysis.__init__
 
     def counting_build(m):
         g = build(m)
         built.append(g)
         return g
-
-    def counting_rpo(start, succs):
-        searches[id(succs), start] += 1
-        return rpo(start, succs)
 
     def counting_init(self, program, symbols, base=None):
         walked: Counter = Counter()
@@ -96,22 +99,31 @@ def analyze(params: dict, seed: int, policy: str):
 
     with pytest.MonkeyPatch.context() as mp:
         patch_everywhere(mp, build, counting_build)
-        patch_everywhere(mp, rpo, counting_rpo)
+        for name in ("succs", "preds"):
+            mp.setattr(cfg.Cfg, name, counted_reads(readers, cfg.Cfg.__dict__[name]))
         mp.setattr(aliases.AliasAnalysis, "__init__", counting_init)
         report = analyze_sources(program, symbols, ReportConfig(nested_policy=policy))
-    return built, searches, analyses, report
+    return built, readers, analyses, report
 
 
 def bodies(methods) -> Counter:
     return Counter(id(m.body) for m in methods if not m.extern)
 
 
+# the functions that read a CFG's edge lists, each the rows of the nodes it
+# visits: the build, control dependence, the fixpoint's wake lists and joins,
+# and the oracle's cycle extraction
+EDGE_READERS = {"build_cfg", "_direct_masks", "spec", "method_facts", "extract_cycles"}
+
+
 @pytest.mark.parametrize("params, seed, policy", CASES)
 def test_one_forward_order_per_cfg_and_one_walk_per_body(params, seed, policy):
-    built, searches, analyses, report = analyze(params, seed, policy)
+    built, readers, analyses, report = analyze(params, seed, policy)
     assert built
-    assert [searches.pop((id(g.succs), g.entry), 0) for g in built] == [1] * len(built)
-    assert searches == Counter()
+    assert readers["method_facts"]  # the counters count
+    assert set(readers) <= EDGE_READERS, readers
+    for g in built:
+        assert g.order == [g.entry, *range(2, len(g.nodes)), g.exit]
 
     (first, no_base, walked), (second, base, rewalked) = analyses
     assert no_base is None and base is first

@@ -11,18 +11,21 @@ analysis need as it numbers the nodes, from the structure of the source, so
 no search of the graph runs. `Cfg.order` is that numbering with exit last:
 every edge that is not a loop's back edge runs forward in it, every node's
 dominators come before it, and a loop's body comes before its continuation.
-Control dependence uses the post-dominator tree walk of Ferrante, Ottenstein
-and Warren (TOPLAS 1987): node n depends on branch b when n post-dominates
-some successor of b but does not strictly post-dominate b itself.
 
-Post-dominators (`Cfg.ipdom`). A statement that is not a branch is
-post-dominated by its only successor, a return by exit. An `if` or `while`
-whose construct holds a return anywhere inside is post-dominated by exit
-alone: one path leaves it through that return, and another leaves it without
-entering the arm or body that holds it. Any other construct is
-post-dominated by its continuation, the node its outgoing edges are patched
-to; the false edge's target for a `while`. The construct carries the
-pseudo-edge (branch, -1) in its frontier until then.
+Governing branches (`Cfg.governing`). Each node's int bitset of the branch
+ids it transitively control-depends on, recorded by these rules. A node
+takes the bits of the block it is in; each `if` arm and each `while` body
+adds its own branch's bit. After an `if` or `while` that holds a return
+anywhere inside, what follows also takes that branch's bit, and what follows
+an `if` also takes the bits its falling-through arms gathered from such
+constructs. If a `while`'s body falls through, the header takes its own bit,
+and every node of its id range and what follows take the bits that govern
+the end of its body, which hold those of the returning constructs in it: one
+OR per node per enclosing loop. These are the sets that the control
+dependence of Ferrante, Ottenstein and Warren (TOPLAS 1987), closed
+transitively, gives: node n depends on branch b when n post-dominates some
+successor of b but does not strictly post-dominate b itself. The tests hold
+the record to that definition, computed over post-dominators.
 
 Dominators (`Cfg.idom`). Translating a block also yields the node that
 dominates every source of the block's outgoing edges: a plain statement
@@ -35,8 +38,6 @@ returns; every other node's dominator was numbered before it, so that walk
 needs no depth. `dominator_tree` numbers the dominator tree in preorder, in
 two sweeps of `Cfg.order`, so whether one node dominates another is two
 comparisons of those numbers instead of a walk up the tree.
-`governing_branches` closes control dependence over int bitsets of branch
-ids and gives each node its closed bitset.
 
 Loops (`Cfg.whiles`, `Cfg.returning`). Every loop of a Carib method is a
 `while`, its header the `while`'s branch node and its nodes one range of
@@ -85,7 +86,8 @@ class Cfg:
     order: list[int] = field(default_factory=list)  # entry, 2, ..., exit: the ids, exit last
     rank: list[int] = field(default_factory=list)  # each node's position in `order`
     idom: list[int] = field(default_factory=list)  # immediate dominator; entry's is entry
-    ipdom: list[int] = field(default_factory=list)  # immediate post-dominator; exit's is exit
+    # per node, the bitset of the branches it transitively control-depends on
+    governing: list[int] = field(default_factory=list)
     # per `while`, by header: (header, end of its id range, index of the
     # nearest enclosing `while` or -1, the statement)
     whiles: list[tuple[int, int, int, ast.While]] = field(default_factory=list)
@@ -96,86 +98,95 @@ class Cfg:
 
 def build_cfg(m: ast.Method) -> Cfg:
     """Structured translation; requires a body that returns on every path.
-    Each node's immediate dominator and post-dominator, and each `while`'s
-    loop, are recorded as the nodes are numbered; see the module docstring."""
+    Each node's immediate dominator and governing branches, and each
+    `while`'s loop, are recorded as the nodes are numbered; see the module
+    docstring."""
     g = Cfg(m.id, [CfgNode(0, ENTRY), CfgNode(1, EXIT)], [[-1], []], [[], []])
     nodes, succs, preds, exit_ = g.nodes, g.succs, g.preds, g.exit
     idom = [g.entry, -1]
-    # a branch's stays exit when its construct holds a return; the rows of
-    # the other nodes replace theirs at the end
-    ipdom = [exit_, exit_]
+    governing = [0, 0]
     returns: list[int] = []
     whiles: list = []
     returning: list[tuple[int, int]] = []
 
-    # A frontier is a list of reserved (node, slot) edges waiting for a
-    # target. A construct without a return carries the pseudo-edge
-    # (branch, -1): the node its frontier is patched to post-dominates it.
+    # A frontier is a list of reserved (node, slot) edges waiting for a target.
     def patch(frontier: list[tuple[int, int]], v: int) -> None:
         for u, slot in frontier:
-            if slot < 0:
-                ipdom[u] = v
-            else:
-                succs[u][slot] = v
-                preds[v].append(u)
+            succs[u][slot] = v
+            preds[v].append(u)
 
-    def add(kind: str, s: ast.Stmt, frontier: list, dom: int, row: list[int]) -> int:
-        """A node for `s` with successor slots `row`, entered by `frontier`."""
+    def add(kind: str, s: ast.Stmt, frontier: list, dom: int, mask: int, row: list[int]) -> int:
+        """A node for `s` governed by `mask`, with successor slots `row`,
+        entered by `frontier`."""
         n = len(nodes)
         nodes.append(CfgNode(n, kind, s, s.cond if kind == BRANCH else None, s.loc))
         succs.append(row)
         preds.append([])
         idom.append(dom)
-        ipdom.append(exit_)
+        governing.append(mask)
         patch(frontier, n)
         return n
 
     def build(
-        block: ast.Block, frontier: list[tuple[int, int]], dom: int, inside: int
-    ) -> tuple[list[tuple[int, int]], int]:
+        block: ast.Block, frontier: list[tuple[int, int]], dom: int, mask: int, inside: int
+    ) -> tuple[list[tuple[int, int]], int, int]:
         """Translate `block`, entered by the `frontier` edges, all of whose
-        sources `dom` dominates, inside the `while` numbered `inside` (-1 for
-        none). Returns the block's own frontier and the node that dominates
-        every source of its edges."""
+        sources `dom` dominates, governed by the branches of `mask`, inside
+        the `while` numbered `inside` (-1 for none). Returns the block's own
+        frontier, the node that dominates every source of its edges, and the
+        branches that govern what follows it."""
         first = len(nodes)
         for s in block:
             if not frontier:
                 raise CheckDiagnostic("unreachable statement", s.loc.line, s.loc.col, s.loc.file)
             if isinstance(s, ast.IfElse):
-                b = add(BRANCH, s, frontier, dom, [-1, -1])
+                b = add(BRANCH, s, frontier, dom, mask, [-1, -1])
+                bit = 1 << b
                 held = len(returns)
-                then_out, then_dom = build(s.then_body, [(b, 0)], b, inside)
-                else_out, else_dom = build(s.else_body, [(b, 1)], b, inside)
+                then_out, then_dom, then_mask = build(s.then_body, [(b, 0)], b, mask | bit, inside)
+                else_out, else_dom, else_mask = build(s.else_body, [(b, 1)], b, mask | bit, inside)
                 frontier = then_out + else_out
                 if then_out and else_out:
                     dom = b
                 else:
                     dom = then_dom if then_out else else_dom
-                if len(returns) == held:
-                    frontier.append((b, -1))
+                if len(returns) > held:
+                    # what follows is reached through the arms that fall
+                    # through, each of which holds `mask | bit`
+                    mask = (then_mask if then_out else 0) | (else_mask if else_out else 0)
             elif isinstance(s, ast.While):
-                b = add(BRANCH, s, frontier, dom, [-1, -1])
+                b = add(BRANCH, s, frontier, dom, mask, [-1, -1])
+                bit = 1 << b
                 w = len(whiles)
                 whiles.append(None)  # filled in once the body is numbered
                 held = len(returns)
-                body_out, _ = build(s.body, [(b, 0)], b, w)
-                whiles[w] = (b, len(nodes), inside, s)
-                patch(body_out, b)  # back edges (self loop when the body is empty)
-                frontier = [(b, 1), (b, -1)] if len(returns) == held else [(b, 1)]
+                body_out, _, body_mask = build(s.body, [(b, 0)], b, mask | bit, w)
+                end = len(nodes)
+                whiles[w] = (b, end, inside, s)
+                if body_out:
+                    patch(body_out, b)  # back edges (self loop when the body is empty)
+                    # the header governs itself around the back edges, and
+                    # through it every node of the loop takes the branches
+                    # that govern the end of its body
+                    for n in range(b, end):
+                        governing[n] |= body_mask
+                if len(returns) > held:
+                    mask = body_mask if body_out else mask | bit
+                frontier = [(b, 1)]
                 dom = b
             elif isinstance(s, ast.Return):
-                n = add(STMT, s, frontier, dom, [exit_])
+                n = add(STMT, s, frontier, dom, mask, [exit_])
                 preds[exit_].append(n)
                 returns.append(n)
                 frontier = []
             else:
-                dom = add(STMT, s, frontier, dom, [-1])
+                dom = add(STMT, s, frontier, dom, mask, [-1])
                 frontier = [(dom, 0)]
         if not frontier and inside >= 0:
             returning.append((first, len(nodes)))
-        return frontier, dom
+        return frontier, dom, mask
 
-    tail, _ = build(m.body, [(g.entry, 0)], g.entry, -1)
+    tail, _, _ = build(m.body, [(g.entry, 0)], g.entry, 0, -1)
     # `build` refers to itself; unbinding it frees the closures and the lists
     # they hold now, not at the next full run of the cycle collector
     del build
@@ -194,7 +205,7 @@ def build_cfg(m: ast.Method) -> Cfg:
                 d = idom[d]
     idom[exit_] = d
     g.idom = idom
-    g.ipdom = [row[0] if len(row) == 1 else p for row, p in zip(succs, ipdom)]
+    g.governing = governing
     n = len(nodes)
     g.order = [g.entry, *range(2, n), exit_]
     g.rank = [0, n - 1, *range(1, n - 1)]
@@ -213,9 +224,9 @@ def build_cfg(m: ast.Method) -> Cfg:
 @value
 class DomTree:
     """The dominator tree from entry, numbered in preorder: `pre` is each
-    node's position and `end` one past the last position of its subtree
-    (both -1 for an unreachable node), so a node dominates exactly the nodes
-    whose position lies in its own interval."""
+    node's position and `end` one past the last position of its subtree, so
+    a node dominates exactly the nodes whose position lies in its own
+    interval."""
 
     pre: list[int]
     end: list[int]
@@ -235,16 +246,16 @@ def dominator_tree(g: Cfg) -> DomTree:
     size = [1] * len(g.nodes)
     for n in reversed(below):
         size[idom[n]] += size[n]
-    pre = [-1] * len(g.nodes)
-    free = pre.copy()  # the first position in each interval not yet given out
-    root = g.order[0]
-    pre[root], free[root] = 0, 1
+    pre = [0] * len(g.nodes)
+    # the first position in each interval not yet given out; entry, first in
+    # the order, keeps position 0
+    free = [1] * len(g.nodes)
     for n in below:
         d = idom[n]
         pre[n] = first = free[d]
         free[d] = first + size[n]
         free[n] = first + 1
-    return DomTree(pre, [p + k if p >= 0 else -1 for p, k in zip(pre, size)])
+    return DomTree(pre, [p + k for p, k in zip(pre, size)])
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +268,9 @@ class LoopInfo:
     id: int
     header: int
     body: frozenset[int]
+    stmt: ast.While
     parent: int | None = None
     depth: int = 1
-    stmt: ast.While | None = None  # the While statement
     children: tuple[int, ...] = ()  # the loops whose parent this is, by id
 
 
@@ -284,7 +295,7 @@ def find_loops(g: Cfg) -> list[LoopInfo]:
                 body += range(at, first)
                 at = last
         body += range(at, end)
-        loop = LoopInfo(len(loops), header, frozenset(body), stmt=stmt)
+        loop = LoopInfo(len(loops), header, frozenset(body), stmt)
         parent = of_while[outer] if outer >= 0 else None
         if parent is not None and header in parent.body:
             loop.parent, loop.depth = parent.id, parent.depth + 1
@@ -304,22 +315,6 @@ def find_loops(g: Cfg) -> list[LoopInfo]:
 # ---------------------------------------------------------------------------
 
 
-def _direct_masks(g: Cfg) -> list[int]:
-    """Per node, the bitset of the branches it directly control-depends on."""
-    ipdom = g.ipdom
-    on = [0] * len(g.nodes)
-    for b, node in enumerate(g.nodes):
-        if node.kind != BRANCH:
-            continue
-        bit, stop = 1 << b, ipdom[b]
-        for s in g.succs[b]:
-            runner = s
-            while runner != stop:
-                on[runner] |= bit
-                runner = ipdom[runner]
-    return on
-
-
 def set_bits(mask: int):
     """Positions of the set bits of `mask`, lowest first."""
     bits = bin(mask)[:1:-1]
@@ -331,33 +326,8 @@ def set_bits(mask: int):
 
 def governing_branches(g: Cfg) -> list[int]:
     """For each node, the bitset of the branches it transitively
-    control-depends on."""
-    on = _direct_masks(g)
-    # close over the branches first; branch-on-branch edges may form cycles
-    # (loop headers)
-    branches = [b for b, node in enumerate(g.nodes) if node.kind == BRANCH and on[b]]
-    changed = True
-    while changed:
-        changed = False
-        for b in branches:
-            mask = on[b]
-            closed = mask
-            for c in set_bits(mask):
-                closed |= on[c]
-            if closed != mask:
-                on[b] = closed
-                changed = True
-    closure: dict[int, int] = {}
-    out: list[int] = []
-    for mask in on:
-        closed = closure.get(mask)
-        if closed is None:
-            closed = mask
-            for b in set_bits(mask):
-                closed |= on[b]
-            closure[mask] = closed
-        out.append(closed)
-    return out
+    control-depends on, as `build_cfg` recorded it."""
+    return g.governing
 
 
 def to_dot(g: Cfg, describe) -> str:

@@ -117,8 +117,7 @@ def analyze(
         if dump_summaries:
             for mid, mm in model.methods.items():
                 for lm in mm.loops:
-                    line = lm.info.stmt.loc.line if lm.info.stmt else "?"
-                    click.echo(f"{mid} loop@{line}: {lm.verdict.render()}")
+                    click.echo(f"{mid} loop@{lm.info.stmt.loc.line}: {lm.verdict.render()}")
                     if lm.summary is not None:
                         for row in lm.summary.render().splitlines():
                             click.echo(f"  {row}")

@@ -125,8 +125,7 @@ class ProgramModel:
             models[info.id] = self._judge_loop(g, info, loops, models, consts)
         mm.loops = [models[l.id] for l in loops]
         for lm in mm.loops:
-            if lm.info.stmt is not None:
-                self._verdict_by_stmt[id(lm.info.stmt)] = lm.verdict
+            self._verdict_by_stmt[id(lm.info.stmt)] = lm.verdict
 
     def _judge_loop(
         self,

@@ -225,7 +225,7 @@ def build_report(
         for lm in mm.loops:
             loops.append(
                 {
-                    "line": lm.info.stmt.loc.line if lm.info.stmt is not None else None,
+                    "line": lm.info.stmt.loc.line,
                     "verdict": lm.verdict.render(),
                     "terminates": lm.verdict.terminates,
                     "dependency_free": bool(lm.df and lm.df.dependency_free),

@@ -1,5 +1,6 @@
-"""Dominators and post-dominators as `cook.cfg` found them before `build_cfg`
-recorded them, kept verbatim as the reference for `tests/test_cfg.py`.
+"""Dominators, post-dominators and control dependence as `cook.cfg` found
+them before `build_cfg` recorded them, kept verbatim as the reference for
+`tests/test_cfg.py`.
 
 `_idoms` is the iterative algorithm of Cooper, Harvey and Kennedy ("A
 Simple, Fast Dominance Algorithm", 2001): intersect dominator-tree paths in
@@ -7,11 +8,17 @@ reverse postorder until nothing changes. `dominators` runs it forward over
 the reverse postorder from entry, `post_dominators` over the one from exit
 on the reversed graph. `reverse_postorder` is the depth-first search
 `build_cfg` ran before it kept its own numbering as the graph's order.
+
+Control dependence is the post-dominator tree walk of Ferrante, Ottenstein
+and Warren (TOPLAS 1987): node n depends on branch b when n post-dominates
+some successor of b but does not strictly post-dominate b itself.
+`direct_masks` walks it over `post_dominators`, and `governing_branches`
+closes it over int bitsets of branch ids until nothing changes.
 """
 
 from __future__ import annotations
 
-from cook.cfg import Cfg
+from cook.cfg import BRANCH, Cfg, set_bits
 from cook.errors import CheckDiagnostic
 
 
@@ -86,3 +93,50 @@ def _post_idoms(g: Cfg) -> list[int]:
 def post_dominators(g: Cfg) -> dict[int, int]:
     """Immediate post-dominators from exit over the reversed graph."""
     return dict(enumerate(_post_idoms(g)))
+
+
+def direct_masks(g: Cfg) -> list[int]:
+    """Per node, the bitset of the branches it directly control-depends on."""
+    ipdom = post_dominators(g)
+    on = [0] * len(g.nodes)
+    for b, node in enumerate(g.nodes):
+        if node.kind != BRANCH:
+            continue
+        bit, stop = 1 << b, ipdom[b]
+        for s in g.succs[b]:
+            runner = s
+            while runner != stop:
+                on[runner] |= bit
+                runner = ipdom[runner]
+    return on
+
+
+def governing_branches(g: Cfg) -> list[int]:
+    """For each node, the bitset of the branches it transitively
+    control-depends on."""
+    on = direct_masks(g)
+    # close over the branches first; branch-on-branch edges may form cycles
+    # (loop headers)
+    branches = [b for b, node in enumerate(g.nodes) if node.kind == BRANCH and on[b]]
+    changed = True
+    while changed:
+        changed = False
+        for b in branches:
+            mask = on[b]
+            closed = mask
+            for c in set_bits(mask):
+                closed |= on[c]
+            if closed != mask:
+                on[b] = closed
+                changed = True
+    closure: dict[int, int] = {}
+    out: list[int] = []
+    for mask in on:
+        closed = closure.get(mask)
+        if closed is None:
+            closed = mask
+            for b in set_bits(mask):
+                closed |= on[b]
+            closure[mask] = closed
+        out.append(closed)
+    return out

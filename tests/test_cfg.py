@@ -1,12 +1,16 @@
 """CFG structure, dominance, loops, and control dependence.
 
-Control dependence is checked against a path-enumeration oracle on small
-graphs: post-dominance is decided by enumerating all simple paths to the
-exit, and the dependence definition is applied directly to that relation.
-The dominators and post-dominators `build_cfg` records are checked against
-a node-removal oracle, and against the iterative algorithm kept in
-`reference_dominance` on programs of the benchmark's generator profiles. The
-loops it records are checked against the graph search kept in
+The governing branches `build_cfg` records are checked against the
+post-dominator walk of Ferrante, Ottenstein and Warren closed transitively,
+kept in `reference_dominance`, on random methods with returns in either arm
+or both, on hand-written cases, and on programs of the benchmark's generator
+profiles. That reference is in turn checked against a path-enumeration
+oracle on small graphs, where post-dominance is decided by enumerating all
+simple paths to the exit, and against a node-removal oracle, applying the
+dependence definition directly to those relations. The dominators
+`build_cfg` records are checked against the node-removal oracle, and against
+the iterative algorithm kept in `reference_dominance` on the profile
+programs. The loops it records are checked against the graph search kept in
 `reference_loops`, on the same programs and on random methods with returns
 inside nested loops.
 """
@@ -15,22 +19,15 @@ import random
 
 import pytest
 
-from cook.cfg import (
-    BRANCH,
-    _direct_masks,
-    build_cfg,
-    dominator_tree,
-    find_loops,
-    governing_branches,
-    set_bits,
-)
+from cook.cfg import BRANCH, build_cfg, dominator_tree, find_loops, governing_branches, set_bits
 from cook.generator import GenParams, generate_program
 from cook.lang import ast, parse
 from cook.lang.parser import MAX_BLOCK_DEPTH
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
 from profiles import CENSUS, ISLANDS, LOOP_DENSE
-from reference_dominance import dominators, post_dominators
+from reference_dominance import direct_masks, dominators, post_dominators
+from reference_dominance import governing_branches as reference_governing
 from reference_loops import find_loops as searched_loops, loop_fields
 
 
@@ -49,7 +46,7 @@ def dominates(idom: dict[int, int], root: int, a: int, b: int) -> bool:
 def control_dependents(g) -> dict[int, set[int]]:
     """Direct control dependence: branch node -> set of dependent nodes."""
     deps: dict[int, set[int]] = {}
-    for n, mask in enumerate(_direct_masks(g)):
+    for n, mask in enumerate(direct_masks(g)):
         for b in set_bits(mask):
             deps.setdefault(b, set()).add(n)
     return deps
@@ -282,7 +279,7 @@ def test_control_dependence_matches_path_enumeration_oracle():
 def test_ipdom_really_postdominates():
     for g in small_cfgs():
         brute = brute_postdominators(g)
-        ipdom = dict(enumerate(g.ipdom))
+        ipdom = post_dominators(g)
         for n in range(len(g.nodes)):
             if n == g.exit:
                 continue
@@ -305,12 +302,14 @@ def test_every_node_reachable_and_reaches_exit():
 # -- exact oracles on larger graphs ---------------------------------------------
 
 
-def random_method(rng, max_depth):
+def random_method(rng, max_depth, else_returns=False):
     """Source of a method with nested ifs and loops, where a then-block or a
-    loop body may end in a return."""
+    loop body may end in a return. With `else_returns` an else-block may end
+    in one too, so both arms of an `if` may return, which ends its block."""
     names = ("a", "b", "x", "y")
 
     def block(depth):
+        """The block's lines, and whether it falls through."""
         out = []
         for _ in range(rng.randint(1, 3)):
             kind = rng.random() if depth < max_depth else 0.0
@@ -318,16 +317,25 @@ def random_method(rng, max_depth):
             if kind < 0.4:
                 out.append(f"{rng.choice(names[2:])} := {rng.choice(names)};")
             elif kind < 0.7:
-                then = block(depth + 1) + (["return x;"] if rng.random() < 0.3 else [])
-                els = block(depth + 1) if rng.random() < 0.5 else []
+                then, then_falls = block(depth + 1)
+                if then_falls and rng.random() < 0.3:
+                    then, then_falls = then + ["return x;"], False
+                els, else_falls = block(depth + 1) if rng.random() < 0.5 else ([], True)
+                if else_returns and else_falls and rng.random() < 0.4:
+                    els, else_falls = els + ["return y;"], False
                 out += [f"if {cond} then {{", *then, "} else {", *els, "}"]
+                if not (then_falls or else_falls):
+                    return out, False
             else:
-                body = block(depth + 1) + (["return y;"] if rng.random() < 0.2 else [])
+                body, falls = block(depth + 1)
+                if falls and rng.random() < 0.2:
+                    body = body + ["return y;"]
                 out += [f"while {cond} do {{", *body, "}"]
-        return out
+        return out, True
 
     lines = ["method m(a: int, b: int): int {", "var x: int; var y: int;"]
-    return "\n".join(lines + block(0) + ["return x;", "}"]) + "\n"
+    body, falls = block(0)
+    return "\n".join(lines + body + (["return x;"] if falls else []) + ["}"]) + "\n"
 
 
 def nested_blocks(depth):
@@ -341,6 +349,8 @@ def nested_blocks(depth):
 def oracle_cfgs():
     rng = random.Random(5)
     graphs = [cfg_of(random_method(rng, 4)) for _ in range(60)]
+    rng = random.Random(6)
+    graphs += [cfg_of(random_method(rng, 4, else_returns=True)) for _ in range(60)]
     graphs.append(cfg_of(nested_blocks(MAX_BLOCK_DEPTH)))
     return graphs
 
@@ -388,12 +398,24 @@ def test_oracle_graphs_have_nested_loops_and_returns_inside_loops():
     assert inside >= 10, inside
     # a `while` whose body returns on every path is no loop
     assert sum(len(g.whiles) > len(find_loops(g)) for g in graphs) >= 10
+    ifs = [[n.stmt for n in g.nodes if isinstance(n.stmt, ast.IfElse)] for g in graphs]
+
+    def ends_in_return(block):
+        return bool(block) and isinstance(block[-1], ast.Return)
+
+    else_returns = sum(any(ends_in_return(s.else_body) for s in row) for row in ifs)
+    assert else_returns >= 10, else_returns
+    both_return = sum(
+        any(ends_in_return(s.then_body) and ends_in_return(s.else_body) for s in row)
+        for row in ifs
+    )
+    assert both_return >= 10, both_return
     assert max(len(g.nodes) for g in graphs) > MAX_BLOCK_DEPTH
 
 
 def test_dominators_match_the_node_removal_oracle():
     for g in oracle_cfgs() + small_cfgs():
-        idom, ipdom = dict(enumerate(g.idom)), dict(enumerate(g.ipdom))
+        idom, ipdom = dict(enumerate(g.idom)), post_dominators(g)
         assert tree_sets(idom, g.entry) == brute_dominator_sets(g.entry, g.succs)
         assert tree_sets(ipdom, g.exit) == brute_dominator_sets(g.exit, g.preds)
 
@@ -411,7 +433,7 @@ def test_recorded_dominance_is_the_reference_on_profile_programs(params, seeds, 
         for mm in (*model.methods.values(), *transformed_model(model).methods.values()):
             g = mm.cfg
             assert dict(enumerate(g.idom)) == dominators(g), g.method_id
-            assert dict(enumerate(g.ipdom)) == post_dominators(g), g.method_id
+            assert governing_branches(g) == reference_governing(g), g.method_id
             assert loop_fields(find_loops(g)) == loop_fields(searched_loops(g)), g.method_id
             graphs += 1
     assert graphs >= 40, graphs
@@ -453,6 +475,93 @@ def test_control_dependence_matches_the_node_removal_oracle():
         assert control_dependents(g) == expected
 
 
+# Each case numbers its nodes in source order: entry 0, exit 1, then one id
+# per statement from 2, a branch before the arm or body it guards. The
+# expected sets name each node's governing branches by those ids.
+GOVERNING_CASES = {
+    "return in an else arm": (
+        """
+method m(a: int, b: int): int {
+  var x: int;
+  if a < b then { x := a; } else { return b; }
+  x := b;
+  return x;
+}
+""",
+        # if 2, x := a 3, return b 4, x := b 5, return x 6
+        [set(), set(), set(), {2}, {2}, {2}, {2}],
+    ),
+    "returning if inside a loop body": (
+        """
+method m(a: int, b: int): int {
+  var x: int;
+  x := a;
+  while x < b do {
+    if a < x then { return x; }
+    x := b;
+  }
+  return x;
+}
+""",
+        # x := a 2, while 3, if 4, return x 5, x := b 6, return x 7
+        [set(), set(), set(), {3, 4}, {3, 4}, {3, 4}, {3, 4}, {3, 4}],
+    ),
+    "what follows an if takes what its falling-through arm gathered": (
+        """
+method m(a: int, b: int): int {
+  var x: int;
+  if a < b then {
+    if x < b then { return x; }
+    x := a;
+  }
+  x := b;
+  return x;
+}
+""",
+        # outer if 2, inner if 3, return x 4, x := a 5, x := b 6, return x 7
+        [set(), set(), set(), {2}, {2, 3}, {2, 3}, {2, 3}, {2, 3}],
+    ),
+    "while whose body always returns": (
+        """
+method m(a: int, b: int): int {
+  var x: int;
+  x := a;
+  while a < b do { return x; }
+  return b;
+}
+""",
+        # x := a 2, while 3, return x 4, return b 5
+        [set(), set(), set(), set(), {3}, {3}],
+    ),
+    "return in an inner loop governs the outer header": (
+        """
+method m(a: int, b: int): int {
+  var x: int;
+  x := a;
+  while x < b do {
+    while a < x do {
+      if x < b then { return x; }
+      x := b;
+    }
+    x := a;
+  }
+  return x;
+}
+""",
+        # x := a 2, outer while 3, inner while 4, if 5, return x 6, x := b 7,
+        # x := a 8, return x 9
+        [set(), set(), set()] + [{3, 4, 5}] * 7,
+    ),
+}
+
+
+@pytest.mark.parametrize("src, expected", GOVERNING_CASES.values(), ids=GOVERNING_CASES)
+def test_recorded_governing_branches_on_hand_written_cases(src, expected):
+    g = cfg_of(src)
+    assert [set(set_bits(mask)) for mask in governing_branches(g)] == expected
+    assert governing_branches(g) == reference_governing(g)
+
+
 def closure_of(direct, size):
     """Per node, the branches it reaches over direct control dependence."""
     on = [set() for _ in range(size)]
@@ -473,6 +582,7 @@ def closure_of(direct, size):
 def test_transitive_closure_contains_direct_relation():
     for g in oracle_cfgs() + small_cfgs():
         direct = control_dependents(g)
+        assert governing_branches(g) == reference_governing(g)
         trans = [frozenset(set_bits(mask)) for mask in governing_branches(g)]
         for b, nodes in direct.items():
             for n in nodes:

@@ -1,11 +1,11 @@
 """No search of a CFG, one alias walk per method body.
 
-`build_cfg` records each node's dominator and post-dominator, each `while`'s
-loop, and the order of its own numbering while it builds the graph; the
-dominator tree, the loops and the dependence analysis read them from the
-`Cfg`, so no search of the graph runs. Only the functions that read the
-edges of the nodes they visit read a graph's edge lists, and the order is
-the build's numbering. The alias analysis walks each body once for its
+`build_cfg` records each node's dominator and governing branches, each
+`while`'s loop, and the order of its own numbering while it builds the
+graph; the dominator tree, the loops and the dependence analysis read them
+from the `Cfg`, so no search of the graph runs and control dependence reads
+no edge list. Only the functions that read the edges of the nodes they visit
+read a graph's edge lists, and the order is the build's numbering. The alias analysis walks each body once for its
 partition joins, write targets and call row, and the analysis of a
 rewritten program walks only the methods the rewrite changed. Both are
 counted over one run of what `cook analyze` does, on programs of the
@@ -111,9 +111,9 @@ def bodies(methods) -> Counter:
 
 
 # the functions that read a CFG's edge lists, each the rows of the nodes it
-# visits: the build, control dependence, the fixpoint's wake lists and joins,
-# and the oracle's cycle extraction
-EDGE_READERS = {"build_cfg", "_direct_masks", "spec", "method_facts", "extract_cycles"}
+# visits: the build, the fixpoint's wake lists and joins, and the oracle's
+# cycle extraction
+EDGE_READERS = {"build_cfg", "spec", "method_facts", "extract_cycles"}
 
 
 @pytest.mark.parametrize("params, seed, policy", CASES)

@@ -9,10 +9,16 @@ below a size threshold; the instruction unit is the AST statement count.
 The verification-condition census counts syntactic array accesses and field
 dereferences on the original program and how many of them fall inside
 sub-Turing methods: those checks can be discharged by a decision procedure.
+
+`analyze_sources` runs the whole pass with Python's cycle collector off and
+then restores the caller's setting: a pass leaves no cyclic garbage (the
+guard is `tests/test_collector.py`), so the collector would only rescan
+what the pass keeps alive.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -202,14 +208,27 @@ def analyze_sources(
     symbols: Symbols,
     cfg: ReportConfig,
 ) -> Report:
-    model = ProgramModel(
-        program, symbols, safe_list=cfg.safe_list, nested_policy=cfg.nested_policy
-    )
-    tmodel = transformed_model(model)
-    t0 = time.perf_counter()
-    result = analyze_program(tmodel, swamp_test=cfg.swamp_test)
-    timing_ms = (time.perf_counter() - t0) * 1000.0
-    return build_report(model, result, cfg, timing_ms)
+    """Model, rewrite, analyze and report one checked program.
+
+    The pass runs with the cycle collector off. A pass makes no reference
+    cycles, so reference counting frees everything it drops, and the
+    collector would only scan the live ASTs, CFGs and fact tables over and
+    over; `tests/test_collector.py` holds every pass to that. The caller's
+    collector state is restored on return, and when the pass raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = ProgramModel(
+            program, symbols, safe_list=cfg.safe_list, nested_policy=cfg.nested_policy
+        )
+        tmodel = transformed_model(model)
+        t0 = time.perf_counter()
+        result = analyze_program(tmodel, swamp_test=cfg.swamp_test)
+        timing_ms = (time.perf_counter() - t0) * 1000.0
+        return build_report(model, result, cfg, timing_ms)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def build_report(

@@ -50,11 +50,11 @@ reified semantics where a bottom base or index smears the access. Scalar
 targets kill their old facts; field and array targets never kill, because
 their representatives over-approximate aliases. A call statement's entry
 names each internal callee with a substitution: the caller's actuals for the
-callee's formals and the call target for its return slot. A callee's summary
-is the only input that changes during the fixpoint, so the entry does not
-hold it: `transfer` reads the current summary mask dict and composes it
-through the substitution on every visit, and the method's entry seeds the
-field and array ids the summary names.
+callee's formals and the call target for its return slot. The callee's
+summary is not in the entry but an argument of `method_facts`: `transfer`
+reads the summary mask dict and composes it through the substitution on
+every visit, and the method's entry seeds the field and array ids the
+summary names.
 
 One transfer (`transfer`) maps a node's entry, its IN facts and the current
 summaries to OUT: it pops killed dependents, ORs the IN mask of each
@@ -75,17 +75,19 @@ branch that governs it changes: a branch passes its IN through, and the
 node's control mask reads that IN. Every transfer is monotone and every node
 whose inputs change is visited again, so the result is the least fixpoint of
 the node equations in any order; the order only sets the number of visits.
-The program fixpoint maintains per-method summaries (facts minus frame-local
-names) over the call graph worklist until nothing changes. A method lands in
-the swamp when its facts contain a bottom-sourced pair; the `post` placement
-tests the stripped summary instead, so divergence confined to dead locals
-keeps the caller out of the swamp.
+The program pass runs the method fixpoint once per method, callees first,
+and strips each method's facts into its summary (facts minus frame-local
+names). The rewrite replaced every call that may reach a recursive method,
+so the rewritten program has no call cycle: each summary is final before
+any caller reads it, and the one pass is the interprocedural fixpoint. A
+method lands in the swamp when its facts contain a bottom-sourced pair; the
+`post` placement tests the stripped summary instead, so divergence confined
+to dead locals keeps the caller out of the swamp.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -284,13 +286,11 @@ class Analyzer:
         self.model = model
         self.aliases = model.aliases
         self.sym = model.symbols
-        self._specs: dict[str, _MethodSpec] = {}
         self._ids: dict[Representative, int] = {}  # all but the frames' ids
         self._reps = Reps()
         self._heap: set[int] = set()  # ids of field and array representatives
         self._frames: dict[str, dict[str, int]] = {}
         self._fields: dict[tuple[str, str], int] = {}
-        self._strip: dict[str, tuple[frozenset[int], int]] = {}
         self._heaps: dict[str, tuple[Facts, tuple[int, ...]]] = {}
         self._call_writes: dict[str, frozenset[int]] = {}
 
@@ -361,10 +361,9 @@ class Analyzer:
 
     def spec(self, method_id: str) -> _MethodSpec:
         """The method's node table with its control pairs, wake lists and
-        footprint, built in one pass over its CFG and kept."""
-        cached = self._specs.get(method_id)
-        if cached is not None:
-            return cached
+        footprint, built in one pass over its CFG. Nothing keeps it: the
+        program pass builds each method's once, in `method_facts`, and drops
+        it when the method is done."""
         g = self.model.methods[method_id].cfg
         graph = g.nodes
         fr = self.frame(method_id)
@@ -407,9 +406,7 @@ class Analyzer:
         # the footprint: the method's formals and locals and the heap it touches
         ret = fr[RET]
         seeds = (*range(ret - len(fr) + 1, ret), *(touched & self._heap))
-        spec = _MethodSpec(g, nodes, control, wake, seeds, tuple(call_nodes))
-        self._specs[method_id] = spec
-        return spec
+        return _MethodSpec(g, nodes, control, wake, seeds, tuple(call_nodes))
 
     def _summary_heap(self, callee: str, summaries: Mapping[str, Facts]) -> tuple[int, ...]:
         """The field and array ids that the callee's current summary names,
@@ -484,18 +481,17 @@ class Analyzer:
         """Callers cannot observe frame-local names: drop the dependents that
         are a local or formal (`ret` stays, it is the caller-visible channel)
         and clear the source bits of locals (formal sources survive so call
-        sites can substitute actuals). Both masks are built once per method."""
-        parts = self._strip.get(method_id)
-        if parts is None:
-            fr = self.frame(method_id)
-            local_bits = 0
-            for p in self.sym.methods[method_id].locals:
-                local_bits |= 1 << (fr[p.name] + SHIFT)
-            parts = self._strip[method_id] = (frozenset(fr.values()) - {fr[RET]}, ~local_bits)
-        frame, keep = parts
+        sites can substitute actuals). The frame is one block of ids, formals
+        then locals then `ret`, so both are ranges of it; the program pass
+        strips each method once."""
+        fr = self.frame(method_id)
+        ret = fr[RET]
+        first = ret - len(fr) + 1
+        locals_at = first + len(self.sym.methods[method_id].formals)
+        keep = ~(((1 << (ret - locals_at)) - 1) << (locals_at + SHIFT))
         out: Facts = {}
         for k, mask in facts.items():
-            if k not in frame:
+            if not first <= k < ret:
                 mask &= keep
                 if mask:
                     out[k] = mask
@@ -598,32 +594,21 @@ class AnalysisResult:
 
 
 def analyze_program(model: ProgramModel, swamp_test: str = "pre") -> AnalysisResult:
-    """Interprocedural fixpoint: run the method analysis per worklist entry,
-    maintain stripped summaries, and re-queue callers whose callee summaries
-    changed. The result is the least fixpoint, independent of pop order.
-    Facts and summaries stay masks, in the result too."""
+    """One pass over the methods, callees first (`analysis_order`): each
+    method's facts are computed from its callees' final summaries, then
+    stripped into its own. The model must be rewritten (`transformed_model`),
+    so its call graph has no cycle and the pass is the interprocedural
+    fixpoint. Facts and summaries stay masks, in the result too."""
+    if model.recursion:
+        raise ValueError(f"the model has call cycles, rewrite it first: {sorted(model.recursion)}")
     analyzer = Analyzer(model)
     methods = model.analysis_order()
-    summaries: dict[str, Facts] = {mid: {} for mid in methods}
-    facts: dict[str, Facts] = {mid: {} for mid in methods}
+    facts: dict[str, Facts] = {}
+    summaries: dict[str, Facts] = {}
+    for mid in methods:
+        facts[mid] = analyzer.method_facts(mid, summaries)
+        summaries[mid] = analyzer.strip_locals(mid, facts[mid])
 
-    pending = deque(methods)
-    queued = set(methods)
-    while pending:
-        mid = pending.popleft()
-        queued.discard(mid)
-        out = analyzer.method_facts(mid, summaries)
-        facts[mid] = out
-        stripped = analyzer.strip_locals(mid, out)
-        if stripped != summaries[mid]:
-            summaries[mid] = stripped
-            for caller in model.callgraph.callers_of(mid):
-                if caller not in queued:
-                    queued.add(caller)
-                    pending.append(caller)
-
-    # facts grow monotonically, so membership in the swamp is decided by the
-    # fixpoint facts regardless of when a method was last popped
     swamp: set[str] = set()
     causes: dict[str, frozenset[ast.DivergenceCause]] = {}
     for mid in methods:

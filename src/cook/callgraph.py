@@ -23,10 +23,6 @@ class CallGraph:
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
     succs: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    preds: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def callers_of(self, method_id: str) -> tuple[str, ...]:
-        return self.preds.get(method_id, ())
 
 
 def build_call_graph(program: ast.Program, rows: Mapping[str, tuple[str, ...]]) -> CallGraph:
@@ -34,12 +30,8 @@ def build_call_graph(program: ast.Program, rows: Mapping[str, tuple[str, ...]]) 
     method's internal callees, as `AliasAnalysis.calls` resolved them."""
     nodes = tuple(m.id for m in program.methods if not m.extern)
     succs = {mid: rows[mid] for mid in nodes}
-    preds: dict[str, list[str]] = {mid: [] for mid in nodes}
-    for mid in nodes:
-        for callee in succs[mid]:
-            preds[callee].append(mid)
     edges = frozenset((mid, callee) for mid in nodes for callee in succs[mid])
-    return CallGraph(nodes, edges, succs, {k: tuple(v) for k, v in preds.items()})
+    return CallGraph(nodes, edges, succs)
 
 
 def strongly_connected_components(
@@ -108,8 +100,8 @@ def recursion_set(graph: CallGraph) -> frozenset[str]:
 
 
 def condensation_order(graph: CallGraph) -> list[str]:
-    """Methods in reverse topological order of the SCC condensation, so most
-    callees are processed before their callers."""
+    """Methods in reverse topological order of the SCC condensation: every
+    callee comes before its callers, except within a cycle."""
     order: list[str] = []
     for scc in strongly_connected_components(graph.nodes, graph.succs):
         order.extend(sorted(scc))

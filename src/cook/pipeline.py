@@ -189,7 +189,8 @@ class ProgramModel:
         )
 
     def analysis_order(self) -> list[str]:
-        """Methods with callees before callers, so first passes see summaries."""
+        """Methods with callees before callers; in a rewritten model, which
+        has no call cycle, before every caller."""
         return condensation_order(self.callgraph)
 
     def governing(self, method_id: str):

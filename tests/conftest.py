@@ -39,6 +39,12 @@ method bar(): int {
 }
 """
 
+MUTUAL_RECURSION = """
+method even(n: int): int { var r: int; r := odd(n); return r; }
+method odd(n: int): int { var r: int; r := even(n); return r; }
+method top(a: int): int { var x: int; x := a; return x; }
+"""
+
 COUNTED_LOOP = """
 method count(n: int): int {
   var i: int; var j: int; var one: int; var three: int;
@@ -78,6 +84,11 @@ def opaque_loop_caller():
 @pytest.fixture
 def api_call_unused():
     return API_CALL_UNUSED
+
+
+@pytest.fixture
+def mutual_recursion():
+    return MUTUAL_RECURSION
 
 
 @pytest.fixture

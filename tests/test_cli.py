@@ -44,6 +44,14 @@ def test_analyze_json(tmp_path, counted_loop, opaque_loop_caller):
     assert report["aggregates"]["loops_total"] == 2
 
 
+def test_analyze_reports_mutual_recursion(tmp_path, mutual_recursion):
+    result = invoke(tmp_path, ["analyze"], mutual_recursion)
+    assert result.exit_code == 0, result.output
+    assert "swamp   even  (2 instructions) [recursion]" in result.output
+    assert "swamp   odd  (2 instructions) [recursion]" in result.output
+    assert "island  top  (2 instructions)" in result.output
+
+
 def test_dump_cfg_labels_nodes_with_their_statements(tmp_path, counted_loop):
     result = invoke(tmp_path, ["analyze", "--dump-cfg"], counted_loop)
     assert result.exit_code == 0, result.output

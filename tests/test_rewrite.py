@@ -7,6 +7,7 @@ from cook.generator import GenParams, generate_program
 from cook.lang import ast, load, parse, pretty
 from cook.lang.check import check
 from cook.pipeline import ProgramModel
+from cook.report import transformed_model
 from cook.representatives import Scalar, TypeField
 from cook.rewrite import rewrite_program
 
@@ -255,3 +256,49 @@ method f(o: A, n: int): int {
     _, p2a = rewrite(src)
     _, p2b = rewrite(src)
     assert p2a == p2b
+
+
+# recursion-heavy programs with virtual dispatch, loops and opaque loops
+RECURSIVE = GenParams(
+    methods=12, classes=3, loop=0.2, opaque_loop=0.1, recursion=0.3, extern=0.1, call=0.5,
+    virtual=0.5,
+)
+
+
+@pytest.mark.parametrize("safe", (False, True), ids=("no-safe-list", "safe-list"))
+@pytest.mark.parametrize("policy", ("basic", "summary"))
+def test_the_rewritten_program_has_no_call_cycle(policy, safe):
+    """Every call that may reach a recursive method becomes a bottom
+    assignment, so the rewritten call graph is acyclic and `analysis_order`
+    puts every callee before each of its callers: the premise of the
+    analysis's one callees-first pass."""
+    for seed in range(20):
+        program = generate_program(seed, RECURSIVE)
+        externs = frozenset(m.name for m in program.methods if m.extern)
+        model = ProgramModel(program, safe_list=externs if safe else frozenset(), nested_policy=policy)
+        assert model.recursion, seed
+        tmodel = transformed_model(model)
+        assert tmodel.recursion == frozenset(), seed
+        order = tmodel.analysis_order()
+        assert sorted(order) == sorted(tmodel.methods), seed
+        rank = {mid: k for k, mid in enumerate(order)}
+        for caller, callee in tmodel.callgraph.edges:
+            assert callee not in model.recursion, (seed, caller, callee)
+            assert rank[callee] < rank[caller], (seed, caller, callee)
+
+
+# `get(o)` dispatches to `A.get` and `B.get`, and only `B.get` is on a cycle
+MIXED_DISPATCH = """
+class A { f: int; }
+class B extends A {}
+method A.get(self: A): int { var t: int; t := self.f; return t; }
+method B.get(self: B): int { var t: int; t := use(self); return t; }
+method use(o: A): int { var x: int; x := get(o); return x; }
+"""
+
+
+def test_a_call_with_one_recursive_target_leaves_no_edge():
+    model, _ = rewrite(MIXED_DISPATCH)
+    assert model.recursion == {"B.get", "use"}
+    tmodel = transformed_model(model)
+    assert tmodel.recursion == frozenset() and tmodel.callgraph.edges == frozenset()

@@ -72,6 +72,7 @@ def counters(program: ast.Program) -> tuple[dict[str, int], ProgramModel, Analys
         result = analyze_program(model)
     assert len(analyzers) == 1
     (an,) = analyzers
+    counts["methods"] = len(model.methods)
     counts["call_node_writes"] = sum(
         len(spec.nodes[nid].writes)
         for spec in map(an.spec, model.methods)
@@ -114,6 +115,14 @@ def test_chain_counter_grows_linearly(chains, counter):
 @pytest.mark.parametrize("counter", COUNTERS)
 def test_census_counter_grows_linearly(censuses, counter):
     assert_linear(censuses, counter)
+
+
+@pytest.mark.parametrize("runs", ("chains", "censuses"))
+def test_each_method_is_analyzed_once(runs, request):
+    """The analysis is one callees-first pass: a re-queue or a second pass
+    analyzes some method twice."""
+    for counts in request.getfixturevalue(runs):
+        assert counts["method_pops"] == counts["methods"], counts
 
 
 @pytest.mark.xfail(strict=True, reason=ITEM_1)

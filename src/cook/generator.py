@@ -17,11 +17,24 @@ Design constraints that keep generated programs useful as test subjects:
   synthesized stores;
 * object field traffic goes through formals, which synthesized stores
   populate with non-null objects.
+
+Determinism: the same seed and parameters give the same program text, draw
+for draw. `tests/test_generator.py` pins the digests of the printed text of
+many seeds and profiles, so a change that reorders or adds a random draw, or
+changes the contents or order of a list drawn from, fails there.
+
+Cost: each statement costs the same however many methods came before it.
+A body keeps its variables in one sorted list per type. A body's locals are
+all `int`, so the set of types it has a variable of is fixed by its formals;
+`_Gen` indexes the methods a call may target by that set, builds each entry
+once, and appends each new method to every entry whose types cover its
+formals. `tests/test_scaling.py` counts the methods examined as call targets.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 
 from .lang import ast, parse, pretty
@@ -55,12 +68,10 @@ class _Gen:
         self.classes: list[ast.ClassDecl] = []
         self.interfaces: list[ast.InterfaceDecl] = []
         self.methods: list[ast.Method] = []
-        self.callable: list[ast.Method] = []  # internal, callable from later methods
-        self.fresh = 0
-
-    def name(self, prefix: str) -> str:
-        self.fresh += 1
-        return f"{prefix}{self.fresh}"
+        # class name -> its int fields, inherited ones after its own
+        self.int_fields: dict[str, list[str]] = {}
+        # set of types a body has variables of -> the methods it can call
+        self.targets: dict[frozenset[str], list[ast.Method]] = {}
 
     # -- types -----------------------------------------------------------
 
@@ -86,16 +97,16 @@ class _Gen:
             self.classes.append(
                 ast.ClassDecl(f"C{i}", superclass, impls, tuple(fields))
             )
+            own = [f.name for f in fields if f.type == ast.INT]
+            self.int_fields[f"C{i}"] = own + self.int_fields.get(superclass, [])
 
-    def field_pool(self, cname: str) -> list[tuple[str, str]]:
-        out = []
-        cur: str | None = cname
-        by_name = {c.name: c for c in self.classes}
-        while cur is not None:
-            decl = by_name[cur]
-            out.extend((f.name, f.type) for f in decl.fields)
-            cur = decl.superclass
-        return out
+    def call_targets(self, types: frozenset[str]) -> list[ast.Method]:
+        """The methods so far whose formals all have a type in `types`, in
+        generation order."""
+        targets = self.targets.get(types)
+        if targets is None:
+            targets = self.targets[types] = [m for m in self.methods if _satisfiable(m, types)]
+        return targets
 
     # -- methods ------------------------------------------------------------
 
@@ -108,7 +119,9 @@ class _Gen:
         for i in range(self.p.methods):
             m = self.gen_method(i)
             self.methods.append(m)
-            self.callable.append(m)
+            for types, targets in self.targets.items():
+                if _satisfiable(m, types):
+                    targets.append(m)
         return ast.Program(tuple(self.classes), tuple(self.interfaces), externs + tuple(self.methods))
 
     def gen_method(self, index: int) -> ast.Method:
@@ -118,7 +131,6 @@ class _Gen:
         if self.classes and rng.random() < self.p.virtual:
             owner = rng.choice(self.classes).name
             formals.append(ast.Param("self", owner))
-        mid = f"{owner}.m{index}" if owner else f"m{index}"
         for k in range(rng.randint(0, self.p.max_formals)):
             t = ast.INT
             roll = rng.random()
@@ -128,7 +140,7 @@ class _Gen:
                 t = "int[]"
             formals.append(ast.Param(f"p{k}", t))
 
-        b = _Body(self, mid, owner, formals, index)
+        b = _Body(self, formals, index)
         stmts = b.gen_block(rng.randint(*self.p.stmts), self.p.max_depth)
         stmts.append(ast.Return(b.int_var()))
         return ast.Method(
@@ -139,17 +151,18 @@ class _Gen:
 class _Body:
     """Per-method statement generator with a typed variable pool."""
 
-    def __init__(self, gen: _Gen, mid: str, owner: str | None, formals: list[ast.Param], index: int):
+    def __init__(self, gen: _Gen, formals: list[ast.Param], index: int):
         self.g = gen
         self.rng = gen.rng
-        self.mid = mid
-        self.owner = owner
         self.index = index
         self.locals: list[ast.Param] = []
-        self.pool: dict[str, str] = {p.name: p.type for p in formals}
+        # type -> names of that type, in string order ("v10" < "v2")
+        self.vars: dict[str, list[str]] = {ast.INT: []}
+        for p in formals:
+            insort(self.vars.setdefault(p.type, []), p.name)
         self.formal_order = [p.name for p in formals]
-        self.formal_names = set(self.formal_order)
-        self.counter = 0
+        # formals of a class type, by name
+        self.objs = sorted((p.name, p.type) for p in formals if p.type in gen.int_fields)
         # shared unit stride, assigned exactly once at method entry
         self.one = self.local(ast.INT)
         self.prelude = [ast.ConstAssign(self.one, 1)]
@@ -163,15 +176,11 @@ class _Body:
     def local(self, t: str) -> str:
         name = f"v{len(self.locals)}"
         self.locals.append(ast.Param(name, t))
-        self.pool[name] = t
+        insort(self.vars[t], name)
         return name
 
-    def vars_of(self, t: str, formal_only: bool = False) -> list[str]:
-        return sorted(
-            n
-            for n, vt in self.pool.items()
-            if vt == t and (not formal_only or n in self.formal_names)
-        )
+    def vars_of(self, t: str) -> list[str]:
+        return self.vars.get(t, [])
 
     def int_var(self) -> str:
         vs = self.vars_of(ast.INT)
@@ -247,14 +256,9 @@ class _Body:
 
     def gen_heap_stmt(self) -> ast.Block | None:
         rng = self.rng
-        objs = [
-            (n, t)
-            for n, t in sorted(self.pool.items())
-            if t in {c.name for c in self.g.classes} and n in self.formal_names
-        ]
         arrays = self.vars_of("int[]")
         choices = []
-        if objs:
+        if self.objs:
             choices += ["fread", "fwrite"]
         if arrays:
             choices += ["aread", "awrite"]
@@ -262,11 +266,8 @@ class _Body:
             return None
         kind = rng.choice(choices)
         if kind in ("fread", "fwrite"):
-            obj, otype = rng.choice(objs)
-            fields = [(f, t) for f, t in self.g.field_pool(otype) if t == ast.INT]
-            if not fields:
-                return None
-            fname, _ = rng.choice(fields)
+            obj, otype = rng.choice(self.objs)
+            fname = rng.choice(self.g.int_fields[otype])
             if kind == "fread":
                 return (ast.FieldRead(self.fresh_or_existing_int(), obj, fname),)
             return (ast.FieldWrite(obj, fname, self.int_var()),)
@@ -326,14 +327,11 @@ class _Body:
         return (*init, ast.While(cond, tuple(body)))
 
     def gen_call(self) -> ast.Stmt | None:
-        callable_ = [m for m in self.g.callable if self.satisfiable(m)]
+        callable_ = self.g.call_targets(frozenset(self.vars))
         if not callable_:
             return None
         target = self.rng.choice(callable_)
         return self.call_to(target)
-
-    def satisfiable(self, m: ast.Method) -> bool:
-        return all(self.vars_of(p.type) for p in m.formals)
 
     def call_to(self, m: ast.Method) -> ast.Stmt:
         actuals = tuple(self.rng.choice(self.vars_of(p.type)) for p in m.formals)
@@ -349,6 +347,11 @@ class _Body:
         k = self.rng.randrange(_EXTERN_COUNT)
         actuals = (self.int_var(),) * (k % 2)
         return ast.Call(self.fresh_or_existing_int(), f"ext{k}", actuals)
+
+
+def _satisfiable(m: ast.Method, types: frozenset[str]) -> bool:
+    """Whether a body with variables of exactly `types` can call `m`."""
+    return all(p.type in types for p in m.formals)
 
 
 def _writes_any(group: ast.Block, names: set[str]) -> bool:

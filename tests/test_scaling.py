@@ -8,7 +8,9 @@ Three shapes of program are grown:
   0) of 125, 250 and 500 methods, with loops, APIs and recursion; some of
   their methods are in the swamp;
 * one method of 250, 500 and 1000 sequential counted loops, each with fresh
-  names, whose loops `ProgramModel` judges.
+  names, whose loops `ProgramModel` judges;
+* census-profile programs of 250, 500 and 1000 methods as the generator
+  builds them, counting the methods it examines as call targets.
 
 Doubling the program may at most double each counter, with a little slack;
 a counter that grows faster is a quadratic cost on large programs. Nothing
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from cook import analysis
+from cook import analysis, generator
 from cook.analysis import AnalysisResult, Analyzer, analyze_program
 from cook.cfg import DomTree, LoopInfo
 from cook.generator import GenParams, generate_program
@@ -31,6 +33,7 @@ from profiles import CENSUS
 CHAIN_SIZES = (250, 500, 1000)
 CENSUS_SIZES = (125, 250, 500)
 LOOP_SIZES = (250, 500, 1000)
+GEN_SIZES = (250, 500, 1000)
 GROWTH = 2.2  # the most a counter may grow when the program doubles
 
 
@@ -188,3 +191,22 @@ def test_every_loop_of_a_long_method_is_proven(long_methods):
         loops = model.methods["m"].loops
         assert len(loops) == k
         assert all(lm.verdict.terminates for lm in loops)
+
+
+def test_generator_examines_linearly_many_call_targets():
+    """Scanning every earlier method at each call site grows about fourfold
+    per doubling."""
+    runs = []
+    satisfiable = generator._satisfiable
+    for n in GEN_SIZES:
+        counts = dict(call_targets_examined=0)
+
+        def counting_satisfiable(*args):
+            counts["call_targets_examined"] += 1
+            return satisfiable(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(generator, "_satisfiable", counting_satisfiable)
+            generate_program(0, GenParams(**dict(CENSUS, methods=n)), normalize=False)
+        runs.append(counts)
+    assert_linear(runs, "call_targets_examined")

@@ -39,12 +39,11 @@ imports and the representatives it may write, all as ids. `node_spec` picks
 the statement kind with one `type(s)` and each kind builds its tuples
 directly; the four scalar assignments, about half of all nodes, come first.
 `Analyzer.spec` builds a method's entries, its heap footprint (read only
-from the kinds that can name the heap), its control pairs and its wake lists
-in one pass over the CFG. A node's governing branches come from
+from the kinds that can name the heap) and its control pairs in one pass
+over the CFG. A node's governing branches come from
 `cfg.governing_branches` as one int bitset; the writes with the same bitset
 share one tuple of control pairs, each branch with the variables of its
-condition, and are added once to each of those branches' wake lists. A write
-depends on everything it reads: its operands, the field or array
+condition. A write depends on everything it reads: its operands, the field or array
 representative, and the base pointer and index it dereferences, matching the
 reified semantics where a bottom base or index smears the access. Scalar
 targets kill their old facts; field and array targets never kill, because
@@ -66,15 +65,19 @@ inherits, for every variable free in the branch condition, that variable's
 sources at the branch.
 
 The method fixpoint seeds the entry with identity facts over the method's
-footprint and iterates to a fixpoint. Its worklist pops nodes by their rank
-in `Cfg.order`, the order in which `cfg.build_cfg` numbered them with exit
-last, where every edge but a loop's back edge runs forward, so without
-loops every node is visited once, after all of its predecessors. A node is
-queued again when the OUT of a predecessor changes, or when the OUT of a
-branch that governs it changes: a branch passes its IN through, and the
-node's control mask reads that IN. Every transfer is monotone and every node
-whose inputs change is visited again, so the result is the least fixpoint of
-the node equations in any order; the order only sets the number of visits.
+footprint and keeps one table, OUT, per node. `cfg.build_cfg` numbers the
+nodes in a weak topological order (Bourdoncle, "Efficient chaotic iteration
+strategies with widenings", 1993): with exit last, every edge runs forward
+but a back edge into a `while` header, from the header's id range
+(`Cfg.whiles`). So the fixpoint visits entry, the ids in order and exit,
+and sweeps each `while`'s range, nested ranges the same way, until a sweep
+changes no OUT: that paper's recursive strategy. A node joins its IN when
+it is visited, and its control mask reads each governing branch's OUT,
+which is the branch's IN; a branch numbered after a node it governs shares
+a range with it. Every transfer is monotone and a sweep that changes
+nothing leaves every node's equation holding, so the result is the least
+fixpoint; without loops each node is visited once, after its predecessors.
+
 The program pass runs the method fixpoint once per method, callees first,
 and strips each method's facts into its summary (facts minus frame-local
 names). The rewrite replaced every call that may reach a recursive method,
@@ -90,7 +93,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .aliases import RET
 from .cfg import Cfg, set_bits
@@ -261,6 +263,18 @@ def transfer(
     return out
 
 
+def _join(OUT: list[Facts], preds: list[int]) -> Facts:
+    """IN of a node: the union of its predecessors' OUT, the one
+    predecessor's OUT itself."""
+    if len(preds) == 1:
+        return OUT[preds[0]]
+    d = dict(OUT[preds[0]])
+    for p in preds[1:]:
+        for k, mask in OUT[p].items():
+            d[k] = d.get(k, 0) | mask
+    return d
+
+
 # ---------------------------------------------------------------------------
 # per-method fixpoint
 # ---------------------------------------------------------------------------
@@ -272,9 +286,6 @@ class _MethodSpec:
     nodes: list[NodeSpec]
     # per node that writes: (governing branch, variable free in its condition)
     control: list[tuple[tuple[int, int], ...]]
-    # per node, what to queue when its OUT changes: its successors and, for a
-    # branch, the nodes whose control mask reads its IN (a branch's OUT is its IN)
-    wake: list[list[int]]
     seeds: tuple[int, ...]
     call_nodes: tuple[int, ...]
 
@@ -360,18 +371,18 @@ class Analyzer:
     # -- preparation ------------------------------------------------------
 
     def spec(self, method_id: str) -> _MethodSpec:
-        """The method's node table with its control pairs, wake lists and
-        footprint, built in one pass over its CFG. Nothing keeps it: the
-        program pass builds each method's once, in `method_facts`, and drops
-        it when the method is done."""
+        """The method's node table with its control pairs and footprint,
+        built in one pass over its CFG. Nothing keeps it: the program pass
+        builds each method's once, in `method_facts`, and drops it when the
+        method is done."""
         g = self.model.methods[method_id].cfg
         graph = g.nodes
         fr = self.frame(method_id)
         governing = self.model.governing(method_id)
         nodes: list[NodeSpec] = []
         control: list[tuple[tuple[int, int], ...]] = []
-        # governing branch bitset -> (its control pairs, the writes it governs)
-        groups: dict[int, tuple[tuple[tuple[int, int], ...], list[int]]] = {}
+        # governing branch bitset -> its control pairs
+        groups: dict[int, tuple[tuple[int, int], ...]] = {}
         touched: set[int] = set()  # writes and sources of the nodes that may name the heap
         call_nodes: list[int] = []
         for n, node in enumerate(graph):
@@ -388,25 +399,18 @@ class Analyzer:
             if not (writes and branches):
                 control.append(())
                 continue
-            group = groups.get(branches)
-            if group is None:  # each branch with the variables of its condition
-                pairs = tuple(
+            pairs = groups.get(branches)
+            if pairs is None:  # each branch with the variables of its condition
+                pairs = groups[branches] = tuple(
                     (b, fr[v])
                     for b in set_bits(branches)
                     for v in (graph[b].cond.left, graph[b].cond.right)
                 )
-                group = groups[branches] = (pairs, [])
-            control.append(group[0])
-            group[1].append(n)
-        # a node wakes its successors and, for a branch, the writes it governs
-        wake = g.succs.copy()  # the CFG's own lists: a branch's is replaced, never extended
-        for branches, (_, governed) in groups.items():
-            for b in set_bits(branches):
-                wake[b] = wake[b] + governed
+            control.append(pairs)
         # the footprint: the method's formals and locals and the heap it touches
         ret = fr[RET]
         seeds = (*range(ret - len(fr) + 1, ret), *(touched & self._heap))
-        return _MethodSpec(g, nodes, control, wake, seeds, tuple(call_nodes))
+        return _MethodSpec(g, nodes, control, seeds, tuple(call_nodes))
 
     def _summary_heap(self, callee: str, summaries: Mapping[str, Facts]) -> tuple[int, ...]:
         """The field and array ids that the callee's current summary names,
@@ -425,55 +429,45 @@ class Analyzer:
     # -- landfall ---------------------------------------------------------------
 
     def method_facts(self, method_id: str, summaries: dict[str, Facts]) -> Facts:
-        """Worklist fixpoint over the method's CFG, given the callees' summary
-        masks; returns the exit facts. Nodes are popped by their rank in
-        `Cfg.order`."""
+        """The method's exit facts, given the callees' summary masks: entry,
+        the ids in order, each `while`'s range again until a sweep of it
+        changes nothing, and exit."""
         spec = self.spec(method_id)
         g = spec.cfg
-        n_nodes = len(g.nodes)
-        nodes = spec.nodes
+        nodes, control, preds_of = spec.nodes, spec.control, g.preds
         seeds = set(spec.seeds)
         for nid in spec.call_nodes:
             for callee, _ in nodes[nid].calls:
                 seeds.update(self._summary_heap(callee, summaries))
-        entry_facts: Facts = {i: 1 << (i + SHIFT) for i in seeds}
-        control, wake = spec.control, spec.wake
-        order, rank = g.order, g.rank
-        preds_of = g.preds
-        empty: Facts = {}
-        IN: list[Facts] = [empty] * n_nodes
-        OUT: list[Facts] = [empty] * n_nodes
-        work = [rank[g.entry]]
-        queued = [False] * n_nodes
-        queued[g.entry] = True
-        visited = [False] * n_nodes
-        while work:
-            n = order[heappop(work)]
-            queued[n] = False
-            first = not visited[n]
-            visited[n] = True
-            preds = preds_of[n]
-            if n == g.entry:
-                incoming = entry_facts
-            elif len(preds) == 1:
-                incoming = OUT[preds[0]]
-            else:
-                incoming = dict(OUT[preds[0]])
-                for p in preds[1:]:
-                    for k, mask in OUT[p].items():
-                        incoming[k] = incoming.get(k, 0) | mask
-            IN[n] = incoming
+        OUT: list[Facts] = [{}] * len(nodes)  # never mutated, so one shared
+        OUT[g.entry] = transfer(nodes[g.entry], {i: 1 << (i + SHIFT) for i in seeds}, 0, summaries)
+        end_of = {h: e for h, e, _, _ in g.whiles}
+        # the open ranges, innermost last: (header, end, whether the enclosing
+        # sweep or an earlier sweep of this range changed an OUT)
+        ranges: list[tuple[int, int, bool]] = []
+        n, changed = 2, False
+        while n < len(nodes):
+            if n in end_of and not (ranges and ranges[-1][0] == n):
+                ranges.append((n, end_of[n], changed))
+                changed = False
+            incoming = _join(OUT, preds_of[n])
             ctrl = 0
-            for b, v in control[n]:
-                ctrl |= IN[b].get(v, 0)
+            for b, v in control[n]:  # a branch passes its IN through
+                ctrl |= OUT[b].get(v, 0)
             out = transfer(nodes[n], incoming, ctrl, summaries)
-            if out != OUT[n] or first:
+            if out is not OUT[n] and out != OUT[n]:
                 OUT[n] = out
-                for s in wake[n]:
-                    if not queued[s]:
-                        queued[s] = True
-                        heappush(work, rank[s])
-        return OUT[g.exit]
+                changed = True
+            n += 1
+            while ranges and ranges[-1][1] == n:
+                h, e, before = ranges[-1]
+                if changed:  # sweep the range again
+                    ranges[-1] = (h, e, True)
+                    n, changed = h, False
+                    break
+                ranges.pop()
+                changed = before
+        return transfer(nodes[g.exit], _join(OUT, preds_of[g.exit]), 0, summaries)
 
     # -- summaries -----------------------------------------------------------
 

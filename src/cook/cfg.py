@@ -8,9 +8,11 @@ Nodes are numbered in source order: entry 0, exit 1, and every statement the
 next id when it is reached, a branch before the arm or body it guards.
 `build_cfg` records what the dominator tree, the loops and the dependence
 analysis need as it numbers the nodes, from the structure of the source, so
-no search of the graph runs. `Cfg.order` is that numbering with exit last:
-every edge that is not a loop's back edge runs forward in it, every node's
-dominators come before it, and a loop's body comes before its continuation.
+no search of the graph runs. Read with exit last, the numbering is a weak
+topological order: every edge runs to a larger id except a back edge into a
+`while` header, which comes from that `while`'s own id range, and a return
+into exit. So every node's dominators come before it, and a `while`'s body
+comes before its continuation.
 
 Governing branches (`Cfg.governing`). Each node's int bitset of the branch
 ids it transitively control-depends on, recorded by these rules. A node
@@ -36,8 +38,8 @@ edges into a `while` come from nodes its header dominates, so they leave the
 header's dominator as it is. Exit's is the nearest common dominator of the
 returns; every other node's dominator was numbered before it, so that walk
 needs no depth. `dominator_tree` numbers the dominator tree in preorder, in
-two sweeps of `Cfg.order`, so whether one node dominates another is two
-comparisons of those numbers instead of a walk up the tree.
+two sweeps of the ids with exit last, so whether one node dominates another
+is two comparisons of those numbers instead of a walk up the tree.
 
 Loops (`Cfg.whiles`, `Cfg.returning`). Every loop of a Carib method is a
 `while`, its header the `while`'s branch node and its nodes one range of
@@ -83,8 +85,6 @@ class Cfg:
     preds: list[list[int]] = field(default_factory=list)
     entry: int = 0
     exit: int = 1
-    order: list[int] = field(default_factory=list)  # entry, 2, ..., exit: the ids, exit last
-    rank: list[int] = field(default_factory=list)  # each node's position in `order`
     idom: list[int] = field(default_factory=list)  # immediate dominator; entry's is entry
     # per node, the bitset of the branches it transitively control-depends on
     governing: list[int] = field(default_factory=list)
@@ -206,9 +206,6 @@ def build_cfg(m: ast.Method) -> Cfg:
     idom[exit_] = d
     g.idom = idom
     g.governing = governing
-    n = len(nodes)
-    g.order = [g.entry, *range(2, n), exit_]
-    g.rank = [0, n - 1, *range(1, n - 1)]
     g.whiles = whiles
     # a block's range is recorded once its nodes are numbered, after the
     # blocks inside it
@@ -238,17 +235,17 @@ class DomTree:
 
 def dominator_tree(g: Cfg) -> DomTree:
     """Number the tree of `g.idom` in time linear in the graph. A node's
-    immediate dominator comes before it in `g.order`, so one backward sweep
-    sums the subtree sizes and one forward sweep gives each child the next
-    free interval inside its parent's."""
+    immediate dominator comes before it in the ids with exit last, so one
+    backward sweep below entry sums the subtree sizes and one forward sweep
+    gives each child the next free interval inside its parent's."""
     idom = g.idom
-    below = g.order[1:]
+    below = [*range(2, len(g.nodes)), g.exit]
     size = [1] * len(g.nodes)
     for n in reversed(below):
         size[idom[n]] += size[n]
     pre = [0] * len(g.nodes)
-    # the first position in each interval not yet given out; entry, first in
-    # the order, keeps position 0
+    # the first position in each interval not yet given out; entry, the root,
+    # keeps position 0
     free = [1] * len(g.nodes)
     for n in below:
         d = idom[n]

@@ -10,12 +10,14 @@ rewritten away contributes an opaque write stand-in to its parent's cycle
 extraction, which is exactly what the parent's body looks like after the
 rewrite; under the default `basic` policy, a parent containing a loop that
 stays live is unknown, while the `summary` policy also steps over live
-dependency-free inner loops. What a method's loops share is built once per
-method with loops: the loops and their children (`find_loops`, from what
-`build_cfg` recorded of each `while`), and the single-definition constants
-with the numbered dominator tree (`termination.method_consts`). Each loop
-then reads its own children and the constants its body reads, so a long
-method's loops are judged in time linear in the method.
+dependency-free inner loops. A `while` whose body returns on every path is
+no loop: it runs at most once, and its verdict is that it terminates. What
+a method's loops share is built once per method with loops: the loops and
+their children (`find_loops`, from what `build_cfg` recorded of each
+`while`), and the single-definition constants with the numbered dominator
+tree (`termination.method_consts`). Each loop then reads its own children
+and the constants its body reads, so a long method's loops are judged in
+time linear in the method.
 
 The model of the rewritten program is derived from the first one (`base`),
 whose loops it does not judge again: the rewrite kept only loops proven to
@@ -59,6 +61,7 @@ from .termination import (
 
 BASIC = "basic"
 SUMMARY = "summary"
+RUNS_AT_MOST_ONCE = TerminationVerdict(True, reason="its body returns on every path")
 
 
 @dataclass(slots=True)
@@ -116,6 +119,10 @@ class ProgramModel:
     def _analyze_loops(self, mm: MethodModel) -> None:
         g = mm.cfg
         loops = find_loops(g)
+        looping = {id(l.stmt) for l in loops}
+        for *_, stmt in g.whiles:  # no loop: its body returns on every path, it runs at most once
+            if id(stmt) not in looping:
+                self._verdict_by_stmt[id(stmt)] = RUNS_AT_MOST_ONCE
         if not loops:
             return
         consts = method_consts(g)

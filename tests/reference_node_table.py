@@ -4,7 +4,7 @@ numbered each method's frame as one block of ids, kept as the reference for
 
 `ReferenceTable` interns every representative through one dict, so each
 `Scalar` operand is hashed and compared, and builds a method's table in two
-passes: `node_spec` per CFG node, then the control pairs and wake lists. Its
+passes: `node_spec` per CFG node, then the control pairs. Its
 ids are its own; a test compares the two builders by decoding both tables to
 representatives.
 """
@@ -146,7 +146,6 @@ class ReferenceTable:
         governing = self.model.governing(method_id)
         control: list[tuple[tuple[int, int], ...]] = []
         by_branches: dict[int, tuple[tuple[int, int], ...]] = {}
-        governs: dict[int, list[int]] = {}  # branch -> the writes it governs
         for n, ns in enumerate(nodes):
             branches = governing[n]
             if not (ns.writes and branches):
@@ -158,7 +157,4 @@ class ReferenceTable:
                     (b, v) for b in set_bits(branches) for v in branch_fv[b]
                 )
             control.append(pairs)
-            for b in set_bits(branches):
-                governs.setdefault(b, []).append(n)
-        wake = [tuple(g.succs[n]) + tuple(governs.get(n, ())) for n in range(len(nodes))]
-        return _MethodSpec(g, nodes, control, wake, tuple(seeds), tuple(call_nodes))
+        return _MethodSpec(g, nodes, control, tuple(seeds), tuple(call_nodes))

@@ -793,7 +793,7 @@ def test_node_writes_are_the_written_reps_of_their_statement(profile, seed, poli
 def decoded_table(spec, reps):
     """A method's node table with every id decoded to its representative:
     per node its gen, kills, bottoms, call substitutions and writes, per
-    node its control pairs and wake list, and the method's seeds, as sets."""
+    node its control pairs, and the method's seeds, as sets."""
     rep = reps.__getitem__
     nodes = [
         (
@@ -809,7 +809,7 @@ def decoded_table(spec, reps):
         for ns in spec.nodes
     ]
     control = [{(b, rep(v)) for b, v in pairs} for pairs in spec.control]
-    return nodes, control, [set(w) for w in spec.wake], set(map(rep, spec.seeds))
+    return nodes, control, set(map(rep, spec.seeds))
 
 
 @pytest.mark.parametrize("policy", ("basic", "summary"))
@@ -844,8 +844,8 @@ def call_free_node(an, node, summaries):
 
 
 def reference_exit_facts(an, mid, summaries):
-    """The method's exit facts by round robin over the node equations the
-    worklist solves: sweep every node in id order, join IN over the
+    """The method's exit facts by round robin over the node equations that
+    `method_facts` solves: sweep every node in id order, join IN over the
     predecessors' OUT, OR in the control mask read from IN at each governing
     branch and apply `transfer` to a call-free entry, each call node's
     imports composed by `call_free_node`, until a sweep changes nothing."""

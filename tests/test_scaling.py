@@ -8,7 +8,8 @@ Three shapes of program are grown:
   0) of 125, 250 and 500 methods, with loops, APIs and recursion; some of
   their methods are in the swamp;
 * one method of 250, 500 and 1000 sequential counted loops, each with fresh
-  names, whose loops `ProgramModel` judges;
+  names, whose loops `ProgramModel` judges and whose fixpoint sweeps each
+  loop's range until it is stable;
 * census-profile programs of 250, 500 and 1000 methods as the generator
   builds them, counting the methods it examines as call targets.
 
@@ -175,10 +176,24 @@ def loop_counters(program: ast.Program) -> tuple[dict[str, int], ProgramModel]:
 
 @pytest.fixture(scope="module")
 def long_methods(sequential_loops) -> list[tuple[dict[str, int], ProgramModel]]:
-    return [loop_counters(load(sequential_loops(k))[0]) for k in LOOP_SIZES]
+    """Per size, the loop layer's counters with the fixpoint's
+    `transfer_visits`, and the model."""
+    runs = []
+    for k in LOOP_SIZES:
+        program = load(sequential_loops(k))[0]
+        counts, model = loop_counters(program)
+        counts["transfer_visits"] = counters(program)[0]["transfer_visits"]
+        runs.append((counts, model))
+    return runs
 
 
-LOOP_COUNTERS = ("dominance_queries", "scalar_writes", "parent_reads", "body_reads")
+LOOP_COUNTERS = (
+    "dominance_queries",
+    "scalar_writes",
+    "parent_reads",
+    "body_reads",
+    "transfer_visits",
+)
 
 
 @pytest.mark.parametrize("counter", LOOP_COUNTERS)

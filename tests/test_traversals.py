@@ -1,13 +1,15 @@
 """No search of a CFG, one alias walk per method body.
 
-`build_cfg` records each node's dominator and governing branches, each
-`while`'s loop, and the order of its own numbering while it builds the
-graph; the dominator tree, the loops and the dependence analysis read them
-from the `Cfg`, so no search of the graph runs and control dependence reads
-no edge list. Only the functions that read the edges of the nodes they visit
-read a graph's edge lists, and the order is the build's numbering. The alias analysis walks each body once for its
-partition joins, write targets and call row, and the analysis of a
-rewritten program walks only the methods the rewrite changed. Both are
+`build_cfg` records each node's dominator and governing branches and each
+`while`'s id range while it builds the graph; the dominator tree, the loops
+and the dependence analysis read them from the `Cfg`, so no search of the
+graph runs and control dependence reads no edge list. Only the functions
+that read the edges of the nodes they visit read a graph's edge lists, and
+the fixpoint visits them in the build's numbering, in which every edge runs
+forward but a `while`'s back edges and the returns into exit. The alias
+analysis walks each body once for its partition joins, write targets and
+call row, and the analysis of a rewritten program walks only the methods
+the rewrite changed. Both are
 counted over one run of what `cook analyze` does, on programs of the
 benchmark's generator profiles: `census` as benchmarked, `islands` cut to 20
 methods, and the loop-dense programs of the `loops` workload under its
@@ -111,9 +113,8 @@ def bodies(methods) -> Counter:
 
 
 # the functions that read a CFG's edge lists, each the rows of the nodes it
-# visits: the build, the fixpoint's wake lists and joins, and the oracle's
-# cycle extraction
-EDGE_READERS = {"build_cfg", "spec", "method_facts", "extract_cycles"}
+# visits: the build, the fixpoint's joins, and the oracle's cycle extraction
+EDGE_READERS = {"build_cfg", "method_facts", "extract_cycles"}
 
 
 @pytest.mark.parametrize("params, seed, policy", CASES)
@@ -123,7 +124,12 @@ def test_one_forward_order_per_cfg_and_one_walk_per_body(params, seed, policy):
     assert readers["method_facts"]  # the counters count
     assert set(readers) <= EDGE_READERS, readers
     for g in built:
-        assert g.order == [g.entry, *range(2, len(g.nodes)), g.exit]
+        # the fixpoint's sweep order: every edge runs to a larger id but a
+        # back edge into a `while` header from its range and a return into exit
+        end_of = {h: e for h, e, _, _ in g.whiles}
+        for u, row in enumerate(g.succs):
+            for v in row:
+                assert v > u or v == g.exit or v <= u < end_of.get(v, v), (g.method_id, u, v)
 
     (first, no_base, walked), (second, base, rewalked) = analyses
     assert no_base is None and base is first

@@ -24,45 +24,48 @@ reads one of its ids (`Reps`). The node table looks names up
 in the frame table, fields by static type and name (`Analyzer.field_id`).
 Facts stay masks from the node table to the result: `method_facts` returns a
 mask dict, a summary is a mask dict (`strip_locals` drops the frame's
-dependents and clears its locals' source bits), and a call node reads its
-callee's summary mask directly. The `AnalysisResult` keeps them as masks
-too: its `facts` and `summaries` are `FactTable`s, which decode a method to
-a `frozenset` of `(dependent, source, cause)` tuples the first time it is
-read and keep that set. The verdicts and causes are read from the cause
-bits, so the report decodes nothing; a reader of `result.facts` only ever
-sees tuples. `encode` and `decode` are the boundary.
+dependents and clears its locals' source bits), and a call node's entry is
+built from its callee's summary mask directly. The `AnalysisResult` keeps
+them as masks too: its `facts` and `summaries` are `FactTable`s, which
+decode a method to a `frozenset` of `(dependent, source, cause)` tuples the
+first time it is read and keep that set. The verdicts and causes are read
+from the cause bits, so the report decodes nothing; a reader of
+`result.facts` only ever sees tuples. `encode` and `decode` are the
+boundary.
 
 Every CFG node gets one entry in a node table (`node_spec`), built once per
 method and read as it is by every pass: the pairs it generates, the
-dependents it kills, the cause bits it adds, the callees whose summaries it
-imports and the representatives it may write, all as ids. `node_spec` picks
-the statement kind with one `type(s)` and each kind builds its tuples
-directly; the four scalar assignments, about half of all nodes, come first.
-`Analyzer.spec` builds a method's entries, its heap footprint (read only
-from the kinds that can name the heap) and its control pairs in one pass
-over the CFG. A node's governing branches come from
-`cfg.governing_branches` as one int bitset; the writes with the same bitset
-share one tuple of control pairs, each branch with the variables of its
-condition. A write depends on everything it reads: its operands, the field or array
-representative, and the base pointer and index it dereferences, matching the
-reified semantics where a bottom base or index smears the access. Scalar
-targets kill their old facts; field and array targets never kill, because
-their representatives over-approximate aliases. A call statement's entry
-names each internal callee with a substitution: the caller's actuals for the
-callee's formals and the call target for its return slot. The callee's
-summary is not in the entry but an argument of `method_facts`: `transfer`
-reads the summary mask dict and composes it through the substitution on
-every visit, and the method's entry seeds the field and array ids the
-summary names.
+dependents it kills, the cause bits it adds and the representatives it may
+write, all as ids. `node_spec` picks the statement kind with one `type(s)`
+and each kind builds its tuples directly; the four scalar assignments, about
+half of all nodes, come first. `Analyzer.spec` builds a method's entries,
+its heap footprint (read only from the kinds that can name the heap) and its
+control pairs in one pass over the CFG. A node's governing branches come
+from `cfg.governing_branches` as one int bitset; the writes with the same
+bitset share one tuple of control pairs, each branch with the variables of
+its condition. A write depends on everything it reads: its operands, the
+field or array representative, and the base pointer and index it
+dereferences, matching the reified semantics where a bottom base or index
+smears the access. Scalar targets kill their old facts; field and array
+targets never kill, because their representatives over-approximate aliases.
+A call's entry composes each internal callee's final summary through a
+substitution, the caller's actuals for the callee's formals and the call
+target for its return slot, with heap ids mapped to themselves: a summary
+fact's cause bits become bottoms of its substituted dependent, and each of
+its source bits one generated pair, so a summary edge is one more row of the
+table (the functional approach of Sharir and Pnueli, 1981). The summaries
+are an argument of the table builder, and every call node is then an
+ordinary node. A summary's heap sources are generated sources, and each of
+its heap dependents is in the callee's write set or is its own source, so
+the footprint seeds them with the rest.
 
-One transfer (`transfer`) maps a node's entry, its IN facts and the current
-summaries to OUT: it pops killed dependents, ORs the IN mask of each
-generated pair's source into its dependent (so dependencies always bottom
-out at entry values), ORs in the cause bits, imports each callee summary,
-and ORs the control mask into everything the node may write. The
-control mask carries control dependence: a statement governed by a branch
-inherits, for every variable free in the branch condition, that variable's
-sources at the branch.
+One transfer (`transfer`) maps a node's entry and its IN facts to OUT: it
+pops killed dependents, ORs the IN mask of each generated pair's source into
+its dependent (so dependencies always bottom out at entry values), ORs in
+the cause bits, and ORs the control mask into everything the node may write.
+The control mask carries control dependence: a statement governed by a
+branch inherits, for every variable free in the branch condition, that
+variable's sources at the branch.
 
 The method fixpoint seeds the entry with identity facts over the method's
 footprint and keeps one table, OUT, per node. `cfg.build_cfg` numbers the
@@ -117,14 +120,12 @@ SHIFT = len(CAUSES)  # representative `i` is source bit `i + SHIFT`
 @dataclass(slots=True)
 class NodeSpec:
     """The transfer of one CFG node, fixed before the fixpoint runs; every
-    representative is an id."""
+    representative is an id. A call's callee summaries are composed into its
+    `gen` and `bottoms`, so every node is one of these rows."""
 
     gen: tuple = ()  # (dep, src): dep takes src's IN mask
     kills: tuple = ()  # dependents whose IN facts die (strong updates)
     bottoms: tuple = ()  # (dep, cause bits) added directly
-    # (callee method id, {callee formal or ret id: caller id}): the callee's
-    # current summary is composed through the substitution by `transfer`
-    calls: tuple = ()
     writes: tuple = ()  # take the control mask
 
 
@@ -133,11 +134,15 @@ _PASS = NodeSpec()  # entry, exit and branches: OUT is IN
 _HEAP_KINDS = frozenset(
     {ast.FieldRead, ast.FieldWrite, ast.ArrayRead, ast.ArrayWrite, ast.Call, ast.BottomAssign}
 )
-_NO_FACTS: Facts = {}
-_NO_SUMMARIES: dict[str, Facts] = {}
 
 
-def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer", fr: dict[str, int]) -> NodeSpec:
+def node_spec(
+    s: ast.Stmt | None,
+    method_id: str,
+    an: "Analyzer",
+    fr: dict[str, int],
+    summaries: Mapping[str, Facts],
+) -> NodeSpec:
     """The node-table entry of a statement in method `method_id`, whose frame
     table (`Analyzer.frame`) is `fr`: scalars are looked up there by name,
     fields through `an.field_id`, array partitions and bottom targets through
@@ -146,7 +151,11 @@ def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer", fr: dict[str, 
 
     A node's writes are `aliases.written_reps` of its statement: a bottom
     assignment's targets, the one dependent of any other statement, and for
-    a call the whole write set of every internal target. The kinds are the
+    a call the whole write set of every internal target. A call's target
+    takes each extern target's actuals, and each internal target's summary
+    in `summaries`, which must be final, composed through the call's
+    substitution: every summary fact adds its cause bits to its substituted
+    dependent and generates one pair per source bit. The kinds are the
     concrete `ast.Stmt` classes, which have no subclasses, so one `type(s)`
     picks the branch, and each branch builds its tuples directly. The four
     scalar assignments, about half of all nodes, come first; like a call or
@@ -155,40 +164,48 @@ def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer", fr: dict[str, 
     kind = type(s)
     if kind is ast.ConstAssign:
         one = (fr[s.target],)
-        return NodeSpec((), one, (), (), one)
+        return NodeSpec((), one, (), one)
     if kind is ast.BinaryAssign:
         dep, left, right = fr[s.target], fr[s.left], fr[s.right]
         gen = ((dep, left),) if left == right else ((dep, left), (dep, right))
         one = (dep,)
-        return NodeSpec(gen, one, (), (), one)
+        return NodeSpec(gen, one, (), one)
     if kind is ast.CopyAssign or kind is ast.UnaryAssign:
         dep = fr[s.target]
         one = (dep,)
         src = fr[s.source] if kind is ast.CopyAssign else fr[s.operand]
-        return NodeSpec(((dep, src),), one, (), (), one)
+        return NodeSpec(((dep, src),), one, (), one)
     if s is None or kind is ast.IfElse or kind is ast.While:
         return _PASS
     if kind is ast.Return:  # `ret` takes the value; nothing is killed
         dep = fr[RET]
-        return NodeSpec(((dep, fr[s.value]),), (), (), (), (dep,))
+        return NodeSpec(((dep, fr[s.value]),), (), (), (dep,))
     if kind is ast.Call:
         dep = fr[s.target]
         sym = an.sym
-        reads: list[int] = []
-        calls: list = []
+        gen: list[tuple[int, int]] = []
+        bottoms: list[tuple[int, int]] = []
         writes: frozenset[int] = frozenset()
         for target in sym.resolve_call(sym.methods[method_id], s):
             if target.extern:  # safe-listed API: pure function of its arguments
-                reads += map(fr.__getitem__, s.actuals)
+                gen += [(dep, fr[a]) for a in s.actuals]
                 continue
             callee = an.frame(target.id)  # which lists the formals first, in order
             subst = dict(zip(callee.values(), map(fr.__getitem__, s.actuals)))
             subst[callee[RET]] = dep
-            calls.append((target.id, subst))
+            for k, mask in summaries[target.id].items():
+                k = subst.get(k, k)
+                if mask & CAUSE_BITS:
+                    bottoms.append((k, mask & CAUSE_BITS))
+                sources = mask >> SHIFT
+                while sources:  # lowest bit first: these masks are wide and sparse
+                    low = sources & -sources
+                    src = low.bit_length() - 1
+                    gen.append((k, subst.get(src, src)))
+                    sources ^= low
             writes |= an.call_writes(target.id)
-        gen = tuple((dep, src) for src in dict.fromkeys(reads))
         writes = tuple(writes) if dep in writes else (dep, *writes)
-        return NodeSpec(gen, (dep,), (), tuple(calls), writes)
+        return NodeSpec(tuple(gen), (dep,), tuple(bottoms), writes)
     rep_id = an.rep_id
     if kind is ast.BottomAssign:
         bottoms = tuple((rep_id(t), CAUSE_BIT[s.cause]) for t in s.targets)
@@ -204,12 +221,12 @@ def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer", fr: dict[str, 
         dep = fr[s.target]
         one = (dep,)
         field = an.field_id(method_id, s.obj, s.field_name)
-        return NodeSpec(((dep, field), (dep, fr[s.obj])), one, (), (), one)
+        return NodeSpec(((dep, field), (dep, fr[s.obj])), one, (), one)
     if kind is ast.ArrayRead:
         dep = fr[s.target]
         one = (dep,)
         part = rep_id(an.aliases.array_rep(method_id, s.array))
-        return NodeSpec(((dep, part), (dep, fr[s.array]), (dep, fr[s.index])), one, (), (), one)
+        return NodeSpec(((dep, part), (dep, fr[s.array]), (dep, fr[s.index])), one, (), one)
     if kind is ast.FieldWrite:
         dep = an.field_id(method_id, s.obj, s.field_name)
         sources = (fr[s.source], fr[s.obj])
@@ -218,23 +235,17 @@ def node_spec(s: ast.Stmt | None, method_id: str, an: "Analyzer", fr: dict[str, 
         sources = (fr[s.source], fr[s.array], fr[s.index])
     else:
         raise TypeError(f"no transfer for {kind.__name__}")
-    return NodeSpec(tuple((dep, src) for src in dict.fromkeys(sources)), (), (), (), (dep,))
+    return NodeSpec(tuple((dep, src) for src in dict.fromkeys(sources)), (), (), (dep,))
 
 
-def transfer(
-    node: NodeSpec, d: Facts, ctrl: int = 0, summaries: Mapping[str, Facts] = _NO_SUMMARIES
-) -> Facts:
-    """OUT of a node from its IN `d`, its control mask `ctrl` and the callee
-    summary masks: killed dependents are popped, each generated pair ORs its
-    source's IN mask into its dependent (so dependencies always bottom out at
-    entry values), cause bits are ORed in as they are, and `ctrl` is ORed
-    into every write. A call imports each callee's summary: every summary
-    fact `(dep, mask)` ORs its cause bits, and the IN mask of each of its
-    source bits mapped through the call's substitution (heap ids map to
-    themselves), into the substituted `dep`. A node that changes nothing
-    returns `d` itself."""
-    kills, gen, bottoms, calls = node.kills, node.gen, node.bottoms, node.calls
-    if not (kills or gen or bottoms or calls or (ctrl and node.writes)):
+def transfer(node: NodeSpec, d: Facts, ctrl: int = 0) -> Facts:
+    """OUT of a node from its IN `d` and its control mask `ctrl`: killed
+    dependents are popped, each generated pair ORs its source's IN mask into
+    its dependent (so dependencies always bottom out at entry values), cause
+    bits are ORed in as they are, and `ctrl` is ORed into every write. A node
+    that changes nothing returns `d` itself."""
+    kills, gen, bottoms = node.kills, node.gen, node.bottoms
+    if not (kills or gen or bottoms or (ctrl and node.writes)):
         return d
     out = dict(d)
     for dep in kills:
@@ -245,18 +256,6 @@ def transfer(
             out[dep] = out.get(dep, 0) | mask
     for dep, bits in bottoms:
         out[dep] = out.get(dep, 0) | bits
-    for callee, subst in calls:
-        for dep, mask in summaries.get(callee, _NO_FACTS).items():
-            bits = mask & CAUSE_BITS
-            sources = mask >> SHIFT
-            while sources:  # lowest bit first: these masks are wide and sparse
-                low = sources & -sources
-                src = low.bit_length() - 1
-                bits |= d.get(subst.get(src, src), 0)
-                sources ^= low
-            if bits:
-                dep = subst.get(dep, dep)
-                out[dep] = out.get(dep, 0) | bits
     if ctrl:
         for w in node.writes:
             out[w] = out.get(w, 0) | ctrl
@@ -287,7 +286,6 @@ class _MethodSpec:
     # per node that writes: (governing branch, variable free in its condition)
     control: list[tuple[tuple[int, int], ...]]
     seeds: tuple[int, ...]
-    call_nodes: tuple[int, ...]
 
 
 class Analyzer:
@@ -302,7 +300,6 @@ class Analyzer:
         self._heap: set[int] = set()  # ids of field and array representatives
         self._frames: dict[str, dict[str, int]] = {}
         self._fields: dict[tuple[str, str], int] = {}
-        self._heaps: dict[str, tuple[Facts, tuple[int, ...]]] = {}
         self._call_writes: dict[str, frozenset[int]] = {}
 
     # -- the encoding ---------------------------------------------------------
@@ -370,9 +367,10 @@ class Analyzer:
 
     # -- preparation ------------------------------------------------------
 
-    def spec(self, method_id: str) -> _MethodSpec:
+    def spec(self, method_id: str, summaries: Mapping[str, Facts]) -> _MethodSpec:
         """The method's node table with its control pairs and footprint,
-        built in one pass over its CFG. Nothing keeps it: the program pass
+        built in one pass over its CFG, each call composing its callees'
+        summary masks from `summaries`. Nothing keeps it: the program pass
         builds each method's once, in `method_facts`, and drops it when the
         method is done."""
         g = self.model.methods[method_id].cfg
@@ -384,15 +382,12 @@ class Analyzer:
         # governing branch bitset -> its control pairs
         groups: dict[int, tuple[tuple[int, int], ...]] = {}
         touched: set[int] = set()  # writes and sources of the nodes that may name the heap
-        call_nodes: list[int] = []
         for n, node in enumerate(graph):
             s = node.stmt
-            ns = node_spec(s, method_id, self, fr)
+            ns = node_spec(s, method_id, self, fr, summaries)
             nodes.append(ns)
             writes = ns.writes
             if type(s) in _HEAP_KINDS:
-                if ns.calls:
-                    call_nodes.append(n)
                 touched.update(writes)
                 touched.update(src for _, src in ns.gen)
             branches = governing[n]
@@ -410,21 +405,7 @@ class Analyzer:
         # the footprint: the method's formals and locals and the heap it touches
         ret = fr[RET]
         seeds = (*range(ret - len(fr) + 1, ret), *(touched & self._heap))
-        return _MethodSpec(g, nodes, control, seeds, tuple(call_nodes))
-
-    def _summary_heap(self, callee: str, summaries: Mapping[str, Facts]) -> tuple[int, ...]:
-        """The field and array ids that the callee's current summary names,
-        which a caller seeds at entry; found again only when it changed."""
-        facts = summaries.get(callee, _NO_FACTS)
-        cached = self._heaps.get(callee)
-        if cached is not None and cached[0] is facts:
-            return cached[1]
-        sources = 0
-        for mask in facts.values():
-            sources |= mask
-        heap = tuple((set(facts) | set(set_bits(sources >> SHIFT))) & self._heap)
-        self._heaps[callee] = (facts, heap)
-        return heap
+        return _MethodSpec(g, nodes, control, seeds)
 
     # -- landfall ---------------------------------------------------------------
 
@@ -432,15 +413,11 @@ class Analyzer:
         """The method's exit facts, given the callees' summary masks: entry,
         the ids in order, each `while`'s range again until a sweep of it
         changes nothing, and exit."""
-        spec = self.spec(method_id)
+        spec = self.spec(method_id, summaries)
         g = spec.cfg
         nodes, control, preds_of = spec.nodes, spec.control, g.preds
-        seeds = set(spec.seeds)
-        for nid in spec.call_nodes:
-            for callee, _ in nodes[nid].calls:
-                seeds.update(self._summary_heap(callee, summaries))
         OUT: list[Facts] = [{}] * len(nodes)  # never mutated, so one shared
-        OUT[g.entry] = transfer(nodes[g.entry], {i: 1 << (i + SHIFT) for i in seeds}, 0, summaries)
+        OUT[g.entry] = transfer(nodes[g.entry], {i: 1 << (i + SHIFT) for i in spec.seeds})
         end_of = {h: e for h, e, _, _ in g.whiles}
         # the open ranges, innermost last: (header, end, whether the enclosing
         # sweep or an earlier sweep of this range changed an OUT)
@@ -454,7 +431,7 @@ class Analyzer:
             ctrl = 0
             for b, v in control[n]:  # a branch passes its IN through
                 ctrl |= OUT[b].get(v, 0)
-            out = transfer(nodes[n], incoming, ctrl, summaries)
+            out = transfer(nodes[n], incoming, ctrl)
             if out is not OUT[n] and out != OUT[n]:
                 OUT[n] = out
                 changed = True
@@ -467,7 +444,7 @@ class Analyzer:
                     break
                 ranges.pop()
                 changed = before
-        return transfer(nodes[g.exit], _join(OUT, preds_of[g.exit]), 0, summaries)
+        return transfer(nodes[g.exit], _join(OUT, preds_of[g.exit]))
 
     # -- summaries -----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from .lang import ast, parse_unit, pretty
 from .lang.check import check as check_program
 from .lang.printer import pretty_statement
 from .pipeline import BASIC, SUMMARY, ProgramModel
-from .report import ReportConfig, analyze_sources, load_safe_list
+from .report import ReportConfig, analyze_sources, collector_off, load_safe_list
 from .rewrite import rewrite_program
 
 
@@ -69,6 +69,7 @@ def _describe_node(node: cfgmod.CfgNode) -> str:
 @click.option("--dump-callgraph", is_flag=True)
 @click.option("--dump-phi", is_flag=True)
 @click.option("--dump-summaries", is_flag=True)
+@collector_off()  # parse, check, the dumps and the report, as one pass
 def analyze(
     files,
     safe_list,
@@ -157,7 +158,7 @@ def _argument(v, formal: ast.Param, part: int):
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--entry", required=True, help="method to run (owner.name or name)")
 @click.option("--args", "args_json", default="[]", show_default=True, help="JSON list of arguments (ints, null, int arrays)")
-@click.option("--fuel", default=DEFAULT_FUEL, show_default=True)
+@click.option("--fuel", default=DEFAULT_FUEL, show_default=True, type=click.IntRange(min=0))
 def run(file, entry, args_json, fuel):
     """Execute a method concretely under a fuel budget."""
     program = _load_program((file,))

@@ -10,16 +10,19 @@ The verification-condition census counts syntactic array accesses and field
 dereferences on the original program and how many of them fall inside
 sub-Turing methods: those checks can be discharged by a decision procedure.
 
-`analyze_sources` runs the whole pass with Python's cycle collector off and
-then restores the caller's setting: a pass leaves no cyclic garbage (the
-guard is `tests/test_collector.py`), so the collector would only rescan
-what the pass keeps alive.
+`analyze_sources` runs the whole pass with Python's cycle collector off
+(`collector_off`) and then restores the caller's setting: a pass leaves no
+cyclic garbage (the guard is `tests/test_collector.py`), so the collector
+would only rescan what the pass keeps alive. `cook analyze` puts parse,
+check and the report's output in the same bracket.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -203,21 +206,30 @@ def transformed_model(model: ProgramModel) -> ProgramModel:
     return ProgramModel(p2, sym2, safe_list=model.safe_list, aliases=al2, base=model)
 
 
+@contextmanager
+def collector_off() -> Iterator[None]:
+    """Run the block with the cycle collector off. A pass makes no reference
+    cycles, so reference counting frees everything it drops, and the
+    collector would only scan the live ASTs, CFGs and fact tables over and
+    over; `tests/test_collector.py` holds every pass to that. The caller's
+    collector state is restored on exit, also when the block raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def analyze_sources(
     program: ast.Program,
     symbols: Symbols,
     cfg: ReportConfig,
 ) -> Report:
-    """Model, rewrite, analyze and report one checked program.
-
-    The pass runs with the cycle collector off. A pass makes no reference
-    cycles, so reference counting frees everything it drops, and the
-    collector would only scan the live ASTs, CFGs and fact tables over and
-    over; `tests/test_collector.py` holds every pass to that. The caller's
-    collector state is restored on return, and when the pass raises."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    """Model, rewrite, analyze and report one checked program, with the
+    cycle collector off (`collector_off`)."""
+    with collector_off():
         model = ProgramModel(
             program, symbols, safe_list=cfg.safe_list, nested_policy=cfg.nested_policy
         )
@@ -226,9 +238,6 @@ def analyze_sources(
         result = analyze_program(tmodel, swamp_test=cfg.swamp_test)
         timing_ms = (time.perf_counter() - t0) * 1000.0
         return build_report(model, result, cfg, timing_ms)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def build_report(

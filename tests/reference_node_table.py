@@ -4,8 +4,10 @@ numbered each method's frame as one block of ids, kept as the reference for
 
 `ReferenceTable` interns every representative through one dict, so each
 `Scalar` operand is hashed and compared, and builds a method's table in two
-passes: `node_spec` per CFG node, then the control pairs. Its
-ids are its own; a test compares the two builders by decoding both tables to
+passes: `node_spec` per CFG node, then the control pairs. A call node's
+callee summaries are decoded `(dependent, source, cause)` sets, composed
+through a substitution of representatives (`call_free_rows`). Its ids are
+its own; a test compares the two builders by decoding both tables to
 representatives.
 """
 
@@ -21,7 +23,21 @@ from cook.representatives import Bottom, Representative, Scalar
 _PASS = NodeSpec()
 
 
-def node_spec(s: ast.Stmt | None, method_id: str, table: "ReferenceTable") -> NodeSpec:
+def call_free_rows(summary, subst, rep_id):
+    """The rows a decoded callee summary adds to its call node: each fact's
+    dependent and source mapped through `subst`, a dict of representatives,
+    a bottom-sourced fact as cause bits and any other as a generated pair."""
+    gen, bottoms = [], []
+    for dep, src, cause in summary:
+        dep = rep_id(subst.get(dep, dep))
+        if cause is None:
+            gen.append((dep, rep_id(subst.get(src, src))))
+        else:
+            bottoms.append((dep, CAUSE_BIT[cause]))
+    return gen, bottoms
+
+
+def node_spec(s: ast.Stmt | None, method_id: str, table: "ReferenceTable", summaries) -> NodeSpec:
     kind = type(s)
     if s is None or kind is ast.IfElse or kind is ast.While:
         return _PASS
@@ -36,7 +52,9 @@ def node_spec(s: ast.Stmt | None, method_id: str, table: "ReferenceTable") -> No
 
     fr = table.frame(method_id)
     aliases = table.aliases
-    calls: list = []
+    callees: list[str] = []
+    bottoms: list = []
+    composed: list = []
     weak = True  # a return or a heap write kills nothing
     if kind is ast.Return:
         dep, reads = fr[RET], [fr[s.value]]
@@ -68,19 +86,24 @@ def node_spec(s: ast.Stmt | None, method_id: str, table: "ReferenceTable") -> No
                 if target.extern:  # safe-listed API: pure function of its arguments
                     reads += [fr[a] for a in s.actuals]
                     continue
-                callee = table.frame(target.id)
-                subst = {callee[f.name]: fr[a] for f, a in zip(target.formals, s.actuals)}
-                subst[callee[RET]] = dep
-                calls.append((target.id, subst))
+                subst = {
+                    Scalar(target.id, f.name): Scalar(method_id, a)
+                    for f, a in zip(target.formals, s.actuals)
+                }
+                subst[Scalar(target.id, RET)] = Scalar(method_id, s.target)
+                gen, bots = call_free_rows(summaries[target.id], subst, rep_id)
+                composed += gen
+                bottoms += bots
+                callees.append(target.id)
         else:
             raise TypeError(f"no transfer for {kind.__name__}")
     writes = {dep}
-    for callee, _ in calls:
+    for callee in callees:
         writes.update(table.call_writes(callee))
     return NodeSpec(
-        gen=tuple((dep, src) for src in dict.fromkeys(reads)),
+        gen=tuple((dep, src) for src in dict.fromkeys(reads)) + tuple(composed),
         kills=() if weak else (dep,),
-        calls=tuple(calls),
+        bottoms=tuple(bottoms),
         writes=tuple(writes),
     )
 
@@ -124,20 +147,19 @@ class ReferenceTable:
             )
         return ids
 
-    def spec(self, method_id: str) -> _MethodSpec:
+    def spec(self, method_id: str, summaries) -> _MethodSpec:
+        """The method's table, each call composing its callees' decoded
+        summaries in `summaries`."""
         g = self.model.methods[method_id].cfg
         fr = self.frame(method_id)
         nodes: list[NodeSpec] = []
         branch_fv: dict[int, tuple[int, int]] = {}
         touched: set[int] = set()  # dependents, sources and writes of any node
-        call_nodes: list[int] = []
         for n in g.nodes:
             if n.kind == BRANCH:
                 branch_fv[n.id] = (fr[n.cond.left], fr[n.cond.right])
-            ns = node_spec(n.stmt, method_id, self)
+            ns = node_spec(n.stmt, method_id, self, summaries)
             nodes.append(ns)
-            if ns.calls:
-                call_nodes.append(n.id)
             if ns.writes:  # every generated or bottom dependent is a write
                 touched.update(ns.writes)
                 touched.update(src for _, src in ns.gen)
@@ -157,4 +179,4 @@ class ReferenceTable:
                     (b, v) for b in set_bits(branches) for v in branch_fv[b]
                 )
             control.append(pairs)
-        return _MethodSpec(g, nodes, control, tuple(seeds), tuple(call_nodes))
+        return _MethodSpec(g, nodes, control, tuple(seeds))

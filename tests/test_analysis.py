@@ -20,7 +20,7 @@ from cook.analysis import (
     node_spec,
     transfer,
 )
-from cook.cfg import find_loops
+from cook.cfg import find_loops, set_bits
 from cook.generator import GenParams, generate_program
 from cook.interp import InterpFault, collect_taints, random_store, run_reified
 from cook.lang import ast, check, load
@@ -71,9 +71,9 @@ def out_of(s, d, summaries=None):
     """OUT of statement `s` in method `m` through the transfer the method
     fixpoint runs: `d` and the callee summaries encoded, OUT decoded."""
     an = rule_analyzer()
-    node = node_spec(s, "m", an, an.frame("m"))
     encoded = {mid: an.encode(facts) for mid, facts in (summaries or {}).items()}
-    return an.decode(transfer(node, an.encode(d), 0, encoded))
+    node = node_spec(s, "m", an, an.frame("m"), encoded)
+    return an.decode(transfer(node, an.encode(d)))
 
 
 def fact_pairs(facts):
@@ -220,7 +220,7 @@ def test_pass_nodes_return_in_unchanged():
     d = an.encode(ident(sc("x")))
     cond = ast.Cond("x", ">", "y")
     for s in (None, ast.IfElse(cond, (), ()), ast.While(cond, ())):
-        assert transfer(node_spec(s, "m", an, an.frame("m")), d) is d
+        assert transfer(node_spec(s, "m", an, an.frame("m"), {}), d) is d
 
 
 # -- the encoding at its edges ---------------------------------------------------
@@ -779,8 +779,9 @@ def test_node_writes_are_the_written_reps_of_their_statement(profile, seed, poli
     model = ProgramModel(generate_program(seed, params), nested_policy=policy)
     tmodel = transformed_model(model)
     an = Analyzer(tmodel)
+    empty = {m: {} for m in tmodel.methods}
     for mid, mm in tmodel.methods.items():
-        spec = an.spec(mid)
+        spec = an.spec(mid, empty)
         for node in mm.cfg.nodes:
             writes = spec.nodes[node.id].writes
             if node.stmt is None or isinstance(node.stmt, (ast.IfElse, ast.While)):
@@ -792,18 +793,14 @@ def test_node_writes_are_the_written_reps_of_their_statement(profile, seed, poli
 
 def decoded_table(spec, reps):
     """A method's node table with every id decoded to its representative:
-    per node its gen, kills, bottoms, call substitutions and writes, per
+    per node its gen, kills, bottoms (one cause bit each) and writes, per
     node its control pairs, and the method's seeds, as sets."""
     rep = reps.__getitem__
     nodes = [
         (
             {(rep(dep), rep(src)) for dep, src in ns.gen},
             set(map(rep, ns.kills)),
-            {(rep(dep), bits) for dep, bits in ns.bottoms},
-            {
-                (callee, frozenset((rep(k), rep(v)) for k, v in subst.items()))
-                for callee, subst in ns.calls
-            },
+            {(rep(dep), 1 << b) for dep, bits in ns.bottoms for b in set_bits(bits)},
             set(map(rep, ns.writes)),
         )
         for ns in spec.nodes
@@ -818,55 +815,47 @@ def decoded_table(spec, reps):
 )
 def test_node_tables_decode_to_the_reference_builders(params, policy):
     """`Analyzer.spec` against the builder that hashed every representative
-    (`tests/reference_node_table.py`); each numbers its own ids."""
+    (`tests/reference_node_table.py`), both under the one pass's final
+    summaries: the reference composes the decoded ones. Each numbers its
+    own ids."""
     for seed in range(3):
         model = ProgramModel(generate_program(seed, GenParams(**params)), nested_policy=policy)
         tmodel = transformed_model(model)
+        res = analyze_program(tmodel)
         an, ref = Analyzer(tmodel), ReferenceTable(tmodel)
+        final = {mid: an.encode(facts) for mid, facts in res.summaries.items()}
         for mid in tmodel.methods:
-            ours = decoded_table(an.spec(mid), an._reps)
-            assert ours == decoded_table(ref.spec(mid), ref.reps), (seed, mid)
-
-
-def call_free_node(an, node, summaries):
-    """A call node's entry with its callees' summaries composed in as plain
-    rows: each decoded summary fact becomes a generated pair or cause bits,
-    its dependent and source mapped through the call's substitution."""
-    gen, bottoms = list(node.gen), list(node.bottoms)
-    for callee, subst in node.calls:
-        for dep, src, cause in an.decode(summaries[callee]):
-            dep = subst.get(an.rep_id(dep), an.rep_id(dep))
-            if cause is None:
-                gen.append((dep, subst.get(an.rep_id(src), an.rep_id(src))))
-            else:
-                bottoms.append((dep, CAUSE_BIT[cause]))
-    return NodeSpec(tuple(gen), node.kills, tuple(bottoms), (), node.writes)
+            ours = decoded_table(an.spec(mid, final), an._reps)
+            assert ours == decoded_table(ref.spec(mid, res.summaries), ref.reps), (seed, mid)
 
 
 def reference_exit_facts(an, mid, summaries):
     """The method's exit facts by round robin over the node equations that
     `method_facts` solves: sweep every node in id order, join IN over the
     predecessors' OUT, OR in the control mask read from IN at each governing
-    branch and apply `transfer` to a call-free entry, each call node's
-    imports composed by `call_free_node`, until a sweep changes nothing."""
-    spec = an.spec(mid)
+    branch and apply `transfer`, until a sweep changes nothing. The entry
+    also seeds every field and array representative that a summary imported
+    at an `ast.Call` node names, which the footprint must already hold."""
+    spec = an.spec(mid, summaries)
     g = spec.cfg
-    nodes = [call_free_node(an, ns, summaries) if ns.calls else ns for ns in spec.nodes]
+    sym = an.sym
     heap = {
         an.rep_id(rep)
-        for ns in spec.nodes
-        for callee, _ in ns.calls
-        for fact in an.decode(summaries[callee])
+        for node in g.nodes
+        if type(node.stmt) is ast.Call
+        for target in sym.resolve_call(sym.methods[mid], node.stmt)
+        if not target.extern
+        for fact in an.decode(summaries[target.id])
         for rep in fact[:2]
         if not isinstance(rep, (Scalar, Bottom))
     }
     entry = {i: 1 << (i + SHIFT) for i in set(spec.seeds) | heap}
-    IN = [{} for _ in nodes]
-    OUT = [{} for _ in nodes]
+    IN = [{} for _ in spec.nodes]
+    OUT = [{} for _ in spec.nodes]
     changed = True
     while changed:
         changed = False
-        for n, node in enumerate(nodes):
+        for n, node in enumerate(spec.nodes):
             incoming = entry if n == g.entry else {}
             for p in g.preds[n]:
                 for k, mask in OUT[p].items():
@@ -886,9 +875,9 @@ def test_method_fixpoint_equals_a_round_robin_reference(profile, policy, monkeyp
     visits = []
     original = transfer
 
-    def counting(node, d, ctrl, summaries):
+    def counting(node, *args):
         visits.append(node)
-        return original(node, d, ctrl, summaries)
+        return original(node, *args)
 
     monkeypatch.setattr("cook.analysis.transfer", counting)
     loop_free = 0
@@ -903,7 +892,7 @@ def test_method_fixpoint_equals_a_round_robin_reference(profile, policy, monkeyp
             for summaries in (empty, final):
                 visits.clear()
                 facts = an.method_facts(mid, summaries)
-                table = an.spec(mid).nodes
+                table = an.spec(mid, summaries).nodes
                 assert all(node in table for node in visits), (seed, mid)
                 assert facts == reference_exit_facts(an, mid, summaries), (seed, mid)
                 if not find_loops(mm.cfg):
@@ -911,6 +900,43 @@ def test_method_fixpoint_equals_a_round_robin_reference(profile, policy, monkeyp
                     assert len(visits) == len(mm.cfg.nodes), (seed, mid)
                     loop_free += 1
     assert loop_free >= 6, loop_free
+
+
+# `get(o, y)` dispatches to `A.get`, which reads a field, and to `B.get`,
+# whose divergent API call the rewrite makes a bottom assignment
+TWO_TARGETS = """
+class A { f: int; }
+class B extends A {}
+extern method api(): int;
+method A.get(self: A, k: int): int { var t: int; t := self.f; return t; }
+method B.get(self: B, k: int): int { var t: int; t := api(); t := t + k; return t; }
+method use(o: A, y: int): int { var x: int; x := get(o, y); return x; }
+"""
+
+
+def test_a_call_with_two_targets_composes_each_summary_through_its_own_frame():
+    tmodel = transformed_model(ProgramModel(*load(TWO_TARGETS)))
+    sym = tmodel.symbols
+    (call,) = [n.stmt for n in tmodel.methods["use"].cfg.nodes if type(n.stmt) is ast.Call]
+    assert [t.id for t in sym.resolve_call(sym.methods["use"], call)] == ["A.get", "B.get"]
+    res = analyze_program(tmodel)
+    o, y, x, ret = (Scalar("use", n) for n in ("o", "y", "x", "ret"))
+    field = TypeField("A", "f")
+
+    def composed(callee):
+        """The callee's summary through the call's substitution."""
+        subst = {Scalar(callee, "self"): o, Scalar(callee, "k"): y, Scalar(callee, "ret"): x}
+        return {(subst.get(d, d), subst.get(s, s), c) for d, s, c in res.summaries[callee]}
+
+    via_a, via_b = composed("A.get"), composed("B.get")
+    assert via_a == {(x, field, None), (x, o, None), (field, field, None)}
+    assert via_b == {(x, BOTTOM, ast.DivergenceCause.API), (x, y, None)}
+    entry = {(o, o, None), (y, y, None), (field, field, None)}
+    returned = {(ret, src, cause) for dep, src, cause in via_a | via_b if dep == x}
+    assert res.facts["use"] == entry | via_a | via_b | returned
+    an = Analyzer(tmodel)
+    final = {mid: an.encode(facts) for mid, facts in res.summaries.items()}
+    assert an.decode(reference_exit_facts(an, "use", final)) == res.facts["use"]
 
 
 # the body's first statement kills `i`, the counter the loop condition reads,

@@ -80,6 +80,12 @@ method m(): int {
     assert result.output.strip().endswith(": 4611686018427387905")
 
 
+def test_run_rejects_negative_fuel(tmp_path, clean_chain):
+    result = invoke(tmp_path, ["run", "--entry", "foo", "--fuel", "-1"], clean_chain)
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--fuel'" in result.output
+
+
 def test_run_rejects_an_extern_entry(tmp_path, api_call_unused):
     result = invoke(tmp_path, ["run", "--entry", "api"], api_call_unused)
     assert result.exit_code == 1

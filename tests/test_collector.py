@@ -10,7 +10,8 @@ collection, during the pass or after it, finds anything. A negative control puts
 self-referencing closure, as the CFG builder's recursive `build` once was,
 and checks that the guard reports it. The other tests check that the pass
 runs with the collector off and leaves the caller's collector state,
-thresholds and frozen count as they were, also when the pass raises.
+thresholds and frozen count as they were, also when the pass raises, and
+that `cook analyze` parses and checks inside the same bracket.
 """
 
 import gc
@@ -19,7 +20,7 @@ from contextlib import nullcontext
 import pytest
 from click.testing import CliRunner
 
-from cook import pipeline, report
+from cook import cli, pipeline, report
 from cook.cli import main
 from cook.generator import GenParams, generate_program
 from cook.lang import parse_unit, pretty
@@ -132,3 +133,34 @@ def test_cook_analyze_leaves_the_collector_on(tmp_path):
     result = CliRunner().invoke(main, ["analyze", "--format", "json", str(path)])
     assert result.exit_code == 0, result.output
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("caller-on", "caller-off"))
+@pytest.mark.parametrize("valid", (True, False), ids=("checks", "check-fails"))
+def test_cook_analyze_parses_with_the_collector_off(tmp_path, monkeypatch, enabled, valid):
+    """`cook analyze` runs parse, check and the pass in one collector-off
+    bracket, and leaves the caller's state as it was, also when `check`
+    rejects the program."""
+    seen = []
+    parse_unit = cli.parse_unit
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return parse_unit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_unit", recording)
+    path = tmp_path / "unit.carib"
+    text = sources("census")[0]
+    path.write_text(text if valid else text + "method m1(): int { var x: int; x := 1; return x; }\n")
+    if not enabled:
+        gc.disable()
+    try:
+        result = CliRunner().invoke(main, ["analyze", "--format", "json", str(path)])
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
+    if valid:
+        assert result.exit_code == 0, result.output
+    else:  # a `CheckDiagnostic`
+        assert result.exit_code == 1 and "duplicate method 'm1'" in result.output, result.output

@@ -77,10 +77,12 @@ def counters(program: ast.Program) -> tuple[dict[str, int], ProgramModel, Analys
     assert len(analyzers) == 1
     (an,) = analyzers
     counts["methods"] = len(model.methods)
+    empty = dict.fromkeys(model.methods, {})  # a node's writes need no summary
     counts["call_node_writes"] = sum(
-        len(spec.nodes[nid].writes)
-        for spec in map(an.spec, model.methods)
-        for nid in spec.call_nodes
+        len(ns.writes)
+        for mid, mm in model.methods.items()
+        for node, ns in zip(mm.cfg.nodes, an.spec(mid, empty).nodes)
+        if type(node.stmt) is ast.Call
     )
     return counts, model, result
 

@@ -1,7 +1,7 @@
 """Alias-aware naming: representatives, array partitions, write sets, RLV.
 
 Aliasing is handled by naming rather than points-to facts: a field access is
-named after the highest class declaring the field, so any two accesses through
+named after the class declaring the field, so any two accesses through
 compatible receivers collide, and an array access is named after its array's
 partition in a flow-insensitive union-find over array-typed slots joined by
 copies, call bindings, returns, and field traffic. All indices of a partition
@@ -137,10 +137,10 @@ class AliasAnalysis:
     # -- representatives -------------------------------------------------------
 
     def field_rep_for(self, class_name: str, field_name: str) -> TypeField:
-        decl = self.sym.declaring_class(class_name, field_name)
-        if decl is None:
+        found = self.sym.field(class_name, field_name)
+        if found is None:
             raise KeyError(f"type {class_name!r} has no field {field_name!r}")
-        return TypeField(decl, field_name)
+        return TypeField(found[0], field_name)
 
     def field_rep(self, method_id: str, obj: str, field_name: str) -> TypeField:
         key = (self.sym.var_types[method_id][obj], field_name)

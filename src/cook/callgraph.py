@@ -2,12 +2,13 @@
 
 Call targets are resolved from the receiver's declared type: a reference of
 class C may hold C or any subclass, an interface reference may hold any class
-implementing it (or a subinterface) and their subclasses. Virtual lookup walks
-from each candidate class to the nearest declaration, so inherited methods
-resolve too. The graph's rows are those the alias analysis resolved
-(`AliasAnalysis.calls`). Recursive methods are the members of nontrivial
-strongly connected components (plus self loops), computed with Tarjan's
-algorithm.
+implementing it (or a subinterface) and their subclasses. Each candidate class
+takes its nearest declaration, so inherited methods resolve too.
+`Symbols.resolve_call` finds the targets once per receiver type and callee
+name, from the hierarchy `check` records. The graph's rows are those the
+alias analysis resolved (`AliasAnalysis.calls`). Recursive methods are the
+members of nontrivial strongly connected components (plus self loops),
+computed with Tarjan's algorithm.
 """
 
 from __future__ import annotations

@@ -387,10 +387,10 @@ def _dispatch(
     symbols: Symbols, caller: ast.Method, s: ast.Call, env: dict, null_faults: bool
 ) -> ast.Method:
     """Runtime target: virtual lookup from the receiver's runtime class,
-    falling back to the receiver's static type and then to static resolution
-    when the receiver is opaque. With `null_faults` (concrete runs), a null
-    receiver of a call with several targets is a fault; reified runs fall
-    back on it like on bottom."""
+    falling back to the receiver's static type, a class, when the receiver
+    is opaque. With `null_faults` (concrete runs), a null receiver of a call
+    with several targets is a fault; reified runs fall back on it like on
+    bottom."""
     targets = symbols.resolve_call(caller, s)
     if len(targets) == 1:
         return targets[0]
@@ -399,14 +399,9 @@ def _dispatch(
         found = symbols.lookup_method(recv.cls, s.callee)
         if found is not None:
             return found
-    if recv is None and null_faults:
+    elif recv is None and null_faults:
         raise InterpFault("null receiver", s.loc)
-    static_type = symbols.var_types[caller.id][s.actuals[0]]
-    if static_type in symbols.classes:
-        found = symbols.lookup_method(static_type, s.callee)
-        if found is not None:
-            return found
-    return targets[0]
+    return symbols.lookup_method(symbols.var_types[caller.id][s.actuals[0]], s.callee)
 
 
 def run_concrete(

@@ -4,15 +4,33 @@
 inheritance, declared types, declared identifiers, per-form typing, mandatory
 returns on every path (so the return slot is always bound), and no unreachable
 statements. It returns a `Symbols` table used by every downstream pass.
+
+Once the hierarchy is known to be acyclic, `build_closures` records it in
+the table before any method body is checked: `span` numbers the class forest
+in preorder, so a class's subclasses are one interval, and `ifaces` holds
+each type's interface supertypes. Together they are the supertype relation,
+which `assignable` tests and `runtime_types` inverts. Per member name, the
+tables give the nearest declaration at or above each position, so `field`
+and `lookup_method` are binary searches (fields are never shadowed). Call
+targets are found once per receiver type and callee name, when first asked.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
+from graphlib import CycleError, TopologicalSorter
 
 from ..errors import CheckDiagnostic
 from ..representatives import ArrayPart, Scalar, TypeField
 from . import ast
+
+FieldInfo = tuple[str, str, str]  # (declaring class, field name, type)
+# name -> the preorder positions where the nearest declaration of the name
+# changes, from 0 on, and from each on the declaration (a field's `FieldInfo`,
+# a method's id) or None
+Table = dict[str, tuple[list[int], list]]
 
 
 @dataclass
@@ -24,78 +42,45 @@ class Symbols:
     free_methods: dict[str, ast.Method] = dc_field(default_factory=dict)
     class_method_names: set[str] = dc_field(default_factory=set)
     var_types: dict[str, dict[str, str]] = dc_field(default_factory=dict)
-    subclasses: dict[str, set[str]] = dc_field(default_factory=dict)  # reflexive
-    iface_children: dict[str, set[str]] = dc_field(default_factory=dict)
-    direct_impls: dict[str, set[str]] = dc_field(default_factory=dict)
+    span: dict[str, tuple[int, int]] = dc_field(default_factory=dict)  # (position, end of subtree)
+    preorder: list[str] = dc_field(default_factory=list)
+    ifaces: dict[str, frozenset[str]] = dc_field(default_factory=dict)
+    field_table: Table = dc_field(default_factory=dict)
+    method_table: Table = dc_field(default_factory=dict)
+    targets: dict[tuple[str, str], list[ast.Method]] = dc_field(default_factory=dict)
 
     # -- hierarchy -----------------------------------------------------------
 
-    def ancestors(self, cname: str) -> list[str]:
-        """Class chain from `cname` up to the root, inclusive."""
-        chain = []
+    def _nearest(self, table: Table, cname: str, name: str):
+        starts, found = table.get(name, ((0,), (None,)))
+        return found[bisect_right(starts, self.span[cname][0]) - 1]
+
+    def field(self, cname: str, fname: str) -> FieldInfo | None:
+        """(declaring class, name, type) of field `fname` of class `cname`."""
+        return self._nearest(self.field_table, cname, fname)
+
+    def all_fields(self, cname: str) -> list[FieldInfo]:
+        """(declaring class, name, type) of every field of `cname`, its own
+        first and then up the chain."""
+        out: list[FieldInfo] = []
         cur: str | None = cname
         while cur is not None:
-            chain.append(cur)
+            out += [(cur, f.name, f.type) for f in self.classes[cur].fields]
             cur = self.classes[cur].superclass
-        return chain
-
-    def declaring_class(self, cname: str, fname: str) -> str | None:
-        """Highest class in `cname`'s chain declaring field `fname`."""
-        found = None
-        for c in self.ancestors(cname):
-            if any(f.name == fname for f in self.classes[c].fields):
-                found = c
-        return found
-
-    def field_type(self, cname: str, fname: str) -> str | None:
-        for c in self.ancestors(cname):
-            for f in self.classes[c].fields:
-                if f.name == fname:
-                    return f.type
-        return None
-
-    def all_fields(self, cname: str) -> list[tuple[str, str, str]]:
-        """(declaring class per ownership rule, field name, type) for the chain."""
-        out = []
-        seen = set()
-        for c in self.ancestors(cname):
-            for f in self.classes[c].fields:
-                if f.name not in seen:
-                    seen.add(f.name)
-                    out.append((self.declaring_class(cname, f.name) or c, f.name, f.type))
-        return out
-
-    def subinterfaces(self, iname: str) -> set[str]:
-        """Reflexive transitive closure over interface extension."""
-        out = {iname}
-        work = [iname]
-        while work:
-            cur = work.pop()
-            for child in self.iface_children.get(cur, ()):
-                if child not in out:
-                    out.add(child)
-                    work.append(child)
         return out
 
     def runtime_types(self, declared: str) -> set[str]:
         """All classes a reference of the declared type may hold at runtime."""
-        if declared in self.classes:
-            return set(self.subclasses[declared])
+        if declared in self.span:
+            lo, hi = self.span[declared]
+            return set(self.preorder[lo:hi])
         if declared in self.interfaces:
-            out: set[str] = set()
-            for sub in self.subinterfaces(declared):
-                for impl in self.direct_impls.get(sub, ()):
-                    out |= self.subclasses[impl]
-            return out
+            return {c for c in self.classes if declared in self.ifaces[c]}
         raise CheckDiagnostic(f"unknown type {declared!r}")
 
     def lookup_method(self, cname: str, mname: str) -> ast.Method | None:
-        """Nearest declaration of `mname` walking up from `cname`."""
-        for c in self.ancestors(cname):
-            m = self.methods.get(f"{c}.{mname}")
-            if m is not None:
-                return m
-        return None
+        """Nearest declaration of `mname` at or above class `cname`."""
+        return self.methods.get(self._nearest(self.method_table, cname, mname))
 
     def call_signature(self, caller: ast.Method, call: ast.Call) -> ast.Method:
         """The declaration a call site is typed against: for virtual calls the
@@ -116,47 +101,25 @@ class Symbols:
         return m
 
     def resolve_call(self, caller: ast.Method, call: ast.Call) -> list[ast.Method]:
-        """Possible targets of a call site (overrides included for virtual calls)."""
+        """Possible targets of a call site (overrides included for virtual
+        calls), in the order of their runtime classes' names."""
         decl = self.call_signature(caller, call)
         if decl.owner is None:
             return [decl]
-        rtype = self.var_types[caller.id][call.actuals[0]]
-        targets = []
-        seen = set()
-        for cls in sorted(self.runtime_types(rtype)):
-            m = self.lookup_method(cls, call.callee)
-            if m is not None and m.id not in seen:
-                seen.add(m.id)
-                targets.append(m)
+        key = (self.var_types[caller.id][call.actuals[0]], call.callee)
+        targets = self.targets.get(key)
+        if targets is None:
+            found = (self.lookup_method(c, call.callee) for c in sorted(self.runtime_types(key[0])))
+            targets = self.targets[key] = list({m.id: m for m in found}.values())
         return targets
 
     def assignable(self, src: str, dst: str) -> bool:
-        if src == dst:
+        """Whether a `src` value may be stored where `dst` is declared: `dst`
+        is `src` or one of its supertypes. Arrays are invariant."""
+        if src == dst or dst in self.ifaces.get(src, ()):
             return True
-        if ast.is_array_type(src) or ast.is_array_type(dst):
-            return False  # arrays are invariant
-        if src in self.classes:
-            if dst in self.classes:
-                return dst in self.ancestors(src)
-            if dst in self.interfaces:
-                want = self.subinterfaces(dst)
-                return any(
-                    i in want
-                    for c in self.ancestors(src)
-                    for i in self._implemented(c)
-                )
-        if src in self.interfaces and dst in self.interfaces:
-            return src in self.subinterfaces(dst)
-        return False
-
-    def _implemented(self, cname: str) -> set[str]:
-        out: set[str] = set()
-        for iname in self.classes[cname].interfaces:
-            for sup in self.interfaces:
-                if iname in self.subinterfaces(sup):
-                    out.add(sup)
-            out.add(iname)
-        return out
+        span = self.span.get(dst)
+        return span is not None and src in self.span and span[0] <= self.span[src][0] < span[1]
 
 
 def _err(msg: str, loc: ast.Loc) -> CheckDiagnostic:
@@ -172,9 +135,13 @@ class _Checker:
 
     def run(self) -> Symbols:
         self.declare()
-        self.check_hierarchy()
-        self.build_closures()
         base = self.base
+        if base is None:
+            self.check_hierarchy()
+            self.build_closures()
+        else:
+            self.sym.span, self.sym.preorder, self.sym.ifaces = base.span, base.preorder, base.ifaces
+            self.sym.field_table, self.sym.method_table = base.field_table, base.method_table
         for m in self.p.methods:
             if m.extern:
                 continue
@@ -226,9 +193,8 @@ class _Checker:
     def check_hierarchy(self) -> None:
         sym = self.sym
         for cls in self.p.classes:
-            if cls.superclass is not None:
-                if cls.superclass not in sym.classes:
-                    raise _err(f"unknown superclass {cls.superclass!r}", cls.loc)
+            if cls.superclass is not None and cls.superclass not in sym.classes:
+                raise _err(f"unknown superclass {cls.superclass!r}", cls.loc)
             for iname in cls.interfaces:
                 if iname not in sym.interfaces:
                     raise _err(f"{iname!r} is not an interface", cls.loc)
@@ -241,66 +207,102 @@ class _Checker:
             for sup in iface.extends:
                 if sup not in sym.interfaces:
                     raise _err(f"{sup!r} is not an interface", iface.loc)
-        # extends must be acyclic for classes and interfaces alike
+        # extends must be acyclic for classes and interfaces alike; the order
+        # lists every type after its direct supertypes, `supers`
+        self.supers = {i.name: i.extends for i in self.p.interfaces}
         for cls in self.p.classes:
-            seen = set()
-            cur: str | None = cls.name
-            while cur is not None:
-                if cur in seen:
-                    raise _err(f"inheritance cycle through {cls.name!r}", cls.loc)
-                seen.add(cur)
-                cur = sym.classes[cur].superclass
-        for iface in self.p.interfaces:
-            seen = set()
-            work = [iface.name]
-            while work:
-                cur = work.pop()
-                if cur in seen:
-                    raise _err(f"interface cycle through {iface.name!r}", iface.loc)
-                seen.add(cur)
-                work.extend(sym.interfaces[cur].extends)
-        # no field shadowing along a chain
-        for cls in self.p.classes:
-            chain_fields: list[str] = []
-            for c in self.sym.ancestors(cls.name):
-                chain_fields.extend(f.name for f in sym.classes[c].fields)
-            if len(chain_fields) != len(set(chain_fields)):
-                raise _err(f"field shadowing in hierarchy of {cls.name!r}", cls.loc)
-        # class methods take their receiver first; overrides must preserve the
-        # rest of the signature (the receiver formal narrows naturally)
-        for m in self.p.methods:
-            if m.owner is None:
-                continue
-            if not m.formals:
-                raise _err(f"class method {m.id!r} needs a receiver parameter", m.loc)
-            sup = sym.classes[m.owner].superclass
-            while sup is not None:
-                other = sym.methods.get(f"{sup}.{m.name}")
-                if other is not None:
-                    same = (
-                        tuple(p.type for p in other.formals[1:])
-                        == tuple(p.type for p in m.formals[1:])
-                        and other.return_type == m.return_type
-                    )
-                    if not same:
-                        raise _err(
-                            f"override {m.id!r} changes the signature of {other.id!r}", m.loc
-                        )
-                sup = sym.classes[sup].superclass
+            self.supers[cls.name] = ((cls.superclass,) if cls.superclass else ()) + cls.interfaces
+        try:
+            self.order = list(TopologicalSorter(self.supers).static_order())
+        except CycleError as err:
+            placed: set[str] = set()  # classes whose chain is known to end
+            for cls in self.p.classes:
+                path: set[str] = set()
+                cur: str | None = cls.name
+                while cur is not None and cur not in placed:
+                    if cur in path:
+                        raise _err(f"inheritance cycle through {cls.name!r}", cls.loc) from None
+                    path.add(cur)
+                    cur = sym.classes[cur].superclass
+                placed |= path
+            # the cycle found runs through interfaces; a diamond is no cycle
+            iface = next(i for i in self.p.interfaces if i.name in err.args[1])
+            raise _err(f"interface cycle through {iface.name!r}", iface.loc) from None
 
     def build_closures(self) -> None:
+        """Record the acyclic hierarchy: `span`, `preorder`, `ifaces` and the
+        tables of nearest declarations. The sweep that builds the tables also
+        finds shadowed fields and overrides that change a signature."""
         sym = self.sym
-        for name in sym.classes:
-            sym.subclasses[name] = {name}
-        for cls in self.p.classes:
-            for anc in sym.ancestors(cls.name):
-                sym.subclasses[anc].add(cls.name)
-        for iface in self.p.interfaces:
-            for sup in iface.extends:
-                sym.iface_children.setdefault(sup, set()).add(iface.name)
-        for cls in self.p.classes:
-            for iname in cls.interfaces:
-                sym.direct_impls.setdefault(iname, set()).add(cls.name)
+        # number the forest as `cfg.dominator_tree` does: subtree sizes children
+        # first, then each class takes the next free interval in its superclass's
+        size = dict.fromkeys([None, *sym.classes], 1)
+        for name in reversed(self.order):
+            if name in sym.classes:
+                size[sym.classes[name].superclass] += size[name]
+        free: dict[str | None, int] = {None: 0}
+        sym.preorder = list(sym.classes)
+        for name in self.order:
+            inherited = [sym.ifaces[t] for t in self.supers[name]]
+            if name in sym.interfaces:
+                sym.ifaces[name] = frozenset((name,)).union(*inherited)
+                continue
+            # a class with one direct supertype shares its set
+            sym.ifaces[name] = inherited[0] if len(inherited) == 1 else frozenset().union(*inherited)
+            sup = sym.classes[name].superclass
+            pos = free[sup]
+            free[sup] += size[name]
+            free[name] = pos + 1
+            sym.span[name] = (pos, pos + size[name])
+            sym.preorder[pos] = name
+        fields = ((f.name, c.name, (c.name, f.name, f.type)) for c in self.p.classes for f in c.fields)
+        sym.field_table, shadowing = self.by_position(fields)
+        methods = ((m.name, m.owner, m.id) for m in self.p.methods if m.owner is not None)
+        sym.method_table, overriding = self.by_position(methods)
+        shadowed = [sym.span[cls] for (cls, _, _), above in shadowing if above is not None]
+        for cls in self.p.classes if shadowed else ():
+            if any(lo <= sym.span[cls.name][0] < hi for lo, hi in shadowed):
+                raise _err(f"field shadowing in hierarchy of {cls.name!r}", cls.loc)
+        # class methods take their receiver first; overrides must preserve the
+        # rest of the signature (the receiver formal narrows naturally). This
+        # is the nearest declaration above each method with another signature:
+        # equal signatures stay equal, so it is also its overridden method's
+        differs: dict[str, str | None] = {}  # method id -> declaration id
+        for mid, above in overriding:
+            if above is not None:
+                old, new = ([p.type for p in m.formals[1:]] + [m.return_type]
+                            for m in (sym.methods[above], sym.methods[mid]))
+                differs[mid] = differs.get(above) if old == new else above
+        for m in self.p.methods:
+            if m.owner is not None and not m.formals:
+                raise _err(f"class method {m.id!r} needs a receiver parameter", m.loc)
+            if differs.get(m.id) is not None:
+                raise _err(f"override {m.id!r} changes the signature of {differs[m.id]!r}", m.loc)
+
+    def by_position(self, decls: Iterable[tuple[str, str, object]]) -> tuple[Table, list[tuple]]:
+        """The `Table` of declarations `(name, class, x)`, and each `x` paired
+        with the nearest declaration of its name in a proper superclass (or
+        None), superclasses first. A class's superclasses are the classes
+        whose intervals enclose its position."""
+        by_name: dict[str, list[tuple[tuple[int, int], object]]] = {}
+        for name, cls, x in decls:
+            by_name.setdefault(name, []).append((self.sym.span[cls], x))
+        table: Table = {}
+        above: list[tuple] = []
+        last = ((len(self.sym.span), 0), None)  # closes every interval
+        for name, named in by_name.items():
+            starts, found = table[name] = [0], [None]
+            enclosing: list[tuple[int, object]] = []  # (end, x), innermost last
+            for (lo, hi), x in [*sorted(named), last]:  # spans differ: no `x` is compared
+                while enclosing and enclosing[-1][0] <= lo:
+                    starts.append(enclosing.pop()[0])
+                    found.append(enclosing[-1][1] if enclosing else None)
+                if x is not None:
+                    above.append((x, enclosing[-1][1] if enclosing else None))
+                    starts.append(lo)
+                    found.append(x)
+                    enclosing.append((hi, x))
+        return table, above
 
     # -- method bodies --------------------------------------------------------
 
@@ -420,9 +422,10 @@ class _Checker:
         otype = self._var(env, obj, loc)
         if otype not in self.sym.classes:
             raise _err(f"{obj!r} has no fields (type {otype!r})", loc)
-        ftype = self.sym.field_type(otype, fname)
-        if ftype is None:
+        found = self.sym.field(otype, fname)
+        if found is None:
             raise _err(f"type {otype!r} has no field {fname!r}", loc)
+        ftype = found[2]
         if into is not None:
             dst = self._var(env, into, loc)
             if not self.sym.assignable(ftype, dst):
@@ -464,7 +467,7 @@ class _Checker:
             elif isinstance(rep, TypeField):
                 if rep.type_name not in self.sym.classes:
                     raise _err(f"unknown class {rep.type_name!r} in bottom target", s.loc)
-                if self.sym.field_type(rep.type_name, rep.field_name) is None:
+                if self.sym.field(rep.type_name, rep.field_name) is None:
                     raise _err(
                         f"class {rep.type_name!r} has no field {rep.field_name!r}", s.loc
                     )
@@ -478,8 +481,8 @@ def check(
 ) -> Symbols:
     """The symbol table of a well-formed program; raises `CheckDiagnostic`.
 
-    `base` holds the symbols of the program this one was rewritten from,
-    with the same classes, interfaces and method signatures. A method that
-    is the same object there was checked there, so it keeps its `var_types`
-    entry and is not checked again; every other method is."""
+    `base` holds the symbols of the program this one was rewritten from, with
+    the same hierarchy and method signatures, whose record this one takes. A
+    method that is the same object there was checked there, so it keeps its
+    `var_types` entry and is not checked again; every other method is."""
     return _Checker(program, allow_bottom, base).run()

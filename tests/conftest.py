@@ -113,3 +113,44 @@ def _sequential_loops(k: int) -> str:
 def sequential_loops():
     """The source of one method of k sequential counted loops, by k."""
     return _sequential_loops
+
+
+def _interface_chain(depth: int, assignments: int) -> str:
+    """Interfaces `I0` to `I{depth-1}`, each extending the one before, a class
+    `C` implementing the last, and a method that assigns its `C` formal to an
+    `I0` variable `assignments` times."""
+    ifaces = "".join(f"interface I{k} extends I{k - 1} {{}}\n" for k in range(1, depth))
+    body = "  i := c;\n" * assignments
+    return (
+        f"interface I0 {{}}\n{ifaces}class C implements I{depth - 1} {{}}\n"
+        f"method m(c: C): int {{\n  var i: I0; var x: int;\n{body}  x := 0;\n  return x;\n}}\n"
+    )
+
+
+def _class_chain(depth: int, calls: int, reads: int = 0) -> str:
+    """Classes `C0` to `C{depth-1}`, each extending the one before; `C0` has
+    a field `f` and a method `get`. A method `use` makes `calls` virtual calls
+    of `get` on a `C0`, which may hold any class of the chain, and reads `f`
+    `reads` times through a `C{depth-1}`."""
+    classes = "".join(f"class C{k} extends C{k - 1} {{}}\n" for k in range(1, depth))
+    body = "  x := get(o);\n" * calls + "  x := p.f;\n" * reads
+    return (
+        f"class C0 {{ f: int; }}\n{classes}"
+        "method C0.get(self: C0): int { var t: int; t := self.f; return t; }\n"
+        f"method use(o: C0, p: C{depth - 1}): int {{\n"
+        f"  var x: int;\n  x := 0;\n{body}  return x;\n}}\n"
+    )
+
+
+@pytest.fixture(scope="session")
+def interface_chain():
+    """The source of an interface chain and its assignments, by depth and
+    number of assignments."""
+    return _interface_chain
+
+
+@pytest.fixture(scope="session")
+def class_chain():
+    """The source of a class chain and its calls and field reads, by depth,
+    number of calls and number of reads."""
+    return _class_chain

@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cook.aliases import AliasAnalysis
 from cook.callgraph import (
@@ -12,8 +12,9 @@ from cook.callgraph import (
 )
 from cook.generator import GenParams, generate_program
 from cook.interp import Outcome, random_store, run_concrete
-from cook.lang import load
+from cook.lang import ast, load
 from cook.lang.check import check
+import reference_hierarchy as reference
 
 HIERARCHY = """
 interface I {}
@@ -43,34 +44,41 @@ def test_interface_resolution_through_subinterfaces():
     assert sym.runtime_types("J") == {"A", "B", "C"}
 
 
+def test_an_interface_diamond_is_accepted_and_assignable_both_ways():
+    p, sym = load(
+        """
+interface I0 {}
+interface I1 extends I0 {}
+interface I2 extends I0 {}
+interface I3 extends I1, I2 {}
+class C implements I3 {}
+method m(c: C): int {
+  var d: I3; var a: I1; var b: I2; var z: I0; var x: int;
+  d := c; a := d; b := d; z := a; z := b; z := d;
+  x := 0;
+  return x;
+}
+"""
+    )
+    for sup in ("I0", "I1", "I2", "I3"):
+        assert sym.assignable("C", sup) and sym.assignable("I3", sup)
+        assert sym.runtime_types(sup) == {"C"}
+    assert sym.assignable("I1", "I0") and sym.assignable("I2", "I0")
+    assert not sym.assignable("I1", "I2") and not sym.assignable("I0", "I3")
+
+
 def brute_runtime_types(sym, declared):
     if declared in sym.classes:
-        return {
-            c for c in sym.classes if declared in sym.ancestors(c)
-        }
-    ifaces = {
-        i
-        for i in sym.interfaces
+        return {c for c in sym.classes if declared in reference.ancestors(sym, c)}
+    # a class is a runtime type of interface `declared` when any ancestor
+    # implements `declared` or one of its subinterfaces
+    return {
+        c
+        for c in sym.classes
+        for anc in reference.ancestors(sym, c)
+        for i in sym.classes[anc].interfaces
         if declared in _iface_ancestors(sym, i)
     }
-    out = set()
-    for c in sym.classes:
-        direct = set()
-        for anc in sym.ancestors(c):
-            for i in sym.classes[anc].interfaces:
-                direct |= _iface_ancestors(sym, i)
-        if direct & ifaces or any(
-            i in ifaces or declared in _iface_ancestors(sym, i)
-            for i in direct
-        ):
-            pass
-        # a class is a runtime type of interface `declared` when any ancestor
-        # implements `declared` or one of its subinterfaces
-        for anc in sym.ancestors(c):
-            for i in sym.classes[anc].interfaces:
-                if declared in _iface_ancestors(sym, i):
-                    out.add(c)
-    return out
 
 
 def _iface_ancestors(sym, iname):
@@ -85,10 +93,76 @@ def _iface_ancestors(sym, iname):
     return seen
 
 
-def test_runtime_types_match_bruteforce_closure():
-    p, sym = load(HIERARCHY)
-    for t in list(sym.classes) + list(sym.interfaces):
+METHOD_NAMES = ("a", "b", "c")
+# what a class extends: mostly the class before it, so chains grow deep
+CLASS_KINDS = ("previous",) * 14 + ("root", "any")
+
+
+@st.composite
+def hierarchies(draw):
+    """A program of up to 8 interfaces, each extending up to three earlier
+    ones, and up to 40 classes. Most classes extend the class before them, so
+    chains run up to about 30 deep; each implements up to two interfaces and
+    declares up to two fields of its own. Every root class declares methods
+    `a`, `b` and `c`, and each other class overrides some of them. `probe`
+    calls each method on a variable of each class. Several `extends` or
+    `implements` of one type may reach one interface twice, a diamond."""
+    lines = []
+    n_ifaces = draw(st.integers(0, 8))
+    for i in range(n_ifaces):
+        ext = sorted(draw(st.sets(st.integers(0, i - 1), max_size=3))) if i else []
+        ext_text = f" extends {', '.join(f'I{j}' for j in ext)}" if ext else ""
+        lines.append(f"interface I{i}{ext_text} {{}}")
+    n_classes = draw(st.integers(1, 40))
+    for i in range(n_classes):
+        kind = draw(st.sampled_from(CLASS_KINDS)) if i else "root"
+        sup = draw(st.integers(0, i - 1)) if kind == "any" else None if kind == "root" else i - 1
+        head = f"class C{i}" + (f" extends C{sup}" if sup is not None else "")
+        impls = sorted(draw(st.sets(st.integers(0, n_ifaces - 1), max_size=2))) if n_ifaces else []
+        if impls:
+            head += f" implements {', '.join(f'I{j}' for j in impls)}"
+        fields = "".join(f" f{i}_{k}: int;" for k in range(draw(st.integers(0, 2))))
+        lines.append(f"{head} {{{fields} }}")
+        names = METHOD_NAMES
+        if sup is not None:
+            names = sorted(draw(st.sets(st.sampled_from(METHOD_NAMES))))
+        lines += [
+            f"method C{i}.{n}(self: C{i}): int {{ var t: int; t := {i}; return t; }}" for n in names
+        ]
+    formals = ", ".join(f"v{i}: C{i}" for i in range(n_classes))
+    calls = "".join(f" x := {n}(v{i});" for i in range(n_classes) for n in METHOD_NAMES)
+    lines.append(f"method probe({formals}): int {{ var x: int; x := 0;{calls} return x; }}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(hierarchies())
+@example(HIERARCHY)
+def test_runtime_types_match_bruteforce_closure(src):
+    """Every hierarchy query `check` records answers as the chain walks of
+    `reference_hierarchy` do, on every type, field and method name."""
+    p, sym = load(src)
+    types = [*sym.classes, *sym.interfaces, "int", "int[]", "C0[]"]
+    fields = {f.name for cls in p.classes for f in cls.fields} | {"nope"}
+    for t in [*sym.classes, *sym.interfaces]:
         assert sym.runtime_types(t) == brute_runtime_types(sym, t), t
+    for src_type in types:
+        for dst in types:
+            assert sym.assignable(src_type, dst) == reference.assignable(sym, src_type, dst), (
+                src_type,
+                dst,
+            )
+    for cls in sym.classes:
+        for name in (*METHOD_NAMES, "nope"):
+            assert sym.lookup_method(cls, name) is reference.lookup_method(sym, cls, name)
+        for fname in fields:
+            found = sym.field(cls, fname)
+            assert (found and found[0]) == reference.declaring_class(sym, cls, fname)
+        assert sym.all_fields(cls) == reference.all_fields(sym, cls)
+    for m in p.methods:
+        for s in ast.walk(m.body):
+            if isinstance(s, ast.Call):
+                assert sym.resolve_call(m, s) == reference.resolve_call(sym, m, s)
 
 
 def test_call_chain_edges(clean_chain):

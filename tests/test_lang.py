@@ -96,6 +96,52 @@ def test_inheritance_cycle_rejected():
         parse("class A extends B {} class B extends A {} method m(): int { var x: int; x := 0; return x; }")
 
 
+@pytest.mark.parametrize(
+    "types, message",
+    [
+        ("class A extends B {} class B extends A {}", "inheritance cycle through 'A'"),
+        # a class whose chain runs into a cycle is reported first
+        (
+            "class D extends A {} class A extends B {} class B extends A {}",
+            "inheritance cycle through 'D'",
+        ),
+        ("interface I extends J {} interface J extends I {}", "interface cycle through 'I'"),
+        ("interface I extends I {}", "interface cycle through 'I'"),
+        # an interface that only extends a cycle is not on it
+        (
+            "interface K extends I {} interface I extends J {} interface J extends I {}",
+            "interface cycle through 'I'",
+        ),
+    ],
+)
+def test_hierarchy_cycles_are_reported(types, message):
+    with pytest.raises(CheckDiagnostic, match=f"^1:[0-9]+: {message}$"):
+        parse(types + " method m(): int { var x: int; x := 0; return x; }")
+
+
+def test_field_shadowing_is_reported_at_the_first_class_that_sees_both_fields():
+    # `E` and `S` each see one `f`; `D` sees `B.f` and `A.f`
+    src = """
+class E { f: int; } class S extends A {} class D extends B {}
+class A { f: int; } class B extends A { f: int; }
+"""
+    with pytest.raises(CheckDiagnostic, match="field shadowing in hierarchy of 'D'"):
+        parse(src)
+
+
+def test_an_override_is_checked_against_every_declaration_above_it():
+    """`C.m` keeps `B.m`'s signature, but both change `A.m`'s; `C.m` comes
+    first, so it is reported, against the declaration it changes."""
+    src = """
+class A {} class B extends A {} class C extends B {}
+method C.m(s: C, y: int): int { return y; }
+method B.m(s: B, y: int): int { return y; }
+method A.m(s: A): int { var r: int; r := 0; return r; }
+"""
+    with pytest.raises(CheckDiagnostic, match="override 'C.m' changes the signature of 'A.m'"):
+        parse(src)
+
+
 def test_missing_return_rejected():
     with pytest.raises(CheckDiagnostic):
         parse("method m(a: int): int { var x: int; if a < x then { return a; } }")

@@ -1,6 +1,6 @@
 """Work counters that must grow linearly with the program.
 
-Three shapes of program are grown:
+These shapes of program are grown:
 
 * call chains: `m{k}` calls `m{k+1}` and the last one returns its formal; no
   loops, no APIs, every method an island;
@@ -11,11 +11,17 @@ Three shapes of program are grown:
   names, whose loops `ProgramModel` judges and whose fixpoint sweeps each
   loop's range until it is stable;
 * census-profile programs of 250, 500 and 1000 methods as the generator
-  builds them, counting the methods it examines as call targets.
+  builds them, counting the methods it examines as call targets;
+* interface chains of 100, 200 and 400 interfaces, with 50 or 100
+  assignments of a class to the first, and class chains of 100, 200 and 400
+  classes, with 10 or 20 virtual calls on the first class and as many field
+  reads through the last, counting the hierarchy steps `check` and
+  `resolve_call` take.
 
 Doubling the program may at most double each counter, with a little slack;
-a counter that grows faster is a quadratic cost on large programs. Nothing
-is timed.
+a counter that grows faster is a quadratic cost on large programs. A
+hierarchy is recorded once, so more assignments or calls on the same
+hierarchy take no more hierarchy steps at all. Nothing is timed.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from cook import analysis, generator
 from cook.analysis import AnalysisResult, Analyzer, analyze_program
 from cook.cfg import DomTree, LoopInfo
 from cook.generator import GenParams, generate_program
-from cook.lang import ast, load
+from cook.lang import ast, load, parse_unit
+from cook.lang.check import check
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
 from profiles import CENSUS
@@ -35,6 +42,7 @@ CHAIN_SIZES = (250, 500, 1000)
 CENSUS_SIZES = (125, 250, 500)
 LOOP_SIZES = (250, 500, 1000)
 GEN_SIZES = (250, 500, 1000)
+DEPTHS = (100, 200, 400)
 GROWTH = 2.2  # the most a counter may grow when the program doubles
 
 
@@ -227,3 +235,51 @@ def test_generator_examines_linearly_many_call_targets():
             generate_program(0, GenParams(**dict(CENSUS, methods=n)), normalize=False)
         runs.append(counts)
     assert_linear(runs, "call_targets_examined")
+
+
+def hierarchy_steps(src: str) -> int:
+    """The chain links and extends edges `check` visits on a program, and
+    `resolve_call` on each of its call sites: reads of `ClassDecl.superclass`,
+    `ClassDecl.interfaces` and `InterfaceDecl.extends`."""
+    program = parse_unit(src)
+    counts = dict(steps=0)
+    with pytest.MonkeyPatch.context() as mp:
+        for decl, name in (
+            (ast.ClassDecl, "superclass"),
+            (ast.ClassDecl, "interfaces"),
+            (ast.InterfaceDecl, "extends"),
+        ):
+            mp.setattr(decl, name, counted_reads(counts, "steps", decl.__dict__[name]))
+        sym = check(program)
+        for m in program.methods:
+            for s in ast.walk(m.body):
+                if type(s) is ast.Call:
+                    sym.resolve_call(m, s)
+    return counts["steps"]
+
+
+@pytest.fixture(scope="module")
+def hierarchies(interface_chain, class_chain) -> dict[str, list[tuple[int, int]]]:
+    """Per shape and depth, the hierarchy steps with the fewer and with twice
+    as many assignments or calls."""
+    return {
+        "interfaces": [
+            (hierarchy_steps(interface_chain(d, 50)), hierarchy_steps(interface_chain(d, 100)))
+            for d in DEPTHS
+        ],
+        "classes": [
+            (hierarchy_steps(class_chain(d, 10, 10)), hierarchy_steps(class_chain(d, 20, 20)))
+            for d in DEPTHS
+        ],
+    }
+
+
+@pytest.mark.parametrize("shape", ("interfaces", "classes"))
+def test_more_queries_on_one_hierarchy_take_no_more_steps(hierarchies, shape):
+    for fewer, more in hierarchies[shape]:
+        assert more == fewer, hierarchies[shape]
+
+
+@pytest.mark.parametrize("shape", ("interfaces", "classes"))
+def test_hierarchy_steps_grow_linearly_with_depth(hierarchies, shape):
+    assert_linear([{"steps": more} for _, more in hierarchies[shape]], "steps")

@@ -330,11 +330,16 @@ class AliasAnalysis:
         return self._rlv_type(t)
 
     def _rlv_type(self, type_name: str) -> frozenset[Representative]:
+        """Every field and array cell a `type_name` reaches. Each class's own
+        fields are taken once: from a runtime class the walk goes up the chain
+        only to the first class taken, whose superclasses were taken too."""
         memo = self._rlv_memo.get(type_name)
         if memo is not None:
             return memo
+        classes = self.sym.classes
         out: set[Representative] = set()
         seen_types: set[str] = set()
+        seen_classes: set[str] = set()
         work = [type_name]
         while work:
             t = work.pop()
@@ -344,16 +349,19 @@ class AliasAnalysis:
             if ast.is_array_type(t):
                 work.append(ast.elem_type(t))
                 continue
-            for cls in sorted(self.sym.runtime_types(t)):
-                for decl, fname, ftype in self.sym.all_fields(cls):
-                    tf = TypeField(decl, fname)
-                    out.add(tf)
-                    if ast.is_array_type(ftype):
-                        out.add(ArrayPart(self.partition_of_field(tf)))
-                        if ast.elem_type(ftype) != ast.INT:
-                            work.append(ast.elem_type(ftype))
-                    elif ftype != ast.INT:
-                        work.append(ftype)
+            for cls in self.sym.runtime_types(t):
+                while cls is not None and cls not in seen_classes:
+                    seen_classes.add(cls)
+                    decl = classes[cls]
+                    for f in decl.fields:
+                        tf = TypeField(cls, f.name)
+                        out.add(tf)
+                        if ast.is_array_type(f.type):
+                            out.add(ArrayPart(self.partition_of_field(tf)))
+                            work.append(ast.elem_type(f.type))
+                        else:
+                            work.append(f.type)
+                    cls = decl.superclass
         result = frozenset(out)
         self._rlv_memo[type_name] = result
         return result

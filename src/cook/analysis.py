@@ -382,8 +382,7 @@ class Analyzer:
         # governing branch bitset -> its control pairs
         groups: dict[int, tuple[tuple[int, int], ...]] = {}
         touched: set[int] = set()  # writes and sources of the nodes that may name the heap
-        for n, node in enumerate(graph):
-            s = node.stmt
+        for n, s in enumerate(graph):
             ns = node_spec(s, method_id, self, fr, summaries)
             nodes.append(ns)
             writes = ns.writes
@@ -418,7 +417,7 @@ class Analyzer:
         nodes, control, preds_of = spec.nodes, spec.control, g.preds
         OUT: list[Facts] = [{}] * len(nodes)  # never mutated, so one shared
         OUT[g.entry] = transfer(nodes[g.entry], {i: 1 << (i + SHIFT) for i in spec.seeds})
-        end_of = {h: e for h, e, _, _ in g.whiles}
+        end_of = {h: e for h, e, _ in g.whiles}
         # the open ranges, innermost last: (header, end, whether the enclosing
         # sweep or an earlier sweep of this range changed an OUT)
         ranges: list[tuple[int, int, bool]] = []

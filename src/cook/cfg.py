@@ -2,7 +2,9 @@
 
 The graph is built structurally: assignments, calls, and returns become nodes
 with one successor, each condition becomes a branch node whose successor list
-is ordered [true, false], and every return feeds one synthetic exit node.
+is ordered [true, false], and every return feeds one synthetic exit node. A
+node is its statement: `Cfg.nodes[i]` holds node i's statement, the `IfElse`
+or `While` for a branch node, and None for entry and exit.
 
 Nodes are numbered in source order: entry 0, exit 1, and every statement the
 next id when it is reached, a branch before the arm or body it guards.
@@ -57,51 +59,44 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .errors import CheckDiagnostic
 from .lang import ast
 from .values import value
 
-ENTRY = "entry"
-EXIT = "exit"
-STMT = "stmt"
-BRANCH = "branch"
-
-
-@dataclass(slots=True)
-class CfgNode:
-    id: int
-    kind: str  # entry | exit | stmt | branch
-    stmt: ast.Stmt | None = None  # owning While/IfElse for branch nodes
-    cond: ast.Cond | None = None
-    loc: ast.Loc = ast.UNKNOWN_LOC
+# the statements whose node is a branch, with successors [true, false]
+BRANCHES = (ast.IfElse, ast.While)
 
 
 @dataclass(slots=True)
 class Cfg:
     method_id: str
-    nodes: list[CfgNode] = field(default_factory=list)
+    # each node's statement; None for entry and exit
+    nodes: list[ast.Stmt | None] = field(default_factory=list)
     succs: list[list[int]] = field(default_factory=list)
     preds: list[list[int]] = field(default_factory=list)
-    entry: int = 0
-    exit: int = 1
     idom: list[int] = field(default_factory=list)  # immediate dominator; entry's is entry
     # per node, the bitset of the branches it transitively control-depends on
     governing: list[int] = field(default_factory=list)
     # per `while`, by header: (header, end of its id range, index of the
-    # nearest enclosing `while` or -1, the statement)
-    whiles: list[tuple[int, int, int, ast.While]] = field(default_factory=list)
+    # nearest enclosing `while` or -1)
+    whiles: list[tuple[int, int, int]] = field(default_factory=list)
     # [first, end) of each block inside a `while`'s body that returns on
     # every path, by first id
     returning: list[tuple[int, int]] = field(default_factory=list)
 
+    entry: ClassVar[int] = 0
+    exit: ClassVar[int] = 1
+
 
 def build_cfg(m: ast.Method) -> Cfg:
     """Structured translation; requires a body that returns on every path.
+    The node list holds the statements themselves, None for entry and exit.
     Each node's immediate dominator and governing branches, and each
     `while`'s loop, are recorded as the nodes are numbered; see the module
     docstring."""
-    g = Cfg(m.id, [CfgNode(0, ENTRY), CfgNode(1, EXIT)], [[-1], []], [[], []])
+    g = Cfg(m.id, [None, None], [[-1], []], [[], []])
     nodes, succs, preds, exit_ = g.nodes, g.succs, g.preds, g.exit
     idom = [g.entry, -1]
     governing = [0, 0]
@@ -115,11 +110,11 @@ def build_cfg(m: ast.Method) -> Cfg:
             succs[u][slot] = v
             preds[v].append(u)
 
-    def add(kind: str, s: ast.Stmt, frontier: list, dom: int, mask: int, row: list[int]) -> int:
+    def add(s: ast.Stmt, frontier: list, dom: int, mask: int, row: list[int]) -> int:
         """A node for `s` governed by `mask`, with successor slots `row`,
         entered by `frontier`."""
         n = len(nodes)
-        nodes.append(CfgNode(n, kind, s, s.cond if kind == BRANCH else None, s.loc))
+        nodes.append(s)
         succs.append(row)
         preds.append([])
         idom.append(dom)
@@ -140,7 +135,7 @@ def build_cfg(m: ast.Method) -> Cfg:
             if not frontier:
                 raise CheckDiagnostic("unreachable statement", s.loc.line, s.loc.col, s.loc.file)
             if isinstance(s, ast.IfElse):
-                b = add(BRANCH, s, frontier, dom, mask, [-1, -1])
+                b = add(s, frontier, dom, mask, [-1, -1])
                 bit = 1 << b
                 held = len(returns)
                 then_out, then_dom, then_mask = build(s.then_body, [(b, 0)], b, mask | bit, inside)
@@ -155,14 +150,14 @@ def build_cfg(m: ast.Method) -> Cfg:
                     # through, each of which holds `mask | bit`
                     mask = (then_mask if then_out else 0) | (else_mask if else_out else 0)
             elif isinstance(s, ast.While):
-                b = add(BRANCH, s, frontier, dom, mask, [-1, -1])
+                b = add(s, frontier, dom, mask, [-1, -1])
                 bit = 1 << b
                 w = len(whiles)
                 whiles.append(None)  # filled in once the body is numbered
                 held = len(returns)
                 body_out, _, body_mask = build(s.body, [(b, 0)], b, mask | bit, w)
                 end = len(nodes)
-                whiles[w] = (b, end, inside, s)
+                whiles[w] = (b, end, inside)
                 if body_out:
                     patch(body_out, b)  # back edges (self loop when the body is empty)
                     # the header governs itself around the back edges, and
@@ -175,12 +170,12 @@ def build_cfg(m: ast.Method) -> Cfg:
                 frontier = [(b, 1)]
                 dom = b
             elif isinstance(s, ast.Return):
-                n = add(STMT, s, frontier, dom, mask, [exit_])
+                n = add(s, frontier, dom, mask, [exit_])
                 preds[exit_].append(n)
                 returns.append(n)
                 frontier = []
             else:
-                dom = add(STMT, s, frontier, dom, mask, [-1])
+                dom = add(s, frontier, dom, mask, [-1])
                 frontier = [(dom, 0)]
         if not frontier and inside >= 0:
             returning.append((first, len(nodes)))
@@ -278,7 +273,7 @@ def find_loops(g: Cfg) -> list[LoopInfo]:
     returning = g.returning
     loops: list[LoopInfo] = []
     of_while: list[LoopInfo | None] = []
-    for header, end, outer, stmt in g.whiles:
+    for header, end, outer in g.whiles:
         i = bisect_left(returning, (header + 1,))
         if returning[i : i + 1] == [(header + 1, end)]:
             of_while.append(None)  # no back edge
@@ -292,7 +287,7 @@ def find_loops(g: Cfg) -> list[LoopInfo]:
                 body += range(at, first)
                 at = last
         body += range(at, end)
-        loop = LoopInfo(len(loops), header, frozenset(body), stmt)
+        loop = LoopInfo(len(loops), header, frozenset(body), g.nodes[header])
         parent = of_while[outer] if outer >= 0 else None
         if parent is not None and header in parent.body:
             loop.parent, loop.depth = parent.id, parent.depth + 1
@@ -328,17 +323,16 @@ def governing_branches(g: Cfg) -> list[int]:
 
 
 def to_dot(g: Cfg, describe) -> str:
-    """Render the graph in DOT; `describe(node)` supplies labels."""
+    """Render the graph in DOT; `describe(id, statement)` supplies labels."""
     lines = [f'digraph "{g.method_id}" {{']
-    for n in g.nodes:
-        label = describe(n).replace('"', "'")
-        shape = "diamond" if n.kind == BRANCH else "box"
-        lines.append(f'  n{n.id} [label="{label}", shape={shape}];')
+    for n, s in enumerate(g.nodes):
+        label = describe(n, s).replace('"', "'")
+        shape = "diamond" if isinstance(s, BRANCHES) else "box"
+        lines.append(f'  n{n} [label="{label}", shape={shape}];')
     for u, row in enumerate(g.succs):
+        branch = isinstance(g.nodes[u], BRANCHES)
         for i, v in enumerate(row):
-            suffix = ""
-            if g.nodes[u].kind == BRANCH:
-                suffix = f' [label="{"TF"[i]}"]'
+            suffix = f' [label="{"TF"[i]}"]' if branch else ""
             lines.append(f"  n{u} -> n{v}{suffix};")
     lines.append("}")
     return "\n".join(lines)

@@ -47,14 +47,12 @@ def _load_program(paths: tuple[str, ...]) -> ast.Program:
     return ast.Program(tuple(classes), tuple(interfaces), tuple(methods))
 
 
-def _describe_node(node: cfgmod.CfgNode) -> str:
-    if node.kind == cfgmod.ENTRY:
-        return "entry"
-    if node.kind == cfgmod.EXIT:
-        return "exit"
-    if node.kind == cfgmod.BRANCH:
-        return node.cond.render()
-    return pretty_statement(node.stmt)
+def _describe_node(n: int, s: ast.Stmt | None) -> str:
+    if s is None:
+        return "entry" if n == cfgmod.Cfg.entry else "exit"
+    if isinstance(s, cfgmod.BRANCHES):
+        return s.cond.render()
+    return pretty_statement(s)
 
 
 @main.command()

@@ -119,10 +119,10 @@ class ProgramModel:
     def _analyze_loops(self, mm: MethodModel) -> None:
         g = mm.cfg
         loops = find_loops(g)
-        looping = {id(l.stmt) for l in loops}
-        for *_, stmt in g.whiles:  # no loop: its body returns on every path, it runs at most once
-            if id(stmt) not in looping:
-                self._verdict_by_stmt[id(stmt)] = RUNS_AT_MOST_ONCE
+        looping = {l.header for l in loops}
+        for header, _, _ in g.whiles:  # no loop: its body returns on every path, it runs at most once
+            if header not in looping:
+                self._verdict_by_stmt[id(g.nodes[header])] = RUNS_AT_MOST_ONCE
         if not loops:
             return
         consts = method_consts(g)

@@ -180,8 +180,8 @@ def body_counts(g: Cfg) -> tuple[int, int, int]:
     every statement is one node besides entry and exit, a branch standing
     for its `IfElse` or `While`."""
     arrays = fields = 0
-    for node in g.nodes:
-        kind = type(node.stmt)
+    for s in g.nodes:
+        kind = type(s)
         if kind is ast.ArrayRead or kind is ast.ArrayWrite:
             arrays += 1
         elif kind is ast.FieldRead or kind is ast.FieldWrite:

@@ -43,7 +43,7 @@ method's loops takes time linear in the method times its loop nesting depth.
 
 from __future__ import annotations
 
-from .cfg import BRANCH, Cfg, DomTree, LoopInfo, dominator_tree
+from .cfg import BRANCHES, Cfg, DomTree, LoopInfo, dominator_tree
 from .errors import NestedLoopError, PathExplosionError
 from .interp import binop64, unop64
 from .lang import ast
@@ -121,7 +121,6 @@ def extract_cycles(
 
     header = loop.header
     head = g.nodes[header].cond
-    assert head is not None, "loop header must be a branch"
 
     cycles: list[tuple] = []
     exits = 0
@@ -145,16 +144,15 @@ def extract_cycles(
             # continue past the inner loop through its false edge
             work.append((g.succs[node][1], steps + (opaque_inner[node],)))
             continue
-        n = g.nodes[node]
-        if n.kind == BRANCH:
-            c = n.cond
+        s = g.nodes[node]
+        if isinstance(s, BRANCHES):
+            c = s.cond
             t, f = g.succs[node]
             work.append((f, steps + (ast.Cond(c.left, _NEGATE[c.op], c.right),)))
             work.append((t, steps + (c,)))
         else:
-            new_steps = steps + (n.stmt,) if n.stmt is not None else steps
             (succ,) = g.succs[node]
-            work.append((succ, new_steps))
+            work.append((succ, steps + (s,)))
 
     return CycleSet(header, tuple(cycles), exits, written_names(g, loop))
 
@@ -163,7 +161,7 @@ def written_names(g: Cfg, loop: LoopInfo) -> frozenset[str]:
     """Every scalar of the method's frame that the loop body may write. An
     inner loop's body lies inside its parent's, so its writes are counted."""
     return frozenset(
-        name for nid in loop.body for name in ast.scalar_writes(g.nodes[nid].stmt, g.method_id)
+        name for nid in loop.body for name in ast.scalar_writes(g.nodes[nid], g.method_id)
     )
 
 
@@ -238,8 +236,7 @@ def method_consts(g: Cfg) -> MethodConsts:
     """One scan of the method's nodes, and its dominator tree."""
     defs: dict[str, int] = {}
     const_at: dict[str, tuple[int, int]] = {}
-    for nid, node in enumerate(g.nodes):
-        s = node.stmt
+    for nid, s in enumerate(g.nodes):
         for name in ast.scalar_writes(s, g.method_id):
             defs[name] = defs.get(name, 0) + 1
         if type(s) is ast.ConstAssign and s.value is not None:
@@ -258,7 +255,7 @@ def dominating_consts(g: Cfg, loop: LoopInfo, consts: MethodConsts) -> dict[str,
     sites, dominates = consts.sites, consts.dom.dominates
     out: dict[str, int] = {}
     for nid in loop.body:
-        for name in ast.scalar_reads(g.nodes[nid].stmt):
+        for name in ast.scalar_reads(g.nodes[nid]):
             at = sites.get(name)
             if at is not None and dominates(at[0], loop.header):
                 out[name] = at[1]

@@ -7,6 +7,10 @@ of every statement in turn and builds a fresh target set per statement,
 with one `Scalar` for every statement that writes a scalar. Everything else
 is `AliasAnalysis`'s own, so a test can compare the partitions, targets,
 call rows and write sets the two walks give for the same program.
+
+It also keeps the reachable l-value walk as it was before each class was
+visited once: every runtime class of a type takes all its fields through
+`Symbols.all_fields`, which walks the whole superclass chain again.
 """
 
 from __future__ import annotations
@@ -14,10 +18,39 @@ from __future__ import annotations
 from cook.aliases import _FIELD, _RETSLOT, _VAR, AliasAnalysis
 from cook.callgraph import strongly_connected_components
 from cook.lang import ast
-from cook.representatives import Representative, Scalar
+from cook.representatives import ArrayPart, Representative, Scalar, TypeField
 
 
 class ReferenceAliases(AliasAnalysis):
+    def _rlv_type(self, type_name: str) -> frozenset[Representative]:
+        memo = self._rlv_memo.get(type_name)
+        if memo is not None:
+            return memo
+        out: set[Representative] = set()
+        seen_types: set[str] = set()
+        work = [type_name]
+        while work:
+            t = work.pop()
+            if t in seen_types or t == ast.INT:
+                continue
+            seen_types.add(t)
+            if ast.is_array_type(t):
+                work.append(ast.elem_type(t))
+                continue
+            for cls in sorted(self.sym.runtime_types(t)):
+                for decl, fname, ftype in self.sym.all_fields(cls):
+                    tf = TypeField(decl, fname)
+                    out.add(tf)
+                    if ast.is_array_type(ftype):
+                        out.add(ArrayPart(self.partition_of_field(tf)))
+                        if ast.elem_type(ftype) != ast.INT:
+                            work.append(ast.elem_type(ftype))
+                    elif ftype != ast.INT:
+                        work.append(ftype)
+        result = frozenset(out)
+        self._rlv_memo[type_name] = result
+        return result
+
     def _stmt_targets(self, method_id: str, s: ast.Stmt) -> set[Representative]:
         if isinstance(s, ast.FieldWrite):
             return {self.field_rep(method_id, s.obj, s.field_name)}

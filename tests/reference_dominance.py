@@ -18,7 +18,7 @@ closes it over int bitsets of branch ids until nothing changes.
 
 from __future__ import annotations
 
-from cook.cfg import BRANCH, Cfg, set_bits
+from cook.cfg import BRANCHES, Cfg, set_bits
 from cook.errors import CheckDiagnostic
 
 
@@ -99,8 +99,8 @@ def direct_masks(g: Cfg) -> list[int]:
     """Per node, the bitset of the branches it directly control-depends on."""
     ipdom = post_dominators(g)
     on = [0] * len(g.nodes)
-    for b, node in enumerate(g.nodes):
-        if node.kind != BRANCH:
+    for b, s in enumerate(g.nodes):
+        if not isinstance(s, BRANCHES):
             continue
         bit, stop = 1 << b, ipdom[b]
         for s in g.succs[b]:
@@ -117,7 +117,7 @@ def governing_branches(g: Cfg) -> list[int]:
     on = direct_masks(g)
     # close over the branches first; branch-on-branch edges may form cycles
     # (loop headers)
-    branches = [b for b, node in enumerate(g.nodes) if node.kind == BRANCH and on[b]]
+    branches = [b for b, s in enumerate(g.nodes) if isinstance(s, BRANCHES) and on[b]]
     changed = True
     while changed:
         changed = False

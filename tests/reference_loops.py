@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from cook.cfg import BRANCH, Cfg
+from cook.cfg import Cfg
 from cook.lang import ast
 from reference_dominance import reverse_postorder
 
@@ -55,17 +55,13 @@ def find_loops(g: Cfg) -> list[ReferenceLoop]:
                 if p not in body:
                     body.add(p)
                     work.append(p)
-        stmt = None
-        node = g.nodes[header]
-        if node.kind == BRANCH and isinstance(node.stmt, ast.While):
-            stmt = node.stmt
         loops.append(
             ReferenceLoop(
                 id=len(loops),
                 header=header,
                 body=frozenset(body),
                 back_edges=tuple(sorted(by_header[header])),
-                stmt=stmt,
+                stmt=g.nodes[header],
             )
         )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from cook.aliases import RET
 from cook.analysis import CAUSE_BIT, NodeSpec, _MethodSpec
-from cook.cfg import BRANCH, set_bits
+from cook.cfg import BRANCHES, set_bits
 from cook.lang import ast
 from cook.pipeline import ProgramModel
 from cook.representatives import Bottom, Representative, Scalar
@@ -155,10 +155,10 @@ class ReferenceTable:
         nodes: list[NodeSpec] = []
         branch_fv: dict[int, tuple[int, int]] = {}
         touched: set[int] = set()  # dependents, sources and writes of any node
-        for n in g.nodes:
-            if n.kind == BRANCH:
-                branch_fv[n.id] = (fr[n.cond.left], fr[n.cond.right])
-            ns = node_spec(n.stmt, method_id, self, summaries)
+        for n, s in enumerate(g.nodes):
+            if isinstance(s, BRANCHES):
+                branch_fv[n] = (fr[s.cond.left], fr[s.cond.right])
+            ns = node_spec(s, method_id, self, summaries)
             nodes.append(ns)
             if ns.writes:  # every generated or bottom dependent is a write
                 touched.update(ns.writes)

@@ -334,6 +334,64 @@ def test_array_traffic_walks_as_the_reference():
     assert al.partition_of("mix", "b") == al.partition_of_field(TypeField("B", "e"))
 
 
+# interfaces that meet again below, classes reachable through several of
+# them and through superclasses, and field types that refer back to
+# themselves, directly and through arrays
+RLV_SHAPES = """
+interface Top {}
+interface L extends Top {}
+interface R extends Top {}
+interface LR extends L, R {}
+class A implements LR { a: int; t: Top; }
+class B extends A implements R { b: B[]; }
+class C implements R { c: L; n: int[]; }
+class D extends B implements Top { d: C; me: D; ds: D[]; }
+class N { next: N; v: int; }
+method m(t: Top, l: L, r: R, a: A, bs: B[], c: C, d: D, n: N): int {
+  var lr: LR; var x: int;
+  x := 0;
+  return x;
+}
+"""
+
+
+def assert_rlv_as_the_reference(program, sym) -> int:
+    """`reachable_lvalues` of every reference formal and local equals the
+    reference walk's; the number of variables compared."""
+    al, ref = AliasAnalysis(program, sym), ReferenceAliases(program, sym)
+    compared = 0
+    for m in program.methods:
+        if m.extern:
+            continue
+        for v in (*m.formals, *m.locals):
+            if v.type != ast.INT:
+                got = al.reachable_lvalues(m.id, v.name)
+                assert got == ref.reachable_lvalues(m.id, v.name), (m.id, v.name)
+                compared += 1
+    return compared
+
+
+def test_rlv_matches_the_reference_walk_on_diamonds_and_recursive_fields():
+    program, sym = load(RLV_SHAPES)
+    assert assert_rlv_as_the_reference(program, sym) == 9
+    al = AliasAnalysis(program, sym)
+    assert al.reachable_lvalues("m", "t") == al.reachable_lvalues("m", "a") | {
+        TypeField("C", "c"),
+        TypeField("C", "n"),
+        ArrayPart(al.partition_of_field(TypeField("C", "n"))),
+    }
+    assert al.reachable_lvalues("m", "n") == {TypeField("N", "next"), TypeField("N", "v")}
+
+
+@pytest.mark.parametrize("params, policy, seeds", [p[1:] for p in PROFILES], ids=[p[0] for p in PROFILES])
+def test_rlv_matches_the_reference_walk_on_generated_programs(params, policy, seeds):
+    compared = 0
+    for _, model, tmodel in models(params, policy, seeds):
+        compared += assert_rlv_as_the_reference(model.program, model.symbols)
+        compared += assert_rlv_as_the_reference(tmodel.program, tmodel.symbols)
+    assert compared
+
+
 def scalar_pairs(method: ast.Method) -> list[tuple[str, str]]:
     """(method, name) for every scalar a statement of the body writes,
     bottom assignments left out, once per writing statement."""

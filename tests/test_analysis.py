@@ -782,13 +782,13 @@ def test_node_writes_are_the_written_reps_of_their_statement(profile, seed, poli
     empty = {m: {} for m in tmodel.methods}
     for mid, mm in tmodel.methods.items():
         spec = an.spec(mid, empty)
-        for node in mm.cfg.nodes:
-            writes = spec.nodes[node.id].writes
-            if node.stmt is None or isinstance(node.stmt, (ast.IfElse, ast.While)):
-                assert writes == (), (mid, node.id)  # entry, exit and branches
+        for n, s in enumerate(mm.cfg.nodes):
+            writes = spec.nodes[n].writes
+            if s is None or isinstance(s, (ast.IfElse, ast.While)):
+                assert writes == (), (mid, n)  # entry, exit and branches
                 continue
-            reference = tmodel.aliases.written_reps(mid, node.stmt)
-            assert set(writes) == set(map(an.rep_id, reference)), (mid, node.id)
+            reference = tmodel.aliases.written_reps(mid, s)
+            assert set(writes) == set(map(an.rep_id, reference)), (mid, n)
 
 
 def decoded_table(spec, reps):
@@ -841,9 +841,9 @@ def reference_exit_facts(an, mid, summaries):
     sym = an.sym
     heap = {
         an.rep_id(rep)
-        for node in g.nodes
-        if type(node.stmt) is ast.Call
-        for target in sym.resolve_call(sym.methods[mid], node.stmt)
+        for s in g.nodes
+        if type(s) is ast.Call
+        for target in sym.resolve_call(sym.methods[mid], s)
         if not target.extern
         for fact in an.decode(summaries[target.id])
         for rep in fact[:2]
@@ -917,7 +917,7 @@ method use(o: A, y: int): int { var x: int; x := get(o, y); return x; }
 def test_a_call_with_two_targets_composes_each_summary_through_its_own_frame():
     tmodel = transformed_model(ProgramModel(*load(TWO_TARGETS)))
     sym = tmodel.symbols
-    (call,) = [n.stmt for n in tmodel.methods["use"].cfg.nodes if type(n.stmt) is ast.Call]
+    (call,) = [s for s in tmodel.methods["use"].cfg.nodes if type(s) is ast.Call]
     assert [t.id for t in sym.resolve_call(sym.methods["use"], call)] == ["A.get", "B.get"]
     res = analyze_program(tmodel)
     o, y, x, ret = (Scalar("use", n) for n in ("o", "y", "x", "ret"))

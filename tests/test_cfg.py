@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from cook.cfg import BRANCH, build_cfg, dominator_tree, find_loops, governing_branches, set_bits
+from cook.cfg import BRANCHES, build_cfg, dominator_tree, find_loops, governing_branches, set_bits
 from cook.generator import GenParams, generate_program
 from cook.lang import ast, parse
 from cook.lang.parser import MAX_BLOCK_DEPTH
@@ -91,9 +91,9 @@ method m(x: int, z: int): int {
 }
 """
     g = cfg_of(src)
-    branches = [n for n in g.nodes if n.kind == BRANCH]
+    branches = [n for n, s in enumerate(g.nodes) if isinstance(s, BRANCHES)]
     assert len(branches) == 1
-    b = branches[0].id
+    b = branches[0]
     assert len(g.succs[b]) == 2
     t, f = g.succs[b]
     assert t != f  # then-arm node vs join
@@ -151,7 +151,7 @@ method m(a: int): int {
 }
 """
     g = cfg_of(src)
-    first, second, inner_if = (n.id for n in g.nodes if n.kind == BRANCH)
+    first, second, inner_if = (n for n, s in enumerate(g.nodes) if isinstance(s, BRANCHES))
     assert [(l.id, l.header, l.body, l.parent, l.depth) for l in find_loops(g)] == [
         (0, first, frozenset({first}), None, 1),
         (1, second, frozenset({second, inner_if}), None, 1),
@@ -165,8 +165,8 @@ method m(a: int): int {
 def test_counted_loop_header_is_condition_node(counted_loop):
     g = cfg_of(counted_loop)
     (loop,) = find_loops(g)
-    assert g.nodes[loop.header].kind == BRANCH
-    assert isinstance(g.nodes[loop.header].stmt, ast.While)
+    assert isinstance(g.nodes[loop.header], ast.While)
+    assert g.nodes[loop.header] is loop.stmt
 
 
 def test_back_edge_endpoints_inside_some_loop():
@@ -193,11 +193,9 @@ method m(x: int, z: int): int {
 """
     g = cfg_of(src)
     cd = control_dependents(g)
-    (b,) = [n.id for n in g.nodes if n.kind == BRANCH]
+    (b,) = [n for n, s in enumerate(g.nodes) if isinstance(s, BRANCHES)]
     assign_y_z = [
-        n.id
-        for n in g.nodes
-        if isinstance(n.stmt, ast.CopyAssign) and n.stmt.source == "z"
+        n for n, s in enumerate(g.nodes) if isinstance(s, ast.CopyAssign) and s.source == "z"
     ]
     assert assign_y_z and set(assign_y_z) <= cd[b]
 
@@ -240,8 +238,8 @@ def brute_postdominators(g):
 def brute_control_dependents(g):
     pdom = brute_postdominators(g)
     deps = {}
-    for b, node in enumerate(g.nodes):
-        if node.kind != BRANCH:
+    for b, s in enumerate(g.nodes):
+        if not isinstance(s, BRANCHES):
             continue
         out = set()
         for n in range(len(g.nodes)):
@@ -398,7 +396,7 @@ def test_oracle_graphs_have_nested_loops_and_returns_inside_loops():
     assert inside >= 10, inside
     # a `while` whose body returns on every path is no loop
     assert sum(len(g.whiles) > len(find_loops(g)) for g in graphs) >= 10
-    ifs = [[n.stmt for n in g.nodes if isinstance(n.stmt, ast.IfElse)] for g in graphs]
+    ifs = [[s for s in g.nodes if isinstance(s, ast.IfElse)] for g in graphs]
 
     def ends_in_return(block):
         return bool(block) and isinstance(block[-1], ast.Return)
@@ -462,8 +460,8 @@ def test_control_dependence_matches_the_node_removal_oracle():
     for g in oracle_cfgs():
         pdom = brute_dominator_sets(g.exit, g.preds)
         expected = {}
-        for b, node in enumerate(g.nodes):
-            if node.kind != BRANCH:
+        for b, s in enumerate(g.nodes):
+            if not isinstance(s, BRANCHES):
                 continue
             deps = {
                 n

@@ -10,7 +10,13 @@ import pytest
 from click.testing import CliRunner
 
 from cook.cli import main
+from cook.generator import GenParams, generate_program
+from cook.lang import parse_unit, pretty
+from cook.lang.check import check
 from cook.lang.parser import MAX_BLOCK_DEPTH
+from cook.pipeline import ProgramModel
+from cook.rewrite import rewrite_program
+from profiles import CENSUS
 
 
 def invoke(tmp_path, args, source=None):
@@ -59,6 +65,108 @@ def test_dump_cfg_labels_nodes_with_their_statements(tmp_path, counted_loop):
     assert labels[:2] == ['  n0 [label="entry", shape=box];', '  n1 [label="exit", shape=box];']
     assert any(line.endswith('[label="i := i + one;", shape=box];') for line in labels), labels
     assert any("shape=diamond" in line for line in labels)
+
+
+# an `if` inside a `while`, with a return in one arm
+BRANCHES_AND_RETURNS = """
+method m(a: int, n: int): int {
+  var i: int; var one: int; var zero: int;
+  i := 0; one := 1; zero := 0;
+  while i < n do {
+    if a > zero then { return i; } else { i := i + one; }
+  }
+  return a;
+}
+"""
+
+BRANCHES_AND_RETURNS_DOT = """\
+digraph "m" {
+  n0 [label="entry", shape=box];
+  n1 [label="exit", shape=box];
+  n2 [label="i := 0;", shape=box];
+  n3 [label="one := 1;", shape=box];
+  n4 [label="zero := 0;", shape=box];
+  n5 [label="i < n", shape=diamond];
+  n6 [label="a > zero", shape=diamond];
+  n7 [label="return i;", shape=box];
+  n8 [label="i := i + one;", shape=box];
+  n9 [label="return a;", shape=box];
+  n0 -> n2;
+  n2 -> n3;
+  n3 -> n4;
+  n4 -> n5;
+  n5 -> n6 [label="T"];
+  n5 -> n9 [label="F"];
+  n6 -> n7 [label="T"];
+  n6 -> n8 [label="F"];
+  n7 -> n1;
+  n8 -> n5;
+  n9 -> n1;
+}
+"""
+
+
+def test_dump_cfg_text_is_pinned(tmp_path):
+    result = invoke(tmp_path, ["analyze", "--dump-cfg"], BRANCHES_AND_RETURNS)
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith(BRANCHES_AND_RETURNS_DOT)
+    assert result.output[len(BRANCHES_AND_RETURNS_DOT) :].startswith("island  m  (8 instructions)")
+
+
+def dot_edges(output: str) -> list[tuple[str, str]]:
+    return [
+        tuple(end.strip().strip('";') for end in line.split(" -> "))
+        for line in output.splitlines()
+        if " -> " in line
+    ]
+
+
+def test_dump_callgraph_has_one_edge_per_call_graph_edge(tmp_path, mutual_recursion):
+    result = invoke(tmp_path, ["analyze", "--dump-callgraph"], mutual_recursion)
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("digraph callgraph {\n")
+    assert sorted(dot_edges(result.output)) == [("even", "odd"), ("odd", "even")]
+    for seed in range(3):
+        program = generate_program(seed, GenParams(**CENSUS))
+        result = invoke(tmp_path, ["analyze", "--dump-callgraph"], pretty(program))
+        assert result.exit_code == 0, result.output
+        edges = ProgramModel(program).callgraph.edges
+        assert edges and sorted(dot_edges(result.output)) == sorted(edges), seed
+
+
+def test_dump_summaries_prints_each_loop_verdict_and_summary(tmp_path, counted_loop, opaque_loop_caller):
+    result = invoke(tmp_path, ["analyze", "--dump-summaries"], counted_loop + opaque_loop_caller)
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[:5] == [
+        "count loop@5: terminates(counter=i, stride=1, bound=n)",
+        "  j' = j + 3 * num(x < n, i, i'-1)",
+        "  exit: i' = first i with not (i < n)",
+        "bar loop@13: unknown(no bounded constant-stride counter)",
+        "  identity",
+    ]
+
+
+def phi_text(output: str) -> str:
+    """The program `--dump-phi` prints, before the report's method lines."""
+    lines = output.splitlines(keepends=True)
+    end = next(k for k, line in enumerate(lines) if line.startswith(("island ", "swamp ")))
+    return "".join(lines[:end])
+
+
+@pytest.mark.parametrize(
+    "params", (CENSUS, dict(methods=20, recursion=0.3, call=0.5)), ids=("census", "recursive")
+)
+def test_dump_phi_parses_back_to_the_rewritten_program(tmp_path, params):
+    rewritten = 0
+    for seed in range(4):
+        program = generate_program(seed, GenParams(**params))
+        result = invoke(tmp_path, ["analyze", "--dump-phi"], pretty(program))
+        assert result.exit_code == 0, result.output
+        phi = parse_unit(phi_text(result.output), allow_bottom=True)
+        check(phi, allow_bottom=True)
+        assert phi == rewrite_program(ProgramModel(program)), seed
+        rewritten += phi != program
+    assert rewritten
 
 
 def test_run_prints_the_returned_value(tmp_path, clean_chain):

@@ -6,7 +6,8 @@ everything a pass drops is freed by reference counting alone. The guard runs
 parse, check, `analyze_sources` and `Report.to_json` on programs of the
 benchmark's three generator profiles, under both nested-loop policies and
 both swamp-test placements, with `gc.DEBUG_SAVEALL` set, and asserts that no
-collection, during the pass or after it, finds anything. A negative control puts back a
+collection, during the pass or after it, finds anything; parse and check
+are also guarded on their own. A negative control puts back a
 self-referencing closure, as the CFG builder's recursive `build` once was,
 and checks that the guard reports it. The other tests check that the pass
 runs with the collector off and leaves the caller's collector state,
@@ -71,6 +72,20 @@ def assert_no_cyclic_garbage(run):
 def test_a_pass_leaves_no_cyclic_garbage(profile, policy, swamp_test):
     srcs = sources(profile)
     assert_no_cyclic_garbage(lambda: one_pass(srcs, policy, swamp_test))
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_parse_and_check_leave_no_cyclic_garbage(profile):
+    """The front end on its own, so that a cycle it leaves is told apart
+    from one the analysis leaves: each source's AST and symbols are dropped
+    once it is checked."""
+    srcs = sources(profile)
+
+    def front_end():
+        for src in srcs:
+            check(parse_unit(src))
+
+    assert_no_cyclic_garbage(front_end)
 
 
 def test_the_guard_reports_a_self_referencing_closure(monkeypatch):

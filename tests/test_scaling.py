@@ -16,7 +16,9 @@ These shapes of program are grown:
   assignments of a class to the first, and class chains of 100, 200 and 400
   classes, with 10 or 20 virtual calls on the first class and as many field
   reads through the last, counting the hierarchy steps `check` and
-  `resolve_call` take.
+  `resolve_call` take;
+* class chains of 100, 200 and 400 classes with one field each, counting
+  the classes `reachable_lvalues` visits for a reference of the first.
 
 Doubling the program may at most double each counter, with a little slack;
 a counter that grows faster is a quadratic cost on large programs. A
@@ -29,6 +31,7 @@ from __future__ import annotations
 import pytest
 
 from cook import analysis, generator
+from cook.aliases import AliasAnalysis
 from cook.analysis import AnalysisResult, Analyzer, analyze_program
 from cook.cfg import DomTree, LoopInfo
 from cook.generator import GenParams, generate_program
@@ -89,8 +92,8 @@ def counters(program: ast.Program) -> tuple[dict[str, int], ProgramModel, Analys
     counts["call_node_writes"] = sum(
         len(ns.writes)
         for mid, mm in model.methods.items()
-        for node, ns in zip(mm.cfg.nodes, an.spec(mid, empty).nodes)
-        if type(node.stmt) is ast.Call
+        for s, ns in zip(mm.cfg.nodes, an.spec(mid, empty).nodes)
+        if type(s) is ast.Call
     )
     return counts, model, result
 
@@ -283,3 +286,31 @@ def test_more_queries_on_one_hierarchy_take_no_more_steps(hierarchies, shape):
 @pytest.mark.parametrize("shape", ("interfaces", "classes"))
 def test_hierarchy_steps_grow_linearly_with_depth(hierarchies, shape):
     assert_linear([{"steps": more} for _, more in hierarchies[shape]], "steps")
+
+
+def field_chain(depth: int) -> str:
+    """Classes `C0` to `C{depth-1}`, each extending the one before and
+    declaring one field, and a method that passes a `C0` to an API."""
+    classes = "".join(f"class C{k} extends C{k - 1} {{ f{k}: int; }}\n" for k in range(1, depth))
+    return (
+        f"class C0 {{ f0: int; }}\n{classes}extern method api(o: C0): int;\n"
+        "method use(o: C0): int {\n  var x: int;\n  x := api(o);\n  return x;\n}\n"
+    )
+
+
+def classes_visited(depth: int) -> int:
+    """Reads of `ClassDecl.fields` and `ClassDecl.superclass` while
+    `reachable_lvalues` gathers the fields a `C0` of a field chain reaches."""
+    program, sym = load(field_chain(depth))
+    aliases = AliasAnalysis(program, sym)
+    counts = dict(steps=0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("fields", "superclass"):
+            mp.setattr(ast.ClassDecl, name, counted_reads(counts, "steps", ast.ClassDecl.__dict__[name]))
+        reached = aliases.reachable_lvalues("use", "o")
+    assert len(reached) == depth
+    return counts["steps"]
+
+
+def test_reachable_lvalues_visit_each_class_of_a_chain_once():
+    assert_linear([{"classes_visited": classes_visited(d)} for d in DEPTHS], "classes_visited")

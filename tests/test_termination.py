@@ -520,15 +520,15 @@ def brute_dominating_consts(g, loop) -> dict[str, int]:
     """Names with one definition in the method, a non-null constant
     assignment outside the loop whose deletion cuts the header off entry."""
     defs: dict[str, list[int]] = {}
-    for nid, node in enumerate(g.nodes):
-        for name in defined_names(node.stmt, g.method_id):
+    for nid, s in enumerate(g.nodes):
+        for name in defined_names(s, g.method_id):
             defs.setdefault(name, []).append(nid)
     out = {}
     for name, sites in defs.items():
         if len(sites) != 1:
             continue
         (nid,) = sites
-        s = g.nodes[nid].stmt
+        s = g.nodes[nid]
         if not isinstance(s, ast.ConstAssign) or s.value is None or nid in loop.body:
             continue
         if not header_reachable_without(g, loop, nid):
@@ -569,7 +569,7 @@ def test_dominating_consts_match_brute_force_on_loop_dense_programs():
                     if consts.dom.dominates(nid, loop.header)
                 }
                 assert held == want, (seed, m.id, loop.header)
-                reads = set().union(*(read_names(g.nodes[n].stmt) for n in loop.body))
+                reads = set().union(*(read_names(g.nodes[n]) for n in loop.body))
                 read = {name: value for name, value in want.items() if name in reads}
                 assert dominating_consts(g, loop, consts) == read, (seed, m.id, loop.header)
                 loops_seen += 1

@@ -126,7 +126,7 @@ def test_one_forward_order_per_cfg_and_one_walk_per_body(params, seed, policy):
     for g in built:
         # the fixpoint's sweep order: every edge runs to a larger id but a
         # back edge into a `while` header from its range and a return into exit
-        end_of = {h: e for h, e, _, _ in g.whiles}
+        end_of = {h: e for h, e, _ in g.whiles}
         for u, row in enumerate(g.succs):
             for v in row:
                 assert v > u or v == g.exit or v <= u < end_of.get(v, v), (g.method_id, u, v)

@@ -20,21 +20,23 @@ last join before its partition is numbered. The walk picks each
 statement's kind once, by `type(s)` (the statement classes have no
 subclasses), and keeps the frame's written scalars as names, so it makes
 one `Scalar` per distinct written name of the method rather than one per
-writing statement; a bottom assignment adds its targets as they are. Field
-representatives are memoized by the receiver's static type and the field
-name, the key `analysis.Analyzer.field_id` uses, and `field_rep` reads the
-same memo for the walk and for `_stmt_targets`, which still serves
-`written_reps` and `observable_writes`. A method's whole write set is
-closed over its callees in one pass over the call graph's strongly connected
-components, callees first, and the members of a component share one set.
-The call rows are the call graph's (`calls`), so calls are resolved once
-per program.
+writing statement; a bottom assignment adds its targets as they are (a
+partition the program does not have is a `CheckDiagnostic`). A method's
+whole write set is closed over its callees in one pass over the call graph's
+strongly connected components, callees first, and the members of a
+component share one set. The call rows are the call graph's (`calls`), so
+calls are resolved once per program.
+
+The heap is numbered here: the declared fields, in class and declaration
+order, then the array partitions are ids 0 to H - 1 (`heap`, `heap_id`). One
+memo, by a receiver's static type and a field name, gives a field access its
+id (`field_id`) and, through `heap`, its representative (`field_rep`).
 
 The analysis of a rewritten program is derived from the analysis of the
 program the rewrite started from (`base`). It keeps the base's partition
-numbering, which the rewrite's bottom assignments name, and every method
-the rewrite returned unchanged keeps the write targets and call row found
-there. The closure over callees is recomputed: an unchanged caller of a
+numbering, which the rewrite's bottom assignments name, and its heap ids,
+and every method the rewrite returned unchanged keeps the write targets and
+call row found there. The closure over callees is recomputed: an unchanged caller of a
 rewritten callee writes what the rewritten callee now writes.
 
 `reachable_lvalues` is the
@@ -46,6 +48,7 @@ parameter itself.
 from __future__ import annotations
 
 from .callgraph import strongly_connected_components
+from .errors import CheckDiagnostic
 from .lang import ast
 from .lang.check import Symbols
 from .representatives import ArrayPart, Representative, Scalar, TypeField
@@ -72,8 +75,8 @@ class AliasAnalysis:
         self._slot_order: list[tuple] = []
         self._part_ids: dict[tuple, int] = {}
         self._rlv_memo: dict[str, frozenset[Representative]] = {}
-        # field representatives by the static type of the receiver and the field name
-        self._field_memo: dict[tuple[str, str], TypeField] = {}
+        self.heap: list[TypeField | ArrayPart] = []  # by heap id: the fields, then the partitions
+        self._field_ids: dict[tuple[str, str], int] = {}  # by receiver static type and field name
         if base is not None:
             # A rewritten program references partition ids baked into its
             # bottom assignments, so it must keep the base's numbering; the
@@ -81,6 +84,7 @@ class AliasAnalysis:
             self._uf = dict(base._uf)
             self._slot_order = list(base._slot_order)
             self._part_ids = dict(base._part_ids)
+            self.heap, self._field_ids, self._parts_at = base.heap, base._field_ids, base._parts_at
         else:
             self._declare_slots()
         self._build_method_writes(base)
@@ -109,12 +113,9 @@ class AliasAnalysis:
     def _var_slot(self, method_id: str, name: str) -> tuple:
         return self._slot((_VAR, method_id, name))
 
-    def _field_slot(self, tf: TypeField) -> tuple:
-        return self._slot((_FIELD, tf.type_name, tf.field_name))
-
     def _declare_slots(self) -> None:
         """Every array-typed slot, in program order, before any join, so
-        partition ids are deterministic."""
+        partition ids are deterministic, and each declared field's heap id."""
         for m in self.program.methods:
             if m.extern:
                 continue
@@ -125,29 +126,44 @@ class AliasAnalysis:
                 self._slot((_RETSLOT, m.id))
         for cls in self.program.classes:
             for f in cls.fields:
+                self._field_ids[cls.name, f.name] = len(self.heap)
+                self.heap.append(TypeField(cls.name, f.name))
                 if ast.is_array_type(f.type):
-                    self._field_slot(self.field_rep_for(cls.name, f.name))
+                    self._slot((_FIELD, cls.name, f.name))
+        self._parts_at = len(self.heap)
 
     def partition_of(self, method_id: str, name: str) -> int:
         return self._part_ids[self._find(self._var_slot(method_id, name))]
 
     def partition_of_field(self, tf: TypeField) -> int:
-        return self._part_ids[self._find(self._field_slot(tf))]
+        return self._part_ids[self._find(self._slot((_FIELD, tf.type_name, tf.field_name)))]
 
-    # -- representatives -------------------------------------------------------
+    # -- heap ids and representatives -----------------------------------------
+
+    def field_id_for(self, type_name: str, field_name: str) -> int:
+        """The heap id of the field a `type_name` receiver names: its declaring class's."""
+        key = (type_name, field_name)
+        if key not in self._field_ids:
+            self._field_ids[key] = self._field_ids[self.sym.field(*key)[0], field_name]
+        return self._field_ids[key]
+
+    def field_id(self, method_id: str, obj: str, field_name: str) -> int:
+        return self.field_id_for(self.sym.var_types[method_id][obj], field_name)
+
+    def array_id(self, method_id: str, name: str) -> int:
+        return self._parts_at + self.partition_of(method_id, name)
+
+    def heap_id(self, rep: TypeField | ArrayPart) -> int:
+        """The heap id of an array partition, or of a field named by its declaring class."""
+        if type(rep) is ArrayPart:
+            return self._parts_at + rep.part
+        return self._field_ids[rep.type_name, rep.field_name]
 
     def field_rep_for(self, class_name: str, field_name: str) -> TypeField:
-        found = self.sym.field(class_name, field_name)
-        if found is None:
-            raise KeyError(f"type {class_name!r} has no field {field_name!r}")
-        return TypeField(found[0], field_name)
+        return self.heap[self.field_id_for(class_name, field_name)]
 
     def field_rep(self, method_id: str, obj: str, field_name: str) -> TypeField:
-        key = (self.sym.var_types[method_id][obj], field_name)
-        tf = self._field_memo.get(key)
-        if tf is None:
-            tf = self._field_memo[key] = self.field_rep_for(*key)
-        return tf
+        return self.heap[self.field_id(method_id, obj, field_name)]
 
     def array_rep(self, method_id: str, name: str) -> ArrayPart:
         return ArrayPart(self.partition_of(method_id, name))
@@ -172,6 +188,7 @@ class AliasAnalysis:
         targets: dict[str, frozenset[Representative]] = {}
         calls: dict[str, tuple[str, ...]] = {}
         walked: dict[str, tuple[set[str], set[Representative], set[str]]] = {}
+        bottoms: list[ast.BottomAssign] = []  # their partitions are checked once numbered
         for m in self.program.methods:
             if m.extern:
                 continue
@@ -201,6 +218,7 @@ class AliasAnalysis:
                     continue
                 if kind is ast.BottomAssign:
                     reps.update(s.targets)
+                    bottoms.append(s)
                     continue
                 names.update(ast.scalar_writes(s, m.id))
                 if kind is ast.Call:
@@ -231,6 +249,11 @@ class AliasAnalysis:
                 root = self._find(key)
                 if root not in self._part_ids:
                     self._part_ids[root] = len(self._part_ids)
+            self.heap += map(ArrayPart, range(len(self._part_ids)))
+        for s in bottoms:
+            for t in s.targets:
+                if type(t) is ArrayPart and t.part >= len(self._part_ids):
+                    raise CheckDiagnostic(f"no array partition {t.part}", s.loc.line, s.loc.col, s.loc.file)
         for mid, (names, reps, arrays) in walked.items():
             reps.update([Scalar(mid, name) for name in names])
             reps.update([self.array_rep(mid, a) for a in arrays])
@@ -330,17 +353,30 @@ class AliasAnalysis:
         return self._rlv_type(t)
 
     def _rlv_type(self, type_name: str) -> frozenset[Representative]:
-        """Every field and array cell a `type_name` reaches. Each class's own
-        fields are taken once: from a runtime class the walk goes up the chain
-        only to the first class taken, whose superclasses were taken too."""
+        """Every field and array cell a `type_name` reaches. A type's runtime
+        classes are the preorder slices (`Symbols.span`) of it or of the
+        classes implementing it, and a class walked before is skipped with
+        its subtree; from each slice the walk goes up the chain only to the
+        first class whose own fields were taken, as its superclasses' were."""
         memo = self._rlv_memo.get(type_name)
         if memo is not None:
             return memo
-        classes = self.sym.classes
+        classes, span, preorder = self.sym.classes, self.sym.span, self.sym.preorder
         out: set[Representative] = set()
         seen_types: set[str] = set()
-        seen_classes: set[str] = set()
+        walked: set[str] = set()  # classes whose subtree is walked
+        taken: set[str] = set()  # classes whose own fields are taken
         work = [type_name]
+
+        def take(cls: str) -> None:
+            taken.add(cls)
+            for f in classes[cls].fields:
+                tf = TypeField(cls, f.name)
+                out.add(tf)
+                if ast.is_array_type(f.type):
+                    out.add(ArrayPart(self.partition_of_field(tf)))
+                work.append(f.type)
+
         while work:
             t = work.pop()
             if t in seen_types or t == ast.INT:
@@ -349,19 +385,21 @@ class AliasAnalysis:
             if ast.is_array_type(t):
                 work.append(ast.elem_type(t))
                 continue
-            for cls in self.sym.runtime_types(t):
-                while cls is not None and cls not in seen_classes:
-                    seen_classes.add(cls)
-                    decl = classes[cls]
-                    for f in decl.fields:
-                        tf = TypeField(cls, f.name)
-                        out.add(tf)
-                        if ast.is_array_type(f.type):
-                            out.add(ArrayPart(self.partition_of_field(tf)))
-                            work.append(ast.elem_type(f.type))
-                        else:
-                            work.append(f.type)
-                    cls = decl.superclass
+            for root in (t,) if t in span else self.sym.runtime_types(t):
+                pos, end = span[root]
+                while pos < end:
+                    cls = preorder[pos]
+                    if cls in walked:
+                        pos = span[cls][1]
+                        continue
+                    walked.add(cls)
+                    if cls not in taken:
+                        take(cls)
+                    pos += 1
+                cls = classes[root].superclass
+                while cls is not None and cls not in taken:
+                    take(cls)
+                    cls = classes[cls].superclass
         result = frozenset(out)
         self._rlv_memo[type_name] = result
         return result

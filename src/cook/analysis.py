@@ -6,22 +6,23 @@ current value may depend on y's value at method entry, and (x, bottom) means
 x cannot be ruled out as divergence-affected.
 
 Inside the fixpoints facts are bit vectors (the bit-vector case of IFDS,
-Reps, Horwitz and Sagiv, POPL 1995). The `Analyzer` gives every
-representative a dense id, once per program. A fact set maps a dependent's
-id to the mask of its sources: the three low bits are the bottom causes
-(API, LOOP, RECURSION) and the representative with id `i` is bit `i + 3`. A
-mask of 0 is never stored. A source that is not bottom never has a cause and
-a bottom source always has one, so a mask loses nothing of a fact set.
+Reps, Horwitz and Sagiv, POPL 1995). Every representative has a dense id,
+once per program. A fact set maps a dependent's id to the mask of its
+sources: the three low bits are the bottom causes (API, LOOP, RECURSION) and
+the representative with id `i` is bit `i + 3`. A mask of 0 is never stored.
+A source that is not bottom never has a cause and a bottom source always has
+one, so a mask loses nothing of a fact set.
 
-Each method's formals, locals and `ret` are numbered as one block of
-consecutive ids, in that order, the first time any of them is needed
-(`Analyzer.frame`, a name -> id table). `Analyzer.rep_id` answers a `Scalar`
-from its method's table, numbering that frame first if it is not yet, so
-every scalar has exactly one id and none is hashed or compared; its own id
-table holds only field and array representatives. A frame block records its
-method and names, and its `Scalar` objects are made only when a decode first
-reads one of its ids (`Reps`). The node table looks names up
-in the frame table, fields by static type and name (`Analyzer.field_id`).
+Ids 0 to H - 1 are the heap's: the alias analysis numbers every field and
+array partition once per program, the same in the first and the rewritten
+model (`AliasAnalysis.heap_id`). Each method's formals, locals and `ret`
+follow, as one block of consecutive ids in that order, numbered the first
+time any of them is needed (`Analyzer.frame`, a name -> id table), so every
+scalar has exactly one id and none is hashed or compared. A frame block
+records its method and names, and its `Scalar` objects are made only when a
+decode first reads one of its ids (`Reps`). The node table looks names up
+in the frame table, and fields and array cells by the variable they are
+accessed through (`AliasAnalysis.field_id` and `array_id`).
 Facts stay masks from the node table to the result: `method_facts` returns a
 mask dict, a summary is a mask dict (`strip_locals` drops the frame's
 dependents and clears its locals' source bits), and a call node's entry is
@@ -145,9 +146,9 @@ def node_spec(
 ) -> NodeSpec:
     """The node-table entry of a statement in method `method_id`, whose frame
     table (`Analyzer.frame`) is `fr`: scalars are looked up there by name,
-    fields through `an.field_id`, array partitions and bottom targets through
-    `an.rep_id`; entry, exit and branch nodes (`None`, `IfElse`, `While`)
-    pass IN through.
+    fields and array cells by their heap ids (`AliasAnalysis.field_id` and
+    `array_id`), bottom targets through `an.rep_id`; entry, exit and branch
+    nodes (`None`, `IfElse`, `While`) pass IN through.
 
     A node's writes are `aliases.written_reps` of its statement: a bottom
     assignment's targets, the one dependent of any other statement, and for
@@ -206,8 +207,8 @@ def node_spec(
             writes |= an.call_writes(target.id)
         writes = tuple(writes) if dep in writes else (dep, *writes)
         return NodeSpec(tuple(gen), (dep,), tuple(bottoms), writes)
-    rep_id = an.rep_id
     if kind is ast.BottomAssign:
+        rep_id = an.rep_id
         bottoms = tuple((rep_id(t), CAUSE_BIT[s.cause]) for t in s.targets)
         return NodeSpec(
             kills=tuple(rep_id(t) for t in s.targets if isinstance(t, Scalar)),
@@ -220,18 +221,18 @@ def node_spec(
     if kind is ast.FieldRead:
         dep = fr[s.target]
         one = (dep,)
-        field = an.field_id(method_id, s.obj, s.field_name)
+        field = an.aliases.field_id(method_id, s.obj, s.field_name)
         return NodeSpec(((dep, field), (dep, fr[s.obj])), one, (), one)
     if kind is ast.ArrayRead:
         dep = fr[s.target]
         one = (dep,)
-        part = rep_id(an.aliases.array_rep(method_id, s.array))
+        part = an.aliases.array_id(method_id, s.array)
         return NodeSpec(((dep, part), (dep, fr[s.array]), (dep, fr[s.index])), one, (), one)
     if kind is ast.FieldWrite:
-        dep = an.field_id(method_id, s.obj, s.field_name)
+        dep = an.aliases.field_id(method_id, s.obj, s.field_name)
         sources = (fr[s.source], fr[s.obj])
     elif kind is ast.ArrayWrite:
-        dep = rep_id(an.aliases.array_rep(method_id, s.array))
+        dep = an.aliases.array_id(method_id, s.array)
         sources = (fr[s.source], fr[s.array], fr[s.index])
     else:
         raise TypeError(f"no transfer for {kind.__name__}")
@@ -295,11 +296,9 @@ class Analyzer:
         self.model = model
         self.aliases = model.aliases
         self.sym = model.symbols
-        self._ids: dict[Representative, int] = {}  # all but the frames' ids
-        self._reps = Reps()
-        self._heap: set[int] = set()  # ids of field and array representatives
+        self._reps = Reps(self.aliases.heap)
+        self._frames_at = len(self.aliases.heap)  # every id below is a heap id
         self._frames: dict[str, dict[str, int]] = {}
-        self._fields: dict[tuple[str, str], int] = {}
         self._call_writes: dict[str, frozenset[int]] = {}
 
     # -- the encoding ---------------------------------------------------------
@@ -307,15 +306,10 @@ class Analyzer:
     def rep_id(self, rep: Representative) -> int:
         """The dense id of a representative; bottom has none, its causes are
         bits. A scalar's id is its slot in its method's frame (`frame`), so
-        no `Scalar` is hashed; `_ids` holds the field and array ones."""
+        no `Scalar` is hashed; any other's is `AliasAnalysis.heap_id`."""
         if type(rep) is Scalar:
             return self.frame(rep.method)[rep.name]
-        i = self._ids.get(rep)
-        if i is None:
-            assert not isinstance(rep, Bottom)
-            i = self._ids[rep] = self._reps.add(rep)
-            self._heap.add(i)
-        return i
+        return self.aliases.heap_id(rep)
 
     def frame(self, method_id: str) -> dict[str, int]:
         """The ids of the method's formals, locals and `ret` by name: one
@@ -328,15 +322,6 @@ class Analyzer:
             first = self._reps.add_frame(method_id, names)
             fr = self._frames[method_id] = dict(zip(names, range(first, first + len(names))))
         return fr
-
-    def field_id(self, method_id: str, obj: str, field_name: str) -> int:
-        """The id of `AliasAnalysis.field_rep`, kept by the static type of
-        `obj` and the field name."""
-        key = (self.sym.var_types[method_id][obj], field_name)
-        i = self._fields.get(key)
-        if i is None:
-            i = self._fields[key] = self.rep_id(self.aliases.field_rep_for(*key))
-        return i
 
     def call_writes(self, method_id: str) -> frozenset[int]:
         """The ids of `AliasAnalysis.call_writes`, interned once per method."""
@@ -403,7 +388,7 @@ class Analyzer:
             control.append(pairs)
         # the footprint: the method's formals and locals and the heap it touches
         ret = fr[RET]
-        seeds = (*range(ret - len(fr) + 1, ret), *(touched & self._heap))
+        seeds = (*range(ret - len(fr) + 1, ret), *(i for i in touched if i < self._frames_at))
         return _MethodSpec(g, nodes, control, seeds)
 
     # -- landfall ---------------------------------------------------------------
@@ -474,21 +459,17 @@ class Analyzer:
 
 
 class Reps:
-    """The representative of each id. A field or array representative is
-    kept when it is numbered; a frame block keeps only its method and names,
-    and the block's `Scalar`s are made the first time a decode reads one of
-    its ids, so a pass that decodes nothing makes none."""
+    """The representative of each id: the heap's, then the frame blocks. A
+    frame block keeps only its method and names, and the block's `Scalar`s
+    are made the first time a decode reads one of its ids, so a pass that
+    decodes nothing makes none."""
 
     __slots__ = ("_reps", "_firsts", "_frames")
 
-    def __init__(self):
-        self._reps: list[Representative | None] = []  # None: a frame slot not yet made
+    def __init__(self, heap: list[Representative]):
+        self._reps: list[Representative | None] = list(heap)  # None: a frame slot not yet made
         self._firsts: list[int] = []  # the first id of each frame block, ascending
         self._frames: list[tuple[str, list[str]]] = []  # each block's method and names
-
-    def add(self, rep: Representative) -> int:
-        self._reps.append(rep)
-        return len(self._reps) - 1
 
     def add_frame(self, method_id: str, names: list[str]) -> int:
         """Number a block of one id per name; returns the first."""

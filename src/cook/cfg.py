@@ -260,7 +260,6 @@ class LoopInfo:
     id: int
     header: int
     body: frozenset[int]
-    stmt: ast.While
     parent: int | None = None
     depth: int = 1
     children: tuple[int, ...] = ()  # the loops whose parent this is, by id
@@ -287,7 +286,7 @@ def find_loops(g: Cfg) -> list[LoopInfo]:
                 body += range(at, first)
                 at = last
         body += range(at, end)
-        loop = LoopInfo(len(loops), header, frozenset(body), g.nodes[header])
+        loop = LoopInfo(len(loops), header, frozenset(body))
         parent = of_while[outer] if outer >= 0 else None
         if parent is not None and header in parent.body:
             loop.parent, loop.depth = parent.id, parent.depth + 1

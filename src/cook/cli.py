@@ -116,7 +116,8 @@ def analyze(
         if dump_summaries:
             for mid, mm in model.methods.items():
                 for lm in mm.loops:
-                    click.echo(f"{mid} loop@{lm.info.stmt.loc.line}: {lm.verdict.render()}")
+                    line = mm.cfg.nodes[lm.info.header].loc.line
+                    click.echo(f"{mid} loop@{line}: {lm.verdict.render()}")
                     if lm.summary is not None:
                         for row in lm.summary.render().splitlines():
                             click.echo(f"  {row}")

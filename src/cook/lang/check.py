@@ -467,10 +467,13 @@ class _Checker:
             elif isinstance(rep, TypeField):
                 if rep.type_name not in self.sym.classes:
                     raise _err(f"unknown class {rep.type_name!r} in bottom target", s.loc)
-                if self.sym.field(rep.type_name, rep.field_name) is None:
+                found = self.sym.field(rep.type_name, rep.field_name)
+                if found is None:
                     raise _err(
                         f"class {rep.type_name!r} has no field {rep.field_name!r}", s.loc
                     )
+                if found[0] != rep.type_name:  # a field is named by its declaring class
+                    raise _err(f"field {rep.field_name!r} is declared in {found[0]!r}", s.loc)
             elif isinstance(rep, ArrayPart):
                 if rep.part < 0:
                     raise _err("negative array partition", s.loc)

@@ -66,7 +66,7 @@ RUNS_AT_MOST_ONCE = TerminationVerdict(True, reason="its body returns on every p
 
 @dataclass(slots=True)
 class LoopModel:
-    info: LoopInfo  # `info.stmt` is the While statement, when known
+    info: LoopInfo  # its `while` is the CFG node `info.header`
     verdict: TerminationVerdict
     cycles: CycleSet | None = None
     df: DfVerdict | None = None
@@ -132,7 +132,7 @@ class ProgramModel:
             models[info.id] = self._judge_loop(g, info, loops, models, consts)
         mm.loops = [models[l.id] for l in loops]
         for lm in mm.loops:
-            self._verdict_by_stmt[id(lm.info.stmt)] = lm.verdict
+            self._verdict_by_stmt[id(g.nodes[lm.info.header])] = lm.verdict
 
     def _judge_loop(
         self,

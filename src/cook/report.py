@@ -253,7 +253,7 @@ def build_report(
         for lm in mm.loops:
             loops.append(
                 {
-                    "line": lm.info.stmt.loc.line,
+                    "line": mm.cfg.nodes[lm.info.header].loc.line,
                     "verdict": lm.verdict.render(),
                     "terminates": lm.verdict.terminates,
                     "dependency_free": bool(lm.df and lm.df.dependency_free),

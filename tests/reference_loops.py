@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from cook.cfg import Cfg
-from cook.lang import ast
 from reference_dominance import reverse_postorder
 
 
@@ -21,7 +20,6 @@ class ReferenceLoop:
     back_edges: tuple[tuple[int, int], ...]
     parent: int | None = None
     depth: int = 1
-    stmt: ast.While | None = None
     children: tuple[int, ...] = ()
 
 
@@ -61,7 +59,6 @@ def find_loops(g: Cfg) -> list[ReferenceLoop]:
                 header=header,
                 body=frozenset(body),
                 back_edges=tuple(sorted(by_header[header])),
-                stmt=g.nodes[header],
             )
         )
 
@@ -95,5 +92,5 @@ def find_loops(g: Cfg) -> list[ReferenceLoop]:
 
 def loop_fields(loops) -> list[tuple]:
     """What the recorded loops and the reference must agree on: every field
-    but the reference's back edges, the `while` statement by identity."""
-    return [(l.id, l.header, l.body, l.parent, l.depth, id(l.stmt), l.children) for l in loops]
+    but the reference's back edges."""
+    return [(l.id, l.header, l.body, l.parent, l.depth, l.children) for l in loops]

@@ -27,6 +27,7 @@ from cook.lang import ast, check, load
 from cook.pipeline import ProgramModel
 from cook.report import ReportConfig, analyze_sources, transformed_model
 from cook.representatives import BOTTOM, ArrayPart, Bottom, Scalar, TypeField
+import profiles
 from reference_node_table import ReferenceTable
 
 RULES_SRC = """
@@ -1058,3 +1059,48 @@ def test_reified_taints_within_analysis_facts_at_program_scale(params):
     p = generate_program(0, GenParams(**params))
     checked = check_reified_taints(p, ProgramModel(p), random.Random(3), 2)
     assert checked >= 360, checked
+
+
+# the benchmark's three profiles, with each one's nested-loop policy and seeds
+HEAP_ID_PROFILES = (
+    (profiles.CENSUS, "basic", range(3)),
+    (profiles.ISLANDS, "basic", range(2)),
+    (profiles.LOOP_DENSE, "summary", range(10)),
+)
+
+
+@pytest.mark.parametrize(
+    "params, policy, seeds", HEAP_ID_PROFILES, ids=("census", "islands", "loops")
+)
+def test_the_heap_is_numbered_once_below_every_frame(params, policy, seeds):
+    """Every field and array partition has the alias analysis's heap id, the
+    same under the first and the rewritten model; the heap ids are 0 to
+    H - 1, and no fact has a heap dependent or source numbered at H or
+    above, nor a frame one below."""
+    fields = parts = heap_bits = 0
+    for seed in seeds:
+        model = ProgramModel(generate_program(seed, GenParams(**params)), nested_policy=policy)
+        tmodel = transformed_model(model)
+        heap = [TypeField(c.name, f.name) for c in model.program.classes for f in c.fields]
+        fields += len(heap)
+        heap += [ArrayPart(k) for k in range(len(model.aliases._part_ids))]
+        parts += len(heap) - fields
+        ids = [Analyzer(model).rep_id(rep) for rep in heap]
+        assert sorted(ids) == list(range(len(model.aliases.heap)))
+        assert [model.aliases.heap_id(rep) for rep in heap] == ids
+        assert [Analyzer(tmodel).rep_id(rep) for rep in heap] == ids
+        result = analyze_program(tmodel)
+        reps = result.facts._reps
+        for table in (result.facts, result.summaries):
+            for masks in table._masks.values():
+                for dep, mask in masks.items():
+                    for i in (dep, *(b - SHIFT for b in set_bits(mask) if b >= SHIFT)):
+                        assert (i < len(ids)) == (type(reps[i]) is not Scalar), (seed, i)
+                        heap_bits += i < len(ids)
+    assert fields and parts and heap_bits
+
+
+def test_a_program_without_a_heap_numbers_its_first_frame_slot_zero():
+    model = ProgramModel(*load("method m(a: int): int { var x: int; x := a; return x; }"))
+    assert model.aliases.heap == []
+    assert Analyzer(model).frame("m") == {"a": 0, "x": 1, RET: 2}

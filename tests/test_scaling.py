@@ -17,8 +17,10 @@ These shapes of program are grown:
   classes, with 10 or 20 virtual calls on the first class and as many field
   reads through the last, counting the hierarchy steps `check` and
   `resolve_call` take;
-* class chains of 100, 200 and 400 classes with one field each, counting
-  the classes `reachable_lvalues` visits for a reference of the first.
+* class chains of 100, 200 and 400 classes with one field each, an `int`
+  or one of the class's own type, counting the classes `reachable_lvalues`
+  visits for a reference of the first and the runtime classes it
+  enumerates.
 
 Doubling the program may at most double each counter, with a little slack;
 a counter that grows faster is a quadratic cost on large programs. A
@@ -288,29 +290,50 @@ def test_hierarchy_steps_grow_linearly_with_depth(hierarchies, shape):
     assert_linear([{"steps": more} for _, more in hierarchies[shape]], "steps")
 
 
-def field_chain(depth: int) -> str:
+def field_chain(depth: int, self_typed: bool) -> str:
     """Classes `C0` to `C{depth-1}`, each extending the one before and
-    declaring one field, and a method that passes a `C0` to an API."""
-    classes = "".join(f"class C{k} extends C{k - 1} {{ f{k}: int; }}\n" for k in range(1, depth))
+    declaring one field, an `int` or one of its own type, and a method that
+    passes a `C0` to an API."""
+    types = [f"C{k}" if self_typed else "int" for k in range(depth)]
+    classes = "".join(f"class C{k} extends C{k - 1} {{ f{k}: {types[k]}; }}\n" for k in range(1, depth))
     return (
-        f"class C0 {{ f0: int; }}\n{classes}extern method api(o: C0): int;\n"
+        f"class C0 {{ f0: {types[0]}; }}\n{classes}extern method api(o: C0): int;\n"
         "method use(o: C0): int {\n  var x: int;\n  x := api(o);\n  return x;\n}\n"
     )
 
 
-def classes_visited(depth: int) -> int:
-    """Reads of `ClassDecl.fields` and `ClassDecl.superclass` while
-    `reachable_lvalues` gathers the fields a `C0` of a field chain reaches."""
-    program, sym = load(field_chain(depth))
+class CountedList(list):
+    """A list that counts the items its reads return, a slice's each."""
+
+    def __init__(self, items, counts: dict[str, int], key: str):
+        super().__init__(items)
+        self.counts, self.key = counts, key
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        self.counts[self.key] += len(got) if isinstance(i, slice) else 1
+        return got
+
+
+def rlv_steps(depth: int, self_typed: bool) -> dict[str, int]:
+    """While `reachable_lvalues` gathers the fields a `C0` of a field chain
+    reaches: the reads of `ClassDecl.fields` and `ClassDecl.superclass`, and
+    the runtime classes it enumerates, as items read from `Symbols.preorder`."""
+    program, sym = load(field_chain(depth, self_typed))
     aliases = AliasAnalysis(program, sym)
-    counts = dict(steps=0)
+    counts = dict(classes_visited=0, runtime_classes=0)
     with pytest.MonkeyPatch.context() as mp:
         for name in ("fields", "superclass"):
-            mp.setattr(ast.ClassDecl, name, counted_reads(counts, "steps", ast.ClassDecl.__dict__[name]))
+            slot = ast.ClassDecl.__dict__[name]
+            mp.setattr(ast.ClassDecl, name, counted_reads(counts, "classes_visited", slot))
+        mp.setattr(sym, "preorder", CountedList(sym.preorder, counts, "runtime_classes"))
         reached = aliases.reachable_lvalues("use", "o")
     assert len(reached) == depth
-    return counts["steps"]
+    return counts
 
 
 def test_reachable_lvalues_visit_each_class_of_a_chain_once():
-    assert_linear([{"classes_visited": classes_visited(d)} for d in DEPTHS], "classes_visited")
+    for self_typed in (False, True):
+        runs = [rlv_steps(d, self_typed) for d in DEPTHS]
+        for counter in ("classes_visited", "runtime_classes"):
+            assert_linear(runs, counter)

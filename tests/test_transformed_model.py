@@ -9,11 +9,11 @@ from cook.aliases import AliasAnalysis
 from cook.analysis import analyze_program
 from cook.errors import CheckDiagnostic
 from cook.generator import GenParams, generate_program
-from cook.lang import ast, load
+from cook.lang import ast, load, parse_unit
 from cook.lang.check import check
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
-from cook.representatives import ArrayPart, TypeField
+from cook.representatives import BOTTOM, ArrayPart, TypeField
 from cook.rewrite import rewrite_program
 
 # the benchmark's three profiles, with fewer methods
@@ -39,9 +39,10 @@ CASES = [
 # only `looping` is rewritten: its loop cannot be proven to terminate, so it
 # becomes one bottom assignment and `looping` stops calling `helper`; the
 # unchanged `caller`, and `top` through it, then no longer write `helper`'s
-# frame
+# frame. `B` declares no field and no method has an array
 CALLEE_ONLY = """
 class A { f: int; }
+class B extends A { }
 method top(o: A): int { var r: int; r := caller(o); return r; }
 method caller(o: A): int {
   var x: int;
@@ -145,6 +146,9 @@ def test_unchanged_caller_of_a_rewritten_callee_gets_the_new_closure():
     [
         (TypeField("Nowhere", "f"), "unknown class 'Nowhere' in bottom target"),
         (ArrayPart(-1), "negative array partition"),
+        # neither names a heap location of the program
+        (TypeField("B", "f"), "field 'f' is declared in 'A'"),
+        (ArrayPart(7), "no array partition 7"),
     ],
 )
 def test_methods_the_rewrite_changed_are_checked(monkeypatch, target, message):
@@ -163,3 +167,33 @@ def test_methods_the_rewrite_changed_are_checked(monkeypatch, target, message):
     monkeypatch.setattr("cook.report.rewrite_program", bad_rewrite)
     with pytest.raises(CheckDiagnostic, match=message):
         transformed_model(model)
+
+
+# a bottom target names a field by its declaring class, and only a partition
+# the program has
+BOTTOM_TARGET = """
+class A {{ f: int; }}
+class B extends A {{ }}
+method m(o: A): int {{
+  var x: int;
+  {target} := bottom(api);
+  x := o.f;
+  return x;
+}}
+"""
+
+
+def test_a_bottom_target_names_a_heap_location_of_the_program():
+    program = parse_unit(BOTTOM_TARGET.format(target="A.f"), allow_bottom=True)
+    result = analyze_program(ProgramModel(program, check(program, allow_bottom=True)))
+    dependents = {dep.render() for dep, src, _ in result.facts["m"] if src == BOTTOM}
+    assert dependents == {"A.f", "m::x", "m::ret"}
+    program = parse_unit(BOTTOM_TARGET.format(target="B.f"), allow_bottom=True)
+    with pytest.raises(CheckDiagnostic, match="field 'f' is declared in 'A'") as err:
+        check(program, allow_bottom=True)
+    assert err.value.line == 6
+    program = parse_unit(BOTTOM_TARGET.format(target="part#7"), allow_bottom=True)
+    symbols = check(program, allow_bottom=True)
+    with pytest.raises(CheckDiagnostic, match="no array partition 7") as err:
+        ProgramModel(program, symbols)
+    assert err.value.line == 6

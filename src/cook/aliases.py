@@ -20,8 +20,9 @@ last join before its partition is numbered. The walk picks each
 statement's kind once, by `type(s)` (the statement classes have no
 subclasses), and keeps the frame's written scalars as names, so it makes
 one `Scalar` per distinct written name of the method rather than one per
-writing statement; a bottom assignment adds its targets as they are (a
-partition the program does not have is a `CheckDiagnostic`). A method's
+writing statement; a bottom assignment adds its targets as they are, and
+this walk alone validates them: a target naming no location of the program
+is a `CheckDiagnostic` at its statement (`_bad_target`). A method's
 whole write set is closed over its callees in one pass over the call graph's
 strongly connected components, callees first, and the members of a
 component share one set. The call rows are the call graph's (`calls`), so
@@ -188,7 +189,7 @@ class AliasAnalysis:
         targets: dict[str, frozenset[Representative]] = {}
         calls: dict[str, tuple[str, ...]] = {}
         walked: dict[str, tuple[set[str], set[Representative], set[str]]] = {}
-        bottoms: list[ast.BottomAssign] = []  # their partitions are checked once numbered
+        bottoms: list[ast.BottomAssign] = []  # checked once every partition is numbered
         for m in self.program.methods:
             if m.extern:
                 continue
@@ -252,8 +253,9 @@ class AliasAnalysis:
             self.heap += map(ArrayPart, range(len(self._part_ids)))
         for s in bottoms:
             for t in s.targets:
-                if type(t) is ArrayPart and t.part >= len(self._part_ids):
-                    raise CheckDiagnostic(f"no array partition {t.part}", s.loc.line, s.loc.col, s.loc.file)
+                bad = self._bad_target(t)
+                if bad is not None:
+                    raise CheckDiagnostic(bad, s.loc.line, s.loc.col, s.loc.file)
         for mid, (names, reps, arrays) in walked.items():
             reps.update([Scalar(mid, name) for name in names])
             reps.update([self.array_rep(mid, a) for a in arrays])
@@ -276,6 +278,31 @@ class AliasAnalysis:
         self.calls = calls
         self._writes_memo = writes
         self._heap_memo = heap
+
+    def _bad_target(self, t: Representative) -> str | None:
+        """Why a bottom target names no location of the program, or None: a
+        location is a formal, local or `ret` of a declared method, a field
+        named by its declaring class, or a partition numbered here."""
+        sym, kind = self.sym, type(t)
+        if kind is Scalar:
+            m = sym.methods.get(t.method)
+            if m is None:
+                return f"unknown method {t.method!r} in bottom target"
+            # an extern has formals only, and no `var_types` entry
+            names = sym.var_types.get(m.id) or {p.name for p in m.formals}
+            if t.name != RET and t.name not in names:
+                return f"unknown identifier {t.name!r}"
+        elif kind is TypeField:
+            if t.type_name not in sym.classes:
+                return f"unknown class {t.type_name!r} in bottom target"
+            found = sym.field(t.type_name, t.field_name)
+            if found is None:
+                return f"class {t.type_name!r} has no field {t.field_name!r}"
+            if found[0] != t.type_name:  # a field is named by its declaring class
+                return f"field {t.field_name!r} is declared in {found[0]!r}"
+        elif kind is ArrayPart and not 0 <= t.part < len(self._part_ids):
+            return "negative array partition" if t.part < 0 else f"no array partition {t.part}"
+        return None
 
     def heap_writes(self, method_id: str) -> frozenset[Representative]:
         """Field and array representatives a call of the method may write,

@@ -12,17 +12,16 @@ def parse(source: str, allow_bottom: bool = False) -> ast.Program:
     """Parse and validate a compilation unit.
 
     Raises `SyntaxDiagnostic` or `CheckDiagnostic` with a source position on
-    malformed input.
+    malformed input. `allow_bottom` lets the text hold bottom assignments;
+    their targets are validated later, by `AliasAnalysis`, not here.
     """
-    program = parse_unit(source, allow_bottom=allow_bottom)
-    check(program, allow_bottom=allow_bottom)
-    return program
+    return load(source, allow_bottom)[0]
 
 
 def load(source: str, allow_bottom: bool = False) -> tuple[ast.Program, Symbols]:
+    """`parse`, returning the program's symbols too."""
     program = parse_unit(source, allow_bottom=allow_bottom)
-    symbols = check(program, allow_bottom=allow_bottom)
-    return program, symbols
+    return program, check(program)
 
 
 __all__ = ["ast", "parse", "parse_unit", "pretty", "check", "load", "Symbols"]

@@ -8,8 +8,8 @@ dereference (field or array) may appear on one side of an assignment only.
 ``BottomAssign`` is the single extension over the surface grammar: a parallel
 assignment of the divergence value to a set of l-value representatives. It is
 never produced by the parser for user source; the divergence rewriter
-introduces it, and the parser only accepts it in ``allow_bottom`` mode so
-rewritten programs can round-trip.
+introduces it, the parser only accepts it in ``allow_bottom`` mode so
+rewritten programs can round-trip, and the alias analysis validates its targets.
 
 A statement block is a plain tuple of statements (``Block``): a method body,
 either branch of a conditional, and a loop body. An empty block is ``()``;

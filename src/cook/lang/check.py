@@ -3,7 +3,8 @@
 `check` enforces everything the later passes rely on: unique names, acyclic
 inheritance, declared types, declared identifiers, per-form typing, mandatory
 returns on every path (so the return slot is always bound), and no unreachable
-statements. It returns a `Symbols` table used by every downstream pass.
+statements. It returns a `Symbols` table used by every downstream pass. The
+targets of a bottom assignment are left to the alias analysis to validate.
 
 Once the hierarchy is known to be acyclic, `build_closures` records it in
 the table before any method body is checked: `span` numbers the class forest
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field as dc_field
 from graphlib import CycleError, TopologicalSorter
 
 from ..errors import CheckDiagnostic
-from ..representatives import ArrayPart, Scalar, TypeField
 from . import ast
 
 FieldInfo = tuple[str, str, str]  # (declaring class, field name, type)
@@ -35,7 +35,6 @@ Table = dict[str, tuple[list[int], list]]
 
 @dataclass
 class Symbols:
-    program: ast.Program
     classes: dict[str, ast.ClassDecl] = dc_field(default_factory=dict)
     interfaces: dict[str, ast.InterfaceDecl] = dc_field(default_factory=dict)
     methods: dict[str, ast.Method] = dc_field(default_factory=dict)
@@ -127,29 +126,24 @@ def _err(msg: str, loc: ast.Loc) -> CheckDiagnostic:
 
 
 class _Checker:
-    def __init__(self, program: ast.Program, allow_bottom: bool, base: Symbols | None):
+    def __init__(self, program: ast.Program):
         self.p = program
-        self.allow_bottom = allow_bottom
-        self.base = base
-        self.sym = Symbols(program)
+        self.sym = Symbols()
 
-    def run(self) -> Symbols:
+    def run(self, base: Symbols | None) -> Symbols:
         self.declare()
-        base = self.base
-        if base is None:
-            self.check_hierarchy()
-            self.build_closures()
-        else:
-            self.sym.span, self.sym.preorder, self.sym.ifaces = base.span, base.preorder, base.ifaces
-            self.sym.field_table, self.sym.method_table = base.field_table, base.method_table
+        sym = self.sym
+        if base is not None:
+            sym.span, sym.preorder, sym.ifaces = base.span, base.preorder, base.ifaces
+            sym.field_table, sym.method_table = base.field_table, base.method_table
+            sym.var_types = base.var_types
+            return sym
+        self.check_hierarchy()
+        self.build_closures()
         for m in self.p.methods:
-            if m.extern:
-                continue
-            if base is not None and base.methods.get(m.id) is m:
-                self.sym.var_types[m.id] = base.var_types[m.id]
-            else:
+            if not m.extern:
                 self.check_method(m)
-        return self.sym
+        return sym
 
     # -- declarations ----------------------------------------------------
 
@@ -410,9 +404,7 @@ class _Checker:
             if cond.op not in ast.REL_OPS:
                 raise _err(f"unknown relational operator {cond.op!r}", s.loc)
         elif isinstance(s, ast.BottomAssign):
-            if not self.allow_bottom:
-                raise _err("bottom assignment in source program", s.loc)
-            self._check_bottom(m, s)
+            pass  # its targets are checked by `AliasAnalysis`
         else:
             raise _err(f"unknown statement {type(s).__name__}", getattr(s, "loc", ast.UNKNOWN_LOC))
 
@@ -456,36 +448,12 @@ class _Checker:
         if not self.sym.assignable(decl.return_type, dst):
             raise _err(f"cannot assign result of {decl.id!r} to {dst!r}", s.loc)
 
-    def _check_bottom(self, m: ast.Method, s: ast.BottomAssign) -> None:
-        for rep in s.targets:
-            if isinstance(rep, Scalar):
-                if rep.method == m.id:
-                    if rep.name != "ret" and rep.name not in self.sym.var_types[m.id]:
-                        raise _err(f"unknown identifier {rep.name!r}", s.loc)
-                elif rep.method not in self.sym.methods:
-                    raise _err(f"unknown method {rep.method!r} in bottom target", s.loc)
-            elif isinstance(rep, TypeField):
-                if rep.type_name not in self.sym.classes:
-                    raise _err(f"unknown class {rep.type_name!r} in bottom target", s.loc)
-                found = self.sym.field(rep.type_name, rep.field_name)
-                if found is None:
-                    raise _err(
-                        f"class {rep.type_name!r} has no field {rep.field_name!r}", s.loc
-                    )
-                if found[0] != rep.type_name:  # a field is named by its declaring class
-                    raise _err(f"field {rep.field_name!r} is declared in {found[0]!r}", s.loc)
-            elif isinstance(rep, ArrayPart):
-                if rep.part < 0:
-                    raise _err("negative array partition", s.loc)
 
-
-def check(
-    program: ast.Program, allow_bottom: bool = False, base: Symbols | None = None
-) -> Symbols:
+def check(program: ast.Program, base: Symbols | None = None) -> Symbols:
     """The symbol table of a well-formed program; raises `CheckDiagnostic`.
 
-    `base` holds the symbols of the program this one was rewritten from, with
-    the same hierarchy and method signatures, whose record this one takes. A
-    method that is the same object there was checked there, so it keeps its
-    `var_types` entry and is not checked again; every other method is."""
-    return _Checker(program, allow_bottom, base).run()
+    `base` holds the symbols of the program this one was rewritten from. The
+    rewrite adds no variable and changes only bodies, trading loops and
+    calls for bottom assignments, so this one takes `base`'s hierarchy
+    record and every `var_types` entry and checks no method body."""
+    return _Checker(program).run(base)

@@ -19,12 +19,14 @@ tree (`termination.method_consts`). Each loop then reads its own children
 and the constants its body reads, so a long method's loops are judged in
 time linear in the method.
 
-The model of the rewritten program is derived from the first one (`base`),
-whose loops it does not judge again: the rewrite kept only loops proven to
-terminate. A method the rewrite returned unchanged keeps its CFG, the same
-object; the others get a new one. The call graph is built from the call
-rows of the alias analysis (`AliasAnalysis.calls`), which resolved each call
-once, in its one walk over each body.
+The model of the rewritten program is derived from the first one (`base`).
+It does not judge loops again, as the rewrite kept only loops proven to
+terminate, nor check bodies, as the rewrite adds no variable: the second
+alias walk validates the new bottom targets, and `build_cfg` the new bodies.
+A method the rewrite returned unchanged keeps its CFG, the same object; the
+others get a new one. The call graph is built from the call rows of the
+alias analysis (`AliasAnalysis.calls`), which resolved each call once, in
+its one walk over each body.
 """
 
 from __future__ import annotations

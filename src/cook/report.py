@@ -194,14 +194,15 @@ def transformed_model(model: ProgramModel) -> ProgramModel:
     original partition numbering the baked-in representatives refer to.
 
     The rewrite returns every method it did not change as the same object
-    and never touches classes, interfaces, formals or locals. Each layer of
-    the new model reuses what `model` found for those methods: the checked
-    `var_types`, the write targets and call row, the CFG. Only the rewritten
-    methods are checked, walked and translated again. The write closure over
-    callees is recomputed for every method, because an unchanged caller of
-    a rewritten callee takes in the callee's new write set."""
+    and never touches classes, interfaces, formals or locals, so no body is
+    checked again: the symbols take `model`'s `var_types`. The other layers
+    reuse what `model` found for the unchanged methods: the write targets
+    and call row, the CFG. Only the rewritten methods are walked, which
+    validates their bottom targets, and translated again. The write closure
+    over callees is recomputed for every method, because an unchanged
+    caller of a rewritten callee takes in the callee's new write set."""
     p2 = rewrite_program(model)
-    sym2 = check_program(p2, allow_bottom=True, base=model.symbols)
+    sym2 = check_program(p2, base=model.symbols)
     al2 = AliasAnalysis(p2, sym2, base=model.aliases)
     return ProgramModel(p2, sym2, safe_list=model.safe_list, aliases=al2, base=model)
 

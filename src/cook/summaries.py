@@ -16,13 +16,15 @@ dependency-free; its exact post-state follows from two inference rules:
   write-array:  for all j, x in [i..i'-1]:  pi_j[x/i]  ==>  a'[x] = e_j[x/i]
 
 `num(phi, k, l)` counts the integers in [k..l] satisfying phi; it stays
-symbolic here and is evaluated by iteration when entry states are concrete.
+symbolic here. The analysis only needs a summary's shape, so the evaluator
+that iterates a summary from a concrete entry state is the tests' reference
+(`tests/reference_summaries.py`), which they hold to the interpreter.
 """
 
 from __future__ import annotations
 
 from .errors import NoInductionVariable, NotDependencyFree
-from .interp import RELOPS, binop64, unop64, wrap64
+from .interp import RELOPS, binop64, unop64
 from .lang import ast
 from .representatives import Scalar
 from .termination import UNARY_OPS, CycleSet, OpaqueUpdate, linear_of
@@ -407,7 +409,7 @@ def df_check(cs: CycleSet, tt: TermTypes, distinct_array_parts=None) -> DfVerdic
 
 
 # ---------------------------------------------------------------------------
-# summary inference and evaluation
+# summary inference
 # ---------------------------------------------------------------------------
 
 
@@ -509,75 +511,3 @@ def summarize(cs: CycleSet, tt: TermTypes) -> LoopSummary:
         inv_atoms=tuple(inv_atoms),
         closable=closable,
     )
-
-
-def num_count(guard: tuple[GuardAtom, ...], env: dict[str, int], induction: str, k: int, l: int) -> int:
-    """num(phi[x/i], k, l): how many x in [k..l] satisfy the guard."""
-    count = 0
-    scope = dict(env)
-    for x in range(k, l + 1):
-        scope[induction] = x
-        if all(a.eval(scope) for a in guard):
-            count += 1
-    return count
-
-
-def exit_value(summary: LoopSummary, env: dict[str, int], i0: int) -> int | None:
-    """Close i': the loop exits the first time every common atom cannot hold.
-
-    Invariant common atoms gate entry entirely; bound atoms (i < b or i <= b)
-    cap the induction variable. Returns None when exit cannot be closed, and
-    when every bound is `i <= INT64_MAX`, which no 64-bit `i` fails.
-    """
-    if not summary.closable:
-        return None
-    for atom in summary.inv_atoms:
-        if not atom.eval(env):
-            return i0
-    limit = None
-    for op, bexpr in summary.bounds:
-        b = eval_expr(bexpr, env)
-        if op == "<=" and b == ast.INT64_MAX:
-            continue  # i <= INT64_MAX always holds: this bound never fails
-        cap = b if op == "<" else b + 1
-        limit = cap if limit is None else min(limit, cap)
-    if limit is None:
-        return None
-    return max(i0, limit)
-
-
-def eval_counter(
-    summary: LoopSummary, var: str, env: dict[str, int], i0: int, i_exit: int
-) -> int:
-    terms = dict(summary.counter_terms).get(var)
-    if terms is None:
-        return env[var]
-    total = env[var]
-    for d, guard in terms:
-        total = wrap64(total + d * num_count(guard, env, summary.induction, i0, i_exit - 1))
-    return total
-
-
-def eval_array(
-    summary: LoopSummary,
-    array: str,
-    cells: list[int],
-    env: dict[str, int],
-    i0: int,
-    i_exit: int,
-) -> list[int]:
-    cases = dict(summary.array_cases).get(array)
-    out = list(cells)
-    if cases is None:
-        return out
-    scope = dict(env)
-    for x in range(i0, i_exit):
-        scope[summary.induction] = x
-        matched = [e for guard, e in cases if all(a.eval(scope) for a in guard)]
-        if len(matched) > 1:
-            raise NotDependencyFree(f"cycle guards overlap at {summary.induction}={x}")
-        if matched:
-            if not 0 <= x < len(out):
-                raise IndexError(f"summary writes outside the array at index {x}")
-            out[x] = eval_expr(matched[0], scope)
-    return out

@@ -143,7 +143,7 @@ def test_rewrite_is_idempotent_on_generated_programs():
         )
         model = ProgramModel(p)
         p2 = rewrite_program(model)
-        sym2 = check(p2, allow_bottom=True)
+        sym2 = check(p2)
         al2 = AliasAnalysis(p2, sym2, base=model.aliases)
         model2 = ProgramModel(p2, sym2, safe_list=model.safe_list, aliases=al2)
         p3 = rewrite_program(model2)
@@ -192,7 +192,7 @@ def test_no_divergent_constructs_survive():
         )
         model = ProgramModel(p)
         p2 = rewrite_program(model)
-        sym2 = check(p2, allow_bottom=True)
+        sym2 = check(p2)
         # a loop left in place is the original loop, or a copy of it with a
         # rewritten inner loop; either way it sits at the original's `loc`
         originals = {

@@ -23,10 +23,6 @@ from cook.summaries import (
     compose,
     cycle_formula,
     df_check,
-    eval_array,
-    eval_counter,
-    exit_value,
-    num_count,
     num_expr,
     path_formula,
     step_transition,
@@ -41,6 +37,7 @@ from cook.termination import (
     method_consts,
 )
 from profiles import CENSUS, ISLANDS, LOOP_DENSE
+from reference_summaries import eval_array, eval_counter, exit_value, num_count
 
 
 def loop_context(src: str):

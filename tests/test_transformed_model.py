@@ -10,10 +10,10 @@ from cook.analysis import analyze_program
 from cook.errors import CheckDiagnostic
 from cook.generator import GenParams, generate_program
 from cook.lang import ast, load, parse_unit
-from cook.lang.check import check
+from cook.lang.check import _Checker, check
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
-from cook.representatives import BOTTOM, ArrayPart, TypeField
+from cook.representatives import BOTTOM, ArrayPart, Scalar, TypeField
 from cook.rewrite import rewrite_program
 
 # the benchmark's three profiles, with fewer methods
@@ -65,7 +65,7 @@ def from_scratch(model, p2):
     anew: the rewritten program with fresh method objects, which nothing of
     `model` belongs to, keeping only `model`'s partition numbering."""
     fresh = dataclasses.replace(p2, methods=tuple(dataclasses.replace(m) for m in p2.methods))
-    sym = check(fresh, allow_bottom=True)
+    sym = check(fresh)
     aliases = AliasAnalysis(fresh, sym, base=model.aliases)
     return ProgramModel(fresh, sym, safe_list=model.safe_list, aliases=aliases, base=model)
 
@@ -127,6 +127,30 @@ def test_generated_cases_hold_changed_and_unchanged_methods():
     assert unchanged >= 50 and changed >= 50, (unchanged, changed)
 
 
+def test_each_body_is_checked_once_and_the_rewritten_program_not_at_all():
+    checked: list[str] = []
+    check_method = _Checker.check_method
+
+    def counting_check_method(self, m):
+        checked.append(m.id)
+        return check_method(self, m)
+
+    rewritten = 0
+    for seed in range(3):
+        program = generate_program(seed, GenParams(**CENSUS))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Checker, "check_method", counting_check_method)
+            model = ProgramModel(program)
+            assert sorted(checked) == sorted(m.id for m in program.methods if not m.extern)
+            checked.clear()
+            tmodel = transformed_model(model)
+            assert checked == [], seed
+        rewritten += sum(
+            mm.method is not model.methods[mid].method for mid, mm in tmodel.methods.items()
+        )
+    assert rewritten  # methods a second check of every changed body would have counted
+
+
 def test_unchanged_caller_of_a_rewritten_callee_gets_the_new_closure():
     p, sym = load(CALLEE_ONLY)
     model = ProgramModel(p, sym)
@@ -149,6 +173,9 @@ def test_unchanged_caller_of_a_rewritten_callee_gets_the_new_closure():
         # neither names a heap location of the program
         (TypeField("B", "f"), "field 'f' is declared in 'A'"),
         (ArrayPart(7), "no array partition 7"),
+        # a scalar target names a formal, local or `ret` of a declared method
+        (Scalar("helper", "zzz"), "unknown identifier 'zzz'"),
+        (Scalar("nowhere", "x"), "unknown method 'nowhere' in bottom target"),
     ],
 )
 def test_methods_the_rewrite_changed_are_checked(monkeypatch, target, message):
@@ -169,8 +196,9 @@ def test_methods_the_rewrite_changed_are_checked(monkeypatch, target, message):
         transformed_model(model)
 
 
-# a bottom target names a field by its declaring class, and only a partition
-# the program has
+# a bottom target names a field by its declaring class, only a partition the
+# program has, and only a formal, local or `ret` of a declared method, an
+# extern's included
 BOTTOM_TARGET = """
 class A {{ f: int; }}
 class B extends A {{ }}
@@ -180,20 +208,36 @@ method m(o: A): int {{
   x := o.f;
   return x;
 }}
+method h(a: int): int {{ var y: int; y := a; return y; }}
+extern method e(a: int): int;
 """
 
 
 def test_a_bottom_target_names_a_heap_location_of_the_program():
     program = parse_unit(BOTTOM_TARGET.format(target="A.f"), allow_bottom=True)
-    result = analyze_program(ProgramModel(program, check(program, allow_bottom=True)))
+    result = analyze_program(ProgramModel(program, check(program)))
     dependents = {dep.render() for dep, src, _ in result.facts["m"] if src == BOTTOM}
     assert dependents == {"A.f", "m::x", "m::ret"}
+    for target in ("h::a", "h::y", "h::ret", "e::a", "e::ret"):
+        program = parse_unit(BOTTOM_TARGET.format(target=target), allow_bottom=True)
+        analyze_program(ProgramModel(program, check(program)))
     program = parse_unit(BOTTOM_TARGET.format(target="B.f"), allow_bottom=True)
+    symbols = check(program)
     with pytest.raises(CheckDiagnostic, match="field 'f' is declared in 'A'") as err:
-        check(program, allow_bottom=True)
+        ProgramModel(program, symbols)
     assert err.value.line == 6
     program = parse_unit(BOTTOM_TARGET.format(target="part#7"), allow_bottom=True)
-    symbols = check(program, allow_bottom=True)
+    symbols = check(program)
     with pytest.raises(CheckDiagnostic, match="no array partition 7") as err:
         ProgramModel(program, symbols)
     assert err.value.line == 6
+    for target, message in (
+        ("h::zzz", "unknown identifier 'zzz'"),
+        ("e::y", "unknown identifier 'y'"),
+        ("nowhere::x", "unknown method 'nowhere' in bottom target"),
+    ):
+        program = parse_unit(BOTTOM_TARGET.format(target=target), allow_bottom=True)
+        symbols = check(program)
+        with pytest.raises(CheckDiagnostic, match=message) as err:
+            ProgramModel(program, symbols)
+        assert err.value.line == 6, target

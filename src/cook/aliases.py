@@ -14,19 +14,21 @@ heap writes transitively (`heap_writes`). The scalars a statement writes are
 `ast.scalar_writes`; field and array writes map to their representatives.
 
 Each method body is walked once: the walk applies the body's partition
-joins, collects its write targets and resolves each call once, for the joins
-and the call row alike; an array-cell target waits, by array name, for the
-last join before its partition is numbered. The walk picks each
+joins, collects its heap write targets and resolves each call once, for the
+joins and the call row alike; an array-cell target waits, by array name, for
+the last join before its partition is numbered. The walk picks each
 statement's kind once, by `type(s)` (the statement classes have no
-subclasses), and keeps the frame's written scalars as names, so it makes
-one `Scalar` per distinct written name of the method rather than one per
-writing statement; a bottom assignment adds its targets as they are, and
-this walk alone validates them: a target naming no location of the program
-is a `CheckDiagnostic` at its statement (`_bad_target`). A method's
-whole write set is closed over its callees in one pass over the call graph's
+subclasses). It keeps only the heap: field and array writes and the field
+and partition targets of a bottom assignment, so it makes no `Scalar`. It
+alone validates bottom targets: a target naming no location of the program
+is a `CheckDiagnostic` at its statement (`_bad_target`). A method's heap
+write set is closed over its callees in one pass over the call graph's
 strongly connected components, callees first, and the members of a
-component share one set. The call rows are the call graph's (`calls`), so
-calls are resolved once per program.
+component share one set (`heap_writes`). This is the only closure over
+callees here: the scalars a call writes in its callees' frames are the
+union of each callee's node-table writes (`analysis.Analyzer.call_writes`).
+The call rows are the call graph's (`calls`), so calls are resolved once per
+program.
 
 The heap is numbered here: the declared fields, in class and declaration
 order, then the array partitions are ids 0 to H - 1 (`heap`, `heap_id`). One
@@ -36,9 +38,9 @@ id (`field_id`) and, through `heap`, its representative (`field_rep`).
 The analysis of a rewritten program is derived from the analysis of the
 program the rewrite started from (`base`). It keeps the base's partition
 numbering, which the rewrite's bottom assignments name, and its heap ids,
-and every method the rewrite returned unchanged keeps the write targets and
-call row found there. The closure over callees is recomputed: an unchanged caller of a
-rewritten callee writes what the rewritten callee now writes.
+and every method the rewrite returned unchanged keeps the heap targets and
+call row found there. The heap closure is recomputed: an unchanged caller of
+a rewritten callee writes what the rewritten callee now writes.
 
 `reachable_lvalues` is the
 write footprint visible through an actual parameter: every representative
@@ -182,13 +184,14 @@ class AliasAnalysis:
         return {Scalar(method_id, name) for name in ast.scalar_writes(s, method_id)}
 
     def _build_method_writes(self, base: "AliasAnalysis | None") -> None:
-        """Joins, targets and call rows from one walk per body, then the
-        write sets closed over internal calls, as the module docstring says;
-        a method that is the same object in `base`'s program is not walked."""
+        """Joins, heap targets and call rows from one walk per body, then the
+        heap write sets closed over internal calls, as the module docstring
+        says; a method that is the same object in `base`'s program is not
+        walked."""
         join = base is None
         targets: dict[str, frozenset[Representative]] = {}
         calls: dict[str, tuple[str, ...]] = {}
-        walked: dict[str, tuple[set[str], set[Representative], set[str]]] = {}
+        walked: dict[str, tuple[set[Representative], set[str]]] = {}
         bottoms: list[ast.BottomAssign] = []  # checked once every partition is numbered
         for m in self.program.methods:
             if m.extern:
@@ -202,8 +205,7 @@ class AliasAnalysis:
                 t = env.get(name)
                 return t is not None and ast.is_array_type(t)
 
-            names: set[str] = set()  # the frame's written scalars
-            reps: set[Representative] = set()  # field and bottom targets
+            reps: set[Representative] = set()  # field and heap bottom targets
             arrays: set[str] = set()  # numbered once every join is made
             row: dict[str, None] = {}  # internal callees, each once, in first-call order
             for s in ast.walk(m.body):
@@ -218,10 +220,9 @@ class AliasAnalysis:
                         self._union((_FIELD, tf.type_name, tf.field_name), (_VAR, m.id, s.source))
                     continue
                 if kind is ast.BottomAssign:
-                    reps.update(s.targets)
+                    reps.update(t for t in s.targets if type(t) is not Scalar)
                     bottoms.append(s)
                     continue
-                names.update(ast.scalar_writes(s, m.id))
                 if kind is ast.Call:
                     for callee in self.sym.resolve_call(m, s):
                         if callee.extern:
@@ -243,7 +244,7 @@ class AliasAnalysis:
                     self._union((_VAR, m.id, s.target), (_FIELD, tf.type_name, tf.field_name))
                 elif kind is ast.Return and arr(s.value):
                     self._union((_RETSLOT, m.id), (_VAR, m.id, s.value))
-            walked[m.id], calls[m.id] = (names, reps, arrays), tuple(row)
+            walked[m.id], calls[m.id] = (reps, arrays), tuple(row)
         if join:
             # stable dense ids in slot-declaration order
             for key in self._slot_order:
@@ -256,27 +257,22 @@ class AliasAnalysis:
                 bad = self._bad_target(t)
                 if bad is not None:
                     raise CheckDiagnostic(bad, s.loc.line, s.loc.col, s.loc.file)
-        for mid, (names, reps, arrays) in walked.items():
-            reps.update([Scalar(mid, name) for name in names])
+        for mid, (reps, arrays) in walked.items():
             reps.update([self.array_rep(mid, a) for a in arrays])
             targets[mid] = frozenset(reps)
-        writes: dict[str, frozenset[Representative]] = {}
         heap: dict[str, frozenset[Representative]] = {}
         for scc in strongly_connected_components(tuple(calls), calls):
             reps = set()
             for mid in scc:
                 reps |= targets[mid]
                 for callee in calls[mid]:
-                    reps |= writes.get(callee, frozenset())  # absent: same SCC
+                    reps |= heap.get(callee, frozenset())  # absent: same SCC
             shared = frozenset(reps)
-            shared_heap = frozenset(r for r in shared if not isinstance(r, Scalar))
             for mid in scc:
-                writes[mid] = shared
-                heap[mid] = shared_heap
+                heap[mid] = shared
         self._targets = targets
         # internal callees per method, for the call graph
         self.calls = calls
-        self._writes_memo = writes
         self._heap_memo = heap
 
     def _bad_target(self, t: Representative) -> str | None:
@@ -309,33 +305,6 @@ class AliasAnalysis:
         through its callees too: all a caller can observe of its writes
         under call by value."""
         return self._heap_memo[method_id]
-
-    def call_writes(self, method_id: str) -> frozenset[Representative]:
-        """Every representative a call of the method may write, through its
-        callees too, the scalars of their frames included."""
-        return self._writes_memo[method_id]
-
-    def written_reps(self, method_id: str, stmt: ast.Stmt | ast.Block) -> frozenset[Representative]:
-        """Representatives of every syntactic write inside `stmt`.
-
-        Internal calls contribute their callee's whole write set transitively
-        (`call_writes`), callee-frame scalars included. This is the reference
-        the tests hold `analysis.node_spec`'s control-dependence writes to;
-        `node_spec` builds the same sets from ids it already holds. That
-        those sets hold callee scalars is a known defect: they survive
-        `strip_locals` as junk summary facts
-        (`test_dead_guarded_call_leaves_no_callee_frame_facts` is a strict
-        xfail until `observable_writes` replaces it there).
-        """
-        m = self.sym.methods[method_id]
-        out: set[Representative] = set()
-        for s in ast.walk(stmt):
-            out |= self._stmt_targets(method_id, s)
-            if isinstance(s, ast.Call):
-                for t in self.sym.resolve_call(m, s):
-                    if not t.extern:
-                        out |= self.call_writes(t.id)
-        return frozenset(out)
 
     def observable_writes(
         self,

@@ -58,7 +58,11 @@ table (the functional approach of Sharir and Pnueli, 1981). The summaries
 are an argument of the table builder, and every call node is then an
 ordinary node. A summary's heap sources are generated sources, and each of
 its heap dependents is in the callee's write set or is its own source, so
-the footprint seeds them with the rest.
+the footprint seeds them with the rest. A call node writes what its
+internal callees' tables write: `spec` records the union of each table's
+writes (`Analyzer.call_writes`), so the callees' tables are built first,
+the same precondition as their summaries, and one bottom-up pass closes
+the write sets over the call graph as it does the summaries.
 
 One transfer (`transfer`) maps a node's entry and its IN facts to OUT: it
 pops killed dependents, ORs the IN mask of each generated pair's source into
@@ -150,11 +154,12 @@ def node_spec(
     `array_id`), bottom targets through `an.rep_id`; entry, exit and branch
     nodes (`None`, `IfElse`, `While`) pass IN through.
 
-    A node's writes are `aliases.written_reps` of its statement: a bottom
-    assignment's targets, the one dependent of any other statement, and for
-    a call the whole write set of every internal target. A call's target
-    takes each extern target's actuals, and each internal target's summary
-    in `summaries`, which must be final, composed through the call's
+    A node's writes are a bottom assignment's targets, the one dependent of
+    any other statement, and for a call also every id that the node table
+    of an internal target writes (`Analyzer.call_writes`), so that table
+    must be built before this one, callees first. A call's target takes
+    each extern target's actuals, and each internal target's summary in
+    `summaries`, which must be final, composed through the call's
     substitution: every summary fact adds its cause bits to its substituted
     dependent and generates one pair per source bit. The kinds are the
     concrete `ast.Stmt` classes, which have no subclasses, so one `type(s)`
@@ -299,7 +304,7 @@ class Analyzer:
         self._reps = Reps(self.aliases.heap)
         self._frames_at = len(self.aliases.heap)  # every id below is a heap id
         self._frames: dict[str, dict[str, int]] = {}
-        self._call_writes: dict[str, frozenset[int]] = {}
+        self._call_writes: dict[str, frozenset[int]] = {}  # by method, recorded by `spec`
 
     # -- the encoding ---------------------------------------------------------
 
@@ -324,13 +329,12 @@ class Analyzer:
         return fr
 
     def call_writes(self, method_id: str) -> frozenset[int]:
-        """The ids of `AliasAnalysis.call_writes`, interned once per method."""
-        ids = self._call_writes.get(method_id)
-        if ids is None:
-            ids = self._call_writes[method_id] = frozenset(
-                map(self.rep_id, self.aliases.call_writes(method_id))
-            )
-        return ids
+        """The ids a call of the method may write: the union of its node
+        table's writes, which `spec` records, so its callees' writes too,
+        the scalars of their frames included. The table must be built first,
+        as the program pass builds callees first (`analysis_order`), which a
+        rewritten model, having no call cycle, allows."""
+        return self._call_writes[method_id]
 
     def encode(self, facts) -> Facts:
         """A set of (dependent, source, cause) tuples as masks by dependent id."""
@@ -355,9 +359,11 @@ class Analyzer:
     def spec(self, method_id: str, summaries: Mapping[str, Facts]) -> _MethodSpec:
         """The method's node table with its control pairs and footprint,
         built in one pass over its CFG, each call composing its callees'
-        summary masks from `summaries`. Nothing keeps it: the program pass
-        builds each method's once, in `method_facts`, and drops it when the
-        method is done."""
+        summary masks from `summaries` and writing what their tables write
+        (`call_writes`), so the callees' tables come first. Nothing keeps
+        the table, only the union of its writes (`call_writes`): the program
+        pass builds each method's once, in `method_facts`, and drops it when
+        the method is done."""
         g = self.model.methods[method_id].cfg
         graph = g.nodes
         fr = self.frame(method_id)
@@ -366,11 +372,13 @@ class Analyzer:
         control: list[tuple[tuple[int, int], ...]] = []
         # governing branch bitset -> its control pairs
         groups: dict[int, tuple[tuple[int, int], ...]] = {}
+        written: set[int] = set()
         touched: set[int] = set()  # writes and sources of the nodes that may name the heap
         for n, s in enumerate(graph):
             ns = node_spec(s, method_id, self, fr, summaries)
             nodes.append(ns)
             writes = ns.writes
+            written.update(writes)
             if type(s) in _HEAP_KINDS:
                 touched.update(writes)
                 touched.update(src for _, src in ns.gen)
@@ -386,6 +394,7 @@ class Analyzer:
                     for v in (graph[b].cond.left, graph[b].cond.right)
                 )
             control.append(pairs)
+        self._call_writes[method_id] = frozenset(written)
         # the footprint: the method's formals and locals and the heap it touches
         ret = fr[RET]
         seeds = (*range(ret - len(fr) + 1, ret), *(i for i in touched if i < self._frames_at))

@@ -23,8 +23,8 @@ Extern methods on the safe list are pure stubs in both modes: they return a
 zero value and touch no heap state.
 
 Arithmetic is 64-bit two's complement with wraparound. `binop64`, `unop64`
-and `RELOPS` are the one int64 arithmetic core; `summaries` and `termination`
-evaluate and fold expressions with them too.
+and `RELOPS` are the one int64 arithmetic core; `termination` folds
+expressions with them too.
 """
 
 from __future__ import annotations

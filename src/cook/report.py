@@ -196,11 +196,13 @@ def transformed_model(model: ProgramModel) -> ProgramModel:
     The rewrite returns every method it did not change as the same object
     and never touches classes, interfaces, formals or locals, so no body is
     checked again: the symbols take `model`'s `var_types`. The other layers
-    reuse what `model` found for the unchanged methods: the write targets
+    reuse what `model` found for the unchanged methods: the heap targets
     and call row, the CFG. Only the rewritten methods are walked, which
-    validates their bottom targets, and translated again. The write closure
-    over callees is recomputed for every method, because an unchanged
-    caller of a rewritten callee takes in the callee's new write set."""
+    validates their bottom targets, and translated again. The heap write
+    closure over callees is recomputed for every method, because an
+    unchanged caller of a rewritten callee takes in the callee's new heap
+    writes; the writes in callee frames are not closed here, but by the
+    analysis, from the node tables it builds callees first."""
     p2 = rewrite_program(model)
     sym2 = check_program(p2, base=model.symbols)
     al2 = AliasAnalysis(p2, sym2, base=model.aliases)

@@ -18,16 +18,17 @@ dependency-free; its exact post-state follows from two inference rules:
 `num(phi, k, l)` counts the integers in [k..l] satisfying phi; it stays
 symbolic here. The analysis only needs a summary's shape, so the evaluator
 that iterates a summary from a concrete entry state is the tests' reference
-(`tests/reference_summaries.py`), which they hold to the interpreter.
+(`tests/reference_summaries.py`), which they hold to the interpreter. So is
+the pairwise composition of transitions that `path_formula` does in one
+pass.
 """
 
 from __future__ import annotations
 
 from .errors import NoInductionVariable, NotDependencyFree
-from .interp import RELOPS, binop64, unop64
 from .lang import ast
 from .representatives import Scalar
-from .termination import UNARY_OPS, CycleSet, OpaqueUpdate, linear_of
+from .termination import CycleSet, OpaqueUpdate, linear_of
 from .values import value
 
 # Expressions are nested tuples:
@@ -83,19 +84,6 @@ def subst_expr(e: tuple, updates: dict[str, tuple]) -> tuple:
     return e
 
 
-def eval_expr(e: tuple, env: dict[str, int]) -> int:
-    """Value of `e` under `env`; ZeroDivisionError for a zero divisor."""
-    if e[0] == "num":
-        return e[1]
-    if e[0] == "var":
-        return env[e[1]]
-    if e[0] == "bin":
-        return binop64(e[1], eval_expr(e[2], env), eval_expr(e[3], env))
-    if e[0] in UNARY_OPS:
-        return unop64(UNARY_OPS[e[0]], eval_expr(e[1], env))
-    raise ValueError(f"cannot evaluate {e!r}")
-
-
 def render_expr(e: tuple, rename: dict[str, str] | None = None) -> str:
     if e[0] == "num":
         return str(e[1])
@@ -125,9 +113,6 @@ class GuardAtom:
     def opaque(self) -> bool:
         return is_opaque(self.left) or is_opaque(self.right)
 
-    def eval(self, env: dict[str, int]) -> bool:
-        return RELOPS[self.op](eval_expr(self.left, env), eval_expr(self.right, env))
-
     def render(self, rename: dict[str, str] | None = None) -> str:
         return f"{render_expr(self.left, rename)} {self.op} {render_expr(self.right, rename)}"
 
@@ -153,9 +138,6 @@ class Transition:
         return " and ".join(parts) if parts else "true"
 
 
-IDENTITY = Transition((), ())
-
-
 def _canonical_update(e: tuple) -> tuple:
     """`e` as a constant, a variable, or a variable plus or minus a constant
     when `linear_of` folds it; otherwise `e`, or opaque past
@@ -173,32 +155,12 @@ def _canonical_update(e: tuple) -> tuple:
     return ("bin", "+", var_expr(x), num_expr(d))
 
 
-def compose(t1: Transition, t2: Transition) -> Transition:
-    """Sequential composition: intermediates are eliminated by substituting
-    t1's functional updates into t2's guard and updates. Updates are stored
-    in canonical form, so a long path does not build an expression that
-    grows with its length."""
-    u1 = t1.update_map()
-    guard = t1.guard + tuple(g.substituted(u1) for g in t2.guard)
-    merged = dict(t1.updates)
-    for v, e in t2.updates:
-        merged[v] = _canonical_update(subst_expr(e, u1))
-    arrays = list(t1.arrays)
-    for a, i, e in t2.arrays:
-        arrays.append((a, subst_expr(i, u1), subst_expr(e, u1)))
-    return Transition(
-        guard,
-        tuple(sorted(merged.items())),
-        tuple(arrays),
-        t1.field_writes + t2.field_writes,
-    )
-
-
 def path_formula(transitions: list[Transition]) -> Transition:
-    """The transitions composed in order, equal to folding them with
-    `compose` from `IDENTITY`, in one pass over a running update map: each
-    step's guard, updates and array writes are substituted with the updates
-    before that step."""
+    """The transitions composed in order, in one pass over a running update
+    map: each step's guard, updates and array writes are substituted with
+    the updates before that step, which eliminates the intermediates.
+    Updates are stored in canonical form, so a long path does not build an
+    expression that grows with its length."""
     updates: dict[str, tuple] = {}
     guard: list[GuardAtom] = []
     arrays: list[tuple[str, tuple, tuple]] = []

@@ -1,12 +1,19 @@
 """The alias walk as it was before `cook.aliases` picked each statement's
-kind once and kept the frame's written scalars as names, kept as the
-reference for `tests/test_aliases.py`.
+kind once and kept only the heap, kept as the reference for
+`tests/test_aliases.py` and for the write sets of `cook.analysis`'s node
+tables.
 
 `ReferenceAliases` is an `AliasAnalysis` whose body walk asks `isinstance`
 of every statement in turn and builds a fresh target set per statement,
-with one `Scalar` for every statement that writes a scalar. Everything else
-is `AliasAnalysis`'s own, so a test can compare the partitions, targets,
-call rows and write sets the two walks give for the same program.
+with one `Scalar` for every statement that writes a scalar. It walks every
+body, also when it is derived from a `base`, whose partition numbering it
+then takes. It closes every write set over callees, the scalars of their
+frames included (`call_writes`), and gives the writes of any statement
+with its calls' closed sets (`written_reps`). `cook.aliases` closes only
+the heap (`heap_writes`), and `cook.analysis` takes a call's other writes
+from the callees' node tables; these are what both must equal. Everything
+else is `AliasAnalysis`'s own, so a test can compare the partitions,
+targets, call rows and write sets the two walks give for the same program.
 
 It also keeps the reachable l-value walk as it was before each class was
 visited once: every runtime class of a type takes all its fields through
@@ -16,9 +23,28 @@ visited once: every runtime class of a type takes all its fields through
 from __future__ import annotations
 
 from cook.aliases import _FIELD, _RETSLOT, _VAR, AliasAnalysis
+from cook.analysis import Analyzer
 from cook.callgraph import strongly_connected_components
 from cook.lang import ast
+from cook.pipeline import ProgramModel
 from cook.representatives import ArrayPart, Representative, Scalar, TypeField
+
+
+def reference_of(model: ProgramModel) -> "ReferenceAliases":
+    """The reference walk of a model's program, in the partition numbering
+    of the model's own alias analysis."""
+    return ReferenceAliases(model.program, model.symbols, base=model.aliases)
+
+
+def node_table_writes(model: ProgramModel) -> dict[str, frozenset[Representative]]:
+    """Each method's write set as the analysis records it, the union of its
+    node table's writes (`Analyzer.call_writes`), decoded. The tables are
+    built callees first, so the model must have no call cycle."""
+    an = Analyzer(model)
+    empty = dict.fromkeys(model.methods, {})  # a node's writes need no summary
+    for mid in model.analysis_order():
+        an.spec(mid, empty)
+    return {mid: frozenset(an._reps[i] for i in an.call_writes(mid)) for mid in model.methods}
 
 
 class ReferenceAliases(AliasAnalysis):
@@ -62,17 +88,14 @@ class ReferenceAliases(AliasAnalysis):
 
     def _build_method_writes(self, base: "AliasAnalysis | None") -> None:
         """Joins, targets and call rows from one walk per body, then the
-        write sets closed over internal calls, as `cook.aliases` describes;
-        a method that is the same object in `base`'s program is not walked."""
+        write sets closed over internal calls; the joins only without a
+        `base`."""
         join = base is None
         targets: dict[str, frozenset[Representative]] = {}
         calls: dict[str, tuple[str, ...]] = {}
         walked: dict[str, tuple[set[Representative], set[str]]] = {}
         for m in self.program.methods:
             if m.extern:
-                continue
-            if base is not None and base.sym.methods.get(m.id) is m:
-                targets[m.id], calls[m.id] = base._targets[m.id], base.calls[m.id]
                 continue
             env = self.sym.var_types[m.id]
 
@@ -139,3 +162,26 @@ class ReferenceAliases(AliasAnalysis):
         self.calls = calls
         self._writes_memo = writes
         self._heap_memo = heap
+
+    def call_writes(self, method_id: str) -> frozenset[Representative]:
+        """Every representative a call of the method may write, through its
+        callees too, the scalars of their frames included."""
+        return self._writes_memo[method_id]
+
+    def written_reps(self, method_id: str, stmt: ast.Stmt | ast.Block) -> frozenset[Representative]:
+        """Representatives of every syntactic write inside `stmt`, where an
+        internal call adds its target's whole write set (`call_writes`),
+        callee-frame scalars included: what `cook.analysis.node_spec` gives
+        a node as its writes. That a call's writes hold callee scalars is a
+        known defect: they survive `strip_locals` as junk summary facts
+        (`test_dead_guarded_call_leaves_no_callee_frame_facts` is a strict
+        xfail until only `heap_writes` is taken there)."""
+        m = self.sym.methods[method_id]
+        out: set[Representative] = set()
+        for s in ast.walk(stmt):
+            out |= self._stmt_targets(method_id, s)
+            if isinstance(s, ast.Call):
+                for t in self.sym.resolve_call(m, s):
+                    if not t.extern:
+                        out |= self.call_writes(t.id)
+        return frozenset(out)

@@ -6,9 +6,11 @@ numbered each method's frame as one block of ids, kept as the reference for
 `Scalar` operand is hashed and compared, and builds a method's table in two
 passes: `node_spec` per CFG node, then the control pairs. A call node's
 callee summaries are decoded `(dependent, source, cause)` sets, composed
-through a substitution of representatives (`call_free_rows`). Its ids are
-its own; a test compares the two builders by decoding both tables to
-representatives.
+through a substitution of representatives (`call_free_rows`), and its
+writes add each internal callee's whole write set from the reference alias
+walk's closure (`ReferenceAliases.call_writes`), so the tables need not be
+built callees first. Its ids are its own; a test compares the two builders
+by decoding both tables to representatives.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from cook.cfg import BRANCHES, set_bits
 from cook.lang import ast
 from cook.pipeline import ProgramModel
 from cook.representatives import Bottom, Representative, Scalar
+from reference_aliases import reference_of
 
 _PASS = NodeSpec()
 
@@ -113,7 +116,7 @@ class ReferenceTable:
 
     def __init__(self, model: ProgramModel):
         self.model = model
-        self.aliases = model.aliases
+        self.aliases = reference_of(model)
         self.sym = model.symbols
         self._ids: dict[Representative, int] = {}
         self.reps: list[Representative] = []

@@ -7,13 +7,13 @@ import pytest
 from cook.aliases import AliasAnalysis
 from cook.generator import GenParams, generate_program
 from cook.interp import Outcome, random_store, run_concrete
-from cook.lang import ast, load
+from cook.lang import ast, load, parse_unit
 from cook.lang.check import check
 from cook.pipeline import ProgramModel
 from cook.report import transformed_model
 from cook.representatives import ArrayPart, Scalar, TypeField
 from profiles import CENSUS, ISLANDS, LOOP_DENSE
-from reference_aliases import ReferenceAliases
+from reference_aliases import ReferenceAliases, node_table_writes, reference_of
 
 
 def build(src):
@@ -83,16 +83,15 @@ method m(a: int[]): int {
 
 
 def test_written_reps_simple_sequence():
-    p, sym, al = build(
-        "method m(): int { var x: int; var y: int; x := 1; y := x; return y; }"
-    )
+    p, sym = load("method m(): int { var x: int; var y: int; x := 1; y := x; return y; }")
+    al = ReferenceAliases(p, sym)
     m = p.methods[0]
     assert al.written_reps("m", m.body[:2]) == frozenset({Scalar("m", "x"), Scalar("m", "y")})
 
 
 def test_written_reps_of_opaque_loop_body(opaque_loop_caller):
     p, sym = load(opaque_loop_caller)
-    al = AliasAnalysis(p, sym)
+    al = ReferenceAliases(p, sym)
     bar = sym.methods["bar"]
     loop = [s for s in ast.walk(bar.body) if isinstance(s, ast.While)][0]
     assert al.written_reps("bar", loop) == frozenset({Scalar("bar", "y")})
@@ -112,7 +111,8 @@ method m(o: A, a: int[], n: int): int {
   return i;
 }
 """
-    p, sym, al = build(src)
+    p, sym = load(src)
+    al = ReferenceAliases(p, sym)
     loop = [s for s in ast.walk(p.methods[0].body) if isinstance(s, ast.While)][0]
     reps = al.written_reps("m", loop)
     assert TypeField("A", "f") in reps
@@ -127,7 +127,7 @@ def test_written_reps_cover_interpreter_write_trace():
             seed, GenParams(methods=5, loop=0.25, branch=0.4, heap=0.4, call=0.15)
         )
         sym = check(p)
-        al = AliasAnalysis(p, sym)
+        al = ReferenceAliases(p, sym)
         for m in p.methods:
             if m.extern:
                 continue
@@ -242,12 +242,14 @@ PROFILES = (
 
 @pytest.mark.parametrize("params", (CENSUS, ISLANDS), ids=("census", "islands"))
 def test_heap_writes_are_the_heap_part_of_call_writes(params):
+    """`heap_writes` is the heap part of the reference's whole closure."""
     nonempty = 0
     for seed in range(6):
         model = ProgramModel(generate_program(seed, GenParams(**params)))
-        for al in (model.aliases, transformed_model(model).aliases):
+        for m in (model, transformed_model(model)):
+            al, ref = m.aliases, reference_of(m)
             for mid in al.calls:
-                heap = frozenset(r for r in al.call_writes(mid) if not isinstance(r, Scalar))
+                heap = frozenset(r for r in ref.call_writes(mid) if not isinstance(r, Scalar))
                 assert al.heap_writes(mid) == heap, (seed, mid)
                 nonempty += bool(heap)
     assert nonempty >= 30, nonempty
@@ -274,18 +276,24 @@ def models(params, policy, seeds):
 
 
 def assert_walks_as_the_reference(model, tmodel) -> None:
-    """Partitions, targets, call rows and closed write sets equal those of
-    the walk that tested each statement with `isinstance`, for the first
-    model and for the rewritten one, which takes the `base` path."""
+    """Partitions, heap targets, call rows and heap write sets equal those
+    of the walk that tested each statement with `isinstance`, for the first
+    model and for the rewritten one, which takes the `base` path. The
+    analysis's write set of each method of the rewritten model, the union
+    of its node table's writes built callees first, is the ids of the
+    reference's whole closure, callee-frame scalars included."""
     ref = ReferenceAliases(model.program, model.symbols)
     ref2 = ReferenceAliases(tmodel.program, tmodel.symbols, base=ref)
     for al, ra in ((model.aliases, ref), (tmodel.aliases, ref2)):
         assert al._part_ids == ra._part_ids
         assert al.calls == ra.calls
-        assert al._targets == ra._targets
+        assert al._targets == {
+            mid: frozenset(r for r in reps if type(r) is not Scalar)
+            for mid, reps in ra._targets.items()
+        }
         for mid in al.calls:
-            assert al.call_writes(mid) == ra.call_writes(mid), mid
             assert al.heap_writes(mid) == ra.heap_writes(mid), mid
+    assert node_table_writes(tmodel) == {mid: ref2.call_writes(mid) for mid in tmodel.methods}
 
 
 @pytest.mark.parametrize(
@@ -332,6 +340,63 @@ def test_array_traffic_walks_as_the_reference():
     assert_walks_as_the_reference(model, tmodel)
     al = model.aliases
     assert al.partition_of("mix", "b") == al.partition_of_field(TypeField("B", "e"))
+
+
+# every kind of call a write set closes over: `top` calls `get`, which
+# dispatches to `A.get` and to `B.get`, the safe-listed extern `pure`, `dead`,
+# whose call of `h` a divergent API result guards, and `even`, whose mutual
+# recursion with `odd` the rewrite replaces; its first statement is a bottom
+# assignment to a scalar of `h`'s frame
+WRITE_SETS = """
+class A { f: int; g: int; }
+class B extends A { }
+extern method api(): int;
+extern method pure(x: int): int;
+method h(a: int): int { var y: int; y := a; return y; }
+method A.get(self: A, k: int): int { var t: int; t := self.f; return t; }
+method B.get(self: B, k: int): int { var t: int; self.g := k; t := h(k); return t; }
+method even(o: A, n: int): int { var r: int; o.f := n; r := odd(o, n); return r; }
+method odd(o: A, n: int): int { var r: int; r := even(o, n); return r; }
+method dead(x: int): int {
+  var r: int; var zero: int; var d: int;
+  zero := 0;
+  r := api();
+  if r != zero then { d := h(x); }
+  return x;
+}
+method top(o: A, y: int): int {
+  var x: int; var z: int;
+  h::a := bottom(api);
+  x := get(o, y);
+  z := pure(y);
+  z := even(o, y);
+  z := dead(y);
+  return x;
+}
+"""
+
+
+def test_write_sets_of_every_kind_of_call_are_the_reference_closure():
+    program = parse_unit(WRITE_SETS, allow_bottom=True)
+    model = ProgramModel(program, check(program), safe_list=frozenset({"pure"}))
+    tmodel = transformed_model(model)
+    sym = tmodel.symbols
+    calls = [
+        (mid, [t.id for t in sym.resolve_call(sym.methods[mid], s)])
+        for mid in tmodel.methods
+        for s in ast.walk(sym.methods[mid].body)
+        if type(s) is ast.Call
+    ]
+    assert calls == [
+        ("B.get", ["h"]),
+        ("dead", ["h"]),
+        ("top", ["A.get", "B.get"]),
+        ("top", ["pure"]),
+        ("top", ["dead"]),
+    ]
+    assert_walks_as_the_reference(model, tmodel)
+    top = {r.render() for r in node_table_writes(tmodel)["top"]}
+    assert {"h::a", "h::y", "h::ret", "B.get::t", "dead::d", "A.f", "A.g"} <= top, top
 
 
 # interfaces that meet again below, classes reachable through several of
@@ -392,22 +457,11 @@ def test_rlv_matches_the_reference_walk_on_generated_programs(params, policy, se
     assert compared
 
 
-def scalar_pairs(method: ast.Method) -> list[tuple[str, str]]:
-    """(method, name) for every scalar a statement of the body writes,
-    bottom assignments left out, once per writing statement."""
-    return [
-        (method.id, name)
-        for s in ast.walk(method.body)
-        if type(s) is not ast.BottomAssign
-        for name in ast.scalar_writes(s, method.id)
-    ]
-
-
 @pytest.mark.parametrize("params, policy", [p[1:3] for p in PROFILES], ids=[p[0] for p in PROFILES])
-def test_the_walk_makes_one_scalar_per_written_name(monkeypatch, params, policy):
-    """The walk makes one `Scalar` per distinct written name of a walked
-    method, where the reference made one per writing statement; the
-    rewritten model walks only the methods the rewrite changed."""
+def test_the_walk_makes_no_scalar(monkeypatch, params, policy):
+    """The walk keeps only heap targets, so neither model's alias analysis
+    makes a `Scalar`; the reference, which keeps scalar targets too, makes
+    some, so the counter sees them."""
     made: list[tuple[str, str]] = []
     init = Scalar.__init__
 
@@ -420,20 +474,10 @@ def test_the_walk_makes_one_scalar_per_written_name(monkeypatch, params, policy)
         with monkeypatch.context() as patch:
             patch.setattr(Scalar, "__init__", counting)
             build()
-        return sorted(made)
+        return list(made)
 
     for seed, model, tmodel in models(params, policy, range(3)):
         p, p2 = model.program, tmodel.program
-        first = [pair for m in p.methods if not m.extern for pair in scalar_pairs(m)]
-        again = [
-            pair
-            for m in p2.methods
-            if not m.extern and model.symbols.methods.get(m.id) is not m
-            for pair in scalar_pairs(m)
-        ]
-        assert scalars_made(lambda: AliasAnalysis(p, model.symbols)) == sorted(set(first))
-        assert scalars_made(
-            lambda: AliasAnalysis(p2, tmodel.symbols, base=model.aliases)
-        ) == sorted(set(again))
-        assert scalars_made(lambda: ReferenceAliases(p, model.symbols)) == sorted(first)
-        assert len(first) > len(set(first)), seed
+        assert scalars_made(lambda: AliasAnalysis(p, model.symbols)) == [], seed
+        assert scalars_made(lambda: AliasAnalysis(p2, tmodel.symbols, base=model.aliases)) == []
+        assert scalars_made(lambda: ReferenceAliases(p, model.symbols)), seed

@@ -123,7 +123,10 @@ def assert_linear(runs, counter):
 
 
 COUNTERS = ("transfer_visits", "widest_mask_bits", "method_pops")
-ITEM_1 = "ROADMAP item 1: callee-frame scalars end up in call-node write sets"
+ITEM_1 = (
+    "ROADMAP item 1: `node_spec` gives a call node its callees' node-table writes "
+    "(`Analyzer.call_writes`), callee-frame scalars included"
+)
 
 
 @pytest.mark.parametrize("counter", COUNTERS)

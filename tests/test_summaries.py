@@ -16,11 +16,9 @@ from cook.lang import ast, load, pretty
 from cook.pipeline import SUMMARY, ProgramModel
 from cook.summaries import (
     GuardAtom,
-    IDENTITY,
     LoopSummary,
     Transition,
     classify_terms,
-    compose,
     cycle_formula,
     df_check,
     num_expr,
@@ -37,7 +35,14 @@ from cook.termination import (
     method_consts,
 )
 from profiles import CENSUS, ISLANDS, LOOP_DENSE
-from reference_summaries import eval_array, eval_counter, exit_value, num_count
+from reference_summaries import (
+    IDENTITY,
+    compose,
+    eval_array,
+    eval_counter,
+    exit_value,
+    num_count,
+)
 
 
 def loop_context(src: str):

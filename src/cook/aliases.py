@@ -25,10 +25,14 @@ is a `CheckDiagnostic` at its statement (`_bad_target`). A method's heap
 write set is closed over its callees in one pass over the call graph's
 strongly connected components, callees first, and the members of a
 component share one set (`heap_writes`). This is the only closure over
-callees here: the scalars a call writes in its callees' frames are the
-union of each callee's node-table writes (`analysis.Analyzer.call_writes`).
+callees here, and the dependence analysis's call nodes write it; the
+scalars a call writes in its callees' frames, which no caller reads, are
+added after its fixpoint (`analysis.CalleeFrames.frame_writes`).
 The call rows are the call graph's (`calls`), so calls are resolved once per
-program.
+program. The walk also records, by method, the names of its scalars that a
+bottom assignment in another method targets (`exposed`); only a
+hand-written program has one, and the dependence analysis keeps their facts
+in its node tables.
 
 The heap is numbered here: the declared fields, in class and declaration
 order, then the array partitions are ids 0 to H - 1 (`heap`, `heap_id`). One
@@ -193,11 +197,14 @@ class AliasAnalysis:
         calls: dict[str, tuple[str, ...]] = {}
         walked: dict[str, tuple[set[Representative], set[str]]] = {}
         bottoms: list[ast.BottomAssign] = []  # checked once every partition is numbered
+        foreign: dict[str, list[Scalar]] = {}  # by method: its bottom targets in other frames
         for m in self.program.methods:
             if m.extern:
                 continue
             if base is not None and base.sym.methods.get(m.id) is m:
                 targets[m.id], calls[m.id] = base._targets[m.id], base.calls[m.id]
+                if m.id in base._foreign:
+                    foreign[m.id] = base._foreign[m.id]
                 continue
             env = self.sym.var_types[m.id]
 
@@ -222,6 +229,9 @@ class AliasAnalysis:
                 if kind is ast.BottomAssign:
                     reps.update(t for t in s.targets if type(t) is not Scalar)
                     bottoms.append(s)
+                    other = [t for t in s.targets if type(t) is Scalar and t.method != m.id]
+                    if other:
+                        foreign.setdefault(m.id, []).extend(other)
                     continue
                 if kind is ast.Call:
                     for callee in self.sym.resolve_call(m, s):
@@ -271,6 +281,11 @@ class AliasAnalysis:
             for mid in scc:
                 heap[mid] = shared
         self._targets = targets
+        self._foreign = foreign
+        self.exposed: dict[str, list[str]] = {}
+        for ts in foreign.values():
+            for t in ts:
+                self.exposed.setdefault(t.method, []).append(t.name)
         # internal callees per method, for the call graph
         self.calls = calls
         self._heap_memo = heap

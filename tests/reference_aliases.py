@@ -10,8 +10,9 @@ body, also when it is derived from a `base`, whose partition numbering it
 then takes. It closes every write set over callees, the scalars of their
 frames included (`call_writes`), and gives the writes of any statement
 with its calls' closed sets (`written_reps`). `cook.aliases` closes only
-the heap (`heap_writes`), and `cook.analysis` takes a call's other writes
-from the callees' node tables; these are what both must equal. Everything
+the heap (`heap_writes`), and `cook.analysis` takes the frame slots a call
+writes from the callees' node tables, after the fixpoint; these are what
+both must equal. Everything
 else is `AliasAnalysis`'s own, so a test can compare the partitions,
 targets, call rows and write sets the two walks give for the same program.
 
@@ -37,9 +38,10 @@ def reference_of(model: ProgramModel) -> "ReferenceAliases":
 
 
 def node_table_writes(model: ProgramModel) -> dict[str, frozenset[Representative]]:
-    """Each method's write set as the analysis records it, the union of its
-    node table's writes (`Analyzer.call_writes`), decoded. The tables are
-    built callees first, so the model must have no call cycle."""
+    """Each method's write set as the analysis records it, its node table's
+    writes with its callees' frame slots (`Analyzer.call_writes`), decoded.
+    The tables are built callees first, so the model must have no call
+    cycle."""
     an = Analyzer(model)
     empty = dict.fromkeys(model.methods, {})  # a node's writes need no summary
     for mid in model.analysis_order():
@@ -172,7 +174,8 @@ class ReferenceAliases(AliasAnalysis):
         """Representatives of every syntactic write inside `stmt`, where an
         internal call adds its target's whole write set (`call_writes`),
         callee-frame scalars included: what `cook.analysis.node_spec` gives
-        a node as its writes. That a call's writes hold callee scalars is a
+        a node as its writes, with the frame slots that `CalleeFrames` adds
+        after the fixpoint. That a call's writes hold callee scalars is a
         known defect: they survive `strip_locals` as junk summary facts
         (`test_dead_guarded_call_leaves_no_callee_frame_facts` is a strict
         xfail until only `heap_writes` is taken there)."""

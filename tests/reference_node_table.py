@@ -9,14 +9,18 @@ callee summaries are decoded `(dependent, source, cause)` sets, composed
 through a substitution of representatives (`call_free_rows`), and its
 writes add each internal callee's whole write set from the reference alias
 walk's closure (`ReferenceAliases.call_writes`), so the tables need not be
-built callees first. Its ids are its own; a test compares the two builders
-by decoding both tables to representatives.
+built callees first. These are whole-closure rows: a call composes every
+summary fact, callee-frame facts included, where `cook.analysis` builds
+those after the fixpoint (`CalleeFrames`). Its ids are its own; a test
+compares the two builders by decoding both tables to representatives, and
+`ReferenceTable.method_facts` solves a method over its own rows, the
+independent reference for the program pass.
 """
 
 from __future__ import annotations
 
 from cook.aliases import RET
-from cook.analysis import CAUSE_BIT, NodeSpec, _MethodSpec
+from cook.analysis import CAUSE_BIT, SHIFT, NodeSpec, _MethodSpec, decode, transfer
 from cook.cfg import BRANCHES, set_bits
 from cook.lang import ast
 from cook.pipeline import ProgramModel
@@ -111,6 +115,31 @@ def node_spec(s: ast.Stmt | None, method_id: str, table: "ReferenceTable", summa
     )
 
 
+def round_robin(spec: _MethodSpec, entry: dict[int, int]) -> dict[int, int]:
+    """The exit masks of a method's node equations by round robin: sweep
+    every node in id order, join IN over the predecessors' OUT, with `entry`
+    at the entry node, OR in the control mask read from IN at each governing
+    branch and apply `transfer`, until a sweep changes nothing."""
+    g = spec.cfg
+    IN: list[dict[int, int]] = [{} for _ in spec.nodes]
+    OUT: list[dict[int, int]] = [{} for _ in spec.nodes]
+    changed = True
+    while changed:
+        changed = False
+        for n, node in enumerate(spec.nodes):
+            incoming = dict(entry) if n == g.entry else {}
+            for p in g.preds[n]:
+                for k, mask in OUT[p].items():
+                    incoming[k] = incoming.get(k, 0) | mask
+            ctrl = 0
+            for b, v in spec.control[n]:
+                ctrl |= IN[b].get(v, 0)
+            out = transfer(node, incoming, ctrl)
+            changed |= incoming != IN[n] or out != OUT[n]
+            IN[n], OUT[n] = incoming, out
+    return OUT[g.exit]
+
+
 class ReferenceTable:
     """Interns representatives and builds node tables the old way."""
 
@@ -183,3 +212,11 @@ class ReferenceTable:
                 )
             control.append(pairs)
         return _MethodSpec(g, nodes, control, tuple(seeds))
+
+    def method_facts(self, method_id: str, summaries):
+        """The method's exit facts over its whole-closure table, decoded,
+        under the decoded callee summaries in `summaries`: every seed's
+        identity at entry, then `round_robin`."""
+        spec = self.spec(method_id, summaries)
+        entry = {i: 1 << (i + SHIFT) for i in spec.seeds}
+        return decode(self.reps, round_robin(spec, entry))

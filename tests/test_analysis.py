@@ -23,13 +23,13 @@ from cook.analysis import (
 from cook.cfg import find_loops, set_bits
 from cook.generator import GenParams, generate_program
 from cook.interp import InterpFault, collect_taints, random_store, run_reified
-from cook.lang import ast, check, load
+from cook.lang import ast, check, load, parse_unit
 from cook.pipeline import ProgramModel
 from cook.report import ReportConfig, analyze_sources, transformed_model
 from cook.representatives import BOTTOM, ArrayPart, Bottom, Scalar, TypeField
 import profiles
 from reference_aliases import reference_of
-from reference_node_table import ReferenceTable
+from reference_node_table import ReferenceTable, round_robin
 
 RULES_SRC = """
 class A { f: int; }
@@ -516,9 +516,9 @@ def test_dead_guarded_copy_keeps_the_caller_an_island(run_pipeline):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="`node_spec` gives a call node the writes of its callees' node tables "
-    "(`Analyzer.call_writes`), which include callee-frame scalars; they survive "
-    "`strip_locals` as summary facts",
+    reason="a call writes the frame slots of its callees' tables "
+    "(`CalleeFrames.frame_writes`), whose facts survive `strip_locals` as "
+    "summary facts",
 )
 def test_dead_guarded_call_leaves_no_callee_frame_facts(run_pipeline):
     for swamp_test in ("pre", "post"):
@@ -534,31 +534,43 @@ def test_dead_guarded_call_leaves_no_callee_frame_facts(run_pipeline):
 
 
 def chaotic_iteration(tmodel, seed):
-    """The program fixpoint by chaotic iteration: `method_facts` over every
-    method in a freshly shuffled order each round, with the summaries as they
-    stand, until a round changes no summary. Decoded facts and summaries.
-    The node tables are built once callees first, as a call's writes are its
-    callees' table writes, which do not depend on the summaries."""
-    an = Analyzer(tmodel)
+    """The program fixpoint by chaotic iteration over the reference builder's
+    whole-closure rows (`tests/reference_node_table.py`), which compose every
+    summary fact at a call and write the callees' whole closure: each
+    method's exit facts (`ReferenceTable.method_facts`) over every method in
+    a freshly shuffled order each round, with the summaries as they stand,
+    until a round changes no summary. Decoded facts and summaries."""
+    ref = ReferenceTable(tmodel)
     methods = list(tmodel.methods)
     rng = random.Random(seed)
     facts: dict = {}
-    summaries: dict = {mid: {} for mid in methods}
-    for mid in tmodel.analysis_order():
-        an.spec(mid, summaries)
+    summaries: dict = {mid: frozenset() for mid in methods}
     changed = True
     while changed:
         changed = False
         rng.shuffle(methods)
         for mid in methods:
-            facts[mid] = an.method_facts(mid, summaries)
-            stripped = an.strip_locals(mid, facts[mid])
+            facts[mid] = ref.method_facts(mid, summaries)
+            stripped = reference_strip(tmodel.symbols, mid, facts[mid])
             changed |= stripped != summaries[mid]
             summaries[mid] = stripped
-    return (
-        {mid: an.decode(d) for mid, d in facts.items()},
-        {mid: an.decode(d) for mid, d in summaries.items()},
-    )
+    return facts, summaries
+
+
+def assert_as_the_reference(tmodel, seed=0):
+    """The one pass's facts, summaries, verdicts and causes under `pre` and
+    `post` are those of `chaotic_iteration`: a method is in the swamp when
+    its facts (`pre`) or its summary (`post`) hold a bottom-sourced fact,
+    and its causes are those of its facts."""
+    facts, summaries = chaotic_iteration(tmodel, seed)
+    causes = {mid: frozenset(c for _, _, c in fs if c) for mid, fs in facts.items()}
+    for swamp_test, tested in (("pre", facts), ("post", summaries)):
+        res = analyze_program(tmodel, swamp_test)
+        assert dict(res.facts) == facts, swamp_test
+        assert dict(res.summaries) == summaries, swamp_test
+        assert res.causes == causes, swamp_test
+        swamp = {mid for mid, fs in tested.items() if any(c for _, _, c in fs)}
+        assert res.swamp == swamp and res.st == set(tmodel.methods) - swamp, swamp_test
 
 
 @pytest.mark.parametrize("policy", ("basic", "summary"))
@@ -567,11 +579,88 @@ def test_one_callees_first_pass_equals_chaotic_iteration(profile, policy):
     for seed in range(3):
         params = GenParams(**PROFILES[profile])
         model = ProgramModel(generate_program(seed, params), nested_policy=policy)
-        tmodel = transformed_model(model)
-        res = analyze_program(tmodel)
-        facts, summaries = chaotic_iteration(tmodel, seed)
-        assert dict(res.facts) == facts, seed
-        assert dict(res.summaries) == summaries, seed
+        assert_as_the_reference(transformed_model(model), seed)
+
+
+# callee-frame facts of every shape, and the scalars that stay in the node
+# tables because a bottom assignment outside their method names them: `hurt`
+# names its caller's `top::v`; `sib1` calls its sibling `sib2` under a branch,
+# then names `sib2::y`, which kills the facts the call gave it, and the
+# extern formal `ext::x`; `dead` calls `sib2` under a branch on a divergent
+# API result; `get` dispatches to `A.get` and to `B.get`, which calls the
+# three-deep chain `c1`, `c2`, `c3`, each call but the first governed
+CALLEE_FRAMES = """
+class A { f: int; }
+class B extends A { }
+extern method api(): int;
+extern method ext(x: int): int;
+method c3(a: int): int {
+  var t: int; var zero: int;
+  zero := 0; t := a;
+  if t > zero then { t := api(); }
+  return t;
+}
+method c2(a: int): int {
+  var t: int; var zero: int;
+  zero := 0; t := zero;
+  if a > zero then { t := c3(a); }
+  return t;
+}
+method c1(a: int, b: int): int {
+  var t: int;
+  t := c2(b);
+  if t > a then { t := c2(a); }
+  return t;
+}
+method sib1(p: int): int {
+  var q: int; var zero: int;
+  zero := 0;
+  if p > zero then { q := sib2(p); }
+  sib2::y := bottom(loop);
+  ext::x := bottom(recursion);
+  q := p;
+  return q;
+}
+method sib2(p: int): int { var y: int; y := p; return y; }
+method hurt(p: int): int { var u: int; top::v := bottom(api); u := p; return u; }
+method A.get(self: A, k: int): int { var t: int; t := self.f; return t; }
+method B.get(self: B, k: int): int { var t: int; t := c1(k, k); self.f := t; return t; }
+method dead(x: int): int {
+  var r: int; var zero: int; var d: int;
+  zero := 0;
+  r := api();
+  if r != zero then { d := sib2(x); }
+  return x;
+}
+method top(o: A, y: int): int {
+  var v: int; var w: int; var zero: int;
+  zero := 0;
+  v := y;
+  if v > zero then { w := sib2(v); w := sib1(w); }
+  w := hurt(v);
+  if w > zero then { w := dead(y); }
+  w := get(o, w);
+  return v;
+}
+"""
+
+
+def test_callee_frame_facts_and_exposed_scalars_are_the_eager_reference():
+    program = parse_unit(CALLEE_FRAMES, allow_bottom=True)
+    tmodel = transformed_model(ProgramModel(program, check(program)))
+    assert_as_the_reference(tmodel)
+    res = analyze_program(tmodel)
+    sc = Scalar
+    # built after the fixpoint: two calls down, and through a virtual call
+    assert (sc("c3", "t"), sc("c1", "a"), None) in res.facts["c1"]
+    assert (sc("c3", "zero"), BOTTOM, API) in res.facts["top"]
+    assert (sc("sib2", "ret"), BOTTOM, API) in res.facts["dead"]
+    # kept in the tables: the bottom assignment killed what the call wrote
+    assert (sc("sib2", "y"), BOTTOM, LOOP) in res.facts["sib1"]
+    assert (sc("sib2", "y"), sc("sib1", "p"), None) not in res.facts["sib1"]
+    assert (sc("sib2", "ret"), sc("sib1", "p"), None) in res.facts["sib1"]
+    assert (sc("ext", "x"), BOTTOM, RECURSION) in res.summaries["top"]
+    assert (sc("top", "v"), BOTTOM, API) in res.facts["top"]
 
 
 def test_a_model_with_call_cycles_is_refused(mutual_recursion, run_pipeline):
@@ -590,12 +679,11 @@ def test_rerunning_on_fixpoint_summaries_is_stable():
     model = ProgramModel(p)
     tmodel = transformed_model(model)
     res = analyze_program(tmodel)
-    an = Analyzer(tmodel)
-    summaries = {mid: an.encode(facts) for mid, facts in res.summaries.items()}
+    ref = ReferenceTable(tmodel)  # whole-closure rows, callee-frame facts composed
     for mid in tmodel.methods:
-        again = an.method_facts(mid, summaries)
-        assert an.decode(again) == res.facts[mid]
-        assert an.strip_locals(mid, again) == summaries[mid]
+        again = ref.method_facts(mid, res.summaries)
+        assert again == res.facts[mid]
+        assert reference_strip(tmodel.symbols, mid, again) == res.summaries[mid]
 
 
 def test_facts_grow_monotonically_with_summaries():
@@ -730,7 +818,7 @@ def test_a_report_decodes_no_facts(params, swamp_test, monkeypatch):
 def test_fact_tables_equal_an_eager_decode_of_their_masks(profile, seed, policy):
     res = pinned_result(profile, seed, policy)
     for table in (res.facts, res.summaries):
-        eager = {mid: decode(table._reps, masks) for mid, masks in table._masks.items()}
+        eager = {mid: decode(table._reps, table.masks(mid)) for mid in table}
         assert dict(table) == eager
         assert table == eager and eager == table
 
@@ -793,13 +881,42 @@ def test_node_writes_are_the_written_reps_of_their_statement(profile, seed, poli
     empty = {m: {} for m in tmodel.methods}
     for mid in tmodel.analysis_order():
         spec = an.spec(mid, empty)
+        later = frame_writes_of_calls(an, mid, spec)
         for n, s in enumerate(tmodel.methods[mid].cfg.nodes):
             writes = spec.nodes[n].writes
             if s is None or isinstance(s, (ast.IfElse, ast.While)):
                 assert writes == (), (mid, n)  # entry, exit and branches
                 continue
             reference = ref.written_reps(mid, s)
-            assert set(writes) == set(map(an.rep_id, reference)), (mid, n)
+            assert set(writes) | later[n] == set(map(an.rep_id, reference)), (mid, n)
+
+
+def frame_writes_of_calls(an, mid, spec):
+    """Per node of the method's table, the frame slots that the internal
+    targets of its call write (`CalleeFrames.frame_writes`), which its row
+    leaves out: the control mask reaches them after the fixpoint."""
+    sym = an.sym
+    later = [frozenset()] * len(spec.nodes)
+    for n in spec.calls:
+        for target in sym.resolve_call(sym.methods[mid], spec.cfg.nodes[n]):
+            if not target.extern:
+                later[n] = later[n] | an.callee_frames.frame_writes(target.id)
+    return later
+
+
+def split_callee_frames(an, summaries):
+    """Each summary mask dict split in two: the entries the program pass
+    keeps, and the callee-frame ones, whose dependent is a scalar of another
+    method (generated programs name no other method's scalar in a bottom
+    assignment)."""
+    kept, frames = {}, {}
+    for mid, d in summaries.items():
+        kept[mid], frames[mid] = {}, {}
+        for k, mask in d.items():
+            rep = an._reps[k]
+            other = type(rep) is Scalar and rep.method != mid
+            (frames if other else kept)[mid][k] = mask
+    return kept, frames
 
 
 def decoded_table(spec, reps):
@@ -827,26 +944,36 @@ def decoded_table(spec, reps):
 def test_node_tables_decode_to_the_reference_builders(params, policy):
     """`Analyzer.spec` against the builder that hashed every representative
     (`tests/reference_node_table.py`), both under the one pass's final
-    summaries: the reference composes the decoded ones. Each numbers its
-    own ids."""
+    summaries: the reference composes the decoded ones whole. Ours is the
+    table the pass builds, under the summaries without their callee-frame
+    facts, with each call row's deferred part added: the rows the
+    callee-frame facts compose and the callees' frame writes. Each numbers
+    its own ids."""
     for seed in range(3):
         model = ProgramModel(generate_program(seed, GenParams(**params)), nested_policy=policy)
         tmodel = transformed_model(model)
         res = analyze_program(tmodel)
         an, ref = Analyzer(tmodel), ReferenceTable(tmodel)
-        final = {mid: an.encode(facts) for mid, facts in res.summaries.items()}
+        kept, frames = split_callee_frames(an, {m: an.encode(f) for m, f in res.summaries.items()})
         for mid in tmodel.analysis_order():
-            ours = decoded_table(an.spec(mid, final), an._reps)
+            spec = an.spec(mid, kept)
+            nodes, control, seeds = decoded_table(spec, an._reps)
+            deferred, _, _ = decoded_table(an.spec(mid, frames), an._reps)
+            later = frame_writes_of_calls(an, mid, spec)
+            for n in spec.calls:
+                gen, kills, bottoms, writes = nodes[n]
+                more_gen, _, more_bottoms, _ = deferred[n]
+                writes |= {an._reps[i] for i in later[n]}
+                nodes[n] = (gen | more_gen, kills, bottoms | more_bottoms, writes)
+            ours = nodes, control, seeds
             assert ours == decoded_table(ref.spec(mid, res.summaries), ref.reps), (seed, mid)
 
 
 def reference_exit_facts(an, mid, summaries):
     """The method's exit facts by round robin over the node equations that
-    `method_facts` solves: sweep every node in id order, join IN over the
-    predecessors' OUT, OR in the control mask read from IN at each governing
-    branch and apply `transfer`, until a sweep changes nothing. The entry
-    also seeds every field and array representative that a summary imported
-    at an `ast.Call` node names, which the footprint must already hold."""
+    `method_facts` solves (`round_robin`). The entry also seeds every field
+    and array representative that a summary imported at an `ast.Call` node
+    names, which the footprint must already hold."""
     spec = an.spec(mid, summaries)
     g = spec.cfg
     sym = an.sym
@@ -860,24 +987,7 @@ def reference_exit_facts(an, mid, summaries):
         for rep in fact[:2]
         if not isinstance(rep, (Scalar, Bottom))
     }
-    entry = {i: 1 << (i + SHIFT) for i in set(spec.seeds) | heap}
-    IN = [{} for _ in spec.nodes]
-    OUT = [{} for _ in spec.nodes]
-    changed = True
-    while changed:
-        changed = False
-        for n, node in enumerate(spec.nodes):
-            incoming = entry if n == g.entry else {}
-            for p in g.preds[n]:
-                for k, mask in OUT[p].items():
-                    incoming[k] = incoming.get(k, 0) | mask
-            ctrl = 0
-            for b, v in spec.control[n]:
-                ctrl |= IN[b].get(v, 0)
-            out = transfer(node, incoming, ctrl)
-            changed |= incoming != IN[n] or out != OUT[n]
-            IN[n], OUT[n] = incoming, out
-    return OUT[g.exit]
+    return round_robin(spec, {i: 1 << (i + SHIFT) for i in set(spec.seeds) | heap})
 
 
 @pytest.mark.parametrize("policy", ("basic", "summary"))
@@ -1104,8 +1214,8 @@ def test_the_heap_is_numbered_once_below_every_frame(params, policy, seeds):
         result = analyze_program(tmodel)
         reps = result.facts._reps
         for table in (result.facts, result.summaries):
-            for masks in table._masks.values():
-                for dep, mask in masks.items():
+            for mid in table:
+                for dep, mask in table.masks(mid).items():
                     for i in (dep, *(b - SHIFT for b in set_bits(mask) if b >= SHIFT)):
                         assert (i < len(ids)) == (type(reps[i]) is not Scalar), (seed, i)
                         heap_bits += i < len(ids)

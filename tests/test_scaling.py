@@ -64,15 +64,26 @@ def census(n: int) -> ast.Program:
 
 
 def counters(program: ast.Program) -> tuple[dict[str, int], ProgramModel, AnalysisResult]:
-    """The analysis's work on a program, the model it ran on, and its result."""
+    """The analysis's work on a program, the model it ran on, and its result.
+    `call_node_rows` counts what the rows that `analyze_program` builds at
+    call nodes hold: their writes and the callee summary entries they
+    compose."""
     model = transformed_model(ProgramModel(program))
-    counts = dict(transfer_visits=0, widest_mask_bits=0, method_pops=0)
+    counts = dict(transfer_visits=0, widest_mask_bits=0, method_pops=0, call_node_rows=0)
     analyzers: list[Analyzer] = []
-    transfer, method_facts = analysis.transfer, Analyzer.method_facts
+    transfer, method_facts, node_spec = analysis.transfer, Analyzer.method_facts, analysis.node_spec
 
     def counting_transfer(*args):
         counts["transfer_visits"] += 1
         return transfer(*args)
+
+    def counting_node_spec(s, method_id, an, fr, summaries):
+        ns = node_spec(s, method_id, an, fr, summaries)
+        if type(s) is ast.Call:
+            targets = an.sym.resolve_call(an.sym.methods[method_id], s)
+            entries = sum(len(summaries[t.id]) for t in targets if not t.extern)
+            counts["call_node_rows"] += len(ns.writes) + entries
+        return ns
 
     def counting_method_facts(self, method_id, summaries):
         out = method_facts(self, method_id, summaries)
@@ -85,6 +96,7 @@ def counters(program: ast.Program) -> tuple[dict[str, int], ProgramModel, Analys
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "transfer", counting_transfer)
+        mp.setattr(analysis, "node_spec", counting_node_spec)
         mp.setattr(Analyzer, "method_facts", counting_method_facts)
         result = analyze_program(model)
     assert len(analyzers) == 1
@@ -122,11 +134,7 @@ def assert_linear(runs, counter):
         assert large <= GROWTH * small, (counter, values)
 
 
-COUNTERS = ("transfer_visits", "widest_mask_bits", "method_pops")
-ITEM_1 = (
-    "ROADMAP item 1: `node_spec` gives a call node its callees' node-table writes "
-    "(`Analyzer.call_writes`), callee-frame scalars included"
-)
+COUNTERS = ("transfer_visits", "widest_mask_bits", "method_pops", "call_node_rows")
 
 
 @pytest.mark.parametrize("counter", COUNTERS)
@@ -147,12 +155,10 @@ def test_each_method_is_analyzed_once(runs, request):
         assert counts["method_pops"] == counts["methods"], counts
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_1)
 def test_chain_call_node_writes_grow_linearly(chains):
     assert_linear(chains, "call_node_writes")
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_1)
 def test_census_call_node_writes_grow_linearly(censuses):
     assert_linear(censuses, "call_node_writes")
 

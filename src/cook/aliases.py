@@ -8,9 +8,9 @@ copies, call bindings, returns, and field traffic. All indices of a partition
 are conservatively assumed to alias.
 
 `observable_writes` harvests syntactic assignment targets without
-feasibility checks, restricted to what the enclosing frame can observe: its
-own scalars and the heap, where an internal call contributes its callees'
-heap writes transitively (`heap_writes`). The scalars a statement writes are
+feasibility checks: what the enclosing frame can observe, its own scalars
+and the heap, where an internal call contributes its callees' heap writes
+transitively (`heap_writes`). The scalars a statement writes are
 `ast.scalar_writes`; field and array writes map to their representatives.
 
 Each method body is walked once: the walk applies the body's partition
@@ -20,19 +20,19 @@ the last join before its partition is numbered. The walk picks each
 statement's kind once, by `type(s)` (the statement classes have no
 subclasses). It keeps only the heap: field and array writes and the field
 and partition targets of a bottom assignment, so it makes no `Scalar`. It
-alone validates bottom targets: a target naming no location of the program
-is a `CheckDiagnostic` at its statement (`_bad_target`). A method's heap
-write set is closed over its callees in one pass over the call graph's
-strongly connected components, callees first, and the members of a
-component share one set (`heap_writes`). This is the only closure over
-callees here, and the dependence analysis's call nodes write it; the
-scalars a call writes in its callees' frames, which no caller reads, are
-added after its fixpoint (`analysis.CalleeFrames.frame_writes`).
-The call rows are the call graph's (`calls`), so calls are resolved once per
-program. The walk also records, by method, the names of its scalars that a
-bottom assignment in another method targets (`exposed`); only a
-hand-written program has one, and the dependence analysis keeps their facts
-in its node tables.
+alone validates bottom targets: a target must name a formal, local or `ret`
+of the method the assignment is in, a field by its declaring class, or a
+partition of the program, and any other is a `CheckDiagnostic` at its
+statement (`_bad_target`). The rewrite replaces a divergent construct with
+a bottom assignment over what the enclosing frame can observe, so it never
+names another method's scalar. A method's heap write set is closed over its
+callees in one pass over the call graph's strongly connected components,
+callees first, and the members of a component share one set
+(`heap_writes`). This is the only closure over callees here, and the
+dependence analysis's call nodes write it; the scalars a call writes in its
+callees' frames, which no caller reads, are added after its fixpoint
+(`analysis.CalleeFrames.frame_writes`). The call rows are the call graph's
+(`calls`), so calls are resolved once per program.
 
 The heap is numbered here: the declared fields, in class and declaration
 order, then the array partitions are ids 0 to H - 1 (`heap`, `heap_id`). One
@@ -185,7 +185,7 @@ class AliasAnalysis:
             return {self.array_rep(method_id, s.array)}
         if kind is ast.BottomAssign:
             return set(s.targets)
-        return {Scalar(method_id, name) for name in ast.scalar_writes(s, method_id)}
+        return {Scalar(method_id, name) for name in ast.scalar_writes(s)}
 
     def _build_method_writes(self, base: "AliasAnalysis | None") -> None:
         """Joins, heap targets and call rows from one walk per body, then the
@@ -196,15 +196,13 @@ class AliasAnalysis:
         targets: dict[str, frozenset[Representative]] = {}
         calls: dict[str, tuple[str, ...]] = {}
         walked: dict[str, tuple[set[Representative], set[str]]] = {}
-        bottoms: list[ast.BottomAssign] = []  # checked once every partition is numbered
-        foreign: dict[str, list[Scalar]] = {}  # by method: its bottom targets in other frames
+        # checked, with the method each is in, once every partition is numbered
+        bottoms: list[tuple[str, ast.BottomAssign]] = []
         for m in self.program.methods:
             if m.extern:
                 continue
             if base is not None and base.sym.methods.get(m.id) is m:
                 targets[m.id], calls[m.id] = base._targets[m.id], base.calls[m.id]
-                if m.id in base._foreign:
-                    foreign[m.id] = base._foreign[m.id]
                 continue
             env = self.sym.var_types[m.id]
 
@@ -228,10 +226,7 @@ class AliasAnalysis:
                     continue
                 if kind is ast.BottomAssign:
                     reps.update(t for t in s.targets if type(t) is not Scalar)
-                    bottoms.append(s)
-                    other = [t for t in s.targets if type(t) is Scalar and t.method != m.id]
-                    if other:
-                        foreign.setdefault(m.id, []).extend(other)
+                    bottoms.append((m.id, s))
                     continue
                 if kind is ast.Call:
                     for callee in self.sym.resolve_call(m, s):
@@ -262,9 +257,9 @@ class AliasAnalysis:
                 if root not in self._part_ids:
                     self._part_ids[root] = len(self._part_ids)
             self.heap += map(ArrayPart, range(len(self._part_ids)))
-        for s in bottoms:
+        for mid, s in bottoms:
             for t in s.targets:
-                bad = self._bad_target(t)
+                bad = self._bad_target(mid, t)
                 if bad is not None:
                     raise CheckDiagnostic(bad, s.loc.line, s.loc.col, s.loc.file)
         for mid, (reps, arrays) in walked.items():
@@ -281,27 +276,20 @@ class AliasAnalysis:
             for mid in scc:
                 heap[mid] = shared
         self._targets = targets
-        self._foreign = foreign
-        self.exposed: dict[str, list[str]] = {}
-        for ts in foreign.values():
-            for t in ts:
-                self.exposed.setdefault(t.method, []).append(t.name)
         # internal callees per method, for the call graph
         self.calls = calls
         self._heap_memo = heap
 
-    def _bad_target(self, t: Representative) -> str | None:
-        """Why a bottom target names no location of the program, or None: a
-        location is a formal, local or `ret` of a declared method, a field
-        named by its declaring class, or a partition numbered here."""
+    def _bad_target(self, method_id: str, t: Representative) -> str | None:
+        """Why a bottom target in method `method_id` names no location that
+        the method's frame can observe, or None: a location is a formal,
+        local or `ret` of `method_id`, a field named by its declaring class,
+        or a partition numbered here."""
         sym, kind = self.sym, type(t)
         if kind is Scalar:
-            m = sym.methods.get(t.method)
-            if m is None:
-                return f"unknown method {t.method!r} in bottom target"
-            # an extern has formals only, and no `var_types` entry
-            names = sym.var_types.get(m.id) or {p.name for p in m.formals}
-            if t.name != RET and t.name not in names:
+            if t.method != method_id:
+                return f"bottom target {t.render()!r} is not a scalar of method {method_id!r}"
+            if t.name != RET and t.name not in sym.var_types[method_id]:
                 return f"unknown identifier {t.name!r}"
         elif kind is TypeField:
             if t.type_name not in sym.classes:
@@ -328,16 +316,15 @@ class AliasAnalysis:
         api_set: frozenset[str] | None = None,
     ) -> frozenset[Representative]:
         """Representatives of every syntactic write inside `stmt` that this
-        frame can observe: its own scalars and the heap. Callee frames
-        contribute only their heap effects (and reachable l-values for
-        divergent API calls); their scalar names are fresh locations,
-        colliding with ours only in name on self calls."""
+        frame can observe: its own scalars and the heap, as every bottom
+        target names (`_bad_target`). Callee frames contribute only their
+        heap effects (and reachable l-values for divergent API calls); their
+        scalar names are fresh locations, colliding with ours only in name on
+        self calls."""
         m = self.sym.methods[method_id]
         out: set[Representative] = set()
         for s in ast.walk(stmt):
-            for rep in self._stmt_targets(method_id, s):
-                if not isinstance(rep, Scalar) or rep.method == method_id:
-                    out.add(rep)
+            out |= self._stmt_targets(method_id, s)
             if isinstance(s, ast.Call):
                 for t in self.sym.resolve_call(m, s):
                     if not t.extern:

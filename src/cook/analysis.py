@@ -62,9 +62,7 @@ its heap dependents is in the callee's write set or is its own source, so
 the footprint seeds them with the rest. A call node writes its target and
 what a caller can observe of its internal callees' writes
 (`Analyzer.visible_writes`): the ids of their `AliasAnalysis.heap_writes`,
-the one closure of writes over callees, and the exposed scalars (below)
-that their tables write, which `spec` records, so the callees' tables are
-built first, the same precondition as their summaries.
+the one closure of writes over callees.
 
 Callee-frame facts stay out of the fixpoint. Such a fact has a formal,
 local or `ret` of another method as its dependent: a call's control mask
@@ -74,10 +72,9 @@ dependent, since every source bit is the caller's own frame or the heap, so
 the facts are write-only: after a method's fixpoint each call site records
 what it adds, through its final IN and control mask, and `CalleeFrames`
 composes them the first time a method's facts are read, with the same
-result as composing them in the rows. The exception is an exposed scalar,
-one that a bottom assignment outside its own method names (only a
-hand-written program has one; the rewrite never makes one): that
-assignment kills it, so its facts stay in the node tables.
+result as composing them in the rows. Nothing else writes such a
+dependent: a bottom assignment names only its own method's scalars
+(`AliasAnalysis._bad_target`).
 
 One transfer (`transfer`) maps a node's entry and its IN facts to OUT: it
 pops killed dependents, ORs the IN mask of each generated pair's source into
@@ -175,14 +172,13 @@ def node_spec(
 
     A node's writes are a bottom assignment's targets, the one dependent of
     any other statement, and for a call also each internal target's visible
-    writes (`Analyzer.visible_writes`), so that target's table must be
-    built before this one, callees first; the frame slots its table writes
-    are left to `CalleeFrames`. A call's target takes each extern target's
-    actuals, and each internal target's summary in `summaries`, which must
-    be final, composed through the call's substitution: every summary fact
-    adds its cause bits to its substituted dependent and generates one pair
-    per source bit. The program pass's summaries hold no callee-frame fact,
-    so neither does the row. The kinds are the
+    writes (`Analyzer.visible_writes`); the frame slots that target's table
+    writes are left to `CalleeFrames`. A call's target takes each extern
+    target's actuals, and each internal target's summary in `summaries`,
+    which must be final, composed through the call's substitution: every
+    summary fact adds its cause bits to its substituted dependent and
+    generates one pair per source bit. The program pass's summaries hold no
+    callee-frame fact, so neither does the row. The kinds are the
     concrete `ast.Stmt` classes, which have no subclasses, so one `type(s)`
     picks the branch, and each branch builds its tuples directly. The four
     scalar assignments, about half of all nodes, come first; like a call or
@@ -316,10 +312,12 @@ class _MethodSpec:
     calls: tuple[int, ...] = ()  # the call nodes
 
 
-def _locals_bits(locals_at: int, ret: int) -> int:
-    """The source bits of a frame block's locals, the ids from `locals_at`
-    up to `ret`."""
-    return ((1 << (ret - locals_at)) - 1) << (locals_at + SHIFT)
+def _keep(block: tuple[int, int, int]) -> int:
+    """The mask that clears the source bits of a frame block's locals, the
+    ids from its first local up to its `ret`, given the block's first slot,
+    first local and `ret`."""
+    _, locals_at, ret = block
+    return ~(((1 << (ret - locals_at)) - 1) << (locals_at + SHIFT))
 
 
 class Analyzer:
@@ -332,11 +330,8 @@ class Analyzer:
         self._reps = Reps(self.aliases.heap)
         self._frames_at = len(self.aliases.heap)  # every id below is a heap id
         self._frames: dict[str, dict[str, int]] = {}
-        # the ids of the exposed scalars (`AliasAnalysis.exposed`), as their
-        # frames are numbered: their facts stay in the node tables
-        self._exposed: set[int] = set()
         self._visible: dict[str, frozenset[int]] = {}  # by method, on first use
-        self.callee_frames = CalleeFrames(self.aliases.calls, self._exposed)
+        self.callee_frames = CalleeFrames(self.aliases.calls)
 
     # -- the encoding ---------------------------------------------------------
 
@@ -358,7 +353,6 @@ class Analyzer:
             names = [p.name for p in m.formals] + [p.name for p in m.locals] + [RET]
             first = self._reps.add_frame(method_id, names)
             fr = self._frames[method_id] = dict(zip(names, range(first, first + len(names))))
-            self._exposed.update(fr[n] for n in self.aliases.exposed.get(method_id, ()))
         return fr
 
     def _block(self, method_id: str) -> tuple[int, int, int]:
@@ -371,23 +365,13 @@ class Analyzer:
 
     def visible_writes(self, method_id: str) -> frozenset[int]:
         """What a call node writes for a call of the method, besides its
-        target: the ids of `AliasAnalysis.heap_writes`, and the exposed
-        scalars that its node table writes, which `spec` records, so the
-        callees' tables are built first (`analysis_order`), which a rewritten
-        model, having no call cycle, allows."""
+        target: the ids of `AliasAnalysis.heap_writes`. The frame slots of
+        its callees that a call writes are `CalleeFrames.frame_writes`."""
         visible = self._visible.get(method_id)
         if visible is None:
-            written = self.callee_frames.written[method_id]
             heap = map(self.aliases.heap_id, self.aliases.heap_writes(method_id))
-            visible = self._visible[method_id] = frozenset(heap).union(written & self._exposed)
+            visible = self._visible[method_id] = frozenset(heap)
         return visible
-
-    def call_writes(self, method_id: str) -> frozenset[int]:
-        """Every id a call of the method may write, the scalars of its
-        callees' frames included: its visible writes and its frame writes
-        (`CalleeFrames.frame_writes`). Nothing in the program pass reads it;
-        it is built on demand from what `spec` recorded."""
-        return self.visible_writes(method_id) | self.callee_frames.frame_writes(method_id)
 
     def encode(self, facts) -> Facts:
         """A set of (dependent, source, cause) tuples as masks by dependent id."""
@@ -413,11 +397,11 @@ class Analyzer:
         """The method's node table with its control pairs, footprint and call
         nodes, built in one pass over its CFG, each call composing its
         callees' summary masks from `summaries` and writing their visible
-        writes, so the callees' tables come first. Nothing keeps the table:
-        the program pass builds each method's once, in `method_facts`, and
-        drops it when the method is done. What a caller needs of it is
-        recorded in `CalleeFrames`: the ids its nodes write and its frame
-        block, from which `visible_writes` and the frame writes are read."""
+        writes, so the callees' summaries come first. Nothing keeps the
+        table: the program pass builds each method's once, in `method_facts`,
+        and drops it when the method is done. What a caller needs of it is
+        recorded in `CalleeFrames`: the slots of its own frame that its nodes
+        write, and its frame block, from which the frame writes are read."""
         g = self.model.methods[method_id].cfg
         graph = g.nodes
         fr = self.frame(method_id)
@@ -453,7 +437,8 @@ class Analyzer:
                 )
             control.append(pairs)
         block = first, _, ret = self._block(method_id)
-        self.callee_frames.written[method_id] = written
+        # every id a node writes is the heap's or its own frame's
+        self.callee_frames.written[method_id] = {i for i in written if i >= self._frames_at}
         self.callee_frames.blocks[method_id] = block
         # the footprint: the method's formals and locals and the heap it touches
         seeds = (*range(first, ret), *(i for i in touched if i < self._frames_at))
@@ -512,7 +497,8 @@ class Analyzer:
         predecessor lists (which `method_facts` reads): per internal callee,
         the image of each source bit of its stripped callee-frame masks under
         the site's final IN (a formal is its actual, a heap id itself), and
-        the control mask if the callee writes a frame slot."""
+        the site's control mask, which reaches the callee's frame slots: a
+        method writes at least its own `ret`."""
         frames = self.callee_frames
         sym, fr = self.sym, self.frame(method_id)
         caller = sym.methods[method_id]
@@ -529,9 +515,8 @@ class Analyzer:
                 if target.extern:
                     continue
                 callee = target.id
-                bits = frames.aggregate[callee] & frames.keep(callee)
-                site_ctrl = ctrl if ctrl and frames.writes_frames(callee) else 0
-                if not (bits or site_ctrl):
+                bits = frames.aggregate[callee] & _keep(frames.blocks[callee])
+                if not (bits or ctrl):
                     continue
                 first, locals_at, _ = frames.blocks[callee]
                 images: dict[int, int] = {}
@@ -549,8 +534,8 @@ class Analyzer:
                     if mask:
                         images[src] = mask
                         image |= mask
-                sites.append((callee, images, site_ctrl))
-                aggregate |= image | site_ctrl
+                sites.append((callee, images, ctrl))
+                aggregate |= image | ctrl
         return sites, aggregate
 
     # -- summaries -----------------------------------------------------------
@@ -559,18 +544,25 @@ class Analyzer:
         """Callers cannot observe frame-local names: drop the dependents that
         are a local or formal (`ret` stays, it is the caller-visible channel)
         and clear the source bits of locals (formal sources survive so call
-        sites can substitute actuals). The frame is one block of ids, formals
-        then locals then `ret`, so both are ranges of it; the program pass
-        strips each method once."""
-        first, locals_at, ret = self._block(method_id)
-        keep = ~_locals_bits(locals_at, ret)
-        out: Facts = {}
-        for k, mask in facts.items():
-            if not first <= k < ret:
-                mask &= keep
-                if mask:
-                    out[k] = mask
-        return out
+        sites can substitute actuals); the program pass strips each method
+        once (`_strip`)."""
+        return _strip(facts, self._block(method_id))
+
+
+def _strip(facts: Facts, block: tuple[int, int, int]) -> Facts:
+    """A method's facts as its summary holds them, given its frame block's
+    first slot, first local and `ret`: the block is formals, then locals,
+    then `ret`, so the dropped dependents and the cleared source bits are
+    ranges of it. The one strip rule of the fact and callee-frame masks."""
+    first, _, ret = block
+    keep = _keep(block)
+    out: Facts = {}
+    for k, mask in facts.items():
+        if not first <= k < ret:
+            mask &= keep
+            if mask:
+                out[k] = mask
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +590,12 @@ def _callees_first(method_id: str, done: Mapping[str, object], callees) -> list[
 
 class CalleeFrames:
     """A method's callee-frame facts, kept out of its fixpoint: the facts
-    whose dependent is a formal, local or `ret` of another method that no
-    bottom assignment outside that method names. No node of the caller reads
-    or kills such a dependent, since every source bit is the caller's own
-    frame or the heap, so they can be built after the fact with the same
-    result (the summary-edge view of IFDS, Reps, Horwitz and Sagiv, POPL
-    1995, applied to facts nobody reads).
+    whose dependent is a formal, local or `ret` of another method. No node
+    of the caller reads or kills such a dependent, since every source bit is
+    the caller's own frame or the heap, and a bottom assignment names only
+    its own method's scalars, so they can be built after the fact with the
+    same result (the summary-edge view of IFDS, Reps, Horwitz and Sagiv,
+    POPL 1995, applied to facts nobody reads).
 
     After a method's fixpoint, `Analyzer.method_facts` records per call site
     and internal callee the image of each source bit under the site's final
@@ -616,48 +608,26 @@ class CalleeFrames:
     (`frame_writes`). `facts` composes a method's facts the first time it is
     read, callees first, and keeps them. It holds no `Analyzer`."""
 
-    __slots__ = (
-        "aggregate", "sites", "written", "blocks", "_exposed", "_calls", "_writes_frames",
-        "_facts", "_frame_writes",
-    )
+    __slots__ = ("aggregate", "sites", "written", "blocks", "_calls", "_facts", "_frame_writes")
 
-    def __init__(self, calls: Mapping[str, tuple[str, ...]], exposed: set[int]):
+    def __init__(self, calls: Mapping[str, tuple[str, ...]]):
         self.aggregate: dict[str, int] = {}
         self.sites: dict[str, list[tuple[str, dict[int, int], int]]] = {}
-        # by method, recorded by `Analyzer.spec`: the ids its node table
-        # writes, and its frame block's first slot, first local and `ret`
+        # by method, recorded by `Analyzer.spec`: the slots of its own frame
+        # that its node table writes, and the frame block's first slot, first
+        # local and `ret`
         self.written: dict[str, set[int]] = {}
         self.blocks: dict[str, tuple[int, int, int]] = {}
-        self._exposed = exposed  # the exposed scalars' ids
         self._calls = calls  # by method: its internal callees
-        self._writes_frames: dict[str, bool] = {}
         self._facts: dict[str, Facts] = {}
         self._frame_writes: dict[str, frozenset[int]] = {}
 
-    def keep(self, method_id: str) -> int:
-        """The mask that clears the method's locals' source bits."""
-        _, locals_at, ret = self.blocks[method_id]
-        return ~_locals_bits(locals_at, ret)
-
-    def _own(self, method_id: str) -> set[int]:
-        """The slots of its own frame, exposed ones left out, that the
-        method's node table writes."""
-        first, _, ret = self.blocks[method_id]
-        return self.written[method_id].intersection(range(first, ret + 1)) - self._exposed
-
-    def writes_frames(self, method_id: str) -> bool:
-        """Whether `frame_writes` is not empty."""
-        done = self._writes_frames
-        for mid in _callees_first(method_id, done, self._calls.__getitem__):
-            done[mid] = bool(self._own(mid)) or any(done[c] for c in self._calls[mid])
-        return done[method_id]
-
     def frame_writes(self, method_id: str) -> frozenset[int]:
-        """The frame slots, exposed ones left out, that a call of the method
-        may write: its own table's and, through its callees, theirs."""
+        """The frame slots that a call of the method may write: its own
+        table's and, through its callees, theirs."""
         done = self._frame_writes
         for mid in _callees_first(method_id, done, self._calls.__getitem__):
-            done[mid] = frozenset(self._own(mid)).union(*(done[c] for c in self._calls[mid]))
+            done[mid] = frozenset(self.written[mid]).union(*(done[c] for c in self._calls[mid]))
         return done[method_id]
 
     def facts(self, method_id: str) -> Facts:
@@ -666,7 +636,7 @@ class CalleeFrames:
         for mid in _callees_first(method_id, done, lambda m: [c for c, _, _ in self.sites[m]]):
             out: Facts = {}
             for callee, images, ctrl in self.sites[mid]:
-                keep = self.keep(callee)
+                keep = _keep(self.blocks[callee])
                 mapped: dict[int, int] = {}  # callee mask -> its image; few are distinct
                 for k, mask in done[callee].items():
                     image = mapped.get(mask)
@@ -688,15 +658,11 @@ class CalleeFrames:
         return done[method_id]
 
     def summary(self, method_id: str) -> Facts:
-        """The method's callee-frame facts as its summary holds them: its
-        locals' source bits cleared (`Analyzer.strip_locals`)."""
-        keep = self.keep(method_id)
-        out: Facts = {}
-        for k, mask in self.facts(method_id).items():
-            mask &= keep
-            if mask:
-                out[k] = mask
-        return out
+        """The method's callee-frame facts as its summary holds them
+        (`_strip`): their dependents are in its callees' frames, never its
+        own, as the call graph has no cycle, so only its locals' source bits
+        are cleared."""
+        return _strip(self.facts(method_id), self.blocks[method_id])
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ class _Body:
             if structural < p.loop:
                 return self.gen_counted_loop(depth - 1)
             if structural < p.loop + p.opaque_loop:
-                return self.gen_opaque_loop(depth - 1)
+                return self.gen_opaque_loop()
             if structural < p.loop + p.opaque_loop + p.branch:
                 return (self.gen_branch(depth - 1),)
 
@@ -306,7 +306,7 @@ class _Body:
         body.append(ast.BinaryAssign(i, i, "+", self.one))
         return (*init, ast.While(ast.Cond(i, "<", bound), tuple(body)))
 
-    def gen_opaque_loop(self, depth: int) -> ast.Block:
+    def gen_opaque_loop(self) -> ast.Block:
         """A loop the oracle cannot discharge; often genuinely divergent."""
         rng = self.rng
         x = self.local(ast.INT)

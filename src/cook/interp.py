@@ -311,7 +311,7 @@ class _Machine:
             lv is BOTTOM or rv is BOTTOM or (isinstance(s, ast.While) and not dec.terminates(s))
         ):
             mid = frame.method.id
-            self._taint(mid, env, self.aliases.observable_writes(mid, s, api_set=dec.api))
+            self._taint(env, self.aliases.observable_writes(mid, s, api_set=dec.api))
             return None
         return RELOPS[c.op](lv, rv)
 
@@ -323,7 +323,7 @@ class _Machine:
         if callee.extern:
             if dec is not None and callee.name in dec.api:
                 for actual in s.actuals:
-                    self._taint(mid, env, self.aliases.reachable_lvalues(mid, actual))
+                    self._taint(env, self.aliases.reachable_lvalues(mid, actual))
                 env[s.target] = BOTTOM
             else:
                 # pure stub: zero result, no heap effects
@@ -334,20 +334,18 @@ class _Machine:
         if dec is not None and callee.id in dec.recursion:
             # mirror the rewrite: heap effects and the call target only;
             # callee frames (even written formals) are unobservable here
-            self._taint(mid, env, self.aliases.heap_writes(callee.id))
+            self._taint(env, self.aliases.heap_writes(callee.id))
             env[s.target] = BOTTOM
             return None
         new = frame_for(callee, {p.name: env[a] for p, a in zip(callee.formals, s.actuals)})
         new.target = s.target
         return new
 
-    def _taint(self, method_id: str, env: dict, reps) -> None:
+    def _taint(self, env: dict, reps) -> None:
         for rep in reps:
+            # every scalar given is the current frame's; `ret` may not be bound yet
             if isinstance(rep, Scalar):
-                # `ret` may not be bound yet; other frames' scalars are
-                # unobservable from this one and die with their frame
-                if rep.method == method_id:
-                    env[rep.name] = BOTTOM
+                env[rep.name] = BOTTOM
             else:
                 self.tainted.add(rep)
 

@@ -9,7 +9,9 @@ dereference (field or array) may appear on one side of an assignment only.
 assignment of the divergence value to a set of l-value representatives. It is
 never produced by the parser for user source; the divergence rewriter
 introduces it, the parser only accepts it in ``allow_bottom`` mode so
-rewritten programs can round-trip, and the alias analysis validates its targets.
+rewritten programs can round-trip, and the alias analysis validates its
+targets: each is a scalar of the method the assignment is in, or a heap
+location.
 
 A statement block is a plain tuple of statements (``Block``): a method body,
 either branch of a conditional, and a loop body. An empty block is ``()``;
@@ -292,20 +294,18 @@ _TARGETED = frozenset(
 )
 
 
-def scalar_writes(s: Stmt | None, method_id: str) -> tuple[str, ...]:
-    """Names of the scalars of method `method_id`'s frame that `s` writes:
-    the target of an assignment, read or call, ``ret`` for a return, and
-    the own-method scalar targets of a bottom assignment. A branch writes
-    none; the statements nested in it are asked one by one."""
+def scalar_writes(s: Stmt | None) -> tuple[str, ...]:
+    """Names of the scalars of its method's frame that `s` writes: the
+    target of an assignment, read or call, ``ret`` for a return, and the
+    scalar targets of a bottom assignment, which name only that frame. A
+    branch writes none; the statements nested in it are asked one by one."""
     kind = type(s)
     if kind in _TARGETED:
         return (s.target,)
     if kind is Return:
         return ("ret",)
     if kind is BottomAssign:
-        return tuple(
-            r.name for r in s.targets if isinstance(r, Scalar) and r.method == method_id
-        )
+        return tuple(r.name for r in s.targets if isinstance(r, Scalar))
     return ()
 
 

@@ -168,7 +168,7 @@ class ProgramModel:
 
         pre = dominating_consts(g, info, consts)
         # each closing cycle is folded once; both verdicts read these formulas
-        formulas = tuple(cycle_formula(c, pre, g.method_id) for c in cycles.cycles)
+        formulas = tuple(cycle_formula(c, pre) for c in cycles.cycles)
         counters = counter_strides(formulas)
         verdict = check_termination(cycles, formulas, counters)
         lm = LoopModel(info, verdict, cycles)

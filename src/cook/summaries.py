@@ -187,7 +187,7 @@ def _operand(name: str, pre_consts: dict[str, int]) -> tuple:
     return var_expr(name)
 
 
-def step_transition(step, pre_consts: dict[str, int], method_id: str) -> Transition:
+def step_transition(step, pre_consts: dict[str, int]) -> Transition:
     if isinstance(step, ast.Cond):
         return Transition(
             (GuardAtom(_operand(step.left, pre_consts), step.op, _operand(step.right, pre_consts)),),
@@ -218,15 +218,15 @@ def step_transition(step, pre_consts: dict[str, int], method_id: str) -> Transit
     if isinstance(s, ast.FieldWrite):
         return Transition((), (), (), (f"{s.obj}.{s.field_name}",))
     if isinstance(s, ast.BottomAssign):
-        ups = tuple((name, OPAQUE_EXPR) for name in ast.scalar_writes(s, method_id))
+        ups = tuple((name, OPAQUE_EXPR) for name in ast.scalar_writes(s))
         heap = tuple(rep.render() for rep in s.targets if not isinstance(rep, Scalar))
         return Transition((), ups, (), heap)
     raise TypeError(f"no transition for {type(step).__name__}")
 
 
-def cycle_formula(cycle: tuple, pre_consts: dict[str, int], method_id: str) -> Transition:
+def cycle_formula(cycle: tuple, pre_consts: dict[str, int]) -> Transition:
     """The composed transition of a cycle's steps (see `CycleSet`)."""
-    return path_formula([step_transition(st, pre_consts, method_id) for st in cycle])
+    return path_formula([step_transition(st, pre_consts) for st in cycle])
 
 
 # ---------------------------------------------------------------------------

@@ -160,9 +160,7 @@ def extract_cycles(
 def written_names(g: Cfg, loop: LoopInfo) -> frozenset[str]:
     """Every scalar of the method's frame that the loop body may write. An
     inner loop's body lies inside its parent's, so its writes are counted."""
-    return frozenset(
-        name for nid in loop.body for name in ast.scalar_writes(g.nodes[nid], g.method_id)
-    )
+    return frozenset(name for nid in loop.body for name in ast.scalar_writes(g.nodes[nid]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +235,7 @@ def method_consts(g: Cfg) -> MethodConsts:
     defs: dict[str, int] = {}
     const_at: dict[str, tuple[int, int]] = {}
     for nid, s in enumerate(g.nodes):
-        for name in ast.scalar_writes(s, g.method_id):
+        for name in ast.scalar_writes(s):
             defs[name] = defs.get(name, 0) + 1
         if type(s) is ast.ConstAssign and s.value is not None:
             const_at[s.target] = (nid, s.value)

@@ -38,15 +38,20 @@ def reference_of(model: ProgramModel) -> "ReferenceAliases":
 
 
 def node_table_writes(model: ProgramModel) -> dict[str, frozenset[Representative]]:
-    """Each method's write set as the analysis records it, its node table's
-    writes with its callees' frame slots (`Analyzer.call_writes`), decoded.
-    The tables are built callees first, so the model must have no call
-    cycle."""
+    """Each method's write set as the analysis records it, decoded: what a
+    call of it writes of the heap (`Analyzer.visible_writes`) and the frame
+    slots that its node table and its callees' write
+    (`CalleeFrames.frame_writes`). The frame slots are read from every
+    table, so the model must have no call cycle."""
     an = Analyzer(model)
     empty = dict.fromkeys(model.methods, {})  # a node's writes need no summary
     for mid in model.analysis_order():
         an.spec(mid, empty)
-    return {mid: frozenset(an._reps[i] for i in an.call_writes(mid)) for mid in model.methods}
+    frames = an.callee_frames
+    return {
+        mid: frozenset(an._reps[i] for i in an.visible_writes(mid) | frames.frame_writes(mid))
+        for mid in model.methods
+    }
 
 
 class ReferenceAliases(AliasAnalysis):
@@ -86,7 +91,7 @@ class ReferenceAliases(AliasAnalysis):
             return {self.array_rep(method_id, s.array)}
         if isinstance(s, ast.BottomAssign):
             return set(s.targets)
-        return {Scalar(method_id, name) for name in ast.scalar_writes(s, method_id)}
+        return {Scalar(method_id, name) for name in ast.scalar_writes(s)}
 
     def _build_method_writes(self, base: "AliasAnalysis | None") -> None:
         """Joins, targets and call rows from one walk per body, then the

@@ -346,7 +346,7 @@ def test_array_traffic_walks_as_the_reference():
 # dispatches to `A.get` and to `B.get`, the safe-listed extern `pure`, `dead`,
 # whose call of `h` a divergent API result guards, and `even`, whose mutual
 # recursion with `odd` the rewrite replaces; its first statement is a bottom
-# assignment to a scalar of `h`'s frame
+# assignment to its formal `y`, which nothing else writes
 WRITE_SETS = """
 class A { f: int; g: int; }
 class B extends A { }
@@ -366,7 +366,7 @@ method dead(x: int): int {
 }
 method top(o: A, y: int): int {
   var x: int; var z: int;
-  h::a := bottom(api);
+  top::y := bottom(api);
   x := get(o, y);
   z := pure(y);
   z := even(o, y);
@@ -396,7 +396,7 @@ def test_write_sets_of_every_kind_of_call_are_the_reference_closure():
     ]
     assert_walks_as_the_reference(model, tmodel)
     top = {r.render() for r in node_table_writes(tmodel)["top"]}
-    assert {"h::a", "h::y", "h::ret", "B.get::t", "dead::d", "A.f", "A.g"} <= top, top
+    assert {"top::y", "h::y", "h::ret", "B.get::t", "dead::d", "A.f", "A.g"} <= top, top
 
 
 # interfaces that meet again below, classes reachable through several of

@@ -582,13 +582,10 @@ def test_one_callees_first_pass_equals_chaotic_iteration(profile, policy):
         assert_as_the_reference(transformed_model(model), seed)
 
 
-# callee-frame facts of every shape, and the scalars that stay in the node
-# tables because a bottom assignment outside their method names them: `hurt`
-# names its caller's `top::v`; `sib1` calls its sibling `sib2` under a branch,
-# then names `sib2::y`, which kills the facts the call gave it, and the
-# extern formal `ext::x`; `dead` calls `sib2` under a branch on a divergent
-# API result; `get` dispatches to `A.get` and to `B.get`, which calls the
-# three-deep chain `c1`, `c2`, `c3`, each call but the first governed
+# callee-frame facts of every shape: `sib1` calls its sibling `sib2` under a
+# branch; `dead` calls `sib2` under a branch on a divergent API result; `get`
+# dispatches to `A.get` and to `B.get`, which calls the three-deep chain
+# `c1`, `c2`, `c3`, each call but the first governed
 CALLEE_FRAMES = """
 class A { f: int; }
 class B extends A { }
@@ -616,13 +613,11 @@ method sib1(p: int): int {
   var q: int; var zero: int;
   zero := 0;
   if p > zero then { q := sib2(p); }
-  sib2::y := bottom(loop);
-  ext::x := bottom(recursion);
   q := p;
   return q;
 }
 method sib2(p: int): int { var y: int; y := p; return y; }
-method hurt(p: int): int { var u: int; top::v := bottom(api); u := p; return u; }
+method hurt(p: int): int { var u: int; u := p; return u; }
 method A.get(self: A, k: int): int { var t: int; t := self.f; return t; }
 method B.get(self: B, k: int): int { var t: int; t := c1(k, k); self.f := t; return t; }
 method dead(x: int): int {
@@ -645,7 +640,7 @@ method top(o: A, y: int): int {
 """
 
 
-def test_callee_frame_facts_and_exposed_scalars_are_the_eager_reference():
+def test_callee_frame_facts_are_the_eager_reference():
     program = parse_unit(CALLEE_FRAMES, allow_bottom=True)
     tmodel = transformed_model(ProgramModel(program, check(program)))
     assert_as_the_reference(tmodel)
@@ -655,12 +650,8 @@ def test_callee_frame_facts_and_exposed_scalars_are_the_eager_reference():
     assert (sc("c3", "t"), sc("c1", "a"), None) in res.facts["c1"]
     assert (sc("c3", "zero"), BOTTOM, API) in res.facts["top"]
     assert (sc("sib2", "ret"), BOTTOM, API) in res.facts["dead"]
-    # kept in the tables: the bottom assignment killed what the call wrote
-    assert (sc("sib2", "y"), BOTTOM, LOOP) in res.facts["sib1"]
-    assert (sc("sib2", "y"), sc("sib1", "p"), None) not in res.facts["sib1"]
+    # through a governed call's control mask
     assert (sc("sib2", "ret"), sc("sib1", "p"), None) in res.facts["sib1"]
-    assert (sc("ext", "x"), BOTTOM, RECURSION) in res.summaries["top"]
-    assert (sc("top", "v"), BOTTOM, API) in res.facts["top"]
 
 
 def test_a_model_with_call_cycles_is_refused(mutual_recursion, run_pipeline):

@@ -163,7 +163,7 @@ def test_dump_phi_parses_back_to_the_rewritten_program(tmp_path, params):
         result = invoke(tmp_path, ["analyze", "--dump-phi"], pretty(program))
         assert result.exit_code == 0, result.output
         phi = parse_unit(phi_text(result.output), allow_bottom=True)
-        check(phi)
+        ProgramModel(phi, check(phi))  # whose alias walk validates every bottom target
         assert phi == rewrite_program(ProgramModel(program)), seed
         rewritten += phi != program
     assert rewritten

@@ -1,7 +1,7 @@
 """Every import in `src/` and `tests/` is at the top of its module, and used;
 no module under `src/` imports another module's private names; every
 function, class and method defined under `src/cook` is referred to somewhere
-else.
+else, and reads every parameter it takes.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard library's `ast`. An import inside a function body is reported in
@@ -13,7 +13,10 @@ dunder; tests may import them, `src/` may not. Every function, class and
 method defined in `src/cook`, dunders exempt, must be referred to: its name
 occurs in the syntax of `src/`, `tests/` or `perfbench/` outside its own
 `def` or `class` as a `Name`, an `Attribute` or an imported name. A mention
-in a string, a comment or its own body does not count.
+in a string, a comment or its own body does not count. A parameter is read
+when its body, nested functions included, loads it as a `Name`; a method's
+receiver, its first parameter, is exempt, and so is the `program` of
+`interp.run_concrete` and `interp.run_reified` (`UNREAD_KEPT`).
 """
 
 from __future__ import annotations
@@ -126,6 +129,37 @@ def unreferenced(defined: dict[str, str], corpus: list[str]) -> list[str]:
     return [entry for _, entry in sorted(found)]
 
 
+def unread_parameters(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function, parameter) of every parameter that its function's body
+    never reads, a method's receiver left out."""
+    methods = {
+        id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body
+    }
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        if id(fn) in methods:
+            params = params[1:]
+        read = {
+            n.id
+            for stmt in fn.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [(fn.name, p.arg) for p in params if p.arg not in read]
+    return found
+
+
+# `perfbench/run.py` passes `program` to `run_reified` by position, and
+# `run_concrete` keeps the same signature
+UNREAD_KEPT = {
+    "src/cook/interp.py": [("run_concrete", "program"), ("run_reified", "program")],
+}
+
+
 def modules() -> list[Path]:
     found = [p for top in ("src", "tests") for p in sorted((ROOT / top).rglob("*.py"))]
     assert len(found) > 20
@@ -166,6 +200,30 @@ def test_every_definition_in_src_is_named_somewhere_else():
     ]
     assert len(defined) > 15 and len(corpus) > len(defined)
     assert unreferenced(defined, corpus) == []
+
+
+def test_every_parameter_in_src_is_read():
+    found = {
+        str(p.relative_to(ROOT)): unread_parameters(ast.parse(p.read_text(encoding="utf-8")))
+        for p in sorted((ROOT / "src" / "cook").rglob("*.py"))
+    }
+    assert {path: unread for path, unread in found.items() if unread} == UNREAD_KEPT
+
+
+def test_an_unread_parameter_is_reported():
+    tree = ast.parse(
+        "def f(a, b, *args, c, **kw):\n"
+        "    b = a\n"
+        "    def g(d):\n"
+        "        return c\n"
+        "    return g\n"
+        "class C:\n"
+        "    def m(self, x):\n"
+        "        return 1\n"
+        "    def n(self, y):\n"
+        "        return self.n(y)\n"
+    )
+    assert unread_parameters(tree) == [("f", "b"), ("f", "args"), ("f", "kw"), ("g", "d"), ("m", "x")]
 
 
 def test_an_unused_import_is_reported():

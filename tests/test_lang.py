@@ -272,14 +272,14 @@ method m(a: A, n: int): int {
 }
 """
     body = parse(src).methods[0].body
-    writes = [ast.scalar_writes(s, "m") for s in body]
+    writes = [ast.scalar_writes(s) for s in body]
     assert writes == [("x",)] * 5 + [()] + [("arr",), ("x",), (), ("x",), (), (), ("ret",)]
     bottom = ast.BottomAssign(
-        (Scalar("m", "x"), Scalar("other", "y"), TypeField("A", "f"), Scalar("m", "ret")),
+        (Scalar("m", "x"), TypeField("A", "f"), Scalar("m", "ret")),
         ast.DivergenceCause.LOOP,
     )
-    assert ast.scalar_writes(bottom, "m") == ("x", "ret")
-    assert ast.scalar_writes(None, "m") == ()
+    assert ast.scalar_writes(bottom) == ("x", "ret")
+    assert ast.scalar_writes(None) == ()
 
 
 def test_a_statement_prints_as_its_line_of_the_program():

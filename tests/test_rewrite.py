@@ -11,7 +11,7 @@ from cook.pipeline import ProgramModel
 from cook.report import transformed_model
 from cook.representatives import Scalar, TypeField
 from cook.rewrite import rewrite_program
-from profiles import LOOP_DENSE
+from profiles import CENSUS, ISLANDS, LOOP_DENSE
 
 
 def rewrite(src, safe=frozenset()):
@@ -252,6 +252,37 @@ method f(o: A, n: int): int {
     _, p2a = rewrite(src)
     _, p2b = rewrite(src)
     assert p2a == p2b
+
+
+# the benchmark's profiles and CI's recursion-heavy one; `islands` keeps its
+# heap and dispatch but gains divergent constructs, as its programs have none
+OWN_FRAME_PROFILES = {
+    "census": CENSUS,
+    "islands": dict(ISLANDS, methods=20, opaque_loop=0.1, recursion=0.1, extern=0.1),
+    "loops": LOOP_DENSE,
+    "recursive": dict(methods=20, recursion=0.3, call=0.5),
+}
+
+
+@pytest.mark.parametrize("policy", ("basic", "summary"))
+@pytest.mark.parametrize("profile", OWN_FRAME_PROFILES)
+def test_every_scalar_bottom_target_is_of_its_own_method(profile, policy):
+    """The rewrite assigns bottom over what the enclosing frame can observe,
+    so each scalar a bottom assignment names is a formal, local or `ret` of
+    the method it is in: the only scalar target the alias walk accepts."""
+    scalars = 0
+    for seed in range(8):
+        program = generate_program(seed, GenParams(**OWN_FRAME_PROFILES[profile]))
+        for m in rewrite_program(ProgramModel(program, nested_policy=policy)).methods:
+            if m.extern:
+                continue
+            for s in ast.walk(m.body):
+                if type(s) is ast.BottomAssign:
+                    for t in s.targets:
+                        if type(t) is Scalar:
+                            assert t.method == m.id, (seed, m.id, s)
+                            scalars += 1
+    assert scalars
 
 
 # recursion-heavy programs with virtual dispatch, loops and opaque loops

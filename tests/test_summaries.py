@@ -53,7 +53,7 @@ def loop_context(src: str):
     assert len(loops) == 1
     cs = extract_cycles(loops[0], g, loops)
     pre = dominating_consts(g, loops[0], method_consts(g))
-    return p, sym, m, cs, tuple(cycle_formula(c, pre, m.id) for c in cs.cycles)
+    return p, sym, m, cs, tuple(cycle_formula(c, pre) for c in cs.cycles)
 
 
 # -- composition ---------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_one_pass_path_formula_equals_the_pairwise_compose_fold():
                         continue
                     pre = dominating_consts(mm.cfg, lm.info, consts)
                     for cycle in lm.cycles.cycles:
-                        steps = [step_transition(st, pre, mid) for st in cycle]
+                        steps = [step_transition(st, pre) for st in cycle]
                         folded = reduce(compose, steps, IDENTITY)
                         assert path_formula(steps) == folded, (profile, seed, mid, lm.info.header)
                         seen["cycles"] += 1
@@ -406,7 +406,7 @@ def test_generated_df_loops_match_interpreter_exactly():
         loops = find_loops(g)
         cs = extract_cycles(loops[0], g, loops)
         pre = dominating_consts(g, loops[0], method_consts(g))
-        formulas = tuple(cycle_formula(c, pre, mid) for c in cs.cycles)
+        formulas = tuple(cycle_formula(c, pre) for c in cs.cycles)
         tt = classify_terms(cs, formulas, counter_strides(formulas))
         verdict = df_check(cs, tt)
         assert verdict.dependency_free, (seed, verdict.render())

@@ -39,9 +39,9 @@ def loop_of(src: str, method=None):
     return p, m, g, loops
 
 
-def closing_formulas(cs, g, loop, m):
+def closing_formulas(cs, g, loop):
     pre = dominating_consts(g, loop, method_consts(g))
-    return tuple(cycle_formula(c, pre, m.id) for c in cs.cycles)
+    return tuple(cycle_formula(c, pre) for c in cs.cycles)
 
 
 def test_single_cycle_counted_loop(counted_loop):
@@ -168,7 +168,7 @@ method m(n: int): int {
     (cycle,) = cs.cycles
     assert [s.names for s in cycle if isinstance(s, OpaqueUpdate)] == [{"j"}, {"k"}]
     assert {"i", "j", "k"} <= cs.written_names
-    formulas = closing_formulas(cs, g, outer, p.methods[0])
+    formulas = closing_formulas(cs, g, outer)
     v = check_termination(cs, formulas, counter_strides(formulas))
     assert v.terminates and v.counter == "i"
 
@@ -188,7 +188,7 @@ method m(n: int, t: int): int {
     p, m, g, loops = loop_of(src)
     cs = extract_cycles(loops[0], g, loops)
     assert len(cs.cycles) == 1 and cs.exits == 1
-    formulas = closing_formulas(cs, g, loops[0], m)
+    formulas = closing_formulas(cs, g, loops[0])
     v = check_termination(cs, formulas, counter_strides(formulas))
     assert v.terminates and v.counter == "i"
 
@@ -196,7 +196,7 @@ method m(n: int, t: int): int {
 def verdict_for(src: str):
     p, m, g, loops = loop_of(src)
     cs = extract_cycles(loops[0], g, loops)
-    formulas = closing_formulas(cs, g, loops[0], m)
+    formulas = closing_formulas(cs, g, loops[0])
     return check_termination(cs, formulas, counter_strides(formulas))
 
 

@@ -175,9 +175,12 @@ def test_unchanged_caller_of_a_rewritten_callee_gets_the_new_closure():
         # neither names a heap location of the program
         (TypeField("B", "f"), "field 'f' is declared in 'A'"),
         (ArrayPart(7), "no array partition 7"),
-        # a scalar target names a formal, local or `ret` of a declared method
-        (Scalar("helper", "zzz"), "unknown identifier 'zzz'"),
-        (Scalar("nowhere", "x"), "unknown method 'nowhere' in bottom target"),
+        # a scalar target names a formal, local or `ret` of the method it is in
+        (Scalar("caller", "zzz"), "unknown identifier 'zzz'"),
+        (Scalar("nowhere", "x"), "bottom target 'nowhere::x' is not a scalar of method 'caller'"),
+        (Scalar("helper", "zzz"), "bottom target 'helper::zzz' is not a scalar of method 'caller'"),
+        # `looping` is the callee of `caller`
+        (Scalar("looping", "ret"), "bottom target 'looping::ret' is not a scalar of method 'caller'"),
     ],
 )
 def test_methods_the_rewrite_changed_are_checked(monkeypatch, target, message):
@@ -199,8 +202,8 @@ def test_methods_the_rewrite_changed_are_checked(monkeypatch, target, message):
 
 
 # a bottom target names a field by its declaring class, only a partition the
-# program has, and only a formal, local or `ret` of a declared method, an
-# extern's included
+# program has, and only a formal, local or `ret` of the method it is in: not
+# another method's, an extern's included
 BOTTOM_TARGET = """
 class A {{ f: int; }}
 class B extends A {{ }}
@@ -220,7 +223,7 @@ def test_a_bottom_target_names_a_heap_location_of_the_program():
     result = analyze_program(ProgramModel(program, check(program)))
     dependents = {dep.render() for dep, src, _ in result.facts["m"] if src == BOTTOM}
     assert dependents == {"A.f", "m::x", "m::ret"}
-    for target in ("h::a", "h::y", "h::ret", "e::a", "e::ret"):
+    for target in ("m::o", "m::x", "m::ret"):
         program = parse_unit(BOTTOM_TARGET.format(target=target), allow_bottom=True)
         analyze_program(ProgramModel(program, check(program)))
     program = parse_unit(BOTTOM_TARGET.format(target="B.f"), allow_bottom=True)
@@ -233,10 +236,13 @@ def test_a_bottom_target_names_a_heap_location_of_the_program():
     with pytest.raises(CheckDiagnostic, match="no array partition 7") as err:
         ProgramModel(program, symbols)
     assert err.value.line == 6
+    foreign = "bottom target '{}' is not a scalar of method 'm'"
     for target, message in (
-        ("h::zzz", "unknown identifier 'zzz'"),
-        ("e::y", "unknown identifier 'y'"),
-        ("nowhere::x", "unknown method 'nowhere' in bottom target"),
+        ("m::zzz", "unknown identifier 'zzz'"),
+        *(
+            (t, foreign.format(t))
+            for t in ("h::a", "h::y", "h::ret", "e::a", "e::ret", "h::zzz", "e::y", "nowhere::x")
+        ),
     ):
         program = parse_unit(BOTTOM_TARGET.format(target=target), allow_bottom=True)
         symbols = check(program)
